@@ -37,7 +37,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenarios", type=Path, help="directory of aide-world/1 files")
     parser.add_argument("--report", type=Path, help="output report path")
     parser.add_argument("--interactive", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--noise", type=float, default=None, help="mock noise sigma")
 
 
@@ -148,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             params,
             seed=args.seed,
             noise=args.noise,
-            workers=args.workers,
             max_steps=args.max_steps,
             episodes=args.episodes,
             trace_sink=lambda eid, tr: traces.append((eid, tr)),

@@ -76,6 +76,8 @@ class ConfigParams:
     max_subgoal_depth: int = 4
 
     def __post_init__(self) -> None:
+        if self.N < 1:
+            raise ConfigError(f"N must be at least 1, got {self.N}")
         if self.N >= self.N_prime:
             raise ConfigError(f"N ({self.N}) must be below N_prime ({self.N_prime})")
         if not (0.0 < self.m < 1.0):

@@ -63,6 +63,8 @@ class Grounded:
     result: GroundingResult
     s_max: float
     detections: tuple[Detection, ...] = ()
+    # Best pool-image similarity of each scored detection, by rank.
+    similarities: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class NeedsExploration:
     s_max: float
     t_new: float
     detections: tuple[Detection, ...] = ()
+    similarities: tuple[float, ...] = ()
 
 
 MatchOutcome = Grounded | NeedsExploration
@@ -111,8 +114,10 @@ def match_tool(
 ) -> MatchOutcome:
     """Detect pool-vocabulary candidates and similarity-match their crops.
 
-    ``s_max`` ranges over the top-N detections, ``t_new`` over the top-2N; the
-    full ranked list (up to N') rides along for the exploration policy.
+    Each (crop, image) pair is scored once. ``s_max`` ranges over the top-N
+    detections and ``t_new`` over the top-2N, which are scored only when the
+    top-N do not ground the tool; the full ranked list (up to N') rides along
+    for the exploration policy.
     """
     vocabulary = pool.tool_labels()
     fetch = max(params.N_prime, 2 * params.N, params.candidate_max_rank)
@@ -124,22 +129,23 @@ def match_tool(
     if not detections:
         return NeedsExploration(pool=pool, s_max=0.0, t_new=0.0, detections=())
     images = pool.distinct_images()
+    similarities: list[float] = []
 
-    def best_match(rank_cap: int) -> tuple[float, Detection | None]:
-        best_score, best_det = 0.0, None
-        for det in detections[:rank_cap]:
+    def score_up_to(rank_cap: int) -> None:
+        for det in detections[len(similarities) : rank_cap]:
             crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
+            best = 0.0
             for image in images:
                 try:
-                    score = perception.similarity(crop, image).value
+                    best = max(best, perception.similarity(crop, image).value)
                 except PerceptionError:
                     continue
-                if score > best_score:
-                    best_score, best_det = score, det
-        return best_score, best_det
+            similarities.append(best)
 
-    s_max, best = best_match(params.N)
-    if s_max > params.m and best is not None:
+    score_up_to(params.N)
+    s_max = max(similarities)
+    if s_max > params.m:
+        best = detections[similarities.index(s_max)]
         operational, functional = ground_regions(frame, best, pool, params, perception)
         result = GroundingResult(
             tool_label=best.label,
@@ -148,10 +154,11 @@ def match_tool(
             operational_region=operational,
             functional_region=functional,
         )
-        return Grounded(result=result, s_max=s_max, detections=detections)
+        return Grounded(result, s_max, detections, tuple(similarities))
 
-    t_new, _ = best_match(2 * params.N)
-    return NeedsExploration(pool=pool, s_max=s_max, t_new=t_new, detections=detections)
+    score_up_to(2 * params.N)
+    t_new = max(similarities)
+    return NeedsExploration(pool, s_max, t_new, detections, tuple(similarities))
 
 
 def ground_regions(

@@ -9,7 +9,6 @@ tab-delimited table document plus per-episode event logs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -248,7 +247,6 @@ def run_eval(
     params: ConfigParams | None = None,
     seed: int = 0,
     noise: float | None = None,
-    workers: int = 1,
     max_steps: int = 400,
     episodes: int | None = None,
     world_ids: Sequence[str] | None = None,
@@ -258,33 +256,21 @@ def run_eval(
 
     ``episodes`` repeats the scenario cycle with distinct seeds until that
     many episodes have run (defaults to one per world). Each episode gets its
-    own world and space copies, so results do not depend on worker scheduling.
+    own world and space copies, so episodes do not depend on one another.
     """
     params = params or ConfigParams()
     worlds = worlds if worlds is not None else scripted_scenarios()
     ids = sorted(world_ids if world_ids is not None else worlds)
     missing = [w for w in ids if w not in worlds]
     ids = [w for w in ids if w in worlds]
-    specs = []
+    rows = []
     total = episodes if episodes is not None else len(ids)
     for index in range(total):
         world_id = ids[index % len(ids)]
-        specs.append((f"ep-{index:04d}-{world_id}", world_id, seed + index))
-
-    def task(item):
-        episode_id, world_id, episode_seed = item
-        return _run_one_episode(
-            episode_id, worlds[world_id], space, params, episode_seed, noise, max_steps
+        episode_id = f"ep-{index:04d}-{world_id}"
+        row, trace = _run_one_episode(
+            episode_id, worlds[world_id], space, params, seed + index, noise, max_steps
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, specs))
-    else:
-        outcomes = [task(item) for item in specs]
-
-    rows = []
-    for (episode_id, _, _), (row, trace) in zip(specs, outcomes):
         rows.append(row)
         if trace_sink is not None:
             trace_sink(episode_id, trace)

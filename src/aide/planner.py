@@ -23,6 +23,14 @@ from pathlib import Path
 from typing import Callable
 
 from .affordance import label_class
+from .commands import (
+    Approach,
+    Manipulate,
+    MotionCommand,
+    NoOp,
+    Reformulate,
+    RequestHuman,
+)
 from .config import ConfigParams
 from .ers import (
     CandidatePool,
@@ -67,39 +75,6 @@ REASON_HUMAN_ABORT = "human-abort"
 REASON_EXPLORATION_IMPOSSIBLE = "exploration-impossible"
 
 
-# --- commands ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Approach:
-    region: Region
-
-
-@dataclass(frozen=True)
-class Reformulate:
-    subgoal: str
-    key_region: Region
-
-
-@dataclass(frozen=True)
-class Manipulate:
-    operational: Region
-    functional: Region
-
-
-@dataclass(frozen=True)
-class RequestHuman:
-    prompt: str
-
-
-@dataclass(frozen=True)
-class NoOp:
-    pass
-
-
-MotionCommand = Approach | Reformulate | Manipulate | RequestHuman | NoOp
-
-
 @dataclass(frozen=True)
 class TaskInput:
     instruction: str
@@ -119,27 +94,64 @@ class PlanningFailure(RuntimeError):
 
 
 @dataclass
-class TickDiagnostics:
-    """Per-tick facts surfaced for tracing; cleared at the start of each tick."""
+class TickEvent:
+    """The trace record of one tick.
 
+    ``step`` creates it and fills in the planning facts; ``run_closed_loop``
+    adds the step index, command, latency, ground truth and world events.
+    """
+
+    step: int = 0
+    stream: str = STREAM_ADM
+    command_kind: str = ""
+    active_instruction: str = ""
+    validity: float = 0.0
     s_max: float = 0.0
     t_new: float = 0.0
+    latency_ms: float = 0.0
     near: bool = False
-    active_instruction: str = ""
+    command_region: Region | None = None
     grounded_tool_box: Region | None = None
     operational_box: Region | None = None
     functional_box: Region | None = None
     explored_box: Region | None = None
-    explored_label: str | None = None
+    gt_box: Region | None = None
+    gt_handle: Region | None = None
+    gt_body: Region | None = None
+    gt_container_box: Region | None = None
+    correct: bool = False
     events: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        def box(r: Region | None):
+            return r.as_list() if r is not None else None
+
+        return {
+            "step": self.step,
+            "stream": self.stream,
+            "command": self.command_kind,
+            "instruction": self.active_instruction,
+            "validity": round(self.validity, 6),
+            "s_max": round(self.s_max, 6),
+            "t_new": round(self.t_new, 6),
+            "latency_ms": round(self.latency_ms, 3),
+            "near": self.near,
+            "command_region": box(self.command_region),
+            "tool_box": box(self.grounded_tool_box),
+            "operational_box": box(self.operational_box),
+            "functional_box": box(self.functional_box),
+            "explored_box": box(self.explored_box),
+            "gt_box": box(self.gt_box),
+            "gt_container_box": box(self.gt_container_box),
+            "correct": self.correct,
+            "events": list(self.events),
+        }
 
 
 @dataclass
 class PlannerState:
-    stream: str = STREAM_ADM
     pools: dict[str, CandidatePool] = field(default_factory=dict)
     subgoal_stack: list[str] = field(default_factory=list)
-    last_validity: float = 0.0
     episode_step: int = 0
     status: str = RUNNING
     fail_reason: str | None = None
@@ -151,41 +163,27 @@ class PlannerState:
     pending_prompt: str | None = None
     last_container: tuple[Region, str] | None = None
     msi_count: int = 0
-    last_diag: TickDiagnostics = field(default_factory=TickDiagnostics)
+    # The current tick's record; ``step`` replaces it at the start of a tick.
+    tick: TickEvent = field(default_factory=TickEvent)
 
 
 # --- single checks -----------------------------------------------------------
 
 
-def validity_check(
-    detections: list[Detection],
-    pool: CandidatePool,
-    perception: PerceptionBackend,
-    params: ConfigParams,
-    frame: SceneFrame,
-) -> tuple[bool, float]:
+def validity_check(match: MatchOutcome, params: ConfigParams) -> tuple[bool, float]:
     """Best detection confidence plus its best pool-image similarity.
 
-    A score strictly below the validity threshold means no valid tool-related
+    Both are read off the match, which scored the top-ranked crop already. A
+    score strictly below the validity threshold means no valid tool-related
     object is in view; exactly at the threshold still counts as valid.
     """
-    if not detections:
+    if not match.detections:
         return False, 0.0
-    best = detections[0]
-    crop = crop_reference(frame, best.box)
-    best_sim = 0.0
-    for image in pool.distinct_images():
-        try:
-            best_sim = max(best_sim, perception.similarity(crop, image).value)
-        except PerceptionError:
-            continue
-    score = best.confidence + best_sim
+    score = match.detections[0].confidence + match.similarities[0]
     return score >= params.validity_threshold, score
 
 
-def needs_msi(
-    state: PlannerState, retrieval_outcome: CandidatePool | Novel, validity: bool
-) -> bool:
+def needs_msi(retrieval_outcome: CandidatePool | Novel, validity: bool) -> bool:
     """Pure trigger rule; the once-per-failure-event latch lives in ``step``."""
     return isinstance(retrieval_outcome, Novel) or not validity
 
@@ -352,7 +350,7 @@ def decide_motion(
             return Approach(result.tool_region)
         if state.subgoal_stack:
             state.subgoal_stack.pop()
-            state.last_diag.events.append("subgoal-complete")
+            state.tick.events.append("subgoal-complete")
             return Approach(result.tool_region)
         state.status = COMPLETED
         return Manipulate(result.operational_region, result.functional_region)
@@ -369,7 +367,7 @@ def decide_motion(
         return NoOp()
     subgoal = f"open the {outcome.label}"
     state.subgoal_stack.append(subgoal)
-    state.last_diag.events.append(f"subgoal-push:{subgoal}")
+    state.tick.events.append(f"subgoal-push:{subgoal}")
     return Reformulate(subgoal, outcome.region)
 
 
@@ -383,15 +381,13 @@ def step(
     params: ConfigParams,
     perception: PerceptionBackend,
 ) -> tuple[PlannerState, MotionCommand]:
-    """One full planner tick over the current frame."""
+    """One full planner tick over the current frame; its record is ``state.tick``."""
+    active = state.subgoal_stack[-1] if state.subgoal_stack else task.instruction
+    state.tick = tick = TickEvent(active_instruction=active)
     if state.status != RUNNING:
         return state, NoOp()
     state.episode_step += 1
-    state.stream = STREAM_ADM
     frame = task.frame
-    active = state.subgoal_stack[-1] if state.subgoal_stack else task.instruction
-    diag = TickDiagnostics(active_instruction=active)
-    state.last_diag = diag
 
     # Retrieval, cached per active instruction after the first hit.
     pool = state.pools.get(active)
@@ -415,22 +411,17 @@ def step(
     valid = False
     if pool is not None:
         match = match_tool(frame, pool, params, perception)
-        diag.s_max = match.s_max
-        valid, score = validity_check(
-            list(match.detections), pool, perception, params, frame
-        )
-        state.last_validity = score
+        tick.s_max = match.s_max
+        valid, tick.validity = validity_check(match, params)
         if valid:
             state.msi_latch.discard(active)
-    else:
-        state.last_validity = 0.0
 
     outcome: Grounded | GroundingResult | ExplorationOutcome | None = None
 
-    if needs_msi(state, retrieval, valid) and active not in state.msi_latch:
-        state.stream = STREAM_MSI
+    if needs_msi(retrieval, valid) and active not in state.msi_latch:
+        tick.stream = STREAM_MSI
         state.msi_latch.add(active)
-        diag.events.append("msi")
+        tick.events.append("msi")
         try:
             result = run_msi(
                 TaskInput(active, frame), state, space, params, perception
@@ -460,7 +451,7 @@ def step(
         if isinstance(match, Grounded):
             outcome = match
         else:
-            diag.t_new = match.t_new
+            tick.t_new = match.t_new
             strategy = choose_strategy(match.s_max, match.t_new, params)
             if strategy is Strategy.VISIBLE:
                 try:
@@ -483,7 +474,7 @@ def step(
                         outcome = ExplorationOutcome(
                             kind=Strategy.INVISIBLE, region=region, label=label
                         )
-                        diag.events.append("explore-fallback:last-container")
+                        tick.events.append("explore-fallback:last-container")
                     else:
                         state.status = FAILED
                         state.fail_reason = REASON_EXPLORATION_IMPOSSIBLE
@@ -499,16 +490,15 @@ def step(
     if isinstance(outcome, (Grounded, GroundingResult)):
         result = outcome.result if isinstance(outcome, Grounded) else outcome
         target = result.tool_region
-        diag.grounded_tool_box = target
-        diag.operational_box = result.operational_region
-        diag.functional_box = result.functional_region
+        tick.grounded_tool_box = target
+        tick.operational_box = result.operational_region
+        tick.functional_box = result.functional_region
     else:
         target = outcome.region
-        diag.explored_box = outcome.region
-        diag.explored_label = outcome.label
+        tick.explored_box = outcome.region
 
-    diag.near = frame.world_distance_to(target) <= params.r_near
-    command = decide_motion(outcome, diag.near, state, params)
+    tick.near = frame.world_distance_to(target) <= params.r_near
+    command = decide_motion(outcome, tick.near, state, params)
     return state, command
 
 
@@ -544,55 +534,6 @@ def provide_human_answer(state: PlannerState, answer: str | None) -> bool:
 
 
 # --- episode loop ---------------------------------------------------------------
-
-
-@dataclass
-class TickEvent:
-    step: int
-    stream: str
-    command_kind: str
-    active_instruction: str
-    validity: float
-    s_max: float
-    t_new: float
-    latency_ms: float
-    near: bool
-    command_region: Region | None = None
-    grounded_tool_box: Region | None = None
-    operational_box: Region | None = None
-    functional_box: Region | None = None
-    explored_box: Region | None = None
-    gt_box: Region | None = None
-    gt_handle: Region | None = None
-    gt_body: Region | None = None
-    gt_container_box: Region | None = None
-    correct: bool = False
-    events: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        def box(r: Region | None):
-            return r.as_list() if r is not None else None
-
-        return {
-            "step": self.step,
-            "stream": self.stream,
-            "command": self.command_kind,
-            "instruction": self.active_instruction,
-            "validity": round(self.validity, 6),
-            "s_max": round(self.s_max, 6),
-            "t_new": round(self.t_new, 6),
-            "latency_ms": round(self.latency_ms, 3),
-            "near": self.near,
-            "command_region": box(self.command_region),
-            "tool_box": box(self.grounded_tool_box),
-            "operational_box": box(self.operational_box),
-            "functional_box": box(self.functional_box),
-            "explored_box": box(self.explored_box),
-            "gt_box": box(self.gt_box),
-            "gt_container_box": box(self.gt_container_box),
-            "correct": self.correct,
-            "events": list(self.events),
-        }
 
 
 @dataclass
@@ -665,36 +606,18 @@ def run_closed_loop(
                 answered_prompts.add(command.prompt)
                 provide_human_answer(state, answer_human(command.prompt))
 
-        apply_events = apply(world, command, params)
-        diag = state.last_diag
-        gt_box, gt_handle, gt_body, gt_container = gt_projection(world, projections)
-        target = _command_region(command)
-        reference = gt_box if gt_box is not None else gt_container
-        correct = bool(target and reference and target.intersects(reference))
-        trace.rows.append(
-            TickEvent(
-                step=index,
-                stream=state.stream,
-                command_kind=type(command).__name__.lower(),
-                active_instruction=diag.active_instruction or instruction,
-                validity=state.last_validity,
-                s_max=diag.s_max,
-                t_new=diag.t_new,
-                latency_ms=latency_ms,
-                near=diag.near,
-                command_region=target,
-                grounded_tool_box=diag.grounded_tool_box,
-                operational_box=diag.operational_box,
-                functional_box=diag.functional_box,
-                explored_box=diag.explored_box,
-                gt_box=gt_box,
-                gt_handle=gt_handle,
-                gt_body=gt_body,
-                gt_container_box=gt_container,
-                correct=correct,
-                events=tuple(diag.events + apply_events),
-            )
+        row = state.tick
+        row.events += apply(world, command, params)
+        row.step = index
+        row.command_kind = type(command).__name__.lower()
+        row.latency_ms = latency_ms
+        row.command_region = target = _command_region(command)
+        row.gt_box, row.gt_handle, row.gt_body, row.gt_container_box = gt_projection(
+            world, projections
         )
+        reference = row.gt_box if row.gt_box is not None else row.gt_container_box
+        row.correct = bool(target and reference and target.intersects(reference))
+        trace.rows.append(row)
         if isinstance(command, Manipulate):
             trace.manipulate_step = index
         if state.status != RUNNING:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from .affordance import CONTAINER_LABELS
+from .commands import Approach, Manipulate, MotionCommand, NoOp, Reformulate, RequestHuman
 from .config import ConfigParams
 from .geometry import Region, iou, region_from_floats, vertical_halves
 from .perception import SceneFrame
@@ -218,11 +219,8 @@ def observe(world: World, params: ConfigParams) -> tuple[SceneFrame, list[Projec
     return frame, projections
 
 
-def apply(world: World, command, params: ConfigParams) -> list[str]:
+def apply(world: World, command: MotionCommand, params: ConfigParams) -> list[str]:
     """Advance the world by one motion command; returns event strings."""
-    # Imported here to keep planner -> simulator the only static direction.
-    from .planner import Approach, Manipulate, NoOp, Reformulate, RequestHuman
-
     frame = world.last_frame
     events: list[str] = []
     if isinstance(command, Approach):

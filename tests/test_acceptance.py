@@ -24,7 +24,7 @@ from aide.geometry import Region
 from aide.harness import gen_corpus, run_error_analysis, run_eval
 from aide.mock import MockPerception
 from aide.perception import Detection, SceneFrame, SimilarityScore
-from aide.planner import PlannerState, needs_msi, run_closed_loop, validity_check
+from aide.planner import needs_msi, run_closed_loop, validity_check
 from aide.simulator import REAL_WORLD_SUITE, fresh_world, scripted_scenarios
 from aide.space import build_space, brute_force_assignments
 
@@ -216,22 +216,20 @@ def test_criterion_4_threshold_semantics(params):
         assert isinstance(outcome, Grounded) == expect_grounded
 
     # Validity boundary: valid exactly when confidence + similarity >= 0.5.
-    from test_planner import FixedSimilarity
-
-    state = PlannerState()
     confidences = np.linspace(0.0, 1.0, 100)
     sims = np.linspace(0.0, 0.999, 100)
     for conf in confidences:
         det = Detection(label="cup", box=Region(0, 0, 10, 10), confidence=float(conf), rank=1)
         for sim in (float(sims[int(conf * 99) % 100]), 0.5 - float(conf), 0.25):
             sim = min(max(sim, 0.0), 0.999)
-            valid, score = validity_check(
-                [det], pool, FixedSimilarity(sim), params, frame
+            outcome = NeedsExploration(
+                pool=pool, s_max=sim, t_new=sim, detections=(det,), similarities=(sim,)
             )
+            valid, score = validity_check(outcome, params)
             assert valid == (score >= params.validity_threshold)
             assert score == pytest.approx(float(conf) + sim)
-            assert needs_msi(state, pool, valid) == (not valid)
-    assert needs_msi(state, Novel("x"), True)
+            assert needs_msi(pool, valid) == (not valid)
+    assert needs_msi(Novel("x"), True)
     elapsed = time.perf_counter() - start
     report(4, True, f"10^4 strategy pairs + boundary match/validity probes exact, {elapsed:.1f}s")
 

@@ -20,6 +20,8 @@ def test_invariants_enforced():
     with pytest.raises(ConfigError):
         ConfigParams(N=40, N_prime=40)
     with pytest.raises(ConfigError):
+        ConfigParams(N=0)  # no detection could ever be scored for grounding
+    with pytest.raises(ConfigError):
         ConfigParams(T=500)  # above A
     with pytest.raises(ConfigError):
         ConfigParams(m=1.0)

@@ -17,6 +17,7 @@ from aide.ers import (
 )
 from aide.geometry import Region, iou
 from aide.mock import MockPerception
+from aide.planner import validity_check
 from aide.simulator import observe
 
 
@@ -125,6 +126,36 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     assert outcome.t_new >= outcome.s_max
     ranks = {d.rank for d in outcome.detections}
     assert ranks == set(range(1, len(outcome.detections) + 1))
+
+
+class PairCountingMock(MockPerception):
+    """Noiseless mock that records every (crop, image) pair it scores."""
+
+    def __init__(self, world, params):
+        super().__init__(world, params, seed=0, sigma=0.0)
+        self.pairs = []
+
+    def similarity(self, a, b):
+        self.pairs.append((a, b))
+        return super().similarity(a, b)
+
+
+def test_match_and_validity_score_each_pair_once(space, params):
+    # Not grounded, so the top-2N band is scored; validity reuses rank 1.
+    fillers = [obj(f"f{i}", "thing", "misc", 12.0 + i * 4.0, 29.0) for i in range(5)]
+    world = cup_world(cup_at=13.0, extra=fillers)
+    mock = PairCountingMock(world, params)
+    frame, _ = observe(world, params)
+    pool = drink_pool(space, params, mock)
+    outcome = match_tool(frame, pool, params, mock)
+    assert isinstance(outcome, NeedsExploration)
+    assert len(outcome.detections) > params.N
+    expected = len(outcome.detections[: 2 * params.N]) * len(pool.distinct_images())
+    assert len(mock.pairs) == expected
+    assert len(set(mock.pairs)) == expected
+    _, score = validity_check(outcome, params)
+    assert len(mock.pairs) == expected
+    assert score == outcome.detections[0].confidence + outcome.similarities[0]
 
 
 def test_match_absent_tool_with_container_routes_invisible(space, params):

@@ -73,16 +73,6 @@ def test_run_eval_marks_missing_scenarios(space, params):
     assert len(report.rows) == 1
 
 
-def test_run_eval_worker_count_does_not_change_results(space, params):
-    sequential = run_eval(space, params=params, seed=1, noise=0.5, episodes=12)
-    threaded = run_eval(space, params=params, seed=1, noise=0.5, episodes=12, workers=4)
-    strip = lambda rows: [
-        (r.episode_id, r.world_id, r.status, r.tool, r.whole, r.steps) for r in rows
-    ]
-    assert strip(sequential.rows) == strip(threaded.rows)
-    assert sequential.wsr == threaded.wsr
-
-
 def test_run_eval_never_reads_stdin(space, params, monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("batch evaluation must not block on input()")

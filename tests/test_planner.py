@@ -5,11 +5,11 @@ from worldkit import make_world, obj
 
 from aide.affordance import vector
 from aide.config import ConfigParams
-from aide.ers import CandidatePool, Grounded, Novel, retrieve_candidates
+from aide.ers import CandidatePool, Grounded, NeedsExploration, Novel, retrieve_candidates
 from aide.exploration import ExplorationOutcome, Strategy
 from aide.geometry import Region
 from aide.mock import MockPerception
-from aide.perception import Detection, SceneFrame, SimilarityScore
+from aide.perception import Detection
 from aide.planner import (
     COMPLETED,
     FAILED,
@@ -38,16 +38,6 @@ from aide.simulator import ABSENT, OCCLUDED, observe
 from aide.space import GroundingResult, InstructionRecord
 
 
-class FixedSimilarity:
-    """Perception stub: similarity always returns one fixed value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def similarity(self, a, b):
-        return SimilarityScore(self.value)
-
-
 def fake_pool():
     result = GroundingResult(
         tool_label="cup",
@@ -68,43 +58,45 @@ def fake_pool():
     )
 
 
-def any_frame():
-    return SceneFrame(image="frame:z:0", width=100, height=100, timestamp=0.0)
-
-
 def detection(conf, rank=1):
     return Detection(label="cup", box=Region(0, 0, 10, 10), confidence=conf, rank=rank)
+
+
+def matched(conf, sim):
+    """A match outcome whose rank-1 detection has this confidence and similarity."""
+    return NeedsExploration(
+        pool=fake_pool(),
+        s_max=sim,
+        t_new=sim,
+        detections=(detection(conf),),
+        similarities=(sim,),
+    )
 
 
 # --- validity ----------------------------------------------------------------
 
 
 def test_validity_high_confidence_and_similarity(params):
-    valid, score = validity_check(
-        [detection(1.0)], fake_pool(), FixedSimilarity(1.0 - 1e-6), params, any_frame()
-    )
+    valid, score = validity_check(matched(1.0, 1.0 - 1e-6), params)
     assert valid
     assert score == pytest.approx(2.0, abs=1e-5)
 
 
 def test_validity_below_threshold_invalid(params):
-    valid, score = validity_check(
-        [detection(0.2)], fake_pool(), FixedSimilarity(0.25), params, any_frame()
-    )
+    valid, score = validity_check(matched(0.2, 0.25), params)
     assert not valid
     assert score == pytest.approx(0.45)
 
 
 def test_validity_exact_boundary_is_valid(params):
-    valid, score = validity_check(
-        [detection(0.25)], fake_pool(), FixedSimilarity(0.25), params, any_frame()
-    )
+    valid, score = validity_check(matched(0.25, 0.25), params)
     assert valid
     assert score == pytest.approx(0.5)
 
 
 def test_validity_zero_detections(params):
-    valid, score = validity_check([], fake_pool(), FixedSimilarity(0.9), params, any_frame())
+    outcome = NeedsExploration(pool=fake_pool(), s_max=0.0, t_new=0.0)
+    valid, score = validity_check(outcome, params)
     assert not valid and score == 0.0
 
 
@@ -112,11 +104,10 @@ def test_validity_zero_detections(params):
 
 
 def test_needs_msi_truth_table():
-    state = PlannerState()
-    assert needs_msi(state, Novel("x"), True)
-    assert needs_msi(state, Novel("x"), False)
-    assert needs_msi(state, fake_pool(), False)
-    assert not needs_msi(state, fake_pool(), True)
+    assert needs_msi(Novel("x"), True)
+    assert needs_msi(Novel("x"), False)
+    assert needs_msi(fake_pool(), False)
+    assert not needs_msi(fake_pool(), True)
 
 
 # --- mm_cot ----------------------------------------------------------------------
