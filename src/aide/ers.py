@@ -20,6 +20,7 @@ from .perception import (
     PerceptionBackend,
     PerceptionError,
     SceneFrame,
+    best_similarity,
     crop_reference,
 )
 from .space import GroundingResult, InstructionRecord, RelationshipSpace
@@ -38,24 +39,41 @@ class Novel:
 
 @dataclass
 class CandidatePool:
+    """A retrieved pool and the facts every tick reads off it.
+
+    A pool never changes once retrieved, so its sorted tool labels, distinct
+    tool images and distinct unseen hints (both in first-seen order) are
+    derived once, in one pass over the candidates' results.
+    """
+
     anchor: InstructionRecord
     candidates: list[InstructionRecord]
-    tool_images: list[tuple[str, str]] = field(default_factory=list)
-    unseen_hints: list[tuple[str, str]] = field(default_factory=list)
+    unseen_hints: list[tuple[str, str]] = field(init=False)
+    _labels: list[str] = field(init=False, repr=False)
+    _images: list[str] = field(init=False, repr=False)
 
-    def tool_labels(self) -> list[str]:
-        seen: dict[str, None] = {}
+    def __post_init__(self) -> None:
+        labels: dict[str, None] = {}
+        images: dict[str, None] = {}
+        hints: dict[tuple[str, str], None] = {}
         for record in self.candidates:
             for result in record.results:
-                seen.setdefault(result.tool_label, None)
-        return sorted(seen)
+                labels.setdefault(result.tool_label, None)
+                images.setdefault(result.tool_image, None)
+                if result.unseen_region_label is not None:
+                    hints.setdefault(
+                        (result.unseen_region_label, result.unseen_region_image), None
+                    )
+        self._labels = sorted(labels)
+        self._images = list(images)
+        self.unseen_hints = list(hints)
+
+    def tool_labels(self) -> list[str]:
+        return self._labels
 
     def distinct_images(self) -> list[str]:
         """Tool image references without duplicates, in first-seen order."""
-        seen: dict[str, None] = {}
-        for _, image in self.tool_images:
-            seen.setdefault(image, None)
-        return list(seen)
+        return self._images
 
 
 @dataclass(frozen=True)
@@ -88,22 +106,7 @@ def retrieve_candidates(
     anchor, _ = space.dfs_retrieve(instruction_vector, params.c)
     if anchor is None:
         return Novel(instruction=instruction)
-    candidates = space.candidate_set(anchor, params.d)
-    tool_images: list[tuple[str, str]] = []
-    hints: dict[tuple[str, str], None] = {}
-    for record in candidates:
-        for result in record.results:
-            tool_images.append((record.id, result.tool_image))
-            if result.unseen_region_label is not None:
-                hints.setdefault(
-                    (result.unseen_region_label, result.unseen_region_image), None
-                )
-    return CandidatePool(
-        anchor=anchor,
-        candidates=candidates,
-        tool_images=tool_images,
-        unseen_hints=list(hints),
-    )
+    return CandidatePool(anchor, space.candidate_set(anchor, params.d))
 
 
 def match_tool(
@@ -134,13 +137,7 @@ def match_tool(
     def score_up_to(rank_cap: int) -> None:
         for det in detections[len(similarities) : rank_cap]:
             crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
-            best = 0.0
-            for image in images:
-                try:
-                    best = max(best, perception.similarity(crop, image).value)
-                except PerceptionError:
-                    continue
-            similarities.append(best)
+            similarities.append(best_similarity(perception, crop, images))
 
     score_up_to(params.N)
     s_max = max(similarities)
@@ -195,18 +192,11 @@ def ground_regions(
     fn_exemplars = [f"{image}#fn" for image in images]
 
     def pick(exemplars: list[str]) -> Region:
-        best_score, best_box = -1.0, parts[0].box
-        for det in parts:
+        def score(det: Detection) -> float:
             crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
-            score = 0.0
-            for exemplar in exemplars:
-                try:
-                    score = max(score, perception.similarity(crop, exemplar).value)
-                except PerceptionError:
-                    continue
-            if score > best_score:
-                best_score, best_box = score, det.box
-        return best_box
+            return best_similarity(perception, crop, exemplars)
+
+        return max(parts, key=score).box
 
     def clipped(box: Region) -> Region:
         inter = box.intersection(tool.box)

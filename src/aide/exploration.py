@@ -21,6 +21,7 @@ from .perception import (
     PerceptionError,
     SceneFrame,
     ToolHypothesis,
+    best_similarity,
     crop_reference,
 )
 
@@ -113,13 +114,14 @@ def invisible_explore(
     """Locate the container the required tool most plausibly hides in.
 
     The container label comes from the pool's unseen hints (instruction text
-    matched against hint labels) when available, otherwise from the reasoner.
-    The region is the best-matching container detection.
+    matched against hint labels when there are several) when available,
+    otherwise from the reasoner. The region is the best-matching container
+    detection.
     """
     if not instruction:
         raise ValueError("instruction must be non-empty")
     hints = pool.unseen_hints if pool is not None else []
-    if hints:
+    if len(hints) > 1:
         best_label, best_score = hints[0][0], -1.0
         for hint_label, _ in hints:
             try:
@@ -129,6 +131,8 @@ def invisible_explore(
             if score > best_score:
                 best_label, best_score = hint_label, score
         label = best_label
+    elif hints:
+        label = hints[0][0]
     else:
         label = perception.infer_unseen_label(instruction, frame)
 
@@ -141,18 +145,12 @@ def invisible_explore(
 
     hint_images = [image for _, image in hints if image]
     if hint_images:
-        best_box, best_score = detections[0].box, -1.0
-        for det in detections:
+
+        def score(det: Detection) -> float:
             crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
-            score = 0.0
-            for img in hint_images:
-                try:
-                    score = max(score, perception.similarity(crop, img).value)
-                except PerceptionError:
-                    continue
-            if score > best_score:
-                best_box, best_score = det.box, score
-        return best_box, label
+            return best_similarity(perception, crop, hint_images)
+
+        return max(detections, key=score).box, label
 
     index = perception.select_candidate(ToolHypothesis(label=label), detections, frame)
     return detections[index].box, label

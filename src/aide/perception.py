@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Iterable
 
 from .affordance import AffordanceVector
 from .geometry import Region
@@ -144,3 +145,18 @@ class PerceptionBackend(ABC):
     @abstractmethod
     def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
         """Container label where the required tool may hide."""
+
+
+def best_similarity(perception: PerceptionBackend, a: str, refs: Iterable[str]) -> float:
+    """Highest similarity of ``a`` to any reference; 0.0 when nothing scores.
+
+    A failed similarity call counts as no score, so an unreachable backend
+    degrades matching to zero rather than raising.
+    """
+    best = 0.0
+    for ref in refs:
+        try:
+            best = max(best, perception.similarity(a, ref).value)
+        except PerceptionError:
+            continue
+    return best

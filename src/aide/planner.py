@@ -56,6 +56,7 @@ from .perception import (
     PerceptionError,
     SceneFrame,
     ToolHypothesis,
+    best_similarity,
     crop_reference,
 )
 from .simulator import World, apply, gt_projection, observe, run_intervention
@@ -243,12 +244,9 @@ def mm_cot(
         detections = []
 
     def crop_score(det: Detection) -> float:
-        crop = crop_reference(task.frame, det.box)
-        try:
-            return perception.similarity(crop, image).value
-        except PerceptionError:
-            return 0.0
+        return best_similarity(perception, crop_reference(task.frame, det.box), [image])
 
+    wider = detections[: 2 * params.N]
     if detections:
         index = perception.select_candidate(
             hypothesis, detections[: params.N], task.frame
@@ -256,10 +254,13 @@ def mm_cot(
         tool = detections[index]
         if crop_score(tool) > params.strategy_threshold:
             return grounded(tool.box)
+        # The selected candidate scored at or below the threshold, so it
+        # cannot lift t_new above it; only the others are scored.
+        wider = [det for det in wider if det is not tool]
 
     # Nothing plausibly matches: explore, routed by the same threshold the
     # fast stream uses over the wider candidate set.
-    t_new = max((crop_score(d) for d in detections[: 2 * params.N]), default=0.0)
+    t_new = max(map(crop_score, wider), default=0.0)
     if t_new > params.strategy_threshold:
         try:
             region = visible_explore(detections, task.frame, params)

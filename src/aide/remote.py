@@ -9,8 +9,10 @@ map onto three paths:
   /reason      propose_tool, select_candidate, score_affordance,
                infer_unseen_label
 
-After three consecutive transport failures the circuit opens and every call
-raises ``CircuitOpenError`` until ``reset()`` or a successful probe.
+A reply that does not parse into the capability's values raises
+``PerceptionError`` like a transport failure does. After three consecutive
+failures of either kind the circuit opens and every call raises
+``CircuitOpenError`` until ``reset()``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import os
 import urllib.error
 import urllib.request
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .affordance import AffordanceVector
 from .geometry import Region
@@ -33,12 +35,13 @@ from .perception import (
 )
 
 Transport = Callable[[str, dict], dict]
+T = TypeVar("T")
 
 _FAILURES_TO_OPEN = 3
 
 
 class CircuitOpenError(PerceptionError):
-    """Too many consecutive transport failures; calls are short-circuited."""
+    """Too many consecutive failures; calls are short-circuited."""
 
 
 def _http_transport(timeout_ms: float, api_key: str | None) -> Transport:
@@ -87,57 +90,71 @@ class RemotePerception(PerceptionBackend):
     def circuit_open(self) -> bool:
         return self._consecutive_failures >= _FAILURES_TO_OPEN
 
-    def _call(self, path: str, payload: dict) -> dict:
+    def _call(self, path: str, payload: dict, parse: Callable[[dict], T]) -> T:
+        """One round trip, parsed. A transport failure or a reply ``parse``
+        rejects counts toward the breaker and raises ``PerceptionError``."""
         if self.circuit_open:
             raise CircuitOpenError(
                 f"circuit open after {self._consecutive_failures} consecutive failures"
             )
         try:
             response = self._transport(f"{self.base_url}{path}", payload)
+            if not isinstance(response, dict):
+                raise PerceptionError(f"malformed response from {path}")
+            result = parse(response)
         except PerceptionError:
             self._consecutive_failures += 1
             raise
+        except (KeyError, TypeError, ValueError) as exc:
+            self._consecutive_failures += 1
+            raise PerceptionError(f"malformed response from {path}: {exc!r}") from exc
         self._consecutive_failures = 0
-        if not isinstance(response, dict):
-            raise PerceptionError(f"malformed response from {path}")
-        return response
+        return result
 
     # -- capabilities -----------------------------------------------------
 
     def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
-        response = self._call(
-            "/detect",
-            {"op": "detect", "frame": _frame_payload(frame), "vocabulary": vocabulary, "k": k},
-        )
-        detections = []
-        for i, item in enumerate(response.get("detections", [])[:k]):
-            detections.append(
+        def parse(response: dict) -> list[Detection]:
+            return [
                 Detection(
                     label=item["label"],
                     box=Region(*item["box"]),
                     confidence=float(item["confidence"]),
                     rank=int(item.get("rank", i + 1)),
                 )
-            )
-        return detections
+                for i, item in enumerate(response.get("detections", [])[:k])
+            ]
+
+        return self._call(
+            "/detect",
+            {"op": "detect", "frame": _frame_payload(frame), "vocabulary": vocabulary, "k": k},
+            parse,
+        )
 
     def similarity(self, a: str, b: str) -> SimilarityScore:
-        response = self._call("/similarity", {"op": "similarity", "a": a, "b": b})
-        return SimilarityScore(min(float(response["value"]), 1.0 - 1e-9))
+        return self._call(
+            "/similarity",
+            {"op": "similarity", "a": a, "b": b},
+            lambda r: SimilarityScore(min(float(r["value"]), 1.0 - 1e-9)),
+        )
 
     def propose_tool(self, instruction: str, frame: SceneFrame) -> ToolHypothesis:
-        response = self._call(
+        return self._call(
             "/reason",
             {"op": "propose_tool", "instruction": instruction, "frame": _frame_payload(frame)},
-        )
-        return ToolHypothesis(
-            label=response["label"], attributes=tuple(response.get("attributes", ()))
+            lambda r: ToolHypothesis(label=r["label"], attributes=tuple(r.get("attributes", ()))),
         )
 
     def select_candidate(
         self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
     ) -> int:
-        response = self._call(
+        def parse(response: dict) -> int:
+            index = int(response["index"])
+            if not (0 <= index < len(candidates)):
+                raise ValueError(f"candidate index {index} out of range")
+            return index
+
+        return self._call(
             "/reason",
             {
                 "op": "select_candidate",
@@ -149,14 +166,11 @@ class RemotePerception(PerceptionBackend):
                 ],
                 "frame": _frame_payload(frame),
             },
+            parse,
         )
-        index = int(response["index"])
-        if not (0 <= index < len(candidates)):
-            raise PerceptionError(f"candidate index {index} out of range")
-        return index
 
     def segment_regions(self, tool: Detection, frame: SceneFrame) -> tuple[Region, Region]:
-        response = self._call(
+        return self._call(
             "/detect",
             {
                 "op": "segment_regions",
@@ -164,16 +178,19 @@ class RemotePerception(PerceptionBackend):
                 "label": tool.label,
                 "frame": _frame_payload(frame),
             },
+            lambda r: (Region(*r["operational"]), Region(*r["functional"])),
         )
-        return Region(*response["operational"]), Region(*response["functional"])
 
     def score_affordance(self, subject: str) -> AffordanceVector:
-        response = self._call("/reason", {"op": "score_affordance", "subject": subject})
-        return AffordanceVector(tuple(float(v) for v in response["scores"]))
+        return self._call(
+            "/reason",
+            {"op": "score_affordance", "subject": subject},
+            lambda r: AffordanceVector(tuple(float(v) for v in r["scores"])),
+        )
 
     def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
-        response = self._call(
+        return self._call(
             "/reason",
             {"op": "infer_unseen_label", "instruction": instruction, "frame": _frame_payload(frame)},
+            lambda r: str(r["label"]),
         )
-        return str(response["label"])

@@ -187,7 +187,7 @@ def _boundary_pool():
         tool_affordance=vector([1.0]),
         results=(result,),
     )
-    return CandidatePool(anchor=record, candidates=[record], tool_images=[("r0", "tool:drink:cup")])
+    return CandidatePool(anchor=record, candidates=[record])
 
 
 def test_criterion_4_threshold_semantics(params):

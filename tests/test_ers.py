@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from worldkit import make_world, obj
+from worldkit import PairCountingMock, make_world, obj
 
 from aide.affordance import AffordanceVector, distance
 from aide.config import ConfigParams
@@ -41,8 +41,16 @@ def test_retrieve_pool_matches_bruteforce_subcluster_filter(space, params):
     }
     assert {r.id for r in pool.candidates} == expected
     assert pool.anchor.id in expected
-    assert pool.tool_images
-    assert len(pool.tool_images) == sum(len(r.results) for r in pool.candidates)
+    results = [result for r in pool.candidates for result in r.results]
+    assert pool.tool_labels() == sorted({result.tool_label for result in results})
+    images = [result.tool_image for result in results]
+    assert pool.distinct_images() == sorted(set(images), key=images.index)
+    hints = [
+        (result.unseen_region_label, result.unseen_region_image)
+        for result in results
+        if result.unseen_region_label is not None
+    ]
+    assert pool.unseen_hints == sorted(set(hints), key=hints.index)
 
 
 def test_retrieve_novel_when_nothing_in_radius(space, params):
@@ -128,16 +136,23 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     assert ranks == set(range(1, len(outcome.detections) + 1))
 
 
-class PairCountingMock(MockPerception):
-    """Noiseless mock that records every (crop, image) pair it scores."""
+class Unwalkable(list):
+    """A candidate list that fails if anything iterates it."""
 
-    def __init__(self, world, params):
-        super().__init__(world, params, seed=0, sigma=0.0)
-        self.pairs = []
+    def __iter__(self):
+        raise AssertionError("pool candidates walked after construction")
 
-    def similarity(self, a, b):
-        self.pairs.append((a, b))
-        return super().similarity(a, b)
+
+def test_match_reads_pool_facts_without_walking_candidates(space, params):
+    # Grounded, so ground_regions reads the pool's images too.
+    world = cup_world()
+    mock = noiseless(world, params)
+    frame, _ = observe(world, params)
+    pool = drink_pool(space, params, mock)
+    pool.candidates = Unwalkable(pool.candidates)
+    outcome = match_tool(frame, pool, params, mock)
+    assert isinstance(outcome, Grounded)
+    assert outcome.result.tool_label == "cup"
 
 
 def test_match_and_validity_score_each_pair_once(space, params):

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from worldkit import make_world, obj
+from worldkit import PairCountingMock, make_world, obj
 
 from aide.config import ConfigParams
-from aide.ers import Novel, retrieve_candidates
+from aide.ers import CandidatePool, Novel, retrieve_candidates
 from aide.exploration import (
     ExplorationImpossible,
     ExplorationOutcome,
@@ -18,6 +18,7 @@ from aide.geometry import Region
 from aide.mock import MockPerception
 from aide.perception import Detection, SceneFrame
 from aide.simulator import OCCLUDED, observe
+from aide.space import GroundingResult, InstructionRecord
 
 
 def frame(size=800):
@@ -258,3 +259,33 @@ def test_invisible_label_selection_prefers_table_match(space, params):
     pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
     region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
     assert label == "fridge"
+
+
+def test_invisible_single_hint_is_not_ranked(space, params):
+    world = fridge_world()
+    mock = PairCountingMock(world, params)
+    frame_, projections = observe(world, params)
+    box = Region(0, 0, 10, 10)
+    record = InstructionRecord(
+        id="r0",
+        text=world.instruction,
+        instruction_affordance=mock.score_affordance(world.instruction),
+        tool_affordance=mock.score_affordance("tool:drink:coke"),
+        results=(
+            GroundingResult(
+                tool_label="coke",
+                tool_image="tool:drink:coke",
+                tool_region=box,
+                operational_region=box,
+                functional_region=box,
+                unseen_region_label="fridge",
+                unseen_region_image="container:fridge",
+            ),
+        ),
+    )
+    pool = CandidatePool(anchor=record, candidates=[record])
+    assert pool.unseen_hints == [("fridge", "container:fridge")]
+    region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
+    assert label == "fridge"
+    assert region == next(p for p in projections if p.object_id == "f1").box
+    assert (world.instruction, "fridge") not in mock.pairs

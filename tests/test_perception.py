@@ -15,6 +15,7 @@ from aide.perception import (
     SceneFrame,
     ToolHypothesis,
     UnknownReferenceError,
+    best_similarity,
     check_detection_ordering,
     crop_reference,
 )
@@ -197,6 +198,17 @@ def test_similarity_unresolvable_reference(params):
     mock = noiseless(world, params)
     with pytest.raises(UnknownReferenceError):
         mock.similarity("frame:nope:0#crop:0,0,4,4", "tool:drink:cup")
+
+
+def test_best_similarity_skips_failed_references(params):
+    mock = noiseless(make_world([]), params)
+    broken = "frame:nope:0#crop:0,0,4,4"
+    fine = "tool:strike:hammer"
+    expected = mock.similarity("tool:drink:cup", fine).value
+    assert 0.0 < expected
+    assert best_similarity(mock, "tool:drink:cup", [broken, fine]) == expected
+    assert best_similarity(mock, "tool:drink:cup", [broken]) == 0.0
+    assert best_similarity(mock, "tool:drink:cup", []) == 0.0
 
 
 def test_text_similarity_uses_scenario_tables(params):

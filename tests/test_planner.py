@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from worldkit import make_world, obj
+from worldkit import PairCountingMock, make_world, obj
 
 from aide.affordance import vector
 from aide.config import ConfigParams
@@ -53,9 +53,7 @@ def fake_pool():
         tool_affordance=vector([1.0]),
         results=(result,),
     )
-    return CandidatePool(
-        anchor=record, candidates=[record], tool_images=[("r0", "tool:drink:cup")]
-    )
+    return CandidatePool(anchor=record, candidates=[record])
 
 
 def detection(conf, rank=1):
@@ -158,6 +156,28 @@ def test_mm_cot_occluded_tool_embeds_exploration(params):
     assert result.unseen_region_image == "container:fridge"
     fridge_box = next(p for p in projections if p.object_id == "f1").box
     assert result.tool_region == fridge_box
+
+
+def test_mm_cot_rejected_candidate_scored_once(params):
+    # Only off-vocabulary objects are in view, so the selected candidate fails
+    # the similarity check and the wider band is scored for t_new.
+    world = make_world(
+        [
+            obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4),
+            obj("k1", "coke", "drink", 20.0, 24.0, w=1, h=1, visibility=OCCLUDED, container_id="f1"),
+            obj("t1", "thing", "misc", 14.0, 28.0),
+            obj("t2", "thing", "misc", 26.0, 28.0),
+        ],
+        instruction="I want something cold to drink",
+        tool_table={"I want something cold to drink": "coke"},
+        container_table={"I want something cold to drink": "fridge"},
+    )
+    mock = PairCountingMock(world, params)
+    frame, _ = observe(world, params)
+    result = mm_cot(TaskInput(world.instruction, frame), params, mock)
+    assert result.unseen_region_label == "fridge"
+    assert len(mock.pairs) > 1
+    assert len(set(mock.pairs)) == len(mock.pairs)
 
 
 def test_mm_cot_override_region(params):

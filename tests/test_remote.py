@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from aide.geometry import Region
-from aide.perception import PerceptionError, SceneFrame, ToolHypothesis
+from aide.perception import Detection, PerceptionError, SceneFrame, ToolHypothesis
 from aide.remote import CircuitOpenError, RemotePerception
 
 
@@ -81,8 +81,6 @@ def test_segment_and_select_and_scores():
         }
     )
     remote = client(transport)
-    from aide.perception import Detection
-
     tool = Detection(label="cup", box=Region(0, 0, 10, 10), confidence=0.9, rank=1)
     operational, functional = remote.segment_regions(tool, frame())
     assert operational == Region(0, 5, 10, 10)
@@ -94,8 +92,6 @@ def test_segment_and_select_and_scores():
 
 def test_select_candidate_range_checked():
     remote = client(ScriptedTransport({"/reason": {"index": 7}}))
-    from aide.perception import Detection
-
     candidates = [Detection(label="cup", box=Region(0, 0, 1, 1), confidence=0.5, rank=1)]
     with pytest.raises(PerceptionError):
         remote.select_candidate(ToolHypothesis("cup"), candidates, frame())
@@ -128,3 +124,43 @@ def test_success_resets_failure_streak():
     with pytest.raises(PerceptionError):
         remote.similarity("a", "b")
     assert not remote.circuit_open
+
+
+MALFORMED = [
+    ("detect", "/detect", {"detections": [{"label": "cup", "box": [1, 2]}]},
+     lambda r: r.detect(frame(), ["cup"], 5)),
+    ("similarity", "/similarity", {"value": "high"}, lambda r: r.similarity("a", "b")),
+    ("propose_tool", "/reason", {"attributes": []}, lambda r: r.propose_tool("x", frame())),
+    ("select_candidate", "/reason", {"index": None},
+     lambda r: r.select_candidate(ToolHypothesis("cup"), [], frame())),
+    ("segment_regions", "/detect", {"operational": [5, 5, 0, 0], "functional": [0, 0, 1, 1]},
+     lambda r: r.segment_regions(
+         Detection(label="cup", box=Region(0, 0, 10, 10), confidence=0.9, rank=1), frame()
+     )),
+    ("score_affordance", "/reason", {"scores": []}, lambda r: r.score_affordance("x")),
+    ("infer_unseen_label", "/reason", {}, lambda r: r.infer_unseen_label("x", frame())),
+]
+
+
+@pytest.mark.parametrize(
+    "path,reply,call", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_reply_is_a_counted_perception_error(path, reply, call):
+    transport = ScriptedTransport({path: reply})
+    remote = client(transport)
+    for _ in range(3):
+        with pytest.raises(PerceptionError) as caught:
+            call(remote)
+        assert not isinstance(caught.value, CircuitOpenError)
+    assert remote.circuit_open
+    with pytest.raises(CircuitOpenError):
+        call(remote)
+    assert len(transport.calls) == 3
+
+
+def test_non_dict_reply_counts_toward_breaker():
+    remote = client(ScriptedTransport({"/similarity": [0.5]}))
+    for _ in range(3):
+        with pytest.raises(PerceptionError):
+            remote.similarity("a", "b")
+    assert remote.circuit_open

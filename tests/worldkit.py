@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from aide.mock import MockPerception
 from aide.simulator import VISIBLE, World, WorldObject
 
 
@@ -59,3 +60,15 @@ def make_world(
         hint_table=dict(hint_table or {}),
         gt=dict(gt or {}),
     )
+
+
+class PairCountingMock(MockPerception):
+    """Noiseless mock that records every (a, b) pair it scores."""
+
+    def __init__(self, world, params):
+        super().__init__(world, params, seed=0, sigma=0.0)
+        self.pairs = []
+
+    def similarity(self, a, b):
+        self.pairs.append((a, b))
+        return super().similarity(a, b)
