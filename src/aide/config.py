@@ -102,6 +102,11 @@ class ConfigParams:
             return self.visible_candidate_max_rank
         return 2 * self.N
 
+    @property
+    def detection_budget(self) -> int:
+        """Detections fetched to match a tool: enough for N', 2N and exploration."""
+        return max(self.N_prime, 2 * self.N, self.candidate_max_rank)
+
     def with_overrides(self, **changes) -> "ConfigParams":
         return dataclasses.replace(self, **changes)
 

@@ -14,20 +14,20 @@ from dataclasses import dataclass, field
 
 from .affordance import AffordanceVector
 from .config import ConfigParams
-from .geometry import Region, vertical_halves
+from .geometry import Region
 from .perception import (
+    CROP_PAD_FRACTION,
     Detection,
     PerceptionBackend,
-    PerceptionError,
     SceneFrame,
     best_similarity,
     crop_reference,
+    detect_or_empty,
+    tool_regions,
 )
 from .space import GroundingResult, InstructionRecord, RelationshipSpace
 
 PART_VOCABULARY = ("handle", "body")
-
-CROP_PAD_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ class Grounded:
 
 @dataclass(frozen=True)
 class NeedsExploration:
-    pool: CandidatePool
+    # None when the slow stream explores: it matched no retrieved pool.
+    pool: CandidatePool | None
     s_max: float
     t_new: float
     detections: tuple[Detection, ...] = ()
@@ -122,31 +123,25 @@ def match_tool(
     top-N do not ground the tool; the full ranked list (up to N') rides along
     for the exploration policy.
     """
-    vocabulary = pool.tool_labels()
-    fetch = max(params.N_prime, 2 * params.N, params.candidate_max_rank)
-    try:
-        detections = tuple(perception.detect(frame, vocabulary, fetch))
-    except PerceptionError:
-        # Unreachable backend degrades to an empty detection response.
-        detections = ()
-    if not detections:
-        return NeedsExploration(pool=pool, s_max=0.0, t_new=0.0, detections=())
+    detections = tuple(
+        detect_or_empty(perception, frame, pool.tool_labels(), params.detection_budget)
+    )
     images = pool.distinct_images()
     similarities: list[float] = []
 
     def score_up_to(rank_cap: int) -> None:
         for det in detections[len(similarities) : rank_cap]:
-            crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
+            crop = crop_reference(frame, det.box)
             similarities.append(best_similarity(perception, crop, images))
 
     score_up_to(params.N)
-    s_max = max(similarities)
+    s_max = max(similarities, default=0.0)
     if s_max > params.m:
         best = detections[similarities.index(s_max)]
         operational, functional = ground_regions(frame, best, pool, params, perception)
         result = GroundingResult(
             tool_label=best.label,
-            tool_image=crop_reference(frame, best.box, CROP_PAD_FRACTION),
+            tool_image=crop_reference(frame, best.box),
             tool_region=best.box,
             operational_region=operational,
             functional_region=functional,
@@ -154,7 +149,7 @@ def match_tool(
         return Grounded(result, s_max, detections, tuple(similarities))
 
     score_up_to(2 * params.N)
-    t_new = max(similarities)
+    t_new = max(similarities, default=0.0)
     return NeedsExploration(pool, s_max, t_new, detections, tuple(similarities))
 
 
@@ -175,17 +170,10 @@ def ground_regions(
     if not frame_box.contains(tool.box):
         raise ValueError("tool box must lie within the frame")
     search = tool.box.pad(CROP_PAD_FRACTION, frame.width, frame.height)
-    try:
-        part_detections = perception.detect(frame, list(PART_VOCABULARY), params.N_prime)
-    except PerceptionError:
-        part_detections = []
+    part_detections = detect_or_empty(perception, frame, list(PART_VOCABULARY), params.N_prime)
     parts = [det for det in part_detections if search.contains(det.box)]
     if not parts:
-        try:
-            return perception.segment_regions(tool, frame)
-        except PerceptionError:
-            lower, upper = vertical_halves(tool.box)
-            return lower, upper
+        return tool_regions(perception, tool, frame)
 
     images = pool.distinct_images()
     op_exemplars = [f"{image}#op" for image in images]
@@ -193,8 +181,7 @@ def ground_regions(
 
     def pick(exemplars: list[str]) -> Region:
         def score(det: Detection) -> float:
-            crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
-            return best_similarity(perception, crop, exemplars)
+            return best_similarity(perception, crop_reference(frame, det.box), exemplars)
 
         return max(parts, key=score).box
 
@@ -203,18 +190,3 @@ def ground_regions(
         return inter if inter is not None and inter.area > 0 else tool.box
 
     return clipped(pick(op_exemplars)), clipped(pick(fn_exemplars))
-
-
-def ers_pipeline(
-    frame: SceneFrame,
-    instruction: str,
-    space: RelationshipSpace,
-    params: ConfigParams,
-    perception: PerceptionBackend,
-) -> MatchOutcome | Novel:
-    """Retrieve, match, and ground in one pass over a single frame."""
-    vector = perception.score_affordance(instruction)
-    pool = retrieve_candidates(space, instruction, vector, params)
-    if isinstance(pool, Novel):
-        return pool
-    return match_tool(frame, pool, params, perception)

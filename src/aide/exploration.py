@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import ConfigParams
-from .ers import CROP_PAD_FRACTION, CandidatePool
+from .ers import CandidatePool
 from .geometry import Region, bounding_region
 from .perception import (
     Detection,
@@ -23,6 +23,7 @@ from .perception import (
     ToolHypothesis,
     best_similarity,
     crop_reference,
+    detect_or_empty,
 )
 
 
@@ -136,10 +137,7 @@ def invisible_explore(
     else:
         label = perception.infer_unseen_label(instruction, frame)
 
-    try:
-        detections = perception.detect(frame, [label], params.N)
-    except PerceptionError:
-        detections = []
+    detections = detect_or_empty(perception, frame, [label], params.N)
     if not detections:
         raise ExplorationImpossible(f"no {label!r} region detected in the scene")
 
@@ -147,8 +145,7 @@ def invisible_explore(
     if hint_images:
 
         def score(det: Detection) -> float:
-            crop = crop_reference(frame, det.box, CROP_PAD_FRACTION)
-            return best_similarity(perception, crop, hint_images)
+            return best_similarity(perception, crop_reference(frame, det.box), hint_images)
 
         return max(detections, key=score).box, label
 

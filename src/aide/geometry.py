@@ -48,9 +48,6 @@ class Region:
             and self.y_max >= other.y_max
         )
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
     def intersects(self, other: "Region") -> bool:
         return (
             self.x_min <= other.x_max

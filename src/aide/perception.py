@@ -12,11 +12,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .affordance import AffordanceVector
-from .geometry import Region
+from .geometry import Region, vertical_halves
+
+# Each side of a crop grows by this fraction of the box extent.
+CROP_PAD_FRACTION = 0.05
 
 
 class PerceptionError(RuntimeError):
-    """Backend could not produce a response (planner treats detect failures as empty)."""
+    """Backend could not produce a response; the helpers below say how each call degrades."""
 
 
 class ReasonerError(PerceptionError):
@@ -98,9 +101,9 @@ class ToolHypothesis:
             raise ValueError("hypothesis label must be non-empty")
 
 
-def crop_reference(frame: SceneFrame, box: Region, pad_fraction: float = 0.05) -> str:
+def crop_reference(frame: SceneFrame, box: Region) -> str:
     """Reference naming a padded crop of a frame; resolvable by the mock backend."""
-    padded = box.pad(pad_fraction, frame.width, frame.height)
+    padded = box.pad(CROP_PAD_FRACTION, frame.width, frame.height)
     return f"{frame.image}#crop:{padded.x_min},{padded.y_min},{padded.x_max},{padded.y_max}"
 
 
@@ -118,7 +121,7 @@ class PerceptionBackend(ABC):
 
     @abstractmethod
     def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
-        """Up to ``k`` detections for the vocabulary, ranked by confidence."""
+        """Up to ``k`` detections for the vocabulary within the frame, ranked by confidence."""
 
     @abstractmethod
     def similarity(self, a: str, b: str) -> SimilarityScore:
@@ -160,3 +163,38 @@ def best_similarity(perception: PerceptionBackend, a: str, refs: Iterable[str]) 
         except PerceptionError:
             continue
     return best
+
+
+def detect_or_empty(
+    perception: PerceptionBackend, frame: SceneFrame, vocabulary: list[str], k: int
+) -> list[Detection]:
+    """``detect``, with a failed call degrading to no detections."""
+    try:
+        return perception.detect(frame, vocabulary, k)
+    except PerceptionError:
+        return []
+
+
+def tool_regions(
+    perception: PerceptionBackend, tool: Detection, frame: SceneFrame
+) -> tuple[Region, Region]:
+    """(operational, functional) regions, clipped into ``tool.box`` (the box
+    itself when they do not meet); a failed call gives the box's halves."""
+    try:
+        operational, functional = perception.segment_regions(tool, frame)
+    except PerceptionError:
+        return vertical_halves(tool.box)
+    return (
+        operational.intersection(tool.box) or tool.box,
+        functional.intersection(tool.box) or tool.box,
+    )
+
+
+def checked_affordance(
+    perception: PerceptionBackend, subject: str, dims: int
+) -> AffordanceVector:
+    """``score_affordance``; a vector without ``dims`` scores is a failed call."""
+    vector = perception.score_affordance(subject)
+    if len(vector) != dims:
+        raise PerceptionError(f"{len(vector)} affordance scores, expected {dims}")
+    return vector

@@ -57,7 +57,10 @@ from .perception import (
     SceneFrame,
     ToolHypothesis,
     best_similarity,
+    checked_affordance,
     crop_reference,
+    detect_or_empty,
+    tool_regions,
 )
 from .simulator import World, apply, gt_projection, observe, run_intervention
 from .space import GroundingResult, InstructionRecord, RelationshipSpace
@@ -161,8 +164,8 @@ class PlannerState:
     msi_latch: set[str] = field(default_factory=set)
     human_override: str | None = None
     human_region: Region | None = None
-    pending_prompt: str | None = None
-    last_container: tuple[Region, str] | None = None
+    # The latest invisible-exploration target, reused when exploring fails.
+    last_container: ExplorationOutcome | None = None
     msi_count: int = 0
     # The current tick's record; ``step`` replaces it at the start of a tick.
     tick: TickEvent = field(default_factory=TickEvent)
@@ -187,6 +190,26 @@ def validity_check(match: MatchOutcome, params: ConfigParams) -> tuple[bool, flo
 def needs_msi(retrieval_outcome: CandidatePool | Novel, validity: bool) -> bool:
     """Pure trigger rule; the once-per-failure-event latch lives in ``step``."""
     return isinstance(retrieval_outcome, Novel) or not validity
+
+
+def explore(
+    match: NeedsExploration,
+    frame: SceneFrame,
+    instruction: str,
+    params: ConfigParams,
+    perception: PerceptionBackend,
+) -> ExplorationOutcome:
+    """Both streams' exploration: visible where ``choose_strategy`` routes and
+    squares exist, else invisible, which raises ``ExplorationImpossible`` or
+    ``PerceptionError`` when it finds no container."""
+    if choose_strategy(match.s_max, match.t_new, params) is Strategy.VISIBLE:
+        try:
+            region = visible_explore(list(match.detections), frame, params)
+            return ExplorationOutcome(kind=Strategy.VISIBLE, region=region)
+        except ExplorationImpossible:
+            pass
+    region, label = invisible_explore(frame, instruction, match.pool, params, perception)
+    return ExplorationOutcome(kind=Strategy.INVISIBLE, region=region, label=label)
 
 
 # --- slow stream ---------------------------------------------------------------
@@ -218,30 +241,29 @@ def mm_cot(
         hypothesis = perception.propose_tool(task.instruction, task.frame)
     image = _catalog_image(hypothesis.label)
 
-    def grounded(box: Region) -> GroundingResult:
-        synthetic = Detection(label=hypothesis.label, box=box, confidence=1.0, rank=1)
-        try:
-            operational, functional = perception.segment_regions(synthetic, task.frame)
-            operational = operational.intersection(box) or box
-            functional = functional.intersection(box) or box
-        except PerceptionError:
-            operational, functional = vertical_halves(box)
+    def plan(
+        box: Region, regions: tuple[Region, Region], unseen: str | None = None
+    ) -> GroundingResult:
         return GroundingResult(
             tool_label=hypothesis.label,
             tool_image=image,
             tool_region=box,
-            operational_region=operational,
-            functional_region=functional,
+            operational_region=regions[0],
+            functional_region=regions[1],
+            unseen_region_label=unseen,
+            unseen_region_image=None if unseen is None else f"container:{unseen}",
         )
+
+    def grounded(box: Region) -> GroundingResult:
+        synthetic = Detection(label=hypothesis.label, box=box, confidence=1.0, rank=1)
+        return plan(box, tool_regions(perception, synthetic, task.frame))
 
     if override_region is not None:
         return grounded(override_region)
 
-    fetch = max(params.N_prime, 2 * params.N, params.candidate_max_rank)
-    try:
-        detections = perception.detect(task.frame, [hypothesis.label], fetch)
-    except PerceptionError:
-        detections = []
+    detections = detect_or_empty(
+        perception, task.frame, [hypothesis.label], params.detection_budget
+    )
 
     def crop_score(det: Detection) -> float:
         return best_similarity(perception, crop_reference(task.frame, det.box), [image])
@@ -258,35 +280,13 @@ def mm_cot(
         # cannot lift t_new above it; only the others are scored.
         wider = [det for det in wider if det is not tool]
 
-    # Nothing plausibly matches: explore, routed by the same threshold the
-    # fast stream uses over the wider candidate set.
+    # Nothing plausibly matches. The slow stream explores only after its
+    # candidate failed, so it routes with a zero match score: the wider top-2N
+    # score alone picks visible or invisible exploration.
     t_new = max(map(crop_score, wider), default=0.0)
-    if t_new > params.strategy_threshold:
-        try:
-            region = visible_explore(detections, task.frame, params)
-            operational, functional = vertical_halves(region)
-            return GroundingResult(
-                tool_label=hypothesis.label,
-                tool_image=image,
-                tool_region=region,
-                operational_region=operational,
-                functional_region=functional,
-            )
-        except ExplorationImpossible:
-            pass
-    region, unseen_label = invisible_explore(
-        task.frame, task.instruction, None, params, perception
-    )
-    operational, functional = vertical_halves(region)
-    return GroundingResult(
-        tool_label=hypothesis.label,
-        tool_image=image,
-        tool_region=region,
-        operational_region=operational,
-        functional_region=functional,
-        unseen_region_label=unseen_label,
-        unseen_region_image=f"container:{unseen_label}",
-    )
+    unmatched = NeedsExploration(None, s_max=0.0, t_new=t_new, detections=tuple(detections))
+    explored = explore(unmatched, task.frame, task.instruction, params, perception)
+    return plan(explored.region, vertical_halves(explored.region), explored.label)
 
 
 def run_msi(
@@ -303,8 +303,8 @@ def run_msi(
     state.human_region = None
     try:
         result = mm_cot(task, params, perception, override_label, override_region)
-        instruction_vector = perception.score_affordance(task.instruction)
-        tool_vector = perception.score_affordance(result.tool_image)
+        instruction_vector = checked_affordance(perception, task.instruction, params.X)
+        tool_vector = checked_affordance(perception, result.tool_image, params.X)
     except (PerceptionError, ExplorationImpossible) as exc:
         raise PlanningFailure(
             str(exc),
@@ -375,6 +375,26 @@ def decide_motion(
 # --- one tick -------------------------------------------------------------------
 
 
+def _retrieve(
+    state: PlannerState,
+    active: str,
+    space: RelationshipSpace,
+    params: ConfigParams,
+    perception: PerceptionBackend,
+) -> CandidatePool | None:
+    """Retrieve and cache the pool for ``active``; None, with the cache left as
+    it was, when the task is novel or the affordance call fails."""
+    try:
+        vector = checked_affordance(perception, active, params.X)
+    except PerceptionError:
+        return None
+    found = retrieve_candidates(space, active, vector, params)
+    if isinstance(found, Novel):
+        return None
+    state.pools[active] = found
+    return found
+
+
 def step(
     state: PlannerState,
     task: TaskInput,
@@ -392,21 +412,8 @@ def step(
 
     # Retrieval, cached per active instruction after the first hit.
     pool = state.pools.get(active)
-    retrieval: CandidatePool | Novel
     if pool is None:
-        try:
-            vector = perception.score_affordance(active)
-            got = retrieve_candidates(space, active, vector, params)
-        except PerceptionError:
-            got = Novel(active)
-        if isinstance(got, Novel):
-            retrieval = got
-        else:
-            state.pools[active] = got
-            pool = got
-            retrieval = got
-    else:
-        retrieval = pool
+        pool = _retrieve(state, active, space, params, perception)
 
     match: MatchOutcome | None = None
     valid = False
@@ -419,7 +426,7 @@ def step(
 
     outcome: Grounded | GroundingResult | ExplorationOutcome | None = None
 
-    if needs_msi(retrieval, valid) and active not in state.msi_latch:
+    if needs_msi(pool or Novel(active), valid) and active not in state.msi_latch:
         tick.stream = STREAM_MSI
         state.msi_latch.add(active)
         tick.events.append("msi")
@@ -430,56 +437,28 @@ def step(
         except PlanningFailure as exc:
             state.status = FAILED
             state.fail_reason = REASON_PLANNING_ERROR
-            state.pending_prompt = exc.prompt
             return state, RequestHuman(exc.prompt)
-        try:
-            vector = perception.score_affordance(active)
-            refreshed = retrieve_candidates(space, active, vector, params)
-        except PerceptionError:
-            refreshed = Novel(active)
-        if not isinstance(refreshed, Novel):
-            state.pools[active] = refreshed
+        _retrieve(state, active, space, params, perception)
+        outcome = result
         if result.unseen_region_label is not None:
             outcome = ExplorationOutcome(
                 kind=Strategy.INVISIBLE,
                 region=result.tool_region,
                 label=result.unseen_region_label,
             )
-            state.last_container = (result.tool_region, result.unseen_region_label)
-        else:
-            outcome = result
+    elif isinstance(match, Grounded):
+        outcome = match
     elif match is not None:
-        if isinstance(match, Grounded):
-            outcome = match
-        else:
-            tick.t_new = match.t_new
-            strategy = choose_strategy(match.s_max, match.t_new, params)
-            if strategy is Strategy.VISIBLE:
-                try:
-                    region = visible_explore(list(match.detections), frame, params)
-                    outcome = ExplorationOutcome(kind=Strategy.VISIBLE, region=region)
-                except ExplorationImpossible:
-                    strategy = Strategy.INVISIBLE
-            if strategy is Strategy.INVISIBLE:
-                try:
-                    region, label = invisible_explore(
-                        frame, active, match.pool, params, perception
-                    )
-                    outcome = ExplorationOutcome(
-                        kind=Strategy.INVISIBLE, region=region, label=label
-                    )
-                    state.last_container = (region, label)
-                except (ExplorationImpossible, PerceptionError):
-                    if state.last_container is not None:
-                        region, label = state.last_container
-                        outcome = ExplorationOutcome(
-                            kind=Strategy.INVISIBLE, region=region, label=label
-                        )
-                        tick.events.append("explore-fallback:last-container")
-                    else:
-                        state.status = FAILED
-                        state.fail_reason = REASON_EXPLORATION_IMPOSSIBLE
-                        return state, NoOp()
+        tick.t_new = match.t_new
+        try:
+            outcome = explore(match, frame, active, params, perception)
+        except (ExplorationImpossible, PerceptionError):
+            if state.last_container is None:
+                state.status = FAILED
+                state.fail_reason = REASON_EXPLORATION_IMPOSSIBLE
+                return state, NoOp()
+            outcome = state.last_container
+            tick.events.append("explore-fallback:last-container")
     else:
         # Novel task and the slow stream already ran for this failure event.
         state.status = FAILED
@@ -497,6 +476,8 @@ def step(
     else:
         target = outcome.region
         tick.explored_box = outcome.region
+        if outcome.kind is Strategy.INVISIBLE:
+            state.last_container = outcome
 
     tick.near = frame.world_distance_to(target) <= params.r_near
     command = decide_motion(outcome, tick.near, state, params)
@@ -510,7 +491,6 @@ def provide_human_answer(state: PlannerState, answer: str | None) -> bool:
     empty string aborts, a ``x0,y0,x1,y1`` answer seeds the tool region and
     anything else seeds the tool label.
     """
-    state.pending_prompt = None
     if answer is None:
         return False
     answer = answer.strip()

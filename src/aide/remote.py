@@ -9,10 +9,10 @@ map onto three paths:
   /reason      propose_tool, select_candidate, score_affordance,
                infer_unseen_label
 
-A reply that does not parse into the capability's values raises
-``PerceptionError`` like a transport failure does. After three consecutive
-failures of either kind the circuit opens and every call raises
-``CircuitOpenError`` until ``reset()``.
+A reply that does not parse into the capability's values, or that places a
+detection box outside the frame, raises ``PerceptionError`` like a transport
+failure does. After three consecutive failures of either kind the circuit
+opens and every call raises ``CircuitOpenError`` until ``reset()``.
 """
 
 from __future__ import annotations
@@ -114,8 +114,10 @@ class RemotePerception(PerceptionBackend):
     # -- capabilities -----------------------------------------------------
 
     def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
+        frame_box = Region(0, 0, frame.width, frame.height)
+
         def parse(response: dict) -> list[Detection]:
-            return [
+            found = [
                 Detection(
                     label=item["label"],
                     box=Region(*item["box"]),
@@ -124,6 +126,9 @@ class RemotePerception(PerceptionBackend):
                 )
                 for i, item in enumerate(response.get("detections", [])[:k])
             ]
+            if not all(frame_box.contains(det.box) for det in found):
+                raise ValueError("detection box outside the frame")
+            return found
 
         return self._call(
             "/detect",

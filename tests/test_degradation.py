@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from worldkit import make_world, obj
 
+from aide.affordance import AffordanceVector
 from aide.ers import NeedsExploration, match_tool, retrieve_candidates
+from aide.geometry import Region
 from aide.mock import MockPerception
 from aide.perception import PerceptionError
 from aide.planner import run_closed_loop
@@ -72,3 +74,56 @@ def test_episode_survives_total_perception_outage(space, params):
     )
     assert trace.status == "failed"
     assert trace.fail_reason in ("planning-error", "timeout", "exploration-impossible")
+
+
+class ShortAffordance(MockPerception):
+    """Scores every subject with a 5-dimension vector."""
+
+    def score_affordance(self, subject):
+        return AffordanceVector((5.0,) * 5)
+
+
+class SegmentsOutsideTheBox(MockPerception):
+    """Places the operational region past the tool box's right edge and the
+    functional region away from it."""
+
+    def segment_regions(self, tool, frame):
+        box = tool.box
+        return (
+            Region(box.x_min, box.y_min, box.x_max + 10, box.y_max),
+            Region(0, 0, 1, 1),
+        )
+
+
+def test_wrong_length_affordance_vector_fails_the_episode_without_insert(space, params):
+    # Retrieval treats the vector as a failed call (a novel task); the slow
+    # stream then refuses to store it, so the episode ends in planning-error.
+    world = cup_world()
+    episode_space = space.clone()
+    before = sum(1 for _ in episode_space.iter_records())
+    short = ShortAffordance(world, params, sigma=0.0)
+    trace = run_closed_loop(
+        world.instruction, world, episode_space, params, short, max_steps=20
+    )
+    assert trace.status == "failed"
+    assert trace.fail_reason == "planning-error"
+    assert sum(1 for _ in episode_space.iter_records()) == before
+
+
+def test_segment_regions_outside_the_tool_box_are_clipped(space, params):
+    # No part detections, so grounding asks segment_regions for the regions.
+    world = make_world(
+        [obj("c1", "cup", "drink", 20.0, 28.0, parts=False)],
+        tool_table={"I am thirsty": "cup"},
+        gt={"I am thirsty": "c1"},
+    )
+    outside = SegmentsOutsideTheBox(world, params, sigma=0.0)
+    trace = run_closed_loop(
+        world.instruction, world, space.clone(), params, outside, max_steps=40
+    )
+    assert trace.status == "completed"
+    grounded = [row for row in trace.rows if row.grounded_tool_box is not None]
+    assert grounded
+    for row in grounded:
+        assert row.grounded_tool_box.contains(row.operational_box)
+        assert row.functional_box == row.grounded_tool_box

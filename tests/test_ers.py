@@ -10,7 +10,6 @@ from aide.ers import (
     Grounded,
     NeedsExploration,
     Novel,
-    ers_pipeline,
     ground_regions,
     match_tool,
     retrieve_candidates,
@@ -254,14 +253,14 @@ def test_ground_regions_requires_tool_in_frame(space, params):
         ground_regions(frame, outside, pool, params, mock)
 
 
-# --- pipeline -------------------------------------------------------------------
+# --- retrieve, then match ------------------------------------------------------
 
 
 def test_pipeline_happy_path_produces_triple(space, params):
     world = cup_world()
     mock = noiseless(world, params)
     frame, _ = observe(world, params)
-    outcome = ers_pipeline(frame, "I am thirsty", space, params, mock)
+    outcome = match_tool(frame, drink_pool(space, params, mock), params, mock)
     assert isinstance(outcome, Grounded)
     result = outcome.result
     assert result.tool_label == "cup"
@@ -273,8 +272,9 @@ def test_pipeline_happy_path_produces_triple(space, params):
 def test_pipeline_novel_instruction(space, params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 28.0)])
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
-    outcome = ers_pipeline(frame, "completely unmapped request", space, params, mock)
+    instruction = "completely unmapped request"
+    vector = mock.score_affordance(instruction)
+    outcome = retrieve_candidates(space, instruction, vector, params)
     assert isinstance(outcome, Novel)
 
 
@@ -284,7 +284,7 @@ def test_pipeline_deterministic_with_noiseless_mocks(space, params):
         world = cup_world()
         mock = noiseless(world, params)
         frame, _ = observe(world, params)
-        outcome = ers_pipeline(frame, "I am thirsty", space, params, mock)
+        outcome = match_tool(frame, drink_pool(space, params, mock), params, mock)
         assert isinstance(outcome, Grounded)
         results.append(
             (outcome.s_max, outcome.result.tool_region, outcome.result.operational_region)

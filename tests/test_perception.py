@@ -15,9 +15,13 @@ from aide.perception import (
     SceneFrame,
     ToolHypothesis,
     UnknownReferenceError,
+    Detection,
+    PerceptionError,
     best_similarity,
     check_detection_ordering,
+    checked_affordance,
     crop_reference,
+    tool_regions,
 )
 from aide.simulator import BLURRED, OCCLUDED, observe
 
@@ -300,11 +304,41 @@ def test_segment_regions_degenerate_box(params):
     world = make_world([])
     mock = noiseless(world, params)
     frame, _ = observe(world, params)
-    from aide.perception import Detection
-
     tiny = Detection(label="cup", box=Region(10, 10, 11, 11), confidence=0.5, rank=1)
     operational, functional = mock.segment_regions(tiny, frame)
     assert operational == tiny.box and functional == tiny.box
+
+
+class ScriptedSegments:
+    """Answers ``segment_regions`` with fixed regions, or fails when given none."""
+
+    def __init__(self, regions=None):
+        self.regions = regions
+
+    def segment_regions(self, tool, frame):
+        if self.regions is None:
+            raise PerceptionError("segmenter unreachable")
+        return self.regions
+
+
+def test_tool_regions_clip_into_the_box_and_fall_back_to_halves():
+    frame = SceneFrame(image="frame:test:0", width=100, height=100, timestamp=0.0)
+    tool = Detection(label="cup", box=Region(10, 10, 20, 30), confidence=0.9, rank=1)
+    inside = (Region(10, 20, 20, 30), Region(10, 10, 20, 20))
+    assert tool_regions(ScriptedSegments(inside), tool, frame) == inside
+    past_edge, disjoint = Region(15, 0, 40, 25), Region(50, 50, 60, 60)
+    operational, functional = tool_regions(ScriptedSegments((past_edge, disjoint)), tool, frame)
+    assert operational == Region(15, 10, 20, 25)
+    assert functional == tool.box
+    assert tool_regions(ScriptedSegments(), tool, frame) == inside
+
+
+def test_checked_affordance_rejects_a_wrong_length_vector(params):
+    mock = noiseless(make_world([]), params)
+    vector = checked_affordance(mock, "I am thirsty", params.X)
+    assert vector == mock.score_affordance("I am thirsty")
+    with pytest.raises(PerceptionError):
+        checked_affordance(mock, "I am thirsty", params.X + 1)
 
 
 def test_score_affordance_exact_centroid_when_noiseless(params):

@@ -129,6 +129,9 @@ def test_success_resets_failure_streak():
 MALFORMED = [
     ("detect", "/detect", {"detections": [{"label": "cup", "box": [1, 2]}]},
      lambda r: r.detect(frame(), ["cup"], 5)),
+    ("detect-outside-frame", "/detect",
+     {"detections": [{"label": "cup", "box": [90, 90, 101, 100], "confidence": 0.9}]},
+     lambda r: r.detect(frame(), ["cup"], 5)),
     ("similarity", "/similarity", {"value": "high"}, lambda r: r.similarity("a", "b")),
     ("propose_tool", "/reason", {"attributes": []}, lambda r: r.propose_tool("x", frame())),
     ("select_candidate", "/reason", {"index": None},
