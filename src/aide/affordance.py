@@ -55,9 +55,6 @@ class AffordanceVector:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def distance(self, other: "AffordanceVector") -> float:
-        return distance(self, other)
-
     def as_list(self) -> list[float]:
         return list(self.scores)
 
@@ -66,13 +63,19 @@ def vector(values: Iterable[float]) -> AffordanceVector:
     return AffordanceVector(tuple(float(v) for v in values))
 
 
+def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one affordance distance, Euclidean over the last axis and broadcasting,
+    so a scalar check and an array scan never disagree at ``distance == radius``."""
+    return np.sqrt(((np.asarray(a, dtype=float) - b) ** 2).sum(axis=-1))
+
+
 def distance(u: AffordanceVector, v: AffordanceVector) -> float:
     """Euclidean distance between two equal-length vectors."""
     if len(u.scores) != len(v.scores):
         raise DimensionMismatchError(
             f"vector dimensions differ: {len(u.scores)} vs {len(v.scores)}"
         )
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(u.scores, v.scores)))
+    return float(euclidean(u.scores, v.scores))
 
 
 # --- class catalog -----------------------------------------------------------
@@ -147,8 +150,8 @@ def _catalog_centroids(names: tuple[str, ...], dims: int) -> dict[str, Affordanc
                 np.random.PCG64(_seed_from(f"affordance-class:{name}:{dims}:{salt}"))
             )
             candidate = rng.uniform(SCORE_MIN, SCORE_MAX, size=dims)
-            if float(np.linalg.norm(candidate - neutral)) >= _MIN_NEUTRAL_SEPARATION and all(
-                float(np.linalg.norm(candidate - prev)) >= _MIN_CENTROID_SEPARATION
+            if euclidean(candidate, neutral) >= _MIN_NEUTRAL_SEPARATION and all(
+                euclidean(candidate, prev) >= _MIN_CENTROID_SEPARATION
                 for prev in accepted.values()
             ):
                 accepted[name] = candidate

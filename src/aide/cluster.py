@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .affordance import euclidean
+
 MAX_ITERATIONS = 100
 
 
@@ -18,7 +20,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centers = np.empty((k, points.shape[1]), dtype=float)
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = euclidean(points, centers[0]) ** 2
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -27,14 +29,13 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, euclidean(points, centers[i]) ** 2)
     return centers
 
 
 def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels; equidistant points go to the lowest center index."""
-    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(euclidean(points[:, None, :], centers[None, :, :]), axis=1)
 
 
 def kmeans(

@@ -166,9 +166,6 @@ def ground_regions(
     the pool's exemplar part crops; with no part detections the region proposer
     fallback splits the tool box.
     """
-    frame_box = Region(0, 0, frame.width, frame.height)
-    if not frame_box.contains(tool.box):
-        raise ValueError("tool box must lie within the frame")
     search = tool.box.pad(CROP_PAD_FRACTION, frame.width, frame.height)
     part_detections = detect_or_empty(perception, frame, list(PART_VOCABULARY), params.N_prime)
     parts = [det for det in part_detections if search.contains(det.box)]

@@ -23,6 +23,7 @@ from .affordance import (
     class_centroid,
     class_names,
     distance,
+    euclidean,
 )
 from .config import ConfigParams
 from .geometry import Region, vertical_halves
@@ -317,8 +318,7 @@ def _ablation_queries(
     out_of_distribution_share: float = 0.1,
 ) -> list[_AblationQuery]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    records = list(space.iter_records())
-    matrix = np.array([r.instruction_affordance.scores for r in records])
+    matrix = np.vstack([sub.instruction_rows for cluster in space.clusters for sub in cluster.subclusters])
     names = class_names(params.a)
     queries: list[_AblationQuery] = []
     ood_target = int(round(count * out_of_distribution_share))
@@ -333,12 +333,11 @@ def _ablation_queries(
             # Far-out query: resample until nothing lies within the radius.
             while True:
                 vec = rng.uniform(0.0, 10.0, size=params.X)
-                gaps = np.sqrt(((matrix - vec) ** 2).sum(axis=1))
-                if float(gaps.min()) > reference_radius:
+                if euclidean(matrix, vec).min() > reference_radius:
                     break
             text = f"unrelated request number {i} about nothing in particular"
         vector = AffordanceVector(tuple(float(v) for v in vec))
-        nearest = float(np.sqrt(((matrix - np.array(vector.scores)) ** 2).sum(axis=1)).min())
+        nearest = float(euclidean(matrix, vector.scores).min())
         queries.append(
             _AblationQuery(
                 vector=vector, text=text, acceptable_exists=nearest <= reference_radius
@@ -347,14 +346,14 @@ def _ablation_queries(
     return queries
 
 
-def _exhaustive_scan(space: RelationshipSpace, query: AffordanceVector):
-    """Plain full scan with the same scalar distance the DFS uses (fair timing)."""
+def _exhaustive_scan(space: RelationshipSpace, query: AffordanceVector) -> InstructionRecord | None:
+    """Plain full scan, one record at a time, with the distance the DFS uses."""
     best, best_dist = None, float("inf")
     for record in space.iter_records():
         dist = distance(query, record.instruction_affordance)
         if dist < best_dist:
             best, best_dist = record, dist
-    return best, best_dist
+    return best
 
 
 def _textsim_dfs(space: RelationshipSpace, text: str, threshold: float):
@@ -419,7 +418,7 @@ def ablate_retrieval(
                 lambda q, radius=c: space.dfs_retrieve(q.vector, radius)[0]
             )
             rows.append(AblationRow("affordance", c, mean_t, acc))
-        acc, mean_t = accuracy_and_time(lambda q: _exhaustive_scan(space, q.vector)[0])
+        acc, mean_t = accuracy_and_time(lambda q: _exhaustive_scan(space, q.vector))
         rows.append(AblationRow("affordance", None, mean_t, acc))
 
     if "textsim" in methods:

@@ -168,11 +168,14 @@ def best_similarity(perception: PerceptionBackend, a: str, refs: Iterable[str]) 
 def detect_or_empty(
     perception: PerceptionBackend, frame: SceneFrame, vocabulary: list[str], k: int
 ) -> list[Detection]:
-    """``detect``, with a failed call degrading to no detections."""
+    """``detect``, with a failed call, or a reply holding a box outside the
+    frame, degrading to no detections."""
     try:
-        return perception.detect(frame, vocabulary, k)
+        found = perception.detect(frame, vocabulary, k)
     except PerceptionError:
         return []
+    frame_box = Region(0, 0, frame.width, frame.height)
+    return found if all(frame_box.contains(det.box) for det in found) else []
 
 
 def tool_regions(

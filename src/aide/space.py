@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .affordance import AffordanceVector, DimensionMismatchError, distance
+from .affordance import AffordanceVector, DimensionMismatchError, euclidean, vector
 from .cluster import assign, kmeans
 from .config import ConfigParams
 from .geometry import Region
@@ -46,6 +46,15 @@ class SpaceFormatError(SpaceError):
 
 class DuplicateRecordError(SpaceError):
     """A record with the same id is already stored."""
+
+
+def _rows(vectors: Sequence[AffordanceVector], dims: int) -> np.ndarray:
+    return np.array([v.scores for v in vectors], dtype=float).reshape(len(vectors), dims)
+
+
+def _nearest_first(point: Sequence[float], centroids: Sequence[AffordanceVector]) -> np.ndarray:
+    """Indices of ``centroids`` by ascending distance from ``point``, ties to the lower index."""
+    return np.argsort(euclidean(point, _rows(centroids, len(point))), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,24 @@ class InstructionRecord:
 
 @dataclass
 class Subcluster:
+    """Records of one subcluster, plus their instruction and tool vectors as row
+    arrays (derived from ``records`` when not given). ``append`` replaces the
+    arrays instead of writing into them, so clones can share them."""
+
     centroid: AffordanceVector
     records: list[InstructionRecord] = field(default_factory=list)
+    instruction_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    tool_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.instruction_rows is None:
+            self.instruction_rows = _rows([r.instruction_affordance for r in self.records], len(self.centroid))
+            self.tool_rows = _rows([r.tool_affordance for r in self.records], len(self.centroid))
+
+    def append(self, record: InstructionRecord) -> None:
+        self.records.append(record)
+        self.instruction_rows = np.vstack([self.instruction_rows, record.instruction_affordance.scores])
+        self.tool_rows = np.vstack([self.tool_rows, record.tool_affordance.scores])
 
 
 @dataclass
@@ -133,26 +158,20 @@ class RelationshipSpace:
 
         Clusters and subclusters are visited in ascending centroid distance
         (ties to the lower index); records in stored order. The second element
-        counts record-distance evaluations, so a miss returns ``record_count``.
+        counts the visited records up to and including the hit, so a miss
+        returns ``record_count``.
         """
         self._check_dims(query)
         radius = self.params.c if c is None else c
+        point = np.asarray(query.scores)
         visited = 0
-        cluster_order = sorted(
-            range(len(self.clusters)),
-            key=lambda i: (distance(query, self.clusters[i].centroid), i),
-        )
-        for ci in cluster_order:
-            cluster = self.clusters[ci]
-            sub_order = sorted(
-                range(len(cluster.subclusters)),
-                key=lambda j: (distance(query, cluster.subclusters[j].centroid), j),
-            )
-            for sj in sub_order:
-                for record in cluster.subclusters[sj].records:
-                    visited += 1
-                    if distance(query, record.instruction_affordance) <= radius:
-                        return record, visited
+        for ci in _nearest_first(point, [cluster.centroid for cluster in self.clusters]):
+            subs = self.clusters[ci].subclusters
+            for sj in _nearest_first(point, [sub.centroid for sub in subs]):
+                hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= radius)
+                if hits.size:
+                    return subs[sj].records[hits[0]], visited + int(hits[0]) + 1
+                visited += len(subs[sj].records)
         return None, visited
 
     def candidate_set(
@@ -167,26 +186,24 @@ class RelationshipSpace:
         if anchor.id not in self._ids:
             raise SpaceError(f"anchor {anchor.id!r} does not belong to this space")
         sub = self.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
-        picked = []
-        for r in sub.records:
-            dist = distance(anchor.tool_affordance, r.tool_affordance)
-            if dist <= radius:
-                picked.append((dist, r.id, r))
-        picked.sort(key=lambda t: (t[0], t[1]))
-        return [r for _, _, r in picked]
+        dists = euclidean(anchor.tool_affordance.scores, sub.tool_rows)
+        picked = np.flatnonzero(dists <= radius).tolist()
+        keys = dists.tolist()  # Python floats sort faster than numpy scalars
+        picked.sort(key=lambda i: (keys[i], sub.records[i].id))
+        return [sub.records[i] for i in picked]
 
     def clone(self) -> "RelationshipSpace":
         """Independent writable view sharing the (never-mutated) stored records.
 
-        Built records are immutable after assignment, so a structural copy of
-        the cluster tree is enough to isolate per-episode insertions without
-        the cost of a deep copy.
+        Built records are immutable after assignment and row arrays are
+        replaced, never written, so a structural copy of the cluster tree is
+        enough to isolate per-episode insertions without the cost of a deep copy.
         """
         clusters = [
             Cluster(
                 centroid=cluster.centroid,
                 subclusters=[
-                    Subcluster(centroid=sub.centroid, records=list(sub.records))
+                    Subcluster(sub.centroid, list(sub.records), sub.instruction_rows, sub.tool_rows)
                     for sub in cluster.subclusters
                 ],
             )
@@ -203,11 +220,7 @@ class RelationshipSpace:
 
     def nearest_cluster(self, v: AffordanceVector) -> int:
         self._check_dims(v)
-        best = min(
-            range(len(self.clusters)),
-            key=lambda i: (distance(v, self.clusters[i].centroid), i),
-        )
-        return best
+        return int(_nearest_first(v.scores, [cluster.centroid for cluster in self.clusters])[0])
 
     def insert(self, record: InstructionRecord) -> "RelationshipSpace":
         """Assign to the nearest cluster and subcluster without recentering.
@@ -219,27 +232,16 @@ class RelationshipSpace:
             raise DuplicateRecordError(f"record id {record.id!r} already stored")
         ci = self.nearest_cluster(record.instruction_affordance)
         subs = self.clusters[ci].subclusters
-        sj = min(
-            range(len(subs)),
-            key=lambda j: (distance(record.instruction_affordance, subs[j].centroid), j),
-        )
+        sj = int(_nearest_first(record.instruction_affordance.scores, [sub.centroid for sub in subs])[0])
         record.cluster_id = ci
         record.subcluster_id = sj
-        subs[sj].records.append(record)
+        subs[sj].append(record)
         self._ids.add(record.id)
         self.record_count += 1
         return self
 
 
 # --- build --------------------------------------------------------------
-
-
-def _matrix(vectors: Sequence[AffordanceVector]) -> np.ndarray:
-    return np.array([v.scores for v in vectors], dtype=float)
-
-
-def _to_vector(row: np.ndarray) -> AffordanceVector:
-    return AffordanceVector(tuple(min(max(float(x), 0.0), 10.0) for x in row))
 
 
 def build_space(
@@ -269,64 +271,58 @@ def build_space(
         )
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    points = _matrix([d.instruction_affordance for d in drafts])
+    points = _rows([d.instruction_affordance for d in drafts], params.X)
     centers, labels = kmeans(points, params.a, rng)
-
-    survivors: list[tuple[InstructionRecord, int]] = []
-    for draft, label in zip(drafts, labels):
-        centroid = _to_vector(centers[label])
-        if distance(draft.instruction_affordance, centroid) <= params.D and (
-            distance(draft.tool_affordance, centroid) <= params.D
-        ):
-            survivors.append((draft, int(label)))
-    if len(survivors) < params.a:
+    centers = np.clip(centers, 0.0, 10.0)
+    assigned = centers[labels]
+    tools = _rows([d.tool_affordance for d in drafts], params.X)
+    survives = (euclidean(points, assigned) <= params.D) & (euclidean(tools, assigned) <= params.D)
+    del assigned, tools  # 15 MB at 50k drafts; freed now, the row arrays reuse the space
+    if survives.sum() < params.a:
         raise SpaceBuildError(
-            f"only {len(survivors)} drafts survive the distance-{params.D} filter; "
+            f"only {survives.sum()} drafts survive the distance-{params.D} filter; "
             f"need at least {params.a}"
         )
 
     clusters: list[Cluster] = []
     space_ids: set[str] = set()
-    count = 0
     for ci in range(params.a):
-        members = [d for d, label in survivors if label == ci]
-        cluster = Cluster(centroid=_to_vector(centers[ci]))
-        if members:
-            sub_points = _matrix([m.instruction_affordance for m in members])
-            k_eff = min(params.b, len(members))
-            sub_centers, sub_labels = kmeans(sub_points, k_eff, rng)
-            subclusters = [Subcluster(centroid=_to_vector(sub_centers[j])) for j in range(k_eff)]
-            # Pad to exactly b subclusters. Padding duplicates the last real
-            # centroid at a higher index, so distance ties always resolve to
-            # the populated subcluster and reassignment stays a fixed point.
-            while len(subclusters) < params.b:
-                subclusters.append(Subcluster(centroid=subclusters[-1].centroid))
-            for member, sj in zip(members, sub_labels):
-                member.cluster_id = ci
-                member.subcluster_id = int(sj)
-                subclusters[int(sj)].records.append(member)
-                space_ids.add(member.id)
-                count += 1
-            cluster.subclusters = subclusters
-        else:
-            cluster.subclusters = [
-                Subcluster(centroid=cluster.centroid) for _ in range(params.b)
-            ]
-        clusters.append(cluster)
+        in_cluster = survives & (labels == ci)
+        members = [drafts[i] for i in np.flatnonzero(in_cluster)]
+        centroid = vector(centers[ci])
+        if not members:
+            clusters.append(Cluster(centroid, [Subcluster(centroid) for _ in range(params.b)]))
+            continue
+        k_eff = min(params.b, len(members))
+        sub_centers, sub_labels = kmeans(points[in_cluster], k_eff, rng)
+        groups: list[list[InstructionRecord]] = [[] for _ in range(k_eff)]
+        for member, sj in zip(members, sub_labels.tolist()):
+            member.cluster_id = ci
+            member.subcluster_id = sj
+            groups[sj].append(member)
+            space_ids.add(member.id)
+        subclusters = [
+            Subcluster(vector(center), group)
+            for center, group in zip(np.clip(sub_centers, 0.0, 10.0), groups)
+        ]
+        # Pad to exactly b subclusters. Padding duplicates the last real
+        # centroid at a higher index, so distance ties always resolve to
+        # the populated subcluster and reassignment stays a fixed point.
+        while len(subclusters) < params.b:
+            subclusters.append(Subcluster(centroid=subclusters[-1].centroid))
+        clusters.append(Cluster(centroid, subclusters))
 
     return RelationshipSpace(
-        params=params, clusters=clusters, record_count=count, _ids=space_ids
+        params=params, clusters=clusters, record_count=len(space_ids), _ids=space_ids
     )
 
 
 def brute_force_assignments(space: RelationshipSpace) -> bool:
     """True when every stored record sits under its nearest cluster centroid."""
-    centers = _matrix([c.centroid for c in space.clusters])
-    for record in space.iter_records():
-        point = np.array([record.instruction_affordance.scores], dtype=float)
-        if int(assign(point, centers)[0]) != record.cluster_id:
-            return False
-    return True
+    records = list(space.iter_records())
+    points = _rows([r.instruction_affordance for r in records], space.params.X)
+    labels = assign(points, _rows([c.centroid for c in space.clusters], space.params.X))
+    return all(int(label) == r.cluster_id for label, r in zip(labels, records))
 
 
 # --- persistence ----------------------------------------------------------

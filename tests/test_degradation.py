@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from worldkit import make_world, obj
 
 from aide.affordance import AffordanceVector
@@ -93,6 +95,29 @@ class SegmentsOutsideTheBox(MockPerception):
             Region(box.x_min, box.y_min, box.x_max + 10, box.y_max),
             Region(0, 0, 1, 1),
         )
+
+
+class BoxesPastTheFrame(MockPerception):
+    """Widens every detection box to ``frame.width + 5``."""
+
+    def detect(self, frame, vocabulary, k):
+        return [
+            replace(det, box=Region(det.box.x_min, det.box.y_min, frame.width + 5, det.box.y_max))
+            for det in super().detect(frame, vocabulary, k)
+        ]
+
+
+def test_detection_boxes_outside_the_frame_are_no_detections(space, params):
+    # A reply breaking the detect contract is a failed call: nothing is
+    # grounded on it and the episode ends without an exception.
+    world = cup_world()
+    wide = BoxesPastTheFrame(world, params, sigma=0.0)
+    trace = run_closed_loop(
+        world.instruction, world, space.clone(), params, wide, max_steps=20
+    )
+    assert trace.status == "failed"
+    assert trace.fail_reason == "planning-error"
+    assert all(row.grounded_tool_box is None for row in trace.rows)
 
 
 def test_wrong_length_affordance_vector_fails_the_episode_without_insert(space, params):

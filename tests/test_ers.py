@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from worldkit import PairCountingMock, make_world, obj
 
 from aide.affordance import AffordanceVector, distance
@@ -239,18 +238,6 @@ def test_ground_regions_fallback_without_parts(space, params):
     mid = box.y_min + box.height // 2
     assert operational == Region(box.x_min, mid, box.x_max, box.y_max)
     assert functional == Region(box.x_min, box.y_min, box.x_max, mid)
-
-
-def test_ground_regions_requires_tool_in_frame(space, params):
-    world = cup_world()
-    mock = noiseless(world, params)
-    frame, _ = observe(world, params)
-    pool = drink_pool(space, params, mock)
-    from aide.perception import Detection
-
-    outside = Detection(label="cup", box=Region(0, 0, 2000, 2000), confidence=0.5, rank=1)
-    with pytest.raises(ValueError):
-        ground_regions(frame, outside, pool, params, mock)
 
 
 # --- retrieve, then match ------------------------------------------------------

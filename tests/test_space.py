@@ -199,6 +199,23 @@ def test_dfs_hit_always_within_radius(space, params, seed):
         assert distance(query, hit.instruction_affordance) <= params.c
 
 
+def test_radius_equal_to_the_numpy_oracle_distance_is_inside(space, params):
+    # The radius is criterion 1's brute-force minimum (or the largest tool
+    # distance in a subcluster), so the record at that distance must count.
+    matrix = np.array([r.instruction_affordance.scores for r in space.iter_records()])
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(200):
+        query = AffordanceVector(tuple(rng.uniform(0, 10, size=params.X)))
+        radius = float(np.sqrt(((matrix - np.array(query.scores)) ** 2).sum(axis=1)).min())
+        hit, _ = space.dfs_retrieve(query, radius)
+        assert hit is not None
+    for anchor in space.iter_records():
+        sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+        tools = np.array([r.tool_affordance.scores for r in sub.records])
+        radius = float(np.sqrt(((tools - np.array(anchor.tool_affordance.scores)) ** 2).sum(axis=1)).max())
+        assert len(space.candidate_set(anchor, radius)) == len(sub.records)
+
+
 def test_dfs_dimension_mismatch(space):
     from aide.affordance import DimensionMismatchError
 
@@ -302,9 +319,13 @@ def test_insert_duplicate_id_rejected(space):
 def test_clone_isolates_insertions(space, params):
     before = space.record_count
     clone = space.clone()
-    clone.insert(_record("clone-only", vector([5.0] * params.X)))
+    vec = vector([5.0] * params.X)
+    clone.insert(_record("clone-only", vec))
     assert space.record_count == before
     assert all(r.id != "clone-only" for r in space.iter_records())
+    # The clone shares the base's row arrays until the insert replaces them.
+    assert clone.dfs_retrieve(vec, 0.0)[0].id == "clone-only"
+    assert space.dfs_retrieve(vec, 0.0)[0] is None
 
 
 # --- persistence ----------------------------------------------------------------
