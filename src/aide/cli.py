@@ -18,10 +18,12 @@ from .config import ConfigParams, load_config
 from .harness import (
     ablate_retrieval,
     gen_corpus,
+    hint_answerer,
     interactive_episode,
     render_ablation,
     render_report,
     resolve_worlds,
+    run_episode,
     run_error_analysis,
     run_eval,
     write_report,
@@ -33,10 +35,13 @@ from .space import build_space, load_space, read_corpus, save_space
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="aide-config/1 document")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_episode_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that run episodes on a saved space."""
     parser.add_argument("--space", type=Path, help="aide-space/1 document")
     parser.add_argument("--scenarios", type=Path, help="directory of aide-world/1 files")
     parser.add_argument("--report", type=Path, help="output report path")
-    parser.add_argument("--interactive", action="store_true")
     parser.add_argument("--noise", type=float, default=None, help="mock noise sigma")
 
 
@@ -46,7 +51,7 @@ def _params_and_paths(args) -> tuple[ConfigParams, dict]:
     return ConfigParams(), {}
 
 
-def _resolved(args, paths: dict, key: str, flag_value):
+def _resolved(paths: dict, key: str, flag_value):
     return flag_value if flag_value is not None else paths.get(key)
 
 
@@ -67,15 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus", type=Path, required=True, help="draft jsonl path")
     p.add_argument("--out", type=Path, default=None, help="output space path (or --space)")
+    p.add_argument("--space", type=Path, help="output space path (or --out)")
 
     p = sub.add_parser("eval", help="run the batch evaluation suite")
     _add_common(p)
+    _add_episode_flags(p)
     p.add_argument("--episodes", type=int, default=None, help="episode count (default: one per world)")
     p.add_argument("--max-steps", type=int, default=400)
 
     p = sub.add_parser("ablate-retrieval", help="retrieval method and threshold ablation")
     _add_common(p)
     p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--report", type=Path, help="output report path")
     p.add_argument(
         "--method",
         choices=("both", "affordance", "textsim"),
@@ -85,11 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("error-analysis", help="injected failure detection/recovery")
     _add_common(p)
+    _add_episode_flags(p)
     p.add_argument("--no-hints", action="store_true", help="disable human-recovery hints")
     p.add_argument("--max-steps", type=int, default=400)
 
     p = sub.add_parser("run-episode", help="run one scenario end to end")
     _add_common(p)
+    _add_episode_flags(p)
+    p.add_argument("--interactive", action="store_true", help="answer prompts from stdin")
     p.add_argument("--world", required=True, help="world id (built-in or from --scenarios)")
     p.add_argument("--max-steps", type=int, default=400)
 
@@ -107,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "build-space":
-        out = args.out or _resolved(args, paths, "space", args.space)
+        out = args.out or _resolved(paths, "space", args.space)
         if out is None:
             print("build-space needs --out or --space", file=sys.stderr)
             return 2
@@ -117,9 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"built space with {space.record_count} records into {out}")
         return 0
 
-    space_path = _resolved(args, paths, "space", args.space)
-    scenarios = _resolved(args, paths, "scenarios", args.scenarios)
-    report_path = _resolved(args, paths, "report", args.report)
+    report_path = _resolved(paths, "report", args.report)
 
     if args.command == "ablate-retrieval":
         drafts = read_corpus(args.corpus)
@@ -133,11 +142,12 @@ def main(argv: list[str] | None = None) -> int:
             Path(report_path).write_text(text, encoding="utf-8")
         return 0
 
+    space_path = _resolved(paths, "space", args.space)
     if space_path is None:
         print(f"{args.command} needs --space", file=sys.stderr)
         return 2
     space = load_space(space_path)
-    worlds = resolve_worlds(scenarios)
+    worlds = resolve_worlds(_resolved(paths, "scenarios", args.scenarios))
 
     if args.command == "eval":
         traces: list = []
@@ -183,10 +193,9 @@ def main(argv: list[str] | None = None) -> int:
                 world, space, params, seed=args.seed, noise=args.noise, max_steps=args.max_steps
             )
         else:
-            from .harness import _run_one_episode
-
-            _, trace = _run_one_episode(
-                f"ep-{args.world}", world, space, params, args.seed, args.noise, args.max_steps
+            answer = hint_answerer(world)
+            _, trace = run_episode(
+                args.world, world, space, params, args.seed, args.noise, args.max_steps, answer
             )
         print(
             f"{world.world_id}: {trace.status}"

@@ -14,21 +14,24 @@ class ConfigError(ValueError):
     """Invalid parameter combination or malformed config document."""
 
 
+# Dropped fields, with the value every saved document holds for them.
+_RETIRED = {"T": None, "frame_size": 800, "view_range": 40.0, "visible_candidate_max_rank": None}
+
+
 @dataclass(frozen=True)
 class ConfigParams:
     """All tunables in one immutable bundle.
 
     Retrieval and matching:
-      A            target corpus size for generation
-      T            surviving corpus size after the center filter; informational,
-                   derived by the build when left unset
+      A            target corpus size for generation; the build's surviving size,
+                   the paper's T, is ``RelationshipSpace.record_count``
       X            affordance dimensions
       a, b         cluster and subcluster counts
       D            build-time center filter radius (applies to both vectors)
       c            retrieval radius for the instruction-vector DFS
       d            subcluster expansion radius over tool vectors
       m            grounding similarity threshold (strict greater-than)
-      N, N_prime   detection rank cutoffs
+      N, N_prime   detection rank cutoffs; visible exploration uses ranks N+1..2N
       PX           exploration square half-side, pixels
 
     Thresholds:
@@ -43,14 +46,12 @@ class ConfigParams:
       approach_speed     world units moved per tick
       confidence_lambda  distance decay constant for mock detection confidence
       blur_range         world distance beyond which visible objects blur
-      frame_size         rendered frame side, pixels
-      view_range         world units covered by one frame side
-      visible_candidate_max_rank  overrides the 2N candidate cap when set
       max_subgoal_depth  reformulation stack limit
+
+    Frame size and view range are no settings: each ``aide-world/1`` carries its own.
     """
 
     A: int = 432
-    T: int | None = None
     X: int = 19
     a: int = 8
     b: int = 3
@@ -70,9 +71,6 @@ class ConfigParams:
     approach_speed: float = 0.5
     confidence_lambda: float = 5.0
     blur_range: float = 8.0
-    frame_size: int = 800
-    view_range: float = 40.0
-    visible_candidate_max_rank: int | None = None
     max_subgoal_depth: int = 4
 
     def __post_init__(self) -> None:
@@ -88,27 +86,30 @@ class ConfigParams:
                 raise ConfigError(f"distance {name} must be non-negative, got {value}")
         if self.A < 1 or self.X < 1 or self.a < 1 or self.b < 1:
             raise ConfigError("corpus sizes, dimensions and cluster counts must be positive")
-        if self.T is not None and not (0 < self.T <= self.A):
-            raise ConfigError(f"T must lie in (0, A], got {self.T}")
-        if self.PX < 0 or self.frame_size < 1 or self.view_range <= 0:
-            raise ConfigError("pixel and view parameters must be positive")
+        if self.PX < 0:
+            raise ConfigError(f"PX must be non-negative, got {self.PX}")
         if self.sigma < 0 or self.epsilon <= 0 or self.frame_period <= 0:
             raise ConfigError("sigma, epsilon and frame_period must be valid")
 
     @property
-    def candidate_max_rank(self) -> int:
-        """Upper rank (inclusive) for visible-exploration candidate squares."""
-        if self.visible_candidate_max_rank is not None:
-            return self.visible_candidate_max_rank
-        return 2 * self.N
-
-    @property
     def detection_budget(self) -> int:
-        """Detections fetched to match a tool: enough for N', 2N and exploration."""
-        return max(self.N_prime, 2 * self.N, self.candidate_max_rank)
+        """Detections fetched to match a tool: enough for N' and the 2N band."""
+        return max(self.N_prime, 2 * self.N)
 
-    def with_overrides(self, **changes) -> "ConfigParams":
-        return dataclasses.replace(self, **changes)
+    @classmethod
+    def from_dict(cls, raw) -> "ConfigParams":
+        """Parse an ``aide-config/1`` or ``aide-space/1`` ``params`` mapping.
+
+        A key that is no field raises ``ConfigError``, except a dropped field
+        at the value every earlier save wrote for it, which is skipped.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigError("params section must be a mapping")
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(k for k in raw if k not in known and (k, raw[k]) not in _RETIRED.items())
+        if unknown:
+            raise ConfigError(f"unknown config parameters: {unknown}")
+        return cls(**{key: value for key, value in raw.items() if key in known})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -122,12 +123,7 @@ def load_config(path: str | Path) -> tuple[ConfigParams, dict]:
         raise ConfigError(f"malformed config document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"expected schema {CONFIG_SCHEMA!r}, got {doc.get('schema')!r}")
-    known = {f.name for f in dataclasses.fields(ConfigParams)}
-    raw = doc.get("params", {})
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config parameters: {sorted(unknown)}")
-    params = ConfigParams(**raw)
+    params = ConfigParams.from_dict(doc.get("params", {}))
     paths = doc.get("paths", {})
     if not isinstance(paths, dict):
         raise ConfigError("paths section must be a mapping")

@@ -18,7 +18,6 @@ from .geometry import Region, bounding_region
 from .perception import (
     Detection,
     PerceptionBackend,
-    PerceptionError,
     SceneFrame,
     ToolHypothesis,
     best_similarity,
@@ -76,13 +75,13 @@ def visible_explore(
 ) -> Region:
     """Weighted square accumulation over low-rank detections.
 
-    Each detection ranked N+1..2N (configurable upper bound) centers a square
-    of half-side PX. Detections ranked N+1..N' that intersect the square
-    contribute weight N' - rank. The winning square, together with every
-    contributing box, defines the minimal bounding rectangle returned.
+    Each detection ranked N+1..2N centers a square of half-side PX.
+    Detections ranked N+1..N' that intersect the square contribute weight
+    N' - rank. The winning square, together with every contributing box,
+    defines the minimal bounding rectangle returned.
     Ties resolve to the candidate with the smaller rank, then smaller x_min.
     """
-    lo, hi = params.N + 1, params.candidate_max_rank
+    lo, hi = params.N + 1, 2 * params.N
     candidates = [d for d in detections if lo <= d.rank <= hi]
     if not candidates:
         raise ExplorationImpossible(
@@ -123,15 +122,10 @@ def invisible_explore(
         raise ValueError("instruction must be non-empty")
     hints = pool.unseen_hints if pool is not None else []
     if len(hints) > 1:
-        best_label, best_score = hints[0][0], -1.0
-        for hint_label, _ in hints:
-            try:
-                score = perception.similarity(instruction, hint_label).value
-            except PerceptionError:
-                continue
-            if score > best_score:
-                best_label, best_score = hint_label, score
-        label = best_label
+        label = max(
+            (hint_label for hint_label, _ in hints),
+            key=lambda hint_label: best_similarity(perception, instruction, [hint_label]),
+        )
     elif hints:
         label = hints[0][0]
     else:

@@ -195,7 +195,7 @@ def hint_answerer(world: World) -> Callable[[str], str | None]:
     return answer
 
 
-def _run_one_episode(
+def run_episode(
     episode_id: str,
     world_template: World,
     space: RelationshipSpace,
@@ -203,9 +203,11 @@ def _run_one_episode(
     seed: int,
     noise: float | None,
     max_steps: int,
+    answer_human: Callable[[str], str | None] | None = None,
     interventions: dict | None = None,
-    use_hints: bool = True,
 ) -> tuple[EpisodeRow, EpisodeTrace]:
+    """One scored episode on copies of the world and space; ``answer_human``
+    resolves recovery prompts, and None leaves each failure in place."""
     world = fresh_world(world_template)
     episode_space = space.clone()
     perception = MockPerception(world, params, seed=seed, sigma=noise)
@@ -216,10 +218,10 @@ def _run_one_episode(
         params,
         perception,
         max_steps=max_steps,
-        answer_human=hint_answerer(world) if use_hints else None,
+        answer_human=answer_human,
         interventions=interventions,
     )
-    flags = check_success(trace, world, params)
+    flags = check_success(trace, world)
     valid = trace.valid_rows()
     row = EpisodeRow(
         episode_id=episode_id,
@@ -269,8 +271,9 @@ def run_eval(
     for index in range(total):
         world_id = ids[index % len(ids)]
         episode_id = f"ep-{index:04d}-{world_id}"
-        row, trace = _run_one_episode(
-            episode_id, worlds[world_id], space, params, seed + index, noise, max_steps
+        world = worlds[world_id]
+        row, trace = run_episode(
+            episode_id, world, space, params, seed + index, noise, max_steps, hint_answerer(world)
         )
         rows.append(row)
         if trace_sink is not None:
@@ -467,7 +470,7 @@ def run_error_analysis(
         def remove_tool(w: World, oid=gt_id) -> None:
             w.objects[oid].visibility = ABSENT
 
-        row, trace = _run_one_episode(
+        row, trace = run_episode(
             f"edr-{index:02d}-{world_id}",
             template,
             space,
@@ -476,7 +479,6 @@ def run_error_analysis(
             noise,
             max_steps,
             interventions={removal_tick: remove_tool},
-            use_hints=False,
         )
         post = [r for r in trace.rows if r.step == removal_tick]
         if post and post[0].validity < params.validity_threshold:
@@ -488,7 +490,7 @@ def run_error_analysis(
     for index, world_id in enumerate(clear_ids):
         template = fresh_world(worlds[world_id])
         template.tool_table.pop(template.instruction, None)
-        row, _ = _run_one_episode(
+        row, _ = run_episode(
             f"err-{index:02d}-{world_id}",
             template,
             space,
@@ -496,7 +498,7 @@ def run_error_analysis(
             seed + 100 + index,
             noise,
             max_steps,
-            use_hints=with_hints,
+            answer_human=hint_answerer(template) if with_hints else None,
         )
         if row.status == "completed":
             recovered += 1
@@ -535,23 +537,15 @@ def interactive_episode(
     proposal, ``x0,y0,x1,y1`` coordinates override the tool region, and an
     empty line aborts the episode.
     """
-    params = params or ConfigParams()
-    world = fresh_world(world)
-    perception = MockPerception(world, params, seed=seed, sigma=noise)
     reader = input_fn if input_fn is not None else input
 
     def answer(prompt: str) -> str | None:
         return reader(f"{prompt}\n> ")
 
-    return run_closed_loop(
-        world.instruction,
-        world,
-        space.clone(),
-        params,
-        perception,
-        max_steps=max_steps,
-        answer_human=answer,
+    _, trace = run_episode(
+        world.world_id, world, space, params or ConfigParams(), seed, noise, max_steps, answer
     )
+    return trace
 
 
 # --- report rendering ----------------------------------------------------------

@@ -1,8 +1,7 @@
 """Perception capability contract consumed by retrieval, planning and exploration.
 
 Implementations wrap either the deterministic simulator-backed mock or a
-remote model service. Every response is an immutable value; backends must
-tolerate concurrent calls.
+remote model service. Every response is an immutable value.
 """
 
 from __future__ import annotations

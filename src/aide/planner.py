@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .affordance import label_class
+from .affordance import AffordanceVector, label_class
 from .commands import (
     Approach,
     Manipulate,
@@ -295,8 +295,9 @@ def run_msi(
     space: RelationshipSpace,
     params: ConfigParams,
     perception: PerceptionBackend,
-) -> GroundingResult:
-    """One slow-stream pass: ground, score, and store into the space."""
+) -> InstructionRecord:
+    """One slow-stream pass: ground, score, and store into the space; returns
+    the stored record."""
     override_label = state.human_override
     override_region = state.human_region
     state.human_override = None
@@ -322,7 +323,7 @@ def run_msi(
     )
     space.insert(record)
     state.msi_count += 1
-    return result
+    return record
 
 
 # --- motion decision -----------------------------------------------------------
@@ -378,16 +379,12 @@ def decide_motion(
 def _retrieve(
     state: PlannerState,
     active: str,
+    vector: AffordanceVector,
     space: RelationshipSpace,
     params: ConfigParams,
-    perception: PerceptionBackend,
 ) -> CandidatePool | None:
     """Retrieve and cache the pool for ``active``; None, with the cache left as
-    it was, when the task is novel or the affordance call fails."""
-    try:
-        vector = checked_affordance(perception, active, params.X)
-    except PerceptionError:
-        return None
+    it was, when the task is novel."""
     found = retrieve_candidates(space, active, vector, params)
     if isinstance(found, Novel):
         return None
@@ -413,7 +410,12 @@ def step(
     # Retrieval, cached per active instruction after the first hit.
     pool = state.pools.get(active)
     if pool is None:
-        pool = _retrieve(state, active, space, params, perception)
+        try:
+            vector = checked_affordance(perception, active, params.X)
+        except PerceptionError:
+            pass
+        else:
+            pool = _retrieve(state, active, vector, space, params)
 
     match: MatchOutcome | None = None
     valid = False
@@ -431,15 +433,16 @@ def step(
         state.msi_latch.add(active)
         tick.events.append("msi")
         try:
-            result = run_msi(
+            record = run_msi(
                 TaskInput(active, frame), state, space, params, perception
             )
         except PlanningFailure as exc:
             state.status = FAILED
             state.fail_reason = REASON_PLANNING_ERROR
             return state, RequestHuman(exc.prompt)
-        _retrieve(state, active, space, params, perception)
-        outcome = result
+        # Re-retrieve with the stored vector rather than scoring ``active`` again.
+        _retrieve(state, active, record.instruction_affordance, space, params)
+        outcome = result = record.results[0]
         if result.unseen_region_label is not None:
             outcome = ExplorationOutcome(
                 kind=Strategy.INVISIBLE,

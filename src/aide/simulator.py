@@ -289,7 +289,7 @@ def _fallback_parts(box: Region) -> tuple[Region, Region]:
     return vertical_halves(box)
 
 
-def check_success(trace, world: World, params: ConfigParams) -> SuccessFlags:
+def check_success(trace, world: World) -> SuccessFlags:
     """Score one finished episode against the world's ground truth.
 
     Tool, operational and functional checks compare the final grounded boxes

@@ -415,7 +415,7 @@ def load_space(path: str | Path) -> RelationshipSpace:
             f"expected schema {SPACE_SCHEMA!r}, got {doc['schema']!r}"
         )
     try:
-        params = ConfigParams(**doc["params"])
+        params = ConfigParams.from_dict(doc["params"])
         clusters: list[Cluster] = []
         ids: set[str] = set()
         count = 0

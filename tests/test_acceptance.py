@@ -6,6 +6,7 @@ lines as they complete.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -236,7 +237,7 @@ def test_criterion_4_threshold_semantics(params):
 
 def test_criterion_5_closed_loop_throughput(space, params):
     """1000 planner ticks sustain at least 10 ticks per second."""
-    slow = params.with_overrides(approach_speed=0.008)
+    slow = dataclasses.replace(params, approach_speed=0.008)
     world = fresh_world(scripted_scenarios()["clear_cup"])
     mock = MockPerception(world, slow, seed=1, sigma=0.5)
     start = time.perf_counter()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aide.cli import main
+from aide.cli import build_parser, main
 from aide.config import ConfigParams, save_config
 from aide.simulator import save_world, scripted_scenarios
 from aide.space import load_space
@@ -159,3 +159,53 @@ def test_config_rejects_bad_schema(tmp_path):
 
     with pytest.raises(ConfigError):
         main(["run-episode", "--config", str(bad), "--world", "clear_cup"])
+
+
+# Arguments that satisfy each subcommand's required flags.
+REQUIRED = {
+    "gen-corpus": ["--out", "drafts.jsonl"],
+    "build-space": ["--corpus", "drafts.jsonl"],
+    "ablate-retrieval": ["--corpus", "drafts.jsonl"],
+    "eval": [],
+    "error-analysis": [],
+}
+
+# Flags a subcommand never read; each is now rejected instead of ignored.
+UNREAD_FLAGS = [
+    ("gen-corpus", "--space"),
+    ("gen-corpus", "--scenarios"),
+    ("gen-corpus", "--report"),
+    ("gen-corpus", "--interactive"),
+    ("gen-corpus", "--noise"),
+    ("build-space", "--scenarios"),
+    ("build-space", "--report"),
+    ("build-space", "--interactive"),
+    ("build-space", "--noise"),
+    ("ablate-retrieval", "--space"),
+    ("ablate-retrieval", "--scenarios"),
+    ("ablate-retrieval", "--interactive"),
+    ("ablate-retrieval", "--noise"),
+    ("eval", "--interactive"),
+    ("error-analysis", "--interactive"),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flag_is_rejected(command, flag, capsys):
+    value = [] if flag == "--interactive" else ["0.5" if flag == "--noise" else "x"]
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([command, *REQUIRED[command], flag, *value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_flag_slot_count():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    slots = sum(
+        1
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    )
+    assert slots == 40

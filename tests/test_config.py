@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
+import aide
 from aide.config import ConfigError, ConfigParams, load_config, save_config
+
+# The four dropped fields at the value every earlier save wrote for them.
+SAVED_RETIRED_KEYS = {
+    "T": None,
+    "frame_size": 800,
+    "view_range": 40.0,
+    "visible_candidate_max_rank": None,
+}
 
 
 def test_default_operating_point():
@@ -13,7 +27,7 @@ def test_default_operating_point():
     assert p.strategy_threshold == 0.75
     assert p.validity_threshold == 0.5
     assert p.frame_period == 100.0
-    assert p.candidate_max_rank == 2 * p.N
+    assert p.detection_budget == max(p.N_prime, 2 * p.N) == 40
 
 
 def test_invariants_enforced():
@@ -22,7 +36,7 @@ def test_invariants_enforced():
     with pytest.raises(ConfigError):
         ConfigParams(N=0)  # no detection could ever be scored for grounding
     with pytest.raises(ConfigError):
-        ConfigParams(T=500)  # above A
+        ConfigParams(PX=-1)
     with pytest.raises(ConfigError):
         ConfigParams(m=1.0)
     with pytest.raises(ConfigError):
@@ -34,7 +48,7 @@ def test_invariants_enforced():
 
 
 def test_round_trip_with_paths(tmp_path):
-    source = ConfigParams(sigma=0.25, c=12.0, visible_candidate_max_rank=12)
+    source = ConfigParams(sigma=0.25, c=12.0, N=7)
     path = tmp_path / "config.json"
     save_config(source, path, paths={"space": "space.json", "report": "out.tsv"})
     loaded, paths = load_config(path)
@@ -59,8 +73,54 @@ def test_load_rejects_wrong_schema_and_garbage(tmp_path):
         load_config(path)
 
 
-def test_with_overrides():
-    p = ConfigParams().with_overrides(sigma=0.0, approach_speed=0.01)
-    assert p.sigma == 0.0
-    assert p.approach_speed == 0.01
-    assert p.m == 0.85
+def write_config(path, params: dict) -> None:
+    path.write_text(json.dumps({"schema": "aide-config/1", "params": params, "paths": {}}))
+
+
+def test_load_accepts_dropped_keys_at_their_saved_values(tmp_path):
+    source = ConfigParams(sigma=0.25, c=12.0)
+    path = tmp_path / "config.json"
+    write_config(path, {**source.to_dict(), **SAVED_RETIRED_KEYS})
+    loaded, _ = load_config(path)
+    assert loaded == source
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("visible_candidate_max_rank", 12), ("frame_size", 400), ("view_range", 20.0), ("T", 300)],
+)
+def test_load_rejects_dropped_keys_with_other_values(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    write_config(path, {**ConfigParams().to_dict(), key: value})
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def _params_fields_read(source: str) -> set[str]:
+    """Attribute names read as ``params.<name>`` or ``self.params.<name>``."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id == "params":
+            read.add(node.attr)
+        elif (
+            isinstance(base, ast.Attribute)
+            and base.attr == "params"
+            and isinstance(base.value, ast.Name)
+            and base.value.id == "self"
+        ):
+            read.add(node.attr)
+    return read
+
+
+def test_every_param_is_read_outside_config():
+    package = Path(aide.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "config.py":
+            read |= _params_fields_read(path.read_text(encoding="utf-8"))
+    fields = {f.name for f in dataclasses.fields(ConfigParams)}
+    assert sorted(fields - read) == []
+    assert len(fields) == 21

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from worldkit import PairCountingMock, make_world, obj
 
@@ -60,7 +62,7 @@ def test_retrieve_novel_when_nothing_in_radius(space, params):
 
 def test_retrieve_zero_expansion_radius(space, params):
     record = next(space.iter_records())
-    tight = params.with_overrides(d=0.0)
+    tight = dataclasses.replace(params, d=0.0)
     pool = retrieve_candidates(space, record.text, record.instruction_affordance, tight)
     for candidate in pool.candidates:
         assert distance(pool.anchor.tool_affordance, candidate.tool_affordance) == 0.0

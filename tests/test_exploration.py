@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from worldkit import PairCountingMock, make_world, obj
 
-from aide.config import ConfigParams
 from aide.ers import CandidatePool, Novel, retrieve_candidates
 from aide.exploration import (
     ExplorationImpossible,
@@ -16,7 +15,7 @@ from aide.exploration import (
 )
 from aide.geometry import Region
 from aide.mock import MockPerception
-from aide.perception import Detection, SceneFrame
+from aide.perception import Detection, PerceptionError, SceneFrame
 from aide.simulator import OCCLUDED, observe
 from aide.space import GroundingResult, InstructionRecord
 
@@ -63,7 +62,7 @@ def test_exploration_outcome_validation():
 
 def oracle_visible(detections, width, height, params):
     """Independent enumeration of candidate squares and contributor sets."""
-    lo, hi = params.N + 1, params.candidate_max_rank
+    lo, hi = params.N + 1, 2 * params.N
     candidates = [d for d in detections if lo <= d.rank <= hi]
     if not candidates:
         return None
@@ -137,15 +136,6 @@ def test_visible_no_candidates_raises(params):
         visible_explore([], frame(), params)
 
 
-def test_visible_candidate_rank_band_override():
-    params = ConfigParams(visible_candidate_max_rank=15)
-    assert params.candidate_max_rank == 15
-    detections = [det(r, 700, 700 + 2 * r, 704, 704 + 2 * r) for r in range(1, 12)]
-    detections.append(det(12, 100, 100, 130, 130))
-    region = visible_explore(detections, frame(), params)
-    assert region == oracle_visible(detections, 800, 800, params)
-
-
 def _random_instances(trials, seed, max_detections=50):
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(trials):
@@ -182,7 +172,7 @@ def test_visible_output_contains_square_and_members(params):
             region = visible_explore(detections, frame(), params)
         except ExplorationImpossible:
             continue
-        lo, hi = params.N + 1, params.candidate_max_rank
+        lo, hi = params.N + 1, 2 * params.N
         candidates = [d for d in detections if lo <= d.rank <= hi]
         assert any(
             region.intersects(c.box) or region.contains(c.box) for c in candidates
@@ -259,6 +249,36 @@ def test_invisible_label_selection_prefers_table_match(space, params):
     pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
     region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
     assert label == "fridge"
+
+
+class HintFailingMock(MockPerception):
+    """Noiseless mock whose similarity call fails for one hint label."""
+
+    def __init__(self, world, params, failing):
+        super().__init__(world, params, seed=0, sigma=0.0)
+        self.failing = failing
+        self.failures = 0
+
+    def similarity(self, a, b):
+        if b == self.failing:
+            self.failures += 1
+            raise PerceptionError(f"similarity to {b!r} unavailable")
+        return super().similarity(a, b)
+
+
+def test_invisible_hint_ranking_survives_a_failed_similarity(space, params):
+    # The first hint's score fails and counts as zero; the later, table-matched
+    # hint wins.
+    world = fridge_world()
+    mock = HintFailingMock(world, params, failing="drawer")
+    frame_, projections = observe(world, params)
+    vec = mock.score_affordance(world.instruction)
+    pool = retrieve_candidates(space, world.instruction, vec, params)
+    pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
+    region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
+    assert mock.failures == 1
+    assert label == "fridge"
+    assert region == next(p for p in projections if p.object_id == "f1").box
 
 
 def test_invisible_single_hint_is_not_ranked(space, params):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_detect_truncates_and_sorts_forty_objects(params):
 
 
 def test_detect_distance_decay_factor(params):
-    params = params.with_overrides(blur_range=20.0)
+    params = dataclasses.replace(params, blur_range=20.0)
     world = make_world([obj("c1", "cup", "drink", 20.0, 22.0)])  # distance 10
     mock = noiseless(world, params)
     frame, _ = observe(world, params)

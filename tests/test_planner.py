@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from worldkit import PairCountingMock, make_world, obj
 
@@ -201,10 +203,11 @@ def test_run_msi_inserts_retrievable_record(space, params):
     frame, _ = observe(world, params)
     clone = space.clone()
     state = PlannerState()
-    result = run_msi(TaskInput("brand new request", frame), state, clone, params, mock)
-    assert result.tool_label == "cup"
+    record = run_msi(TaskInput("brand new request", frame), state, clone, params, mock)
+    assert record.results[0].tool_label == "cup"
     assert clone.record_count == space.record_count + 1
     vec = mock.score_affordance("brand new request")
+    assert record.instruction_affordance == vec
     hit, _ = clone.dfs_retrieve(vec, params.c)
     assert hit is not None
 
@@ -217,8 +220,8 @@ def test_run_msi_reasoner_miss_fails(space, params):
         run_msi(TaskInput("unmapped", frame), PlannerState(), space.clone(), params, mock)
 
 
-def test_run_msi_occluded_attaches_hint(space, params):
-    world = make_world(
+def occluded_coke_world():
+    return make_world(
         [
             obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4),
             obj("k1", "coke", "drink", 20.0, 24.0, w=1, h=1, visibility=OCCLUDED, container_id="f1"),
@@ -227,14 +230,47 @@ def test_run_msi_occluded_attaches_hint(space, params):
         tool_table={"I want something cold to drink": "coke"},
         container_table={"I want something cold to drink": "fridge"},
     )
+
+
+def test_run_msi_occluded_attaches_hint(space, params):
+    world = occluded_coke_world()
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world, params)
     clone = space.clone()
-    result = run_msi(TaskInput(world.instruction, frame), PlannerState(), clone, params, mock)
-    assert result.unseen_region_label == "fridge"
+    record = run_msi(TaskInput(world.instruction, frame), PlannerState(), clone, params, mock)
+    assert record.results[0].unseen_region_label == "fridge"
     inserted = [r for r in clone.iter_records() if r.id.startswith("msi-")]
-    assert len(inserted) == 1
-    assert inserted[0].results[0].unseen_region_label == "fridge"
+    assert inserted == [record]
+
+
+class AffordanceCountingMock(MockPerception):
+    """Noiseless mock that records every subject it scores."""
+
+    def __init__(self, world, params):
+        super().__init__(world, params, seed=0, sigma=0.0)
+        self.subjects = []
+
+    def score_affordance(self, subject):
+        self.subjects.append(subject)
+        return super().score_affordance(subject)
+
+
+def test_msi_tick_scores_the_instruction_once(space, params):
+    # With the pool already cached, the slow stream's own score is the tick's
+    # only one: re-retrieval reads the vector off the record it stored.
+    world = occluded_coke_world()
+    mock = AffordanceCountingMock(world, params)
+    frame, _ = observe(world, params)
+    clone = space.clone()
+    vector = mock.score_affordance(world.instruction)
+    pool = retrieve_candidates(clone, world.instruction, vector, params)
+    assert isinstance(pool, CandidatePool)
+    state = PlannerState(pools={world.instruction: pool})
+    mock.subjects.clear()
+    state, _ = step(state, TaskInput(world.instruction, frame), clone, params, mock)
+    assert state.tick.stream == "msi"
+    assert state.status == RUNNING
+    assert mock.subjects.count(world.instruction) == 1
 
 
 # --- decide_motion ----------------------------------------------------------------
@@ -422,7 +458,7 @@ def test_trace_determinism(space, params, worlds):
 def test_timeout_when_tool_unreachable(space, params):
     # The only matching tool sits far outside the visible window and there is
     # no container to open; the episode must end with a timeout.
-    slow = params.with_overrides(approach_speed=0.01)
+    slow = dataclasses.replace(params, approach_speed=0.01)
     world = make_world(
         [obj("c1", "cup", "drink", 20.0, 25.0)],
         instruction="I am thirsty",

@@ -197,7 +197,7 @@ def test_check_success_flags_wrong_tool(space, params):
     )
     mock = MockPerception(world, params, seed=0, sigma=0.0)
     trace = run_closed_loop(world.instruction, world, space.clone(), params, mock, max_steps=100)
-    flags = check_success(trace, world, params)
+    flags = check_success(trace, world)
     assert trace.status == "completed"
     assert not flags.tool
     assert not flags.whole
@@ -207,7 +207,7 @@ def test_check_success_asr_for_absent_nominal(space, params, worlds):
     world = fresh_world(worlds["abs_cup"])
     mock = MockPerception(world, params, seed=0, sigma=0.0)
     trace = run_closed_loop(world.instruction, world, space.clone(), params, mock, max_steps=200)
-    flags = check_success(trace, world, params)
+    flags = check_success(trace, world)
     assert flags.asr_applicable
     assert flags.exploration
     assert flags.whole

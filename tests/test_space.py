@@ -370,6 +370,30 @@ def test_load_rejects_truncated_document(space, tmp_path):
         load_space(path)
 
 
+def _save_with_params(space, path, **extra) -> None:
+    save_space(space, path)
+    doc = json.loads(path.read_text())
+    doc["params"].update(extra)
+    path.write_text(json.dumps(doc))
+
+
+def test_load_reads_dropped_params_at_their_saved_values(space, tmp_path):
+    # Spaces saved before T, frame_size, view_range and
+    # visible_candidate_max_rank were dropped hold them at these values.
+    path = tmp_path / "space.json"
+    _save_with_params(
+        space, path, T=None, frame_size=800, view_range=40.0, visible_candidate_max_rank=None
+    )
+    assert load_space(path).params == space.params
+
+
+def test_load_rejects_a_dropped_param_that_was_set(space, tmp_path):
+    path = tmp_path / "space.json"
+    _save_with_params(space, path, visible_candidate_max_rank=12)
+    with pytest.raises(SpaceFormatError, match="visible_candidate_max_rank"):
+        load_space(path)
+
+
 def test_corpus_round_trip(corpus, tmp_path):
     path = tmp_path / "drafts.jsonl"
     n = write_corpus(corpus[:25], path)
