@@ -10,7 +10,8 @@ hand the routing scores to the exploration policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Sequence
 
 from .affordance import AffordanceVector
 from .config import ConfigParams
@@ -25,7 +26,7 @@ from .perception import (
     detect_or_empty,
     tool_regions,
 )
-from .space import GroundingResult, InstructionRecord, RelationshipSpace
+from .space import GroundingResult, RelationshipSpace
 
 PART_VOCABULARY = ("handle", "body")
 
@@ -39,31 +40,28 @@ class Novel:
 
 @dataclass
 class CandidatePool:
-    """A retrieved pool and the facts every tick reads off it.
+    """The facts every tick reads off a retrieved pool.
 
-    A pool never changes once retrieved, so its sorted tool labels, distinct
-    tool images and distinct unseen hints (both in first-seen order) are
-    derived once, in one pass over the candidates' results.
+    Built from the pool's distinct grounding results, in first-seen order
+    along the candidate order: its sorted tool labels, and its distinct tool
+    images and unseen hints, both in first-seen order. A pool never changes
+    once retrieved, so they are derived once.
     """
 
-    anchor: InstructionRecord
-    candidates: list[InstructionRecord]
+    results: InitVar[Sequence[GroundingResult]]
     unseen_hints: list[tuple[str, str]] = field(init=False)
     _labels: list[str] = field(init=False, repr=False)
     _images: list[str] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, results: Sequence[GroundingResult]) -> None:
         labels: dict[str, None] = {}
         images: dict[str, None] = {}
         hints: dict[tuple[str, str], None] = {}
-        for record in self.candidates:
-            for result in record.results:
-                labels.setdefault(result.tool_label, None)
-                images.setdefault(result.tool_image, None)
-                if result.unseen_region_label is not None:
-                    hints.setdefault(
-                        (result.unseen_region_label, result.unseen_region_image), None
-                    )
+        for result in results:
+            labels.setdefault(result.tool_label, None)
+            images.setdefault(result.tool_image, None)
+            if result.unseen_region_label is not None:
+                hints.setdefault((result.unseen_region_label, result.unseen_region_image), None)
         self._labels = sorted(labels)
         self._images = list(images)
         self.unseen_hints = list(hints)
@@ -107,7 +105,8 @@ def retrieve_candidates(
     anchor, _ = space.dfs_retrieve(instruction_vector, params.c)
     if anchor is None:
         return Novel(instruction=instruction)
-    return CandidatePool(anchor, space.candidate_set(anchor, params.d))
+    rows = space.candidate_set(anchor, params.d)
+    return CandidatePool(space.candidate_results(anchor, rows))
 
 
 def match_tool(

@@ -8,6 +8,7 @@ tab-delimited table document plus per-episode event logs.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +59,7 @@ _TEXT_TEMPLATES = (
 # --- corpus generation -------------------------------------------------------
 
 
+@functools.cache  # drafts share one result object per (class, label)
 def _catalog_result(cls: str, label: str) -> GroundingResult:
     tool_region = Region(0, 0, _CATALOG_IMAGE_SIZE, _CATALOG_IMAGE_SIZE)
     operational, functional = vertical_halves(tool_region)

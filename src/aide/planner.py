@@ -295,16 +295,19 @@ def run_msi(
     space: RelationshipSpace,
     params: ConfigParams,
     perception: PerceptionBackend,
+    instruction_vector: AffordanceVector | None = None,
 ) -> InstructionRecord:
     """One slow-stream pass: ground, score, and store into the space; returns
-    the stored record."""
+    the stored record. ``instruction_vector`` is the instruction's score when
+    the tick already has it; without one, it is scored here."""
     override_label = state.human_override
     override_region = state.human_region
     state.human_override = None
     state.human_region = None
     try:
         result = mm_cot(task, params, perception, override_label, override_region)
-        instruction_vector = checked_affordance(perception, task.instruction, params.X)
+        if instruction_vector is None:
+            instruction_vector = checked_affordance(perception, task.instruction, params.X)
         tool_vector = checked_affordance(perception, result.tool_image, params.X)
     except (PerceptionError, ExplorationImpossible) as exc:
         raise PlanningFailure(
@@ -409,6 +412,7 @@ def step(
 
     # Retrieval, cached per active instruction after the first hit.
     pool = state.pools.get(active)
+    vector: AffordanceVector | None = None
     if pool is None:
         try:
             vector = checked_affordance(perception, active, params.X)
@@ -434,7 +438,7 @@ def step(
         tick.events.append("msi")
         try:
             record = run_msi(
-                TaskInput(active, frame), state, space, params, perception
+                TaskInput(active, frame), state, space, params, perception, vector
             )
         except PlanningFailure as exc:
             state.status = FAILED

@@ -6,15 +6,24 @@ one to three grounding results. Retrieval is a depth-first walk over clusters
 and subclusters ordered by centroid proximity that stops at the first record
 within radius ``c`` of the query; candidate expansion then filters the hit's
 subcluster by tool-vector distance ``d``.
+
+The layout is an inverted file: each subcluster keeps its records' vectors as
+row arrays, and its records' results as rows of one space-wide table of
+distinct ``GroundingResult``s (a corpus repeats a few results many times), so
+retrieval and candidate pools are numpy work over arrays, not walks over
+records. ``clone`` is copy-on-write: a clone shares the record lists, arrays
+and tables of the space it was cloned from; an insert replaces the list and
+arrays it changes, and adds to the clone's own fork of each table.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -103,26 +112,108 @@ class InstructionRecord:
             )
 
 
+class _Table:
+    """Distinct values, numbered 0, 1, 2, ... in the order they were added.
+
+    ``fork`` returns a table that reads its parent's rows as they are at the
+    fork, without copying them, and numbers its own values after them: a
+    parent never sees its forks' values, and a fork never sees values its
+    parent adds later.
+    """
+
+    def __init__(self, parent: _Table | None = None) -> None:
+        self._parent = parent
+        self._start = len(parent) if parent is not None else 0
+        self._values: list = []
+        self._rows: dict = {}
+
+    def __len__(self) -> int:
+        return self._start + len(self._values)
+
+    def __getitem__(self, row: int):
+        if row < self._start:
+            return self._parent[row]
+        return self._values[row - self._start]
+
+    def __contains__(self, value: Hashable) -> bool:
+        return self.row(value) is not None
+
+    def row(self, value: Hashable) -> int | None:
+        if self._parent is not None:
+            row = self._parent.row(value)
+            if row is not None and row < self._start:
+                return row
+        return self._rows.get(value)
+
+    def add(self, value: Hashable) -> int:
+        """The row holding ``value``, which becomes a new row if none does."""
+        row = self.row(value)
+        if row is None:
+            row = self._rows[value] = len(self)
+            self._values.append(value)
+        return row
+
+    def fork(self) -> _Table:
+        return _Table(self)
+
+
+def _by_identity(table: _Table) -> Callable[[GroundingResult], int]:
+    """``table.add`` that hashes each result object once: a corpus shares its
+    result objects, and hashing all of its entries by value is slow."""
+    seen: dict[int, tuple[GroundingResult, int]] = {}  # holding the result keeps its id unique
+
+    def row(result: GroundingResult) -> int:
+        hit = seen.get(id(result))
+        if hit is None:
+            hit = seen[id(result)] = (result, table.add(result))
+        return hit[1]
+
+    return row
+
+
+def _padded(result_rows: list[int]) -> list[int]:
+    return result_rows + [-1] * (MAX_RESULTS_PER_RECORD - len(result_rows))
+
+
 @dataclass
 class Subcluster:
-    """Records of one subcluster, plus their instruction and tool vectors as row
-    arrays (derived from ``records`` when not given). ``append`` replaces the
-    arrays instead of writing into them, so clones can share them."""
+    """Records of one subcluster, and columns derived from them: instruction
+    and tool vectors as float rows, each record's results as its row of
+    ``result_rows`` (rows of the space's result table, padded with -1), and
+    the record ids. ``append`` replaces ``records`` and every column instead
+    of writing into them, so clones share them all."""
 
     centroid: AffordanceVector
-    records: list[InstructionRecord] = field(default_factory=list)
-    instruction_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    tool_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    records: list[InstructionRecord]
+    instruction_rows: np.ndarray = field(repr=False, compare=False)
+    tool_rows: np.ndarray = field(repr=False, compare=False)
+    result_rows: np.ndarray = field(repr=False, compare=False)
+    ids: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.instruction_rows is None:
-            self.instruction_rows = _rows([r.instruction_affordance for r in self.records], len(self.centroid))
-            self.tool_rows = _rows([r.tool_affordance for r in self.records], len(self.centroid))
+    @classmethod
+    def of(
+        cls,
+        centroid: AffordanceVector,
+        records: list[InstructionRecord],
+        result_row: Callable[[GroundingResult], int],
+    ) -> Subcluster:
+        dims = len(centroid)
+        result_rows = [_padded([result_row(r) for r in record.results]) for record in records]
+        return cls(
+            centroid,
+            records,
+            _rows([r.instruction_affordance for r in records], dims),
+            _rows([r.tool_affordance for r in records], dims),
+            np.array(result_rows, dtype=np.intp).reshape(len(records), MAX_RESULTS_PER_RECORD),
+            np.array([r.id for r in records], dtype=str),
+        )
 
-    def append(self, record: InstructionRecord) -> None:
-        self.records.append(record)
+    def append(self, record: InstructionRecord, result_rows: list[int]) -> None:
+        self.records = [*self.records, record]
         self.instruction_rows = np.vstack([self.instruction_rows, record.instruction_affordance.scores])
         self.tool_rows = np.vstack([self.tool_rows, record.tool_affordance.scores])
+        self.result_rows = np.vstack([self.result_rows, _padded(result_rows)])
+        self.ids = np.append(self.ids, record.id)
 
 
 @dataclass
@@ -136,7 +227,9 @@ class RelationshipSpace:
     params: ConfigParams
     clusters: list[Cluster]
     record_count: int = 0
-    _ids: set[str] = field(default_factory=set, repr=False)
+    # Distinct grounding results; ``Subcluster.result_rows`` index it.
+    results: _Table = field(default_factory=_Table, repr=False)
+    _ids: _Table = field(default_factory=_Table, repr=False)
 
     # -- queries ---------------------------------------------------------
 
@@ -174,46 +267,53 @@ class RelationshipSpace:
                 visited += len(subs[sj].records)
         return None, visited
 
-    def candidate_set(
-        self, anchor: InstructionRecord, d: float | None = None
-    ) -> list[InstructionRecord]:
-        """Anchor's subcluster filtered by tool-affordance distance ``d``.
+    def candidate_set(self, anchor: InstructionRecord, d: float | None = None) -> np.ndarray:
+        """Rows of the anchor's subcluster within tool-affordance distance ``d``.
 
         Sorted by ascending distance with the record id as tiebreak; always
-        contains the anchor itself (distance zero).
+        contains the anchor's own row (distance zero).
         """
         radius = self.params.d if d is None else d
         if anchor.id not in self._ids:
             raise SpaceError(f"anchor {anchor.id!r} does not belong to this space")
         sub = self.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
         dists = euclidean(anchor.tool_affordance.scores, sub.tool_rows)
-        picked = np.flatnonzero(dists <= radius).tolist()
-        keys = dists.tolist()  # Python floats sort faster than numpy scalars
-        picked.sort(key=lambda i: (keys[i], sub.records[i].id))
-        return [sub.records[i] for i in picked]
+        picked = np.flatnonzero(dists <= radius)
+        near = dists[picked]
+        order = np.argsort(near)
+        if (near[order[1:]] == near[order[:-1]]).any():  # equal distances: ties go by id
+            order = np.lexsort((sub.ids[picked], near))
+        return picked[order]
+
+    def candidate_results(
+        self, anchor: InstructionRecord, rows: np.ndarray
+    ) -> list[GroundingResult]:
+        """Distinct results of the anchor subcluster's ``rows`` (as
+        ``candidate_set`` returns them), in first-seen order along ``rows``."""
+        sub = self.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+        flat = sub.result_rows[rows].ravel()
+        distinct, first = np.unique(flat[flat >= 0], return_index=True)
+        return [self.results[row] for row in distinct[np.argsort(first)].tolist()]
 
     def clone(self) -> "RelationshipSpace":
-        """Independent writable view sharing the (never-mutated) stored records.
+        """Independent writable view, copy-on-write.
 
-        Built records are immutable after assignment and row arrays are
-        replaced, never written, so a structural copy of the cluster tree is
-        enough to isolate per-episode insertions without the cost of a deep copy.
+        Records are immutable once stored, ``insert`` replaces the record list
+        and columns it changes instead of writing into them, and the clone's
+        result and id tables are forks of this space's. So the clone shares
+        every record list, column and table row; its cost does not grow with
+        the space.
         """
         clusters = [
-            Cluster(
-                centroid=cluster.centroid,
-                subclusters=[
-                    Subcluster(sub.centroid, list(sub.records), sub.instruction_rows, sub.tool_rows)
-                    for sub in cluster.subclusters
-                ],
-            )
+            Cluster(cluster.centroid, [copy.copy(sub) for sub in cluster.subclusters])
             for cluster in self.clusters
         ]
         return RelationshipSpace(
             params=self.params,
             clusters=clusters,
             record_count=self.record_count,
-            _ids=set(self._ids),
+            results=self.results.fork(),
+            _ids=self._ids.fork(),
         )
 
     # -- mutation --------------------------------------------------------
@@ -235,7 +335,7 @@ class RelationshipSpace:
         sj = int(_nearest_first(record.instruction_affordance.scores, [sub.centroid for sub in subs])[0])
         record.cluster_id = ci
         record.subcluster_id = sj
-        subs[sj].append(record)
+        subs[sj].append(record, [self.results.add(r) for r in record.results])
         self._ids.add(record.id)
         self.record_count += 1
         return self
@@ -285,13 +385,17 @@ def build_space(
         )
 
     clusters: list[Cluster] = []
-    space_ids: set[str] = set()
+    space_ids = _Table()
+    results = _Table()
+    result_row = _by_identity(results)
     for ci in range(params.a):
         in_cluster = survives & (labels == ci)
         members = [drafts[i] for i in np.flatnonzero(in_cluster)]
         centroid = vector(centers[ci])
         if not members:
-            clusters.append(Cluster(centroid, [Subcluster(centroid) for _ in range(params.b)]))
+            clusters.append(
+                Cluster(centroid, [Subcluster.of(centroid, [], result_row) for _ in range(params.b)])
+            )
             continue
         k_eff = min(params.b, len(members))
         sub_centers, sub_labels = kmeans(points[in_cluster], k_eff, rng)
@@ -302,18 +406,22 @@ def build_space(
             groups[sj].append(member)
             space_ids.add(member.id)
         subclusters = [
-            Subcluster(vector(center), group)
+            Subcluster.of(vector(center), group, result_row)
             for center, group in zip(np.clip(sub_centers, 0.0, 10.0), groups)
         ]
         # Pad to exactly b subclusters. Padding duplicates the last real
         # centroid at a higher index, so distance ties always resolve to
         # the populated subcluster and reassignment stays a fixed point.
         while len(subclusters) < params.b:
-            subclusters.append(Subcluster(centroid=subclusters[-1].centroid))
+            subclusters.append(Subcluster.of(subclusters[-1].centroid, [], result_row))
         clusters.append(Cluster(centroid, subclusters))
 
     return RelationshipSpace(
-        params=params, clusters=clusters, record_count=len(space_ids), _ids=space_ids
+        params=params,
+        clusters=clusters,
+        record_count=len(space_ids),
+        results=results,
+        _ids=space_ids,
     )
 
 
@@ -366,7 +474,32 @@ def record_to_dict(record: InstructionRecord) -> dict:
     }
 
 
-def record_from_dict(doc: dict) -> InstructionRecord:
+def _result_reader() -> Callable[[dict], GroundingResult]:
+    """``_result_from_dict`` that constructs, and so validates, each distinct
+    result document once; equal documents read as one shared result."""
+    memo: dict[tuple, GroundingResult] = {}
+
+    def read(doc: dict) -> GroundingResult:
+        key = (
+            doc["tool_label"],
+            doc["tool_image"],
+            tuple(doc["tool_region"]),
+            tuple(doc["operational_region"]),
+            tuple(doc["functional_region"]),
+            doc.get("unseen_region_label"),
+            doc.get("unseen_region_image"),
+        )
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = _result_from_dict(doc)
+        return result
+
+    return read
+
+
+def record_from_dict(
+    doc: dict, read_result: Callable[[dict], GroundingResult] = _result_from_dict
+) -> InstructionRecord:
     try:
         return InstructionRecord(
             id=doc["id"],
@@ -375,7 +508,7 @@ def record_from_dict(doc: dict) -> InstructionRecord:
             tool_affordance=AffordanceVector(tuple(doc["tool_affordance"])),
             cluster_id=int(doc.get("cluster_id", -1)),
             subcluster_id=int(doc.get("subcluster_id", -1)),
-            results=tuple(_result_from_dict(r) for r in doc["results"]),
+            results=tuple(read_result(r) for r in doc["results"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpaceFormatError(f"malformed record document: {exc}") from exc
@@ -417,22 +550,22 @@ def load_space(path: str | Path) -> RelationshipSpace:
     try:
         params = ConfigParams.from_dict(doc["params"])
         clusters: list[Cluster] = []
-        ids: set[str] = set()
+        ids = _Table()
+        results = _Table()
+        read_result = _result_reader()
+        result_row = _by_identity(results)
         count = 0
         for cdoc in doc["clusters"]:
             subclusters = []
             for sdoc in cdoc["subclusters"]:
-                records = [record_from_dict(r) for r in sdoc["records"]]
+                records = [record_from_dict(r, read_result) for r in sdoc["records"]]
                 for r in records:
                     if r.id in ids:
                         raise SpaceFormatError(f"duplicate record id {r.id!r}")
                     ids.add(r.id)
                 count += len(records)
                 subclusters.append(
-                    Subcluster(
-                        centroid=AffordanceVector(tuple(sdoc["centroid"])),
-                        records=records,
-                    )
+                    Subcluster.of(AffordanceVector(tuple(sdoc["centroid"])), records, result_row)
                 )
             clusters.append(
                 Cluster(centroid=AffordanceVector(tuple(cdoc["centroid"])), subclusters=subclusters)
@@ -443,7 +576,9 @@ def load_space(path: str | Path) -> RelationshipSpace:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SpaceFormatError(f"malformed space document: {exc}") from exc
-    return RelationshipSpace(params=params, clusters=clusters, record_count=count, _ids=ids)
+    return RelationshipSpace(
+        params=params, clusters=clusters, record_count=count, results=results, _ids=ids
+    )
 
 
 # --- corpus drafts ----------------------------------------------------------
@@ -461,13 +596,14 @@ def write_corpus(drafts: Iterable[InstructionRecord], path: str | Path) -> int:
 
 def read_corpus(path: str | Path) -> list[InstructionRecord]:
     drafts = []
+    read_result = _result_reader()
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                drafts.append(record_from_dict(json.loads(line)))
+                drafts.append(record_from_dict(json.loads(line), read_result))
             except json.JSONDecodeError as exc:
                 raise SpaceFormatError(f"line {line_no}: unreadable record: {exc}") from exc
     return drafts

@@ -171,8 +171,7 @@ class _BoundaryBackend:
 
 
 def _boundary_pool():
-    from aide.affordance import vector
-    from aide.space import GroundingResult, InstructionRecord
+    from aide.space import GroundingResult
 
     result = GroundingResult(
         tool_label="cup",
@@ -181,14 +180,7 @@ def _boundary_pool():
         operational_region=Region(0, 5, 10, 10),
         functional_region=Region(0, 0, 10, 5),
     )
-    record = InstructionRecord(
-        id="r0",
-        text="t",
-        instruction_affordance=vector([1.0]),
-        tool_affordance=vector([1.0]),
-        results=(result,),
-    )
-    return CandidatePool(anchor=record, candidates=[record])
+    return CandidatePool([result])
 
 
 def test_criterion_4_threshold_semantics(params):

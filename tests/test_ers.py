@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 from worldkit import PairCountingMock, make_world, obj
 
 from aide.affordance import AffordanceVector, distance
@@ -16,9 +17,11 @@ from aide.ers import (
     retrieve_candidates,
 )
 from aide.geometry import Region, iou
+from aide.harness import gen_corpus
 from aide.mock import MockPerception
 from aide.planner import validity_check
 from aide.simulator import observe
+from aide.space import GroundingResult, InstructionRecord, build_space
 
 
 def noiseless(world, params, seed=0):
@@ -28,29 +31,40 @@ def noiseless(world, params, seed=0):
 # --- retrieve_candidates -------------------------------------------------------
 
 
-def test_retrieve_pool_matches_bruteforce_subcluster_filter(space, params):
-    anchor_like = next(space.iter_records())
-    query = anchor_like.instruction_affordance
-    pool = retrieve_candidates(space, anchor_like.text, query, params)
-    assert not isinstance(pool, Novel)
-    sub = space.clusters[pool.anchor.cluster_id].subclusters[pool.anchor.subcluster_id]
-    expected = {
-        r.id
+def oracle_facts(space, anchor, d):
+    """Pool facts by brute force: walk the anchor's subcluster, keep the records
+    within ``d``, sort them by (distance, id) and read their results in order."""
+    sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+    near = sorted(
+        (distance(anchor.tool_affordance, r.tool_affordance), r.id, r)
         for r in sub.records
-        if distance(pool.anchor.tool_affordance, r.tool_affordance) <= params.d
-    }
-    assert {r.id for r in pool.candidates} == expected
-    assert pool.anchor.id in expected
-    results = [result for r in pool.candidates for result in r.results]
-    assert pool.tool_labels() == sorted({result.tool_label for result in results})
+        if distance(anchor.tool_affordance, r.tool_affordance) <= d
+    )
+    results = [result for _, _, r in near for result in r.results]
     images = [result.tool_image for result in results]
-    assert pool.distinct_images() == sorted(set(images), key=images.index)
     hints = [
         (result.unseen_region_label, result.unseen_region_image)
         for result in results
         if result.unseen_region_label is not None
     ]
-    assert pool.unseen_hints == sorted(set(hints), key=hints.index)
+    return (
+        sorted({result.tool_label for result in results}),
+        list(dict.fromkeys(images)),
+        list(dict.fromkeys(hints)),
+    )
+
+
+def pool_facts(pool):
+    return pool.tool_labels(), pool.distinct_images(), pool.unseen_hints
+
+
+def test_retrieve_pool_matches_bruteforce_subcluster_filter(space, params):
+    anchor_like = next(space.iter_records())
+    query = anchor_like.instruction_affordance
+    pool = retrieve_candidates(space, anchor_like.text, query, params)
+    assert not isinstance(pool, Novel)
+    anchor, _ = space.dfs_retrieve(query, params.c)
+    assert pool_facts(pool) == oracle_facts(space, anchor, params.d)
 
 
 def test_retrieve_novel_when_nothing_in_radius(space, params):
@@ -64,14 +78,130 @@ def test_retrieve_zero_expansion_radius(space, params):
     record = next(space.iter_records())
     tight = dataclasses.replace(params, d=0.0)
     pool = retrieve_candidates(space, record.text, record.instruction_affordance, tight)
-    for candidate in pool.candidates:
-        assert distance(pool.anchor.tool_affordance, candidate.tool_affordance) == 0.0
+    anchor, _ = space.dfs_retrieve(record.instruction_affordance, tight.c)
+    assert pool_facts(pool) == oracle_facts(space, anchor, 0.0)
 
 
 def test_pool_hints_deduplicated(space, params):
     record = next(space.iter_records())
     pool = retrieve_candidates(space, record.text, record.instruction_affordance, params)
     assert len(set(pool.unseen_hints)) == len(pool.unseen_hints)
+
+
+def random_space(seed, params):
+    """A small space whose records share eight results. Tool vectors lie on a
+    coarse grid, so equal distances are common; each odd record is a twin of
+    the even one before it (same vectors, other results), and ids are not in
+    stored order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    box = Region(0, 0, 10, 10)
+    catalog = [
+        GroundingResult(
+            f"tool{k % 3}", f"image{k}", box, box, box,
+            *((f"bin{k % 2}", f"container:bin{k % 2}") if k % 3 else (None, None)),
+        )
+        for k in range(8)
+    ]
+    n = 60
+    ids = rng.permutation(10 * n)[:n]
+    instructions = rng.uniform(0.0, 10.0, size=(n, params.X))
+    tools = rng.integers(0, 3, size=(n, params.X)).astype(float)
+    instructions[1::2] = instructions[::2]
+    tools[1::2] = tools[::2]
+    drafts = [
+        InstructionRecord(
+            id=f"r{ids[i]:04d}",
+            text="t",
+            instruction_affordance=AffordanceVector(tuple(instructions[i])),
+            tool_affordance=AffordanceVector(tuple(tools[i])),
+            results=tuple(catalog[k] for k in rng.choice(8, size=rng.integers(1, 4), replace=False)),
+        )
+        for i in range(n)
+    ]
+    return build_space(drafts, params, seed)
+
+
+def retrieved_and_oracle(space, query, params, d):
+    exact = dataclasses.replace(params, c=0.0, d=d)
+    pool = retrieve_candidates(space, "t", query, exact)
+    anchor, _ = space.dfs_retrieve(query, 0.0)
+    return pool_facts(pool), oracle_facts(space, anchor, d)
+
+
+def test_pool_facts_match_the_bruteforce_walk_on_random_spaces(params):
+    small = dataclasses.replace(params, a=2, b=2, D=100.0)
+    rng = np.random.Generator(np.random.PCG64(3))
+    for seed in range(5):
+        space = random_space(seed, small)
+        for anchor in space.iter_records():
+            sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+            other = sub.records[int(rng.integers(len(sub.records)))]
+            boundary = distance(anchor.tool_affordance, other.tool_affordance)
+            for d in (0.0, boundary, 3.0, 100.0):
+                got, expected = retrieved_and_oracle(space, anchor.instruction_affordance, small, d)
+                assert got == expected
+
+
+def test_pool_facts_after_an_insert_into_a_clone(params):
+    small = dataclasses.replace(params, a=2, b=2, D=100.0)
+    space = random_space(9, small)
+    base = next(space.iter_records())
+    query = base.instruction_affordance
+    before = retrieved_and_oracle(space, query, small, 0.0)
+    box = Region(0, 0, 10, 10)
+    clone = space.clone()
+    # Two new records with the base record's vectors and new results; the later
+    # one sorts first by id, so the pool's image order pins the id tie-break.
+    for rid, image in (("zz-new", "image-z"), ("aa-new", "image-a")):
+        fresh = GroundingResult("tool-new", image, box, box, box)
+        clone.insert(InstructionRecord(rid, "t", query, base.tool_affordance, (fresh,)))
+    got, expected = retrieved_and_oracle(clone, query, small, 0.0)
+    assert got == expected
+    images = got[1]
+    assert images.index("image-a") < images.index("image-z")
+    assert retrieved_and_oracle(space, query, small, 0.0) == before
+    assert retrieved_and_oracle(space.clone(), query, small, 0.0) == before
+
+
+class Unwalkable(list):
+    """A record list that fails if anything iterates it, and counts the
+    records read out of it by index."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.reads = 0
+
+    def __iter__(self):
+        raise AssertionError("subcluster records walked")
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def unwalkable(space):
+    """A clone of ``space`` whose subclusters' record lists cannot be walked."""
+    clone = space.clone()
+    for cluster in clone.clusters:
+        for sub in cluster.subclusters:
+            sub.records = Unwalkable(sub.records)
+    return clone
+
+
+@pytest.fixture(scope="module")
+def large_space(params):
+    return build_space(gen_corpus(5000, params.X, params.a, params.b, seed=11), params, seed=11)
+
+
+def test_retrieval_at_scale_reads_only_the_anchor_record(large_space, params):
+    walled = unwalkable(large_space)
+    queries = list(large_space.iter_records())[::250]
+    for record in queries:
+        pool = retrieve_candidates(walled, record.text, record.instruction_affordance, params)
+        anchor, _ = large_space.dfs_retrieve(record.instruction_affordance, params.c)
+        assert pool_facts(pool) == oracle_facts(large_space, anchor, params.d)
+    reads = sum(sub.records.reads for cluster in walled.clusters for sub in cluster.subclusters)
+    assert reads == len(queries)  # each retrieval's anchor, read once by DFS
 
 
 # --- match_tool ---------------------------------------------------------------
@@ -136,20 +266,12 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     assert ranks == set(range(1, len(outcome.detections) + 1))
 
 
-class Unwalkable(list):
-    """A candidate list that fails if anything iterates it."""
-
-    def __iter__(self):
-        raise AssertionError("pool candidates walked after construction")
-
-
 def test_match_reads_pool_facts_without_walking_candidates(space, params):
     # Grounded, so ground_regions reads the pool's images too.
     world = cup_world()
     mock = noiseless(world, params)
     frame, _ = observe(world, params)
-    pool = drink_pool(space, params, mock)
-    pool.candidates = Unwalkable(pool.candidates)
+    pool = drink_pool(unwalkable(space), params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, Grounded)
     assert outcome.result.tool_label == "cup"

@@ -17,7 +17,7 @@ from aide.geometry import Region
 from aide.mock import MockPerception
 from aide.perception import Detection, PerceptionError, SceneFrame
 from aide.simulator import OCCLUDED, observe
-from aide.space import GroundingResult, InstructionRecord
+from aide.space import GroundingResult
 
 
 def frame(size=800):
@@ -286,24 +286,16 @@ def test_invisible_single_hint_is_not_ranked(space, params):
     mock = PairCountingMock(world, params)
     frame_, projections = observe(world, params)
     box = Region(0, 0, 10, 10)
-    record = InstructionRecord(
-        id="r0",
-        text=world.instruction,
-        instruction_affordance=mock.score_affordance(world.instruction),
-        tool_affordance=mock.score_affordance("tool:drink:coke"),
-        results=(
-            GroundingResult(
-                tool_label="coke",
-                tool_image="tool:drink:coke",
-                tool_region=box,
-                operational_region=box,
-                functional_region=box,
-                unseen_region_label="fridge",
-                unseen_region_image="container:fridge",
-            ),
-        ),
+    result = GroundingResult(
+        tool_label="coke",
+        tool_image="tool:drink:coke",
+        tool_region=box,
+        operational_region=box,
+        functional_region=box,
+        unseen_region_label="fridge",
+        unseen_region_image="container:fridge",
     )
-    pool = CandidatePool(anchor=record, candidates=[record])
+    pool = CandidatePool([result])
     assert pool.unseen_hints == [("fridge", "container:fridge")]
     region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
     assert label == "fridge"

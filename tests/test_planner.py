@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 from worldkit import PairCountingMock, make_world, obj
 
-from aide.affordance import vector
 from aide.config import ConfigParams
 from aide.ers import CandidatePool, Grounded, NeedsExploration, Novel, retrieve_candidates
 from aide.exploration import ExplorationOutcome, Strategy
@@ -37,7 +36,7 @@ from aide.planner import (
     validity_check,
 )
 from aide.simulator import ABSENT, OCCLUDED, observe
-from aide.space import GroundingResult, InstructionRecord
+from aide.space import GroundingResult
 
 
 def fake_pool():
@@ -48,14 +47,7 @@ def fake_pool():
         operational_region=Region(0, 5, 10, 10),
         functional_region=Region(0, 0, 10, 5),
     )
-    record = InstructionRecord(
-        id="r0",
-        text="t",
-        instruction_affordance=vector([1.0]),
-        tool_affordance=vector([1.0]),
-        results=(result,),
-    )
-    return CandidatePool(anchor=record, candidates=[record])
+    return CandidatePool([result])
 
 
 def detection(conf, rank=1):
@@ -271,6 +263,27 @@ def test_msi_tick_scores_the_instruction_once(space, params):
     assert state.tick.stream == "msi"
     assert state.status == RUNNING
     assert mock.subjects.count(world.instruction) == 1
+
+
+def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
+    # Retrieval's score finds the task novel (no corpus record has the class
+    # "misc"); the slow stream stores that vector instead of scoring again.
+    instruction = "wind the gizmo"
+    world = make_world(
+        [obj("g1", "gizmo", "misc", 20.0, 28.0)],
+        instruction=instruction,
+        tool_table={instruction: "gizmo"},
+        gt={instruction: "g1"},
+    )
+    mock = AffordanceCountingMock(world, params)
+    frame, _ = observe(world, params)
+    clone = space.clone()
+    state, _ = step(PlannerState(), TaskInput(instruction, frame), clone, params, mock)
+    assert state.tick.stream == "msi"
+    assert state.status == RUNNING
+    assert mock.subjects.count(instruction) == 1
+    stored = [r for r in clone.iter_records() if r.id.startswith("msi-")]
+    assert [r.instruction_affordance for r in stored] == [mock.score_affordance(instruction)]
 
 
 # --- decide_motion ----------------------------------------------------------------

@@ -231,21 +231,22 @@ def test_candidate_set_matches_bruteforce_filter(space, params):
     sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
     assert len(sub.records) <= 100
     for d in (0.0, 3.0, params.d, 100.0):
-        got = space.candidate_set(anchor, d)
-        expected = [
-            r for r in sub.records if distance(anchor.tool_affordance, r.tool_affordance) <= d
-        ]
-        assert {r.id for r in got} == {r.id for r in expected}
-        assert anchor.id in {r.id for r in got}
-        dists = [distance(anchor.tool_affordance, r.tool_affordance) for r in got]
-        assert dists == sorted(dists)
+        got = [sub.records[i] for i in space.candidate_set(anchor, d)]
+        expected = sorted(
+            (r for r in sub.records if distance(anchor.tool_affordance, r.tool_affordance) <= d),
+            key=lambda r: (distance(anchor.tool_affordance, r.tool_affordance), r.id),
+        )
+        assert got == expected
+        assert anchor in got
 
 
 def test_candidate_set_zero_radius(space):
     anchor = next(space.iter_records())
+    sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
     got = space.candidate_set(anchor, 0.0)
-    for r in got:
-        assert distance(anchor.tool_affordance, r.tool_affordance) == 0.0
+    assert len(got) >= 1
+    for i in got:
+        assert distance(anchor.tool_affordance, sub.records[i].tool_affordance) == 0.0
 
 
 def test_candidate_set_whole_subcluster_with_big_radius(space):
@@ -328,6 +329,39 @@ def test_clone_isolates_insertions(space, params):
     assert space.dfs_retrieve(vec, 0.0)[0] is None
 
 
+def _shared(space, other):
+    """Whether every subcluster of ``other`` holds the very record list and
+    columns of the same subcluster of ``space``."""
+    return all(
+        getattr(sub, name) is getattr(other_sub, name)
+        for cluster, other_cluster in zip(space.clusters, other.clusters)
+        for sub, other_sub in zip(cluster.subclusters, other_cluster.subclusters)
+        for name in ("records", "instruction_rows", "tool_rows", "result_rows", "ids")
+    )
+
+
+def test_clone_shares_every_record_list_and_column_until_an_insert(space, params):
+    first, second = space.clone(), space.clone()
+    assert _shared(space, first) and _shared(space, second)
+    record = _record("clone-insert", vector([5.0] * params.X))
+    record.results = (_result("ladle", "stir"),)
+    first.insert(record)
+    home = first.clusters[record.cluster_id].subclusters[record.subcluster_id]
+    assert home.records[-1] is record
+    assert len(first.results) == len(space.results) + 1
+    assert not _shared(space, first)
+    assert _shared(space, second)
+    assert second.record_count == space.record_count == first.record_count - 1
+    assert "clone-insert" not in {r.id for r in space.iter_records()}
+    assert len(second.results) == len(space.results)
+    existing = next(space.iter_records())
+    with pytest.raises(DuplicateRecordError):
+        first.insert(_record(existing.id, existing.instruction_affordance))
+    with pytest.raises(DuplicateRecordError):
+        first.insert(_record("clone-insert", vector([5.0] * params.X)))
+    second.insert(_record("clone-insert", vector([5.0] * params.X)))
+
+
 # --- persistence ----------------------------------------------------------------
 
 
@@ -349,6 +383,17 @@ def test_save_load_round_trip(space, tmp_path):
         assert record.results == source.results
     for cluster, loaded_cluster in zip(space.clusters, loaded.clusters):
         assert cluster.centroid == loaded_cluster.centroid
+
+
+def test_loaded_space_holds_one_object_per_distinct_result(space, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    loaded = load_space(path)
+    results = [result for r in loaded.iter_records() for result in r.results]
+    assert len(loaded.results) == len(set(results)) == len({id(x) for x in results})
+    again = tmp_path / "again.json"
+    save_space(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_wrong_schema(space, tmp_path):
