@@ -47,9 +47,9 @@ class AffordanceVector:
         if not self.scores:
             raise ValueError("affordance vector must have at least one dimension")
         for s in self.scores:
-            if not math.isfinite(s):
-                raise ValueError(f"non-finite affordance score: {s}")
-            if s < SCORE_MIN or s > SCORE_MAX:
+            if not SCORE_MIN <= s <= SCORE_MAX:  # also false for NaN
+                if not math.isfinite(s):
+                    raise ValueError(f"non-finite affordance score: {s}")
                 raise ValueError(f"affordance score {s} outside [{SCORE_MIN}, {SCORE_MAX}]")
 
     def __len__(self) -> int:

@@ -93,12 +93,15 @@ def gen_corpus(
     del b  # subcluster count shapes the build, not the drafts
     names = class_names(a)
     rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = np.array([class_centroid(cls, X, known=names).scores for cls in names])
+    # One draw for every record's instruction and tool noise, in the order
+    # per-record draws would take them, and one clip.
+    vectors = np.clip(
+        centroids[np.arange(A) % a][:, None, :] + rng.normal(0.0, noise, size=(A, 2, X)), 0.0, 10.0
+    )
     drafts: list[InstructionRecord] = []
-    for i in range(A):
+    for i, (instruction_vec, tool_vec) in enumerate(vectors.tolist()):
         cls = names[i % a]
-        centroid = np.array(class_centroid(cls, X, known=names).scores)
-        instruction_vec = np.clip(centroid + rng.normal(0.0, noise, size=X), 0.0, 10.0)
-        tool_vec = np.clip(centroid + rng.normal(0.0, noise, size=X), 0.0, 10.0)
         words = CLASS_WORDS.get(cls, (cls, "task", "chore", "thing", "stuff"))
         w0 = words[i % len(words)]
         w1 = words[(i // len(words) + 1) % len(words)]
@@ -113,8 +116,8 @@ def gen_corpus(
             InstructionRecord(
                 id=f"ins-{i:05d}",
                 text=text,
-                instruction_affordance=AffordanceVector(tuple(float(v) for v in instruction_vec)),
-                tool_affordance=AffordanceVector(tuple(float(v) for v in tool_vec)),
+                instruction_affordance=AffordanceVector(tuple(instruction_vec)),
+                tool_affordance=AffordanceVector(tuple(tool_vec)),
                 results=results,
             )
         )

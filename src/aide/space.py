@@ -14,10 +14,19 @@ retrieval and candidate pools are numpy work over arrays, not walks over
 records. ``clone`` is copy-on-write: a clone shares the record lists, arrays
 and tables of the space it was cloned from; an insert replaces the list and
 arrays it changes, and adds to the clone's own fork of each table.
+
+``save_space`` writes the same layout to one ``aide-space/2`` JSON document:
+the result table once, the cluster tree with centroids and subcluster sizes,
+and the records as columns in tree order (ids and texts as lists; vectors and
+result rows as base64 of little-endian arrays). A record's cluster and
+subcluster follow from its position. ``load_space`` also reads the older
+``aide-space/1`` document, which nests every record, results included, under
+its subcluster.
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import dataclasses
 import json
@@ -32,7 +41,8 @@ from .cluster import assign, kmeans
 from .config import ConfigParams
 from .geometry import Region
 
-SPACE_SCHEMA = "aide-space/1"
+SPACE_SCHEMA = "aide-space/2"
+SPACE_SCHEMA_V1 = "aide-space/1"  # still read, no longer written
 
 MAX_RESULTS_PER_RECORD = 3
 
@@ -61,9 +71,10 @@ def _rows(vectors: Sequence[AffordanceVector], dims: int) -> np.ndarray:
     return np.array([v.scores for v in vectors], dtype=float).reshape(len(vectors), dims)
 
 
-def _nearest_first(point: Sequence[float], centroids: Sequence[AffordanceVector]) -> np.ndarray:
-    """Indices of ``centroids`` by ascending distance from ``point``, ties to the lower index."""
-    return np.argsort(euclidean(point, _rows(centroids, len(point))), kind="stable")
+def _nearest_first(point: Sequence[float], centroid_rows: np.ndarray) -> np.ndarray:
+    """Indices of ``centroid_rows`` by ascending distance from ``point``, ties to
+    the lower index."""
+    return np.argsort(euclidean(point, centroid_rows), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,22 @@ class RelationshipSpace:
     # Distinct grounding results; ``Subcluster.result_rows`` index it.
     results: _Table = field(default_factory=_Table, repr=False)
     _ids: _Table = field(default_factory=_Table, repr=False)
+    # Cluster centroids as rows, and each cluster's subcluster centroids as
+    # rows: built once, since centroids never move, and shared by clones.
+    _centroid_rows: tuple[np.ndarray, list[np.ndarray]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self._centroid_rows is None:
+            dims = self.params.X
+            self._centroid_rows = (
+                _rows([cluster.centroid for cluster in self.clusters], dims),
+                [
+                    _rows([sub.centroid for sub in cluster.subclusters], dims)
+                    for cluster in self.clusters
+                ],
+            )
 
     # -- queries ---------------------------------------------------------
 
@@ -258,9 +285,10 @@ class RelationshipSpace:
         radius = self.params.c if c is None else c
         point = np.asarray(query.scores)
         visited = 0
-        for ci in _nearest_first(point, [cluster.centroid for cluster in self.clusters]):
+        cluster_rows, subcluster_rows = self._centroid_rows
+        for ci in _nearest_first(point, cluster_rows):
             subs = self.clusters[ci].subclusters
-            for sj in _nearest_first(point, [sub.centroid for sub in subs]):
+            for sj in _nearest_first(point, subcluster_rows[ci]):
                 hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= radius)
                 if hits.size:
                     return subs[sj].records[hits[0]], visited + int(hits[0]) + 1
@@ -301,8 +329,8 @@ class RelationshipSpace:
         Records are immutable once stored, ``insert`` replaces the record list
         and columns it changes instead of writing into them, and the clone's
         result and id tables are forks of this space's. So the clone shares
-        every record list, column and table row; its cost does not grow with
-        the space.
+        every record list, column, table row and centroid row; its cost does
+        not grow with the space.
         """
         clusters = [
             Cluster(cluster.centroid, [copy.copy(sub) for sub in cluster.subclusters])
@@ -314,13 +342,14 @@ class RelationshipSpace:
             record_count=self.record_count,
             results=self.results.fork(),
             _ids=self._ids.fork(),
+            _centroid_rows=self._centroid_rows,
         )
 
     # -- mutation --------------------------------------------------------
 
     def nearest_cluster(self, v: AffordanceVector) -> int:
         self._check_dims(v)
-        return int(_nearest_first(v.scores, [cluster.centroid for cluster in self.clusters])[0])
+        return int(_nearest_first(v.scores, self._centroid_rows[0])[0])
 
     def insert(self, record: InstructionRecord) -> "RelationshipSpace":
         """Assign to the nearest cluster and subcluster without recentering.
@@ -332,7 +361,8 @@ class RelationshipSpace:
             raise DuplicateRecordError(f"record id {record.id!r} already stored")
         ci = self.nearest_cluster(record.instruction_affordance)
         subs = self.clusters[ci].subclusters
-        sj = int(_nearest_first(record.instruction_affordance.scores, [sub.centroid for sub in subs])[0])
+        point = record.instruction_affordance.scores
+        sj = int(_nearest_first(point, self._centroid_rows[1][ci])[0])
         record.cluster_id = ci
         record.subcluster_id = sj
         subs[sj].append(record, [self.results.add(r) for r in record.results])
@@ -514,78 +544,230 @@ def record_from_dict(
         raise SpaceFormatError(f"malformed record document: {exc}") from exc
 
 
+def _encode(blocks: list[np.ndarray], dtype: str) -> str:
+    """Row blocks stacked into one array of ``dtype``, as base64 of its bytes."""
+    return base64.b64encode(np.concatenate(blocks).astype(dtype).tobytes()).decode("ascii")
+
+
 def save_space(space: RelationshipSpace, path: str | Path) -> None:
+    """Write ``space`` as one ``aide-space/2`` JSON document at ``path``."""
+    subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
+    records = [record for sub in subs for record in sub.records]
     doc = {
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
         "record_count": space.record_count,
+        "results": [_result_to_dict(space.results[row]) for row in range(len(space.results))],
         "clusters": [
             {
                 "centroid": cluster.centroid.as_list(),
                 "subclusters": [
-                    {
-                        "centroid": sub.centroid.as_list(),
-                        "records": [record_to_dict(r) for r in sub.records],
-                    }
+                    {"centroid": sub.centroid.as_list(), "size": len(sub.records)}
                     for sub in cluster.subclusters
                 ],
             }
             for cluster in space.clusters
         ],
+        "ids": [record.id for record in records],
+        "texts": [record.text for record in records],
+        "instruction": _encode([sub.instruction_rows for sub in subs], "<f8"),
+        "tool": _encode([sub.tool_rows for sub in subs], "<f8"),
+        "result_rows": _encode([sub.result_rows for sub in subs], "<i4"),
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+@dataclass
+class _Columns:
+    """A space document's contents, records in tree order: what each schema's
+    parser produces and ``_space_from_columns`` checks and builds from."""
+
+    params: ConfigParams
+    record_count: int
+    results: list[GroundingResult]  # the result table, in table order
+    # Per cluster: its centroid, and per subcluster its centroid and record count.
+    tree: list[tuple[list, list[tuple[list, int]]]]
+    ids: list[str]
+    texts: list[str]
+    instruction: np.ndarray  # n x X
+    tool: np.ndarray  # n x X
+    result_rows: np.ndarray  # n x MAX_RESULTS_PER_RECORD rows of ``results``, padded with -1
+
+
+def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
+    column = np.frombuffer(base64.b64decode(doc[key], validate=True), dtype=dtype)
+    if column.size != shape[0] * shape[1]:
+        raise SpaceFormatError(
+            f"column {key!r} holds {column.size} values, expected {shape[0]} x {shape[1]}"
+        )
+    return column.reshape(shape)
+
+
+def _parse_v2(doc: dict) -> _Columns:
+    params = ConfigParams.from_dict(doc["params"])
+    ids, texts = doc["ids"], doc["texts"]
+    if not isinstance(ids, list) or not isinstance(texts, list):
+        raise SpaceFormatError("ids and texts must be lists")
+    n = len(ids)
+    return _Columns(
+        params=params,
+        record_count=doc["record_count"],
+        results=[_result_from_dict(r) for r in doc["results"]],
+        tree=[
+            (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
+            for cdoc in doc["clusters"]
+        ],
+        ids=ids,
+        texts=texts,
+        instruction=_decode(doc, "instruction", "<f8", (n, params.X)),
+        tool=_decode(doc, "tool", "<f8", (n, params.X)),
+        result_rows=_decode(doc, "result_rows", "<i4", (n, MAX_RESULTS_PER_RECORD)),
+    )
+
+
+def _score_rows(vectors: list, dims: int) -> np.ndarray:
+    """``aide-space/1`` vectors as an n x ``dims`` float array; JSON numbers only."""
+    rows = np.array(vectors)
+    if rows.dtype.kind not in "biuf":
+        raise SpaceFormatError("affordance scores must be numbers")
+    return rows.astype(float).reshape(len(vectors), dims)
+
+
+def _parse_v1(doc: dict) -> _Columns:
+    params = ConfigParams.from_dict(doc["params"])
+    results = _Table()
+    result_row = _by_identity(results)
+    read_result = _result_reader()
+    tree: list[tuple[list, list[tuple[list, int]]]] = []
+    ids, texts, instruction, tool, result_rows = [], [], [], [], []
+    for ci, cdoc in enumerate(doc["clusters"]):
+        subclusters = []
+        for sj, sdoc in enumerate(cdoc["subclusters"]):
+            for rdoc in sdoc["records"]:
+                ids.append(rdoc["id"])
+                stored = (int(rdoc.get("cluster_id", ci)), int(rdoc.get("subcluster_id", sj)))
+                if stored != (ci, sj):
+                    raise SpaceFormatError(
+                        f"record {rdoc['id']!r} names cluster {stored[0]}, subcluster "
+                        f"{stored[1]} but is stored under cluster {ci}, subcluster {sj}"
+                    )
+                texts.append(rdoc["text"])
+                instruction.append(rdoc["instruction_affordance"])
+                tool.append(rdoc["tool_affordance"])
+                result_rows.append(_padded([result_row(read_result(r)) for r in rdoc["results"]]))
+            subclusters.append((sdoc["centroid"], len(sdoc["records"])))
+        tree.append((cdoc["centroid"], subclusters))
+    return _Columns(
+        params=params,
+        record_count=doc.get("record_count", len(ids)),
+        results=[results[row] for row in range(len(results))],
+        tree=tree,
+        ids=ids,
+        texts=texts,
+        instruction=_score_rows(instruction, params.X),
+        tool=_score_rows(tool, params.X),
+        result_rows=np.array(result_rows, dtype=np.intp).reshape(len(ids), MAX_RESULTS_PER_RECORD),
+    )
+
+
+def _space_from_columns(columns: _Columns) -> RelationshipSpace:
+    """Check a document's columns against each other, then build its records
+    (each vector an ``AffordanceVector``, so finite and in range),
+    subclusters and tables: the one construction path of a loaded space."""
+    n = len(columns.ids)
+    if len(columns.texts) != n:
+        raise SpaceFormatError(f"{len(columns.texts)} texts for {n} ids")
+    if columns.record_count != n:
+        raise SpaceFormatError("record_count does not match stored records")
+    sizes = [size for _, subclusters in columns.tree for _, size in subclusters]
+    if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
+        raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
+    rows = columns.result_rows.astype(np.intp)
+    if rows.size and (rows.min() < -1 or rows.max() >= len(columns.results)):
+        raise SpaceFormatError(f"result row outside the {len(columns.results)}-row result table")
+    if ((rows[:, :-1] < 0) & (rows[:, 1:] >= 0)).any():
+        raise SpaceFormatError("a -1 pad precedes a result row")
+
+    results = _Table()
+    for result in columns.results:
+        results.add(result)
+    if len(results) != len(columns.results):
+        raise SpaceFormatError("the result table holds a result twice")
+    ids = _Table()
+    for rid in columns.ids:
+        if rid in ids:
+            raise SpaceFormatError(f"duplicate record id {rid!r}")
+        ids.add(rid)
+
+    id_column = np.array(columns.ids, dtype=str)
+    instruction_lists, tool_lists = columns.instruction.tolist(), columns.tool.tolist()
+    row_lists = rows.tolist()
+    held: dict[tuple[int, ...], tuple[GroundingResult, ...]] = {}  # one tuple per distinct row
+    clusters: list[Cluster] = []
+    lo = 0
+    for ci, (centroid, subclusters) in enumerate(columns.tree):
+        subs = []
+        for sj, (sub_centroid, size) in enumerate(subclusters):
+            hi = lo + size
+            records = []
+            for k in range(lo, hi):
+                key = tuple(row_lists[k])
+                if key not in held:
+                    held[key] = tuple(results[row] for row in key if row >= 0)
+                records.append(
+                    InstructionRecord(
+                        id=columns.ids[k],
+                        text=columns.texts[k],
+                        instruction_affordance=AffordanceVector(tuple(instruction_lists[k])),
+                        tool_affordance=AffordanceVector(tuple(tool_lists[k])),
+                        results=held[key],
+                        cluster_id=ci,
+                        subcluster_id=sj,
+                    )
+                )
+            subs.append(
+                Subcluster(
+                    AffordanceVector(tuple(sub_centroid)),
+                    records,
+                    columns.instruction[lo:hi],
+                    columns.tool[lo:hi],
+                    rows[lo:hi],
+                    id_column[lo:hi],
+                )
+            )
+            lo = hi
+        clusters.append(Cluster(AffordanceVector(tuple(centroid)), subs))
+    return RelationshipSpace(
+        params=columns.params, clusters=clusters, record_count=n, results=results, _ids=ids
+    )
+
+
 def load_space(path: str | Path) -> RelationshipSpace:
+    """Read an ``aide-space/2`` or ``aide-space/1`` document."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"unreadable space document: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SpaceFormatError("space document missing schema tag")
-    if doc["schema"] != SPACE_SCHEMA:
+    if doc["schema"] not in (SPACE_SCHEMA, SPACE_SCHEMA_V1):
         raise SpaceSchemaError(
-            f"expected schema {SPACE_SCHEMA!r}, got {doc['schema']!r}"
+            f"expected schema {SPACE_SCHEMA!r} or {SPACE_SCHEMA_V1!r}, got {doc['schema']!r}"
         )
+    parse = _parse_v2 if doc["schema"] == SPACE_SCHEMA else _parse_v1
     try:
-        params = ConfigParams.from_dict(doc["params"])
-        clusters: list[Cluster] = []
-        ids = _Table()
-        results = _Table()
-        read_result = _result_reader()
-        result_row = _by_identity(results)
-        count = 0
-        for cdoc in doc["clusters"]:
-            subclusters = []
-            for sdoc in cdoc["subclusters"]:
-                records = [record_from_dict(r, read_result) for r in sdoc["records"]]
-                for r in records:
-                    if r.id in ids:
-                        raise SpaceFormatError(f"duplicate record id {r.id!r}")
-                    ids.add(r.id)
-                count += len(records)
-                subclusters.append(
-                    Subcluster.of(AffordanceVector(tuple(sdoc["centroid"])), records, result_row)
-                )
-            clusters.append(
-                Cluster(centroid=AffordanceVector(tuple(cdoc["centroid"])), subclusters=subclusters)
-            )
-        if count != doc.get("record_count", count):
-            raise SpaceFormatError("record_count does not match stored records")
+        return _space_from_columns(parse(doc))
     except SpaceError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SpaceFormatError(f"malformed space document: {exc}") from exc
-    return RelationshipSpace(
-        params=params, clusters=clusters, record_count=count, results=results, _ids=ids
-    )
 
 
 # --- corpus drafts ----------------------------------------------------------
 
 
 def write_corpus(drafts: Iterable[InstructionRecord], path: str | Path) -> int:
-    """One record per line, same field schema as the persisted space."""
+    """One ``record_to_dict`` object per line, as ``aide-space/1`` nests records."""
     n = 0
     with Path(path).open("w", encoding="utf-8") as fh:
         for draft in drafts:

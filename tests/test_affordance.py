@@ -47,7 +47,8 @@ def test_distance_symmetry_and_dimension_error():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 10.1])
 def test_vector_rejects_bad_scores(bad):
-    with pytest.raises(ValueError):
+    message = "outside" if math.isfinite(bad) else "non-finite"
+    with pytest.raises(ValueError, match=message):
         AffordanceVector((1.0, bad))
 
 

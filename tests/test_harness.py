@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -43,6 +44,15 @@ def test_gen_corpus_deterministic_file(params, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     gen_corpus(64, params.X, params.a, params.b, seed=4, path=b)
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_gen_corpus_file_keeps_its_pinned_digest(params, tmp_path):
+    # The digest of these drafts as drawn one record at a time; drawing all
+    # noise at once must reproduce them exactly.
+    path = tmp_path / "drafts.jsonl"
+    gen_corpus(432, params.X, params.a, params.b, seed=7, path=path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "eaf942f44b8655905c35545d9e0878e83fcbac44a4e4fc0b44e207e54b8c6aa0"
 
 
 def test_gen_corpus_covers_all_class_labels(params):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from aide.space import (
     build_space,
     load_space,
     read_corpus,
+    record_to_dict,
     save_space,
     write_corpus,
 )
@@ -329,6 +331,9 @@ def test_clone_isolates_insertions(space, params):
     assert space.dfs_retrieve(vec, 0.0)[0] is None
 
 
+_COLUMNS = ("instruction_rows", "tool_rows", "result_rows", "ids")
+
+
 def _shared(space, other):
     """Whether every subcluster of ``other`` holds the very record list and
     columns of the same subcluster of ``space``."""
@@ -336,13 +341,14 @@ def _shared(space, other):
         getattr(sub, name) is getattr(other_sub, name)
         for cluster, other_cluster in zip(space.clusters, other.clusters)
         for sub, other_sub in zip(cluster.subclusters, other_cluster.subclusters)
-        for name in ("records", "instruction_rows", "tool_rows", "result_rows", "ids")
+        for name in ("records", *_COLUMNS)
     )
 
 
 def test_clone_shares_every_record_list_and_column_until_an_insert(space, params):
     first, second = space.clone(), space.clone()
     assert _shared(space, first) and _shared(space, second)
+    assert first._centroid_rows is second._centroid_rows is space._centroid_rows
     record = _record("clone-insert", vector([5.0] * params.X))
     record.results = (_result("ladle", "stir"),)
     first.insert(record)
@@ -394,6 +400,166 @@ def test_loaded_space_holds_one_object_per_distinct_result(space, tmp_path):
     again = tmp_path / "again.json"
     save_space(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _v1_document(space) -> dict:
+    """``space`` as an ``aide-space/1`` document: every record, results
+    included, nested under its subcluster."""
+    return {
+        "schema": "aide-space/1",
+        "params": space.params.to_dict(),
+        "record_count": space.record_count,
+        "clusters": [
+            {
+                "centroid": cluster.centroid.as_list(),
+                "subclusters": [
+                    {
+                        "centroid": sub.centroid.as_list(),
+                        "records": [record_to_dict(r) for r in sub.records],
+                    }
+                    for sub in cluster.subclusters
+                ],
+            }
+            for cluster in space.clusters
+        ],
+    }
+
+
+def _facts(space) -> tuple:
+    """Everything a loaded space holds: params, tree, records in order with
+    their vectors, results and positions, the result table in order, and
+    every subcluster column."""
+    return (
+        space.params,
+        space.record_count,
+        [cluster.centroid for cluster in space.clusters],
+        [sub.centroid for cluster in space.clusters for sub in cluster.subclusters],
+        [
+            (r.id, r.text, r.instruction_affordance, r.tool_affordance, r.results)
+            + (r.cluster_id, r.subcluster_id)
+            for r in space.iter_records()
+        ],
+        [space.results[row] for row in range(len(space.results))],
+        [
+            [getattr(sub, name).tolist() for name in _COLUMNS]
+            for cluster in space.clusters
+            for sub in cluster.subclusters
+        ],
+    )
+
+
+def test_v1_and_v2_documents_of_a_space_load_to_equal_spaces(space, tmp_path):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(_v1_document(space)))
+    save_space(space, v2)
+    from_v1, from_v2 = load_space(v1), load_space(v2)
+    assert _facts(from_v1) == _facts(from_v2) == _facts(space)
+    assert json.dumps(_v1_document(from_v2)) == v1.read_text()
+    assert json.loads(v2.read_text())["schema"] == "aide-space/2"
+
+
+def test_save_load_save_is_byte_identical_after_a_clone_insert(space, params, tmp_path):
+    clone = space.clone()
+    record = _record("clone-insert", vector([5.0] * params.X))
+    record.results = (_result("ladle", "stir"), _result())
+    clone.insert(record)
+    path, again = tmp_path / "space.json", tmp_path / "again.json"
+    save_space(clone, path)
+    loaded = load_space(path)
+    assert _facts(loaded) == _facts(clone)
+    save_space(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["cluster_id", "subcluster_id"])
+def test_v1_load_rejects_a_record_stored_away_from_its_position(space, tmp_path, field):
+    doc = _v1_document(space)
+    sub = next(s for c in doc["clusters"] for s in c["subclusters"] if s["records"])
+    sub["records"][0][field] += 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpaceFormatError, match="stored under"):
+        load_space(path)
+
+
+def _rows_of(doc) -> np.ndarray:
+    raw = base64.b64decode(doc["result_rows"])
+    return np.frombuffer(raw, dtype="<i4").reshape(-1, 3).copy()
+
+
+def _set_rows(doc, rows) -> None:
+    doc["result_rows"] = base64.b64encode(rows.astype("<i4").tobytes()).decode("ascii")
+
+
+def _short_column(doc):
+    doc["tool"] = base64.b64encode(base64.b64decode(doc["tool"])[:-8]).decode("ascii")
+
+
+def _bad_base64(doc):
+    doc["instruction"] = "*" + doc["instruction"][1:]
+
+
+def _row_outside_the_table(doc):
+    rows = _rows_of(doc)
+    rows[-1, 0] = len(doc["results"])
+    _set_rows(doc, rows)
+
+
+def _pad_before_a_row(doc):
+    rows = _rows_of(doc)
+    rows[0, :2] = (-1, rows[0, 0])
+    _set_rows(doc, rows)
+
+
+def _texts_shorter_than_ids(doc):
+    doc["texts"].pop()
+
+
+def _duplicate_id(doc):
+    doc["ids"][1] = doc["ids"][0]
+
+
+def _record_count_off(doc):
+    doc["record_count"] += 1
+
+
+def _sizes_off(doc):
+    doc["clusters"][0]["subclusters"][0]["size"] += 1
+
+
+def _score_out_of_range(doc):
+    raw = np.frombuffer(base64.b64decode(doc["tool"]), dtype="<f8").copy()
+    raw[5] = 10.5
+    doc["tool"] = base64.b64encode(raw.tobytes()).decode("ascii")
+
+
+def _result_twice(doc):
+    doc["results"].append(doc["results"][0])
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "message"),
+    [
+        (_short_column, "column 'tool' holds"),
+        (_bad_base64, "base64"),
+        (_row_outside_the_table, "result row outside"),
+        (_pad_before_a_row, "pad precedes"),
+        (_texts_shorter_than_ids, "texts for"),
+        (_duplicate_id, "duplicate record id"),
+        (_record_count_off, "record_count"),
+        (_sizes_off, "subcluster sizes"),
+        (_score_out_of_range, "outside"),
+        (_result_twice, "holds a result twice"),
+    ],
+)
+def test_load_rejects_a_malformed_v2_document(space, tmp_path, corrupt, message):
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpaceFormatError, match=message):
+        load_space(path)
 
 
 def test_load_rejects_wrong_schema(space, tmp_path):
