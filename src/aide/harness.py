@@ -12,7 +12,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -354,33 +354,34 @@ def _ablation_queries(
     return queries
 
 
+def _stored_rows(space: RelationshipSpace) -> Iterator[tuple[tuple[int, int, int], str, np.ndarray]]:
+    """Position, text and instruction row of every stored record, one row at a
+    time in stored order."""
+    for ci, cluster in enumerate(space.clusters):
+        for sj, sub in enumerate(cluster.subclusters):
+            for k, text in enumerate(sub.texts):
+                yield (ci, sj, k), text, sub.instruction_rows[k]
+
+
 def _exhaustive_scan(space: RelationshipSpace, query: AffordanceVector) -> InstructionRecord | None:
-    """Plain full scan, one record at a time, with the distance the DFS uses."""
-    best, best_dist = None, float("inf")
-    for record in space.iter_records():
-        dist = distance(query, record.instruction_affordance)
-        if dist < best_dist:
-            best, best_dist = record, dist
-    return best
+    """Plain full scan, one row at a time, with the distance the DFS uses;
+    ties go to the first row."""
+    point = np.asarray(query.scores)
+    best = min(_stored_rows(space), key=lambda row: float(euclidean(point, row[2])), default=None)
+    return None if best is None else space.record(*best[0])
 
 
 def _textsim_dfs(space: RelationshipSpace, text: str, threshold: float):
     """Stored-order DFS terminating on the first text similarity above threshold."""
-    for cluster in space.clusters:
-        for sub in cluster.subclusters:
-            for record in sub.records:
-                if token_cosine(text, record.text) > threshold:
-                    return record
+    for at, stored, _ in _stored_rows(space):
+        if token_cosine(text, stored) > threshold:
+            return space.record(*at)
     return None
 
 
 def _textsim_exhaustive(space: RelationshipSpace, text: str):
-    best, best_sim = None, -1.0
-    for record in space.iter_records():
-        sim = token_cosine(text, record.text)
-        if sim > best_sim:
-            best, best_sim = record, sim
-    return best
+    best = max(_stored_rows(space), key=lambda row: token_cosine(text, row[1]), default=None)
+    return None if best is None else space.record(*best[0])
 
 
 def ablate_retrieval(

@@ -285,10 +285,6 @@ class SuccessFlags:
     exploration: bool
 
 
-def _fallback_parts(box: Region) -> tuple[Region, Region]:
-    return vertical_halves(box)
-
-
 def check_success(trace, world: World) -> SuccessFlags:
     """Score one finished episode against the world's ground truth.
 
@@ -313,7 +309,7 @@ def check_success(trace, world: World) -> SuccessFlags:
         gt_handle = final.gt_handle
         gt_body = final.gt_body
         if gt_handle is None or gt_body is None:
-            gt_handle, gt_body = _fallback_parts(final.gt_box)
+            gt_handle, gt_body = vertical_halves(final.gt_box)
         if final.operational_box is not None:
             op_ok = iou(final.operational_box, gt_handle) >= 0.5
         if final.functional_box is not None:

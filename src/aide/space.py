@@ -7,13 +7,15 @@ and subclusters ordered by centroid proximity that stops at the first record
 within radius ``c`` of the query; candidate expansion then filters the hit's
 subcluster by tool-vector distance ``d``.
 
-The layout is an inverted file: each subcluster keeps its records' vectors as
-row arrays, and its records' results as rows of one space-wide table of
-distinct ``GroundingResult``s (a corpus repeats a few results many times), so
-retrieval and candidate pools are numpy work over arrays, not walks over
-records. ``clone`` is copy-on-write: a clone shares the record lists, arrays
-and tables of the space it was cloned from; an insert replaces the list and
-arrays it changes, and adds to the clone's own fork of each table.
+The layout is an inverted file: a stored record is a row. Each subcluster
+keeps its records' ids, texts and vectors as columns, and their results as
+rows of one space-wide table of distinct ``GroundingResult``s (a corpus
+repeats a few results many times), so retrieval and candidate pools are numpy
+work over arrays, not walks over records. An ``InstructionRecord`` is built
+from its row only on demand: for a retrieval's hit, or by ``iter_records``.
+``clone`` is copy-on-write: a clone shares the columns and tables of the
+space it was cloned from; an insert replaces the columns it changes, and adds
+to the clone's own fork of each table.
 
 ``save_space`` writes the same layout to one ``aide-space/2`` JSON document:
 the result table once, the cluster tree with centroids and subcluster sizes,
@@ -21,14 +23,14 @@ and the records as columns in tree order (ids and texts as lists; vectors and
 result rows as base64 of little-endian arrays). A record's cluster and
 subcluster follow from its position. ``load_space`` also reads the older
 ``aide-space/1`` document, which nests every record, results included, under
-its subcluster.
+its subcluster. A build, and a load of either schema, all construct the
+space from the same columns through ``_space_from_columns``.
 """
 
 from __future__ import annotations
 
 import base64
 import copy
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +38,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .affordance import AffordanceVector, DimensionMismatchError, euclidean, vector
+from .affordance import SCORE_MAX, SCORE_MIN, AffordanceVector, DimensionMismatchError, euclidean
 from .cluster import assign, kmeans
 from .config import ConfigParams
 from .geometry import Region
@@ -186,45 +188,28 @@ def _padded(result_rows: list[int]) -> list[int]:
     return result_rows + [-1] * (MAX_RESULTS_PER_RECORD - len(result_rows))
 
 
-@dataclass
+@dataclass(eq=False)
 class Subcluster:
-    """Records of one subcluster, and columns derived from them: instruction
-    and tool vectors as float rows, each record's results as its row of
-    ``result_rows`` (rows of the space's result table, padded with -1), and
-    the record ids. ``append`` replaces ``records`` and every column instead
-    of writing into them, so clones share them all."""
+    """The records of one subcluster, stored only as columns, one row per
+    record: ids, texts, instruction and tool vectors as float rows, and each
+    record's results as its row of ``result_rows`` (rows of the space's result
+    table, padded with -1). ``RelationshipSpace.record`` builds a record from
+    its row. ``append`` replaces every column instead of writing into it, so
+    clones share them all. Subclusters compare by identity."""
 
     centroid: AffordanceVector
-    records: list[InstructionRecord]
-    instruction_rows: np.ndarray = field(repr=False, compare=False)
-    tool_rows: np.ndarray = field(repr=False, compare=False)
-    result_rows: np.ndarray = field(repr=False, compare=False)
-    ids: np.ndarray = field(repr=False, compare=False)
-
-    @classmethod
-    def of(
-        cls,
-        centroid: AffordanceVector,
-        records: list[InstructionRecord],
-        result_row: Callable[[GroundingResult], int],
-    ) -> Subcluster:
-        dims = len(centroid)
-        result_rows = [_padded([result_row(r) for r in record.results]) for record in records]
-        return cls(
-            centroid,
-            records,
-            _rows([r.instruction_affordance for r in records], dims),
-            _rows([r.tool_affordance for r in records], dims),
-            np.array(result_rows, dtype=np.intp).reshape(len(records), MAX_RESULTS_PER_RECORD),
-            np.array([r.id for r in records], dtype=str),
-        )
+    ids: np.ndarray = field(repr=False)
+    texts: list[str] = field(repr=False)
+    instruction_rows: np.ndarray = field(repr=False)
+    tool_rows: np.ndarray = field(repr=False)
+    result_rows: np.ndarray = field(repr=False)
 
     def append(self, record: InstructionRecord, result_rows: list[int]) -> None:
-        self.records = [*self.records, record]
+        self.ids = np.append(self.ids, record.id)
+        self.texts = [*self.texts, record.text]
         self.instruction_rows = np.vstack([self.instruction_rows, record.instruction_affordance.scores])
         self.tool_rows = np.vstack([self.tool_rows, record.tool_affordance.scores])
         self.result_rows = np.vstack([self.result_rows, _padded(result_rows)])
-        self.ids = np.append(self.ids, record.id)
 
 
 @dataclass
@@ -266,10 +251,26 @@ class RelationshipSpace:
                 f"query has {len(v)} dimensions, space uses {self.params.X}"
             )
 
+    def record(self, ci: int, sj: int, k: int) -> InstructionRecord:
+        """Row ``k`` of subcluster ``sj`` of cluster ``ci``, built as a record
+        at that position."""
+        sub = self.clusters[ci].subclusters[sj]
+        return InstructionRecord(
+            id=str(sub.ids[k]),
+            text=sub.texts[k],
+            instruction_affordance=AffordanceVector(tuple(sub.instruction_rows[k].tolist())),
+            tool_affordance=AffordanceVector(tuple(sub.tool_rows[k].tolist())),
+            results=tuple(self.results[row] for row in sub.result_rows[k].tolist() if row >= 0),
+            cluster_id=ci,
+            subcluster_id=sj,
+        )
+
     def iter_records(self) -> Iterator[InstructionRecord]:
-        for cluster in self.clusters:
-            for sub in cluster.subclusters:
-                yield from sub.records
+        """Every stored record in stored order, each built from its row."""
+        for ci, cluster in enumerate(self.clusters):
+            for sj, sub in enumerate(cluster.subclusters):
+                for k in range(len(sub.ids)):
+                    yield self.record(ci, sj, k)
 
     def dfs_retrieve(
         self, query: AffordanceVector, c: float | None = None
@@ -291,21 +292,28 @@ class RelationshipSpace:
             for sj in _nearest_first(point, subcluster_rows[ci]):
                 hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= radius)
                 if hits.size:
-                    return subs[sj].records[hits[0]], visited + int(hits[0]) + 1
-                visited += len(subs[sj].records)
+                    k = int(hits[0])
+                    return self.record(int(ci), int(sj), k), visited + k + 1
+                visited += len(subs[sj].ids)
         return None, visited
 
     def candidate_set(self, anchor: InstructionRecord, d: float | None = None) -> np.ndarray:
         """Rows of the anchor's subcluster within tool-affordance distance ``d``.
 
         Sorted by ascending distance with the record id as tiebreak; always
-        contains the anchor's own row (distance zero).
+        contains the anchor's own row (distance zero). The anchor's cluster
+        and subcluster must name the subcluster that holds that row.
         """
         radius = self.params.d if d is None else d
-        if anchor.id not in self._ids:
-            raise SpaceError(f"anchor {anchor.id!r} does not belong to this space")
-        sub = self.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+        ci, sj = anchor.cluster_id, anchor.subcluster_id
+        subs = self.clusters[ci].subclusters if 0 <= ci < len(self.clusters) else []
+        misplaced = SpaceError(f"anchor {anchor.id!r} is not stored at cluster {ci}, subcluster {sj}")
+        if not 0 <= sj < len(subs):
+            raise misplaced
+        sub = subs[sj]
         dists = euclidean(anchor.tool_affordance.scores, sub.tool_rows)
+        if anchor.id not in sub.ids[dists == 0]:  # its own row lies at distance zero
+            raise misplaced
         picked = np.flatnonzero(dists <= radius)
         near = dists[picked]
         order = np.argsort(near)
@@ -326,11 +334,10 @@ class RelationshipSpace:
     def clone(self) -> "RelationshipSpace":
         """Independent writable view, copy-on-write.
 
-        Records are immutable once stored, ``insert`` replaces the record list
-        and columns it changes instead of writing into them, and the clone's
-        result and id tables are forks of this space's. So the clone shares
-        every record list, column, table row and centroid row; its cost does
-        not grow with the space.
+        ``insert`` replaces the columns it changes instead of writing into
+        them, and the clone's result and id tables are forks of this space's.
+        So the clone shares every column, table row and centroid row; its
+        cost does not grow with the space.
         """
         clusters = [
             Cluster(cluster.centroid, [copy.copy(sub) for sub in cluster.subclusters])
@@ -381,12 +388,12 @@ def build_space(
 
     Drafts whose instruction or tool vector lies farther than ``D`` from the
     assigned cluster centroid are dropped before subclustering, mirroring the
-    corpus center filter. Deterministic for a fixed seed. Drafts are copied,
-    never aliased, so callers may rebuild from the same list freely.
+    corpus center filter. Deterministic for a fixed seed. The drafts are only
+    read: the surviving ones become rows of the space's columns, in tree
+    order, and their ``cluster_id``/``subcluster_id`` stay as they were.
     """
     if not drafts:
         raise SpaceBuildError("cannot build a space from zero drafts")
-    drafts = [dataclasses.replace(d, cluster_id=-1, subcluster_id=-1) for d in drafts]
     for draft in drafts:
         if len(draft.instruction_affordance) != params.X or len(draft.tool_affordance) != params.X:
             raise DimensionMismatchError(
@@ -402,56 +409,54 @@ def build_space(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     points = _rows([d.instruction_affordance for d in drafts], params.X)
+    tools = _rows([d.tool_affordance for d in drafts], params.X)
     centers, labels = kmeans(points, params.a, rng)
     centers = np.clip(centers, 0.0, 10.0)
     assigned = centers[labels]
-    tools = _rows([d.tool_affordance for d in drafts], params.X)
     survives = (euclidean(points, assigned) <= params.D) & (euclidean(tools, assigned) <= params.D)
-    del assigned, tools  # 15 MB at 50k drafts; freed now, the row arrays reuse the space
+    del assigned  # 7.6 MB at 50k drafts; freed before subclustering
     if survives.sum() < params.a:
         raise SpaceBuildError(
             f"only {survives.sum()} drafts survive the distance-{params.D} filter; "
             f"need at least {params.a}"
         )
 
-    clusters: list[Cluster] = []
-    space_ids = _Table()
-    results = _Table()
-    result_row = _by_identity(results)
+    tree: list[tuple[list, list[tuple[list, int]]]] = []
+    order: list[np.ndarray] = []  # surviving draft indices, in tree order
     for ci in range(params.a):
-        in_cluster = survives & (labels == ci)
-        members = [drafts[i] for i in np.flatnonzero(in_cluster)]
-        centroid = vector(centers[ci])
-        if not members:
-            clusters.append(
-                Cluster(centroid, [Subcluster.of(centroid, [], result_row) for _ in range(params.b)])
-            )
+        members = np.flatnonzero(survives & (labels == ci))
+        centroid = centers[ci].tolist()
+        if not members.size:
+            tree.append((centroid, [(centroid, 0)] * params.b))
             continue
         k_eff = min(params.b, len(members))
-        sub_centers, sub_labels = kmeans(points[in_cluster], k_eff, rng)
-        groups: list[list[InstructionRecord]] = [[] for _ in range(k_eff)]
-        for member, sj in zip(members, sub_labels.tolist()):
-            member.cluster_id = ci
-            member.subcluster_id = sj
-            groups[sj].append(member)
-            space_ids.add(member.id)
-        subclusters = [
-            Subcluster.of(vector(center), group, result_row)
-            for center, group in zip(np.clip(sub_centers, 0.0, 10.0), groups)
-        ]
+        sub_centers, sub_labels = kmeans(points[members], k_eff, rng)
+        order.append(members[np.argsort(sub_labels, kind="stable")])
+        subclusters = list(
+            zip(np.clip(sub_centers, 0.0, 10.0).tolist(), np.bincount(sub_labels, minlength=k_eff).tolist())
+        )
         # Pad to exactly b subclusters. Padding duplicates the last real
         # centroid at a higher index, so distance ties always resolve to
         # the populated subcluster and reassignment stays a fixed point.
-        while len(subclusters) < params.b:
-            subclusters.append(Subcluster.of(subclusters[-1].centroid, [], result_row))
-        clusters.append(Cluster(centroid, subclusters))
+        subclusters += [(subclusters[-1][0], 0)] * (params.b - k_eff)
+        tree.append((centroid, subclusters))
 
-    return RelationshipSpace(
-        params=params,
-        clusters=clusters,
-        record_count=len(space_ids),
-        results=results,
-        _ids=space_ids,
+    kept = np.concatenate(order).tolist()
+    results = _Table()
+    result_row = _by_identity(results)
+    rows = [_padded([result_row(r) for r in drafts[i].results]) for i in kept]
+    return _space_from_columns(
+        _Columns(
+            params=params,
+            record_count=len(kept),
+            results=[results[row] for row in range(len(results))],
+            tree=tree,
+            ids=[ids[i] for i in kept],
+            texts=[drafts[i].text for i in kept],
+            instruction=points[kept],
+            tool=tools[kept],
+            result_rows=np.array(rows, dtype=np.intp),
+        )
     )
 
 
@@ -552,7 +557,6 @@ def _encode(blocks: list[np.ndarray], dtype: str) -> str:
 def save_space(space: RelationshipSpace, path: str | Path) -> None:
     """Write ``space`` as one ``aide-space/2`` JSON document at ``path``."""
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
-    records = [record for sub in subs for record in sub.records]
     doc = {
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
@@ -562,14 +566,14 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
             {
                 "centroid": cluster.centroid.as_list(),
                 "subclusters": [
-                    {"centroid": sub.centroid.as_list(), "size": len(sub.records)}
+                    {"centroid": sub.centroid.as_list(), "size": len(sub.ids)}
                     for sub in cluster.subclusters
                 ],
             }
             for cluster in space.clusters
         ],
-        "ids": [record.id for record in records],
-        "texts": [record.text for record in records],
+        "ids": [rid for sub in subs for rid in sub.ids.tolist()],
+        "texts": [text for sub in subs for text in sub.texts],
         "instruction": _encode([sub.instruction_rows for sub in subs], "<f8"),
         "tool": _encode([sub.tool_rows for sub in subs], "<f8"),
         "result_rows": _encode([sub.result_rows for sub in subs], "<i4"),
@@ -579,8 +583,9 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
 
 @dataclass
 class _Columns:
-    """A space document's contents, records in tree order: what each schema's
-    parser produces and ``_space_from_columns`` checks and builds from."""
+    """A space's contents, records in tree order: what ``build_space`` and
+    each schema's parser produce and ``_space_from_columns`` checks and
+    builds from."""
 
     params: ConfigParams
     record_count: int
@@ -671,9 +676,10 @@ def _parse_v1(doc: dict) -> _Columns:
 
 
 def _space_from_columns(columns: _Columns) -> RelationshipSpace:
-    """Check a document's columns against each other, then build its records
-    (each vector an ``AffordanceVector``, so finite and in range),
-    subclusters and tables: the one construction path of a loaded space."""
+    """Check the columns against each other and each record's values (a
+    non-empty id, finite scores in range, at least one result), then build
+    the subclusters and tables: the one construction path of a built or
+    loaded space."""
     n = len(columns.ids)
     if len(columns.texts) != n:
         raise SpaceFormatError(f"{len(columns.texts)} texts for {n} ids")
@@ -682,11 +688,16 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
     sizes = [size for _, subclusters in columns.tree for _, size in subclusters]
     if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
         raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
+    for name, column in (("instruction", columns.instruction), ("tool", columns.tool)):
+        if not ((column >= SCORE_MIN) & (column <= SCORE_MAX)).all():  # also false for NaN
+            raise SpaceFormatError(f"a {name} score is not finite or outside [{SCORE_MIN}, {SCORE_MAX}]")
     rows = columns.result_rows.astype(np.intp)
     if rows.size and (rows.min() < -1 or rows.max() >= len(columns.results)):
         raise SpaceFormatError(f"result row outside the {len(columns.results)}-row result table")
     if ((rows[:, :-1] < 0) & (rows[:, 1:] >= 0)).any():
         raise SpaceFormatError("a -1 pad precedes a result row")
+    if (rows[:, 0] < 0).any():
+        raise SpaceFormatError("a record has no result row")
 
     results = _Table()
     for result in columns.results:
@@ -695,44 +706,27 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
         raise SpaceFormatError("the result table holds a result twice")
     ids = _Table()
     for rid in columns.ids:
+        if not rid:
+            raise SpaceFormatError("empty record id")
         if rid in ids:
             raise SpaceFormatError(f"duplicate record id {rid!r}")
         ids.add(rid)
 
     id_column = np.array(columns.ids, dtype=str)
-    instruction_lists, tool_lists = columns.instruction.tolist(), columns.tool.tolist()
-    row_lists = rows.tolist()
-    held: dict[tuple[int, ...], tuple[GroundingResult, ...]] = {}  # one tuple per distinct row
     clusters: list[Cluster] = []
     lo = 0
-    for ci, (centroid, subclusters) in enumerate(columns.tree):
+    for centroid, subclusters in columns.tree:
         subs = []
-        for sj, (sub_centroid, size) in enumerate(subclusters):
+        for sub_centroid, size in subclusters:
             hi = lo + size
-            records = []
-            for k in range(lo, hi):
-                key = tuple(row_lists[k])
-                if key not in held:
-                    held[key] = tuple(results[row] for row in key if row >= 0)
-                records.append(
-                    InstructionRecord(
-                        id=columns.ids[k],
-                        text=columns.texts[k],
-                        instruction_affordance=AffordanceVector(tuple(instruction_lists[k])),
-                        tool_affordance=AffordanceVector(tuple(tool_lists[k])),
-                        results=held[key],
-                        cluster_id=ci,
-                        subcluster_id=sj,
-                    )
-                )
             subs.append(
                 Subcluster(
                     AffordanceVector(tuple(sub_centroid)),
-                    records,
+                    id_column[lo:hi],
+                    columns.texts[lo:hi],
                     columns.instruction[lo:hi],
                     columns.tool[lo:hi],
                     rows[lo:hi],
-                    id_column[lo:hi],
                 )
             )
             lo = hi

@@ -21,7 +21,7 @@ from aide.harness import gen_corpus
 from aide.mock import MockPerception
 from aide.planner import validity_check
 from aide.simulator import observe
-from aide.space import GroundingResult, InstructionRecord, build_space
+from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space
 
 
 def noiseless(world, params, seed=0):
@@ -35,9 +35,10 @@ def oracle_facts(space, anchor, d):
     """Pool facts by brute force: walk the anchor's subcluster, keep the records
     within ``d``, sort them by (distance, id) and read their results in order."""
     sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+    members = (space.record(anchor.cluster_id, anchor.subcluster_id, k) for k in range(len(sub.ids)))
     near = sorted(
         (distance(anchor.tool_affordance, r.tool_affordance), r.id, r)
-        for r in sub.records
+        for r in members
         if distance(anchor.tool_affordance, r.tool_affordance) <= d
     )
     results = [result for _, _, r in near for result in r.results]
@@ -135,7 +136,7 @@ def test_pool_facts_match_the_bruteforce_walk_on_random_spaces(params):
         space = random_space(seed, small)
         for anchor in space.iter_records():
             sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
-            other = sub.records[int(rng.integers(len(sub.records)))]
+            other = space.record(anchor.cluster_id, anchor.subcluster_id, int(rng.integers(len(sub.ids))))
             boundary = distance(anchor.tool_affordance, other.tool_affordance)
             for d in (0.0, boundary, 3.0, 100.0):
                 got, expected = retrieved_and_oracle(space, anchor.instruction_affordance, small, d)
@@ -163,29 +164,19 @@ def test_pool_facts_after_an_insert_into_a_clone(params):
     assert retrieved_and_oracle(space.clone(), query, small, 0.0) == before
 
 
-class Unwalkable(list):
-    """A record list that fails if anything iterates it, and counts the
-    records read out of it by index."""
+@pytest.fixture()
+def built_records(monkeypatch):
+    """The (cluster, subcluster, row) of every record built from its row by
+    ``RelationshipSpace.record`` while the test runs."""
+    built = []
+    record = RelationshipSpace.record
 
-    def __init__(self, records):
-        super().__init__(records)
-        self.reads = 0
+    def counted(self, ci, sj, k):
+        built.append((ci, sj, k))
+        return record(self, ci, sj, k)
 
-    def __iter__(self):
-        raise AssertionError("subcluster records walked")
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
-def unwalkable(space):
-    """A clone of ``space`` whose subclusters' record lists cannot be walked."""
-    clone = space.clone()
-    for cluster in clone.clusters:
-        for sub in cluster.subclusters:
-            sub.records = Unwalkable(sub.records)
-    return clone
+    monkeypatch.setattr(RelationshipSpace, "record", counted)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -193,15 +184,14 @@ def large_space(params):
     return build_space(gen_corpus(5000, params.X, params.a, params.b, seed=11), params, seed=11)
 
 
-def test_retrieval_at_scale_reads_only_the_anchor_record(large_space, params):
-    walled = unwalkable(large_space)
+def test_retrieval_at_scale_reads_only_the_anchor_record(large_space, params, built_records):
     queries = list(large_space.iter_records())[::250]
     for record in queries:
-        pool = retrieve_candidates(walled, record.text, record.instruction_affordance, params)
+        built_records.clear()
+        pool = retrieve_candidates(large_space, record.text, record.instruction_affordance, params)
+        assert len(built_records) == 1  # the retrieval's anchor, built once by DFS
         anchor, _ = large_space.dfs_retrieve(record.instruction_affordance, params.c)
         assert pool_facts(pool) == oracle_facts(large_space, anchor, params.d)
-    reads = sum(sub.records.reads for cluster in walled.clusters for sub in cluster.subclusters)
-    assert reads == len(queries)  # each retrieval's anchor, read once by DFS
 
 
 # --- match_tool ---------------------------------------------------------------
@@ -266,13 +256,16 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     assert ranks == set(range(1, len(outcome.detections) + 1))
 
 
-def test_match_reads_pool_facts_without_walking_candidates(space, params):
+def test_match_reads_pool_facts_without_walking_candidates(space, params, built_records):
     # Grounded, so ground_regions reads the pool's images too.
     world = cup_world()
     mock = noiseless(world, params)
     frame, _ = observe(world, params)
-    pool = drink_pool(unwalkable(space), params, mock)
+    pool = drink_pool(space, params, mock)
+    assert len(built_records) == 1  # the retrieval's anchor
+    built_records.clear()
     outcome = match_tool(frame, pool, params, mock)
+    assert built_records == []
     assert isinstance(outcome, Grounded)
     assert outcome.result.tool_label == "cup"
 

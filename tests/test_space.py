@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from aide.space import (
     GroundingResult,
     InstructionRecord,
     SpaceBuildError,
+    SpaceError,
     SpaceFormatError,
     SpaceSchemaError,
     brute_force_assignments,
@@ -46,6 +48,12 @@ def _record(rid, instr_vec, tool_vec=None, text="do the thing"):
         tool_affordance=tool_vec if tool_vec is not None else instr_vec,
         results=(_result(),),
     )
+
+
+def subcluster_records(space, ci, sj):
+    """The records stored in subcluster ``sj`` of cluster ``ci``, built row by row."""
+    sub = space.clusters[ci].subclusters[sj]
+    return [space.record(ci, sj, k) for k in range(len(sub.ids))]
 
 
 def brute_force_nearest(space, query):
@@ -93,7 +101,7 @@ def test_build_singletons_when_far_apart():
     space = build_space(drafts, params, seed=0)
     assert space.record_count == 4
     sizes = sorted(
-        sum(len(s.records) for s in c.subclusters) for c in space.clusters
+        sum(len(s.ids) for s in c.subclusters) for c in space.clusters
     )
     assert sizes == [1, 1, 1, 1]
 
@@ -104,10 +112,10 @@ def test_build_duplicated_record_collapses():
     drafts = [_record(f"dup{i}", point) for i in range(params.a * params.b)]
     space = build_space(drafts, params, seed=1)
     populated = [
-        s for c in space.clusters for s in c.subclusters if s.records
+        s for c in space.clusters for s in c.subclusters if len(s.ids)
     ]
     assert len(populated) == 1
-    assert len(populated[0].records) == params.a * params.b
+    assert len(populated[0].ids) == params.a * params.b
     assert populated[0].centroid == point
 
 
@@ -213,9 +221,9 @@ def test_radius_equal_to_the_numpy_oracle_distance_is_inside(space, params):
         assert hit is not None
     for anchor in space.iter_records():
         sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
-        tools = np.array([r.tool_affordance.scores for r in sub.records])
+        tools = sub.tool_rows
         radius = float(np.sqrt(((tools - np.array(anchor.tool_affordance.scores)) ** 2).sum(axis=1)).max())
-        assert len(space.candidate_set(anchor, radius)) == len(sub.records)
+        assert len(space.candidate_set(anchor, radius)) == len(sub.ids)
 
 
 def test_dfs_dimension_mismatch(space):
@@ -230,12 +238,12 @@ def test_dfs_dimension_mismatch(space):
 
 def test_candidate_set_matches_bruteforce_filter(space, params):
     anchor = next(space.iter_records())
-    sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
-    assert len(sub.records) <= 100
+    members = subcluster_records(space, anchor.cluster_id, anchor.subcluster_id)
+    assert len(members) <= 100
     for d in (0.0, 3.0, params.d, 100.0):
-        got = [sub.records[i] for i in space.candidate_set(anchor, d)]
+        got = [members[i] for i in space.candidate_set(anchor, d)]
         expected = sorted(
-            (r for r in sub.records if distance(anchor.tool_affordance, r.tool_affordance) <= d),
+            (r for r in members if distance(anchor.tool_affordance, r.tool_affordance) <= d),
             key=lambda r: (distance(anchor.tool_affordance, r.tool_affordance), r.id),
         )
         assert got == expected
@@ -244,26 +252,33 @@ def test_candidate_set_matches_bruteforce_filter(space, params):
 
 def test_candidate_set_zero_radius(space):
     anchor = next(space.iter_records())
-    sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+    members = subcluster_records(space, anchor.cluster_id, anchor.subcluster_id)
     got = space.candidate_set(anchor, 0.0)
     assert len(got) >= 1
     for i in got:
-        assert distance(anchor.tool_affordance, sub.records[i].tool_affordance) == 0.0
+        assert distance(anchor.tool_affordance, members[i].tool_affordance) == 0.0
 
 
 def test_candidate_set_whole_subcluster_with_big_radius(space):
     anchor = next(space.iter_records())
     sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
     got = space.candidate_set(anchor, 1000.0)
-    assert len(got) == len(sub.records)
+    assert len(got) == len(sub.ids)
 
 
-def test_candidate_set_requires_membership(space, params):
+def test_candidate_set_requires_membership(space, corpus, params):
     foreign = _record("not-in-space", vector([5.0] * params.X))
-    from aide.space import SpaceError
-
     with pytest.raises(SpaceError):
         space.candidate_set(foreign, params.d)
+    # A draft is stored, but its position was never set (-1, -1).
+    draft = corpus[0]
+    assert draft.id in {r.id for r in space.iter_records()}
+    with pytest.raises(SpaceError, match="not stored at cluster -1, subcluster -1"):
+        space.candidate_set(draft, params.d)
+    stored = next(space.iter_records())
+    moved = dataclasses.replace(stored, subcluster_id=(stored.subcluster_id + 1) % params.b)
+    with pytest.raises(SpaceError, match="not stored at"):
+        space.candidate_set(moved, params.d)
 
 
 # --- insert -----------------------------------------------------------------
@@ -331,17 +346,17 @@ def test_clone_isolates_insertions(space, params):
     assert space.dfs_retrieve(vec, 0.0)[0] is None
 
 
-_COLUMNS = ("instruction_rows", "tool_rows", "result_rows", "ids")
+_COLUMNS = ("ids", "texts", "instruction_rows", "tool_rows", "result_rows")
 
 
 def _shared(space, other):
-    """Whether every subcluster of ``other`` holds the very record list and
-    columns of the same subcluster of ``space``."""
+    """Whether every subcluster of ``other`` holds the very columns of the
+    same subcluster of ``space``."""
     return all(
         getattr(sub, name) is getattr(other_sub, name)
         for cluster, other_cluster in zip(space.clusters, other.clusters)
         for sub, other_sub in zip(cluster.subclusters, other_cluster.subclusters)
-        for name in ("records", *_COLUMNS)
+        for name in _COLUMNS
     )
 
 
@@ -353,7 +368,10 @@ def test_clone_shares_every_record_list_and_column_until_an_insert(space, params
     record.results = (_result("ladle", "stir"),)
     first.insert(record)
     home = first.clusters[record.cluster_id].subclusters[record.subcluster_id]
-    assert home.records[-1] is record
+    assert (home.ids[-1], home.texts[-1]) == (record.id, record.text)
+    assert home.instruction_rows[-1].tolist() == home.tool_rows[-1].tolist() == [5.0] * params.X
+    assert home.result_rows[-1].tolist() == [len(space.results), -1, -1]
+    assert first.record(record.cluster_id, record.subcluster_id, len(home.ids) - 1) == record
     assert len(first.results) == len(space.results) + 1
     assert not _shared(space, first)
     assert _shared(space, second)
@@ -415,12 +433,12 @@ def _v1_document(space) -> dict:
                 "subclusters": [
                     {
                         "centroid": sub.centroid.as_list(),
-                        "records": [record_to_dict(r) for r in sub.records],
+                        "records": [record_to_dict(r) for r in subcluster_records(space, ci, sj)],
                     }
-                    for sub in cluster.subclusters
+                    for sj, sub in enumerate(cluster.subclusters)
                 ],
             }
-            for cluster in space.clusters
+            for ci, cluster in enumerate(space.clusters)
         ],
     }
 
@@ -441,7 +459,7 @@ def _facts(space) -> tuple:
         ],
         [space.results[row] for row in range(len(space.results))],
         [
-            [getattr(sub, name).tolist() for name in _COLUMNS]
+            [np.asarray(getattr(sub, name)).tolist() for name in _COLUMNS]
             for cluster in space.clusters
             for sub in cluster.subclusters
         ],
@@ -537,6 +555,22 @@ def _result_twice(doc):
     doc["results"].append(doc["results"][0])
 
 
+def _nan_score(doc):
+    raw = np.frombuffer(base64.b64decode(doc["instruction"]), dtype="<f8").copy()
+    raw[3] = np.nan
+    doc["instruction"] = base64.b64encode(raw.tobytes()).decode("ascii")
+
+
+def _no_result_row(doc):
+    rows = _rows_of(doc)
+    rows[2] = -1
+    _set_rows(doc, rows)
+
+
+def _empty_id(doc):
+    doc["ids"][4] = ""
+
+
 @pytest.mark.parametrize(
     ("corrupt", "message"),
     [
@@ -550,6 +584,9 @@ def _result_twice(doc):
         (_sizes_off, "subcluster sizes"),
         (_score_out_of_range, "outside"),
         (_result_twice, "holds a result twice"),
+        (_nan_score, "not finite"),
+        (_no_result_row, "no result row"),
+        (_empty_id, "empty record id"),
     ],
 )
 def test_load_rejects_a_malformed_v2_document(space, tmp_path, corrupt, message):
