@@ -42,7 +42,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster ``points`` into ``k`` groups; returns (centers, labels).
 
@@ -60,7 +59,7 @@ def kmeans(
 
     centers = _plus_plus_init(points, k, rng)
     labels = assign(points, centers)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         for j in range(k):
             members = points[labels == j]
             if len(members):

@@ -21,6 +21,7 @@ from .perception import (
     SceneFrame,
     ToolHypothesis,
     best_similarity,
+    checked_candidate,
     crop_reference,
     detect_or_empty,
 )
@@ -143,5 +144,5 @@ def invisible_explore(
 
         return max(detections, key=score).box, label
 
-    index = perception.select_candidate(ToolHypothesis(label=label), detections, frame)
-    return detections[index].box, label
+    chosen = checked_candidate(perception, ToolHypothesis(label=label), detections, frame)
+    return chosen.box, label

@@ -47,6 +47,13 @@ from .space import (
 )
 
 _CATALOG_IMAGE_SIZE = 200
+# Standard deviation of the Gaussian noise ``gen_corpus`` adds to each score.
+_CORPUS_NOISE = 0.5
+# Share of ablation queries drawn far from every stored record.
+_OUT_OF_DISTRIBUTION_SHARE = 0.1
+_TEXTSIM_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 1.0)
+# The error-analysis tick at which the required tool is removed.
+_REMOVAL_TICK = 6
 
 _TEXT_TEMPLATES = (
     "i really need to {w0} right now",
@@ -82,7 +89,6 @@ def gen_corpus(
     b: int,
     seed: int,
     path: str | Path | None = None,
-    noise: float = 0.5,
 ) -> list[InstructionRecord]:
     """Synthesize ``A`` instruction drafts over ``a`` affordance classes.
 
@@ -97,7 +103,9 @@ def gen_corpus(
     # One draw for every record's instruction and tool noise, in the order
     # per-record draws would take them, and one clip.
     vectors = np.clip(
-        centroids[np.arange(A) % a][:, None, :] + rng.normal(0.0, noise, size=(A, 2, X)), 0.0, 10.0
+        centroids[np.arange(A) % a][:, None, :] + rng.normal(0.0, _CORPUS_NOISE, size=(A, 2, X)),
+        0.0,
+        10.0,
     )
     drafts: list[InstructionRecord] = []
     for i, (instruction_vec, tool_vec) in enumerate(vectors.tolist()):
@@ -226,7 +234,7 @@ def run_episode(
         answer_human=answer_human,
         interventions=interventions,
     )
-    flags = check_success(trace, world)
+    flags = check_success(trace, world_template)  # scored against the world at the start
     valid = trace.valid_rows()
     row = EpisodeRow(
         episode_id=episode_id,
@@ -323,13 +331,12 @@ def _ablation_queries(
     seed: int,
     count: int,
     reference_radius: float,
-    out_of_distribution_share: float = 0.1,
 ) -> list[_AblationQuery]:
     rng = np.random.Generator(np.random.PCG64(seed))
     matrix = np.vstack([sub.instruction_rows for cluster in space.clusters for sub in cluster.subclusters])
     names = class_names(params.a)
     queries: list[_AblationQuery] = []
-    ood_target = int(round(count * out_of_distribution_share))
+    ood_target = int(round(count * _OUT_OF_DISTRIBUTION_SHARE))
     for i in range(count):
         if i < count - ood_target:
             cls = names[i % len(names)]
@@ -389,20 +396,18 @@ def ablate_retrieval(
     params: ConfigParams | None = None,
     methods: Sequence[str] = ("affordance", "textsim"),
     affordance_thresholds: Sequence[float] = (40.0, 20.0, 10.0, 0.0),
-    textsim_thresholds: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 1.0),
     seed: int = 0,
     query_count: int = 100,
-    reference_radius: float | None = None,
 ) -> list[AblationRow]:
     """Compare retrieval variants on runtime and accuracy over seeded queries.
 
     A retrieval is counted accurate when it lands within the reference radius
-    of the query whenever some stored record does, and reports not-found
+    ``c`` of the query whenever some stored record does, and reports not-found
     whenever none does (the synthetic stand-in for a validated target; noted
     in report metadata). Every method also gets an exhaustive-search row.
     """
     params = params or ConfigParams()
-    reference_radius = params.c if reference_radius is None else reference_radius
+    reference_radius = params.c
     space = build_space(list(corpus), params, seed)
     queries = _ablation_queries(space, params, seed + 1, query_count, reference_radius)
     rows: list[AblationRow] = []
@@ -431,7 +436,7 @@ def ablate_retrieval(
         rows.append(AblationRow("affordance", None, mean_t, acc))
 
     if "textsim" in methods:
-        for sim in textsim_thresholds:
+        for sim in _TEXTSIM_THRESHOLDS:
             acc, mean_t = accuracy_and_time(
                 lambda q, s=sim: _textsim_dfs(space, q.text, s)
             )
@@ -451,7 +456,6 @@ def run_error_analysis(
     params: ConfigParams | None = None,
     seed: int = 0,
     noise: float | None = None,
-    removal_tick: int = 6,
     max_steps: int = 400,
     with_hints: bool = True,
 ) -> EvalReport:
@@ -484,9 +488,9 @@ def run_error_analysis(
             seed + index,
             noise,
             max_steps,
-            interventions={removal_tick: remove_tool},
+            interventions={_REMOVAL_TICK: remove_tool},
         )
-        post = [r for r in trace.rows if r.step == removal_tick]
+        post = [r for r in trace.rows if r.step == _REMOVAL_TICK]
         if post and post[0].validity < params.validity_threshold:
             detected += 1
         removal_rows.append(row)
@@ -515,7 +519,7 @@ def run_error_analysis(
         {
             "seed": seed,
             "noise": params.sigma if noise is None else noise,
-            "removal_tick": removal_tick,
+            "removal_tick": _REMOVAL_TICK,
             "cases": len(clear_ids),
             "hints": with_hints,
         },

@@ -200,3 +200,17 @@ def checked_affordance(
     if len(vector) != dims:
         raise PerceptionError(f"{len(vector)} affordance scores, expected {dims}")
     return vector
+
+
+def checked_candidate(
+    perception: PerceptionBackend,
+    hypothesis: ToolHypothesis,
+    candidates: list[Detection],
+    frame: SceneFrame,
+) -> Detection:
+    """The candidate ``select_candidate`` picks from ``candidates``; an index
+    outside them is a failed call."""
+    index = perception.select_candidate(hypothesis, candidates, frame)
+    if not 0 <= index < len(candidates):
+        raise PerceptionError(f"candidate index {index} outside the {len(candidates)} candidates")
+    return candidates[index]

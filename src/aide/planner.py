@@ -58,6 +58,7 @@ from .perception import (
     ToolHypothesis,
     best_similarity,
     checked_affordance,
+    checked_candidate,
     crop_reference,
     detect_or_empty,
     tool_regions,
@@ -270,10 +271,7 @@ def mm_cot(
 
     wider = detections[: 2 * params.N]
     if detections:
-        index = perception.select_candidate(
-            hypothesis, detections[: params.N], task.frame
-        )
-        tool = detections[index]
+        tool = checked_candidate(perception, hypothesis, detections[: params.N], task.frame)
         if crop_score(tool) > params.strategy_threshold:
             return grounded(tool.box)
         # The selected candidate scored at or below the threshold, so it

@@ -468,8 +468,8 @@ def _filler(oid: str, cx: float, cy: float, label: str = "book") -> WorldObject:
     )
 
 
-def _container(oid: str, label: str, cx: float, cy: float, size: float = 4.0) -> WorldObject:
-    return _tool(oid, label, "contain", cx, cy, w=size, h=size)
+def _container(oid: str, label: str, cx: float, cy: float) -> WorldObject:
+    return _tool(oid, label, "contain", cx, cy, w=4.0, h=4.0)
 
 
 def _world(

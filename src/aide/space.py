@@ -13,9 +13,11 @@ rows of one space-wide table of distinct ``GroundingResult``s (a corpus
 repeats a few results many times), so retrieval and candidate pools are numpy
 work over arrays, not walks over records. An ``InstructionRecord`` is built
 from its row only on demand: for a retrieval's hit, or by ``iter_records``.
-``clone`` is copy-on-write: a clone shares the columns and tables of the
-space it was cloned from; an insert replaces the columns it changes, and adds
-to the clone's own fork of each table.
+``clone`` is copy-on-write: a clone shares the columns of the space it was
+cloned from, and the set of ids that space was built or loaded with; it
+copies the result table (a few dozen rows) and the set of ids inserted since.
+An insert replaces the columns it changes, and appends to the clone's own
+result table and inserted-id set.
 
 ``save_space`` writes the same layout to one ``aide-space/2`` JSON document:
 the result table once, the cluster tree with centroids and subcluster sizes,
@@ -32,9 +34,10 @@ from __future__ import annotations
 import base64
 import copy
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,63 +128,21 @@ class InstructionRecord:
             )
 
 
-class _Table:
-    """Distinct values, numbered 0, 1, 2, ... in the order they were added.
-
-    ``fork`` returns a table that reads its parent's rows as they are at the
-    fork, without copying them, and numbers its own values after them: a
-    parent never sees its forks' values, and a fork never sees values its
-    parent adds later.
-    """
-
-    def __init__(self, parent: _Table | None = None) -> None:
-        self._parent = parent
-        self._start = len(parent) if parent is not None else 0
-        self._values: list = []
-        self._rows: dict = {}
-
-    def __len__(self) -> int:
-        return self._start + len(self._values)
-
-    def __getitem__(self, row: int):
-        if row < self._start:
-            return self._parent[row]
-        return self._values[row - self._start]
-
-    def __contains__(self, value: Hashable) -> bool:
-        return self.row(value) is not None
-
-    def row(self, value: Hashable) -> int | None:
-        if self._parent is not None:
-            row = self._parent.row(value)
-            if row is not None and row < self._start:
-                return row
-        return self._rows.get(value)
-
-    def add(self, value: Hashable) -> int:
-        """The row holding ``value``, which becomes a new row if none does."""
-        row = self.row(value)
-        if row is None:
-            row = self._rows[value] = len(self)
-            self._values.append(value)
-        return row
-
-    def fork(self) -> _Table:
-        return _Table(self)
-
-
-def _by_identity(table: _Table) -> Callable[[GroundingResult], int]:
-    """``table.add`` that hashes each result object once: a corpus shares its
-    result objects, and hashing all of its entries by value is slow."""
+def _result_table() -> tuple[dict[GroundingResult, int], Callable[[GroundingResult], int]]:
+    """An empty result table (each distinct result mapped to its row, in row
+    order), and a function giving a result's row, added if no equal result
+    has one. It hashes each result object once: a corpus shares its result
+    objects, and hashing all of its entries by value is slow."""
+    rows: dict[GroundingResult, int] = {}
     seen: dict[int, tuple[GroundingResult, int]] = {}  # holding the result keeps its id unique
 
     def row(result: GroundingResult) -> int:
         hit = seen.get(id(result))
         if hit is None:
-            hit = seen[id(result)] = (result, table.add(result))
+            hit = seen[id(result)] = (result, rows.setdefault(result, len(rows)))
         return hit[1]
 
-    return row
+    return rows, row
 
 
 def _padded(result_rows: list[int]) -> list[int]:
@@ -222,26 +183,20 @@ class Cluster:
 class RelationshipSpace:
     params: ConfigParams
     clusters: list[Cluster]
-    record_count: int = 0
-    # Distinct grounding results; ``Subcluster.result_rows`` index it.
-    results: _Table = field(default_factory=_Table, repr=False)
-    _ids: _Table = field(default_factory=_Table, repr=False)
+    # Distinct grounding results; ``Subcluster.result_rows`` index it. Each
+    # clone copies it.
+    results: list[GroundingResult] = field(repr=False)
+    # Ids the space was built or loaded with, shared by every clone, and ids
+    # inserted since, which each clone copies.
+    _stored_ids: frozenset[str] = field(repr=False)
+    _inserted_ids: set[str] = field(repr=False)
     # Cluster centroids as rows, and each cluster's subcluster centroids as
     # rows: built once, since centroids never move, and shared by clones.
-    _centroid_rows: tuple[np.ndarray, list[np.ndarray]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _centroid_rows: tuple[np.ndarray, list[np.ndarray]] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self._centroid_rows is None:
-            dims = self.params.X
-            self._centroid_rows = (
-                _rows([cluster.centroid for cluster in self.clusters], dims),
-                [
-                    _rows([sub.centroid for sub in cluster.subclusters], dims)
-                    for cluster in self.clusters
-                ],
-            )
+    @property
+    def record_count(self) -> int:
+        return len(self._stored_ids) + len(self._inserted_ids)
 
     # -- queries ---------------------------------------------------------
 
@@ -335,9 +290,9 @@ class RelationshipSpace:
         """Independent writable view, copy-on-write.
 
         ``insert`` replaces the columns it changes instead of writing into
-        them, and the clone's result and id tables are forks of this space's.
-        So the clone shares every column, table row and centroid row; its
-        cost does not grow with the space.
+        them. So the clone shares every column, the stored ids and the
+        centroid rows, and copies only the result table and the inserted ids;
+        its cost does not grow with the space.
         """
         clusters = [
             Cluster(cluster.centroid, [copy.copy(sub) for sub in cluster.subclusters])
@@ -346,9 +301,9 @@ class RelationshipSpace:
         return RelationshipSpace(
             params=self.params,
             clusters=clusters,
-            record_count=self.record_count,
-            results=self.results.fork(),
-            _ids=self._ids.fork(),
+            results=list(self.results),
+            _stored_ids=self._stored_ids,
+            _inserted_ids=set(self._inserted_ids),
             _centroid_rows=self._centroid_rows,
         )
 
@@ -364,7 +319,7 @@ class RelationshipSpace:
         Centroids stay put so that retrieval stays deterministic mid-episode;
         insertions are rare (one per novel task).
         """
-        if record.id in self._ids:
+        if record.id in self._stored_ids or record.id in self._inserted_ids:
             raise DuplicateRecordError(f"record id {record.id!r} already stored")
         ci = self.nearest_cluster(record.instruction_affordance)
         subs = self.clusters[ci].subclusters
@@ -372,9 +327,11 @@ class RelationshipSpace:
         sj = int(_nearest_first(point, self._centroid_rows[1][ci])[0])
         record.cluster_id = ci
         record.subcluster_id = sj
-        subs[sj].append(record, [self.results.add(r) for r in record.results])
-        self._ids.add(record.id)
-        self.record_count += 1
+        for result in record.results:
+            if result not in self.results:
+                self.results.append(result)
+        subs[sj].append(record, [self.results.index(r) for r in record.results])
+        self._inserted_ids.add(record.id)
         return self
 
 
@@ -442,14 +399,13 @@ def build_space(
         tree.append((centroid, subclusters))
 
     kept = np.concatenate(order).tolist()
-    results = _Table()
-    result_row = _by_identity(results)
+    results, result_row = _result_table()
     rows = [_padded([result_row(r) for r in drafts[i].results]) for i in kept]
     return _space_from_columns(
         _Columns(
             params=params,
             record_count=len(kept),
-            results=[results[row] for row in range(len(results))],
+            results=list(results),
             tree=tree,
             ids=[ids[i] for i in kept],
             texts=[drafts[i].text for i in kept],
@@ -561,7 +517,7 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
         "record_count": space.record_count,
-        "results": [_result_to_dict(space.results[row]) for row in range(len(space.results))],
+        "results": [_result_to_dict(result) for result in space.results],
         "clusters": [
             {
                 "centroid": cluster.centroid.as_list(),
@@ -640,8 +596,7 @@ def _score_rows(vectors: list, dims: int) -> np.ndarray:
 
 def _parse_v1(doc: dict) -> _Columns:
     params = ConfigParams.from_dict(doc["params"])
-    results = _Table()
-    result_row = _by_identity(results)
+    results, result_row = _result_table()
     read_result = _result_reader()
     tree: list[tuple[list, list[tuple[list, int]]]] = []
     ids, texts, instruction, tool, result_rows = [], [], [], [], []
@@ -665,7 +620,7 @@ def _parse_v1(doc: dict) -> _Columns:
     return _Columns(
         params=params,
         record_count=doc.get("record_count", len(ids)),
-        results=[results[row] for row in range(len(results))],
+        results=list(results),
         tree=tree,
         ids=ids,
         texts=texts,
@@ -678,8 +633,8 @@ def _parse_v1(doc: dict) -> _Columns:
 def _space_from_columns(columns: _Columns) -> RelationshipSpace:
     """Check the columns against each other and each record's values (a
     non-empty id, finite scores in range, at least one result), then build
-    the subclusters and tables: the one construction path of a built or
-    loaded space."""
+    the subclusters, the id set and the centroid rows: the one construction
+    path of a built or loaded space."""
     n = len(columns.ids)
     if len(columns.texts) != n:
         raise SpaceFormatError(f"{len(columns.texts)} texts for {n} ids")
@@ -699,18 +654,14 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
     if (rows[:, 0] < 0).any():
         raise SpaceFormatError("a record has no result row")
 
-    results = _Table()
-    for result in columns.results:
-        results.add(result)
-    if len(results) != len(columns.results):
+    if len(set(columns.results)) != len(columns.results):
         raise SpaceFormatError("the result table holds a result twice")
-    ids = _Table()
-    for rid in columns.ids:
-        if not rid:
-            raise SpaceFormatError("empty record id")
-        if rid in ids:
-            raise SpaceFormatError(f"duplicate record id {rid!r}")
-        ids.add(rid)
+    ids = frozenset(columns.ids)
+    if "" in ids:
+        raise SpaceFormatError("empty record id")
+    if len(ids) != n:
+        duplicate = next(rid for rid, count in Counter(columns.ids).items() if count > 1)
+        raise SpaceFormatError(f"duplicate record id {duplicate!r}")
 
     id_column = np.array(columns.ids, dtype=str)
     clusters: list[Cluster] = []
@@ -731,8 +682,17 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
             )
             lo = hi
         clusters.append(Cluster(AffordanceVector(tuple(centroid)), subs))
+    dims = columns.params.X
     return RelationshipSpace(
-        params=columns.params, clusters=clusters, record_count=n, results=results, _ids=ids
+        params=columns.params,
+        clusters=clusters,
+        results=list(columns.results),
+        _stored_ids=ids,
+        _inserted_ids=set(),
+        _centroid_rows=(
+            _rows([cluster.centroid for cluster in clusters], dims),
+            [_rows([sub.centroid for sub in cluster.subclusters], dims) for cluster in clusters],
+        ),
     )
 
 

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from worldkit import make_world, obj
+import pytest
+from worldkit import fridge_world, make_world, obj
 
 from aide.affordance import AffordanceVector
 from aide.ers import NeedsExploration, match_tool, retrieve_candidates
+from aide.exploration import invisible_explore
 from aide.geometry import Region
 from aide.mock import MockPerception
 from aide.perception import PerceptionError
 from aide.planner import run_closed_loop
-from aide.simulator import observe
+from aide.simulator import fresh_world, observe, scripted_scenarios
 
 
 class FlakyBackend:
@@ -152,3 +154,47 @@ def test_segment_regions_outside_the_tool_box_are_clipped(space, params):
     for row in grounded:
         assert row.grounded_tool_box.contains(row.operational_box)
         assert row.functional_box == row.grounded_tool_box
+
+
+class SelectsAt(MockPerception):
+    """Answers every ``select_candidate`` with ``pick(candidates)``, or fails
+    the call when ``pick`` is None."""
+
+    def __init__(self, world, params, pick, **kwargs):
+        super().__init__(world, params, **kwargs)
+        self.pick = pick
+
+    def select_candidate(self, hypothesis, candidates, frame):
+        if self.pick is None:
+            raise PerceptionError("select_candidate backend unreachable")
+        return self.pick(candidates)
+
+
+def _outcomes(space, params, pick):
+    outcomes = {}
+    for world_id, template in sorted(scripted_scenarios().items()):
+        world = fresh_world(template)
+        backend = SelectsAt(world, params, pick, seed=0, sigma=0.5)
+        trace = run_closed_loop(
+            world.instruction, world, space.clone(), params, backend, max_steps=400
+        )
+        outcomes[world_id] = (trace.status, trace.fail_reason, trace.steps)
+    return outcomes
+
+
+@pytest.mark.parametrize("pick", [len, lambda candidates: -1], ids=["past-the-end", "minus-one"])
+def test_out_of_range_candidate_index_is_a_failed_call(space, params, pick):
+    # The reasoner sees only the top N detections; an index outside them
+    # neither raises out of the loop nor picks some other detection.
+    assert _outcomes(space, params, pick) == _outcomes(space, params, None)
+
+
+@pytest.mark.parametrize("pick", [len, lambda candidates: -1], ids=["past-the-end", "minus-one"])
+def test_invisible_explore_rejects_an_out_of_range_candidate_index(space, params, pick):
+    # No pool, so the container comes from the reasoner and the detection
+    # from select_candidate.
+    world = fridge_world()
+    frame, _ = observe(world, params)
+    backend = SelectsAt(world, params, pick, sigma=0.0)
+    with pytest.raises(PerceptionError, match="candidate index"):
+        invisible_explore(frame, world.instruction, None, params, backend)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from worldkit import PairCountingMock, make_world, obj
+from worldkit import PairCountingMock, fridge_world, make_world, obj
 
 from aide.ers import CandidatePool, Novel, retrieve_candidates
 from aide.exploration import (
@@ -16,7 +16,7 @@ from aide.exploration import (
 from aide.geometry import Region
 from aide.mock import MockPerception
 from aide.perception import Detection, PerceptionError, SceneFrame
-from aide.simulator import OCCLUDED, observe
+from aide.simulator import observe
 from aide.space import GroundingResult
 
 
@@ -192,18 +192,6 @@ def test_visible_weights_bounded(params):
 
 
 # --- invisible exploration -------------------------------------------------------
-
-
-def fridge_world():
-    return make_world(
-        [
-            obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4),
-            obj("c1", "coke", "drink", 20.0, 24.0, w=1, h=1, visibility=OCCLUDED, container_id="f1"),
-        ],
-        instruction="I want something cold to drink",
-        tool_table={"I want something cold to drink": "coke"},
-        container_table={"I want something cold to drink": "fridge"},
-    )
 
 
 def test_invisible_with_pool_hints_finds_container(space, params):

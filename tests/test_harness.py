@@ -168,6 +168,16 @@ def test_error_analysis_noiseless(space, params):
     assert report.err == 100.0
 
 
+def test_error_analysis_scores_episodes_against_the_starting_world(space, params):
+    # The removal suite makes the tool ABSENT mid-episode, but every suite
+    # runs clear scenes only: no episode started with its tool hidden, so
+    # the exploration rate has nothing to score.
+    report = run_error_analysis(space, params=params, seed=0, noise=0.0)
+    assert not any(row.asr_applicable for row in report.rows)
+    assert report.asr is None
+    assert report.meta["removal_tick"] == 6
+
+
 def test_error_analysis_hintless_recovers_nothing(space, params):
     report = run_error_analysis(space, params=params, seed=0, noise=0.0, with_hints=False)
     assert report.edr == 100.0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -384,6 +385,35 @@ def test_clone_shares_every_record_list_and_column_until_an_insert(space, params
     with pytest.raises(DuplicateRecordError):
         first.insert(_record("clone-insert", vector([5.0] * params.X)))
     second.insert(_record("clone-insert", vector([5.0] * params.X)))
+
+
+def test_a_clone_of_a_clone_inherits_inserts_and_keeps_its_own(space, params, tmp_path):
+    parent = space.clone()
+    first = _record("first-insert", vector([5.0] * params.X))
+    first.results = (_result("ladle", "stir"), _result())
+    parent.insert(first)
+    child = parent.clone()
+    with pytest.raises(DuplicateRecordError):
+        child.insert(_record("first-insert", vector([4.0] * params.X)))
+    second = _record("second-insert", vector([4.0] * params.X))
+    second.results = (_result("whisk", "stir"), _result("ladle", "stir"))
+    child.insert(second)
+    stored = sum(1 for _ in space.iter_records())
+    assert [level.record_count for level in (space, parent, child)] == [stored, stored + 1, stored + 2]
+    # Each level's result table extends the one it was cloned from.
+    assert [r.tool_label for r in parent.results[len(space.results) :]] == ["ladle", "cup"]
+    assert [r.tool_label for r in child.results[len(space.results) :]] == ["ladle", "cup", "whisk"]
+    assert {r.id for r in child.iter_records()} - {r.id for r in parent.iter_records()} == {
+        "second-insert"
+    }
+    assert "second-insert" not in {r.id for r in space.iter_records()}
+    parent.insert(_record("second-insert", vector([4.0] * params.X)))  # still free in the parent
+    space.clone().insert(_record("first-insert", vector([5.0] * params.X)))
+    path = tmp_path / "child.json"
+    save_space(child, path)
+    # Pinned: the snapshot of these inserts keeps its bytes.
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "575d0c36c571e030a1d24facecc61d9caa9e5321ebb48bf84b02debf2032f7b6"
 
 
 # --- persistence ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from aide.mock import MockPerception
-from aide.simulator import VISIBLE, World, WorldObject
+from aide.simulator import OCCLUDED, VISIBLE, World, WorldObject
 
 
 def obj(
@@ -59,6 +59,18 @@ def make_world(
         container_table=dict(container_table or {}),
         hint_table=dict(hint_table or {}),
         gt=dict(gt or {}),
+    )
+
+
+def fridge_world():
+    return make_world(
+        [
+            obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4),
+            obj("c1", "coke", "drink", 20.0, 24.0, w=1, h=1, visibility=OCCLUDED, container_id="f1"),
+        ],
+        instruction="I want something cold to drink",
+        tool_table={"I want something cold to drink": "coke"},
+        container_table={"I want something cold to drink": "fridge"},
     )
 
 
