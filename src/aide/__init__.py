@@ -19,6 +19,7 @@ from .perception import (
     ToolHypothesis,
 )
 from .space import (
+    Drafts,
     GroundingResult,
     InstructionRecord,
     RelationshipSpace,
@@ -36,6 +37,7 @@ __all__ = [
     "ConfigParams",
     "Detection",
     "DimensionMismatchError",
+    "Drafts",
     "GroundingResult",
     "InstructionRecord",
     "PerceptionBackend",

@@ -3,7 +3,9 @@
 Kept dependency-light on purpose: the retrieval index needs exact, reproducible
 assignments (ties resolved to the lowest centroid index) rather than the
 fastest possible fit, so this is a direct numpy implementation instead of an
-external clustering library.
+external clustering library. The assignment step measures every point against
+one center at a time with the one affordance distance, ``euclidean``: a k x n
+distance array and one n x X temporary at a time, never an n x k x X one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels; equidistant points go to the lowest center index."""
-    return np.argmin(euclidean(points[:, None, :], centers[None, :, :]), axis=1)
+    distances = np.empty((len(centers), len(points)))
+    for j, center in enumerate(centers):
+        distances[j] = euclidean(points, center)
+    return distances.argmin(axis=0)
 
 
 def kmeans(

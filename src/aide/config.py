@@ -98,8 +98,8 @@ class ConfigParams:
 
     @classmethod
     def from_dict(cls, raw) -> "ConfigParams":
-        """Parse the ``params`` mapping of an ``aide-config/1``, ``aide-space/2`` or
-        ``aide-space/1`` document.
+        """Parse the ``params`` mapping of an ``aide-config/1`` or ``aide-space/2``
+        document.
 
         A key that is no field raises ``ConfigError``, except a dropped field
         at the value every earlier save wrote for it, which is skipped.

@@ -8,7 +8,6 @@ tab-delimited table document plus per-episode event logs.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +38,7 @@ from .simulator import (
     scripted_scenarios,
 )
 from .space import (
+    Drafts,
     GroundingResult,
     InstructionRecord,
     RelationshipSpace,
@@ -66,7 +66,6 @@ _TEXT_TEMPLATES = (
 # --- corpus generation -------------------------------------------------------
 
 
-@functools.cache  # drafts share one result object per (class, label)
 def _catalog_result(cls: str, label: str) -> GroundingResult:
     tool_region = Region(0, 0, _CATALOG_IMAGE_SIZE, _CATALOG_IMAGE_SIZE)
     operational, functional = vertical_halves(tool_region)
@@ -89,46 +88,56 @@ def gen_corpus(
     b: int,
     seed: int,
     path: str | Path | None = None,
-) -> list[InstructionRecord]:
-    """Synthesize ``A`` instruction drafts over ``a`` affordance classes.
+) -> Drafts:
+    """Synthesize ``A`` instruction drafts over ``a`` affordance classes, as
+    columns, and write them to ``path`` as ``write_corpus`` does if given.
 
     Classes are assigned round-robin (counts balanced within one); vectors are
-    the class centroid plus seeded Gaussian noise; instruction text is built
-    from class-specific word pools so text-based retrieval has real signal.
+    the class centroid plus seeded Gaussian noise, drawn for all drafts at
+    once; instruction text is built from class-specific word pools so
+    text-based retrieval has real signal. Each draft carries three catalog
+    results of its class, rows of a table with one result per (class,
+    label). ``b`` is unused: the subcluster count shapes the build, not the
+    drafts.
     """
-    del b  # subcluster count shapes the build, not the drafts
+    del b
     names = class_names(a)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = np.array([class_centroid(cls, X, known=names).scores for cls in names])
-    # One draw for every record's instruction and tool noise, in the order
-    # per-record draws would take them, and one clip.
+    draft = np.arange(A)
+    class_of = draft % a
+    # One draw for every draft's instruction and tool noise, in the order
+    # per-draft draws would take them, and one clip.
     vectors = np.clip(
-        centroids[np.arange(A) % a][:, None, :] + rng.normal(0.0, _CORPUS_NOISE, size=(A, 2, X)),
+        centroids[class_of][:, None, :] + rng.normal(0.0, _CORPUS_NOISE, size=(A, 2, X)),
         0.0,
         10.0,
     )
-    drafts: list[InstructionRecord] = []
-    for i, (instruction_vec, tool_vec) in enumerate(vectors.tolist()):
-        cls = names[i % a]
-        words = CLASS_WORDS.get(cls, (cls, "task", "chore", "thing", "stuff"))
-        w0 = words[i % len(words)]
-        w1 = words[(i // len(words) + 1) % len(words)]
-        text = _TEXT_TEMPLATES[i % len(_TEXT_TEMPLATES)].format(w0=w0, w1=w1)
-        labels = CLASS_TOOL_LABELS.get(cls, (f"{cls}-tool",))
-        # Cycle labels by the per-class round counter (i // a) so every label
-        # appears even when the label count divides the class count.
-        results = tuple(
-            _catalog_result(cls, labels[(i // a + j) % len(labels)]) for j in range(3)
-        )
-        drafts.append(
-            InstructionRecord(
-                id=f"ins-{i:05d}",
-                text=text,
-                instruction_affordance=AffordanceVector(tuple(instruction_vec)),
-                tool_affordance=AffordanceVector(tuple(tool_vec)),
-                results=results,
-            )
-        )
+    instruction, tool = np.moveaxis(vectors, 1, 0).copy()  # each n x X and contiguous
+    words = [CLASS_WORDS.get(name, (name, "task", "chore", "thing", "stuff")) for name in names]
+    labels = [CLASS_TOOL_LABELS.get(name, (f"{name}-tool",)) for name in names]
+    # A draft's text is fixed by its class, template and two word indices;
+    # each distinct combination is formatted once.
+    size = np.array([len(pool) for pool in words])[class_of]  # of the draft's word pool
+    template = draft % len(_TEXT_TEMPLATES)
+    parts = np.stack([class_of, template, draft % size, (draft // size + 1) % size], axis=1)
+    distinct, text_of = np.unique(parts, axis=0, return_inverse=True)
+    texts = [
+        _TEXT_TEMPLATES[t].format(w0=words[c][w0], w1=words[c][w1])
+        for c, t, w0, w1 in distinct.tolist()
+    ]
+    # Cycle labels by the per-class round counter (draft // a) so every label
+    # appears even when the label count divides the class count.
+    count = np.array([len(row) for row in labels])
+    first = np.cumsum(count) - count
+    drafts = Drafts(
+        ids=[f"ins-{i:05d}" for i in range(A)],
+        texts=[texts[k] for k in text_of.reshape(-1).tolist()],
+        instruction=instruction,
+        tool=tool,
+        results=[_catalog_result(name, label) for name, row in zip(names, labels) for label in row],
+        result_rows=first[class_of, None] + (draft[:, None] // a + np.arange(3)) % count[class_of, None],
+    )
     if path is not None:
         write_corpus(drafts, path)
     return drafts
@@ -392,7 +401,7 @@ def _textsim_exhaustive(space: RelationshipSpace, text: str):
 
 
 def ablate_retrieval(
-    corpus: Sequence[InstructionRecord],
+    corpus: Drafts,
     params: ConfigParams | None = None,
     methods: Sequence[str] = ("affordance", "textsim"),
     affordance_thresholds: Sequence[float] = (40.0, 20.0, 10.0, 0.0),
@@ -408,7 +417,7 @@ def ablate_retrieval(
     """
     params = params or ConfigParams()
     reference_radius = params.c
-    space = build_space(list(corpus), params, seed)
+    space = build_space(corpus, params, seed)
     queries = _ablation_queries(space, params, seed + 1, query_count, reference_radius)
     rows: list[AblationRow] = []
 

@@ -23,10 +23,14 @@ result table and inserted-id set.
 the result table once, the cluster tree with centroids and subcluster sizes,
 and the records as columns in tree order (ids and texts as lists; vectors and
 result rows as base64 of little-endian arrays). A record's cluster and
-subcluster follow from its position. ``load_space`` also reads the older
-``aide-space/1`` document, which nests every record, results included, under
-its subcluster. A build, and a load of either schema, all construct the
-space from the same columns through ``_space_from_columns``.
+subcluster follow from its position. ``load_space`` reads only that schema: a
+space saved as the older ``aide-space/1`` is rebuilt from its corpus with
+``aide build-space``, which is deterministic for a fixed seed.
+
+Corpus drafts are the same columns before they have a position (``Drafts``):
+``gen_corpus`` and ``read_corpus`` produce them and ``build_space`` clusters
+their arrays, so no record is built between a corpus and a stored space. A
+build and a load both construct the space through ``_space_from_columns``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +51,6 @@ from .config import ConfigParams
 from .geometry import Region
 
 SPACE_SCHEMA = "aide-space/2"
-SPACE_SCHEMA_V1 = "aide-space/1"  # still read, no longer written
 
 MAX_RESULTS_PER_RECORD = 3
 
@@ -128,25 +131,26 @@ class InstructionRecord:
             )
 
 
-def _result_table() -> tuple[dict[GroundingResult, int], Callable[[GroundingResult], int]]:
-    """An empty result table (each distinct result mapped to its row, in row
-    order), and a function giving a result's row, added if no equal result
-    has one. It hashes each result object once: a corpus shares its result
-    objects, and hashing all of its entries by value is slow."""
-    rows: dict[GroundingResult, int] = {}
-    seen: dict[int, tuple[GroundingResult, int]] = {}  # holding the result keeps its id unique
-
-    def row(result: GroundingResult) -> int:
-        hit = seen.get(id(result))
-        if hit is None:
-            hit = seen[id(result)] = (result, rows.setdefault(result, len(rows)))
-        return hit[1]
-
-    return rows, row
-
-
 def _padded(result_rows: list[int]) -> list[int]:
     return result_rows + [-1] * (MAX_RESULTS_PER_RECORD - len(result_rows))
+
+
+@dataclass(eq=False, repr=False)
+class Drafts:
+    """Instruction drafts as columns, one row per draft: ids, texts, the
+    instruction and tool vectors as n x X float arrays, and each draft's
+    results as its row of ``result_rows``: rows of ``results``, a table of
+    distinct results, padded with -1."""
+
+    ids: list[str]
+    texts: list[str]
+    instruction: np.ndarray
+    tool: np.ndarray
+    results: list[GroundingResult]
+    result_rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(eq=False)
@@ -338,26 +342,24 @@ class RelationshipSpace:
 # --- build --------------------------------------------------------------
 
 
-def build_space(
-    drafts: Sequence[InstructionRecord], params: ConfigParams, seed: int
-) -> RelationshipSpace:
+def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> RelationshipSpace:
     """Cluster drafts into ``a`` clusters of ``b`` subclusters each.
 
     Drafts whose instruction or tool vector lies farther than ``D`` from the
     assigned cluster centroid are dropped before subclustering, mirroring the
     corpus center filter. Deterministic for a fixed seed. The drafts are only
     read: the surviving ones become rows of the space's columns, in tree
-    order, and their ``cluster_id``/``subcluster_id`` stay as they were.
+    order, and the results they use become its result table, in first use
+    along that order.
     """
-    if not drafts:
+    if not len(drafts):
         raise SpaceBuildError("cannot build a space from zero drafts")
-    for draft in drafts:
-        if len(draft.instruction_affordance) != params.X or len(draft.tool_affordance) != params.X:
-            raise DimensionMismatchError(
-                f"draft {draft.id!r} does not match X={params.X}"
-            )
-    ids = [d.id for d in drafts]
-    if len(set(ids)) != len(ids):
+    points, tools = drafts.instruction, drafts.tool
+    if points.shape[1] != params.X or tools.shape[1] != params.X:
+        raise DimensionMismatchError(
+            f"drafts have {points.shape[1]}- and {tools.shape[1]}-dimensional vectors, X={params.X}"
+        )
+    if len(set(drafts.ids)) != len(drafts):
         raise DuplicateRecordError("draft ids must be unique")
     if len(drafts) < params.a:
         raise SpaceBuildError(
@@ -365,8 +367,6 @@ def build_space(
         )
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    points = _rows([d.instruction_affordance for d in drafts], params.X)
-    tools = _rows([d.tool_affordance for d in drafts], params.X)
     centers, labels = kmeans(points, params.a, rng)
     centers = np.clip(centers, 0.0, 10.0)
     assigned = centers[labels]
@@ -398,30 +398,40 @@ def build_space(
         subclusters += [(subclusters[-1][0], 0)] * (params.b - k_eff)
         tree.append((centroid, subclusters))
 
-    kept = np.concatenate(order).tolist()
-    results, result_row = _result_table()
-    rows = [_padded([result_row(r) for r in drafts[i].results]) for i in kept]
+    kept = np.concatenate(order)
+    kept_rows = kept.tolist()
+    used = drafts.result_rows[kept]
+    # The drafts' table rows in first use along the kept rows, pads skipped,
+    # and each one's row in the space's table; the extra last entry maps the
+    # -1 pads to -1.
+    distinct, first = np.unique(used[used >= 0], return_index=True)
+    in_use = distinct[np.argsort(first)]
+    table_row = np.full(len(drafts.results) + 1, -1)
+    table_row[in_use] = np.arange(len(in_use))
     return _space_from_columns(
         _Columns(
             params=params,
-            record_count=len(kept),
-            results=list(results),
             tree=tree,
-            ids=[ids[i] for i in kept],
-            texts=[drafts[i].text for i in kept],
-            instruction=points[kept],
-            tool=tools[kept],
-            result_rows=np.array(rows, dtype=np.intp),
+            records=Drafts(
+                ids=[drafts.ids[i] for i in kept_rows],
+                texts=[drafts.texts[i] for i in kept_rows],
+                instruction=points[kept],
+                tool=tools[kept],
+                results=[drafts.results[i] for i in in_use.tolist()],
+                result_rows=table_row[used],
+            ),
         )
     )
 
 
 def brute_force_assignments(space: RelationshipSpace) -> bool:
     """True when every stored record sits under its nearest cluster centroid."""
-    records = list(space.iter_records())
-    points = _rows([r.instruction_affordance for r in records], space.params.X)
-    labels = assign(points, _rows([c.centroid for c in space.clusters], space.params.X))
-    return all(int(label) == r.cluster_id for label, r in zip(labels, records))
+    centroids = space._centroid_rows[0]
+    return all(
+        (assign(sub.instruction_rows, centroids) == ci).all()
+        for ci, cluster in enumerate(space.clusters)
+        for sub in cluster.subclusters
+    )
 
 
 # --- persistence ----------------------------------------------------------
@@ -451,58 +461,6 @@ def _result_from_dict(doc: dict) -> GroundingResult:
         unseen_region_label=doc.get("unseen_region_label"),
         unseen_region_image=doc.get("unseen_region_image"),
     )
-
-
-def record_to_dict(record: InstructionRecord) -> dict:
-    return {
-        "id": record.id,
-        "text": record.text,
-        "instruction_affordance": record.instruction_affordance.as_list(),
-        "tool_affordance": record.tool_affordance.as_list(),
-        "cluster_id": record.cluster_id,
-        "subcluster_id": record.subcluster_id,
-        "results": [_result_to_dict(r) for r in record.results],
-    }
-
-
-def _result_reader() -> Callable[[dict], GroundingResult]:
-    """``_result_from_dict`` that constructs, and so validates, each distinct
-    result document once; equal documents read as one shared result."""
-    memo: dict[tuple, GroundingResult] = {}
-
-    def read(doc: dict) -> GroundingResult:
-        key = (
-            doc["tool_label"],
-            doc["tool_image"],
-            tuple(doc["tool_region"]),
-            tuple(doc["operational_region"]),
-            tuple(doc["functional_region"]),
-            doc.get("unseen_region_label"),
-            doc.get("unseen_region_image"),
-        )
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = _result_from_dict(doc)
-        return result
-
-    return read
-
-
-def record_from_dict(
-    doc: dict, read_result: Callable[[dict], GroundingResult] = _result_from_dict
-) -> InstructionRecord:
-    try:
-        return InstructionRecord(
-            id=doc["id"],
-            text=doc["text"],
-            instruction_affordance=AffordanceVector(tuple(doc["instruction_affordance"])),
-            tool_affordance=AffordanceVector(tuple(doc["tool_affordance"])),
-            cluster_id=int(doc.get("cluster_id", -1)),
-            subcluster_id=int(doc.get("subcluster_id", -1)),
-            results=tuple(read_result(r) for r in doc["results"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpaceFormatError(f"malformed record document: {exc}") from exc
 
 
 def _encode(blocks: list[np.ndarray], dtype: str) -> str:
@@ -539,20 +497,15 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
 
 @dataclass
 class _Columns:
-    """A space's contents, records in tree order: what ``build_space`` and
-    each schema's parser produce and ``_space_from_columns`` checks and
-    builds from."""
+    """A space's contents: the cluster tree, and its records as drafts in tree
+    order, their results as rows of the space's result table. What
+    ``build_space`` and ``_parse_v2`` produce and ``_space_from_columns``
+    checks and builds from."""
 
     params: ConfigParams
-    record_count: int
-    results: list[GroundingResult]  # the result table, in table order
     # Per cluster: its centroid, and per subcluster its centroid and record count.
     tree: list[tuple[list, list[tuple[list, int]]]]
-    ids: list[str]
-    texts: list[str]
-    instruction: np.ndarray  # n x X
-    tool: np.ndarray  # n x X
-    result_rows: np.ndarray  # n x MAX_RESULTS_PER_RECORD rows of ``results``, padded with -1
+    records: Drafts
 
 
 def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
@@ -570,100 +523,72 @@ def _parse_v2(doc: dict) -> _Columns:
     if not isinstance(ids, list) or not isinstance(texts, list):
         raise SpaceFormatError("ids and texts must be lists")
     n = len(ids)
+    if doc["record_count"] != n:
+        raise SpaceFormatError("record_count does not match stored records")
     return _Columns(
         params=params,
-        record_count=doc["record_count"],
-        results=[_result_from_dict(r) for r in doc["results"]],
         tree=[
             (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
             for cdoc in doc["clusters"]
         ],
-        ids=ids,
-        texts=texts,
-        instruction=_decode(doc, "instruction", "<f8", (n, params.X)),
-        tool=_decode(doc, "tool", "<f8", (n, params.X)),
-        result_rows=_decode(doc, "result_rows", "<i4", (n, MAX_RESULTS_PER_RECORD)),
+        records=Drafts(
+            ids=ids,
+            texts=texts,
+            instruction=_decode(doc, "instruction", "<f8", (n, params.X)),
+            tool=_decode(doc, "tool", "<f8", (n, params.X)),
+            results=[_result_from_dict(r) for r in doc["results"]],
+            result_rows=_decode(doc, "result_rows", "<i4", (n, MAX_RESULTS_PER_RECORD)),
+        ),
     )
 
 
-def _score_rows(vectors: list, dims: int) -> np.ndarray:
-    """``aide-space/1`` vectors as an n x ``dims`` float array; JSON numbers only."""
-    rows = np.array(vectors)
-    if rows.dtype.kind not in "biuf":
-        raise SpaceFormatError("affordance scores must be numbers")
-    return rows.astype(float).reshape(len(vectors), dims)
-
-
-def _parse_v1(doc: dict) -> _Columns:
-    params = ConfigParams.from_dict(doc["params"])
-    results, result_row = _result_table()
-    read_result = _result_reader()
-    tree: list[tuple[list, list[tuple[list, int]]]] = []
-    ids, texts, instruction, tool, result_rows = [], [], [], [], []
-    for ci, cdoc in enumerate(doc["clusters"]):
-        subclusters = []
-        for sj, sdoc in enumerate(cdoc["subclusters"]):
-            for rdoc in sdoc["records"]:
-                ids.append(rdoc["id"])
-                stored = (int(rdoc.get("cluster_id", ci)), int(rdoc.get("subcluster_id", sj)))
-                if stored != (ci, sj):
-                    raise SpaceFormatError(
-                        f"record {rdoc['id']!r} names cluster {stored[0]}, subcluster "
-                        f"{stored[1]} but is stored under cluster {ci}, subcluster {sj}"
-                    )
-                texts.append(rdoc["text"])
-                instruction.append(rdoc["instruction_affordance"])
-                tool.append(rdoc["tool_affordance"])
-                result_rows.append(_padded([result_row(read_result(r)) for r in rdoc["results"]]))
-            subclusters.append((sdoc["centroid"], len(sdoc["records"])))
-        tree.append((cdoc["centroid"], subclusters))
-    return _Columns(
-        params=params,
-        record_count=doc.get("record_count", len(ids)),
-        results=list(results),
-        tree=tree,
-        ids=ids,
-        texts=texts,
-        instruction=_score_rows(instruction, params.X),
-        tool=_score_rows(tool, params.X),
-        result_rows=np.array(result_rows, dtype=np.intp).reshape(len(ids), MAX_RESULTS_PER_RECORD),
-    )
-
-
-def _space_from_columns(columns: _Columns) -> RelationshipSpace:
-    """Check the columns against each other and each record's values (a
-    non-empty id, finite scores in range, at least one result), then build
-    the subclusters, the id set and the centroid rows: the one construction
-    path of a built or loaded space."""
-    n = len(columns.ids)
-    if len(columns.texts) != n:
-        raise SpaceFormatError(f"{len(columns.texts)} texts for {n} ids")
-    if columns.record_count != n:
-        raise SpaceFormatError("record_count does not match stored records")
-    sizes = [size for _, subclusters in columns.tree for _, size in subclusters]
-    if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
-        raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
-    for name, column in (("instruction", columns.instruction), ("tool", columns.tool)):
+def _check_drafts(drafts: Drafts) -> frozenset[str]:
+    """Check drafts columns against each other and each row's values: ids
+    that are distinct, non-empty strings, texts that are strings, finite
+    scores in range, at least one result row, all inside a table of distinct
+    results. Returns the ids."""
+    n = len(drafts.ids)
+    if len(drafts.texts) != n:
+        raise SpaceFormatError(f"{len(drafts.texts)} texts for {n} ids")
+    for name, column in (("instruction", drafts.instruction), ("tool", drafts.tool)):
         if not ((column >= SCORE_MIN) & (column <= SCORE_MAX)).all():  # also false for NaN
             raise SpaceFormatError(f"a {name} score is not finite or outside [{SCORE_MIN}, {SCORE_MAX}]")
-    rows = columns.result_rows.astype(np.intp)
-    if rows.size and (rows.min() < -1 or rows.max() >= len(columns.results)):
-        raise SpaceFormatError(f"result row outside the {len(columns.results)}-row result table")
+    rows = drafts.result_rows
+    if rows.size and (rows.min() < -1 or rows.max() >= len(drafts.results)):
+        raise SpaceFormatError(f"result row outside the {len(drafts.results)}-row result table")
     if ((rows[:, :-1] < 0) & (rows[:, 1:] >= 0)).any():
         raise SpaceFormatError("a -1 pad precedes a result row")
     if (rows[:, 0] < 0).any():
         raise SpaceFormatError("a record has no result row")
-
-    if len(set(columns.results)) != len(columns.results):
+    if len(set(drafts.results)) != len(drafts.results):
         raise SpaceFormatError("the result table holds a result twice")
-    ids = frozenset(columns.ids)
+
+    if not all(isinstance(rid, str) for rid in drafts.ids):
+        raise SpaceFormatError("record ids must be strings")
+    if not all(isinstance(text, str) for text in drafts.texts):
+        raise SpaceFormatError("record texts must be strings")
+    ids = frozenset(drafts.ids)
     if "" in ids:
         raise SpaceFormatError("empty record id")
     if len(ids) != n:
-        duplicate = next(rid for rid, count in Counter(columns.ids).items() if count > 1)
+        duplicate = next(rid for rid, count in Counter(drafts.ids).items() if count > 1)
         raise SpaceFormatError(f"duplicate record id {duplicate!r}")
+    return ids
 
-    id_column = np.array(columns.ids, dtype=str)
+
+def _space_from_columns(columns: _Columns) -> RelationshipSpace:
+    """Check the records (``_check_drafts``) and the tree against them, then
+    build the subclusters, the id set and the centroid rows: the one
+    construction path of a built or loaded space."""
+    records = columns.records
+    ids = _check_drafts(records)
+    n = len(records)
+    sizes = [size for _, subclusters in columns.tree for _, size in subclusters]
+    if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
+        raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
+
+    id_column = np.array(records.ids, dtype=str)
+    rows = records.result_rows.astype(np.intp)
     clusters: list[Cluster] = []
     lo = 0
     for centroid, subclusters in columns.tree:
@@ -674,9 +599,9 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
                 Subcluster(
                     AffordanceVector(tuple(sub_centroid)),
                     id_column[lo:hi],
-                    columns.texts[lo:hi],
-                    columns.instruction[lo:hi],
-                    columns.tool[lo:hi],
+                    records.texts[lo:hi],
+                    records.instruction[lo:hi],
+                    records.tool[lo:hi],
                     rows[lo:hi],
                 )
             )
@@ -686,7 +611,7 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
     return RelationshipSpace(
         params=columns.params,
         clusters=clusters,
-        results=list(columns.results),
+        results=list(records.results),
         _stored_ids=ids,
         _inserted_ids=set(),
         _centroid_rows=(
@@ -697,20 +622,21 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
 
 
 def load_space(path: str | Path) -> RelationshipSpace:
-    """Read an ``aide-space/2`` or ``aide-space/1`` document."""
+    """Read an ``aide-space/2`` document."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"unreadable space document: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SpaceFormatError("space document missing schema tag")
-    if doc["schema"] not in (SPACE_SCHEMA, SPACE_SCHEMA_V1):
+    if doc["schema"] != SPACE_SCHEMA:
         raise SpaceSchemaError(
-            f"expected schema {SPACE_SCHEMA!r} or {SPACE_SCHEMA_V1!r}, got {doc['schema']!r}"
+            f"expected schema {SPACE_SCHEMA!r}, got {doc['schema']!r}; rebuild the space from"
+            " its corpus with `aide build-space --corpus <drafts.jsonl> --seed <seed>`,"
+            " which is deterministic for a fixed seed"
         )
-    parse = _parse_v2 if doc["schema"] == SPACE_SCHEMA else _parse_v1
     try:
-        return _space_from_columns(parse(doc))
+        return _space_from_columns(_parse_v2(doc))
     except SpaceError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -720,26 +646,73 @@ def load_space(path: str | Path) -> RelationshipSpace:
 # --- corpus drafts ----------------------------------------------------------
 
 
-def write_corpus(drafts: Iterable[InstructionRecord], path: str | Path) -> int:
-    """One ``record_to_dict`` object per line, as ``aide-space/1`` nests records."""
-    n = 0
+def write_corpus(drafts: Drafts, path: str | Path) -> int:
+    """One JSON record object per line, results written out in full and
+    ``cluster_id``/``subcluster_id`` at -1; returns the line count."""
+    results = [_result_to_dict(result) for result in drafts.results]
+    rows = zip(drafts.instruction.tolist(), drafts.tool.tolist(), drafts.result_rows.tolist())
     with Path(path).open("w", encoding="utf-8") as fh:
-        for draft in drafts:
-            fh.write(json.dumps(record_to_dict(draft)) + "\n")
-            n += 1
-    return n
+        for rid, text, (instruction, tool, result_rows) in zip(drafts.ids, drafts.texts, rows):
+            record = {
+                "id": rid,
+                "text": text,
+                "instruction_affordance": instruction,
+                "tool_affordance": tool,
+                "cluster_id": -1,
+                "subcluster_id": -1,
+                "results": [results[row] for row in result_rows if row >= 0],
+            }
+            fh.write(json.dumps(record) + "\n")
+    return len(drafts)
 
 
-def read_corpus(path: str | Path) -> list[InstructionRecord]:
-    drafts = []
-    read_result = _result_reader()
+def _score_column(vectors: list) -> np.ndarray:
+    """JSON score lists of one length as the rows of a float array."""
+    column = np.array(vectors) if vectors else np.empty((0, 0))
+    if column.dtype.kind not in "biuf" or column.ndim != 2:
+        raise SpaceFormatError("affordance vectors must be lists of numbers, all of one length")
+    return column.astype(float)
+
+
+def read_corpus(path: str | Path) -> Drafts:
+    """Parse a corpus as ``write_corpus`` writes it into drafts, checked as a
+    load checks a space's columns. Each distinct result document is
+    constructed, and so checked, once; positions are ignored."""
+    ids, texts, instruction, tool, rows = [], [], [], [], []
+    table: dict[GroundingResult, int] = {}
+    row_of: dict[str, int] = {}  # result document, as read, to its table row
+
+    def result_row(doc: dict) -> int:
+        key = repr(doc)
+        if key not in row_of:
+            row_of[key] = table.setdefault(_result_from_dict(doc), len(table))
+        return row_of[key]
+
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                drafts.append(record_from_dict(json.loads(line), read_result))
-            except json.JSONDecodeError as exc:
-                raise SpaceFormatError(f"line {line_no}: unreadable record: {exc}") from exc
+                doc = json.loads(line)
+                if not 1 <= len(doc["results"]) <= MAX_RESULTS_PER_RECORD:
+                    raise ValueError(f"{len(doc['results'])} results, not 1..{MAX_RESULTS_PER_RECORD}")
+                rows.append(_padded([result_row(r) for r in doc["results"]]))
+                ids.append(doc["id"])
+                texts.append(doc["text"])
+                instruction.append(doc["instruction_affordance"])
+                tool.append(doc["tool_affordance"])
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise SpaceFormatError(f"line {line_no}: malformed record: {exc}") from exc
+    try:
+        drafts = Drafts(
+            ids=ids,
+            texts=texts,
+            instruction=_score_column(instruction),
+            tool=_score_column(tool),
+            results=list(table),
+            result_rows=np.array(rows, dtype=np.intp).reshape(len(rows), MAX_RESULTS_PER_RECORD),
+        )
+    except ValueError as exc:  # vectors of different lengths
+        raise SpaceFormatError(f"malformed corpus: {exc}") from exc
+    _check_drafts(drafts)
     return drafts

@@ -2,8 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from aide import cluster
+from aide.affordance import euclidean
 from aide.cluster import assign, kmeans
+
+
+def broadcast_assign(points, centers):
+    """The assignment step as it was first written, over one n x k x X
+    difference array; the oracle ``assign`` must match label for label."""
+    return np.argmin(euclidean(points[:, None, :], centers[None, :, :]), axis=1)
 
 
 def blobs(rng, centers, per_center, spread=0.3):
@@ -54,3 +65,53 @@ def test_kmeans_rejects_k_above_n():
         kmeans(np.zeros((3, 2)), 4, np.random.Generator(np.random.PCG64(0)))
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 0, np.random.Generator(np.random.PCG64(0)))
+
+
+@st.composite
+def points_and_centers(draw):
+    dims = draw(st.integers(1, 19))
+    scores = st.floats(0.0, 10.0)
+    points = draw(hnp.arrays(float, (draw(st.integers(1, 24)), dims), elements=scores))
+    centers = draw(hnp.arrays(float, (draw(st.integers(1, 8)), dims), elements=scores))
+    if draw(st.booleans()):
+        # On the integer grid, points often lie exactly as far from two centers.
+        points, centers = np.round(points), np.round(centers)
+    return points, centers
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_and_centers())
+def test_assign_matches_the_broadcast_oracle(drawn):
+    points, centers = drawn
+    assert np.array_equal(assign(points, centers), broadcast_assign(points, centers))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_point_equidistant_from_two_centers_goes_to_the_lower_index(data):
+    dims = data.draw(st.integers(1, 19))
+    grid = hnp.arrays(float, dims, elements=st.integers(0, 5).map(float))
+    point, offset = data.draw(grid), data.draw(grid)
+    k = data.draw(st.integers(2, 8))
+    i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    centers = np.tile(point + 100.0, (k, 1))
+    # Integer squares summed in any order are exact, so both centers lie at
+    # exactly the same distance from the point.
+    centers[i] = point + offset
+    centers[j] = point - data.draw(st.permutations(offset.tolist()))
+    points = np.vstack([point, data.draw(grid)])
+    labels = assign(points, centers)
+    assert labels[0] == min(i, j)
+    assert np.array_equal(labels, broadcast_assign(points, centers))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kmeans_is_bit_identical_to_a_run_on_the_broadcast_oracle(seed, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    points = np.clip(rng.normal(5.0, 2.0, size=(600, 19)), 0.0, 10.0)
+    if seed % 2:
+        points = np.round(points)  # duplicate points and exact ties
+    got = kmeans(points, 8, np.random.Generator(np.random.PCG64(seed)))
+    monkeypatch.setattr(cluster, "assign", broadcast_assign)
+    expected = kmeans(points, 8, np.random.Generator(np.random.PCG64(seed)))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
-from worldkit import PairCountingMock, make_world, obj
+from worldkit import PairCountingMock, drafts_of, make_world, obj
 
 from aide.affordance import AffordanceVector, distance
 from aide.config import ConfigParams
@@ -21,7 +22,7 @@ from aide.harness import gen_corpus
 from aide.mock import MockPerception
 from aide.planner import validity_check
 from aide.simulator import observe
-from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space
+from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space, save_space
 
 
 def noiseless(world, params, seed=0):
@@ -119,7 +120,7 @@ def random_space(seed, params):
         )
         for i in range(n)
     ]
-    return build_space(drafts, params, seed)
+    return build_space(drafts_of(drafts, params.X), params, seed)
 
 
 def retrieved_and_oracle(space, query, params, d):
@@ -182,6 +183,15 @@ def built_records(monkeypatch):
 @pytest.fixture(scope="module")
 def large_space(params):
     return build_space(gen_corpus(5000, params.X, params.a, params.b, seed=11), params, seed=11)
+
+
+def test_the_5000_draft_space_keeps_its_pinned_snapshot_bytes(large_space, tmp_path):
+    # Pinned before drafts became columns and k-means assigned one center at
+    # a time: the same clusters, rows and result table, byte for byte.
+    path = tmp_path / "space.json"
+    save_space(large_space, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "b26596f8d087b31b825daab2ad86755d008f0766156f9eb84ca515ee294fd1e8"
 
 
 def test_retrieval_at_scale_reads_only_the_anchor_record(large_space, params, built_records):

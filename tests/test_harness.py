@@ -25,15 +25,18 @@ from aide.space import write_corpus
 
 def test_gen_corpus_counts_and_balance(params):
     drafts = gen_corpus(432, params.X, params.a, params.b, seed=7)
-    assert len(drafts) == 432
-    per_class = Counter(d.results[0].tool_image.split(":")[1] for d in drafts)
+    assert len(drafts) == len(drafts.texts) == len(set(drafts.ids)) == 432
+    assert drafts.instruction.shape == drafts.tool.shape == (432, params.X)
+    assert drafts.result_rows.shape == (432, 3) and drafts.result_rows.min() >= 0
+    assert len(set(drafts.results)) == len(drafts.results)
+    per_class = Counter(drafts.results[row].tool_image.split(":")[1] for row in drafts.result_rows[:, 0])
     counts = sorted(per_class.values())
     assert len(per_class) == params.a
     assert counts[-1] - counts[0] <= 1
-    for draft in drafts:
-        assert len(draft.results) == 3
-        assert len(draft.instruction_affordance) == params.X
-        assert draft.results[0].unseen_region_label in ("fridge", "drawer", "cabinet")
+    for row in drafts.result_rows.tolist():
+        results = [drafts.results[r] for r in row]
+        assert len({r.tool_image.split(":")[1] for r in results}) == 1
+        assert results[0].unseen_region_label in ("fridge", "drawer", "cabinet")
 
 
 def test_gen_corpus_deterministic_file(params, tmp_path):
@@ -57,7 +60,7 @@ def test_gen_corpus_file_keeps_its_pinned_digest(params, tmp_path):
 
 def test_gen_corpus_covers_all_class_labels(params):
     drafts = gen_corpus(432, params.X, params.a, params.b, seed=7)
-    labels = {r.tool_label for d in drafts for r in d.results}
+    labels = {drafts.results[row].tool_label for row in drafts.result_rows.ravel()}
     for needed in ("cup", "brush", "hammer", "pillow", "tape", "coke", "mallet", "sponge"):
         assert needed in labels
 

@@ -9,8 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from worldkit import drafts_of
 
-from aide.affordance import AffordanceVector, class_centroid, class_names, distance, vector
+from aide.affordance import (
+    AffordanceVector,
+    DimensionMismatchError,
+    class_centroid,
+    class_names,
+    distance,
+    vector,
+)
 from aide.config import ConfigParams
 from aide.geometry import Region
 from aide.space import (
@@ -25,7 +33,6 @@ from aide.space import (
     build_space,
     load_space,
     read_corpus,
-    record_to_dict,
     save_space,
     write_corpus,
 )
@@ -99,7 +106,7 @@ def test_build_singletons_when_far_apart():
     drafts = [
         _record(f"r{i}", class_centroid(n, params.X)) for i, n in enumerate(names)
     ]
-    space = build_space(drafts, params, seed=0)
+    space = build_space(drafts_of(drafts, params.X), params, seed=0)
     assert space.record_count == 4
     sizes = sorted(
         sum(len(s.ids) for s in c.subclusters) for c in space.clusters
@@ -111,7 +118,7 @@ def test_build_duplicated_record_collapses():
     params = ConfigParams(a=2, b=3, D=25.0)
     point = vector([4.0] * params.X)
     drafts = [_record(f"dup{i}", point) for i in range(params.a * params.b)]
-    space = build_space(drafts, params, seed=1)
+    space = build_space(drafts_of(drafts, params.X), params, seed=1)
     populated = [
         s for c in space.clusters for s in c.subclusters if len(s.ids)
     ]
@@ -127,7 +134,7 @@ def test_build_filters_on_both_vectors():
     drafts += [_record(f"b{i}", hi) for i in range(4)]
     drafts.append(_record("tool-outlier", lo, tool_vec=hi))
     drafts.append(_record("instr-outlier", vector([5.0, 5.0, 5.0])))
-    space = build_space(drafts, params, seed=2)
+    space = build_space(drafts_of(drafts, params.X), params, seed=2)
     ids = {r.id for r in space.iter_records()}
     assert "tool-outlier" not in ids
     assert "instr-outlier" not in ids
@@ -137,15 +144,19 @@ def test_build_filters_on_both_vectors():
 def test_build_errors():
     params = ConfigParams(X=3, a=4, b=1)
     with pytest.raises(SpaceBuildError):
-        build_space([], params, seed=0)
+        build_space(drafts_of([], 3), params, seed=0)
     with pytest.raises(SpaceBuildError):
-        build_space([_record("only", vector([1, 2, 3]))], params, seed=0)
+        build_space(drafts_of([_record("only", vector([1, 2, 3]))], 3), params, seed=0)
     with pytest.raises(DuplicateRecordError):
         build_space(
-            [_record("same", vector([1, 2, 3])), _record("same", vector([2, 2, 2]))],
+            drafts_of(
+                [_record("same", vector([1, 2, 3])), _record("same", vector([2, 2, 2]))], 3
+            ),
             ConfigParams(X=3, a=1, b=1),
             seed=0,
         )
+    with pytest.raises(DimensionMismatchError):
+        build_space(drafts_of([_record("x", vector([1, 2]))], 2), params, seed=0)
 
 
 def test_build_deterministic(corpus, params):
@@ -171,10 +182,10 @@ def test_build_respects_distance_filter(space, params):
 
 
 def test_dfs_exact_vector_hits(space, corpus, params):
-    target = corpus[10]
-    hit, visited = space.dfs_retrieve(target.instruction_affordance, 10.0)
+    target = AffordanceVector(tuple(corpus.instruction[10].tolist()))
+    hit, visited = space.dfs_retrieve(target, 10.0)
     assert hit is not None
-    assert distance(target.instruction_affordance, hit.instruction_affordance) <= 10.0
+    assert distance(target, hit.instruction_affordance) <= 10.0
     assert visited <= space.record_count
 
 
@@ -228,8 +239,6 @@ def test_radius_equal_to_the_numpy_oracle_distance_is_inside(space, params):
 
 
 def test_dfs_dimension_mismatch(space):
-    from aide.affordance import DimensionMismatchError
-
     with pytest.raises(DimensionMismatchError):
         space.dfs_retrieve(vector([1.0, 2.0]), 10.0)
 
@@ -267,16 +276,15 @@ def test_candidate_set_whole_subcluster_with_big_radius(space):
     assert len(got) == len(sub.ids)
 
 
-def test_candidate_set_requires_membership(space, corpus, params):
+def test_candidate_set_requires_membership(space, params):
     foreign = _record("not-in-space", vector([5.0] * params.X))
     with pytest.raises(SpaceError):
         space.candidate_set(foreign, params.d)
-    # A draft is stored, but its position was never set (-1, -1).
-    draft = corpus[0]
-    assert draft.id in {r.id for r in space.iter_records()}
+    stored = next(space.iter_records())
+    # A stored record as a draft, whose position was never set (-1, -1).
+    draft = dataclasses.replace(stored, cluster_id=-1, subcluster_id=-1)
     with pytest.raises(SpaceError, match="not stored at cluster -1, subcluster -1"):
         space.candidate_set(draft, params.d)
-    stored = next(space.iter_records())
     moved = dataclasses.replace(stored, subcluster_id=(stored.subcluster_id + 1) % params.b)
     with pytest.raises(SpaceError, match="not stored at"):
         space.candidate_set(moved, params.d)
@@ -450,29 +458,6 @@ def test_loaded_space_holds_one_object_per_distinct_result(space, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def _v1_document(space) -> dict:
-    """``space`` as an ``aide-space/1`` document: every record, results
-    included, nested under its subcluster."""
-    return {
-        "schema": "aide-space/1",
-        "params": space.params.to_dict(),
-        "record_count": space.record_count,
-        "clusters": [
-            {
-                "centroid": cluster.centroid.as_list(),
-                "subclusters": [
-                    {
-                        "centroid": sub.centroid.as_list(),
-                        "records": [record_to_dict(r) for r in subcluster_records(space, ci, sj)],
-                    }
-                    for sj, sub in enumerate(cluster.subclusters)
-                ],
-            }
-            for ci, cluster in enumerate(space.clusters)
-        ],
-    }
-
-
 def _facts(space) -> tuple:
     """Everything a loaded space holds: params, tree, records in order with
     their vectors, results and positions, the result table in order, and
@@ -496,14 +481,11 @@ def _facts(space) -> tuple:
     )
 
 
-def test_v1_and_v2_documents_of_a_space_load_to_equal_spaces(space, tmp_path):
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    v1.write_text(json.dumps(_v1_document(space)))
-    save_space(space, v2)
-    from_v1, from_v2 = load_space(v1), load_space(v2)
-    assert _facts(from_v1) == _facts(from_v2) == _facts(space)
-    assert json.dumps(_v1_document(from_v2)) == v1.read_text()
-    assert json.loads(v2.read_text())["schema"] == "aide-space/2"
+def test_a_v2_document_of_a_space_loads_to_an_equal_space(space, tmp_path):
+    path = tmp_path / "v2.json"
+    save_space(space, path)
+    assert _facts(load_space(path)) == _facts(space)
+    assert json.loads(path.read_text())["schema"] == "aide-space/2"
 
 
 def test_save_load_save_is_byte_identical_after_a_clone_insert(space, params, tmp_path):
@@ -517,17 +499,6 @@ def test_save_load_save_is_byte_identical_after_a_clone_insert(space, params, tm
     assert _facts(loaded) == _facts(clone)
     save_space(loaded, again)
     assert again.read_bytes() == path.read_bytes()
-
-
-@pytest.mark.parametrize("field", ["cluster_id", "subcluster_id"])
-def test_v1_load_rejects_a_record_stored_away_from_its_position(space, tmp_path, field):
-    doc = _v1_document(space)
-    sub = next(s for c in doc["clusters"] for s in c["subclusters"] if s["records"])
-    sub["records"][0][field] += 1
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SpaceFormatError, match="stored under"):
-        load_space(path)
 
 
 def _rows_of(doc) -> np.ndarray:
@@ -601,6 +572,15 @@ def _empty_id(doc):
     doc["ids"][4] = ""
 
 
+def _number_id(doc):
+    # Loaded, this id would not match a later insert of the string "5".
+    doc["ids"][4] = 5
+
+
+def _number_text(doc):
+    doc["texts"][4] = 5
+
+
 @pytest.mark.parametrize(
     ("corrupt", "message"),
     [
@@ -617,6 +597,8 @@ def _empty_id(doc):
         (_nan_score, "not finite"),
         (_no_result_row, "no result row"),
         (_empty_id, "empty record id"),
+        (_number_id, "record ids must be strings"),
+        (_number_text, "record texts must be strings"),
     ],
 )
 def test_load_rejects_a_malformed_v2_document(space, tmp_path, corrupt, message):
@@ -633,10 +615,13 @@ def test_load_rejects_wrong_schema(space, tmp_path):
     path = tmp_path / "space.json"
     save_space(space, path)
     doc = json.loads(path.read_text())
-    doc["schema"] = "aide-space/99"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SpaceSchemaError):
-        load_space(path)
+    # aide-space/1, which nested every record under its subcluster, is no
+    # longer read either; the error names the deterministic rebuild.
+    for schema in ("aide-space/99", "aide-space/1"):
+        doc["schema"] = schema
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpaceSchemaError, match=f"got '{schema}'.*aide build-space"):
+            load_space(path)
 
 
 def test_load_rejects_truncated_document(space, tmp_path):
@@ -672,14 +657,23 @@ def test_load_rejects_a_dropped_param_that_was_set(space, tmp_path):
         load_space(path)
 
 
-def test_corpus_round_trip(corpus, tmp_path):
-    path = tmp_path / "drafts.jsonl"
-    n = write_corpus(corpus[:25], path)
-    assert n == 25
+def _results_per_draft(drafts) -> list[list[GroundingResult]]:
+    return [[drafts.results[r] for r in row if r >= 0] for row in drafts.result_rows.tolist()]
+
+
+def test_corpus_round_trip(corpus, params, tmp_path):
+    path, again = tmp_path / "drafts.jsonl", tmp_path / "again.jsonl"
+    assert write_corpus(corpus, path) == len(corpus) == 432
     loaded = read_corpus(path)
-    assert [r.id for r in loaded] == [r.id for r in corpus[:25]]
-    assert loaded[0].instruction_affordance == corpus[0].instruction_affordance
-    assert loaded[0].results == corpus[0].results
+    assert (loaded.ids, loaded.texts) == (corpus.ids, corpus.texts)
+    assert np.array_equal(loaded.instruction, corpus.instruction)
+    assert np.array_equal(loaded.tool, corpus.tool)
+    assert _results_per_draft(loaded) == _results_per_draft(corpus)
+    write_corpus(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    save_space(build_space(loaded, params, seed=7), tmp_path / "from-file.json")
+    save_space(build_space(corpus, params, seed=7), tmp_path / "generated.json")
+    assert (tmp_path / "from-file.json").read_bytes() == (tmp_path / "generated.json").read_bytes()
 
 
 def test_corpus_rejects_garbage(tmp_path):
@@ -687,6 +681,56 @@ def test_corpus_rejects_garbage(tmp_path):
     path.write_text('{"id": "x"\n')
     with pytest.raises(SpaceFormatError):
         read_corpus(path)
+
+
+def _corpus_line(**changes) -> str:
+    record = {
+        "id": "ins-0",
+        "text": "do the thing",
+        "instruction_affordance": [1.0, 2.0, 3.0],
+        "tool_affordance": [1.0, 2.0, 3.0],
+        "cluster_id": -1,
+        "subcluster_id": -1,
+        "results": [
+            {
+                "tool_label": "cup",
+                "tool_image": "tool:drink:cup",
+                "tool_region": [0, 0, 100, 100],
+                "operational_region": [0, 50, 100, 100],
+                "functional_region": [0, 0, 100, 50],
+            }
+        ],
+    }
+    record.update(changes)
+    return json.dumps(record) + "\n"
+
+
+@pytest.mark.parametrize(
+    ("changes", "message"),
+    [
+        ({"id": 5}, "record ids must be strings"),
+        ({"text": 5}, "record texts must be strings"),
+        ({"id": ""}, "empty record id"),
+        ({"tool_affordance": [1.0, 2.0, 10.5]}, "outside"),
+        ({"instruction_affordance": [1.0, "2", 3.0]}, "numbers"),
+        ({"instruction_affordance": [1.0, 2.0]}, "malformed corpus"),
+        ({"results": []}, "0 results"),
+        ({"results": [{"tool_label": "cup"}]}, "line 2"),
+    ],
+)
+def test_corpus_rejects_a_malformed_record(tmp_path, changes, message):
+    path = tmp_path / "drafts.jsonl"
+    path.write_text(_corpus_line(id="ins-1") + _corpus_line(**changes))
+    with pytest.raises(SpaceFormatError, match=message):
+        read_corpus(path)
+
+
+def test_corpus_shares_one_table_row_per_distinct_result(tmp_path):
+    path = tmp_path / "drafts.jsonl"
+    path.write_text(_corpus_line(id="ins-0") + "\n" + _corpus_line(id="ins-1"))
+    drafts = read_corpus(path)
+    assert len(drafts.results) == 1
+    assert drafts.result_rows.tolist() == [[0, -1, -1], [0, -1, -1]]
 
 
 def test_grounding_result_invariants():

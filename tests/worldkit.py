@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from aide.mock import MockPerception
+from aide.space import MAX_RESULTS_PER_RECORD, Drafts
 from aide.simulator import OCCLUDED, VISIBLE, World, WorldObject
 
 
@@ -84,3 +87,20 @@ class PairCountingMock(MockPerception):
     def similarity(self, a, b):
         self.pairs.append((a, b))
         return super().similarity(a, b)
+
+
+def drafts_of(records, dims):
+    """``records`` as ``Drafts`` of ``dims``-dimensional vectors; equal
+    results share one table row."""
+    table = {}
+    rows = [[table.setdefault(r, len(table)) for r in record.results] for record in records]
+    return Drafts(
+        ids=[record.id for record in records],
+        texts=[record.text for record in records],
+        instruction=np.array([r.instruction_affordance.scores for r in records], dtype=float).reshape(-1, dims),
+        tool=np.array([r.tool_affordance.scores for r in records], dtype=float).reshape(-1, dims),
+        results=list(table),
+        result_rows=np.array(
+            [row + [-1] * (MAX_RESULTS_PER_RECORD - len(row)) for row in rows], dtype=np.intp
+        ).reshape(-1, MAX_RESULTS_PER_RECORD),
+    )
