@@ -141,6 +141,13 @@ def _seed_from(text: str) -> int:
 @lru_cache(maxsize=None)
 def _catalog_centroids(names: tuple[str, ...], dims: int) -> dict[str, AffordanceVector]:
     """Deterministic class centroids with a guaranteed minimum separation."""
+    half_span = (SCORE_MAX - SCORE_MIN) / 2.0
+    if half_span * np.sqrt(dims) < _MIN_NEUTRAL_SEPARATION:  # even the corners lie too near
+        least = int(np.ceil((_MIN_NEUTRAL_SEPARATION / half_span) ** 2))
+        raise ValueError(
+            f"class centroids need X >= {least}: at X = {dims} no score vector lies"
+            f" {_MIN_NEUTRAL_SEPARATION:g} from the neutral one"
+        )
     accepted: dict[str, np.ndarray] = {}
     neutral = np.full(dims, (SCORE_MIN + SCORE_MAX) / 2.0)
     for name in names:

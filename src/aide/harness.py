@@ -40,7 +40,7 @@ from .simulator import (
 from .space import (
     Drafts,
     GroundingResult,
-    InstructionRecord,
+    Position,
     RelationshipSpace,
     build_space,
     write_corpus,
@@ -370,7 +370,7 @@ def _ablation_queries(
     return queries
 
 
-def _stored_rows(space: RelationshipSpace) -> Iterator[tuple[tuple[int, int, int], str, np.ndarray]]:
+def _stored_rows(space: RelationshipSpace) -> Iterator[tuple[Position, str, np.ndarray]]:
     """Position, text and instruction row of every stored record, one row at a
     time in stored order."""
     for ci, cluster in enumerate(space.clusters):
@@ -379,25 +379,25 @@ def _stored_rows(space: RelationshipSpace) -> Iterator[tuple[tuple[int, int, int
                 yield (ci, sj, k), text, sub.instruction_rows[k]
 
 
-def _exhaustive_scan(space: RelationshipSpace, query: AffordanceVector) -> InstructionRecord | None:
+def _exhaustive_scan(space: RelationshipSpace, query: AffordanceVector) -> Position | None:
     """Plain full scan, one row at a time, with the distance the DFS uses;
     ties go to the first row."""
     point = np.asarray(query.scores)
     best = min(_stored_rows(space), key=lambda row: float(euclidean(point, row[2])), default=None)
-    return None if best is None else space.record(*best[0])
+    return None if best is None else best[0]
 
 
-def _textsim_dfs(space: RelationshipSpace, text: str, threshold: float):
+def _textsim_dfs(space: RelationshipSpace, text: str, threshold: float) -> Position | None:
     """Stored-order DFS terminating on the first text similarity above threshold."""
     for at, stored, _ in _stored_rows(space):
         if token_cosine(text, stored) > threshold:
-            return space.record(*at)
+            return at
     return None
 
 
-def _textsim_exhaustive(space: RelationshipSpace, text: str):
+def _textsim_exhaustive(space: RelationshipSpace, text: str) -> Position | None:
     best = max(_stored_rows(space), key=lambda row: token_cosine(text, row[1]), default=None)
-    return None if best is None else space.record(*best[0])
+    return None if best is None else best[0]
 
 
 def ablate_retrieval(
@@ -426,12 +426,12 @@ def ablate_retrieval(
         start = time.perf_counter()
         outcomes = [run(q) for q in queries]
         elapsed = time.perf_counter() - start
-        for q, record in zip(queries, outcomes):
-            if record is None:
+        for q, at in zip(queries, outcomes):
+            if at is None:
                 hits += not q.acceptable_exists
             else:
                 hits += q.acceptable_exists and (
-                    distance(q.vector, record.instruction_affordance) <= reference_radius
+                    distance(q.vector, space.record(*at).instruction_affordance) <= reference_radius
                 )
         return _pct(hits, len(queries)), elapsed / len(queries)
 

@@ -7,17 +7,17 @@ and subclusters ordered by centroid proximity that stops at the first record
 within radius ``c`` of the query; candidate expansion then filters the hit's
 subcluster by tool-vector distance ``d``.
 
-The layout is an inverted file: a stored record is a row. Each subcluster
-keeps its records' ids, texts and vectors as columns, and their results as
-rows of one space-wide table of distinct ``GroundingResult``s (a corpus
-repeats a few results many times), so retrieval and candidate pools are numpy
-work over arrays, not walks over records. An ``InstructionRecord`` is built
-from its row only on demand: for a retrieval's hit, or by ``iter_records``.
-``clone`` is copy-on-write: a clone shares the columns of the space it was
-cloned from, and the set of ids that space was built or loaded with; it
-copies the result table (a few dozen rows) and the set of ids inserted since.
-An insert replaces the columns it changes, and appends to the clone's own
-result table and inserted-id set.
+The layout is an inverted file: a stored record is a row, and the space names
+it only by its ``Position``, (cluster, subcluster, row). Each subcluster keeps
+its records' ids, texts and vectors as columns, and their results as rows of
+one space-wide table of distinct ``GroundingResult``s (a corpus repeats a few
+results many times), so retrieval and candidate pools are numpy work over
+arrays, not walks over records. An ``InstructionRecord`` holds a record's
+content without its position; one is built from its row only by ``record`` or
+``iter_records``. Clusters and subclusters are immutable, and an insert
+replaces the one cluster it lands in. So ``clone`` copies the list of
+clusters, the result table (a few dozen rows) and the set of ids inserted
+since, and shares the clusters and the set of ids the space was built with.
 
 ``save_space`` writes the same layout to one ``aide-space/2`` JSON document:
 the result table once, the cluster tree with centroids and subcluster sizes,
@@ -36,10 +36,9 @@ build and a load both construct the space through ``_space_from_columns``.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -53,6 +52,9 @@ from .geometry import Region
 SPACE_SCHEMA = "aide-space/2"
 
 MAX_RESULTS_PER_RECORD = 3
+
+# A stored record's place in the space: cluster, subcluster, row.
+Position = tuple[int, int, int]
 
 
 class SpaceError(RuntimeError):
@@ -112,15 +114,15 @@ class GroundingResult:
             raise ValueError("unseen region label and image must be set together")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstructionRecord:
+    """A record's content; where it is stored is its ``Position``."""
+
     id: str
     text: str
     instruction_affordance: AffordanceVector
     tool_affordance: AffordanceVector
     results: tuple[GroundingResult, ...]
-    cluster_id: int = -1
-    subcluster_id: int = -1
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -153,14 +155,14 @@ class Drafts:
         return len(self.ids)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Subcluster:
     """The records of one subcluster, stored only as columns, one row per
     record: ids, texts, instruction and tool vectors as float rows, and each
     record's results as its row of ``result_rows`` (rows of the space's result
     table, padded with -1). ``RelationshipSpace.record`` builds a record from
-    its row. ``append`` replaces every column instead of writing into it, so
-    clones share them all. Subclusters compare by identity."""
+    its row. Immutable: ``appended`` returns a new subcluster, so every space
+    that holds this one keeps it as it is. Subclusters compare by identity."""
 
     centroid: AffordanceVector
     ids: np.ndarray = field(repr=False)
@@ -169,18 +171,21 @@ class Subcluster:
     tool_rows: np.ndarray = field(repr=False)
     result_rows: np.ndarray = field(repr=False)
 
-    def append(self, record: InstructionRecord, result_rows: list[int]) -> None:
-        self.ids = np.append(self.ids, record.id)
-        self.texts = [*self.texts, record.text]
-        self.instruction_rows = np.vstack([self.instruction_rows, record.instruction_affordance.scores])
-        self.tool_rows = np.vstack([self.tool_rows, record.tool_affordance.scores])
-        self.result_rows = np.vstack([self.result_rows, _padded(result_rows)])
+    def appended(self, record: InstructionRecord, result_rows: list[int]) -> "Subcluster":
+        return Subcluster(
+            self.centroid,
+            np.append(self.ids, record.id),
+            [*self.texts, record.text],
+            np.vstack([self.instruction_rows, record.instruction_affordance.scores]),
+            np.vstack([self.tool_rows, record.tool_affordance.scores]),
+            np.vstack([self.result_rows, _padded(result_rows)]),
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cluster:
     centroid: AffordanceVector
-    subclusters: list[Subcluster] = field(default_factory=list)
+    subclusters: tuple[Subcluster, ...]
 
 
 @dataclass
@@ -211,8 +216,7 @@ class RelationshipSpace:
             )
 
     def record(self, ci: int, sj: int, k: int) -> InstructionRecord:
-        """Row ``k`` of subcluster ``sj`` of cluster ``ci``, built as a record
-        at that position."""
+        """The record at position (``ci``, ``sj``, ``k``), built from its row."""
         sub = self.clusters[ci].subclusters[sj]
         return InstructionRecord(
             id=str(sub.ids[k]),
@@ -220,21 +224,20 @@ class RelationshipSpace:
             instruction_affordance=AffordanceVector(tuple(sub.instruction_rows[k].tolist())),
             tool_affordance=AffordanceVector(tuple(sub.tool_rows[k].tolist())),
             results=tuple(self.results[row] for row in sub.result_rows[k].tolist() if row >= 0),
-            cluster_id=ci,
-            subcluster_id=sj,
         )
 
-    def iter_records(self) -> Iterator[InstructionRecord]:
-        """Every stored record in stored order, each built from its row."""
+    def iter_records(self) -> Iterator[tuple[Position, InstructionRecord]]:
+        """Every stored record's position and record, in stored order, each
+        record built from its row."""
         for ci, cluster in enumerate(self.clusters):
             for sj, sub in enumerate(cluster.subclusters):
                 for k in range(len(sub.ids)):
-                    yield self.record(ci, sj, k)
+                    yield (ci, sj, k), self.record(ci, sj, k)
 
     def dfs_retrieve(
         self, query: AffordanceVector, c: float | None = None
-    ) -> tuple[InstructionRecord | None, int]:
-        """First record within ``c`` of the query, or (None, visits) if none exists.
+    ) -> tuple[Position | None, int]:
+        """Position of the first record within ``c`` of the query, or (None, visits).
 
         Clusters and subclusters are visited in ascending centroid distance
         (ties to the lower index); records in stored order. The second element
@@ -252,27 +255,20 @@ class RelationshipSpace:
                 hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= radius)
                 if hits.size:
                     k = int(hits[0])
-                    return self.record(int(ci), int(sj), k), visited + k + 1
+                    return (int(ci), int(sj), k), visited + k + 1
                 visited += len(subs[sj].ids)
         return None, visited
 
-    def candidate_set(self, anchor: InstructionRecord, d: float | None = None) -> np.ndarray:
-        """Rows of the anchor's subcluster within tool-affordance distance ``d``.
+    def candidate_set(self, anchor: Position, d: float | None = None) -> np.ndarray:
+        """Rows of the anchor's subcluster within tool-affordance distance ``d`` of its row.
 
         Sorted by ascending distance with the record id as tiebreak; always
-        contains the anchor's own row (distance zero). The anchor's cluster
-        and subcluster must name the subcluster that holds that row.
+        contains the anchor's row (distance zero).
         """
         radius = self.params.d if d is None else d
-        ci, sj = anchor.cluster_id, anchor.subcluster_id
-        subs = self.clusters[ci].subclusters if 0 <= ci < len(self.clusters) else []
-        misplaced = SpaceError(f"anchor {anchor.id!r} is not stored at cluster {ci}, subcluster {sj}")
-        if not 0 <= sj < len(subs):
-            raise misplaced
-        sub = subs[sj]
-        dists = euclidean(anchor.tool_affordance.scores, sub.tool_rows)
-        if anchor.id not in sub.ids[dists == 0]:  # its own row lies at distance zero
-            raise misplaced
+        ci, sj, k = anchor
+        sub = self.clusters[ci].subclusters[sj]
+        dists = euclidean(sub.tool_rows[k], sub.tool_rows)
         picked = np.flatnonzero(dists <= radius)
         near = dists[picked]
         order = np.argsort(near)
@@ -280,12 +276,11 @@ class RelationshipSpace:
             order = np.lexsort((sub.ids[picked], near))
         return picked[order]
 
-    def candidate_results(
-        self, anchor: InstructionRecord, rows: np.ndarray
-    ) -> list[GroundingResult]:
+    def candidate_results(self, anchor: Position, rows: np.ndarray) -> list[GroundingResult]:
         """Distinct results of the anchor subcluster's ``rows`` (as
         ``candidate_set`` returns them), in first-seen order along ``rows``."""
-        sub = self.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+        ci, sj, _ = anchor
+        sub = self.clusters[ci].subclusters[sj]
         flat = sub.result_rows[rows].ravel()
         distinct, first = np.unique(flat[flat >= 0], return_index=True)
         return [self.results[row] for row in distinct[np.argsort(first)].tolist()]
@@ -293,50 +288,42 @@ class RelationshipSpace:
     def clone(self) -> "RelationshipSpace":
         """Independent writable view, copy-on-write.
 
-        ``insert`` replaces the columns it changes instead of writing into
-        them. So the clone shares every column, the stored ids and the
-        centroid rows, and copies only the result table and the inserted ids;
-        its cost does not grow with the space.
+        Clusters are immutable and ``insert`` replaces the one it changes. So
+        the clone shares every cluster, the stored ids and the centroid rows,
+        and copies only the cluster list, the result table and the inserted
+        ids; its cost does not grow with the records.
         """
-        clusters = [
-            Cluster(cluster.centroid, [copy.copy(sub) for sub in cluster.subclusters])
-            for cluster in self.clusters
-        ]
-        return RelationshipSpace(
-            params=self.params,
-            clusters=clusters,
+        return replace(
+            self,
+            clusters=list(self.clusters),
             results=list(self.results),
-            _stored_ids=self._stored_ids,
             _inserted_ids=set(self._inserted_ids),
-            _centroid_rows=self._centroid_rows,
         )
 
     # -- mutation --------------------------------------------------------
 
-    def nearest_cluster(self, v: AffordanceVector) -> int:
-        self._check_dims(v)
-        return int(_nearest_first(v.scores, self._centroid_rows[0])[0])
-
-    def insert(self, record: InstructionRecord) -> "RelationshipSpace":
-        """Assign to the nearest cluster and subcluster without recentering.
+    def insert(self, record: InstructionRecord) -> Position:
+        """Append ``record`` to the nearest subcluster of the nearest cluster
+        without recentering; returns its position.
 
         Centroids stay put so that retrieval stays deterministic mid-episode;
         insertions are rare (one per novel task).
         """
         if record.id in self._stored_ids or record.id in self._inserted_ids:
             raise DuplicateRecordError(f"record id {record.id!r} already stored")
-        ci = self.nearest_cluster(record.instruction_affordance)
-        subs = self.clusters[ci].subclusters
+        self._check_dims(record.instruction_affordance)
         point = record.instruction_affordance.scores
+        ci = int(_nearest_first(point, self._centroid_rows[0])[0])
         sj = int(_nearest_first(point, self._centroid_rows[1][ci])[0])
-        record.cluster_id = ci
-        record.subcluster_id = sj
         for result in record.results:
             if result not in self.results:
                 self.results.append(result)
-        subs[sj].append(record, [self.results.index(r) for r in record.results])
+        cluster = self.clusters[ci]
+        subs = list(cluster.subclusters)
+        subs[sj] = subs[sj].appended(record, [self.results.index(r) for r in record.results])
+        self.clusters[ci] = Cluster(cluster.centroid, tuple(subs))
         self._inserted_ids.add(record.id)
-        return self
+        return ci, sj, len(subs[sj].ids) - 1
 
 
 # --- build --------------------------------------------------------------
@@ -606,7 +593,7 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
                 )
             )
             lo = hi
-        clusters.append(Cluster(AffordanceVector(tuple(centroid)), subs))
+        clusters.append(Cluster(AffordanceVector(tuple(centroid)), tuple(subs)))
     dims = columns.params.X
     return RelationshipSpace(
         params=columns.params,

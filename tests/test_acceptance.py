@@ -60,7 +60,7 @@ def uniform_queries(params, count, seed):
 def test_criterion_1_dfs_correctness(space, params):
     """Every hit within c; NotFound exactly when brute force finds nothing."""
     start = time.perf_counter()
-    matrix = np.array([r.instruction_affordance.scores for r in space.iter_records()])
+    matrix = np.array([r.instruction_affordance.scores for _, r in space.iter_records()])
     queries = in_distribution_queries(params, 600, seed=101) + uniform_queries(
         params, 400, seed=202
     )
@@ -73,7 +73,7 @@ def test_criterion_1_dfs_correctness(space, params):
             assert visited == space.record_count
             misses += 1
         else:
-            assert distance(query, hit.instruction_affordance) <= params.c
+            assert distance(query, space.record(*hit).instruction_affordance) <= params.c
             assert bf_min <= params.c
             hits += 1
     elapsed = time.perf_counter() - start
@@ -94,7 +94,7 @@ def test_criterion_2_dfs_efficiency(space, params):
             early += 1
     dfs_time = (time.perf_counter() - t0) / len(queries)
 
-    records = list(space.iter_records())
+    records = [record for _, record in space.iter_records()]
     t0 = time.perf_counter()
     for query in queries:
         best = None
@@ -323,8 +323,8 @@ def test_criterion_9_build_invariants(params):
         drafts = gen_corpus(240, params.X, params.a, params.b, seed=seed)
         built = build_space(drafts, params, seed=seed)
         assert brute_force_assignments(built)
-        for record in built.iter_records():
-            cluster = built.clusters[record.cluster_id]
+        for (ci, sj, _), record in built.iter_records():
+            cluster = built.clusters[ci]
             assert distance(record.instruction_affordance, cluster.centroid) <= params.D
             assert distance(record.tool_affordance, cluster.centroid) <= params.D
             subs = cluster.subclusters
@@ -332,7 +332,7 @@ def test_criterion_9_build_invariants(params):
                 range(len(subs)),
                 key=lambda j: (distance(record.instruction_affordance, subs[j].centroid), j),
             )
-            assert nearest == record.subcluster_id
+            assert nearest == sj
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0
     report(9, ok, f"20 corpora: assignment fixed point + both-vector D filter, {elapsed:.1f}s < 30s")

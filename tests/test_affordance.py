@@ -84,3 +84,10 @@ def test_extended_class_names():
     assert len(names) == 10
     assert names[:8] == class_names()
     assert names[8].startswith("class")
+
+
+def test_centroids_refuse_a_dimension_count_too_small_to_clear_the_neutral_vector():
+    # At X = 5 no point of [0, 10]^5 lies 14 from the all-fives vector (the
+    # corners lie 5 * sqrt(5) ~ 11.2 away), so the draw could never succeed.
+    with pytest.raises(ValueError, match="X >= 8"):
+        class_centroid("drink", 5)

@@ -33,14 +33,17 @@ def noiseless(world, params, seed=0):
 
 
 def oracle_facts(space, anchor, d):
-    """Pool facts by brute force: walk the anchor's subcluster, keep the records
-    within ``d``, sort them by (distance, id) and read their results in order."""
-    sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
-    members = (space.record(anchor.cluster_id, anchor.subcluster_id, k) for k in range(len(sub.ids)))
+    """Pool facts by brute force: walk the anchor position's subcluster, keep
+    the records within ``d`` of the anchor's, sort them by (distance, id) and
+    read their results in order."""
+    ci, sj, k = anchor
+    sub = space.clusters[ci].subclusters[sj]
+    members = [space.record(ci, sj, row) for row in range(len(sub.ids))]
+    tool = members[k].tool_affordance
     near = sorted(
-        (distance(anchor.tool_affordance, r.tool_affordance), r.id, r)
+        (distance(tool, r.tool_affordance), r.id, r)
         for r in members
-        if distance(anchor.tool_affordance, r.tool_affordance) <= d
+        if distance(tool, r.tool_affordance) <= d
     )
     results = [result for _, _, r in near for result in r.results]
     images = [result.tool_image for result in results]
@@ -61,7 +64,7 @@ def pool_facts(pool):
 
 
 def test_retrieve_pool_matches_bruteforce_subcluster_filter(space, params):
-    anchor_like = next(space.iter_records())
+    _, anchor_like = next(space.iter_records())
     query = anchor_like.instruction_affordance
     pool = retrieve_candidates(space, anchor_like.text, query, params)
     assert not isinstance(pool, Novel)
@@ -77,7 +80,7 @@ def test_retrieve_novel_when_nothing_in_radius(space, params):
 
 
 def test_retrieve_zero_expansion_radius(space, params):
-    record = next(space.iter_records())
+    _, record = next(space.iter_records())
     tight = dataclasses.replace(params, d=0.0)
     pool = retrieve_candidates(space, record.text, record.instruction_affordance, tight)
     anchor, _ = space.dfs_retrieve(record.instruction_affordance, tight.c)
@@ -85,7 +88,7 @@ def test_retrieve_zero_expansion_radius(space, params):
 
 
 def test_pool_hints_deduplicated(space, params):
-    record = next(space.iter_records())
+    _, record = next(space.iter_records())
     pool = retrieve_candidates(space, record.text, record.instruction_affordance, params)
     assert len(set(pool.unseen_hints)) == len(pool.unseen_hints)
 
@@ -135,9 +138,9 @@ def test_pool_facts_match_the_bruteforce_walk_on_random_spaces(params):
     rng = np.random.Generator(np.random.PCG64(3))
     for seed in range(5):
         space = random_space(seed, small)
-        for anchor in space.iter_records():
-            sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
-            other = space.record(anchor.cluster_id, anchor.subcluster_id, int(rng.integers(len(sub.ids))))
+        for (ci, sj, _), anchor in space.iter_records():
+            sub = space.clusters[ci].subclusters[sj]
+            other = space.record(ci, sj, int(rng.integers(len(sub.ids))))
             boundary = distance(anchor.tool_affordance, other.tool_affordance)
             for d in (0.0, boundary, 3.0, 100.0):
                 got, expected = retrieved_and_oracle(space, anchor.instruction_affordance, small, d)
@@ -147,7 +150,7 @@ def test_pool_facts_match_the_bruteforce_walk_on_random_spaces(params):
 def test_pool_facts_after_an_insert_into_a_clone(params):
     small = dataclasses.replace(params, a=2, b=2, D=100.0)
     space = random_space(9, small)
-    base = next(space.iter_records())
+    _, base = next(space.iter_records())
     query = base.instruction_affordance
     before = retrieved_and_oracle(space, query, small, 0.0)
     box = Region(0, 0, 10, 10)
@@ -194,12 +197,12 @@ def test_the_5000_draft_space_keeps_its_pinned_snapshot_bytes(large_space, tmp_p
     assert digest == "b26596f8d087b31b825daab2ad86755d008f0766156f9eb84ca515ee294fd1e8"
 
 
-def test_retrieval_at_scale_reads_only_the_anchor_record(large_space, params, built_records):
-    queries = list(large_space.iter_records())[::250]
+def test_retrieval_at_scale_builds_no_record(large_space, params, built_records):
+    queries = [record for _, record in large_space.iter_records()][::250]
     for record in queries:
         built_records.clear()
         pool = retrieve_candidates(large_space, record.text, record.instruction_affordance, params)
-        assert len(built_records) == 1  # the retrieval's anchor, built once by DFS
+        assert built_records == []  # retrieval and expansion read rows by position
         anchor, _ = large_space.dfs_retrieve(record.instruction_affordance, params.c)
         assert pool_facts(pool) == oracle_facts(large_space, anchor, params.d)
 
@@ -272,10 +275,8 @@ def test_match_reads_pool_facts_without_walking_candidates(space, params, built_
     mock = noiseless(world, params)
     frame, _ = observe(world, params)
     pool = drink_pool(space, params, mock)
-    assert len(built_records) == 1  # the retrieval's anchor
-    built_records.clear()
     outcome = match_tool(frame, pool, params, mock)
-    assert built_records == []
+    assert built_records == []  # neither retrieval nor matching builds a record
     assert isinstance(outcome, Grounded)
     assert outcome.result.tool_label == "cup"
 

@@ -231,7 +231,7 @@ def test_run_msi_occluded_attaches_hint(space, params):
     clone = space.clone()
     record = run_msi(TaskInput(world.instruction, frame), PlannerState(), clone, params, mock)
     assert record.results[0].unseen_region_label == "fridge"
-    inserted = [r for r in clone.iter_records() if r.id.startswith("msi-")]
+    inserted = [r for _, r in clone.iter_records() if r.id.startswith("msi-")]
     assert inserted == [record]
 
 
@@ -282,7 +282,7 @@ def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
     assert state.tick.stream == "msi"
     assert state.status == RUNNING
     assert mock.subjects.count(instruction) == 1
-    stored = [r for r in clone.iter_records() if r.id.startswith("msi-")]
+    stored = [r for _, r in clone.iter_records() if r.id.startswith("msi-")]
     assert [r.instruction_affordance for r in stored] == [mock.score_affordance(instruction)]
 
 

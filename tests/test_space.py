@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import base64
-import dataclasses
 import hashlib
 import json
 
@@ -26,7 +25,6 @@ from aide.space import (
     GroundingResult,
     InstructionRecord,
     SpaceBuildError,
-    SpaceError,
     SpaceFormatError,
     SpaceSchemaError,
     brute_force_assignments,
@@ -48,13 +46,13 @@ def _result(label="cup", cls="drink"):
     )
 
 
-def _record(rid, instr_vec, tool_vec=None, text="do the thing"):
+def _record(rid, instr_vec, tool_vec=None, text="do the thing", results=None):
     return InstructionRecord(
         id=rid,
         text=text,
         instruction_affordance=instr_vec,
         tool_affordance=tool_vec if tool_vec is not None else instr_vec,
-        results=(_result(),),
+        results=results or (_result(),),
     )
 
 
@@ -66,7 +64,7 @@ def subcluster_records(space, ci, sj):
 
 def brute_force_nearest(space, query):
     best, best_dist = None, float("inf")
-    for record in space.iter_records():
+    for _, record in space.iter_records():
         d = distance(query, record.instruction_affordance)
         if d < best_dist:
             best, best_dist = record, d
@@ -88,14 +86,14 @@ def test_build_cluster_purity_against_blob_oracle(corpus, space, params):
 
     majority = {}
     per_cluster = {}
-    for record in space.iter_records():
-        per_cluster.setdefault(record.cluster_id, []).append(blob_of(record))
+    for (ci, _, _), record in space.iter_records():
+        per_cluster.setdefault(ci, []).append(blob_of(record))
     for cid, blobs in per_cluster.items():
         majority[cid] = Counter(blobs).most_common(1)[0][0]
     total = matches = 0
-    for record in space.iter_records():
+    for (ci, _, _), record in space.iter_records():
         total += 1
-        matches += majority[record.cluster_id] == blob_of(record)
+        matches += majority[ci] == blob_of(record)
     assert total == 432
     assert matches / total >= 0.95
 
@@ -135,7 +133,7 @@ def test_build_filters_on_both_vectors():
     drafts.append(_record("tool-outlier", lo, tool_vec=hi))
     drafts.append(_record("instr-outlier", vector([5.0, 5.0, 5.0])))
     space = build_space(drafts_of(drafts, params.X), params, seed=2)
-    ids = {r.id for r in space.iter_records()}
+    ids = {r.id for _, r in space.iter_records()}
     assert "tool-outlier" not in ids
     assert "instr-outlier" not in ids
     assert len(ids) == 8
@@ -162,8 +160,8 @@ def test_build_errors():
 def test_build_deterministic(corpus, params):
     s1 = build_space(corpus, params, seed=42)
     s2 = build_space(corpus, params, seed=42)
-    a1 = {r.id: (r.cluster_id, r.subcluster_id) for r in s1.iter_records()}
-    a2 = {r.id: (r.cluster_id, r.subcluster_id) for r in s2.iter_records()}
+    a1 = {r.id: at for at, r in s1.iter_records()}
+    a2 = {r.id: at for at, r in s2.iter_records()}
     assert a1 == a2
 
 
@@ -172,8 +170,8 @@ def test_build_is_centroid_fixed_point(space):
 
 
 def test_build_respects_distance_filter(space, params):
-    for record in space.iter_records():
-        centroid = space.clusters[record.cluster_id].centroid
+    for (ci, _, _), record in space.iter_records():
+        centroid = space.clusters[ci].centroid
         assert distance(record.instruction_affordance, centroid) <= params.D
         assert distance(record.tool_affordance, centroid) <= params.D
 
@@ -185,7 +183,7 @@ def test_dfs_exact_vector_hits(space, corpus, params):
     target = AffordanceVector(tuple(corpus.instruction[10].tolist()))
     hit, visited = space.dfs_retrieve(target, 10.0)
     assert hit is not None
-    assert distance(target, hit.instruction_affordance) <= 10.0
+    assert distance(target, space.record(*hit).instruction_affordance) <= 10.0
     assert visited <= space.record_count
 
 
@@ -199,7 +197,7 @@ def test_dfs_not_found_iff_bruteforce_beyond_radius(space, params):
             assert best > params.c
             assert visited == space.record_count
         else:
-            assert distance(query, hit.instruction_affordance) <= params.c
+            assert distance(query, space.record(*hit).instruction_affordance) <= params.c
 
 
 def test_dfs_visited_count_monotone_in_radius(space, params):
@@ -218,23 +216,23 @@ def test_dfs_hit_always_within_radius(space, params, seed):
     query = AffordanceVector(tuple(rng.uniform(0, 10, size=params.X)))
     hit, _ = space.dfs_retrieve(query, params.c)
     if hit is not None:
-        assert distance(query, hit.instruction_affordance) <= params.c
+        assert distance(query, space.record(*hit).instruction_affordance) <= params.c
 
 
 def test_radius_equal_to_the_numpy_oracle_distance_is_inside(space, params):
     # The radius is criterion 1's brute-force minimum (or the largest tool
     # distance in a subcluster), so the record at that distance must count.
-    matrix = np.array([r.instruction_affordance.scores for r in space.iter_records()])
+    matrix = np.array([r.instruction_affordance.scores for _, r in space.iter_records()])
     rng = np.random.Generator(np.random.PCG64(2024))
     for _ in range(200):
         query = AffordanceVector(tuple(rng.uniform(0, 10, size=params.X)))
         radius = float(np.sqrt(((matrix - np.array(query.scores)) ** 2).sum(axis=1)).min())
         hit, _ = space.dfs_retrieve(query, radius)
         assert hit is not None
-    for anchor in space.iter_records():
-        sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+    for anchor, record in space.iter_records():
+        sub = space.clusters[anchor[0]].subclusters[anchor[1]]
         tools = sub.tool_rows
-        radius = float(np.sqrt(((tools - np.array(anchor.tool_affordance.scores)) ** 2).sum(axis=1)).max())
+        radius = float(np.sqrt(((tools - np.array(record.tool_affordance.scores)) ** 2).sum(axis=1)).max())
         assert len(space.candidate_set(anchor, radius)) == len(sub.ids)
 
 
@@ -247,47 +245,35 @@ def test_dfs_dimension_mismatch(space):
 
 
 def test_candidate_set_matches_bruteforce_filter(space, params):
-    anchor = next(space.iter_records())
-    members = subcluster_records(space, anchor.cluster_id, anchor.subcluster_id)
-    assert len(members) <= 100
-    for d in (0.0, 3.0, params.d, 100.0):
-        got = [members[i] for i in space.candidate_set(anchor, d)]
-        expected = sorted(
-            (r for r in members if distance(anchor.tool_affordance, r.tool_affordance) <= d),
-            key=lambda r: (distance(anchor.tool_affordance, r.tool_affordance), r.id),
-        )
-        assert got == expected
-        assert anchor in got
+    for ci, cluster in enumerate(space.clusters):
+        for sj in range(len(cluster.subclusters)):
+            members = subcluster_records(space, ci, sj)
+            assert len(members) <= 100
+            for k, anchor in enumerate(members):
+                for d in (0.0, 3.0, params.d, 100.0):
+                    rows = space.candidate_set((ci, sj, k), d)
+                    expected = sorted(
+                        (r for r in members if distance(anchor.tool_affordance, r.tool_affordance) <= d),
+                        key=lambda r: (distance(anchor.tool_affordance, r.tool_affordance), r.id),
+                    )
+                    assert [members[i] for i in rows] == expected
+                    assert k in rows
 
 
 def test_candidate_set_zero_radius(space):
-    anchor = next(space.iter_records())
-    members = subcluster_records(space, anchor.cluster_id, anchor.subcluster_id)
+    anchor, record = next(space.iter_records())
+    members = subcluster_records(space, *anchor[:2])
     got = space.candidate_set(anchor, 0.0)
     assert len(got) >= 1
     for i in got:
-        assert distance(anchor.tool_affordance, members[i].tool_affordance) == 0.0
+        assert distance(record.tool_affordance, members[i].tool_affordance) == 0.0
 
 
 def test_candidate_set_whole_subcluster_with_big_radius(space):
-    anchor = next(space.iter_records())
-    sub = space.clusters[anchor.cluster_id].subclusters[anchor.subcluster_id]
+    anchor, _ = next(space.iter_records())
+    sub = space.clusters[anchor[0]].subclusters[anchor[1]]
     got = space.candidate_set(anchor, 1000.0)
     assert len(got) == len(sub.ids)
-
-
-def test_candidate_set_requires_membership(space, params):
-    foreign = _record("not-in-space", vector([5.0] * params.X))
-    with pytest.raises(SpaceError):
-        space.candidate_set(foreign, params.d)
-    stored = next(space.iter_records())
-    # A stored record as a draft, whose position was never set (-1, -1).
-    draft = dataclasses.replace(stored, cluster_id=-1, subcluster_id=-1)
-    with pytest.raises(SpaceError, match="not stored at cluster -1, subcluster -1"):
-        space.candidate_set(draft, params.d)
-    moved = dataclasses.replace(stored, subcluster_id=(stored.subcluster_id + 1) % params.b)
-    with pytest.raises(SpaceError, match="not stored at"):
-        space.candidate_set(moved, params.d)
 
 
 # --- insert -----------------------------------------------------------------
@@ -297,14 +283,13 @@ def test_insert_round_trip(space, params):
     clone = space.clone()
     vec = AffordanceVector(tuple(min(9.9, v + 0.3) for v in class_centroid("drink").scores))
     record = _record("fresh-insert", vec)
-    clone.insert(record)
+    at = clone.insert(record)
+    assert clone.record(*at) == record
+    assert record == _record("fresh-insert", vec)  # the caller's record is left as it was
+    assert (at, record) in clone.iter_records()
     hit, _ = clone.dfs_retrieve(vec, 1.0)
-    assert hit is not None and hit.id in {"fresh-insert"} | {
-        r.id for r in clone.iter_records()
-    }
-    # The inserted record must be reachable with a tiny radius query.
-    found = any(r.id == "fresh-insert" for r in clone.iter_records())
-    assert found
+    assert hit is not None
+    assert distance(vec, clone.record(*hit).instruction_affordance) <= 1.0
     assert clone.record_count == space.record_count + 1
     assert space.record_count == sum(1 for _ in space.iter_records())
 
@@ -314,31 +299,29 @@ def test_insert_assigns_nearest_centroids(space, params):
     rng = np.random.Generator(np.random.PCG64(77))
     for i in range(100):
         vec = AffordanceVector(tuple(rng.uniform(0, 10, size=params.X)))
-        record = _record(f"bulk-{i}", vec)
-        clone.insert(record)
+        ci, sj, k = clone.insert(_record(f"bulk-{i}", vec))
         expected_cluster = min(
             range(len(clone.clusters)),
             key=lambda j: (distance(vec, clone.clusters[j].centroid), j),
         )
-        assert record.cluster_id == expected_cluster
+        assert ci == expected_cluster
         subs = clone.clusters[expected_cluster].subclusters
         expected_sub = min(
             range(len(subs)), key=lambda j: (distance(vec, subs[j].centroid), j)
         )
-        assert record.subcluster_id == expected_sub
+        assert sj == expected_sub
+        assert k == len(subs[sj].ids) - 1
 
 
 def test_insert_on_subcluster_centroid(space):
     clone = space.clone()
     target = clone.clusters[0].subclusters[0]
-    record = _record("on-centroid", target.centroid)
-    clone.insert(record)
-    assert record.cluster_id == 0 and record.subcluster_id == 0
+    assert clone.insert(_record("on-centroid", target.centroid))[:2] == (0, 0)
 
 
 def test_insert_duplicate_id_rejected(space):
     clone = space.clone()
-    existing = next(clone.iter_records())
+    _, existing = next(clone.iter_records())
     with pytest.raises(DuplicateRecordError):
         clone.insert(_record(existing.id, existing.instruction_affordance))
 
@@ -349,9 +332,9 @@ def test_clone_isolates_insertions(space, params):
     vec = vector([5.0] * params.X)
     clone.insert(_record("clone-only", vec))
     assert space.record_count == before
-    assert all(r.id != "clone-only" for r in space.iter_records())
+    assert all(r.id != "clone-only" for _, r in space.iter_records())
     # The clone shares the base's row arrays until the insert replaces them.
-    assert clone.dfs_retrieve(vec, 0.0)[0].id == "clone-only"
+    assert clone.record(*clone.dfs_retrieve(vec, 0.0)[0]).id == "clone-only"
     assert space.dfs_retrieve(vec, 0.0)[0] is None
 
 
@@ -369,25 +352,39 @@ def _shared(space, other):
     )
 
 
-def test_clone_shares_every_record_list_and_column_until_an_insert(space, params):
+def test_clone_shares_every_record_list_and_column_until_an_insert(space, params, tmp_path):
+    before = tmp_path / "before.json"
+    save_space(space, before)
+    source_clusters = list(space.clusters)
     first, second = space.clone(), space.clone()
     assert _shared(space, first) and _shared(space, second)
+    assert all(a is b for a, b in zip(first.clusters, space.clusters))
+    assert first.clusters is not space.clusters
     assert first._centroid_rows is second._centroid_rows is space._centroid_rows
-    record = _record("clone-insert", vector([5.0] * params.X))
-    record.results = (_result("ladle", "stir"),)
-    first.insert(record)
-    home = first.clusters[record.cluster_id].subclusters[record.subcluster_id]
+    record = _record("clone-insert", vector([5.0] * params.X), results=(_result("ladle", "stir"),))
+    ci, sj, k = first.insert(record)
+    home = first.clusters[ci].subclusters[sj]
+    assert k == len(home.ids) - 1
     assert (home.ids[-1], home.texts[-1]) == (record.id, record.text)
     assert home.instruction_rows[-1].tolist() == home.tool_rows[-1].tolist() == [5.0] * params.X
     assert home.result_rows[-1].tolist() == [len(space.results), -1, -1]
-    assert first.record(record.cluster_id, record.subcluster_id, len(home.ids) - 1) == record
+    assert first.record(ci, sj, k) == record
     assert len(first.results) == len(space.results) + 1
+    # The insert replaced exactly one cluster, and in it exactly one subcluster.
+    assert [j for j, cluster in enumerate(first.clusters) if cluster is not space.clusters[j]] == [ci]
+    subs, source = first.clusters[ci].subclusters, space.clusters[ci].subclusters
+    assert [j for j in range(len(subs)) if subs[j] is not source[j]] == [sj]
+    # The source keeps its very (immutable) clusters, and so its bytes.
+    assert all(a is b for a, b in zip(space.clusters, source_clusters))
+    after = tmp_path / "after.json"
+    save_space(space, after)
+    assert after.read_bytes() == before.read_bytes()
     assert not _shared(space, first)
     assert _shared(space, second)
     assert second.record_count == space.record_count == first.record_count - 1
-    assert "clone-insert" not in {r.id for r in space.iter_records()}
+    assert "clone-insert" not in {r.id for _, r in space.iter_records()}
     assert len(second.results) == len(space.results)
-    existing = next(space.iter_records())
+    _, existing = next(space.iter_records())
     with pytest.raises(DuplicateRecordError):
         first.insert(_record(existing.id, existing.instruction_affordance))
     with pytest.raises(DuplicateRecordError):
@@ -397,24 +394,22 @@ def test_clone_shares_every_record_list_and_column_until_an_insert(space, params
 
 def test_a_clone_of_a_clone_inherits_inserts_and_keeps_its_own(space, params, tmp_path):
     parent = space.clone()
-    first = _record("first-insert", vector([5.0] * params.X))
-    first.results = (_result("ladle", "stir"), _result())
-    parent.insert(first)
+    first = (_result("ladle", "stir"), _result())
+    parent.insert(_record("first-insert", vector([5.0] * params.X), results=first))
     child = parent.clone()
     with pytest.raises(DuplicateRecordError):
         child.insert(_record("first-insert", vector([4.0] * params.X)))
-    second = _record("second-insert", vector([4.0] * params.X))
-    second.results = (_result("whisk", "stir"), _result("ladle", "stir"))
-    child.insert(second)
+    second = (_result("whisk", "stir"), _result("ladle", "stir"))
+    child.insert(_record("second-insert", vector([4.0] * params.X), results=second))
     stored = sum(1 for _ in space.iter_records())
     assert [level.record_count for level in (space, parent, child)] == [stored, stored + 1, stored + 2]
     # Each level's result table extends the one it was cloned from.
     assert [r.tool_label for r in parent.results[len(space.results) :]] == ["ladle", "cup"]
     assert [r.tool_label for r in child.results[len(space.results) :]] == ["ladle", "cup", "whisk"]
-    assert {r.id for r in child.iter_records()} - {r.id for r in parent.iter_records()} == {
+    assert {r.id for _, r in child.iter_records()} - {r.id for _, r in parent.iter_records()} == {
         "second-insert"
     }
-    assert "second-insert" not in {r.id for r in space.iter_records()}
+    assert "second-insert" not in {r.id for _, r in space.iter_records()}
     parent.insert(_record("second-insert", vector([4.0] * params.X)))  # still free in the parent
     space.clone().insert(_record("first-insert", vector([5.0] * params.X)))
     path = tmp_path / "child.json"
@@ -433,16 +428,9 @@ def test_save_load_round_trip(space, tmp_path):
     loaded = load_space(path)
     assert loaded.record_count == space.record_count
     assert len(loaded.clusters) == len(space.clusters)
-    original = {r.id: r for r in space.iter_records()}
-    for record in loaded.iter_records():
-        source = original[record.id]
-        assert record.instruction_affordance == source.instruction_affordance
-        assert record.tool_affordance == source.tool_affordance
-        assert (record.cluster_id, record.subcluster_id) == (
-            source.cluster_id,
-            source.subcluster_id,
-        )
-        assert record.results == source.results
+    original = {r.id: (at, r) for at, r in space.iter_records()}
+    for at, record in loaded.iter_records():
+        assert (at, record) == original[record.id]
     for cluster, loaded_cluster in zip(space.clusters, loaded.clusters):
         assert cluster.centroid == loaded_cluster.centroid
 
@@ -451,7 +439,7 @@ def test_loaded_space_holds_one_object_per_distinct_result(space, tmp_path):
     path = tmp_path / "space.json"
     save_space(space, path)
     loaded = load_space(path)
-    results = [result for r in loaded.iter_records() for result in r.results]
+    results = [result for _, r in loaded.iter_records() for result in r.results]
     assert len(loaded.results) == len(set(results)) == len({id(x) for x in results})
     again = tmp_path / "again.json"
     save_space(loaded, again)
@@ -468,9 +456,8 @@ def _facts(space) -> tuple:
         [cluster.centroid for cluster in space.clusters],
         [sub.centroid for cluster in space.clusters for sub in cluster.subclusters],
         [
-            (r.id, r.text, r.instruction_affordance, r.tool_affordance, r.results)
-            + (r.cluster_id, r.subcluster_id)
-            for r in space.iter_records()
+            (r.id, r.text, r.instruction_affordance, r.tool_affordance, r.results, at)
+            for at, r in space.iter_records()
         ],
         [space.results[row] for row in range(len(space.results))],
         [
@@ -490,9 +477,8 @@ def test_a_v2_document_of_a_space_loads_to_an_equal_space(space, tmp_path):
 
 def test_save_load_save_is_byte_identical_after_a_clone_insert(space, params, tmp_path):
     clone = space.clone()
-    record = _record("clone-insert", vector([5.0] * params.X))
-    record.results = (_result("ladle", "stir"), _result())
-    clone.insert(record)
+    results = (_result("ladle", "stir"), _result())
+    clone.insert(_record("clone-insert", vector([5.0] * params.X), results=results))
     path, again = tmp_path / "space.json", tmp_path / "again.json"
     save_space(clone, path)
     loaded = load_space(path)
