@@ -34,6 +34,12 @@ _MIN_CENTROID_SEPARATION = 12.0
 # no known class (scored as all fives) stay outside every retrieval radius.
 _MIN_NEUTRAL_SEPARATION = 14.0
 
+# Rejection draws per class centroid before giving up. The 8 default classes
+# need at most 16 at X = 19 and 21,037 at X = 12; where the separations leave
+# only the corners of [0, 10]^X (X = 8 to 11), the cap turns an endless
+# redraw into a ValueError within seconds.
+_MAX_CENTROID_DRAWS = 50_000
+
 
 class DimensionMismatchError(ValueError):
     """Two vectors of different dimensionality were combined."""
@@ -151,8 +157,7 @@ def _catalog_centroids(names: tuple[str, ...], dims: int) -> dict[str, Affordanc
     accepted: dict[str, np.ndarray] = {}
     neutral = np.full(dims, (SCORE_MIN + SCORE_MAX) / 2.0)
     for name in names:
-        salt = 0
-        while True:
+        for salt in range(_MAX_CENTROID_DRAWS):
             rng = np.random.Generator(
                 np.random.PCG64(_seed_from(f"affordance-class:{name}:{dims}:{salt}"))
             )
@@ -163,7 +168,11 @@ def _catalog_centroids(names: tuple[str, ...], dims: int) -> dict[str, Affordanc
             ):
                 accepted[name] = candidate
                 break
-            salt += 1
+        else:
+            raise ValueError(
+                f"no centroid for class {name!r} in {_MAX_CENTROID_DRAWS:,} draws:"
+                f" X = {dims} leaves too little room for {len(names)} classes"
+            )
     return {
         name: AffordanceVector(tuple(float(v) for v in arr))
         for name, arr in accepted.items()

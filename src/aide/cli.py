@@ -17,9 +17,9 @@ from pathlib import Path
 from .config import ConfigParams, load_config
 from .harness import (
     ablate_retrieval,
+    console_answerer,
     gen_corpus,
     hint_answerer,
-    interactive_episode,
     render_ablation,
     render_report,
     resolve_worlds,
@@ -71,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-space", help="build and persist the relationship space")
     _add_common(p)
     p.add_argument("--corpus", type=Path, required=True, help="draft jsonl path")
-    p.add_argument("--out", type=Path, default=None, help="output space path (or --space)")
-    p.add_argument("--space", type=Path, help="output space path (or --out)")
+    p.add_argument("--out", type=Path, help="output space path (default: config paths.space)")
 
     p = sub.add_parser("eval", help="run the batch evaluation suite")
     _add_common(p)
@@ -118,9 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "build-space":
-        out = args.out or _resolved(paths, "space", args.space)
+        out = _resolved(paths, "space", args.out)
         if out is None:
-            print("build-space needs --out or --space", file=sys.stderr)
+            print("build-space needs --out", file=sys.stderr)
             return 2
         drafts = read_corpus(args.corpus)
         space = build_space(drafts, params, args.seed)
@@ -188,15 +187,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown world {args.world!r}; have: {sorted(worlds)}", file=sys.stderr)
             return 2
         world = worlds[args.world]
-        if args.interactive:
-            trace = interactive_episode(
-                world, space, params, seed=args.seed, noise=args.noise, max_steps=args.max_steps
-            )
-        else:
-            answer = hint_answerer(world)
-            _, trace = run_episode(
-                args.world, world, space, params, args.seed, args.noise, args.max_steps, answer
-            )
+        answer = console_answerer(input) if args.interactive else hint_answerer(world)
+        _, trace = run_episode(
+            args.world, world, space, params, args.seed, args.noise, args.max_steps, answer
+        )
         print(
             f"{world.world_id}: {trace.status}"
             + (f" ({trace.fail_reason})" if trace.fail_reason else "")

@@ -21,8 +21,8 @@ from .perception import (
     Detection,
     PerceptionBackend,
     SceneFrame,
-    best_similarity,
     crop_reference,
+    crop_scores,
     detect_or_empty,
     tool_regions,
 )
@@ -126,14 +126,7 @@ def match_tool(
         detect_or_empty(perception, frame, pool.tool_labels(), params.detection_budget)
     )
     images = pool.distinct_images()
-    similarities: list[float] = []
-
-    def score_up_to(rank_cap: int) -> None:
-        for det in detections[len(similarities) : rank_cap]:
-            crop = crop_reference(frame, det.box)
-            similarities.append(best_similarity(perception, crop, images))
-
-    score_up_to(params.N)
+    similarities = crop_scores(perception, frame, detections[: params.N], images)
     s_max = max(similarities, default=0.0)
     if s_max > params.m:
         best = detections[similarities.index(s_max)]
@@ -147,7 +140,7 @@ def match_tool(
         )
         return Grounded(result, s_max, detections, tuple(similarities))
 
-    score_up_to(2 * params.N)
+    similarities += crop_scores(perception, frame, detections[params.N : 2 * params.N], images)
     t_new = max(similarities, default=0.0)
     return NeedsExploration(pool, s_max, t_new, detections, tuple(similarities))
 
@@ -172,17 +165,13 @@ def ground_regions(
         return tool_regions(perception, tool, frame)
 
     images = pool.distinct_images()
-    op_exemplars = [f"{image}#op" for image in images]
-    fn_exemplars = [f"{image}#fn" for image in images]
 
-    def pick(exemplars: list[str]) -> Region:
-        def score(det: Detection) -> float:
-            return best_similarity(perception, crop_reference(frame, det.box), exemplars)
-
-        return max(parts, key=score).box
+    def pick(suffix: str) -> Region:
+        scores = crop_scores(perception, frame, parts, [f"{image}{suffix}" for image in images])
+        return parts[scores.index(max(scores))].box
 
     def clipped(box: Region) -> Region:
         inter = box.intersection(tool.box)
         return inter if inter is not None and inter.area > 0 else tool.box
 
-    return clipped(pick(op_exemplars)), clipped(pick(fn_exemplars))
+    return clipped(pick("#op")), clipped(pick("#fn"))

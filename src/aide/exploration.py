@@ -20,10 +20,10 @@ from .perception import (
     PerceptionBackend,
     SceneFrame,
     ToolHypothesis,
-    best_similarity,
     checked_candidate,
-    crop_reference,
+    crop_scores,
     detect_or_empty,
+    similarities,
 )
 
 
@@ -123,10 +123,9 @@ def invisible_explore(
         raise ValueError("instruction must be non-empty")
     hints = pool.unseen_hints if pool is not None else []
     if len(hints) > 1:
-        label = max(
-            (hint_label for hint_label, _ in hints),
-            key=lambda hint_label: best_similarity(perception, instruction, [hint_label]),
-        )
+        labels = [hint_label for hint_label, _ in hints]
+        scores = similarities(perception, instruction, labels)
+        label = labels[scores.index(max(scores))]
     elif hints:
         label = hints[0][0]
     else:
@@ -138,11 +137,8 @@ def invisible_explore(
 
     hint_images = [image for _, image in hints if image]
     if hint_images:
-
-        def score(det: Detection) -> float:
-            return best_similarity(perception, crop_reference(frame, det.box), hint_images)
-
-        return max(detections, key=score).box, label
+        scores = crop_scores(perception, frame, detections, hint_images)
+        return detections[scores.index(max(scores))].box, label
 
     chosen = checked_candidate(perception, ToolHypothesis(label=label), detections, frame)
     return chosen.box, label

@@ -217,6 +217,20 @@ def hint_answerer(world: World) -> Callable[[str], str | None]:
     return answer
 
 
+def console_answerer(input_fn: Callable[[str], str]) -> Callable[[str], str | None]:
+    """Interactive human: each recovery prompt blocks on ``input_fn``.
+
+    The answer re-seeds the reasoning pipeline: a bare label overrides the tool
+    proposal, ``x0,y0,x1,y1`` coordinates override the tool region, and an
+    empty line aborts the episode.
+    """
+
+    def answer(prompt: str) -> str | None:
+        return input_fn(f"{prompt}\n> ")
+
+    return answer
+
+
 def run_episode(
     episode_id: str,
     world_template: World,
@@ -536,35 +550,6 @@ def run_error_analysis(
     report.edr = _pct(detected, len(clear_ids))
     report.err = _pct(recovered, len(clear_ids))
     return report
-
-
-# --- interactive episode -----------------------------------------------------
-
-
-def interactive_episode(
-    world: World,
-    space: RelationshipSpace,
-    params: ConfigParams | None = None,
-    seed: int = 0,
-    noise: float | None = None,
-    input_fn: Callable[[str], str] | None = None,
-    max_steps: int = 400,
-) -> EpisodeTrace:
-    """Closed loop where recovery prompts block on console input.
-
-    The answer re-seeds the reasoning pipeline: a bare label overrides the tool
-    proposal, ``x0,y0,x1,y1`` coordinates override the tool region, and an
-    empty line aborts the episode.
-    """
-    reader = input_fn if input_fn is not None else input
-
-    def answer(prompt: str) -> str | None:
-        return reader(f"{prompt}\n> ")
-
-    _, trace = run_episode(
-        world.world_id, world, space, params or ConfigParams(), seed, noise, max_steps, answer
-    )
-    return trace
 
 
 # --- report rendering ----------------------------------------------------------

@@ -149,19 +149,32 @@ class PerceptionBackend(ABC):
         """Container label where the required tool may hide."""
 
 
-def best_similarity(perception: PerceptionBackend, a: str, refs: Iterable[str]) -> float:
-    """Highest similarity of ``a`` to any reference; 0.0 when nothing scores.
+def similarities(perception: PerceptionBackend, a: str, refs: Iterable[str]) -> list[float]:
+    """Similarity of ``a`` to each reference, in order; a failed call scores 0.0.
 
-    A failed similarity call counts as no score, so an unreachable backend
-    degrades matching to zero rather than raising.
+    The one loop over ``similarity``, so an unreachable backend degrades
+    matching to zero rather than raising.
     """
-    best = 0.0
+    scores = []
     for ref in refs:
         try:
-            best = max(best, perception.similarity(a, ref).value)
+            scores.append(perception.similarity(a, ref).value)
         except PerceptionError:
-            continue
-    return best
+            scores.append(0.0)
+    return scores
+
+
+def crop_scores(
+    perception: PerceptionBackend,
+    frame: SceneFrame,
+    detections: Iterable[Detection],
+    refs: list[str],
+) -> list[float]:
+    """Best similarity of each detection's padded crop to ``refs``; 0.0 when nothing scores."""
+    return [
+        max(similarities(perception, crop_reference(frame, det.box), refs), default=0.0)
+        for det in detections
+    ]
 
 
 def detect_or_empty(

@@ -56,10 +56,9 @@ from .perception import (
     PerceptionError,
     SceneFrame,
     ToolHypothesis,
-    best_similarity,
     checked_affordance,
     checked_candidate,
-    crop_reference,
+    crop_scores,
     detect_or_empty,
     tool_regions,
 )
@@ -266,13 +265,10 @@ def mm_cot(
         perception, task.frame, [hypothesis.label], params.detection_budget
     )
 
-    def crop_score(det: Detection) -> float:
-        return best_similarity(perception, crop_reference(task.frame, det.box), [image])
-
     wider = detections[: 2 * params.N]
     if detections:
         tool = checked_candidate(perception, hypothesis, detections[: params.N], task.frame)
-        if crop_score(tool) > params.strategy_threshold:
+        if crop_scores(perception, task.frame, [tool], [image])[0] > params.strategy_threshold:
             return grounded(tool.box)
         # The selected candidate scored at or below the threshold, so it
         # cannot lift t_new above it; only the others are scored.
@@ -281,7 +277,7 @@ def mm_cot(
     # Nothing plausibly matches. The slow stream explores only after its
     # candidate failed, so it routes with a zero match score: the wider top-2N
     # score alone picks visible or invisible exploration.
-    t_new = max(map(crop_score, wider), default=0.0)
+    t_new = max(crop_scores(perception, task.frame, wider, [image]), default=0.0)
     unmatched = NeedsExploration(None, s_max=0.0, t_new=t_new, detections=tuple(detections))
     explored = explore(unmatched, task.frame, task.instruction, params, perception)
     return plan(explored.region, vertical_halves(explored.region), explored.label)

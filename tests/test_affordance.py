@@ -91,3 +91,11 @@ def test_centroids_refuse_a_dimension_count_too_small_to_clear_the_neutral_vecto
     # corners lie 5 * sqrt(5) ~ 11.2 away), so the draw could never succeed.
     with pytest.raises(ValueError, match="X >= 8"):
         class_centroid("drink", 5)
+
+
+def test_centroids_give_up_where_only_the_corners_clear_the_neutral_vector():
+    # At X = 9 the corners lie 15 from the all-fives vector, but a uniform
+    # draw almost never lands 14 away; the capped redraw raises in about a
+    # second instead of spinning.
+    with pytest.raises(ValueError, match="X = 9"):
+        class_centroid("drink", 9, known=class_names(8))

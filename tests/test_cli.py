@@ -152,6 +152,17 @@ def test_config_file_supplies_params_and_paths(artifacts, tmp_path, capsys):
     assert "clear_brush: completed" in capsys.readouterr().out
 
 
+def test_build_space_writes_to_the_config_space_path(artifacts, tmp_path, capsys):
+    out = tmp_path / "space.json"
+    config = tmp_path / "config.json"
+    save_config(ConfigParams(), config, paths={"space": str(out)})
+    corpus = str(artifacts["corpus"])
+    assert main(["build-space", "--config", str(config), "--corpus", corpus, "--seed", "7"]) == 0
+    assert out.read_bytes() == artifacts["space"].read_bytes()
+    assert main(["build-space", "--corpus", corpus]) == 2
+    assert "build-space needs --out" in capsys.readouterr().err
+
+
 def test_config_rejects_bad_schema(tmp_path):
     bad = tmp_path / "config.json"
     bad.write_text('{"schema": "aide-config/9", "params": {}}')
@@ -177,6 +188,7 @@ UNREAD_FLAGS = [
     ("gen-corpus", "--report"),
     ("gen-corpus", "--interactive"),
     ("gen-corpus", "--noise"),
+    ("build-space", "--space"),
     ("build-space", "--scenarios"),
     ("build-space", "--report"),
     ("build-space", "--interactive"),
@@ -208,4 +220,4 @@ def test_flag_slot_count():
         for action in sub._actions
         if action.option_strings and action.dest != "help"
     )
-    assert slots == 40
+    assert slots == 39

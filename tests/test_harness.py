@@ -7,11 +7,12 @@ import pytest
 
 from aide.harness import (
     ablate_retrieval,
+    console_answerer,
     gen_corpus,
     hint_answerer,
-    interactive_episode,
     render_ablation,
     render_report,
+    run_episode,
     run_error_analysis,
     run_eval,
     write_report,
@@ -203,17 +204,16 @@ def test_interactive_episode_recovers_with_typed_label(space, params, worlds):
         prompts.append(prompt)
         return "cup"
 
-    trace = interactive_episode(
-        broken_reasoner_world(worlds), space, params, input_fn=fake_input
-    )
+    world = broken_reasoner_world(worlds)
+    _, trace = run_episode("ep", world, space, params, 0, None, 400, console_answerer(fake_input))
     assert prompts and prompts[0].endswith("> ")
     assert trace.status == "completed"
 
 
 def test_interactive_episode_empty_input_aborts(space, params, worlds):
-    trace = interactive_episode(
-        broken_reasoner_world(worlds), space, params, input_fn=lambda prompt: ""
-    )
+    world = broken_reasoner_world(worlds)
+    answer = console_answerer(lambda prompt: "")
+    _, trace = run_episode("ep", world, space, params, 0, None, 400, answer)
     assert trace.status == "failed"
     assert trace.fail_reason == "human-abort"
 

@@ -18,10 +18,11 @@ from aide.perception import (
     UnknownReferenceError,
     Detection,
     PerceptionError,
-    best_similarity,
     check_detection_ordering,
     checked_affordance,
     crop_reference,
+    crop_scores,
+    similarities,
     tool_regions,
 )
 from aide.simulator import BLURRED, OCCLUDED, observe
@@ -205,15 +206,32 @@ def test_similarity_unresolvable_reference(params):
         mock.similarity("frame:nope:0#crop:0,0,4,4", "tool:drink:cup")
 
 
-def test_best_similarity_skips_failed_references(params):
+def test_similarities_score_failed_references_zero(params):
     mock = noiseless(make_world([]), params)
     broken = "frame:nope:0#crop:0,0,4,4"
     fine = "tool:strike:hammer"
     expected = mock.similarity("tool:drink:cup", fine).value
     assert 0.0 < expected
-    assert best_similarity(mock, "tool:drink:cup", [broken, fine]) == expected
-    assert best_similarity(mock, "tool:drink:cup", [broken]) == 0.0
-    assert best_similarity(mock, "tool:drink:cup", []) == 0.0
+    assert similarities(mock, "tool:drink:cup", [broken, fine, broken]) == [0.0, expected, 0.0]
+    assert similarities(mock, "tool:drink:cup", []) == []
+
+
+def test_crop_scores_take_each_crops_best_reference(params):
+    world = make_world(
+        [obj("c1", "cup", "drink", 16.0, 29.0), obj("h1", "hammer", "strike", 24.0, 29.0)]
+    )
+    mock = noiseless(world, params)
+    frame, _ = observe(world, params)
+    dets = mock.detect(frame, ["cup", "hammer"], 5)
+    refs = ["tool:drink:cup", "frame:nope:0#crop:0,0,4,4", "tool:strike:hammer"]
+    expected = [
+        max(mock.similarity(crop_of(frame, det), ref).value for ref in (refs[0], refs[2]))
+        for det in dets
+    ]
+    assert crop_scores(mock, frame, dets, refs) == expected
+    assert crop_scores(mock, frame, dets, ["frame:nope:0#crop:0,0,4,4"]) == [0.0] * len(dets)
+    assert crop_scores(mock, frame, dets, []) == [0.0] * len(dets)
+    assert crop_scores(mock, frame, [], refs) == []
 
 
 def test_text_similarity_uses_scenario_tables(params):
