@@ -21,7 +21,7 @@ from .perception import (
     Detection,
     PerceptionBackend,
     SceneFrame,
-    crop_reference,
+    crop_references,
     crop_scores,
     detect_or_empty,
     tool_regions,
@@ -126,21 +126,24 @@ def match_tool(
         detect_or_empty(perception, frame, pool.tool_labels(), params.detection_budget)
     )
     images = pool.distinct_images()
-    similarities = crop_scores(perception, frame, detections[: params.N], images)
+    crops = crop_references(frame, detections[: params.N])
+    similarities = crop_scores(perception, crops, images)
     s_max = max(similarities, default=0.0)
     if s_max > params.m:
-        best = detections[similarities.index(s_max)]
+        index = similarities.index(s_max)
+        best = detections[index]
         operational, functional = ground_regions(frame, best, pool, params, perception)
         result = GroundingResult(
             tool_label=best.label,
-            tool_image=crop_reference(frame, best.box),
+            tool_image=crops[index],
             tool_region=best.box,
             operational_region=operational,
             functional_region=functional,
         )
         return Grounded(result, s_max, detections, tuple(similarities))
 
-    similarities += crop_scores(perception, frame, detections[params.N : 2 * params.N], images)
+    crops = crop_references(frame, detections[params.N : 2 * params.N])
+    similarities += crop_scores(perception, crops, images)
     t_new = max(similarities, default=0.0)
     return NeedsExploration(pool, s_max, t_new, detections, tuple(similarities))
 
@@ -165,9 +168,10 @@ def ground_regions(
         return tool_regions(perception, tool, frame)
 
     images = pool.distinct_images()
+    crops = crop_references(frame, parts)
 
     def pick(suffix: str) -> Region:
-        scores = crop_scores(perception, frame, parts, [f"{image}{suffix}" for image in images])
+        scores = crop_scores(perception, crops, [f"{image}{suffix}" for image in images])
         return parts[scores.index(max(scores))].box
 
     def clipped(box: Region) -> Region:

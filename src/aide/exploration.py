@@ -21,6 +21,7 @@ from .perception import (
     SceneFrame,
     ToolHypothesis,
     checked_candidate,
+    crop_references,
     crop_scores,
     detect_or_empty,
     similarities,
@@ -137,7 +138,7 @@ def invisible_explore(
 
     hint_images = [image for _, image in hints if image]
     if hint_images:
-        scores = crop_scores(perception, frame, detections, hint_images)
+        scores = crop_scores(perception, crop_references(frame, detections), hint_images)
         return detections[scores.index(max(scores))].box, label
 
     chosen = checked_candidate(perception, ToolHypothesis(label=label), detections, frame)

@@ -86,38 +86,52 @@ class Region:
         """Grow each side by ``fraction`` of the box extent, clipped to the frame."""
         dx = int(round(self.width * fraction))
         dy = int(round(self.height * fraction))
-        return Region(
-            max(self.x_min - dx, 0),
-            max(self.y_min - dy, 0),
-            self.x_max + dx,
-            self.y_max + dy,
-        ).clip(width, height)
+        x0, y0 = max(self.x_min - dx, 0), max(self.y_min - dy, 0)
+        x1, y1 = self.x_max + dx, self.y_max + dy
+        if x0 > x1 or y0 > y1:
+            raise ValueError(f"inverted region bounds: {self} padded by {fraction}")
+        # x1 >= x0 >= 0 and y1 >= y0 >= 0, so clipping only caps at the frame.
+        return Region(min(x0, width), min(y0, height), min(x1, width), min(y1, height))
 
     def as_list(self) -> list[int]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
 
-def region_from_floats(x0: float, y0: float, x1: float, y1: float) -> Region:
-    """Round float bounds to a valid Region, clamping at zero."""
-    xa, xb = sorted((x0, x1))
-    ya, yb = sorted((y0, y1))
-    return Region(
-        max(int(round(xa)), 0),
-        max(int(round(ya)), 0),
-        max(int(round(xb)), 0),
-        max(int(round(yb)), 0),
-    )
+def pixel_bounds(
+    x0: float, y0: float, x1: float, y1: float, width: int, height: int
+) -> tuple[int, int, int, int]:
+    """Float bounds ordered, rounded to pixels and clamped into a ``width x height`` frame.
+
+    The result is non-inverted and within the frame, so it is a valid
+    ``Region``'s coordinates whenever the frame is.
+    """
+    if x1 < x0:
+        x0, x1 = x1, x0
+    if y1 < y0:
+        y0, y1 = y1, y0
+    xa = max(int(round(x0)), 0)
+    ya = max(int(round(y0)), 0)
+    xb = max(int(round(x1)), 0)
+    yb = max(int(round(y1)), 0)
+    return min(xa, width), min(ya, height), min(xb, width), min(yb, height)
 
 
 def iou(a: Region, b: Region) -> float:
     """Intersection over union in [0, 1]; identical boxes score 1 even when degenerate."""
-    if a == b:
+    ax0, ay0, ax1, ay1 = a.x_min, a.y_min, a.x_max, a.y_max
+    bx0, by0, bx1, by1 = b.x_min, b.y_min, b.x_max, b.y_max
+    if ax0 == bx0 and ay0 == by0 and ax1 == bx1 and ay1 == by1:
         return 1.0
-    inter = a.intersection(b)
-    if inter is None:
+    x0 = ax0 if ax0 > bx0 else bx0
+    x1 = ax1 if ax1 < bx1 else bx1
+    if x0 > x1:
         return 0.0
-    inter_area = inter.area
-    union = a.area + b.area - inter_area
+    y0 = ay0 if ay0 > by0 else by0
+    y1 = ay1 if ay1 < by1 else by1
+    if y0 > y1:
+        return 0.0
+    inter_area = (x1 - x0) * (y1 - y0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter_area
     if union <= 0:
         return 0.0
     return inter_area / union

@@ -92,16 +92,17 @@ class MockPerception(PerceptionBackend):
     def __init__(self, world: World, params: ConfigParams, seed: int = 0, sigma: float | None = None):
         self.world = world
         self.params = params
-        self.seed = seed
         self.sigma = params.sigma if sigma is None else sigma
         self._resolve_cache: dict[str, _Resolved] = {}
+        # Every noise key ends in the seed, so it is formatted once.
+        self._key_suffix = f"|{seed}"
 
     # -- deterministic noise ------------------------------------------------
 
     def _noise(self, *key: object) -> float:
         """Standard normal keyed by (seed, query); a pure function, not an RNG."""
         digest = hashlib.blake2b(
-            ("|".join(str(k) for k in key) + f"|{self.seed}").encode("utf-8"),
+            ("|".join(map(str, key)) + self._key_suffix).encode("utf-8"),
             digest_size=8,
         ).digest()
         u = (int.from_bytes(digest, "big") + 0.5) / 2.0**64
@@ -122,29 +123,32 @@ class MockPerception(PerceptionBackend):
             raise UnknownReferenceError(f"unknown frame reference {base!r}") from None
 
     def _resolve_box(self, frame_image: str, box: Region) -> _Resolved:
-        best: tuple[float, _Resolved] | None = None
+        """What a crop shows: the object, handle or body it overlaps most.
+
+        An overlap must exceed IoU 0.05; on a tie the first in projection
+        order, and within one object in box, handle, body order, wins.
+        """
+        best_score, best, best_suffix = 0.05, None, ""
         for proj in self._projections(frame_image):
-            blurred = proj.visibility == BLURRED
-            candidates = [(proj.box, proj.label)]
+            score = iou(box, proj.box)
+            if score > best_score:
+                best_score, best, best_suffix = score, proj, ""
             if proj.handle is not None:
-                candidates.append((proj.handle, f"{proj.label}::op"))
+                score = iou(box, proj.handle)
+                if score > best_score:
+                    best_score, best, best_suffix = score, proj, "::op"
             if proj.body is not None:
-                candidates.append((proj.body, f"{proj.label}::fn"))
-            for candidate_box, tag in candidates:
-                score = iou(box, candidate_box)
-                if score > 0.05 and (best is None or score > best[0]):
-                    best = (
-                        score,
-                        _Resolved(
-                            kind="image",
-                            affordance_class=proj.affordance_class,
-                            tag=tag,
-                            blurred=blurred,
-                        ),
-                    )
+                score = iou(box, proj.body)
+                if score > best_score:
+                    best_score, best, best_suffix = score, proj, "::fn"
         if best is None:
             return _Resolved(kind="image", affordance_class=None, tag=None)
-        return best[1]
+        return _Resolved(
+            kind="image",
+            affordance_class=best.affordance_class,
+            tag=best.label + best_suffix,
+            blurred=best.visibility == BLURRED,
+        )
 
     def resolve(self, ref: str) -> _Resolved:
         cached = self._resolve_cache.get(ref)
@@ -248,7 +252,8 @@ class MockPerception(PerceptionBackend):
             value -= _TAG_MISMATCH_PENALTY
         if ra.blurred or rb.blurred:
             value -= _BLUR_PENALTY
-        value += self._score_noise("sim", *sorted((a, b)))
+        first, second = (b, a) if b < a else (a, b)
+        value += self._score_noise("sim", first, second)
         return SimilarityScore(min(max(value, 0.0), cap))
 
     def _text_similarity(self, a: str | None, b: str | None) -> float:

@@ -164,17 +164,16 @@ def similarities(perception: PerceptionBackend, a: str, refs: Iterable[str]) -> 
     return scores
 
 
+def crop_references(frame: SceneFrame, detections: Iterable[Detection]) -> list[str]:
+    """Each detection's padded crop reference, in order."""
+    return [crop_reference(frame, det.box) for det in detections]
+
+
 def crop_scores(
-    perception: PerceptionBackend,
-    frame: SceneFrame,
-    detections: Iterable[Detection],
-    refs: list[str],
+    perception: PerceptionBackend, crops: Iterable[str], refs: list[str]
 ) -> list[float]:
-    """Best similarity of each detection's padded crop to ``refs``; 0.0 when nothing scores."""
-    return [
-        max(similarities(perception, crop_reference(frame, det.box), refs), default=0.0)
-        for det in detections
-    ]
+    """Best similarity of each crop reference to ``refs``; 0.0 when nothing scores."""
+    return [max(similarities(perception, crop, refs), default=0.0) for crop in crops]
 
 
 def detect_or_empty(

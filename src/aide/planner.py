@@ -58,6 +58,8 @@ from .perception import (
     ToolHypothesis,
     checked_affordance,
     checked_candidate,
+    crop_reference,
+    crop_references,
     crop_scores,
     detect_or_empty,
     tool_regions,
@@ -268,7 +270,8 @@ def mm_cot(
     wider = detections[: 2 * params.N]
     if detections:
         tool = checked_candidate(perception, hypothesis, detections[: params.N], task.frame)
-        if crop_scores(perception, task.frame, [tool], [image])[0] > params.strategy_threshold:
+        crop = crop_reference(task.frame, tool.box)
+        if crop_scores(perception, [crop], [image])[0] > params.strategy_threshold:
             return grounded(tool.box)
         # The selected candidate scored at or below the threshold, so it
         # cannot lift t_new above it; only the others are scored.
@@ -277,7 +280,7 @@ def mm_cot(
     # Nothing plausibly matches. The slow stream explores only after its
     # candidate failed, so it routes with a zero match score: the wider top-2N
     # score alone picks visible or invisible exploration.
-    t_new = max(crop_scores(perception, task.frame, wider, [image]), default=0.0)
+    t_new = max(crop_scores(perception, crop_references(task.frame, wider), [image]), default=0.0)
     unmatched = NeedsExploration(None, s_max=0.0, t_new=t_new, detections=tuple(detections))
     explored = explore(unmatched, task.frame, task.instruction, params, perception)
     return plan(explored.region, vertical_halves(explored.region), explored.label)

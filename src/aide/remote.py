@@ -9,10 +9,11 @@ map onto three paths:
   /reason      propose_tool, select_candidate, score_affordance,
                infer_unseen_label
 
-A reply that does not parse into the capability's values, or that places a
-detection box outside the frame, raises ``PerceptionError`` like a transport
-failure does. After three consecutive failures of either kind the circuit
-opens and every call raises ``CircuitOpenError`` until ``reset()``.
+A reply that does not parse into the capability's values, places a detection
+box outside the frame, or ranks its detections out of order (ranks other than
+1..K, or a confidence that rises with rank) raises ``PerceptionError`` like a
+transport failure does. After three consecutive failures of either kind the
+circuit opens and every call raises ``CircuitOpenError`` until ``reset()``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .perception import (
     SceneFrame,
     SimilarityScore,
     ToolHypothesis,
+    check_detection_ordering,
 )
 
 Transport = Callable[[str, dict], dict]
@@ -128,6 +130,7 @@ class RemotePerception(PerceptionBackend):
             ]
             if not all(frame_box.contains(det.box) for det in found):
                 raise ValueError("detection box outside the frame")
+            check_detection_ordering(found)
             return found
 
         return self._call(

@@ -19,7 +19,7 @@ from typing import Callable
 from .affordance import CONTAINER_LABELS
 from .commands import Approach, Manipulate, MotionCommand, NoOp, Reformulate, RequestHuman
 from .config import ConfigParams
-from .geometry import Region, iou, region_from_floats, vertical_halves
+from .geometry import Region, iou, pixel_bounds, vertical_halves
 from .perception import SceneFrame
 
 WORLD_SCHEMA = "aide-world/1"
@@ -165,6 +165,19 @@ class World:
         return VISIBLE
 
 
+def _part_region(
+    world: World, rect: WorldRect | None, x0: int, y0: int, x1: int, y1: int
+) -> Region | None:
+    """A part's pixels within its object's box ``x0, y0, x1, y1``; None when
+    the part is missing or covers no area there."""
+    if rect is None:
+        return None
+    size = world.frame_size
+    px0, py0, px1, py1 = pixel_bounds(*world._project_rect(rect), size, size)
+    px0, py0, px1, py1 = max(px0, x0), max(py0, y0), min(px1, x1), min(py1, y1)
+    return Region(px0, py0, px1, py1) if px0 < px1 and py0 < py1 else None
+
+
 def observe(world: World, params: ConfigParams) -> tuple[SceneFrame, list[ProjectedObject]]:
     """Render the current world into a frame plus the detection ground feed."""
     rx, ry, heading = world.robot
@@ -178,35 +191,26 @@ def observe(world: World, params: ConfigParams) -> tuple[SceneFrame, list[Projec
         robot_heading=heading,
         pixels_per_unit=world.pixels_per_unit,
     )
+    size = world.frame_size
     projections: list[ProjectedObject] = []
     for obj in world.objects.values():
         visibility = world.effective_visibility(obj, params)
         if visibility is None:
             continue
         raw = world._project_rect(obj.box)
-        if raw[2] <= 0 or raw[0] >= world.frame_size or raw[3] <= 0 or raw[1] >= world.frame_size:
+        if raw[2] <= 0 or raw[0] >= size or raw[3] <= 0 or raw[1] >= size:
             continue
-        box = region_from_floats(*raw).clip(world.frame_size, world.frame_size)
-        if box.area == 0:
+        x0, y0, x1, y1 = pixel_bounds(*raw, size, size)
+        if x0 == x1 or y0 == y1:
             continue
-
-        def _part(rect: WorldRect | None) -> Region | None:
-            if rect is None:
-                return None
-            part = region_from_floats(*world._project_rect(rect)).clip(
-                world.frame_size, world.frame_size
-            )
-            inter = part.intersection(box)
-            return inter if inter is not None and inter.area > 0 else None
-
         projections.append(
             ProjectedObject(
                 object_id=obj.id,
                 label=obj.label,
                 affordance_class=obj.affordance_class,
-                box=box,
-                handle=_part(obj.handle),
-                body=_part(obj.body),
+                box=Region(x0, y0, x1, y1),
+                handle=_part_region(world, obj.handle, x0, y0, x1, y1),
+                body=_part_region(world, obj.body, x0, y0, x1, y1),
                 distance=world.robot_distance_to(obj.center),
                 visibility=visibility,
             )

@@ -21,11 +21,12 @@ from aide.perception import (
     check_detection_ordering,
     checked_affordance,
     crop_reference,
+    crop_references,
     crop_scores,
     similarities,
     tool_regions,
 )
-from aide.simulator import BLURRED, OCCLUDED, observe
+from aide.simulator import BLURRED, OCCLUDED, ProjectedObject, observe
 
 
 @pytest.fixture()
@@ -195,7 +196,7 @@ def test_similarity_symmetric_and_below_one(params):
         for b in refs:
             ab = mock.similarity(a, b).value
             ba = mock.similarity(b, a).value
-            assert ab == pytest.approx(ba)
+            assert ab == ba
             assert 0.0 <= ab < 1.0
 
 
@@ -228,10 +229,12 @@ def test_crop_scores_take_each_crops_best_reference(params):
         max(mock.similarity(crop_of(frame, det), ref).value for ref in (refs[0], refs[2]))
         for det in dets
     ]
-    assert crop_scores(mock, frame, dets, refs) == expected
-    assert crop_scores(mock, frame, dets, ["frame:nope:0#crop:0,0,4,4"]) == [0.0] * len(dets)
-    assert crop_scores(mock, frame, dets, []) == [0.0] * len(dets)
-    assert crop_scores(mock, frame, [], refs) == []
+    crops = crop_references(frame, dets)
+    assert crops == [crop_of(frame, det) for det in dets]
+    assert crop_scores(mock, crops, refs) == expected
+    assert crop_scores(mock, crops, ["frame:nope:0#crop:0,0,4,4"]) == [0.0] * len(dets)
+    assert crop_scores(mock, crops, []) == [0.0] * len(dets)
+    assert crop_scores(mock, [], refs) == []
 
 
 def test_text_similarity_uses_scenario_tables(params):
@@ -251,6 +254,120 @@ def test_token_cosine():
     assert token_cosine("crack the walnuts", "walnuts crack easily") > 0.5
     assert token_cosine("abc", "xyz") == 0.0
     assert token_cosine("", "anything") == 0.0
+
+
+# --- pinned noisy values ------------------------------------------------------
+#
+# Exact floats at sigma 0.5, recorded before the mock's kernels were rewritten
+# to work on coordinates; any change to the noise keys, crop resolution or
+# scoring shows here as a changed value.
+
+PINNED_FRAME = "frame:testworld:0#crop:"
+
+PINNED_DETECTIONS = [
+    ("body", (300, 320, 340, 344), 0.38888388504333127),
+    ("hammer", (460, 320, 500, 360), 0.3874757478905688),
+    ("body", (460, 320, 500, 344), 0.37402105491361126),
+    ("handle", (460, 344, 500, 360), 0.36955251596070693),
+    ("handle", (300, 344, 340, 360), 0.36779495115527844),
+    ("cup", (300, 320, 340, 360), 0.3507844564445421),
+    ("handle", (360, 208, 440, 240), 0.061773269715342756),
+    ("fridge", (360, 160, 440, 240), 0.061121125718831),
+    ("body", (360, 160, 440, 208), 0.02283483699507432),
+]
+
+PINNED_SIMILARITIES = [
+    # crop and catalog tool: same tag, same part, another part, another class
+    (PINNED_FRAME + "298,318,342,362", "tool:drink:cup", 0.9461717105900297),
+    (PINNED_FRAME + "298,343,342,361", "tool:drink:cup#op", 0.9823112248656781),
+    (PINNED_FRAME + "298,319,342,345", "tool:drink:cup#op", 0.7768921249583018),
+    (PINNED_FRAME + "458,318,502,362", "tool:drink:cup", 0.24720779607092044),
+    # a blurred crop and its container, two crops, two catalog images
+    (PINNED_FRAME + "356,156,444,244", "container:fridge", 0.9294502266138305),
+    (PINNED_FRAME + "298,318,342,362", PINNED_FRAME + "458,318,502,362", 0.28672533302805114),
+    ("tool:strike:hammer", "container:fridge", 0.2713025027922439),
+    # a crop over nothing, a crop against text, and two texts
+    (PINNED_FRAME + "0,0,4,4", "tool:drink:cup", 0.3),
+    (PINNED_FRAME + "298,318,342,362", "a cup to drink from", 0.35777087639996635),
+    ("I am thirsty", "cup", 0.9),
+    ("a cup to drink from", "drink from a glass", 0.6708203932499369),
+]
+
+PINNED_CUP_AFFORDANCE = (
+    7.924494191905944, 0.2938067952776971, 0.7429167899735456, 7.132775750902299,
+    8.179772125514553, 9.391897329496985, 9.492080577866655, 6.889420359594946,
+    8.970177290404779, 3.1482640611596158, 6.416068314110165, 1.4367017946772895,
+    7.002025297889625, 10.0, 3.7197902210417184, 2.346922897717993,
+    5.120809895484199, 0.6787889175547301, 8.856551130097218,
+)
+
+
+def pinned_scene(params):
+    world = make_world(
+        [
+            obj("c1", "cup", "drink", 16.0, 29.0),
+            obj("h1", "hammer", "strike", 24.0, 29.0),
+            obj("f1", "fridge", "contain", 20.0, 22.0, w=4, h=4, visibility=BLURRED),
+        ],
+        tool_table={"I am thirsty": "cup"},
+    )
+    frame, _ = observe(world, params)
+    return MockPerception(world, params, seed=3, sigma=0.5), frame
+
+
+def test_detect_confidences_are_pinned(params):
+    mock, frame = pinned_scene(params)
+    dets = mock.detect(frame, ["cup", "hammer", "fridge", "handle", "body"], 10)
+    assert [(d.label, tuple(d.box.as_list()), d.confidence) for d in dets] == PINNED_DETECTIONS
+
+
+@pytest.mark.parametrize("a,b,value", PINNED_SIMILARITIES)
+def test_similarity_is_pinned(params, a, b, value):
+    mock, _ = pinned_scene(params)
+    assert mock.similarity(a, b).value == value
+    assert mock.similarity(b, a).value == value
+
+
+def test_score_affordance_is_pinned(params):
+    mock, _ = pinned_scene(params)
+    # The noise key of score i is ("aff", subject, i): its int part is str()-joined.
+    assert mock.score_affordance("tool:drink:cup").scores == PINNED_CUP_AFFORDANCE
+
+
+def projected(box, handle=None, body=None, label="cup"):
+    return ProjectedObject(
+        object_id=label,
+        label=label,
+        affordance_class="drink",
+        box=box,
+        handle=handle,
+        body=body,
+        distance=1.0,
+        visibility="visible",
+    )
+
+
+def test_a_crop_resolves_only_above_five_percent_overlap(params):
+    world = make_world([])
+    world.observations["frame:t:0"] = [projected(Region(0, 0, 10, 10))]
+    mock = noiseless(world, params)
+    assert iou(Region(0, 0, 5, 1), Region(0, 0, 10, 10)) == 0.05
+    assert mock.resolve("frame:t:0#crop:0,0,5,1").tag is None
+    assert mock.resolve("frame:t:0#crop:0,0,6,1").tag == "cup"
+
+
+def test_a_crop_tied_between_parts_resolves_to_the_first(params):
+    box, handle, crop = Region(0, 0, 10, 10), Region(0, 3, 10, 10), Region(0, 2, 10, 7)
+    assert iou(crop, box) == iou(crop, handle) == 0.5
+    world = make_world([])
+    world.observations["frame:t:0"] = [
+        projected(box, handle=handle, body=handle),
+        projected(box, label="mug"),
+    ]
+    mock = noiseless(world, params)
+    # Box before handle before body, and the first object before the second.
+    assert mock.resolve("frame:t:0#crop:0,2,10,7").tag == "cup"
+    assert mock.resolve("frame:t:0#crop:0,3,10,10").tag == "cup::op"
 
 
 # --- reasoner-style capabilities ---------------------------------------------

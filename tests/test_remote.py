@@ -132,6 +132,14 @@ MALFORMED = [
     ("detect-outside-frame", "/detect",
      {"detections": [{"label": "cup", "box": [90, 90, 101, 100], "confidence": 0.9}]},
      lambda r: r.detect(frame(), ["cup"], 5)),
+    ("detect-repeated-rank", "/detect",
+     {"detections": [{"label": "cup", "box": [1, 2, 3, 4], "confidence": 0.2, "rank": 1},
+                     {"label": "cup", "box": [5, 6, 7, 8], "confidence": 0.9, "rank": 1}]},
+     lambda r: r.detect(frame(), ["cup"], 5)),
+    ("detect-confidence-rises", "/detect",
+     {"detections": [{"label": "cup", "box": [1, 2, 3, 4], "confidence": 0.2},
+                     {"label": "cup", "box": [5, 6, 7, 8], "confidence": 0.9}]},
+     lambda r: r.detect(frame(), ["cup"], 5)),
     ("similarity", "/similarity", {"value": "high"}, lambda r: r.similarity("a", "b")),
     ("propose_tool", "/reason", {"attributes": []}, lambda r: r.propose_tool("x", frame())),
     ("select_candidate", "/reason", {"index": None},
@@ -167,3 +175,22 @@ def test_non_dict_reply_counts_toward_breaker():
         with pytest.raises(PerceptionError):
             remote.similarity("a", "b")
     assert remote.circuit_open
+
+
+def test_detect_rejects_a_reply_out_of_rank_order():
+    reply = {
+        "detections": [
+            {"label": "cup", "box": [1, 2, 3, 4], "confidence": 0.2, "rank": 1},
+            {"label": "cup", "box": [5, 6, 7, 8], "confidence": 0.9, "rank": 1},
+        ]
+    }
+    transport = ScriptedTransport({"/detect": reply})
+    remote = client(transport)
+    with pytest.raises(PerceptionError, match="malformed response from /detect"):
+        remote.detect(frame(), ["cup"], 5)
+    assert remote._consecutive_failures == 1
+    # Equal confidences keep their order; a well-formed reply clears the strike.
+    reply["detections"][1].update(confidence=0.2, rank=2)
+    dets = remote.detect(frame(), ["cup"], 5)
+    assert [(d.rank, d.confidence) for d in dets] == [(1, 0.2), (2, 0.2)]
+    assert remote._consecutive_failures == 0

@@ -3,6 +3,9 @@ from __future__ import annotations
 import math
 
 import pytest
+from geometry_oracle import region_clip, region_from_floats, region_intersection
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from worldkit import make_world, obj
 
 from aide.geometry import Region
@@ -60,6 +63,70 @@ def test_observe_skips_absent_and_out_of_window(params):
     )
     _, projections = observe(world, params)
     assert [p.object_id for p in projections] == ["here"]
+
+
+def projected_boxes(world, params):
+    """(id, box, handle, body) of each object ``observe`` renders, as first
+    written: a Region for every rounded, clipped and intersected box."""
+    size = world.frame_size
+    out = []
+    for o in world.objects.values():
+        if world.effective_visibility(o, params) is None:
+            continue
+        raw = world._project_rect(o.box)
+        if raw[2] <= 0 or raw[0] >= size or raw[3] <= 0 or raw[1] >= size:
+            continue
+        box = region_clip(region_from_floats(*raw), size, size)
+        if box.area == 0:
+            continue
+
+        def part(rect):
+            if rect is None:
+                return None
+            clipped = region_clip(region_from_floats(*world._project_rect(rect)), size, size)
+            inter = region_intersection(clipped, box)
+            return inter if inter is not None and inter.area > 0 else None
+
+        out.append((o.id, box, part(o.handle), part(o.body)))
+    return out
+
+
+@st.composite
+def part_worlds(draw):
+    """Objects, some with a handle and a body, placed across the frame border.
+
+    Coordinates are drawn in 1/40 units, which at 20 px per unit is half a
+    pixel, so rounding ties are common. The frame spans x 0..40, y 12..52.
+    """
+    objects = []
+    for i in range(draw(st.integers(1, 4))):
+        x0, y0 = draw(st.integers(-80, 1680)), draw(st.integers(400, 2160))
+        x1, y1 = x0 + draw(st.integers(0, 240)), y0 + draw(st.integers(0, 240))
+        split = y0 + (y1 - y0) * draw(st.integers(0, 8)) // 8
+        inset = (x1 - x0) * draw(st.integers(0, 8)) // 16
+        handle = (x0 + inset, split, x1 - inset, y1) if draw(st.booleans()) else None
+        body = (x0, y0, x1, split) if draw(st.booleans()) else None
+        objects.append(
+            WorldObject(
+                id=f"o{i}",
+                label="cup",
+                box=tuple(v / 40 for v in (x0, y0, x1, y1)),
+                affordance_class="drink",
+                handle=handle and tuple(v / 40 for v in handle),
+                body=body and tuple(v / 40 for v in body),
+            )
+        )
+    return make_world(objects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(part_worlds())
+@example(make_world([obj("edge", "cup", "drink", 0.0, 12.0, w=1.0, h=1.0)]))  # frame corner
+@example(make_world([obj("flat", "cup", "drink", 20.0, 30.0, w=2.0, h=0.025)]))  # one-pixel rows
+def test_observe_matches_the_region_oracle(params, world):
+    expected = projected_boxes(world, params)
+    _, projections = observe(world, params)
+    assert [(p.object_id, p.box, p.handle, p.body) for p in projections] == expected
 
 
 def test_occluded_hidden_until_container_opens(params):
