@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", help="generate synthetic instruction drafts")
     _add_common(p)
     p.add_argument("--out", type=Path, required=True, help="output jsonl path")
-    p.add_argument("--count", type=int, default=None, help="draft count (default: config A)")
+    p.add_argument("--count", type=int, default=432, help="draft count")
 
     p = sub.add_parser("build-space", help="build and persist the relationship space")
     _add_common(p)
@@ -111,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     params, paths = _params_and_paths(args)
 
     if args.command == "gen-corpus":
-        count = args.count if args.count is not None else params.A
-        drafts = gen_corpus(count, params.X, params.a, params.b, args.seed, path=args.out)
+        drafts = gen_corpus(args.count, params.X, params.a, params.b, args.seed, path=args.out)
         print(f"wrote {len(drafts)} drafts to {args.out}")
         return 0
 

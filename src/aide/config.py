@@ -15,16 +15,19 @@ class ConfigError(ValueError):
 
 
 # Dropped fields, with the value every saved document holds for them.
-_RETIRED = {"T": None, "frame_size": 800, "view_range": 40.0, "visible_candidate_max_rank": None}
+_RETIRED = {
+    "T": None, "frame_size": 800, "view_range": 40.0, "visible_candidate_max_rank": None,
+    # Now gen_corpus's A, MockPerception's sigma, and module constants.
+    "A": 432, "sigma": 0.5, "frame_period": 100.0, "epsilon": 1e-6,
+    "confidence_lambda": 5.0, "blur_range": 8.0, "max_subgoal_depth": 4,
+}
 
 
 @dataclass(frozen=True)
 class ConfigParams:
-    """All tunables in one immutable bundle.
+    """The planner's settings in one immutable bundle.
 
     Retrieval and matching:
-      A            target corpus size for generation; the build's surviving size,
-                   the paper's T, is ``RelationshipSpace.record_count``
       X            affordance dimensions
       a, b         cluster and subcluster counts
       D            build-time center filter radius (applies to both vectors)
@@ -38,20 +41,16 @@ class ConfigParams:
       strategy_threshold   visible-vs-invisible routing on t_new
       validity_threshold   confidence + similarity floor for a valid tool object
 
-    Simulation and mocks:
-      frame_period       tick length in milliseconds
-      sigma              mock noise scale (0 disables noise)
-      epsilon            similarity clamp margin below 1
-      r_near             world distance that counts as "near" a target
-      approach_speed     world units moved per tick
-      confidence_lambda  distance decay constant for mock detection confidence
-      blur_range         world distance beyond which visible objects blur
-      max_subgoal_depth  reformulation stack limit
+    Robot:
+      r_near           world distance that counts as "near" a target
+      approach_speed   world units moved per tick
 
-    Frame size and view range are no settings: each ``aide-world/1`` carries its own.
+    The corpus size is ``gen_corpus``'s ``A`` and the mock noise
+    ``MockPerception``'s ``sigma``; the tick length, blur range, mock
+    confidence decay and similarity cap, and subgoal depth limit are module
+    constants. Frame size and view range come with each ``aide-world/1``.
     """
 
-    A: int = 432
     X: int = 19
     a: int = 8
     b: int = 3
@@ -64,14 +63,8 @@ class ConfigParams:
     PX: int = 250
     strategy_threshold: float = 0.75
     validity_threshold: float = 0.5
-    frame_period: float = 100.0
-    sigma: float = 0.5
-    epsilon: float = 1e-6
     r_near: float = 1.0
     approach_speed: float = 0.5
-    confidence_lambda: float = 5.0
-    blur_range: float = 8.0
-    max_subgoal_depth: int = 4
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -84,12 +77,10 @@ class ConfigParams:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"distance {name} must be non-negative, got {value}")
-        if self.A < 1 or self.X < 1 or self.a < 1 or self.b < 1:
-            raise ConfigError("corpus sizes, dimensions and cluster counts must be positive")
+        if self.X < 1 or self.a < 1 or self.b < 1:
+            raise ConfigError("dimensions and cluster counts must be positive")
         if self.PX < 0:
             raise ConfigError(f"PX must be non-negative, got {self.PX}")
-        if self.sigma < 0 or self.epsilon <= 0 or self.frame_period <= 0:
-            raise ConfigError("sigma, epsilon and frame_period must be valid")
 
     @property
     def detection_budget(self) -> int:
@@ -107,7 +98,12 @@ class ConfigParams:
         if not isinstance(raw, dict):
             raise ConfigError("params section must be a mapping")
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(k for k in raw if k not in known and (k, raw[k]) not in _RETIRED.items())
+        for key in sorted(k for k in raw if k in _RETIRED):
+            if raw[key] != _RETIRED[key]:
+                raise ConfigError(
+                    f"parameter {key!r} is fixed at {_RETIRED[key]!r}, got {raw[key]!r}"
+                )
+        unknown = sorted(k for k in raw if k not in known and k not in _RETIRED)
         if unknown:
             raise ConfigError(f"unknown config parameters: {unknown}")
         return cls(**{key: value for key, value in raw.items() if key in known})

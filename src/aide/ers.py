@@ -31,13 +31,6 @@ from .space import GroundingResult, RelationshipSpace
 PART_VOCABULARY = ("handle", "body")
 
 
-@dataclass(frozen=True)
-class Novel:
-    """Retrieval found nothing within radius c: the task is new to the space."""
-
-    instruction: str
-
-
 @dataclass
 class CandidatePool:
     """The facts every tick reads off a retrieved pool.
@@ -98,13 +91,14 @@ MatchOutcome = Grounded | NeedsExploration
 
 def retrieve_candidates(
     space: RelationshipSpace,
-    instruction: str,
     instruction_vector: AffordanceVector,
     params: ConfigParams,
-) -> CandidatePool | Novel:
+) -> CandidatePool | None:
+    """The pool around the first stored record within ``c`` of the vector;
+    None when there is none, that is, when the task is novel to the space."""
     anchor, _ = space.dfs_retrieve(instruction_vector, params.c)
     if anchor is None:
-        return Novel(instruction=instruction)
+        return None
     rows = space.candidate_set(anchor, params.d)
     return CandidatePool(space.candidate_results(anchor, rows))
 

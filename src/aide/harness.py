@@ -27,7 +27,7 @@ from .affordance import (
 )
 from .config import ConfigParams
 from .geometry import Region, vertical_halves
-from .mock import MockPerception, token_cosine
+from .mock import DEFAULT_SIGMA, MockPerception, token_cosine
 from .planner import EpisodeTrace, run_closed_loop, write_trace
 from .simulator import (
     ABSENT,
@@ -51,6 +51,12 @@ _CATALOG_IMAGE_SIZE = 200
 _CORPUS_NOISE = 0.5
 # Share of ablation queries drawn far from every stored record.
 _OUT_OF_DISTRIBUTION_SHARE = 0.1
+# Uniform draws a far-out ablation query may take to clear the reference
+# radius. In the default 432-record corpus about 1.5 in 10,000 draws clear
+# c = 20 and none clears 21, so the cap keeps every result at c <= 20 and
+# turns an endless redraw into a ValueError within seconds.
+_MAX_FAR_QUERY_DRAWS = 100_000
+_AFFORDANCE_RADII = (40.0, 20.0, 10.0, 0.0)
 _TEXTSIM_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 1.0)
 # The error-analysis tick at which the required tool is removed.
 _REMOVAL_TICK = 6
@@ -101,6 +107,8 @@ def gen_corpus(
     drafts.
     """
     del b
+    if A < 1:
+        raise ValueError(f"corpus size must be positive, got {A}")
     names = class_names(a)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = np.array([class_centroid(cls, X, known=names).scores for cls in names])
@@ -317,11 +325,10 @@ def run_eval(
     rows.sort(key=lambda r: r.episode_id)
     meta = {
         "seed": seed,
-        "noise": params.sigma if noise is None else noise,
+        "noise": DEFAULT_SIGMA if noise is None else noise,
         "episodes": len(rows),
         "scenarios": len(ids),
         "skipped": missing,
-        "scoring": "automatic IoU >= 0.5 vs simulator ground truth",
     }
     return _aggregate(rows, meta)
 
@@ -369,10 +376,15 @@ def _ablation_queries(
             text = f"please help me {words[i % len(words)]} the {words[(i + 1) % len(words)]}"
         else:
             # Far-out query: resample until nothing lies within the radius.
-            while True:
+            for _ in range(_MAX_FAR_QUERY_DRAWS):
                 vec = rng.uniform(0.0, 10.0, size=params.X)
                 if euclidean(matrix, vec).min() > reference_radius:
                     break
+            else:
+                raise ValueError(
+                    f"no far-out query clears radius c={reference_radius:g} in"
+                    f" {_MAX_FAR_QUERY_DRAWS:,} draws"
+                )
             text = f"unrelated request number {i} about nothing in particular"
         vector = AffordanceVector(tuple(float(v) for v in vec))
         nearest = float(euclidean(matrix, vector.scores).min())
@@ -418,7 +430,6 @@ def ablate_retrieval(
     corpus: Drafts,
     params: ConfigParams | None = None,
     methods: Sequence[str] = ("affordance", "textsim"),
-    affordance_thresholds: Sequence[float] = (40.0, 20.0, 10.0, 0.0),
     seed: int = 0,
     query_count: int = 100,
 ) -> list[AblationRow]:
@@ -450,7 +461,7 @@ def ablate_retrieval(
         return _pct(hits, len(queries)), elapsed / len(queries)
 
     if "affordance" in methods:
-        for c in affordance_thresholds:
+        for c in _AFFORDANCE_RADII:
             acc, mean_t = accuracy_and_time(
                 lambda q, radius=c: space.dfs_retrieve(q.vector, radius)[0]
             )
@@ -541,7 +552,7 @@ def run_error_analysis(
         removal_rows + recovery_rows,
         {
             "seed": seed,
-            "noise": params.sigma if noise is None else noise,
+            "noise": DEFAULT_SIGMA if noise is None else noise,
             "removal_tick": _REMOVAL_TICK,
             "cases": len(clear_ids),
             "hints": with_hints,

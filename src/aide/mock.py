@@ -13,11 +13,11 @@ Reference grammar resolved by this backend:
   container:<label>                 a catalog container image
   anything else                     plain text
 
-Confidence model: ``base * visibility * exp(-distance / lambda) + noise`` with
+Confidence model: ``base * visibility * exp(-distance / 5) + noise`` with
 base 1.0 on a vocabulary match and 0.25 otherwise, visibility 1.0 when visible
 and 0.4 when blurred. Similarity model: 0.95, minus 0.5 on an affordance-class
 mismatch, minus 0.2 on a label or part mismatch within the same class, minus
-0.05 when either side is blurred, plus noise, clamped to [0, 1 - epsilon).
+0.05 when either side is blurred, plus noise, clamped to [0, 1 - 1e-6].
 """
 
 from __future__ import annotations
@@ -48,9 +48,13 @@ from .simulator import BLURRED, ProjectedObject, World
 
 _PART_TERMS = ("handle", "body")
 
+# Noise scale when none is given; 0 disables noise.
+DEFAULT_SIGMA = 0.5
+
 _BASE_MATCH = 1.0
 _BASE_MISMATCH = 0.25
 _VIS_FACTOR = {"visible": 1.0, BLURRED: 0.4}
+_CONFIDENCE_LAMBDA = 5.0  # world distance over which confidence falls by 1/e
 
 _SIM_BASE = 0.95
 _CLASS_MISMATCH_PENALTY = 0.5
@@ -58,6 +62,7 @@ _TAG_MISMATCH_PENALTY = 0.2
 _BLUR_PENALTY = 0.05
 _TABLE_TEXT_MATCH = 0.9
 _UNRESOLVED_CROP_SIM = 0.3
+SIMILARITY_CAP = 1.0 - 1e-6  # no two references score a full 1
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,12 @@ _NORMAL = NormalDist()
 
 class MockPerception(PerceptionBackend):
     def __init__(self, world: World, params: ConfigParams, seed: int = 0, sigma: float | None = None):
+        sigma = DEFAULT_SIGMA if sigma is None else sigma
+        if not sigma >= 0.0:
+            raise ValueError(f"sigma must be non-negative, got {sigma}")
         self.world = world
         self.params = params
-        self.sigma = params.sigma if sigma is None else sigma
+        self.sigma = sigma
         self._resolve_cache: dict[str, _Resolved] = {}
         # Every noise key ends in the seed, so it is formatted once.
         self._key_suffix = f"|{seed}"
@@ -197,7 +205,6 @@ class MockPerception(PerceptionBackend):
         if not vocabulary:
             return []
         projections = self._projections(frame.image)
-        lam = self.params.confidence_lambda
         part_terms = [t for t in vocabulary if t in _PART_TERMS]
         object_terms = [t for t in vocabulary if t not in _PART_TERMS]
         fallback_term = min(object_terms) if object_terms else None
@@ -205,7 +212,7 @@ class MockPerception(PerceptionBackend):
         raw: list[tuple[float, str, str, Region]] = []
         for proj in projections:
             vis = _VIS_FACTOR[proj.visibility]
-            decay = math.exp(-proj.distance / lam)
+            decay = math.exp(-proj.distance / _CONFIDENCE_LAMBDA)
             if object_terms:
                 if proj.label in object_terms:
                     term, base = proj.label, _BASE_MATCH
@@ -231,18 +238,18 @@ class MockPerception(PerceptionBackend):
         ]
 
     def similarity(self, a: str, b: str) -> SimilarityScore:
-        cap = 1.0 - self.params.epsilon
         if a == b:
-            return SimilarityScore(cap)
+            return SimilarityScore(SIMILARITY_CAP)
         ra, rb = self.resolve(a), self.resolve(b)
         if ra.kind == "text" and rb.kind == "text":
-            return SimilarityScore(min(max(self._text_similarity(ra.text, rb.text), 0.0), cap))
+            value = self._text_similarity(ra.text, rb.text)
+            return SimilarityScore(min(max(value, 0.0), SIMILARITY_CAP))
         if ra.kind != rb.kind:
             # Cross-modal text/image: match the text against the image tag.
             text = ra.text if ra.kind == "text" else rb.text
             tag = (rb.tag if ra.kind == "text" else ra.tag) or ""
             value = max(token_cosine(text or "", tag.replace("::", " ")), 0.0) * 0.8
-            return SimilarityScore(min(value, cap))
+            return SimilarityScore(min(value, SIMILARITY_CAP))
         if ra.tag is None or rb.tag is None:
             return SimilarityScore(_UNRESOLVED_CROP_SIM)
         value = _SIM_BASE
@@ -254,7 +261,7 @@ class MockPerception(PerceptionBackend):
             value -= _BLUR_PENALTY
         first, second = (b, a) if b < a else (a, b)
         value += self._score_noise("sim", first, second)
-        return SimilarityScore(min(max(value, 0.0), cap))
+        return SimilarityScore(min(max(value, 0.0), SIMILARITY_CAP))
 
     def _text_similarity(self, a: str | None, b: str | None) -> float:
         a, b = a or "", b or ""

@@ -37,7 +37,6 @@ from .ers import (
     Grounded,
     MatchOutcome,
     NeedsExploration,
-    Novel,
     match_tool,
     retrieve_candidates,
 )
@@ -79,6 +78,9 @@ REASON_PLANNING_ERROR = "planning-error"
 REASON_REFORMULATION_LOOP = "reformulation-loop"
 REASON_HUMAN_ABORT = "human-abort"
 REASON_EXPLORATION_IMPOSSIBLE = "exploration-impossible"
+
+# Reformulated subgoals stacked at most: a deeper stack fails the episode.
+MAX_SUBGOAL_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,10 @@ def validity_check(match: MatchOutcome, params: ConfigParams) -> tuple[bool, flo
     return score >= params.validity_threshold, score
 
 
-def needs_msi(retrieval_outcome: CandidatePool | Novel, validity: bool) -> bool:
-    """Pure trigger rule; the once-per-failure-event latch lives in ``step``."""
-    return isinstance(retrieval_outcome, Novel) or not validity
+def needs_msi(pool: CandidatePool | None, validity: bool) -> bool:
+    """Pure trigger rule: the task is novel (no pool) or no valid tool is in
+    view; the once-per-failure-event latch lives in ``step``."""
+    return pool is None or not validity
 
 
 def explore(
@@ -363,7 +366,7 @@ def decide_motion(
     # Invisible exploration target.
     if not robot_near:
         return Approach(outcome.region)
-    if len(state.subgoal_stack) >= params.max_subgoal_depth:
+    if len(state.subgoal_stack) >= MAX_SUBGOAL_DEPTH:
         state.status = FAILED
         state.fail_reason = REASON_REFORMULATION_LOOP
         return NoOp()
@@ -385,11 +388,10 @@ def _retrieve(
 ) -> CandidatePool | None:
     """Retrieve and cache the pool for ``active``; None, with the cache left as
     it was, when the task is novel."""
-    found = retrieve_candidates(space, active, vector, params)
-    if isinstance(found, Novel):
-        return None
-    state.pools[active] = found
-    return found
+    pool = retrieve_candidates(space, vector, params)
+    if pool is not None:
+        state.pools[active] = pool
+    return pool
 
 
 def step(
@@ -429,7 +431,7 @@ def step(
 
     outcome: Grounded | GroundingResult | ExplorationOutcome | None = None
 
-    if needs_msi(pool or Novel(active), valid) and active not in state.msi_latch:
+    if needs_msi(pool, valid) and active not in state.msi_latch:
         tick.stream = STREAM_MSI
         state.msi_latch.add(active)
         tick.events.append("msi")
@@ -579,7 +581,7 @@ def run_closed_loop(
 
     for index in range(max_steps):
         run_intervention(world, world.tick, interventions)
-        frame, projections = observe(world, params)
+        frame, projections = observe(world)
         t0 = time.perf_counter()
         state, command = step(
             state, TaskInput(instruction, frame), space, params, perception

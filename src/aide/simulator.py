@@ -35,6 +35,11 @@ CATEGORY_AMBIGUOUS = "ambiguous"
 CATEGORY_UNRECOGNIZABLE = "unrecognizable"
 CATEGORY_ABSENT = "absent"
 
+# Milliseconds between frames: the 10 Hz tick.
+FRAME_PERIOD_MS = 100.0
+# World distance beyond which a visible object renders blurred.
+BLUR_RANGE = 8.0
+
 
 class WorldError(RuntimeError):
     pass
@@ -152,15 +157,14 @@ class World:
         container = self.objects.get(container_id)
         return bool(container and container.opened)
 
-    def effective_visibility(self, obj: WorldObject, params: ConfigParams) -> str | None:
-        """Projected visibility, or None when the object emits nothing."""
+    def effective_visibility(self, obj: WorldObject, distance: float) -> str | None:
+        """Projected visibility of ``obj`` at ``distance`` from the robot, or
+        None when the object emits nothing."""
         if obj.visibility == ABSENT:
             return None
         if obj.visibility == OCCLUDED and not self.container_open(obj.container_id):
             return None
-        if obj.visibility == BLURRED:
-            return BLURRED
-        if self.robot_distance_to(obj.center) > params.blur_range:
+        if obj.visibility == BLURRED or distance > BLUR_RANGE:
             return BLURRED
         return VISIBLE
 
@@ -178,14 +182,14 @@ def _part_region(
     return Region(px0, py0, px1, py1) if px0 < px1 and py0 < py1 else None
 
 
-def observe(world: World, params: ConfigParams) -> tuple[SceneFrame, list[ProjectedObject]]:
+def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
     """Render the current world into a frame plus the detection ground feed."""
     rx, ry, heading = world.robot
     frame = SceneFrame(
         image=f"frame:{world.world_id}:{world.tick}",
         width=world.frame_size,
         height=world.frame_size,
-        timestamp=world.tick * params.frame_period,
+        timestamp=world.tick * FRAME_PERIOD_MS,
         robot_x=rx,
         robot_y=ry,
         robot_heading=heading,
@@ -194,7 +198,8 @@ def observe(world: World, params: ConfigParams) -> tuple[SceneFrame, list[Projec
     size = world.frame_size
     projections: list[ProjectedObject] = []
     for obj in world.objects.values():
-        visibility = world.effective_visibility(obj, params)
+        distance = world.robot_distance_to(obj.center)
+        visibility = world.effective_visibility(obj, distance)
         if visibility is None:
             continue
         raw = world._project_rect(obj.box)
@@ -211,7 +216,7 @@ def observe(world: World, params: ConfigParams) -> tuple[SceneFrame, list[Projec
                 box=Region(x0, y0, x1, y1),
                 handle=_part_region(world, obj.handle, x0, y0, x1, y1),
                 body=_part_region(world, obj.body, x0, y0, x1, y1),
-                distance=world.robot_distance_to(obj.center),
+                distance=distance,
                 visibility=visibility,
             )
         )

@@ -15,7 +15,7 @@ def params() -> ConfigParams:
 
 @pytest.fixture(scope="session")
 def corpus(params):
-    return gen_corpus(params.A, params.X, params.a, params.b, seed=7)
+    return gen_corpus(432, params.X, params.a, params.b, seed=7)
 
 
 @pytest.fixture(scope="session")

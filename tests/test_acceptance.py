@@ -14,7 +14,7 @@ import pytest
 
 from aide.affordance import AffordanceVector, class_centroid, class_names, distance
 from aide.config import ConfigParams
-from aide.ers import CandidatePool, Grounded, NeedsExploration, Novel, match_tool
+from aide.ers import CandidatePool, Grounded, NeedsExploration, match_tool
 from aide.exploration import (
     ExplorationImpossible,
     Strategy,
@@ -222,7 +222,7 @@ def test_criterion_4_threshold_semantics(params):
             assert valid == (score >= params.validity_threshold)
             assert score == pytest.approx(float(conf) + sim)
             assert needs_msi(pool, valid) == (not valid)
-    assert needs_msi(Novel("x"), True)
+    assert needs_msi(None, True)
     elapsed = time.perf_counter() - start
     report(4, True, f"10^4 strategy pairs + boundary match/validity probes exact, {elapsed:.1f}s")
 

@@ -141,15 +141,21 @@ def test_run_episode_interactive(artifacts, monkeypatch, tmp_path, capsys):
 def test_config_file_supplies_params_and_paths(artifacts, tmp_path, capsys):
     config = tmp_path / "config.json"
     save_config(
-        ConfigParams(sigma=0.0),
+        ConfigParams(c=12.0),
         config,
         paths={"space": str(artifacts["space"])},
     )
     code = main(
-        ["run-episode", "--config", str(config), "--world", "clear_brush", "--seed", "1"]
+        ["run-episode", "--config", str(config), "--world", "clear_brush"]
+        + ["--seed", "1", "--noise", "0"]
     )
     assert code == 0
     assert "clear_brush: completed" in capsys.readouterr().out
+
+
+def test_negative_noise_is_an_error(artifacts):
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        main(["eval", "--space", str(artifacts["space"]), "--episodes", "1", "--noise", "-1"])
 
 
 def test_build_space_writes_to_the_config_space_path(artifacts, tmp_path, capsys):

@@ -3,19 +3,29 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import aide
+from aide import mock, planner, simulator
+from aide.cli import build_parser
 from aide.config import ConfigError, ConfigParams, load_config, save_config
 
-# The four dropped fields at the value every earlier save wrote for them.
+# The eleven dropped fields at the value every earlier save wrote for them.
 SAVED_RETIRED_KEYS = {
     "T": None,
     "frame_size": 800,
     "view_range": 40.0,
     "visible_candidate_max_rank": None,
+    "A": 432,
+    "sigma": 0.5,
+    "frame_period": 100.0,
+    "epsilon": 1e-6,
+    "confidence_lambda": 5.0,
+    "blur_range": 8.0,
+    "max_subgoal_depth": 4,
 }
 
 
@@ -26,7 +36,7 @@ def test_default_operating_point():
     assert (p.m, p.N, p.N_prime, p.PX) == (0.85, 5, 40, 250)
     assert p.strategy_threshold == 0.75
     assert p.validity_threshold == 0.5
-    assert p.frame_period == 100.0
+    assert (p.r_near, p.approach_speed) == (1.0, 0.5)
     assert p.detection_budget == max(p.N_prime, 2 * p.N) == 40
 
 
@@ -48,7 +58,7 @@ def test_invariants_enforced():
 
 
 def test_round_trip_with_paths(tmp_path):
-    source = ConfigParams(sigma=0.25, c=12.0, N=7)
+    source = ConfigParams(approach_speed=0.25, c=12.0, N=7)
     path = tmp_path / "config.json"
     save_config(source, path, paths={"space": "space.json", "report": "out.tsv"})
     loaded, paths = load_config(path)
@@ -78,7 +88,7 @@ def write_config(path, params: dict) -> None:
 
 
 def test_load_accepts_dropped_keys_at_their_saved_values(tmp_path):
-    source = ConfigParams(sigma=0.25, c=12.0)
+    source = ConfigParams(approach_speed=0.25, c=12.0)
     path = tmp_path / "config.json"
     write_config(path, {**source.to_dict(), **SAVED_RETIRED_KEYS})
     loaded, _ = load_config(path)
@@ -87,13 +97,38 @@ def test_load_accepts_dropped_keys_at_their_saved_values(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("visible_candidate_max_rank", 12), ("frame_size", 400), ("view_range", 20.0), ("T", 300)],
+    [
+        ("visible_candidate_max_rank", 12),
+        ("frame_size", 400),
+        ("view_range", 20.0),
+        ("T", 300),
+        ("A", 1000),
+        ("sigma", 0.0),
+        ("frame_period", 50.0),
+        ("epsilon", 1e-3),
+        ("confidence_lambda", 10.0),
+        ("blur_range", 20.0),
+        ("max_subgoal_depth", 2),
+    ],
 )
 def test_load_rejects_dropped_keys_with_other_values(tmp_path, key, value):
     path = tmp_path / "config.json"
     write_config(path, {**ConfigParams().to_dict(), key: value})
-    with pytest.raises(ConfigError, match=key):
+    fixed = repr(SAVED_RETIRED_KEYS[key])
+    with pytest.raises(ConfigError, match=rf"'{key}' is fixed at {re.escape(fixed)}"):
         load_config(path)
+
+
+def test_retired_settings_keep_their_saved_values_as_constants():
+    # A saved document that holds one of these loads as the code now runs.
+    count = build_parser().parse_args(["gen-corpus", "--out", "drafts.jsonl"]).count
+    assert SAVED_RETIRED_KEYS["A"] == count
+    assert SAVED_RETIRED_KEYS["sigma"] == mock.DEFAULT_SIGMA
+    assert 1.0 - SAVED_RETIRED_KEYS["epsilon"] == mock.SIMILARITY_CAP
+    assert SAVED_RETIRED_KEYS["confidence_lambda"] == mock._CONFIDENCE_LAMBDA
+    assert SAVED_RETIRED_KEYS["frame_period"] == simulator.FRAME_PERIOD_MS
+    assert SAVED_RETIRED_KEYS["blur_range"] == simulator.BLUR_RANGE
+    assert SAVED_RETIRED_KEYS["max_subgoal_depth"] == planner.MAX_SUBGOAL_DEPTH
 
 
 def _params_fields_read(source: str) -> set[str]:
@@ -123,4 +158,4 @@ def test_every_param_is_read_outside_config():
             read |= _params_fields_read(path.read_text(encoding="utf-8"))
     fields = {f.name for f in dataclasses.fields(ConfigParams)}
     assert sorted(fields - read) == []
-    assert len(fields) == 21
+    assert len(fields) == 14

@@ -45,9 +45,9 @@ def test_detect_failure_is_treated_as_zero_detections(space, params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
     flaky = FlakyBackend(mock, broken={"detect"})
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     vec = mock.score_affordance("I am thirsty")
-    pool = retrieve_candidates(space, "I am thirsty", vec, params)
+    pool = retrieve_candidates(space, vec, params)
     outcome = match_tool(frame, pool, params, flaky)
     assert isinstance(outcome, NeedsExploration)
     assert outcome.s_max == 0.0 and outcome.t_new == 0.0
@@ -194,7 +194,7 @@ def test_invisible_explore_rejects_an_out_of_range_candidate_index(space, params
     # No pool, so the container comes from the reasoner and the detection
     # from select_candidate.
     world = fridge_world()
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     backend = SelectsAt(world, params, pick, sigma=0.0)
     with pytest.raises(PerceptionError, match="candidate index"):
         invisible_explore(frame, world.instruction, None, params, backend)

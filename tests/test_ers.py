@@ -12,7 +12,6 @@ from aide.config import ConfigParams
 from aide.ers import (
     Grounded,
     NeedsExploration,
-    Novel,
     ground_regions,
     match_tool,
     retrieve_candidates,
@@ -66,30 +65,29 @@ def pool_facts(pool):
 def test_retrieve_pool_matches_bruteforce_subcluster_filter(space, params):
     _, anchor_like = next(space.iter_records())
     query = anchor_like.instruction_affordance
-    pool = retrieve_candidates(space, anchor_like.text, query, params)
-    assert not isinstance(pool, Novel)
+    pool = retrieve_candidates(space, query, params)
+    assert pool is not None
     anchor, _ = space.dfs_retrieve(query, params.c)
     assert pool_facts(pool) == oracle_facts(space, anchor, params.d)
 
 
 def test_retrieve_novel_when_nothing_in_radius(space, params):
     far = AffordanceVector((5.0,) * params.X)
-    outcome = retrieve_candidates(space, "mystery", far, params)
-    assert isinstance(outcome, Novel)
-    assert outcome.instruction == "mystery"
+    outcome = retrieve_candidates(space, far, params)
+    assert outcome is None
 
 
 def test_retrieve_zero_expansion_radius(space, params):
     _, record = next(space.iter_records())
     tight = dataclasses.replace(params, d=0.0)
-    pool = retrieve_candidates(space, record.text, record.instruction_affordance, tight)
+    pool = retrieve_candidates(space, record.instruction_affordance, tight)
     anchor, _ = space.dfs_retrieve(record.instruction_affordance, tight.c)
     assert pool_facts(pool) == oracle_facts(space, anchor, 0.0)
 
 
 def test_pool_hints_deduplicated(space, params):
     _, record = next(space.iter_records())
-    pool = retrieve_candidates(space, record.text, record.instruction_affordance, params)
+    pool = retrieve_candidates(space, record.instruction_affordance, params)
     assert len(set(pool.unseen_hints)) == len(pool.unseen_hints)
 
 
@@ -128,7 +126,7 @@ def random_space(seed, params):
 
 def retrieved_and_oracle(space, query, params, d):
     exact = dataclasses.replace(params, c=0.0, d=d)
-    pool = retrieve_candidates(space, "t", query, exact)
+    pool = retrieve_candidates(space, query, exact)
     anchor, _ = space.dfs_retrieve(query, 0.0)
     return pool_facts(pool), oracle_facts(space, anchor, d)
 
@@ -190,18 +188,19 @@ def large_space(params):
 
 def test_the_5000_draft_space_keeps_its_pinned_snapshot_bytes(large_space, tmp_path):
     # Pinned before drafts became columns and k-means assigned one center at
-    # a time: the same clusters, rows and result table, byte for byte.
+    # a time: the same clusters, rows and result table, byte for byte. Its
+    # params lost seven retired keys since; nothing else changed.
     path = tmp_path / "space.json"
     save_space(large_space, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "b26596f8d087b31b825daab2ad86755d008f0766156f9eb84ca515ee294fd1e8"
+    assert digest == "88048fdd5a083e11920a0b50cbdadac139e7536bed003e6768a7a9d0549e2e42"
 
 
 def test_retrieval_at_scale_builds_no_record(large_space, params, built_records):
     queries = [record for _, record in large_space.iter_records()][::250]
     for record in queries:
         built_records.clear()
-        pool = retrieve_candidates(large_space, record.text, record.instruction_affordance, params)
+        pool = retrieve_candidates(large_space, record.instruction_affordance, params)
         assert built_records == []  # retrieval and expansion read rows by position
         anchor, _ = large_space.dfs_retrieve(record.instruction_affordance, params.c)
         assert pool_facts(pool) == oracle_facts(large_space, anchor, params.d)
@@ -220,15 +219,15 @@ def cup_world(cup_at=28.0, extra=()):
 
 def drink_pool(space, params, perception):
     vec = perception.score_affordance("I am thirsty")
-    pool = retrieve_candidates(space, "I am thirsty", vec, params)
-    assert not isinstance(pool, Novel)
+    pool = retrieve_candidates(space, vec, params)
+    assert pool is not None
     return pool
 
 
 def test_match_grounds_visible_tool(space, params):
     world = cup_world()
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, Grounded)
@@ -244,7 +243,7 @@ def test_match_grounds_visible_tool(space, params):
 def test_match_empty_scene_needs_exploration(space, params):
     world = make_world([], tool_table={"I am thirsty": "cup"})
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, NeedsExploration)
@@ -258,7 +257,7 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     fillers = [obj(f"f{i}", "thing", "misc", 12.0 + i * 4.0, 29.0) for i in range(5)]
     world = cup_world(cup_at=13.0, extra=fillers)
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, NeedsExploration)
@@ -273,7 +272,7 @@ def test_match_reads_pool_facts_without_walking_candidates(space, params, built_
     # Grounded, so ground_regions reads the pool's images too.
     world = cup_world()
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert built_records == []  # neither retrieval nor matching builds a record
@@ -286,7 +285,7 @@ def test_match_and_validity_score_each_pair_once(space, params):
     fillers = [obj(f"f{i}", "thing", "misc", 12.0 + i * 4.0, 29.0) for i in range(5)]
     world = cup_world(cup_at=13.0, extra=fillers)
     mock = PairCountingMock(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, NeedsExploration)
@@ -312,9 +311,9 @@ def test_match_absent_tool_with_container_routes_invisible(space, params):
         container_table={"I want something cold to drink": "fridge"},
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     vec = mock.score_affordance(world.instruction)
-    pool = retrieve_candidates(space, world.instruction, vec, params)
+    pool = retrieve_candidates(space, vec, params)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, NeedsExploration)
     assert outcome.t_new <= params.strategy_threshold
@@ -325,7 +324,7 @@ def test_match_outcomes_threshold_consistent_under_noise(space, params):
     for trial in range(40):
         world = cup_world(cup_at=float(rng.uniform(20, 30)))
         mock = MockPerception(world, params, seed=trial, sigma=0.5)
-        frame, _ = observe(world, params)
+        frame, _ = observe(world)
         pool = drink_pool(space, params, mock)
         outcome = match_tool(frame, pool, params, mock)
         if isinstance(outcome, Grounded):
@@ -343,7 +342,7 @@ def test_match_outcomes_threshold_consistent_under_noise(space, params):
 def test_ground_regions_recovers_part_boxes(space, params):
     world = cup_world()
     mock = noiseless(world, params)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     pool = drink_pool(space, params, mock)
     outcome = match_tool(frame, pool, params, mock)
     assert isinstance(outcome, Grounded)
@@ -358,7 +357,7 @@ def test_ground_regions_fallback_without_parts(space, params):
         tool_table={"I am thirsty": "cup"},
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     det = mock.detect(frame, ["cup"], 1)[0]
     operational, functional = ground_regions(frame, det, pool, params, mock)
@@ -374,7 +373,7 @@ def test_ground_regions_fallback_without_parts(space, params):
 def test_pipeline_happy_path_produces_triple(space, params):
     world = cup_world()
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     outcome = match_tool(frame, drink_pool(space, params, mock), params, mock)
     assert isinstance(outcome, Grounded)
     result = outcome.result
@@ -389,8 +388,8 @@ def test_pipeline_novel_instruction(space, params):
     mock = noiseless(world, params)
     instruction = "completely unmapped request"
     vector = mock.score_affordance(instruction)
-    outcome = retrieve_candidates(space, instruction, vector, params)
-    assert isinstance(outcome, Novel)
+    outcome = retrieve_candidates(space, vector, params)
+    assert outcome is None
 
 
 def test_pipeline_deterministic_with_noiseless_mocks(space, params):
@@ -398,7 +397,7 @@ def test_pipeline_deterministic_with_noiseless_mocks(space, params):
     for _ in range(2):
         world = cup_world()
         mock = noiseless(world, params)
-        frame, _ = observe(world, params)
+        frame, _ = observe(world)
         outcome = match_tool(frame, drink_pool(space, params, mock), params, mock)
         assert isinstance(outcome, Grounded)
         results.append(

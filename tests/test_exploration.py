@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from worldkit import PairCountingMock, fridge_world, make_world, obj
 
-from aide.ers import CandidatePool, Novel, retrieve_candidates
+from aide.ers import CandidatePool, retrieve_candidates
 from aide.exploration import (
     ExplorationImpossible,
     ExplorationOutcome,
@@ -197,10 +197,10 @@ def test_visible_weights_bounded(params):
 def test_invisible_with_pool_hints_finds_container(space, params):
     world = fridge_world()
     mock = MockPerception(world, params, seed=0, sigma=0.0)
-    frame_, projections = observe(world, params)
+    frame_, projections = observe(world)
     vec = mock.score_affordance(world.instruction)
-    pool = retrieve_candidates(space, world.instruction, vec, params)
-    assert not isinstance(pool, Novel)
+    pool = retrieve_candidates(space, vec, params)
+    assert pool is not None
     assert ("fridge", "container:fridge") in pool.unseen_hints
     region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
     assert label == "fridge"
@@ -211,7 +211,7 @@ def test_invisible_with_pool_hints_finds_container(space, params):
 def test_invisible_without_pool_uses_reasoner(space, params):
     world = fridge_world()
     mock = MockPerception(world, params, seed=0, sigma=0.0)
-    frame_, projections = observe(world, params)
+    frame_, projections = observe(world)
     region, label = invisible_explore(frame_, world.instruction, None, params, mock)
     assert label == "fridge"
     assert region == next(p for p in projections if p.object_id == "f1").box
@@ -222,7 +222,7 @@ def test_invisible_empty_scene_impossible(space, params):
         [], container_table={"I want something cold to drink": "fridge"}
     )
     mock = MockPerception(world, params, seed=0, sigma=0.0)
-    frame_, _ = observe(world, params)
+    frame_, _ = observe(world)
     with pytest.raises(ExplorationImpossible):
         invisible_explore(frame_, "I want something cold to drink", None, params, mock)
 
@@ -231,9 +231,9 @@ def test_invisible_label_selection_prefers_table_match(space, params):
     # Two hints available; the instruction-to-container table match wins.
     world = fridge_world()
     mock = MockPerception(world, params, seed=0, sigma=0.0)
-    frame_, _ = observe(world, params)
+    frame_, _ = observe(world)
     vec = mock.score_affordance(world.instruction)
-    pool = retrieve_candidates(space, world.instruction, vec, params)
+    pool = retrieve_candidates(space, vec, params)
     pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
     region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
     assert label == "fridge"
@@ -259,9 +259,9 @@ def test_invisible_hint_ranking_survives_a_failed_similarity(space, params):
     # hint wins.
     world = fridge_world()
     mock = HintFailingMock(world, params, failing="drawer")
-    frame_, projections = observe(world, params)
+    frame_, projections = observe(world)
     vec = mock.score_affordance(world.instruction)
-    pool = retrieve_candidates(space, world.instruction, vec, params)
+    pool = retrieve_candidates(space, vec, params)
     pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
     region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
     assert mock.failures == 1
@@ -272,7 +272,7 @@ def test_invisible_hint_ranking_survives_a_failed_similarity(space, params):
 def test_invisible_single_hint_is_not_ranked(space, params):
     world = fridge_world()
     mock = PairCountingMock(world, params)
-    frame_, projections = observe(world, params)
+    frame_, projections = observe(world)
     box = Region(0, 0, 10, 10)
     result = GroundingResult(
         tool_label="coke",

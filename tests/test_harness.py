@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from aide import harness
+from aide.config import ConfigParams
 from aide.harness import (
     ablate_retrieval,
     console_answerer,
@@ -38,6 +40,12 @@ def test_gen_corpus_counts_and_balance(params):
         results = [drafts.results[r] for r in row]
         assert len({r.tool_image.split(":")[1] for r in results}) == 1
         assert results[0].unseen_region_label in ("fridge", "drawer", "cabinet")
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_gen_corpus_rejects_a_size_below_one(params, count):
+    with pytest.raises(ValueError, match="corpus size must be positive"):
+        gen_corpus(count, params.X, params.a, params.b, seed=7)
 
 
 def test_gen_corpus_deterministic_file(params, tmp_path):
@@ -76,7 +84,8 @@ def test_run_eval_report_invariants(space, params):
     for value in (report.tsr, report.osr, report.fsr, report.wsr, report.asr, report.esr):
         assert value is None or 0.0 <= value <= 100.0
     assert len(report.rows) == 24
-    assert report.meta["scoring"].startswith("automatic IoU")
+    scoring = [line for line in render_report(report).splitlines() if line.startswith("# scoring:")]
+    assert len(scoring) == 1 and "automatic IoU" in scoring[0]
 
 
 def test_run_eval_marks_missing_scenarios(space, params):
@@ -139,19 +148,20 @@ def test_ablation_deterministic_accuracies(corpus, params, ablation_rows):
     ]
 
 
-def test_ablation_unbounded_radius_always_answers(corpus, params, space):
+def test_ablation_unbounded_radius_always_answers(corpus, params, space, monkeypatch):
     # With no radius bound the DFS answers every query, like exhaustive search.
-    rows = ablate_retrieval(
-        corpus,
-        params,
-        methods=("affordance",),
-        affordance_thresholds=(1e9,),
-        seed=11,
-        query_count=40,
-    )
+    monkeypatch.setattr(harness, "_AFFORDANCE_RADII", (1e9,))
+    rows = ablate_retrieval(corpus, params, methods=("affordance",), seed=11, query_count=40)
     infinity = row_for(rows, "affordance", 1e9)
     exhaustive = row_for(rows, "affordance", None)
     assert infinity.mean_time_s <= exhaustive.mean_time_s
+
+
+def test_ablation_raises_when_no_far_out_query_clears_the_radius(corpus):
+    # No point of [0, 10]^19 lies farther than about 21 from every stored
+    # record, so at c = 25 the far-out draws give up instead of spinning.
+    with pytest.raises(ValueError, match="radius c=25"):
+        ablate_retrieval(corpus, ConfigParams(c=25.0), seed=7, query_count=10)
 
 
 def test_render_ablation_format(ablation_rows):

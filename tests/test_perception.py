@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from worldkit import make_world, obj
 from aide.affordance import class_centroid, distance, neutral_vector
 from aide.config import ConfigParams
 from aide.geometry import Region, iou
-from aide.mock import MockPerception, token_cosine
+from aide.mock import SIMILARITY_CAP, MockPerception, token_cosine
 from aide.perception import (
     ReasonerError,
     SceneFrame,
@@ -48,14 +47,14 @@ def crop_of(frame, det):
 def test_detect_empty_scene(params):
     world = make_world([], tool_table={"I am thirsty": "cup"})
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     assert mock.detect(frame, ["cup"], 5) == []
 
 
 def test_detect_single_visible_match_high_confidence(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 31.6)])
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     dets = mock.detect(frame, ["cup"], 5)
     assert len(dets) == 1
     assert dets[0].rank == 1
@@ -70,7 +69,7 @@ def test_detect_truncates_and_sorts_forty_objects(params):
     ]
     world = make_world(objects)
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     dets = mock.detect(frame, ["cup"], 5)
     assert len(dets) == 5
     confs = [d.confidence for d in dets]
@@ -79,18 +78,17 @@ def test_detect_truncates_and_sorts_forty_objects(params):
 
 
 def test_detect_distance_decay_factor(params):
-    params = dataclasses.replace(params, blur_range=20.0)
-    world = make_world([obj("c1", "cup", "drink", 20.0, 22.0)])  # distance 10
+    world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])  # distance 5, within blur range
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     det = mock.detect(frame, ["cup"], 1)[0]
-    assert det.confidence == pytest.approx(math.exp(-2.0), abs=1e-9)
+    assert det.confidence == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
 def test_detect_blur_factor(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 22.0)])  # beyond blur range
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     det = mock.detect(frame, ["cup"], 1)[0]
     assert det.confidence == pytest.approx(0.4 * math.exp(-2.0), abs=1e-9)
 
@@ -112,7 +110,7 @@ def test_detect_rank_ordering_fuzzed_over_many_scenes(params):
         ]
         world = make_world(objects, world_id=f"fuzz{trial}")
         mock = MockPerception(world, params, seed=trial, sigma=0.5)
-        frame, _ = observe(world, params)
+        frame, _ = observe(world)
         dets = mock.detect(frame, ["cup", "hammer"], int(rng.integers(1, 60)))
         check_detection_ordering(dets)
 
@@ -120,7 +118,7 @@ def test_detect_rank_ordering_fuzzed_over_many_scenes(params):
 def test_detect_deterministic_for_identical_queries(params):
     world = make_world([obj("c1", "cup", "drink", 18.0, 25.0), obj("b1", "box", "contain", 24.0, 25.0)])
     mock = MockPerception(world, params, seed=9, sigma=0.5)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     first = mock.detect(frame, ["cup", "box"], 10)
     second = mock.detect(frame, ["cup", "box"], 10)
     assert first == second
@@ -132,7 +130,7 @@ def test_detect_deterministic_for_identical_queries(params):
 def test_detect_part_vocabulary(params):
     world = make_world([obj("h1", "hammer", "strike", 20.0, 28.0)])
     mock = noiseless(world, params)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     dets = mock.detect(frame, ["handle", "body"], 10)
     assert {d.label for d in dets} == {"handle", "body"}
     proj = projections[0]
@@ -149,7 +147,7 @@ def test_occluded_objects_never_detected(params):
         ]
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     dets = mock.detect(frame, ["coke", "fridge"], 10)
     assert all(d.label != "coke" or d.box == world.objects["f1"].box for d in dets)
     resolved = {mock.resolve(crop_of(frame, d)).tag for d in dets}
@@ -163,14 +161,14 @@ def test_similarity_identical_reference_clamped(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 28.0)])
     mock = noiseless(world, params)
     value = mock.similarity("tool:drink:cup", "tool:drink:cup").value
-    assert value == pytest.approx(1.0 - params.epsilon)
+    assert value == SIMILARITY_CAP == pytest.approx(1.0 - 1e-6)
     assert value < 1.0
 
 
 def test_similarity_crop_vs_catalog_same_tool(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 29.0)])
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     det = mock.detect(frame, ["cup"], 1)[0]
     assert mock.similarity(crop_of(frame, det), "tool:drink:cup").value >= 0.9
 
@@ -180,7 +178,7 @@ def test_similarity_cross_class_low(params):
         [obj("c1", "cup", "drink", 16.0, 29.0), obj("h1", "hammer", "strike", 24.0, 29.0)]
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     cup = next(d for d in mock.detect(frame, ["cup", "hammer"], 5) if d.label == "cup")
     assert mock.similarity(crop_of(frame, cup), "tool:strike:hammer").value <= 0.5
 
@@ -188,7 +186,7 @@ def test_similarity_cross_class_low(params):
 def test_similarity_symmetric_and_below_one(params):
     world = make_world([obj("c1", "cup", "drink", 18.0, 29.0)])
     mock = MockPerception(world, params, seed=3, sigma=0.5)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     det = mock.detect(frame, ["cup"], 1)[0]
     crop = crop_of(frame, det)
     refs = [crop, "tool:drink:cup", "tool:strike:hammer", "container:fridge", "some text"]
@@ -222,7 +220,7 @@ def test_crop_scores_take_each_crops_best_reference(params):
         [obj("c1", "cup", "drink", 16.0, 29.0), obj("h1", "hammer", "strike", 24.0, 29.0)]
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     dets = mock.detect(frame, ["cup", "hammer"], 5)
     refs = ["tool:drink:cup", "frame:nope:0#crop:0,0,4,4", "tool:strike:hammer"]
     expected = [
@@ -311,7 +309,7 @@ def pinned_scene(params):
         ],
         tool_table={"I am thirsty": "cup"},
     )
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     return MockPerception(world, params, seed=3, sigma=0.5), frame
 
 
@@ -379,7 +377,7 @@ def test_propose_tool_table_and_miss(params):
         tool_table={"I am thirsty": "cup"},
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     hyp = mock.propose_tool("I am thirsty", frame)
     assert hyp.label == "cup"
     assert hyp.attributes
@@ -397,7 +395,7 @@ def test_select_candidate_prefers_ground_truth_match(params):
         ]
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     dets = mock.detect(frame, ["cup"], 5)
     assert mock.resolve(crop_of(frame, dets[2])).tag == "cup"
     idx = mock.select_candidate(ToolHypothesis("cup"), dets, frame)
@@ -407,7 +405,7 @@ def test_select_candidate_prefers_ground_truth_match(params):
 def test_select_candidate_fallback_and_single(params):
     world = make_world([obj("b1", "bottle", "drink", 20.0, 30.0)])
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     dets = mock.detect(frame, ["cup"], 5)
     assert mock.select_candidate(ToolHypothesis("cup"), dets, frame) == 0
     assert mock.select_candidate(ToolHypothesis("bottle"), dets, frame) == 0
@@ -416,7 +414,7 @@ def test_select_candidate_fallback_and_single(params):
 def test_segment_regions_uses_ground_truth_parts(params):
     world = make_world([obj("h1", "hammer", "strike", 20.0, 28.0)])
     mock = noiseless(world, params)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     det = mock.detect(frame, ["hammer"], 1)[0]
     operational, functional = mock.segment_regions(det, frame)
     assert operational == projections[0].handle
@@ -427,7 +425,7 @@ def test_segment_regions_uses_ground_truth_parts(params):
 def test_segment_regions_fallback_halves(params):
     world = make_world([obj("h1", "hammer", "strike", 20.0, 28.0, parts=False)])
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     det = mock.detect(frame, ["hammer"], 1)[0]
     operational, functional = mock.segment_regions(det, frame)
     box = det.box
@@ -439,7 +437,7 @@ def test_segment_regions_fallback_halves(params):
 def test_segment_regions_degenerate_box(params):
     world = make_world([])
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     tiny = Detection(label="cup", box=Region(10, 10, 11, 11), confidence=0.5, rank=1)
     operational, functional = mock.segment_regions(tiny, frame)
     assert operational == tiny.box and functional == tiny.box
@@ -495,6 +493,12 @@ def test_score_affordance_same_class_subjects_stay_close(params):
     assert distance(a, b) <= 3 * sigma * math.sqrt(params.X)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, math.nan])
+def test_noise_scale_must_be_non_negative(params, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        MockPerception(make_world([]), params, sigma=sigma)
+
+
 def test_score_affordance_unknown_subject_neutral(params):
     world = make_world([])
     mock = MockPerception(world, params, seed=4, sigma=0.5)
@@ -516,16 +520,16 @@ def test_infer_unseen_label(params):
         },
     )
     mock = noiseless(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     assert mock.infer_unseen_label("I want something cold to drink", frame) == "fridge"
     assert mock.infer_unseen_label("I want to close up delivery boxes tightly", frame) == "drawer"
     with pytest.raises(ReasonerError):
         mock.infer_unseen_label("unmapped", frame)
 
 
-def test_frame_world_anchor_inverts_projection(params):
+def test_frame_world_anchor_inverts_projection():
     world = make_world([obj("c1", "cup", "drink", 14.0, 25.0)])
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     ax, ay = frame.world_anchor(projections[0].box)
     assert ax == pytest.approx(14.0, abs=0.1)
     assert ay == pytest.approx(25.0, abs=0.1)

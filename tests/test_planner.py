@@ -6,7 +6,7 @@ import pytest
 from worldkit import PairCountingMock, make_world, obj
 
 from aide.config import ConfigParams
-from aide.ers import CandidatePool, Grounded, NeedsExploration, Novel, retrieve_candidates
+from aide.ers import CandidatePool, Grounded, NeedsExploration, retrieve_candidates
 from aide.exploration import ExplorationOutcome, Strategy
 from aide.geometry import Region
 from aide.mock import MockPerception
@@ -96,8 +96,8 @@ def test_validity_zero_detections(params):
 
 
 def test_needs_msi_truth_table():
-    assert needs_msi(Novel("x"), True)
-    assert needs_msi(Novel("x"), False)
+    assert needs_msi(None, True)
+    assert needs_msi(None, False)
     assert needs_msi(fake_pool(), False)
     assert not needs_msi(fake_pool(), True)
 
@@ -117,7 +117,7 @@ def cup_world(**kwargs):
 def test_mm_cot_happy_path(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     result = mm_cot(TaskInput("I am thirsty", frame), params, mock)
     assert result.tool_label == "cup"
     assert result.tool_image == "tool:drink:cup"
@@ -128,7 +128,7 @@ def test_mm_cot_happy_path(params):
 def test_mm_cot_single_object_scene(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     result = mm_cot(TaskInput("I am thirsty", frame), params, mock)
     assert result.tool_region == projections[0].box
 
@@ -144,7 +144,7 @@ def test_mm_cot_occluded_tool_embeds_exploration(params):
         container_table={"I want something cold to drink": "fridge"},
     )
     mock = MockPerception(world, params, sigma=0.0)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     result = mm_cot(TaskInput(world.instruction, frame), params, mock)
     assert result.unseen_region_label == "fridge"
     assert result.unseen_region_image == "container:fridge"
@@ -167,7 +167,7 @@ def test_mm_cot_rejected_candidate_scored_once(params):
         container_table={"I want something cold to drink": "fridge"},
     )
     mock = PairCountingMock(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     result = mm_cot(TaskInput(world.instruction, frame), params, mock)
     assert result.unseen_region_label == "fridge"
     assert len(mock.pairs) > 1
@@ -177,7 +177,7 @@ def test_mm_cot_rejected_candidate_scored_once(params):
 def test_mm_cot_override_region(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     override = Region(10, 10, 50, 50)
     result = mm_cot(
         TaskInput("I am thirsty", frame), params, mock, override_label="cup",
@@ -192,7 +192,7 @@ def test_mm_cot_override_region(params):
 def test_run_msi_inserts_retrievable_record(space, params):
     world = cup_world(tool_table={"brand new request": "cup", "I am thirsty": "cup"})
     mock = MockPerception(world, params, sigma=0.0)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     clone = space.clone()
     state = PlannerState()
     record = run_msi(TaskInput("brand new request", frame), state, clone, params, mock)
@@ -207,7 +207,7 @@ def test_run_msi_inserts_retrievable_record(space, params):
 def test_run_msi_reasoner_miss_fails(space, params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 28.0)])
     mock = MockPerception(world, params, sigma=0.0)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     with pytest.raises(PlanningFailure):
         run_msi(TaskInput("unmapped", frame), PlannerState(), space.clone(), params, mock)
 
@@ -227,7 +227,7 @@ def occluded_coke_world():
 def test_run_msi_occluded_attaches_hint(space, params):
     world = occluded_coke_world()
     mock = MockPerception(world, params, sigma=0.0)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     clone = space.clone()
     record = run_msi(TaskInput(world.instruction, frame), PlannerState(), clone, params, mock)
     assert record.results[0].unseen_region_label == "fridge"
@@ -252,10 +252,10 @@ def test_msi_tick_scores_the_instruction_once(space, params):
     # only one: re-retrieval reads the vector off the record it stored.
     world = occluded_coke_world()
     mock = AffordanceCountingMock(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     clone = space.clone()
     vector = mock.score_affordance(world.instruction)
-    pool = retrieve_candidates(clone, world.instruction, vector, params)
+    pool = retrieve_candidates(clone, vector, params)
     assert isinstance(pool, CandidatePool)
     state = PlannerState(pools={world.instruction: pool})
     mock.subjects.clear()
@@ -276,7 +276,7 @@ def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
         gt={instruction: "g1"},
     )
     mock = AffordanceCountingMock(world, params)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     clone = space.clone()
     state, _ = step(PlannerState(), TaskInput(instruction, frame), clone, params, mock)
     assert state.tick.stream == "msi"
@@ -380,7 +380,7 @@ def run_episode(world, space, params, seed=0, sigma=0.0, max_steps=200, answer=N
 def test_step_on_completed_state_is_noop(space, params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
-    frame, _ = observe(world, params)
+    frame, _ = observe(world)
     state = PlannerState(status=COMPLETED)
     state2, command = step(state, TaskInput("I am thirsty", frame), space.clone(), params, mock)
     assert isinstance(command, NoOp)

@@ -34,9 +34,9 @@ from aide.simulator import (
 )
 
 
-def test_observe_projects_visible_objects(params):
+def test_observe_projects_visible_objects():
     world = make_world([obj("c1", "cup", "drink", 14.0, 25.0)])
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     assert frame.width == frame.height == 800
     assert len(projections) == 1
     proj = projections[0]
@@ -45,15 +45,15 @@ def test_observe_projects_visible_objects(params):
     assert proj.distance == pytest.approx(math.hypot(6.0, 7.0))
 
 
-def test_observe_deterministic(params):
+def test_observe_deterministic():
     w1 = make_world([obj("c1", "cup", "drink", 14.0, 25.0)])
     w2 = make_world([obj("c1", "cup", "drink", 14.0, 25.0)])
-    f1, p1 = observe(w1, params)
-    f2, p2 = observe(w2, params)
+    f1, p1 = observe(w1)
+    f2, p2 = observe(w2)
     assert f1 == f2 and p1 == p2
 
 
-def test_observe_skips_absent_and_out_of_window(params):
+def test_observe_skips_absent_and_out_of_window():
     world = make_world(
         [
             obj("gone", "cup", "drink", 14.0, 25.0, visibility=ABSENT),
@@ -61,17 +61,17 @@ def test_observe_skips_absent_and_out_of_window(params):
             obj("here", "cup", "drink", 20.0, 25.0),
         ]
     )
-    _, projections = observe(world, params)
+    _, projections = observe(world)
     assert [p.object_id for p in projections] == ["here"]
 
 
-def projected_boxes(world, params):
+def projected_boxes(world):
     """(id, box, handle, body) of each object ``observe`` renders, as first
     written: a Region for every rounded, clipped and intersected box."""
     size = world.frame_size
     out = []
     for o in world.objects.values():
-        if world.effective_visibility(o, params) is None:
+        if world.effective_visibility(o, world.robot_distance_to(o.center)) is None:
             continue
         raw = world._project_rect(o.box)
         if raw[2] <= 0 or raw[0] >= size or raw[3] <= 0 or raw[1] >= size:
@@ -123,27 +123,27 @@ def part_worlds(draw):
 @given(part_worlds())
 @example(make_world([obj("edge", "cup", "drink", 0.0, 12.0, w=1.0, h=1.0)]))  # frame corner
 @example(make_world([obj("flat", "cup", "drink", 20.0, 30.0, w=2.0, h=0.025)]))  # one-pixel rows
-def test_observe_matches_the_region_oracle(params, world):
-    expected = projected_boxes(world, params)
-    _, projections = observe(world, params)
+def test_observe_matches_the_region_oracle(world):
+    expected = projected_boxes(world)
+    _, projections = observe(world)
     assert [(p.object_id, p.box, p.handle, p.body) for p in projections] == expected
 
 
-def test_occluded_hidden_until_container_opens(params):
+def test_occluded_hidden_until_container_opens():
     world = make_world(
         [
             obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4),
             obj("k1", "coke", "drink", 20.0, 24.0, w=1, h=1, visibility=OCCLUDED, container_id="f1"),
         ]
     )
-    _, projections = observe(world, params)
+    _, projections = observe(world)
     assert [p.object_id for p in projections] == ["f1"]
     world.objects["f1"].opened = True
-    _, projections = observe(world, params)
+    _, projections = observe(world)
     assert {p.object_id for p in projections} == {"f1", "k1"}
 
 
-def test_blur_by_distance_and_script(params):
+def test_blur_by_distance_and_script():
     world = make_world(
         [
             obj("near", "cup", "drink", 20.0, 30.0),
@@ -151,14 +151,14 @@ def test_blur_by_distance_and_script(params):
             obj("marked", "glass", "drink", 20.0, 29.0, visibility=BLURRED),
         ]
     )
-    _, projections = observe(world, params)
+    _, projections = observe(world)
     by_id = {p.object_id: p.visibility for p in projections}
     assert by_id == {"near": "visible", "far": BLURRED, "marked": BLURRED}
 
 
 def test_apply_approach_moves_half_unit(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     before = world.robot
     events = apply(world, Approach(projections[0].box), params)
     assert events == ["approach:5.00"]
@@ -170,24 +170,24 @@ def test_apply_reformulate_only_when_near(params):
     world = make_world(
         [obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4)],
     )
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     box = projections[0].box
     events = apply(world, Reformulate("open the fridge", box), params)
     assert events == ["reformulate-far"]
     assert not world.objects["f1"].opened
     world.robot = (20.0, 24.5, 0.0)
-    observe(world, params)
+    observe(world)
     events = apply(world, Reformulate("open the fridge", box), params)
     # The key region came from the previous frame; reproject for exactness.
     assert any(e.startswith("opened:") or e == "reformulate-far" for e in events)
-    frame, projections = observe(world, params)
+    frame, projections = observe(world)
     events = apply(world, Reformulate("open the fridge", projections[0].box), params)
     assert world.objects["f1"].opened
 
 
 def test_apply_manipulate_and_noop(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
-    observe(world, params)
+    observe(world)
     assert apply(world, Manipulate(Region(0, 0, 1, 1), Region(1, 1, 2, 2)), params) == ["manipulate"]
     assert world.manipulated
     assert apply(world, NoOp(), params) == ["noop"]

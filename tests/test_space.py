@@ -99,7 +99,7 @@ def test_build_cluster_purity_against_blob_oracle(corpus, space, params):
 
 
 def test_build_singletons_when_far_apart():
-    params = ConfigParams(a=4, b=2, D=5.0, A=4)
+    params = ConfigParams(a=4, b=2, D=5.0)
     names = class_names()[:4]
     drafts = [
         _record(f"r{i}", class_centroid(n, params.X)) for i, n in enumerate(names)
@@ -414,9 +414,10 @@ def test_a_clone_of_a_clone_inherits_inserts_and_keeps_its_own(space, params, tm
     space.clone().insert(_record("first-insert", vector([5.0] * params.X)))
     path = tmp_path / "child.json"
     save_space(child, path)
-    # Pinned: the snapshot of these inserts keeps its bytes.
+    # Pinned: the snapshot of these inserts keeps its bytes (re-pinned only
+    # when seven retired keys left its params).
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "575d0c36c571e030a1d24facecc61d9caa9e5321ebb48bf84b02debf2032f7b6"
+    assert digest == "2bdf37637162fece6f8a5686b4cdff64854f0d03cc8667fbb9a001ccc0e1cf8a"
 
 
 # --- persistence ----------------------------------------------------------------
@@ -627,20 +628,41 @@ def _save_with_params(space, path, **extra) -> None:
 
 
 def test_load_reads_dropped_params_at_their_saved_values(space, tmp_path):
-    # Spaces saved before T, frame_size, view_range and
-    # visible_candidate_max_rank were dropped hold them at these values.
+    # Spaces saved before these fields were dropped hold them at these values.
     path = tmp_path / "space.json"
     _save_with_params(
-        space, path, T=None, frame_size=800, view_range=40.0, visible_candidate_max_rank=None
+        space,
+        path,
+        T=None,
+        frame_size=800,
+        view_range=40.0,
+        visible_candidate_max_rank=None,
+        A=432,
+        sigma=0.5,
+        frame_period=100.0,
+        epsilon=1e-6,
+        confidence_lambda=5.0,
+        blur_range=8.0,
+        max_subgoal_depth=4,
     )
     assert load_space(path).params == space.params
 
 
 def test_load_rejects_a_dropped_param_that_was_set(space, tmp_path):
     path = tmp_path / "space.json"
-    _save_with_params(space, path, visible_candidate_max_rank=12)
-    with pytest.raises(SpaceFormatError, match="visible_candidate_max_rank"):
-        load_space(path)
+    for key, value in [
+        ("visible_candidate_max_rank", 12),
+        ("A", 1000),
+        ("sigma", 0.0),
+        ("frame_period", 50.0),
+        ("epsilon", 1e-3),
+        ("confidence_lambda", 10.0),
+        ("blur_range", 20.0),
+        ("max_subgoal_depth", 2),
+    ]:
+        _save_with_params(space, path, **{key: value})
+        with pytest.raises(SpaceFormatError, match=key):
+            load_space(path)
 
 
 def _results_per_draft(drafts) -> list[list[GroundingResult]]:

@@ -66,9 +66,9 @@ def reference_run(space):
     return expected, report, traces, counts
 
 
-def test_reference_eval_events_match_recorded_digest(reference_run, params, tmp_path):
+def test_reference_eval_events_match_recorded_digest(reference_run, corpus, tmp_path):
     expected, report, traces, _ = reference_run
-    assert (expected["corpus_seed"], params.A) == (7, 432)
+    assert (expected["corpus_seed"], len(corpus)) == (7, 432)
     reference = expected["seeds"]["0"]
     events = tmp_path / "events.jsonl"
     for episode_id, trace in traces:
