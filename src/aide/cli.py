@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigParams, load_config
+from .config import ConfigError, ConfigParams, load_config
 from .harness import (
     ablate_retrieval,
     console_answerer,
@@ -29,7 +29,7 @@ from .harness import (
     write_report,
 )
 from .planner import write_trace
-from .space import build_space, load_space, read_corpus, save_space
+from .space import SpaceError, build_space, load_space, read_corpus, save_space
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -107,7 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a rejected input is a one-line error and exit status 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, SpaceError, ValueError) as exc:
+        print(f"aide {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     params, paths = _params_and_paths(args)
 
     if args.command == "gen-corpus":

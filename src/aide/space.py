@@ -56,6 +56,12 @@ MAX_RESULTS_PER_RECORD = 3
 # A stored record's place in the space: cluster, subcluster, row.
 Position = tuple[int, int, int]
 
+# Retrieval measures the first DFS_BLOCK rows of a subcluster, and the rest
+# only when those hold no hit. A hit is mostly among the first rows, and the
+# rest in one piece keeps a miss about as cheap as one whole-subcluster scan
+# (128-row blocks all through doubled the cost of a miss at 50,000 records).
+DFS_BLOCK = 128
+
 
 class SpaceError(RuntimeError):
     pass
@@ -252,11 +258,15 @@ class RelationshipSpace:
         for ci in _nearest_first(point, cluster_rows):
             subs = self.clusters[ci].subclusters
             for sj in _nearest_first(point, subcluster_rows[ci]):
-                hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= radius)
-                if hits.size:
-                    k = int(hits[0])
-                    return (int(ci), int(sj), k), visited + k + 1
-                visited += len(subs[sj].ids)
+                rows = subs[sj].instruction_rows
+                for start, stop in ((0, DFS_BLOCK), (DFS_BLOCK, len(rows))):
+                    if start >= len(rows):
+                        break
+                    hits = np.flatnonzero(euclidean(point, rows[start:stop]) <= radius)
+                    if hits.size:
+                        k = start + int(hits[0])
+                        return (int(ci), int(sj), k), visited + k + 1
+                visited += len(rows)
         return None, visited
 
     def candidate_set(self, anchor: Position, d: float | None = None) -> np.ndarray:

@@ -153,9 +153,10 @@ def test_config_file_supplies_params_and_paths(artifacts, tmp_path, capsys):
     assert "clear_brush: completed" in capsys.readouterr().out
 
 
-def test_negative_noise_is_an_error(artifacts):
-    with pytest.raises(ValueError, match="sigma must be non-negative"):
-        main(["eval", "--space", str(artifacts["space"]), "--episodes", "1", "--noise", "-1"])
+def test_negative_noise_is_an_error(artifacts, capsys):
+    argv = ["eval", "--space", str(artifacts["space"]), "--episodes", "1", "--noise", "-1"]
+    assert main(argv) == 2
+    assert "sigma must be non-negative" in capsys.readouterr().err
 
 
 def test_build_space_writes_to_the_config_space_path(artifacts, tmp_path, capsys):
@@ -169,13 +170,34 @@ def test_build_space_writes_to_the_config_space_path(artifacts, tmp_path, capsys
     assert "build-space needs --out" in capsys.readouterr().err
 
 
-def test_config_rejects_bad_schema(tmp_path):
+def test_config_rejects_bad_schema(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text('{"schema": "aide-config/9", "params": {}}')
-    from aide.config import ConfigError
+    assert main(["run-episode", "--config", str(bad), "--world", "clear_cup"]) == 2
+    assert "expected schema 'aide-config/1'" in capsys.readouterr().err
 
-    with pytest.raises(ConfigError):
-        main(["run-episode", "--config", str(bad), "--world", "clear_cup"])
+
+@pytest.mark.parametrize(
+    "document, argv, message",
+    [
+        (None, ["gen-corpus", "--count", "0", "--out", "{root}/x.jsonl"], "corpus size must be positive"),
+        (
+            '{"schema": "aide-config/1", "params": {"sigma": -1}}',
+            ["run-episode", "--config", "{doc}", "--world", "clear_cup"],
+            "parameter 'sigma' is fixed at 0.5",
+        ),
+        ('{"schema": "aide-space/1"}', ["eval", "--space", "{doc}"], "aide-space/2"),
+    ],
+    ids=["ValueError", "ConfigError", "SpaceError"],
+)
+def test_a_rejected_input_is_a_one_line_error(document, argv, message, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    if document is not None:
+        doc.write_text(document)
+    assert main([arg.format(root=tmp_path, doc=doc) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aide {argv[0]}: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # Arguments that satisfy each subcommand's required flags.

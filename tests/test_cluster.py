@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from cluster_oracle import lloyd_kmeans
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -105,6 +106,17 @@ def test_a_point_equidistant_from_two_centers_goes_to_the_lower_index(data):
     assert np.array_equal(labels, broadcast_assign(points, centers))
 
 
+def same_bits(got, expected):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def both_fits(points, k, seed):
+    """The bounded fit and the plain Lloyd oracle, each from its own equal generator."""
+    got = kmeans(points, k, np.random.Generator(np.random.PCG64(seed)))
+    expected = lloyd_kmeans(points, k, np.random.Generator(np.random.PCG64(seed)))
+    return got, expected
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_kmeans_is_bit_identical_to_a_run_on_the_broadcast_oracle(seed, monkeypatch):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -113,5 +125,101 @@ def test_kmeans_is_bit_identical_to_a_run_on_the_broadcast_oracle(seed, monkeypa
         points = np.round(points)  # duplicate points and exact ties
     got = kmeans(points, 8, np.random.Generator(np.random.PCG64(seed)))
     monkeypatch.setattr(cluster, "assign", broadcast_assign)
-    expected = kmeans(points, 8, np.random.Generator(np.random.PCG64(seed)))
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    expected = lloyd_kmeans(points, 8, np.random.Generator(np.random.PCG64(seed)))
+    same_bits(got, expected)
+
+
+def grid_points(rng, n):
+    """Two-dimensional points on a 5 x 5 integer grid: many duplicates, and
+    many points exactly as far from two centers."""
+    return rng.integers(0, 5, size=(n, 2)).astype(float)
+
+
+def score_points(rng, n):
+    return np.clip(rng.normal(5.0, 2.5, size=(n, 19)), 0.0, 10.0)
+
+
+@pytest.mark.parametrize("make", [score_points, grid_points], ids=["scores", "grid"])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_matches_plain_lloyd(make, k, seed):
+    points = make(np.random.Generator(np.random.PCG64(100 + seed)), 40)  # k = 40 is k = n
+    same_bits(*both_fits(points, k, seed))
+
+
+@st.composite
+def points_and_k(draw):
+    dims = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        elements = st.integers(0, 3).map(float)  # ties and duplicates
+    else:
+        elements = st.floats(0.0, 10.0)
+    points = draw(hnp.arrays(float, (n, dims), elements=elements))
+    return points, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points_and_k())
+def test_kmeans_matches_plain_lloyd_on_drawn_points(drawn):
+    points, k, seed = drawn
+    same_bits(*both_fits(points, k, seed))
+
+
+def test_kmeans_matches_plain_lloyd_where_only_the_margin_keeps_a_bound_safe():
+    # In one dimension a shift moves a distance by exactly the shift, so the
+    # bounds can equal the distances and only rounding tells them apart. On
+    # these points a fit without MARGIN skips a point whose label plain Lloyd
+    # changes.
+    points = np.array([[0.15], [0.04], [0.27], [0.22], [0.11], [0.08], [0.34], [0.06], [0.23], [0.3]])
+    same_bits(*both_fits(points, 3, 155))
+
+
+@pytest.mark.parametrize("distinct", [1, 3])
+def test_kmeans_matches_plain_lloyd_when_clusters_go_empty(distinct):
+    corners = np.array([[2.0, 3.0, 7.0], [4.0, 4.0, 4.0], [9.0, 0.0, 2.0]])
+    points = np.repeat(corners[:distinct], 10, axis=0)
+    got, expected = both_fits(points, 5, 4)
+    same_bits(got, expected)
+    assert len(set(got[1].tolist())) == distinct  # the other clusters ended empty
+
+
+def subcluster_points(seed):
+    """The shape of one subcluster of the 50,000-record space: 6,250 points
+    around one class centroid in 19 dimensions, split three ways."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.clip(rng.normal(rng.uniform(2.0, 8.0, 19), 1.5, size=(6250, 19)), 0.0, 10.0)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_kmeans_matches_plain_lloyd_when_the_iteration_cap_stops_it(cap, monkeypatch):
+    points = subcluster_points(5)[:1500]
+    uncapped = kmeans(points, 3, np.random.Generator(np.random.PCG64(5)))
+    monkeypatch.setattr(cluster, "MAX_ITERATIONS", cap)
+    got, expected = both_fits(points, 3, 5)
+    same_bits(got, expected)
+    assert not np.array_equal(got[1], uncapped[1])  # stopped mid-way
+
+
+def test_kmeans_matches_plain_lloyd_on_a_subcluster_of_the_50k_space():
+    same_bits(*both_fits(subcluster_points(7), 3, 7))
+
+
+def test_the_bounds_leave_most_distances_unmeasured(monkeypatch):
+    measure = cluster.euclidean
+    measured = []
+
+    def counting(a, b):
+        out = measure(a, b)
+        measured.append(out.size)
+        return out
+
+    monkeypatch.setattr(cluster, "euclidean", counting)
+    points = subcluster_points(7)
+    lloyd_kmeans(points, 3, np.random.Generator(np.random.PCG64(7)))
+    plain = sum(measured)
+    measured.clear()
+    kmeans(points, 3, np.random.Generator(np.random.PCG64(7)))
+    # Pinned: the distances the bounded fit takes, counting k-means++ and the
+    # center shifts. Looser bounds give the same result at a higher count.
+    assert (plain, sum(measured)) == (1_200_000, 330_000)

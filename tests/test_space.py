@@ -16,11 +16,14 @@ from aide.affordance import (
     class_centroid,
     class_names,
     distance,
+    euclidean,
     vector,
 )
 from aide.config import ConfigParams
 from aide.geometry import Region
+from aide.harness import gen_corpus
 from aide.space import (
+    DFS_BLOCK,
     DuplicateRecordError,
     GroundingResult,
     InstructionRecord,
@@ -165,6 +168,21 @@ def test_build_deterministic(corpus, params):
     assert a1 == a2
 
 
+@pytest.fixture(scope="module")
+def space_5000(params):
+    # About 208 rows a subcluster: more than one DFS block.
+    return build_space(gen_corpus(5000, params.X, params.a, params.b, seed=7), params, 7)
+
+
+def test_a_5000_draft_build_at_the_corpus_seed_keeps_its_bytes(space_5000, tmp_path):
+    # Pinned at the plain Lloyd loop, before k-means skipped the points whose
+    # label cannot change: the same clusters and rows, byte for byte.
+    path = tmp_path / "space.json"
+    save_space(space_5000, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "14cb423438920b721cd3f67a4e918789a2943a58809514b52710f697f66d0e1c"
+
+
 def test_build_is_centroid_fixed_point(space):
     assert brute_force_assignments(space)
 
@@ -234,6 +252,37 @@ def test_radius_equal_to_the_numpy_oracle_distance_is_inside(space, params):
         tools = sub.tool_rows
         radius = float(np.sqrt(((tools - np.array(record.tool_affordance.scores)) ** 2).sum(axis=1)).max())
         assert len(space.candidate_set(anchor, radius)) == len(sub.ids)
+
+
+def whole_subcluster_dfs(space, query, c):
+    """DFS as first written: each visited subcluster measured in full."""
+    point = np.asarray(query.scores)
+    centroids = np.array([cluster.centroid.scores for cluster in space.clusters])
+    visited = 0
+    for ci in np.argsort(euclidean(point, centroids), kind="stable"):
+        subs = space.clusters[ci].subclusters
+        sub_centroids = np.array([sub.centroid.scores for sub in subs])
+        for sj in np.argsort(euclidean(point, sub_centroids), kind="stable"):
+            hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= c)
+            if hits.size:
+                return (int(ci), int(sj), int(hits[0])), visited + int(hits[0]) + 1
+            visited += len(subs[sj].ids)
+    return None, visited
+
+
+def test_dfs_in_blocks_matches_the_whole_subcluster_oracle(space_5000, params):
+    rng = np.random.Generator(np.random.PCG64(31))
+    late_hits = 0
+    for (ci, sj, k), record in list(space_5000.iter_records())[::41]:
+        row = np.asarray(record.instruction_affordance.scores)
+        query = AffordanceVector(tuple(np.clip(row + rng.normal(0.0, 0.4, params.X), 0.0, 10.0)))
+        at_row = float(euclidean(np.asarray(query.scores), row))
+        # At its own distance the row lies inside the radius; one float below, outside.
+        for c in (0.0, np.nextafter(at_row, 0.0), at_row, 2.0, params.c):
+            got = space_5000.dfs_retrieve(query, c)
+            assert got == whole_subcluster_dfs(space_5000, query, c)
+            late_hits += got[0] is not None and got[0][2] >= DFS_BLOCK
+    assert late_hits  # some hits lie past the first block
 
 
 def test_dfs_dimension_mismatch(space):
