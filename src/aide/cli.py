@@ -28,7 +28,9 @@ from .harness import (
     run_eval,
     write_report,
 )
-from .planner import write_trace
+from .mock import DEFAULT_SIGMA
+from .planner import MAX_STEPS, write_trace
+from .simulator import WorldError
 from .space import SpaceError, build_space, load_space, read_corpus, save_space
 
 
@@ -42,17 +44,12 @@ def _add_episode_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--space", type=Path, help="aide-space/2 document")
     parser.add_argument("--scenarios", type=Path, help="directory of aide-world/1 files")
     parser.add_argument("--report", type=Path, help="output report path")
-    parser.add_argument("--noise", type=float, default=None, help="mock noise sigma")
-
-
-def _params_and_paths(args) -> tuple[ConfigParams, dict]:
-    if args.config:
-        return load_config(args.config)
-    return ConfigParams(), {}
-
-
-def _resolved(paths: dict, key: str, flag_value):
-    return flag_value if flag_value is not None else paths.get(key)
+    parser.add_argument(
+        "--noise", type=float, default=DEFAULT_SIGMA, help="mock noise sigma (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--max-steps", type=int, default=MAX_STEPS, help="ticks before a timeout (default: %(default)s)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,13 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-space", help="build and persist the relationship space")
     _add_common(p)
     p.add_argument("--corpus", type=Path, required=True, help="draft jsonl path")
-    p.add_argument("--out", type=Path, help="output space path (default: config paths.space)")
+    p.add_argument("--out", type=Path, required=True, help="output space path")
 
     p = sub.add_parser("eval", help="run the batch evaluation suite")
     _add_common(p)
     _add_episode_flags(p)
     p.add_argument("--episodes", type=int, default=None, help="episode count (default: one per world)")
-    p.add_argument("--max-steps", type=int, default=400)
 
     p = sub.add_parser("ablate-retrieval", help="retrieval method and threshold ablation")
     _add_common(p)
@@ -94,14 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_episode_flags(p)
     p.add_argument("--no-hints", action="store_true", help="disable human-recovery hints")
-    p.add_argument("--max-steps", type=int, default=400)
 
     p = sub.add_parser("run-episode", help="run one scenario end to end")
     _add_common(p)
     _add_episode_flags(p)
     p.add_argument("--interactive", action="store_true", help="answer prompts from stdin")
     p.add_argument("--world", required=True, help="world id (built-in or from --scenarios)")
-    p.add_argument("--max-steps", type=int, default=400)
 
     return parser
 
@@ -111,13 +105,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, SpaceError, ValueError) as exc:
+    except (ConfigError, SpaceError, WorldError, ValueError, OSError) as exc:
         print(f"aide {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 
 def _run(args) -> int:
-    params, paths = _params_and_paths(args)
+    params = load_config(args.config) if args.config else ConfigParams()
 
     if args.command == "gen-corpus":
         drafts = gen_corpus(args.count, params.X, params.a, params.b, args.seed, path=args.out)
@@ -125,17 +119,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "build-space":
-        out = _resolved(paths, "space", args.out)
-        if out is None:
-            print("build-space needs --out", file=sys.stderr)
-            return 2
         drafts = read_corpus(args.corpus)
         space = build_space(drafts, params, args.seed)
-        save_space(space, out)
-        print(f"built space with {space.record_count} records into {out}")
+        save_space(space, args.out)
+        print(f"built space with {space.record_count} records into {args.out}")
         return 0
-
-    report_path = _resolved(paths, "report", args.report)
 
     if args.command == "ablate-retrieval":
         drafts = read_corpus(args.corpus)
@@ -145,16 +133,15 @@ def _run(args) -> int:
         )
         text = render_ablation(rows, {"seed": args.seed, "queries": args.queries})
         print(text, end="")
-        if report_path:
-            Path(report_path).write_text(text, encoding="utf-8")
+        if args.report:
+            args.report.write_text(text, encoding="utf-8")
         return 0
 
-    space_path = _resolved(paths, "space", args.space)
-    if space_path is None:
+    if args.space is None:
         print(f"{args.command} needs --space", file=sys.stderr)
         return 2
-    space = load_space(space_path)
-    worlds = resolve_worlds(_resolved(paths, "scenarios", args.scenarios))
+    space = load_space(args.space)
+    worlds = resolve_worlds(args.scenarios)
 
     if args.command == "eval":
         traces: list = []
@@ -170,8 +157,8 @@ def _run(args) -> int:
         )
         text = render_report(report)
         print(text, end="")
-        if report_path:
-            write_report(report, report_path, traces)
+        if args.report:
+            write_report(report, args.report, traces)
         return 0
 
     if args.command == "error-analysis":
@@ -186,8 +173,8 @@ def _run(args) -> int:
         )
         text = render_report(report, title="error analysis")
         print(text, end="")
-        if report_path:
-            write_report(report, report_path, title="error analysis")
+        if args.report:
+            write_report(report, args.report, title="error analysis")
         return 0
 
     if args.command == "run-episode":
@@ -204,10 +191,10 @@ def _run(args) -> int:
             + (f" ({trace.fail_reason})" if trace.fail_reason else "")
             + f" in {trace.steps} steps, {trace.wall_seconds:.3f}s"
         )
-        if report_path:
-            Path(report_path).unlink(missing_ok=True)
-            write_trace(trace, report_path, f"ep-{args.world}")
-            print(f"trace written to {report_path}")
+        if args.report:
+            args.report.unlink(missing_ok=True)
+            write_trace(trace, args.report, f"ep-{args.world}")
+            print(f"trace written to {args.report}")
         return 0
 
     return 2

@@ -112,21 +112,26 @@ class ConfigParams:
         return dataclasses.asdict(self)
 
 
-def load_config(path: str | Path) -> tuple[ConfigParams, dict]:
-    """Read an ``aide-config/1`` document; returns (params, auxiliary paths)."""
+def load_config(path: str | Path) -> ConfigParams:
+    """Read an ``aide-config/1`` document.
+
+    Input and output paths are set by flags alone, so a ``paths`` section
+    must be absent or empty, as ``save_config`` wrote it by default.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"expected schema {CONFIG_SCHEMA!r}, got {doc.get('schema')!r}")
-    params = ConfigParams.from_dict(doc.get("params", {}))
-    paths = doc.get("paths", {})
-    if not isinstance(paths, dict):
-        raise ConfigError("paths section must be a mapping")
-    return params, paths
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != CONFIG_SCHEMA:
+        raise ConfigError(f"expected schema {CONFIG_SCHEMA!r}, got {schema!r}")
+    if doc.get("paths", {}) != {}:
+        raise ConfigError(
+            "config paths are not read; pass --space, --scenarios, --report or --out instead"
+        )
+    return ConfigParams.from_dict(doc.get("params", {}))
 
 
-def save_config(params: ConfigParams, path: str | Path, paths: dict | None = None) -> None:
-    doc = {"schema": CONFIG_SCHEMA, "params": params.to_dict(), "paths": paths or {}}
+def save_config(params: ConfigParams, path: str | Path) -> None:
+    doc = {"schema": CONFIG_SCHEMA, "params": params.to_dict()}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

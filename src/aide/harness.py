@@ -28,7 +28,7 @@ from .affordance import (
 from .config import ConfigParams
 from .geometry import Region, vertical_halves
 from .mock import DEFAULT_SIGMA, MockPerception, token_cosine
-from .planner import EpisodeTrace, run_closed_loop, write_trace
+from .planner import MAX_STEPS, EpisodeTrace, run_closed_loop, write_trace
 from .simulator import (
     ABSENT,
     World,
@@ -244,9 +244,9 @@ def run_episode(
     world_template: World,
     space: RelationshipSpace,
     params: ConfigParams,
-    seed: int,
-    noise: float | None,
-    max_steps: int,
+    seed: int = 0,
+    noise: float = DEFAULT_SIGMA,
+    max_steps: int = MAX_STEPS,
     answer_human: Callable[[str], str | None] | None = None,
     interventions: dict | None = None,
 ) -> tuple[EpisodeRow, EpisodeTrace]:
@@ -293,23 +293,21 @@ def run_eval(
     worlds: dict[str, World] | None = None,
     params: ConfigParams | None = None,
     seed: int = 0,
-    noise: float | None = None,
-    max_steps: int = 400,
+    noise: float = DEFAULT_SIGMA,
+    max_steps: int = MAX_STEPS,
     episodes: int | None = None,
-    world_ids: Sequence[str] | None = None,
     trace_sink: Callable[[str, EpisodeTrace], None] | None = None,
 ) -> EvalReport:
     """Run the closed loop over (instruction, world) pairs and score them.
 
     ``episodes`` repeats the scenario cycle with distinct seeds until that
-    many episodes have run (defaults to one per world). Each episode gets its
-    own world and space copies, so episodes do not depend on one another.
+    many episodes have run (defaults to one per world), cycling through
+    ``worlds`` in id order. Each episode gets its own world and space copies,
+    so episodes do not depend on one another.
     """
     params = params or ConfigParams()
     worlds = worlds if worlds is not None else scripted_scenarios()
-    ids = sorted(world_ids if world_ids is not None else worlds)
-    missing = [w for w in ids if w not in worlds]
-    ids = [w for w in ids if w in worlds]
+    ids = sorted(worlds)
     rows = []
     total = episodes if episodes is not None else len(ids)
     for index in range(total):
@@ -325,10 +323,9 @@ def run_eval(
     rows.sort(key=lambda r: r.episode_id)
     meta = {
         "seed": seed,
-        "noise": DEFAULT_SIGMA if noise is None else noise,
+        "noise": noise,
         "episodes": len(rows),
         "scenarios": len(ids),
-        "skipped": missing,
     }
     return _aggregate(rows, meta)
 
@@ -489,8 +486,8 @@ def run_error_analysis(
     worlds: dict[str, World] | None = None,
     params: ConfigParams | None = None,
     seed: int = 0,
-    noise: float | None = None,
-    max_steps: int = 400,
+    noise: float = DEFAULT_SIGMA,
+    max_steps: int = MAX_STEPS,
     with_hints: bool = True,
 ) -> EvalReport:
     """Injected-failure suites measuring detection and recovery.
@@ -552,7 +549,7 @@ def run_error_analysis(
         removal_rows + recovery_rows,
         {
             "seed": seed,
-            "noise": DEFAULT_SIGMA if noise is None else noise,
+            "noise": noise,
             "removal_tick": _REMOVAL_TICK,
             "cases": len(clear_ids),
             "hints": with_hints,

@@ -48,7 +48,7 @@ from .simulator import BLURRED, ProjectedObject, World
 
 _PART_TERMS = ("handle", "body")
 
-# Noise scale when none is given; 0 disables noise.
+# Default noise scale; 0 disables noise.
 DEFAULT_SIGMA = 0.5
 
 _BASE_MATCH = 1.0
@@ -63,6 +63,8 @@ _BLUR_PENALTY = 0.05
 _TABLE_TEXT_MATCH = 0.9
 _UNRESOLVED_CROP_SIM = 0.3
 SIMILARITY_CAP = 1.0 - 1e-6  # no two references score a full 1
+# A box shows an object, handle or body only when their IoU exceeds this.
+_MIN_OVERLAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,7 @@ _NORMAL = NormalDist()
 
 
 class MockPerception(PerceptionBackend):
-    def __init__(self, world: World, params: ConfigParams, seed: int = 0, sigma: float | None = None):
-        sigma = DEFAULT_SIGMA if sigma is None else sigma
+    def __init__(self, world: World, params: ConfigParams, seed: int = 0, sigma: float = DEFAULT_SIGMA):
         if not sigma >= 0.0:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
         self.world = world
@@ -133,10 +134,11 @@ class MockPerception(PerceptionBackend):
     def _resolve_box(self, frame_image: str, box: Region) -> _Resolved:
         """What a crop shows: the object, handle or body it overlaps most.
 
-        An overlap must exceed IoU 0.05; on a tie the first in projection
-        order, and within one object in box, handle, body order, wins.
+        An overlap must exceed IoU ``_MIN_OVERLAP``; on a tie the first in
+        projection order, and within one object in box, handle, body order,
+        wins.
         """
-        best_score, best, best_suffix = 0.05, None, ""
+        best_score, best, best_suffix = _MIN_OVERLAP, None, ""
         for proj in self._projections(frame_image):
             score = iou(box, proj.box)
             if score > best_score:
@@ -157,6 +159,16 @@ class MockPerception(PerceptionBackend):
             tag=best.label + best_suffix,
             blurred=best.visibility == BLURRED,
         )
+
+    def _object_at(self, frame_image: str, box: Region) -> ProjectedObject | None:
+        """The object whose box overlaps ``box`` most, above IoU
+        ``_MIN_OVERLAP``; on a tie the first in projection order."""
+        best_score, best = _MIN_OVERLAP, None
+        for proj in self._projections(frame_image):
+            score = iou(box, proj.box)
+            if score > best_score:
+                best_score, best = score, proj
+        return best
 
     def resolve(self, ref: str) -> _Resolved:
         cached = self._resolve_cache.get(ref)
@@ -284,14 +296,9 @@ class MockPerception(PerceptionBackend):
     ) -> int:
         if not candidates:
             raise ValueError("candidates must be non-empty")
-        projections = self._projections(frame.image)
         for idx, det in enumerate(candidates):
-            best_iou, best_label = 0.0, None
-            for proj in projections:
-                score = iou(det.box, proj.box)
-                if score > best_iou:
-                    best_iou, best_label = score, proj.label
-            if best_iou > 0.05 and best_label == hypothesis.label:
+            proj = self._object_at(frame.image, det.box)
+            if proj is not None and proj.label == hypothesis.label:
                 return idx
         return 0
 
@@ -299,18 +306,12 @@ class MockPerception(PerceptionBackend):
         frame_box = Region(0, 0, frame.width, frame.height)
         if not frame_box.contains(tool.box):
             raise ValueError("tool box must lie within the frame")
-        best: tuple[float, ProjectedObject] | None = None
-        for proj in self._projections(frame.image):
-            score = iou(tool.box, proj.box)
-            if score > 0.05 and (best is None or score > best[0]):
-                best = (score, proj)
-        if best is not None:
-            proj = best[1]
-            if proj.handle is not None and proj.body is not None:
-                operational = proj.handle.intersection(tool.box)
-                functional = proj.body.intersection(tool.box)
-                if operational is not None and functional is not None:
-                    return operational, functional
+        proj = self._object_at(frame.image, tool.box)
+        if proj is not None and proj.handle is not None and proj.body is not None:
+            operational = proj.handle.intersection(tool.box)
+            functional = proj.body.intersection(tool.box)
+            if operational is not None and functional is not None:
+                return operational, functional
         return vertical_halves(tool.box)
 
     def score_affordance(self, subject: str) -> AffordanceVector:

@@ -81,6 +81,8 @@ REASON_EXPLORATION_IMPOSSIBLE = "exploration-impossible"
 
 # Reformulated subgoals stacked at most: a deeper stack fails the episode.
 MAX_SUBGOAL_DEPTH = 4
+# Ticks an episode may take before it fails with a timeout.
+MAX_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -336,7 +338,6 @@ def decide_motion(
     outcome: Grounded | GroundingResult | ExplorationOutcome,
     robot_near: bool,
     state: PlannerState,
-    params: ConfigParams,
 ) -> MotionCommand:
     """Turn one planning outcome into a motion command, updating episode state.
 
@@ -486,7 +487,7 @@ def step(
             state.last_container = outcome
 
     tick.near = frame.world_distance_to(target) <= params.r_near
-    command = decide_motion(outcome, tick.near, state, params)
+    command = decide_motion(outcome, tick.near, state)
     return state, command
 
 
@@ -561,7 +562,7 @@ def run_closed_loop(
     space: RelationshipSpace,
     params: ConfigParams,
     perception: PerceptionBackend,
-    max_steps: int = 400,
+    max_steps: int = MAX_STEPS,
     answer_human: Callable[[str], str | None] | None = None,
     interventions: dict[int, Callable[[World], None]] | None = None,
 ) -> EpisodeTrace:

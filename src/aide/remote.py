@@ -40,6 +40,8 @@ Transport = Callable[[str, dict], dict]
 T = TypeVar("T")
 
 _FAILURES_TO_OPEN = 3
+# Environment variable holding the bearer token the HTTP transport sends.
+_API_KEY_ENV = "AIDE_API_KEY"
 
 
 class CircuitOpenError(PerceptionError):
@@ -76,13 +78,12 @@ class RemotePerception(PerceptionBackend):
     def __init__(
         self,
         base_url: str,
-        api_key_env: str = "AIDE_API_KEY",
         timeout_ms: float = 2000.0,
         transport: Transport | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout_ms = timeout_ms
-        self._transport = transport or _http_transport(timeout_ms, os.environ.get(api_key_env))
+        self._transport = transport or _http_transport(timeout_ms, os.environ.get(_API_KEY_ENV))
         self._consecutive_failures = 0
 
     def reset(self) -> None:

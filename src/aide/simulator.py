@@ -383,8 +383,9 @@ def load_world(path: str | Path) -> World:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise WorldSchemaError(f"unreadable world document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != WORLD_SCHEMA:
-        raise WorldSchemaError(f"expected schema {WORLD_SCHEMA!r}, got {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != WORLD_SCHEMA:
+        raise WorldSchemaError(f"expected schema {WORLD_SCHEMA!r}, got {schema!r}")
     try:
         objects: OrderedDict[str, WorldObject] = OrderedDict()
         for odoc in doc["objects"]:

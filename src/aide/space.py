@@ -55,6 +55,9 @@ MAX_RESULTS_PER_RECORD = 3
 
 # A stored record's place in the space: cluster, subcluster, row.
 Position = tuple[int, int, int]
+# The cluster tree: per cluster its centroid, and per subcluster its centroid
+# and record count.
+Tree = list[tuple[list, list[tuple[list, int]]]]
 
 # Retrieval measures the first DFS_BLOCK rows of a subcluster, and the rest
 # only when those hold no hit. A hit is mostly among the first rows, and the
@@ -241,7 +244,7 @@ class RelationshipSpace:
                     yield (ci, sj, k), self.record(ci, sj, k)
 
     def dfs_retrieve(
-        self, query: AffordanceVector, c: float | None = None
+        self, query: AffordanceVector, c: float
     ) -> tuple[Position | None, int]:
         """Position of the first record within ``c`` of the query, or (None, visits).
 
@@ -251,7 +254,6 @@ class RelationshipSpace:
         returns ``record_count``.
         """
         self._check_dims(query)
-        radius = self.params.c if c is None else c
         point = np.asarray(query.scores)
         visited = 0
         cluster_rows, subcluster_rows = self._centroid_rows
@@ -262,24 +264,23 @@ class RelationshipSpace:
                 for start, stop in ((0, DFS_BLOCK), (DFS_BLOCK, len(rows))):
                     if start >= len(rows):
                         break
-                    hits = np.flatnonzero(euclidean(point, rows[start:stop]) <= radius)
+                    hits = np.flatnonzero(euclidean(point, rows[start:stop]) <= c)
                     if hits.size:
                         k = start + int(hits[0])
                         return (int(ci), int(sj), k), visited + k + 1
                 visited += len(rows)
         return None, visited
 
-    def candidate_set(self, anchor: Position, d: float | None = None) -> np.ndarray:
+    def candidate_set(self, anchor: Position, d: float) -> np.ndarray:
         """Rows of the anchor's subcluster within tool-affordance distance ``d`` of its row.
 
         Sorted by ascending distance with the record id as tiebreak; always
         contains the anchor's row (distance zero).
         """
-        radius = self.params.d if d is None else d
         ci, sj, k = anchor
         sub = self.clusters[ci].subclusters[sj]
         dists = euclidean(sub.tool_rows[k], sub.tool_rows)
-        picked = np.flatnonzero(dists <= radius)
+        picked = np.flatnonzero(dists <= d)
         near = dists[picked]
         order = np.argsort(near)
         if (near[order[1:]] == near[order[:-1]]).any():  # equal distances: ties go by id
@@ -375,7 +376,7 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
             f"need at least {params.a}"
         )
 
-    tree: list[tuple[list, list[tuple[list, int]]]] = []
+    tree: Tree = []
     order: list[np.ndarray] = []  # surviving draft indices, in tree order
     for ci in range(params.a):
         members = np.flatnonzero(survives & (labels == ci))
@@ -406,18 +407,16 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     table_row = np.full(len(drafts.results) + 1, -1)
     table_row[in_use] = np.arange(len(in_use))
     return _space_from_columns(
-        _Columns(
-            params=params,
-            tree=tree,
-            records=Drafts(
-                ids=[drafts.ids[i] for i in kept_rows],
-                texts=[drafts.texts[i] for i in kept_rows],
-                instruction=points[kept],
-                tool=tools[kept],
-                results=[drafts.results[i] for i in in_use.tolist()],
-                result_rows=table_row[used],
-            ),
-        )
+        params,
+        tree,
+        Drafts(
+            ids=[drafts.ids[i] for i in kept_rows],
+            texts=[drafts.texts[i] for i in kept_rows],
+            instruction=points[kept],
+            tool=tools[kept],
+            results=[drafts.results[i] for i in in_use.tolist()],
+            result_rows=table_row[used],
+        ),
     )
 
 
@@ -492,19 +491,6 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-@dataclass
-class _Columns:
-    """A space's contents: the cluster tree, and its records as drafts in tree
-    order, their results as rows of the space's result table. What
-    ``build_space`` and ``_parse_v2`` produce and ``_space_from_columns``
-    checks and builds from."""
-
-    params: ConfigParams
-    # Per cluster: its centroid, and per subcluster its centroid and record count.
-    tree: list[tuple[list, list[tuple[list, int]]]]
-    records: Drafts
-
-
 def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
     column = np.frombuffer(base64.b64decode(doc[key], validate=True), dtype=dtype)
     if column.size != shape[0] * shape[1]:
@@ -514,7 +500,7 @@ def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarr
     return column.reshape(shape)
 
 
-def _parse_v2(doc: dict) -> _Columns:
+def _parse_v2(doc: dict) -> tuple[ConfigParams, Tree, Drafts]:
     params = ConfigParams.from_dict(doc["params"])
     ids, texts = doc["ids"], doc["texts"]
     if not isinstance(ids, list) or not isinstance(texts, list):
@@ -522,21 +508,19 @@ def _parse_v2(doc: dict) -> _Columns:
     n = len(ids)
     if doc["record_count"] != n:
         raise SpaceFormatError("record_count does not match stored records")
-    return _Columns(
-        params=params,
-        tree=[
-            (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
-            for cdoc in doc["clusters"]
-        ],
-        records=Drafts(
-            ids=ids,
-            texts=texts,
-            instruction=_decode(doc, "instruction", "<f8", (n, params.X)),
-            tool=_decode(doc, "tool", "<f8", (n, params.X)),
-            results=[_result_from_dict(r) for r in doc["results"]],
-            result_rows=_decode(doc, "result_rows", "<i4", (n, MAX_RESULTS_PER_RECORD)),
-        ),
+    tree = [
+        (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
+        for cdoc in doc["clusters"]
+    ]
+    records = Drafts(
+        ids=ids,
+        texts=texts,
+        instruction=_decode(doc, "instruction", "<f8", (n, params.X)),
+        tool=_decode(doc, "tool", "<f8", (n, params.X)),
+        results=[_result_from_dict(r) for r in doc["results"]],
+        result_rows=_decode(doc, "result_rows", "<i4", (n, MAX_RESULTS_PER_RECORD)),
     )
+    return params, tree, records
 
 
 def _check_drafts(drafts: Drafts) -> frozenset[str]:
@@ -573,14 +557,14 @@ def _check_drafts(drafts: Drafts) -> frozenset[str]:
     return ids
 
 
-def _space_from_columns(columns: _Columns) -> RelationshipSpace:
-    """Check the records (``_check_drafts``) and the tree against them, then
+def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> RelationshipSpace:
+    """Check the records, drafts in tree order whose results are rows of the
+    space's result table (``_check_drafts``), and the tree against them, then
     build the subclusters, the id set and the centroid rows: the one
     construction path of a built or loaded space."""
-    records = columns.records
     ids = _check_drafts(records)
     n = len(records)
-    sizes = [size for _, subclusters in columns.tree for _, size in subclusters]
+    sizes = [size for _, subclusters in tree for _, size in subclusters]
     if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
         raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
 
@@ -588,7 +572,7 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
     rows = records.result_rows.astype(np.intp)
     clusters: list[Cluster] = []
     lo = 0
-    for centroid, subclusters in columns.tree:
+    for centroid, subclusters in tree:
         subs = []
         for sub_centroid, size in subclusters:
             hi = lo + size
@@ -604,9 +588,9 @@ def _space_from_columns(columns: _Columns) -> RelationshipSpace:
             )
             lo = hi
         clusters.append(Cluster(AffordanceVector(tuple(centroid)), tuple(subs)))
-    dims = columns.params.X
+    dims = params.X
     return RelationshipSpace(
-        params=columns.params,
+        params=params,
         clusters=clusters,
         results=list(records.results),
         _stored_ids=ids,
@@ -633,7 +617,7 @@ def load_space(path: str | Path) -> RelationshipSpace:
             " which is deterministic for a fixed seed"
         )
     try:
-        return _space_from_columns(_parse_v2(doc))
+        return _space_from_columns(*_parse_v2(doc))
     except SpaceError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -644,8 +628,8 @@ def load_space(path: str | Path) -> RelationshipSpace:
 
 
 def write_corpus(drafts: Drafts, path: str | Path) -> int:
-    """One JSON record object per line, results written out in full and
-    ``cluster_id``/``subcluster_id`` at -1; returns the line count."""
+    """One JSON record object per line, results written out in full; returns
+    the line count."""
     results = [_result_to_dict(result) for result in drafts.results]
     rows = zip(drafts.instruction.tolist(), drafts.tool.tolist(), drafts.result_rows.tolist())
     with Path(path).open("w", encoding="utf-8") as fh:
@@ -655,8 +639,6 @@ def write_corpus(drafts: Drafts, path: str | Path) -> int:
                 "text": text,
                 "instruction_affordance": instruction,
                 "tool_affordance": tool,
-                "cluster_id": -1,
-                "subcluster_id": -1,
                 "results": [results[row] for row in result_rows if row >= 0],
             }
             fh.write(json.dumps(record) + "\n")
@@ -674,7 +656,8 @@ def _score_column(vectors: list) -> np.ndarray:
 def read_corpus(path: str | Path) -> Drafts:
     """Parse a corpus as ``write_corpus`` writes it into drafts, checked as a
     load checks a space's columns. Each distinct result document is
-    constructed, and so checked, once; positions are ignored."""
+    constructed, and so checked, once. Keys besides these, such as the
+    ``cluster_id``/``subcluster_id`` that earlier versions wrote, are ignored."""
     ids, texts, instruction, tool, rows = [], [], [], [], []
     table: dict[GroundingResult, int] = {}
     row_of: dict[str, int] = {}  # result document, as read, to its table row

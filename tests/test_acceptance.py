@@ -302,13 +302,14 @@ def test_criterion_7_error_machinery(space, params):
 
 def test_criterion_8_per_frame_execution(space, params):
     """ESR over valid frames on the six everyday-instruction scenarios."""
+    worlds = scripted_scenarios()
     start = time.perf_counter()
     result = run_eval(
         space,
-        params=params,
+        {world_id: worlds[world_id] for world_id in REAL_WORLD_SUITE},
+        params,
         seed=0,
         noise=0.5,
-        world_ids=list(REAL_WORLD_SUITE),
         episodes=30,
     )
     elapsed = time.perf_counter() - start

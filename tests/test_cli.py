@@ -138,16 +138,12 @@ def test_run_episode_interactive(artifacts, monkeypatch, tmp_path, capsys):
     assert "clear_cup: completed" in capsys.readouterr().out
 
 
-def test_config_file_supplies_params_and_paths(artifacts, tmp_path, capsys):
+def test_config_file_supplies_params(artifacts, tmp_path, capsys):
     config = tmp_path / "config.json"
-    save_config(
-        ConfigParams(c=12.0),
-        config,
-        paths={"space": str(artifacts["space"])},
-    )
+    save_config(ConfigParams(c=12.0), config)
     code = main(
-        ["run-episode", "--config", str(config), "--world", "clear_brush"]
-        + ["--seed", "1", "--noise", "0"]
+        ["run-episode", "--config", str(config), "--space", str(artifacts["space"])]
+        + ["--world", "clear_brush", "--seed", "1", "--noise", "0"]
     )
     assert code == 0
     assert "clear_brush: completed" in capsys.readouterr().out
@@ -159,15 +155,11 @@ def test_negative_noise_is_an_error(artifacts, capsys):
     assert "sigma must be non-negative" in capsys.readouterr().err
 
 
-def test_build_space_writes_to_the_config_space_path(artifacts, tmp_path, capsys):
-    out = tmp_path / "space.json"
-    config = tmp_path / "config.json"
-    save_config(ConfigParams(), config, paths={"space": str(out)})
-    corpus = str(artifacts["corpus"])
-    assert main(["build-space", "--config", str(config), "--corpus", corpus, "--seed", "7"]) == 0
-    assert out.read_bytes() == artifacts["space"].read_bytes()
-    assert main(["build-space", "--corpus", corpus]) == 2
-    assert "build-space needs --out" in capsys.readouterr().err
+def test_build_space_needs_out(artifacts, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["build-space", "--corpus", str(artifacts["corpus"])])
+    assert excinfo.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_config_rejects_bad_schema(tmp_path, capsys):
@@ -187,14 +179,39 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
             "parameter 'sigma' is fixed at 0.5",
         ),
         ('{"schema": "aide-space/1"}', ["eval", "--space", "{doc}"], "aide-space/2"),
+        (
+            '{"schema": "aide-config/1", "params": {}, "paths": {"space": "s.json"}}',
+            ["build-space", "--config", "{doc}", "--corpus", "{corpus}", "--out", "{root}/s.json"],
+            "pass --space, --scenarios, --report or --out instead",
+        ),
+        (None, ["eval", "--space", "{root}/missing.json"], "No such file or directory"),
+        (None, ["build-space", "--corpus", "{root}/missing.jsonl", "--out", "{root}/s.json"], "No such file"),
+        (
+            None,
+            ["run-episode", "--config", "{root}/missing.json", "--world", "clear_cup"],
+            "No such file or directory",
+        ),
+        (None, ["eval", "--space", "{space}", "--scenarios", "{root}"], "no scenario files found"),
+        ('{"schema": "aide-world/1"}', ["eval", "--space", "{space}", "--scenarios", "{root}"], "malformed world"),
     ],
-    ids=["ValueError", "ConfigError", "SpaceError"],
+    ids=[
+        "ValueError",
+        "ConfigError",
+        "SpaceError",
+        "config-paths",
+        "missing-space",
+        "missing-corpus",
+        "missing-config",
+        "empty-scenarios",
+        "malformed-world",
+    ],
 )
-def test_a_rejected_input_is_a_one_line_error(document, argv, message, tmp_path, capsys):
+def test_a_rejected_input_is_a_one_line_error(document, argv, message, artifacts, tmp_path, capsys):
     doc = tmp_path / "doc.json"
     if document is not None:
         doc.write_text(document)
-    assert main([arg.format(root=tmp_path, doc=doc) for arg in argv]) == 2
+    paths = {"root": tmp_path, "doc": doc, "space": artifacts["space"], "corpus": artifacts["corpus"]}
+    assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"aide {argv[0]}: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -203,7 +220,7 @@ def test_a_rejected_input_is_a_one_line_error(document, argv, message, tmp_path,
 # Arguments that satisfy each subcommand's required flags.
 REQUIRED = {
     "gen-corpus": ["--out", "drafts.jsonl"],
-    "build-space": ["--corpus", "drafts.jsonl"],
+    "build-space": ["--corpus", "drafts.jsonl", "--out", "space.json"],
     "ablate-retrieval": ["--corpus", "drafts.jsonl"],
     "eval": [],
     "error-analysis": [],

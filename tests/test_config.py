@@ -57,13 +57,31 @@ def test_invariants_enforced():
         ConfigParams(a=0)
 
 
-def test_round_trip_with_paths(tmp_path):
+def test_round_trip(tmp_path):
     source = ConfigParams(approach_speed=0.25, c=12.0, N=7)
     path = tmp_path / "config.json"
-    save_config(source, path, paths={"space": "space.json", "report": "out.tsv"})
-    loaded, paths = load_config(path)
-    assert loaded == source
-    assert paths == {"space": "space.json", "report": "out.tsv"}
+    save_config(source, path)
+    assert "paths" not in json.loads(path.read_text())
+    assert load_config(path) == source
+
+
+@pytest.mark.parametrize("paths", [{}, None], ids=["empty", "absent"])
+def test_load_accepts_an_empty_or_absent_paths_section(tmp_path, paths):
+    # What save_config wrote by default before paths were set by flags alone.
+    doc = {"schema": "aide-config/1", "params": {"c": 12.0}}
+    if paths is not None:
+        doc["paths"] = paths
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path) == ConfigParams(c=12.0)
+
+
+@pytest.mark.parametrize("paths", [{"space": "space.json"}, ["space.json"], "space.json"])
+def test_load_rejects_paths_and_names_the_flags(tmp_path, paths):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "aide-config/1", "params": {}, "paths": paths}))
+    with pytest.raises(ConfigError, match="--space, --scenarios, --report or --out"):
+        load_config(path)
 
 
 def test_load_rejects_unknown_parameters(tmp_path):
@@ -81,6 +99,9 @@ def test_load_rejects_wrong_schema_and_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text("[]")
+    with pytest.raises(ConfigError, match="expected schema"):
+        load_config(path)
 
 
 def write_config(path, params: dict) -> None:
@@ -91,8 +112,7 @@ def test_load_accepts_dropped_keys_at_their_saved_values(tmp_path):
     source = ConfigParams(approach_speed=0.25, c=12.0)
     path = tmp_path / "config.json"
     write_config(path, {**source.to_dict(), **SAVED_RETIRED_KEYS})
-    loaded, _ = load_config(path)
-    assert loaded == source
+    assert load_config(path) == source
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -59,12 +60,20 @@ def test_gen_corpus_deterministic_file(params, tmp_path):
 
 
 def test_gen_corpus_file_keeps_its_pinned_digest(params, tmp_path):
-    # The digest of these drafts as drawn one record at a time; drawing all
-    # noise at once must reproduce them exactly.
+    # The digest of these drafts as drawn one record at a time, in the format
+    # that still wrote cluster_id/subcluster_id at -1; drawing all noise at
+    # once, and dropping those two keys, must reproduce them exactly.
     path = tmp_path / "drafts.jsonl"
     gen_corpus(432, params.X, params.a, params.b, seed=7, path=path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "eaf942f44b8655905c35545d9e0878e83fcbac44a4e4fc0b44e207e54b8c6aa0"
+    assert digest == "c2d63429d0ddac3ebf5b74f751b2f2dad4b46687334d6c63ca4ad17655b8ae4e"
+    with_positions = hashlib.sha256()
+    for line in path.read_text().splitlines():
+        doc = json.loads(line)
+        results = doc.pop("results")
+        old = {**doc, "cluster_id": -1, "subcluster_id": -1, "results": results}
+        with_positions.update((json.dumps(old) + "\n").encode("utf-8"))
+    assert with_positions.hexdigest() == "eaf942f44b8655905c35545d9e0878e83fcbac44a4e4fc0b44e207e54b8c6aa0"
 
 
 def test_gen_corpus_covers_all_class_labels(params):
@@ -88,20 +97,12 @@ def test_run_eval_report_invariants(space, params):
     assert len(scoring) == 1 and "automatic IoU" in scoring[0]
 
 
-def test_run_eval_marks_missing_scenarios(space, params):
-    report = run_eval(
-        space, params=params, seed=0, noise=0.0, world_ids=["clear_cup", "no_such_world"]
-    )
-    assert report.meta["skipped"] == ["no_such_world"]
-    assert len(report.rows) == 1
-
-
-def test_run_eval_never_reads_stdin(space, params, monkeypatch):
+def test_run_eval_never_reads_stdin(space, params, worlds, monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("batch evaluation must not block on input()")
 
     monkeypatch.setattr("builtins.input", explode)
-    report = run_eval(space, params=params, seed=0, noise=0.0, world_ids=["clear_cup"])
+    report = run_eval(space, {"clear_cup": worlds["clear_cup"]}, params, seed=0, noise=0.0)
     assert report.rows[0].status == "completed"
 
 
@@ -215,7 +216,7 @@ def test_interactive_episode_recovers_with_typed_label(space, params, worlds):
         return "cup"
 
     world = broken_reasoner_world(worlds)
-    _, trace = run_episode("ep", world, space, params, 0, None, 400, console_answerer(fake_input))
+    _, trace = run_episode("ep", world, space, params, answer_human=console_answerer(fake_input))
     assert prompts and prompts[0].endswith("> ")
     assert trace.status == "completed"
 
@@ -223,7 +224,7 @@ def test_interactive_episode_recovers_with_typed_label(space, params, worlds):
 def test_interactive_episode_empty_input_aborts(space, params, worlds):
     world = broken_reasoner_world(worlds)
     answer = console_answerer(lambda prompt: "")
-    _, trace = run_episode("ep", world, space, params, 0, None, 400, answer)
+    _, trace = run_episode("ep", world, space, params, answer_human=answer)
     assert trace.status == "failed"
     assert trace.fail_reason == "human-abort"
 
@@ -236,14 +237,14 @@ def test_hint_answerer_reads_world_hints(worlds):
 # --- report documents -------------------------------------------------------------
 
 
-def test_render_and_write_report(space, params, tmp_path):
+def test_render_and_write_report(space, params, worlds, tmp_path):
     traces = []
     report = run_eval(
         space,
-        params=params,
+        {world_id: worlds[world_id] for world_id in ("clear_cup", "occ_coke_fridge")},
+        params,
         seed=0,
         noise=0.0,
-        world_ids=["clear_cup", "occ_coke_fridge"],
         trace_sink=lambda eid, tr: traces.append((eid, tr)),
     )
     text = render_report(report)
@@ -257,8 +258,6 @@ def test_render_and_write_report(space, params, tmp_path):
     events = out.with_suffix(out.suffix + ".events.jsonl")
     assert events.exists()
     lines = events.read_text().strip().splitlines()
-    import json
-
     parsed = [json.loads(l) for l in lines]
     assert any(p.get("final") for p in parsed)
     assert any(p.get("command") == "manipulate" for p in parsed)

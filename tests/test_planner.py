@@ -300,9 +300,9 @@ def grounded_outcome():
     return Grounded(result=result, s_max=0.95)
 
 
-def test_decide_grounded_near_manipulates_and_completes(params):
+def test_decide_grounded_near_manipulates_and_completes():
     state = PlannerState()
-    command = decide_motion(grounded_outcome(), True, state, params)
+    command = decide_motion(grounded_outcome(), True, state)
     assert isinstance(command, Manipulate)
     assert state.status == COMPLETED
     result = grounded_outcome().result
@@ -310,52 +310,52 @@ def test_decide_grounded_near_manipulates_and_completes(params):
     assert result.tool_region.contains(command.functional)
 
 
-def test_decide_grounded_far_approaches(params):
+def test_decide_grounded_far_approaches():
     state = PlannerState()
-    command = decide_motion(grounded_outcome(), False, state, params)
+    command = decide_motion(grounded_outcome(), False, state)
     assert command == Approach(Region(10, 10, 40, 40))
     assert state.status == RUNNING
 
 
-def test_decide_slow_stream_result_never_manipulates(params):
+def test_decide_slow_stream_result_never_manipulates():
     state = PlannerState()
-    command = decide_motion(grounded_outcome().result, True, state, params)
+    command = decide_motion(grounded_outcome().result, True, state)
     assert isinstance(command, Approach)
     assert state.status == RUNNING
 
 
-def test_decide_visible_approaches(params):
+def test_decide_visible_approaches():
     outcome = ExplorationOutcome(kind=Strategy.VISIBLE, region=Region(0, 0, 50, 50))
-    command = decide_motion(outcome, False, PlannerState(), params)
+    command = decide_motion(outcome, False, PlannerState())
     assert command == Approach(Region(0, 0, 50, 50))
 
 
-def test_decide_invisible_far_approaches_near_reformulates(params):
+def test_decide_invisible_far_approaches_near_reformulates():
     outcome = ExplorationOutcome(
         kind=Strategy.INVISIBLE, region=Region(0, 0, 50, 50), label="fridge"
     )
     state = PlannerState()
-    assert decide_motion(outcome, False, state, params) == Approach(Region(0, 0, 50, 50))
+    assert decide_motion(outcome, False, state) == Approach(Region(0, 0, 50, 50))
     assert state.subgoal_stack == []
-    command = decide_motion(outcome, True, state, params)
+    command = decide_motion(outcome, True, state)
     assert command == Reformulate("open the fridge", Region(0, 0, 50, 50))
     assert state.subgoal_stack == ["open the fridge"]
 
 
-def test_decide_subgoal_pops_on_grounded_near(params):
+def test_decide_subgoal_pops_on_grounded_near():
     state = PlannerState(subgoal_stack=["open the fridge"])
-    command = decide_motion(grounded_outcome(), True, state, params)
+    command = decide_motion(grounded_outcome(), True, state)
     assert isinstance(command, Approach)
     assert state.subgoal_stack == []
     assert state.status == RUNNING
 
 
-def test_decide_reformulation_overflow_fails(params):
+def test_decide_reformulation_overflow_fails():
     outcome = ExplorationOutcome(
         kind=Strategy.INVISIBLE, region=Region(0, 0, 50, 50), label="fridge"
     )
     state = PlannerState(subgoal_stack=["a", "b", "c", "d"])
-    command = decide_motion(outcome, True, state, params)
+    command = decide_motion(outcome, True, state)
     assert isinstance(command, NoOp)
     assert state.status == FAILED
     assert state.fail_reason == REASON_REFORMULATION_LOOP

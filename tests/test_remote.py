@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import urllib.request
+
 import pytest
 
 from aide.geometry import Region
@@ -194,3 +197,18 @@ def test_detect_rejects_a_reply_out_of_rank_order():
     dets = remote.detect(frame(), ["cup"], 5)
     assert [(d.rank, d.confidence) for d in dets] == [(1, 0.2), (2, 0.2)]
     assert remote._consecutive_failures == 0
+
+
+def test_http_transport_sends_the_key_from_aide_api_key(monkeypatch):
+    requests = []
+
+    def urlopen(request, timeout):
+        requests.append(request)
+        return io.BytesIO(b'{"value": 0.5}')
+
+    monkeypatch.setenv("AIDE_API_KEY", "secret")
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    remote = RemotePerception("http://models.example:9000")
+    assert remote.similarity("a", "b").value == 0.5
+    assert requests[0].full_url == "http://models.example:9000/similarity"
+    assert requests[0].get_header("Authorization") == "Bearer secret"

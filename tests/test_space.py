@@ -721,6 +721,7 @@ def _results_per_draft(drafts) -> list[list[GroundingResult]]:
 def test_corpus_round_trip(corpus, params, tmp_path):
     path, again = tmp_path / "drafts.jsonl", tmp_path / "again.jsonl"
     assert write_corpus(corpus, path) == len(corpus) == 432
+    assert "cluster_id" not in json.loads(path.read_text().splitlines()[0])
     loaded = read_corpus(path)
     assert (loaded.ids, loaded.texts) == (corpus.ids, corpus.texts)
     assert np.array_equal(loaded.instruction, corpus.instruction)
@@ -741,6 +742,8 @@ def test_corpus_rejects_garbage(tmp_path):
 
 
 def _corpus_line(**changes) -> str:
+    # A line as earlier versions wrote it, with cluster_id/subcluster_id at -1,
+    # which read_corpus ignores.
     record = {
         "id": "ins-0",
         "text": "do the thing",
