@@ -78,8 +78,6 @@ class Grounded:
 
 @dataclass(frozen=True)
 class NeedsExploration:
-    # None when the slow stream explores: it matched no retrieved pool.
-    pool: CandidatePool | None
     s_max: float
     t_new: float
     detections: tuple[Detection, ...] = ()
@@ -139,7 +137,7 @@ def match_tool(
     crops = crop_references(frame, detections[params.N : 2 * params.N])
     similarities += crop_scores(perception, crops, images)
     t_new = max(similarities, default=0.0)
-    return NeedsExploration(pool, s_max, t_new, detections, tuple(similarities))
+    return NeedsExploration(s_max, t_new, detections, tuple(similarities))
 
 
 def ground_regions(

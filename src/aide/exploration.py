@@ -1,9 +1,10 @@
 """Exploration policy: where to look when matching cannot ground the tool.
 
-Routing is threshold-driven: matching strictly above ``m`` skips exploration
-entirely; otherwise visible exploration runs when the wider top-2N match score
-exceeds the strategy threshold (the tool is probably in view but degraded) and
-invisible exploration runs when it does not (the tool is probably hidden in a
+Exploration runs only when matching did not ground the tool (``match_tool``
+grounds on a score strictly above ``m``). Routing is then threshold-driven:
+visible exploration runs when the wider top-2N match score exceeds the
+strategy threshold (the tool is probably in view but degraded) and invisible
+exploration runs when it does not (the tool is probably hidden in a
 container).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .config import ConfigParams
 from .ers import CandidatePool
@@ -29,7 +31,6 @@ from .perception import (
 
 
 class Strategy(str, Enum):
-    NONE = "none"
     VISIBLE = "visible"
     INVISIBLE = "invisible"
 
@@ -41,22 +42,17 @@ class ExplorationImpossible(RuntimeError):
 @dataclass(frozen=True)
 class ExplorationOutcome:
     kind: Strategy
-    region: Region | None = None
+    region: Region
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is Strategy.NONE and self.region is not None:
-            raise ValueError("no-exploration outcome cannot carry a region")
-        if self.kind is not Strategy.NONE and self.region is None:
-            raise ValueError(f"{self.kind.value} exploration requires a region")
         if self.kind is Strategy.INVISIBLE and self.label is None:
             raise ValueError("invisible exploration requires a label")
 
 
-def choose_strategy(s_max: float, t_new: float, params: ConfigParams) -> Strategy:
-    """Pure routing rule; boundaries are strict greater-than on both scores."""
-    if s_max > params.m:
-        return Strategy.NONE
+def choose_strategy(t_new: float, params: ConfigParams) -> Strategy:
+    """Pure routing rule for a match that did not ground: visible when the
+    top-2N score is strictly above the strategy threshold."""
     if t_new > params.strategy_threshold:
         return Strategy.VISIBLE
     return Strategy.INVISIBLE
@@ -73,7 +69,7 @@ def _clipped_square(center: tuple[float, float], px: int, frame: SceneFrame) -> 
 
 
 def visible_explore(
-    detections: list[Detection], frame: SceneFrame, params: ConfigParams
+    detections: Sequence[Detection], frame: SceneFrame, params: ConfigParams
 ) -> Region:
     """Weighted square accumulation over low-rank detections.
 

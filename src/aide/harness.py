@@ -303,13 +303,18 @@ def run_eval(
     ``episodes`` repeats the scenario cycle with distinct seeds until that
     many episodes have run (defaults to one per world), cycling through
     ``worlds`` in id order. Each episode gets its own world and space copies,
-    so episodes do not depend on one another.
+    so episodes do not depend on one another. An empty ``worlds`` or an
+    ``episodes`` below 1 raises ``ValueError``.
     """
     params = params or ConfigParams()
     worlds = worlds if worlds is not None else scripted_scenarios()
+    if not worlds:
+        raise ValueError("no worlds to evaluate")
     ids = sorted(worlds)
     rows = []
     total = episodes if episodes is not None else len(ids)
+    if total < 1:
+        raise ValueError(f"episode count must be positive, got {total}")
     for index in range(total):
         world_id = ids[index % len(ids)]
         episode_id = f"ep-{index:04d}-{world_id}"

@@ -6,7 +6,7 @@ return identical values and concurrent use needs no locking.
 
 Reference grammar resolved by this backend:
 
-  frame:<world>:<tick>              a rendered frame (``SceneFrame.image``)
+  frame:<world>:<tick>              the world's current frame (``SceneFrame.image``)
   frame:...#crop:x0,y0,x1,y1        a crop of that frame
   tool:<class>:<label>              a catalog tool image
   tool:<class>:<label>#op / #fn     the catalog operational / functional crop
@@ -125,11 +125,13 @@ class MockPerception(PerceptionBackend):
     # -- frame and reference resolution --------------------------------------
 
     def _projections(self, frame_image: str) -> list[ProjectedObject]:
+        """The projections of the world's current frame; any other frame is
+        unknown."""
         base = frame_image.split("#", 1)[0]
-        try:
-            return self.world.observations[base]
-        except KeyError:
-            raise UnknownReferenceError(f"unknown frame reference {base!r}") from None
+        observed = self.world.observed
+        if observed is None or observed[0] != base:
+            raise UnknownReferenceError(f"unknown frame reference {base!r}")
+        return observed[1]
 
     def _resolve_box(self, frame_image: str, box: Region) -> _Resolved:
         """What a crop shows: the object, handle or body it overlaps most.

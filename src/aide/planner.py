@@ -20,7 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .affordance import AffordanceVector, label_class
 from .commands import (
@@ -36,7 +36,6 @@ from .ers import (
     CandidatePool,
     Grounded,
     MatchOutcome,
-    NeedsExploration,
     match_tool,
     retrieve_candidates,
 )
@@ -63,7 +62,7 @@ from .perception import (
     detect_or_empty,
     tool_regions,
 )
-from .simulator import World, apply, gt_projection, observe, run_intervention
+from .simulator import ProjectedObject, World, apply, gt_projection, observe
 from .space import GroundingResult, InstructionRecord, RelationshipSpace
 
 RUNNING = "running"
@@ -83,16 +82,6 @@ REASON_EXPLORATION_IMPOSSIBLE = "exploration-impossible"
 MAX_SUBGOAL_DEPTH = 4
 # Ticks an episode may take before it fails with a timeout.
 MAX_STEPS = 400
-
-
-@dataclass(frozen=True)
-class TaskInput:
-    instruction: str
-    frame: SceneFrame
-
-    def __post_init__(self) -> None:
-        if not self.instruction:
-            raise ValueError("instruction must be non-empty")
 
 
 class PlanningFailure(RuntimeError):
@@ -125,9 +114,8 @@ class TickEvent:
     operational_box: Region | None = None
     functional_box: Region | None = None
     explored_box: Region | None = None
-    gt_box: Region | None = None
-    gt_handle: Region | None = None
-    gt_body: Region | None = None
+    # The gt object's projection and its container's box in this tick's frame.
+    gt: ProjectedObject | None = None
     gt_container_box: Region | None = None
     correct: bool = False
     events: list[str] = field(default_factory=list)
@@ -151,7 +139,7 @@ class TickEvent:
             "operational_box": box(self.operational_box),
             "functional_box": box(self.functional_box),
             "explored_box": box(self.explored_box),
-            "gt_box": box(self.gt_box),
+            "gt_box": box(self.gt.box) if self.gt is not None else None,
             "gt_container_box": box(self.gt_container_box),
             "correct": self.correct,
             "events": list(self.events),
@@ -200,22 +188,26 @@ def needs_msi(pool: CandidatePool | None, validity: bool) -> bool:
 
 
 def explore(
-    match: NeedsExploration,
+    t_new: float,
+    detections: Sequence[Detection],
+    pool: CandidatePool | None,
     frame: SceneFrame,
     instruction: str,
     params: ConfigParams,
     perception: PerceptionBackend,
 ) -> ExplorationOutcome:
-    """Both streams' exploration: visible where ``choose_strategy`` routes and
-    squares exist, else invisible, which raises ``ExplorationImpossible`` or
-    ``PerceptionError`` when it finds no container."""
-    if choose_strategy(match.s_max, match.t_new, params) is Strategy.VISIBLE:
+    """Both streams' exploration after a match that did not ground: visible
+    where ``choose_strategy`` routes ``t_new`` and ``detections`` hold squares,
+    else invisible, which raises ``ExplorationImpossible`` or
+    ``PerceptionError`` when it finds no container. ``pool`` is None when the
+    slow stream explores, since it matched no retrieved pool."""
+    if choose_strategy(t_new, params) is Strategy.VISIBLE:
         try:
-            region = visible_explore(list(match.detections), frame, params)
+            region = visible_explore(detections, frame, params)
             return ExplorationOutcome(kind=Strategy.VISIBLE, region=region)
         except ExplorationImpossible:
             pass
-    region, label = invisible_explore(frame, instruction, match.pool, params, perception)
+    region, label = invisible_explore(frame, instruction, pool, params, perception)
     return ExplorationOutcome(kind=Strategy.INVISIBLE, region=region, label=label)
 
 
@@ -228,7 +220,8 @@ def _catalog_image(label: str) -> str:
 
 
 def mm_cot(
-    task: TaskInput,
+    instruction: str,
+    frame: SceneFrame,
     params: ConfigParams,
     perception: PerceptionBackend,
     override_label: str | None = None,
@@ -245,7 +238,7 @@ def mm_cot(
     if override_label is not None:
         hypothesis = ToolHypothesis(label=override_label)
     else:
-        hypothesis = perception.propose_tool(task.instruction, task.frame)
+        hypothesis = perception.propose_tool(instruction, frame)
     image = _catalog_image(hypothesis.label)
 
     def plan(
@@ -263,36 +256,33 @@ def mm_cot(
 
     def grounded(box: Region) -> GroundingResult:
         synthetic = Detection(label=hypothesis.label, box=box, confidence=1.0, rank=1)
-        return plan(box, tool_regions(perception, synthetic, task.frame))
+        return plan(box, tool_regions(perception, synthetic, frame))
 
     if override_region is not None:
         return grounded(override_region)
 
-    detections = detect_or_empty(
-        perception, task.frame, [hypothesis.label], params.detection_budget
-    )
+    detections = detect_or_empty(perception, frame, [hypothesis.label], params.detection_budget)
 
     wider = detections[: 2 * params.N]
     if detections:
-        tool = checked_candidate(perception, hypothesis, detections[: params.N], task.frame)
-        crop = crop_reference(task.frame, tool.box)
+        tool = checked_candidate(perception, hypothesis, detections[: params.N], frame)
+        crop = crop_reference(frame, tool.box)
         if crop_scores(perception, [crop], [image])[0] > params.strategy_threshold:
             return grounded(tool.box)
         # The selected candidate scored at or below the threshold, so it
         # cannot lift t_new above it; only the others are scored.
         wider = [det for det in wider if det is not tool]
 
-    # Nothing plausibly matches. The slow stream explores only after its
-    # candidate failed, so it routes with a zero match score: the wider top-2N
-    # score alone picks visible or invisible exploration.
-    t_new = max(crop_scores(perception, crop_references(task.frame, wider), [image]), default=0.0)
-    unmatched = NeedsExploration(None, s_max=0.0, t_new=t_new, detections=tuple(detections))
-    explored = explore(unmatched, task.frame, task.instruction, params, perception)
+    # Nothing plausibly matches: the wider top-2N score picks visible or
+    # invisible exploration.
+    t_new = max(crop_scores(perception, crop_references(frame, wider), [image]), default=0.0)
+    explored = explore(t_new, detections, None, frame, instruction, params, perception)
     return plan(explored.region, vertical_halves(explored.region), explored.label)
 
 
 def run_msi(
-    task: TaskInput,
+    instruction: str,
+    frame: SceneFrame,
     state: PlannerState,
     space: RelationshipSpace,
     params: ConfigParams,
@@ -307,21 +297,21 @@ def run_msi(
     state.human_override = None
     state.human_region = None
     try:
-        result = mm_cot(task, params, perception, override_label, override_region)
+        result = mm_cot(instruction, frame, params, perception, override_label, override_region)
         if instruction_vector is None:
-            instruction_vector = checked_affordance(perception, task.instruction, params.X)
+            instruction_vector = checked_affordance(perception, instruction, params.X)
         tool_vector = checked_affordance(perception, result.tool_image, params.X)
     except (PerceptionError, ExplorationImpossible) as exc:
         raise PlanningFailure(
             str(exc),
             prompt=(
-                f"planning failed for {task.instruction!r} ({exc}); "
+                f"planning failed for {instruction!r} ({exc}); "
                 "provide a tool label or region x0,y0,x1,y1"
             ),
         ) from exc
     record = InstructionRecord(
         id=f"msi-{state.episode_step:04d}-{state.msi_count:02d}",
-        text=task.instruction,
+        text=instruction,
         instruction_affordance=instruction_vector,
         tool_affordance=tool_vector,
         results=(result,),
@@ -397,18 +387,18 @@ def _retrieve(
 
 def step(
     state: PlannerState,
-    task: TaskInput,
+    instruction: str,
+    frame: SceneFrame,
     space: RelationshipSpace,
     params: ConfigParams,
     perception: PerceptionBackend,
 ) -> tuple[PlannerState, MotionCommand]:
-    """One full planner tick over the current frame; its record is ``state.tick``."""
-    active = state.subgoal_stack[-1] if state.subgoal_stack else task.instruction
+    """One full planner tick over ``frame``; its record is ``state.tick``."""
+    active = state.subgoal_stack[-1] if state.subgoal_stack else instruction
     state.tick = tick = TickEvent(active_instruction=active)
     if state.status != RUNNING:
         return state, NoOp()
     state.episode_step += 1
-    frame = task.frame
 
     # Retrieval, cached per active instruction after the first hit.
     pool = state.pools.get(active)
@@ -437,9 +427,7 @@ def step(
         state.msi_latch.add(active)
         tick.events.append("msi")
         try:
-            record = run_msi(
-                TaskInput(active, frame), state, space, params, perception, vector
-            )
+            record = run_msi(active, frame, state, space, params, perception, vector)
         except PlanningFailure as exc:
             state.status = FAILED
             state.fail_reason = REASON_PLANNING_ERROR
@@ -458,7 +446,9 @@ def step(
     elif match is not None:
         tick.t_new = match.t_new
         try:
-            outcome = explore(match, frame, active, params, perception)
+            outcome = explore(
+                match.t_new, match.detections, pool, frame, active, params, perception
+            )
         except (ExplorationImpossible, PerceptionError):
             if state.last_container is None:
                 state.status = FAILED
@@ -581,12 +571,11 @@ def run_closed_loop(
     t_start = time.perf_counter()
 
     for index in range(max_steps):
-        run_intervention(world, world.tick, interventions)
+        if interventions and world.tick in interventions:
+            interventions[world.tick](world)
         frame, projections = observe(world)
         t0 = time.perf_counter()
-        state, command = step(
-            state, TaskInput(instruction, frame), space, params, perception
-        )
+        state, command = step(state, instruction, frame, space, params, perception)
         latency_ms = (time.perf_counter() - t0) * 1000.0
 
         if isinstance(command, RequestHuman) and answer_human is not None:
@@ -595,15 +584,13 @@ def run_closed_loop(
                 provide_human_answer(state, answer_human(command.prompt))
 
         row = state.tick
-        row.events += apply(world, command, params)
+        row.events += apply(world, frame, command, params)
         row.step = index
         row.command_kind = type(command).__name__.lower()
         row.latency_ms = latency_ms
         row.command_region = target = _command_region(command)
-        row.gt_box, row.gt_handle, row.gt_body, row.gt_container_box = gt_projection(
-            world, projections
-        )
-        reference = row.gt_box if row.gt_box is not None else row.gt_container_box
+        row.gt, row.gt_container_box = gt_projection(world, projections)
+        reference = row.gt.box if row.gt is not None else row.gt_container_box
         row.correct = bool(target and reference and target.intersects(reference))
         trace.rows.append(row)
         if isinstance(command, Manipulate):

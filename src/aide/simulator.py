@@ -14,7 +14,6 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from .affordance import CONTAINER_LABELS
 from .commands import Approach, Manipulate, MotionCommand, NoOp, Reformulate, RequestHuman
@@ -114,12 +113,13 @@ class World:
     gt: dict[str, str] = field(default_factory=dict)
     tick: int = 0
     manipulated: bool = False
-    last_frame: SceneFrame | None = None
-    observations: "OrderedDict[str, list[ProjectedObject]]" = field(default_factory=OrderedDict)
-
-    _OBSERVATION_CAP = 16
+    # The latest observed frame's image name and projections; ``observe`` sets
+    # it, and perception resolves only that frame.
+    observed: tuple[str, list[ProjectedObject]] | None = None
 
     def __post_init__(self) -> None:
+        if not self.instruction:
+            raise WorldError(f"world {self.world_id!r} needs a non-empty instruction")
         for instr, oid in self.gt.items():
             if oid not in self.objects:
                 raise WorldError(f"gt binding {instr!r} -> missing object {oid!r}")
@@ -220,21 +220,18 @@ def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
                 visibility=visibility,
             )
         )
-    world.observations[frame.image] = projections
-    while len(world.observations) > World._OBSERVATION_CAP:
-        world.observations.popitem(last=False)
-    world.last_frame = frame
+    world.observed = (frame.image, projections)
     world.tick += 1
     return frame, projections
 
 
-def apply(world: World, command: MotionCommand, params: ConfigParams) -> list[str]:
-    """Advance the world by one motion command; returns event strings."""
-    frame = world.last_frame
+def apply(
+    world: World, frame: SceneFrame, command: MotionCommand, params: ConfigParams
+) -> list[str]:
+    """Advance the world by one command planned on ``frame``, whose pixel
+    regions it maps back to world coordinates; returns event strings."""
     events: list[str] = []
     if isinstance(command, Approach):
-        if frame is None:
-            return ["warning:approach-before-observe"]
         ax, ay = frame.world_anchor(command.region)
         rx, ry, _ = world.robot
         dist = math.hypot(ax - rx, ay - ry)
@@ -245,8 +242,6 @@ def apply(world: World, command: MotionCommand, params: ConfigParams) -> list[st
             world.robot = (nx, ny, math.atan2(ay - ry, ax - rx))
         events.append(f"approach:{dist:.2f}")
     elif isinstance(command, Reformulate):
-        if frame is None:
-            return ["warning:reformulate-before-observe"]
         ax, ay = frame.world_anchor(command.key_region)
         if world.robot_distance_to((ax, ay)) <= params.r_near:
             label = command.subgoal.removeprefix("open the ").strip()
@@ -313,12 +308,12 @@ def check_success(trace, world: World) -> SuccessFlags:
         if row.grounded_tool_box is not None:
             final = row
             break
-    if final is not None and final.gt_box is not None:
-        tool_ok = iou(final.grounded_tool_box, final.gt_box) >= 0.5
-        gt_handle = final.gt_handle
-        gt_body = final.gt_body
+    if final is not None and final.gt is not None:
+        gt = final.gt
+        tool_ok = iou(final.grounded_tool_box, gt.box) >= 0.5
+        gt_handle, gt_body = gt.handle, gt.body
         if gt_handle is None or gt_body is None:
-            gt_handle, gt_body = vertical_halves(final.gt_box)
+            gt_handle, gt_body = vertical_halves(gt.box)
         if final.operational_box is not None:
             op_ok = iou(final.operational_box, gt_handle) >= 0.5
         if final.functional_box is not None:
@@ -639,26 +634,19 @@ def fresh_world(world: World) -> World:
     return copy.deepcopy(world)
 
 
-def run_intervention(world: World, tick: int, hooks: dict[int, Callable[[World], None]] | None) -> None:
-    if hooks and tick in hooks:
-        hooks[tick](world)
-
-
 def gt_projection(
     world: World, projections: list[ProjectedObject]
-) -> tuple[Region | None, Region | None, Region | None, Region | None]:
-    """(gt box, gt handle, gt body, gt container box) in the current frame."""
+) -> tuple[ProjectedObject | None, Region | None]:
+    """The gt object's projection and its container's box in the current
+    frame; None for each one not in view."""
     gt_id = world.gt.get(world.instruction)
     if gt_id is None:
-        return None, None, None, None
+        return None, None
     by_id = {p.object_id: p for p in projections}
-    gt_box = gt_handle = gt_body = container_box = None
-    proj = by_id.get(gt_id)
-    if proj is not None:
-        gt_box, gt_handle, gt_body = proj.box, proj.handle, proj.body
+    container_box = None
     gt_obj = world.objects.get(gt_id)
     if gt_obj is not None and gt_obj.container_id:
         container = by_id.get(gt_obj.container_id)
         if container is not None:
             container_box = container.box
-    return gt_box, gt_handle, gt_body, container_box
+    return by_id.get(gt_id), container_box

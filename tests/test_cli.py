@@ -193,6 +193,12 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
         ),
         (None, ["eval", "--space", "{space}", "--scenarios", "{root}"], "no scenario files found"),
         ('{"schema": "aide-world/1"}', ["eval", "--space", "{space}", "--scenarios", "{root}"], "malformed world"),
+        (
+            '{"schema": "aide-world/1", "id": "w", "instruction": "", "objects": []}',
+            ["run-episode", "--space", "{space}", "--scenarios", "{root}", "--world", "w"],
+            "world 'w' needs a non-empty instruction",
+        ),
+        (None, ["eval", "--space", "{space}", "--episodes", "0"], "episode count must be positive"),
     ],
     ids=[
         "ValueError",
@@ -204,6 +210,8 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
         "missing-config",
         "empty-scenarios",
         "malformed-world",
+        "empty-instruction",
+        "zero-episodes",
     ],
 )
 def test_a_rejected_input_is_a_one_line_error(document, argv, message, artifacts, tmp_path, capsys):

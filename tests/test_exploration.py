@@ -33,28 +33,24 @@ def det(rank, x0, y0, x1, y1, label="thing"):
 
 
 def test_choose_strategy_spec_cases(params):
-    assert choose_strategy(0.90, 0.0, params) is Strategy.NONE
-    assert choose_strategy(0.5, 0.80, params) is Strategy.VISIBLE
-    assert choose_strategy(0.5, 0.75, params) is Strategy.INVISIBLE  # strict boundary
-    assert choose_strategy(params.m, 0.76, params) is Strategy.VISIBLE  # s_max == m explores
+    assert choose_strategy(0.80, params) is Strategy.VISIBLE
+    assert choose_strategy(0.75, params) is Strategy.INVISIBLE  # strict boundary
+    assert choose_strategy(0.0, params) is Strategy.INVISIBLE
 
 
 def test_choose_strategy_total_and_deterministic(params):
-    grid = np.linspace(0.0, 0.999, 37)
-    for s in grid:
-        for t in grid:
-            first = choose_strategy(float(s), float(t), params)
-            assert first is choose_strategy(float(s), float(t), params)
-            assert first in (Strategy.NONE, Strategy.VISIBLE, Strategy.INVISIBLE)
+    for t in np.linspace(0.0, 0.999, 37):
+        first = choose_strategy(float(t), params)
+        assert first is choose_strategy(float(t), params)
+        assert first in (Strategy.VISIBLE, Strategy.INVISIBLE)
 
 
 def test_exploration_outcome_validation():
-    with pytest.raises(ValueError):
-        ExplorationOutcome(kind=Strategy.VISIBLE)
-    with pytest.raises(ValueError):
-        ExplorationOutcome(kind=Strategy.NONE, region=Region(0, 0, 1, 1))
+    with pytest.raises(TypeError):
+        ExplorationOutcome(kind=Strategy.VISIBLE)  # the region is required
     with pytest.raises(ValueError):
         ExplorationOutcome(kind=Strategy.INVISIBLE, region=Region(0, 0, 1, 1))
+    assert list(Strategy) == [Strategy.VISIBLE, Strategy.INVISIBLE]
 
 
 # --- visible exploration -------------------------------------------------------

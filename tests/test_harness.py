@@ -106,6 +106,17 @@ def test_run_eval_never_reads_stdin(space, params, worlds, monkeypatch):
     assert report.rows[0].status == "completed"
 
 
+def test_run_eval_rejects_an_empty_world_set(space, params):
+    with pytest.raises(ValueError, match="no worlds"):
+        run_eval(space, {}, params, episodes=2)
+
+
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_run_eval_rejects_an_episode_count_below_one(space, params, worlds, episodes):
+    with pytest.raises(ValueError, match="episode count must be positive"):
+        run_eval(space, worlds, params, episodes=episodes)
+
+
 # --- ablation -----------------------------------------------------------------
 
 

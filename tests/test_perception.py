@@ -22,6 +22,7 @@ from aide.perception import (
     crop_reference,
     crop_references,
     crop_scores,
+    detect_or_empty,
     similarities,
     tool_regions,
 )
@@ -205,6 +206,18 @@ def test_similarity_unresolvable_reference(params):
         mock.similarity("frame:nope:0#crop:0,0,4,4", "tool:drink:cup")
 
 
+def test_only_the_current_frame_resolves(params):
+    world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
+    mock = noiseless(world, params)
+    previous, _ = observe(world)
+    assert mock.detect(previous, ["cup"], 1)
+    current, _ = observe(world)
+    assert mock.detect(current, ["cup"], 1)
+    with pytest.raises(UnknownReferenceError, match=previous.image):
+        mock.detect(previous, ["cup"], 1)
+    assert detect_or_empty(mock, previous, ["cup"], 1) == []
+
+
 def test_similarities_score_failed_references_zero(params):
     mock = noiseless(make_world([]), params)
     broken = "frame:nope:0#crop:0,0,4,4"
@@ -347,7 +360,7 @@ def projected(box, handle=None, body=None, label="cup"):
 
 def test_a_crop_resolves_only_above_five_percent_overlap(params):
     world = make_world([])
-    world.observations["frame:t:0"] = [projected(Region(0, 0, 10, 10))]
+    world.observed = ("frame:t:0", [projected(Region(0, 0, 10, 10))])
     mock = noiseless(world, params)
     assert iou(Region(0, 0, 5, 1), Region(0, 0, 10, 10)) == 0.05
     assert mock.resolve("frame:t:0#crop:0,0,5,1").tag is None
@@ -358,10 +371,10 @@ def test_a_crop_tied_between_parts_resolves_to_the_first(params):
     box, handle, crop = Region(0, 0, 10, 10), Region(0, 3, 10, 10), Region(0, 2, 10, 7)
     assert iou(crop, box) == iou(crop, handle) == 0.5
     world = make_world([])
-    world.observations["frame:t:0"] = [
-        projected(box, handle=handle, body=handle),
-        projected(box, label="mug"),
-    ]
+    world.observed = (
+        "frame:t:0",
+        [projected(box, handle=handle, body=handle), projected(box, label="mug")],
+    )
     mock = noiseless(world, params)
     # Box before handle before body, and the first object before the second.
     assert mock.resolve("frame:t:0#crop:0,2,10,7").tag == "cup"

@@ -25,7 +25,6 @@ from aide.planner import (
     Reformulate,
     RequestHuman,
     RUNNING,
-    TaskInput,
     decide_motion,
     mm_cot,
     needs_msi,
@@ -57,7 +56,6 @@ def detection(conf, rank=1):
 def matched(conf, sim):
     """A match outcome whose rank-1 detection has this confidence and similarity."""
     return NeedsExploration(
-        pool=fake_pool(),
         s_max=sim,
         t_new=sim,
         detections=(detection(conf),),
@@ -87,7 +85,7 @@ def test_validity_exact_boundary_is_valid(params):
 
 
 def test_validity_zero_detections(params):
-    outcome = NeedsExploration(pool=fake_pool(), s_max=0.0, t_new=0.0)
+    outcome = NeedsExploration(s_max=0.0, t_new=0.0)
     valid, score = validity_check(outcome, params)
     assert not valid and score == 0.0
 
@@ -118,7 +116,7 @@ def test_mm_cot_happy_path(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
     frame, projections = observe(world)
-    result = mm_cot(TaskInput("I am thirsty", frame), params, mock)
+    result = mm_cot("I am thirsty", frame, params, mock)
     assert result.tool_label == "cup"
     assert result.tool_image == "tool:drink:cup"
     assert result.tool_region == projections[0].box
@@ -129,7 +127,7 @@ def test_mm_cot_single_object_scene(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
     frame, projections = observe(world)
-    result = mm_cot(TaskInput("I am thirsty", frame), params, mock)
+    result = mm_cot("I am thirsty", frame, params, mock)
     assert result.tool_region == projections[0].box
 
 
@@ -145,7 +143,7 @@ def test_mm_cot_occluded_tool_embeds_exploration(params):
     )
     mock = MockPerception(world, params, sigma=0.0)
     frame, projections = observe(world)
-    result = mm_cot(TaskInput(world.instruction, frame), params, mock)
+    result = mm_cot(world.instruction, frame, params, mock)
     assert result.unseen_region_label == "fridge"
     assert result.unseen_region_image == "container:fridge"
     fridge_box = next(p for p in projections if p.object_id == "f1").box
@@ -168,7 +166,7 @@ def test_mm_cot_rejected_candidate_scored_once(params):
     )
     mock = PairCountingMock(world, params)
     frame, _ = observe(world)
-    result = mm_cot(TaskInput(world.instruction, frame), params, mock)
+    result = mm_cot(world.instruction, frame, params, mock)
     assert result.unseen_region_label == "fridge"
     assert len(mock.pairs) > 1
     assert len(set(mock.pairs)) == len(mock.pairs)
@@ -180,7 +178,7 @@ def test_mm_cot_override_region(params):
     frame, _ = observe(world)
     override = Region(10, 10, 50, 50)
     result = mm_cot(
-        TaskInput("I am thirsty", frame), params, mock, override_label="cup",
+        "I am thirsty", frame, params, mock, override_label="cup",
         override_region=override,
     )
     assert result.tool_region == override
@@ -195,7 +193,7 @@ def test_run_msi_inserts_retrievable_record(space, params):
     frame, _ = observe(world)
     clone = space.clone()
     state = PlannerState()
-    record = run_msi(TaskInput("brand new request", frame), state, clone, params, mock)
+    record = run_msi("brand new request", frame, state, clone, params, mock)
     assert record.results[0].tool_label == "cup"
     assert clone.record_count == space.record_count + 1
     vec = mock.score_affordance("brand new request")
@@ -209,7 +207,7 @@ def test_run_msi_reasoner_miss_fails(space, params):
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world)
     with pytest.raises(PlanningFailure):
-        run_msi(TaskInput("unmapped", frame), PlannerState(), space.clone(), params, mock)
+        run_msi("unmapped", frame, PlannerState(), space.clone(), params, mock)
 
 
 def occluded_coke_world():
@@ -229,7 +227,7 @@ def test_run_msi_occluded_attaches_hint(space, params):
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world)
     clone = space.clone()
-    record = run_msi(TaskInput(world.instruction, frame), PlannerState(), clone, params, mock)
+    record = run_msi(world.instruction, frame, PlannerState(), clone, params, mock)
     assert record.results[0].unseen_region_label == "fridge"
     inserted = [r for _, r in clone.iter_records() if r.id.startswith("msi-")]
     assert inserted == [record]
@@ -259,7 +257,7 @@ def test_msi_tick_scores_the_instruction_once(space, params):
     assert isinstance(pool, CandidatePool)
     state = PlannerState(pools={world.instruction: pool})
     mock.subjects.clear()
-    state, _ = step(state, TaskInput(world.instruction, frame), clone, params, mock)
+    state, _ = step(state, world.instruction, frame, clone, params, mock)
     assert state.tick.stream == "msi"
     assert state.status == RUNNING
     assert mock.subjects.count(world.instruction) == 1
@@ -278,7 +276,7 @@ def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
     mock = AffordanceCountingMock(world, params)
     frame, _ = observe(world)
     clone = space.clone()
-    state, _ = step(PlannerState(), TaskInput(instruction, frame), clone, params, mock)
+    state, _ = step(PlannerState(), instruction, frame, clone, params, mock)
     assert state.tick.stream == "msi"
     assert state.status == RUNNING
     assert mock.subjects.count(instruction) == 1
@@ -382,7 +380,7 @@ def test_step_on_completed_state_is_noop(space, params):
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world)
     state = PlannerState(status=COMPLETED)
-    state2, command = step(state, TaskInput("I am thirsty", frame), space.clone(), params, mock)
+    state2, command = step(state, "I am thirsty", frame, space.clone(), params, mock)
     assert isinstance(command, NoOp)
     assert state2.status == COMPLETED
 

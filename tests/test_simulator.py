@@ -160,7 +160,7 @@ def test_apply_approach_moves_half_unit(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
     frame, projections = observe(world)
     before = world.robot
-    events = apply(world, Approach(projections[0].box), params)
+    events = apply(world, frame, Approach(projections[0].box), params)
     assert events == ["approach:5.00"]
     assert world.robot[1] == pytest.approx(before[1] - 0.5)
     assert world.robot[0] == pytest.approx(before[0])
@@ -172,26 +172,26 @@ def test_apply_reformulate_only_when_near(params):
     )
     frame, projections = observe(world)
     box = projections[0].box
-    events = apply(world, Reformulate("open the fridge", box), params)
+    events = apply(world, frame, Reformulate("open the fridge", box), params)
     assert events == ["reformulate-far"]
     assert not world.objects["f1"].opened
     world.robot = (20.0, 24.5, 0.0)
-    observe(world)
-    events = apply(world, Reformulate("open the fridge", box), params)
+    frame, _ = observe(world)
+    events = apply(world, frame, Reformulate("open the fridge", box), params)
     # The key region came from the previous frame; reproject for exactness.
     assert any(e.startswith("opened:") or e == "reformulate-far" for e in events)
     frame, projections = observe(world)
-    events = apply(world, Reformulate("open the fridge", projections[0].box), params)
+    events = apply(world, frame, Reformulate("open the fridge", projections[0].box), params)
     assert world.objects["f1"].opened
 
 
 def test_apply_manipulate_and_noop(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
-    observe(world)
-    assert apply(world, Manipulate(Region(0, 0, 1, 1), Region(1, 1, 2, 2)), params) == ["manipulate"]
+    frame, _ = observe(world)
+    assert apply(world, frame, Manipulate(Region(0, 0, 1, 1), Region(1, 1, 2, 2)), params) == ["manipulate"]
     assert world.manipulated
-    assert apply(world, NoOp(), params) == ["noop"]
-    assert apply(world, object(), params) == ["warning:malformed-command:object"]
+    assert apply(world, frame, NoOp(), params) == ["noop"]
+    assert apply(world, frame, object(), params) == ["warning:malformed-command:object"]
 
 
 def test_world_object_invariants():
@@ -209,6 +209,15 @@ def test_world_object_invariants():
         )
     with pytest.raises(WorldError):
         make_world([], gt={"do": "missing-object"})
+    with pytest.raises(WorldError, match="non-empty instruction"):
+        make_world([], instruction="")
+
+
+def test_world_load_rejects_an_empty_instruction(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"schema": "aide-world/1", "id": "w", "instruction": "", "objects": []}')
+    with pytest.raises(WorldError, match="non-empty instruction"):
+        load_world(path)
 
 
 def test_scripted_scenarios_shape(worlds):
