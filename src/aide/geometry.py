@@ -84,14 +84,24 @@ class Region:
 
     def pad(self, fraction: float, width: int, height: int) -> "Region":
         """Grow each side by ``fraction`` of the box extent, clipped to the frame."""
+        return Region(*self.padded_bounds(fraction, width, height))
+
+    def padded_bounds(self, fraction: float, width: int, height: int) -> tuple[int, int, int, int]:
+        """The coordinates of ``pad(fraction, width, height)``, with no ``Region`` built."""
         dx = int(round(self.width * fraction))
         dy = int(round(self.height * fraction))
-        x0, y0 = max(self.x_min - dx, 0), max(self.y_min - dy, 0)
+        x0, y0 = self.x_min - dx, self.y_min - dy
+        x0, y0 = x0 if x0 > 0 else 0, y0 if y0 > 0 else 0
         x1, y1 = self.x_max + dx, self.y_max + dy
         if x0 > x1 or y0 > y1:
             raise ValueError(f"inverted region bounds: {self} padded by {fraction}")
         # x1 >= x0 >= 0 and y1 >= y0 >= 0, so clipping only caps at the frame.
-        return Region(min(x0, width), min(y0, height), min(x1, width), min(y1, height))
+        return (
+            width if width < x0 else x0,
+            height if height < y0 else y0,
+            width if width < x1 else x1,
+            height if height < y1 else y1,
+        )
 
     def as_list(self) -> list[int]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
@@ -109,11 +119,15 @@ def pixel_bounds(
         x0, x1 = x1, x0
     if y1 < y0:
         y0, y1 = y1, y0
-    xa = max(int(round(x0)), 0)
-    ya = max(int(round(y0)), 0)
-    xb = max(int(round(x1)), 0)
-    yb = max(int(round(y1)), 0)
-    return min(xa, width), min(ya, height), min(xb, width), min(yb, height)
+    # max(v, 0), then min(v, width or height), without builtin calls.
+    xa, ya, xb, yb = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
+    xa, ya, xb, yb = xa if xa > 0 else 0, ya if ya > 0 else 0, xb if xb > 0 else 0, yb if yb > 0 else 0
+    return (
+        width if width < xa else xa,
+        height if height < ya else ya,
+        width if width < xb else xb,
+        height if height < yb else yb,
+    )
 
 
 def iou(a: Region, b: Region) -> float:

@@ -2,7 +2,12 @@
 
 Every response is a pure function of (seed, scene, query): noise comes from
 hashing the query key rather than from shared RNG state, so identical calls
-return identical values and concurrent use needs no locking.
+return identical values. What the mock caches are memos of those functions:
+catalog and text references per instance, and the current frame's projection
+coordinates and crop resolutions per frame. A frame's cache is built whole
+when the world's observed frame changes and swapped in by one assignment, so
+concurrent queries need no locking; a query that races ``observe`` answers
+for whichever frame it saw, as an uncached one would.
 
 Reference grammar resolved by this backend:
 
@@ -12,6 +17,8 @@ Reference grammar resolved by this backend:
   tool:<class>:<label>#op / #fn     the catalog operational / functional crop
   container:<label>                 a catalog container image
   anything else                     plain text
+
+A frame reference resolves only while its frame is the world's current one.
 
 Confidence model: ``base * visibility * exp(-distance / 5) + noise`` with
 base 1.0 on a vocabulary match and 0.25 otherwise, visibility 1.0 when visible
@@ -67,7 +74,7 @@ SIMILARITY_CAP = 1.0 - 1e-6  # no two references score a full 1
 _MIN_OVERLAP = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Resolved:
     """Normalized meaning of a reference: its class, identity tag and blur state."""
 
@@ -92,7 +99,168 @@ def token_cosine(a: str, b: str) -> float:
     return len(ta & tb) / math.sqrt(len(ta) * len(tb))
 
 
-_NORMAL = NormalDist()
+# The largest float below 1; see ``digest_normal``.
+_U_MAX = 1.0 - 2.0**-53
+_INV_CDF = NormalDist().inv_cdf
+
+
+def digest_normal(digest: int) -> float:
+    """Standard normal from a 64-bit digest: the inverse normal CDF at
+    ``(digest + 0.5) / 2**64``.
+
+    The top 1,024 digests round that to 1.0, where the CDF has no inverse;
+    they map to the largest float below 1 instead.
+    """
+    u = (digest + 0.5) / 2.0**64
+    return _INV_CDF(u if u < 1.0 else _U_MAX)
+
+
+# An empty 64-bit blake2b state; copying it is cheaper than a new hasher.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+
+
+def key_normal(key: str) -> float:
+    """Standard normal keyed by a string: a pure function, not an RNG."""
+    hasher = _BLAKE2B_64.copy()
+    hasher.update(key.encode())
+    return digest_normal(int.from_bytes(hasher.digest(), "big"))
+
+
+def _clamp(value: float, low: float, high: float) -> float:
+    """``min(max(value, low), high)``, with no builtin call."""
+    return low if value < low else high if value > high else value
+
+
+def _resolve_fixed(ref: str) -> _Resolved:
+    """What a reference to no frame names: a catalog image, or plain text."""
+    if ref.startswith("tool:"):
+        parts = ref.split(":", 2)
+        if len(parts) != 3:
+            raise UnknownReferenceError(f"bad tool reference {ref!r}")
+        cls, label = parts[1], parts[2]
+        suffix = ""
+        if "#" in label:
+            label, kind = label.split("#", 1)
+            if kind not in ("op", "fn"):
+                raise UnknownReferenceError(f"bad tool crop kind in {ref!r}")
+            suffix = f"::{kind}"
+        return _Resolved(kind="image", affordance_class=cls, tag=label + suffix)
+    if ref.startswith("container:"):
+        label = ref.split(":", 1)[1]
+        return _Resolved(kind="image", affordance_class="contain", tag=label)
+    return _Resolved(kind="text", text=ref)
+
+
+_NO_OBJECT = _Resolved(kind="image")
+_WHOLE_FRAME = _Resolved(kind="image", tag="__frame__")
+
+# One shown part of a projection: its pixel box, area and tag suffix.
+_Part = tuple[int, int, int, int, int, str]
+
+
+def _parts(proj: ProjectedObject) -> tuple[_Part, ...]:
+    """The object's box, handle and body, in that order, each one shown."""
+    parts = []
+    for box, suffix in ((proj.box, ""), (proj.handle, "::op"), (proj.body, "::fn")):
+        if box is not None:
+            x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+            parts.append((x0, y0, x1, y1, (x1 - x0) * (y1 - y0), suffix))
+    return tuple(parts)
+
+
+class _Frame:
+    """The world's observed frame as the mock reads it, built once per frame.
+
+    ``shown`` holds, per projection in order, the projection, its visibility
+    factor and distance decay, and its parts; ``refs`` memoizes every
+    reference resolved while this frame is current.
+    """
+
+    __slots__ = ("observed", "image", "shown", "refs")
+
+    def __init__(self, observed: tuple[str, list[ProjectedObject]] | None) -> None:
+        self.observed = observed
+        self.image = None if observed is None else observed[0]
+        self.shown = [
+            (
+                proj,
+                _VIS_FACTOR[proj.visibility],
+                math.exp(-proj.distance / _CONFIDENCE_LAMBDA),
+                _parts(proj),
+            )
+            for proj in (() if observed is None else observed[1])
+        ]
+        self.refs: dict[str, _Resolved] = {}
+
+    def check(self, ref: str) -> None:
+        """Raise unless ``ref`` names this frame."""
+        base = ref.split("#", 1)[0]
+        if self.image is None or base != self.image:
+            raise UnknownReferenceError(f"unknown frame reference {base!r}")
+
+    def resolve(self, ref: str) -> _Resolved:
+        """What a ``frame:`` reference shows."""
+        if "#crop:" not in ref:
+            self.check(ref)
+            return _WHOLE_FRAME
+        frame_part, coords = ref.split("#crop:", 1)
+        try:
+            x0, y0, x1, y1 = map(int, coords.split(","))
+        except ValueError as exc:
+            raise UnknownReferenceError(f"bad crop reference {ref!r}") from exc
+        if x0 < 0 or y0 < 0 or x0 > x1 or y0 > y1:
+            raise UnknownReferenceError(f"bad crop reference {ref!r}")
+        self.check(frame_part)
+        return self.resolve_box(x0, y0, x1, y1)
+
+    def object_at(self, image: str, box: Region) -> ProjectedObject | None:
+        """The object whose box overlaps ``box`` most, above IoU
+        ``_MIN_OVERLAP``; on a tie the first in projection order."""
+        self.check(image)
+        best_score, best = _MIN_OVERLAP, None
+        for proj, _, _, _ in self.shown:
+            score = iou(box, proj.box)
+            if score > best_score:
+                best_score, best = score, proj
+        return best
+
+    def resolve_box(self, x0: int, y0: int, x1: int, y1: int) -> _Resolved:
+        """What a crop shows: the object, handle or body it overlaps most.
+
+        An overlap must exceed IoU ``_MIN_OVERLAP``; on a tie the first in
+        projection order, and within one object in box, handle, body order,
+        wins. The IoU is ``geometry.iou``'s, on coordinates.
+        """
+        area = (x1 - x0) * (y1 - y0)
+        best_score, best, best_suffix = _MIN_OVERLAP, None, ""
+        for proj, _, _, parts in self.shown:
+            for px0, py0, px1, py1, part_area, suffix in parts:
+                if x0 == px0 and y0 == py0 and x1 == px1 and y1 == py1:
+                    score = 1.0
+                else:
+                    ix0 = x0 if x0 > px0 else px0
+                    ix1 = x1 if x1 < px1 else px1
+                    if ix0 > ix1:
+                        continue
+                    iy0 = y0 if y0 > py0 else py0
+                    iy1 = y1 if y1 < py1 else py1
+                    if iy0 > iy1:
+                        continue
+                    inter = (ix1 - ix0) * (iy1 - iy0)
+                    union = area + part_area - inter
+                    if union <= 0:
+                        continue
+                    score = inter / union
+                if score > best_score:
+                    best_score, best, best_suffix = score, proj, suffix
+        if best is None:
+            return _NO_OBJECT
+        return _Resolved(
+            kind="image",
+            affordance_class=best.affordance_class,
+            tag=best.label + best_suffix,
+            blurred=best.visibility == BLURRED,
+        )
 
 
 class MockPerception(PerceptionBackend):
@@ -102,114 +270,46 @@ class MockPerception(PerceptionBackend):
         self.world = world
         self.params = params
         self.sigma = sigma
-        self._resolve_cache: dict[str, _Resolved] = {}
+        # Catalog and text references resolve the same in every frame, so
+        # they outlive the frame's memo.
+        self._fixed: dict[str, _Resolved] = {}
+        self._frame = _Frame(None)
         # Every noise key ends in the seed, so it is formatted once.
         self._key_suffix = f"|{seed}"
 
     # -- deterministic noise ------------------------------------------------
 
-    def _noise(self, *key: object) -> float:
-        """Standard normal keyed by (seed, query); a pure function, not an RNG."""
-        digest = hashlib.blake2b(
-            ("|".join(map(str, key)) + self._key_suffix).encode("utf-8"),
-            digest_size=8,
-        ).digest()
-        u = (int.from_bytes(digest, "big") + 0.5) / 2.0**64
-        return _NORMAL.inv_cdf(u)
-
-    def _score_noise(self, *key: object) -> float:
+    def _score_noise(self, key: str) -> float:
+        """Noise on a confidence or similarity: ``key_normal(key)`` times
+        0.04 sigma; every key ends in the seed suffix."""
         if self.sigma == 0.0:
             return 0.0
-        return self._noise(*key) * 0.04 * self.sigma
+        return key_normal(key) * 0.04 * self.sigma
 
     # -- frame and reference resolution --------------------------------------
 
-    def _projections(self, frame_image: str) -> list[ProjectedObject]:
-        """The projections of the world's current frame; any other frame is
-        unknown."""
-        base = frame_image.split("#", 1)[0]
-        observed = self.world.observed
-        if observed is None or observed[0] != base:
-            raise UnknownReferenceError(f"unknown frame reference {base!r}")
-        return observed[1]
-
-    def _resolve_box(self, frame_image: str, box: Region) -> _Resolved:
-        """What a crop shows: the object, handle or body it overlaps most.
-
-        An overlap must exceed IoU ``_MIN_OVERLAP``; on a tie the first in
-        projection order, and within one object in box, handle, body order,
-        wins.
-        """
-        best_score, best, best_suffix = _MIN_OVERLAP, None, ""
-        for proj in self._projections(frame_image):
-            score = iou(box, proj.box)
-            if score > best_score:
-                best_score, best, best_suffix = score, proj, ""
-            if proj.handle is not None:
-                score = iou(box, proj.handle)
-                if score > best_score:
-                    best_score, best, best_suffix = score, proj, "::op"
-            if proj.body is not None:
-                score = iou(box, proj.body)
-                if score > best_score:
-                    best_score, best, best_suffix = score, proj, "::fn"
-        if best is None:
-            return _Resolved(kind="image", affordance_class=None, tag=None)
-        return _Resolved(
-            kind="image",
-            affordance_class=best.affordance_class,
-            tag=best.label + best_suffix,
-            blurred=best.visibility == BLURRED,
-        )
-
-    def _object_at(self, frame_image: str, box: Region) -> ProjectedObject | None:
-        """The object whose box overlaps ``box`` most, above IoU
-        ``_MIN_OVERLAP``; on a tie the first in projection order."""
-        best_score, best = _MIN_OVERLAP, None
-        for proj in self._projections(frame_image):
-            score = iou(box, proj.box)
-            if score > best_score:
-                best_score, best = score, proj
-        return best
+    def _current_frame(self) -> _Frame:
+        """The world's observed frame, rebuilt when ``observe`` has moved on."""
+        frame, observed = self._frame, self.world.observed
+        if frame.observed is not observed:
+            frame = self._frame = _Frame(observed)
+        return frame
 
     def resolve(self, ref: str) -> _Resolved:
-        cached = self._resolve_cache.get(ref)
-        if cached is not None:
-            return cached
-        resolved = self._resolve_uncached(ref)
-        if len(self._resolve_cache) > 16384:
-            self._resolve_cache.clear()
-        self._resolve_cache[ref] = resolved
+        # ``_current_frame``, inlined: every similarity call resolves twice.
+        frame, observed = self._frame, self.world.observed
+        if frame.observed is not observed:
+            frame = self._frame = _Frame(observed)
+        resolved = frame.refs.get(ref)
+        if resolved is None:
+            if ref.startswith("frame:"):
+                resolved = frame.resolve(ref)
+            else:
+                resolved = self._fixed.get(ref)
+                if resolved is None:
+                    resolved = self._fixed[ref] = _resolve_fixed(ref)
+            frame.refs[ref] = resolved
         return resolved
-
-    def _resolve_uncached(self, ref: str) -> _Resolved:
-        if ref.startswith("frame:"):
-            if "#crop:" in ref:
-                frame_part, coords = ref.split("#crop:", 1)
-                try:
-                    x0, y0, x1, y1 = (int(v) for v in coords.split(","))
-                    box = Region(x0, y0, x1, y1)
-                except (ValueError, TypeError) as exc:
-                    raise UnknownReferenceError(f"bad crop reference {ref!r}") from exc
-                return self._resolve_box(frame_part, box)
-            self._projections(ref)  # raises if unknown
-            return _Resolved(kind="image", affordance_class=None, tag="__frame__")
-        if ref.startswith("tool:"):
-            parts = ref.split(":", 2)
-            if len(parts) != 3:
-                raise UnknownReferenceError(f"bad tool reference {ref!r}")
-            cls, label = parts[1], parts[2]
-            suffix = ""
-            if "#" in label:
-                label, kind = label.split("#", 1)
-                if kind not in ("op", "fn"):
-                    raise UnknownReferenceError(f"bad tool crop kind in {ref!r}")
-                suffix = f"::{kind}"
-            return _Resolved(kind="image", affordance_class=cls, tag=label + suffix)
-        if ref.startswith("container:"):
-            label = ref.split(":", 1)[1]
-            return _Resolved(kind="image", affordance_class="contain", tag=label)
-        return _Resolved(kind="text", text=ref)
 
     # -- capabilities ---------------------------------------------------------
 
@@ -218,32 +318,32 @@ class MockPerception(PerceptionBackend):
             raise ValueError("k must be >= 1")
         if not vocabulary:
             return []
-        projections = self._projections(frame.image)
+        current = self._current_frame()
+        current.check(frame.image)
         part_terms = [t for t in vocabulary if t in _PART_TERMS]
         object_terms = [t for t in vocabulary if t not in _PART_TERMS]
         fallback_term = min(object_terms) if object_terms else None
+        image, suffix = frame.image, self._key_suffix
 
         raw: list[tuple[float, str, str, Region]] = []
-        for proj in projections:
-            vis = _VIS_FACTOR[proj.visibility]
-            decay = math.exp(-proj.distance / _CONFIDENCE_LAMBDA)
+        for proj, vis, decay, _ in current.shown:
             if object_terms:
                 if proj.label in object_terms:
                     term, base = proj.label, _BASE_MATCH
                 else:
                     term, base = fallback_term, _BASE_MISMATCH
                 conf = base * vis * decay + self._score_noise(
-                    "det", frame.image, proj.object_id, term
+                    f"det|{image}|{proj.object_id}|{term}{suffix}"
                 )
-                raw.append((min(max(conf, 0.0), 1.0), proj.object_id, term, proj.box))
+                raw.append((_clamp(conf, 0.0, 1.0), proj.object_id, term, proj.box))
             for term in part_terms:
                 part_box = proj.handle if term == "handle" else proj.body
                 if part_box is None:
                     continue
                 conf = _BASE_MATCH * vis * decay + self._score_noise(
-                    "det", frame.image, proj.object_id, term
+                    f"det|{image}|{proj.object_id}|{term}{suffix}"
                 )
-                raw.append((min(max(conf, 0.0), 1.0), proj.object_id, term, part_box))
+                raw.append((_clamp(conf, 0.0, 1.0), proj.object_id, term, part_box))
 
         raw.sort(key=lambda t: (-t[0], t[1], t[2]))
         return [
@@ -257,7 +357,7 @@ class MockPerception(PerceptionBackend):
         ra, rb = self.resolve(a), self.resolve(b)
         if ra.kind == "text" and rb.kind == "text":
             value = self._text_similarity(ra.text, rb.text)
-            return SimilarityScore(min(max(value, 0.0), SIMILARITY_CAP))
+            return SimilarityScore(_clamp(value, 0.0, SIMILARITY_CAP))
         if ra.kind != rb.kind:
             # Cross-modal text/image: match the text against the image tag.
             text = ra.text if ra.kind == "text" else rb.text
@@ -274,8 +374,8 @@ class MockPerception(PerceptionBackend):
         if ra.blurred or rb.blurred:
             value -= _BLUR_PENALTY
         first, second = (b, a) if b < a else (a, b)
-        value += self._score_noise("sim", first, second)
-        return SimilarityScore(min(max(value, 0.0), SIMILARITY_CAP))
+        value += self._score_noise(f"sim|{first}|{second}{self._key_suffix}")
+        return SimilarityScore(_clamp(value, 0.0, SIMILARITY_CAP))
 
     def _text_similarity(self, a: str | None, b: str | None) -> float:
         a, b = a or "", b or ""
@@ -298,8 +398,9 @@ class MockPerception(PerceptionBackend):
     ) -> int:
         if not candidates:
             raise ValueError("candidates must be non-empty")
+        current = self._current_frame()
         for idx, det in enumerate(candidates):
-            proj = self._object_at(frame.image, det.box)
+            proj = current.object_at(frame.image, det.box)
             if proj is not None and proj.label == hypothesis.label:
                 return idx
         return 0
@@ -308,7 +409,7 @@ class MockPerception(PerceptionBackend):
         frame_box = Region(0, 0, frame.width, frame.height)
         if not frame_box.contains(tool.box):
             raise ValueError("tool box must lie within the frame")
-        proj = self._object_at(frame.image, tool.box)
+        proj = self._current_frame().object_at(frame.image, tool.box)
         if proj is not None and proj.handle is not None and proj.body is not None:
             operational = proj.handle.intersection(tool.box)
             functional = proj.body.intersection(tool.box)
@@ -326,8 +427,8 @@ class MockPerception(PerceptionBackend):
             return centroid
         scores = []
         for i, base in enumerate(centroid.scores):
-            value = base + self._noise("aff", subject, i) * self.sigma
-            scores.append(min(max(value, 0.0), 10.0))
+            value = base + key_normal(f"aff|{subject}|{i}{self._key_suffix}") * self.sigma
+            scores.append(_clamp(value, 0.0, 10.0))
         return AffordanceVector(tuple(scores))
 
     def _subject_class(self, subject: str) -> str | None:

@@ -102,8 +102,8 @@ class ToolHypothesis:
 
 def crop_reference(frame: SceneFrame, box: Region) -> str:
     """Reference naming a padded crop of a frame; resolvable by the mock backend."""
-    padded = box.pad(CROP_PAD_FRACTION, frame.width, frame.height)
-    return f"{frame.image}#crop:{padded.x_min},{padded.y_min},{padded.x_max},{padded.y_max}"
+    x0, y0, x1, y1 = box.padded_bounds(CROP_PAD_FRACTION, frame.width, frame.height)
+    return f"{frame.image}#crop:{x0},{y0},{x1},{y1}"
 
 
 def check_detection_ordering(detections: list[Detection]) -> None:

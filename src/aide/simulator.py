@@ -136,6 +136,8 @@ class World:
         return self.frame_size / self.view_range
 
     def _project_rect(self, rect: WorldRect) -> tuple[float, float, float, float]:
+        """A world rect's float pixel bounds in the current frame; ``observe``
+        computes the same expressions inline."""
         rx, ry, _ = self.robot
         half = self.view_range / 2.0
         ppu = self.pixels_per_unit
@@ -170,54 +172,84 @@ class World:
 
 
 def _part_region(
-    world: World, rect: WorldRect | None, x0: int, y0: int, x1: int, y1: int
+    rect: WorldRect | None,
+    rx: float,
+    ry: float,
+    half: float,
+    ppu: float,
+    size: int,
+    x0: int,
+    y0: int,
+    x1: int,
+    y1: int,
 ) -> Region | None:
-    """A part's pixels within its object's box ``x0, y0, x1, y1``; None when
-    the part is missing or covers no area there."""
+    """A part's pixels within its object's box ``x0, y0, x1, y1``, projected
+    as ``World._project_rect`` does; None when the part is missing or covers
+    no area there."""
     if rect is None:
         return None
-    size = world.frame_size
-    px0, py0, px1, py1 = pixel_bounds(*world._project_rect(rect), size, size)
-    px0, py0, px1, py1 = max(px0, x0), max(py0, y0), min(px1, x1), min(py1, y1)
+    px0, py0, px1, py1 = pixel_bounds(
+        (rect[0] - rx + half) * ppu,
+        (rect[1] - ry + half) * ppu,
+        (rect[2] - rx + half) * ppu,
+        (rect[3] - ry + half) * ppu,
+        size,
+        size,
+    )
+    # Clip into the object's box: max of the lower bounds, min of the upper.
+    px0 = x0 if x0 > px0 else px0
+    py0 = y0 if y0 > py0 else py0
+    px1 = x1 if x1 < px1 else px1
+    py1 = y1 if y1 < py1 else py1
     return Region(px0, py0, px1, py1) if px0 < px1 and py0 < py1 else None
 
 
 def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
-    """Render the current world into a frame plus the detection ground feed."""
+    """Render the current world into a frame plus the detection ground feed.
+
+    Each rect projects as ``World._project_rect`` does, from the robot pose,
+    half view range and scale read once per frame.
+    """
     rx, ry, heading = world.robot
+    size = world.frame_size
+    half = world.view_range / 2.0
+    ppu = world.pixels_per_unit
     frame = SceneFrame(
         image=f"frame:{world.world_id}:{world.tick}",
-        width=world.frame_size,
-        height=world.frame_size,
+        width=size,
+        height=size,
         timestamp=world.tick * FRAME_PERIOD_MS,
         robot_x=rx,
         robot_y=ry,
         robot_heading=heading,
-        pixels_per_unit=world.pixels_per_unit,
+        pixels_per_unit=ppu,
     )
-    size = world.frame_size
     projections: list[ProjectedObject] = []
     for obj in world.objects.values():
-        distance = world.robot_distance_to(obj.center)
+        ox0, oy0, ox1, oy1 = obj.box
+        # ``robot_distance_to(obj.center)``
+        distance = math.hypot((ox0 + ox1) / 2.0 - rx, (oy0 + oy1) / 2.0 - ry)
         visibility = world.effective_visibility(obj, distance)
         if visibility is None:
             continue
-        raw = world._project_rect(obj.box)
-        if raw[2] <= 0 or raw[0] >= size or raw[3] <= 0 or raw[1] >= size:
+        left, right = (ox0 - rx + half) * ppu, (ox1 - rx + half) * ppu
+        top, bottom = (oy0 - ry + half) * ppu, (oy1 - ry + half) * ppu
+        if right <= 0 or left >= size or bottom <= 0 or top >= size:
             continue
-        x0, y0, x1, y1 = pixel_bounds(*raw, size, size)
+        x0, y0, x1, y1 = pixel_bounds(left, top, right, bottom, size, size)
         if x0 == x1 or y0 == y1:
             continue
+        # Positional: keyword arguments cost a frozen dataclass more.
         projections.append(
             ProjectedObject(
-                object_id=obj.id,
-                label=obj.label,
-                affordance_class=obj.affordance_class,
-                box=Region(x0, y0, x1, y1),
-                handle=_part_region(world, obj.handle, x0, y0, x1, y1),
-                body=_part_region(world, obj.body, x0, y0, x1, y1),
-                distance=distance,
-                visibility=visibility,
+                obj.id,
+                obj.label,
+                obj.affordance_class,
+                Region(x0, y0, x1, y1),
+                _part_region(obj.handle, rx, ry, half, ppu, size, x0, y0, x1, y1),
+                _part_region(obj.body, rx, ry, half, ppu, size, x0, y0, x1, y1),
+                distance,
+                visibility,
             )
         )
     world.observed = (frame.image, projections)
@@ -630,8 +662,18 @@ REAL_WORLD_SUITE = (
 
 
 def fresh_world(world: World) -> World:
-    """Deep copy so episodes never share mutable state."""
-    return copy.deepcopy(world)
+    """A copy of ``world`` that shares no mutable state with it, so episodes
+    never do: each object and each table is copied too."""
+    copied = copy.copy(world)
+    copied.objects = OrderedDict((oid, copy.copy(obj)) for oid, obj in world.objects.items())
+    copied.tool_table = dict(world.tool_table)
+    copied.container_table = dict(world.container_table)
+    copied.attribute_table = dict(world.attribute_table)
+    copied.hint_table = dict(world.hint_table)
+    copied.gt = dict(world.gt)
+    if world.observed is not None:
+        copied.observed = (world.observed[0], list(world.observed[1]))
+    return copied
 
 
 def gt_projection(

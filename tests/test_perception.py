@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from statistics import NormalDist, StatisticsError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from worldkit import make_world, obj
 
 from aide.affordance import class_centroid, distance, neutral_vector
 from aide.config import ConfigParams
 from aide.geometry import Region, iou
-from aide.mock import SIMILARITY_CAP, MockPerception, token_cosine
+from aide.mock import SIMILARITY_CAP, MockPerception, digest_normal, token_cosine
 from aide.perception import (
     ReasonerError,
     SceneFrame,
@@ -218,6 +223,19 @@ def test_only_the_current_frame_resolves(params):
     assert detect_or_empty(mock, previous, ["cup"], 1) == []
 
 
+def test_a_crop_of_an_earlier_frame_no_longer_resolves(params):
+    world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
+    mock = noiseless(world, params)
+    frame, _ = observe(world)
+    crop = crop_of(frame, mock.detect(frame, ["cup"], 1)[0])
+    assert mock.similarity(crop, "tool:drink:cup").value == pytest.approx(0.95)
+    observe(world)
+    with pytest.raises(UnknownReferenceError, match=frame.image):
+        mock.similarity(crop, "tool:drink:cup")
+    assert similarities(mock, crop, ["tool:drink:cup"]) == [0.0]
+    assert similarities(mock, "tool:drink:cup", [crop]) == [0.0]
+
+
 def test_similarities_score_failed_references_zero(params):
     mock = noiseless(make_world([]), params)
     broken = "frame:nope:0#crop:0,0,4,4"
@@ -345,6 +363,51 @@ def test_score_affordance_is_pinned(params):
     assert mock.score_affordance("tool:drink:cup").scores == PINNED_CUP_AFFORDANCE
 
 
+def test_concurrent_queries_agree_with_serial_ones(params):
+    # Threads race to rebuild the frame cache and fill its memo; every
+    # answer must still be the serial one.
+    mock, frame = pinned_scene(params)
+    dets = mock.detect(frame, ["cup", "hammer", "fridge", "handle", "body"], 10)
+    refs = ["tool:drink:cup", "tool:drink:cup#op", "container:fridge", "a cup to drink from"]
+    pairs = [(crop, ref) for crop in crop_references(frame, dets) for ref in refs]
+    expected = [mock.similarity(a, b).value for a, b in pairs]
+    world = mock.world
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            # The same frame under a new identity: every cache is rebuilt.
+            world.observed = (world.observed[0], list(world.observed[1]))
+            results: list[list[float]] = []
+            threads = [
+                threading.Thread(
+                    target=lambda: results.append([mock.similarity(a, b).value for a, b in pairs])
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_every_digest_draws_a_finite_normal():
+    # (digest + 0.5) / 2**64 rounds to 1.0 for the top 1,024 digests, where
+    # the inverse CDF raises; those draws take the largest u below 1.
+    top = 2**64 - 1
+    with pytest.raises(StatisticsError):
+        NormalDist().inv_cdf((top + 0.5) / 2.0**64)
+    assert digest_normal(top) == NormalDist().inv_cdf(math.nextafter(1.0, 0.0))
+    assert digest_normal(2**64 - 2**10) == digest_normal(top)
+    assert 8.0 < digest_normal(top) < 8.5
+    assert digest_normal(0) == NormalDist().inv_cdf(0.5 / 2.0**64)
+    assert -9.5 < digest_normal(0) < -9.0
+
+
 def projected(box, handle=None, body=None, label="cup"):
     return ProjectedObject(
         object_id=label,
@@ -365,6 +428,10 @@ def test_a_crop_resolves_only_above_five_percent_overlap(params):
     assert iou(Region(0, 0, 5, 1), Region(0, 0, 10, 10)) == 0.05
     assert mock.resolve("frame:t:0#crop:0,0,5,1").tag is None
     assert mock.resolve("frame:t:0#crop:0,0,6,1").tag == "cup"
+    # IoU 21 / 400 = 0.0525 clears the bar; 21 / (400 + 21), the overlap over
+    # the summed areas, would not.
+    world.observed = ("frame:t:1", [projected(Region(0, 0, 20, 20))])
+    assert mock.resolve("frame:t:1#crop:0,0,7,3").tag == "cup"
 
 
 def test_a_crop_tied_between_parts_resolves_to_the_first(params):
@@ -546,3 +613,52 @@ def test_frame_world_anchor_inverts_projection():
     ax, ay = frame.world_anchor(projections[0].box)
     assert ax == pytest.approx(14.0, abs=0.1)
     assert ay == pytest.approx(25.0, abs=0.1)
+
+
+# --- crop resolution against the IoU oracle ----------------------------------
+
+
+@st.composite
+def boxes(draw):
+    x0, y0 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    return Region(x0, y0, x0 + draw(st.integers(0, 8)), y0 + draw(st.integers(0, 8)))
+
+
+@st.composite
+def parted_projection(draw, label):
+    box = draw(boxes())
+    split = draw(st.integers(box.y_min, box.y_max))
+    with_parts = draw(st.booleans())
+    return projected(
+        box,
+        handle=Region(box.x_min, split, box.x_max, box.y_max) if with_parts else None,
+        body=Region(box.x_min, box.y_min, box.x_max, split) if with_parts else None,
+        label=label,
+    )
+
+
+def iou_oracle_tag(projections, crop):
+    """The first object, handle or body of greatest IoU above 0.05."""
+    best_score, best_tag = 0.05, None
+    for proj in projections:
+        for box, suffix in ((proj.box, ""), (proj.handle, "::op"), (proj.body, "::fn")):
+            if box is not None and iou(crop, box) > best_score:
+                best_score, best_tag = iou(crop, box), proj.label + suffix
+    return best_tag
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(*(parted_projection(f"o{i}") for i in range(n)))
+    ),
+    st.lists(boxes(), min_size=1, max_size=4),
+)
+def test_crop_resolution_matches_the_iou_oracle(projections, crops):
+    world = make_world([])
+    world.observed = ("frame:t:0", list(projections))
+    mock = noiseless(world, ConfigParams())
+    for crop in crops:
+        ref = f"frame:t:0#crop:{crop.x_min},{crop.y_min},{crop.x_max},{crop.y_max}"
+        assert mock.resolve(ref).tag == iou_oracle_tag(projections, crop)
+

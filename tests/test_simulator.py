@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 
 import pytest
@@ -318,3 +320,37 @@ def test_load_scenario_dir(tmp_path, worlds):
     assert set(loaded) == {"clear_cup", "abs_cup"}
     with pytest.raises(WorldError):
         load_scenario_dir(tmp_path / "empty-subdir")
+
+
+def test_fresh_world_copies_share_no_mutable_state(worlds):
+    template = worlds["occ_coke_fridge"]
+    observe(template)  # a template with a frame, so ``observed`` is copied too
+    expected = copy.deepcopy(template)
+    first, second = fresh_world(template), fresh_world(template)
+    for world in (first, second):
+        for f in dataclasses.fields(World):
+            assert getattr(world, f.name) == getattr(expected, f.name), f.name
+    # Every container field is a copy, so a field added later is copied too
+    # or this fails.
+    for f in dataclasses.fields(World):
+        value = getattr(first, f.name)
+        if isinstance(value, (dict, list)) or f.name == "observed":
+            assert value is not getattr(template, f.name), f.name
+    assert all(first.objects[oid] is not o for oid, o in template.objects.items())
+
+    first.robot = (1.0, 2.0, 0.5)
+    first.tick += 7
+    first.observed[1].clear()
+    observe(first)
+    first.objects["box-1"].opened = True
+    first.objects["target"].visibility = ABSENT
+    assert first.tool_table.pop(first.instruction) == "coke"
+    first.hint_table.clear()
+    first.gt.clear()
+
+    for world in (template, second):
+        for f in dataclasses.fields(World):
+            assert getattr(world, f.name) == getattr(expected, f.name), f.name
+    assert second.objects["box-1"].opened is False
+    assert second.tool_table[second.instruction] == "coke"
+
