@@ -459,13 +459,28 @@ def _result_from_dict(doc: dict) -> GroundingResult:
     )
 
 
-def _encode(blocks: list[np.ndarray], dtype: str) -> str:
-    """Row blocks stacked into one array of ``dtype``, as base64 of its bytes."""
-    return base64.b64encode(np.concatenate(blocks).astype(dtype).tobytes()).decode("ascii")
+# Bytes of a column encoded at a time: a multiple of 3, so the chunks'
+# base64 joins into the base64 of the whole column.
+_B64_CHUNK = 3 << 16
+
+
+def _write_column(fh, blocks: list[np.ndarray], dtype: str) -> None:
+    """Row blocks stacked into one array of ``dtype``, written to ``fh`` as a
+    JSON string holding the base64 of its bytes, one chunk at a time."""
+    data = memoryview(np.concatenate(blocks).astype(dtype, copy=False)).cast("B")
+    fh.write(b'"')
+    for start in range(0, len(data), _B64_CHUNK):
+        fh.write(base64.b64encode(data[start : start + _B64_CHUNK]))
+    fh.write(b'"')
 
 
 def save_space(space: RelationshipSpace, path: str | Path) -> None:
-    """Write ``space`` as one ``aide-space/2`` JSON document at ``path``."""
+    """Write ``space`` as one ``aide-space/2`` JSON document at ``path``.
+
+    The file is ``json.dumps`` of the document. The three vector columns,
+    most of its bytes, come last and are encoded straight into the file, so
+    neither they nor the whole document are ever held as one string.
+    """
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
     doc = {
         "schema": SPACE_SCHEMA,
@@ -484,11 +499,19 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
         ],
         "ids": [rid for sub in subs for rid in sub.ids.tolist()],
         "texts": [text for sub in subs for text in sub.texts],
-        "instruction": _encode([sub.instruction_rows for sub in subs], "<f8"),
-        "tool": _encode([sub.tool_rows for sub in subs], "<f8"),
-        "result_rows": _encode([sub.result_rows for sub in subs], "<i4"),
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    columns = (
+        ("instruction", [sub.instruction_rows for sub in subs], "<f8"),
+        ("tool", [sub.tool_rows for sub in subs], "<f8"),
+        ("result_rows", [sub.result_rows for sub in subs], "<i4"),
+    )
+    with Path(path).open("wb") as fh:
+        # ``json.dumps`` escapes every non-ASCII character.
+        fh.write(json.dumps(doc)[:-1].encode("ascii"))
+        for key, blocks, dtype in columns:
+            fh.write(f', "{key}": '.encode("ascii"))
+            _write_column(fh, blocks, dtype)
+        fh.write(b"}")
 
 
 def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
@@ -602,10 +625,17 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     )
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's UTF-8 text, read a MiB at a time, so that the whole file is
+    never held as bytes beside its text."""
+    with Path(path).open(encoding="utf-8") as fh:
+        return "".join(iter(lambda: fh.read(1 << 20), ""))
+
+
 def load_space(path: str | Path) -> RelationshipSpace:
     """Read an ``aide-space/2`` document."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"unreadable space document: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc:

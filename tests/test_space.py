@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from worldkit import drafts_of
 
+from aide import space as space_module
 from aide.affordance import (
     AffordanceVector,
     DimensionMismatchError,
@@ -181,6 +182,29 @@ def test_a_5000_draft_build_at_the_corpus_seed_keeps_its_bytes(space_5000, tmp_p
     save_space(space_5000, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "14cb423438920b721cd3f67a4e918789a2943a58809514b52710f697f66d0e1c"
+
+
+def test_columns_written_in_chunks_join_into_one_base64_string(space, tmp_path, monkeypatch):
+    # The 432-draft space's columns each fit in one default chunk; written
+    # 3 bytes or 3,003 bytes at a time they must come out the same.
+    whole = tmp_path / "whole.json"
+    save_space(space, whole)
+    for chunk in (3, 3 * 1001):
+        monkeypatch.setattr(space_module, "_B64_CHUNK", chunk)
+        path = tmp_path / f"chunk-{chunk}.json"
+        save_space(space, path)
+        assert path.read_bytes() == whole.read_bytes()
+    text = whole.read_text(encoding="ascii")
+    assert text == json.dumps(json.loads(text))
+
+
+def test_a_file_is_read_with_characters_across_each_mib_whole(tmp_path):
+    # load_space reads its file a MiB at a time. 2**20 is not a multiple of
+    # 3, so a read cut by bytes would split a three-byte character.
+    text = "\u2014" * 800_000
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    assert space_module._read_text(path) == text
 
 
 def test_build_is_centroid_fixed_point(space):
