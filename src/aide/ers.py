@@ -18,6 +18,7 @@ from .config import ConfigParams
 from .geometry import Region
 from .perception import (
     CROP_PAD_FRACTION,
+    PART_VOCABULARY,
     Detection,
     PerceptionBackend,
     SceneFrame,
@@ -27,8 +28,6 @@ from .perception import (
     tool_regions,
 )
 from .space import GroundingResult, RelationshipSpace
-
-PART_VOCABULARY = ("handle", "body")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .config import ConfigParams
 from .ers import CandidatePool
-from .geometry import Region, bounding_region
+from .geometry import Region, bounding_region, pixel_bounds
 from .perception import (
     Detection,
     PerceptionBackend,
@@ -58,16 +58,6 @@ def choose_strategy(t_new: float, params: ConfigParams) -> Strategy:
     return Strategy.INVISIBLE
 
 
-def _clipped_square(center: tuple[float, float], px: int, frame: SceneFrame) -> Region:
-    cx, cy = center
-    return Region(
-        max(int(round(cx - px)), 0),
-        max(int(round(cy - px)), 0),
-        max(int(round(cx + px)), 0),
-        max(int(round(cy + px)), 0),
-    ).clip(frame.width, frame.height)
-
-
 def visible_explore(
     detections: Sequence[Detection], frame: SceneFrame, params: ConfigParams
 ) -> Region:
@@ -90,8 +80,10 @@ def visible_explore(
     best_key: tuple[int, int, int] | None = None
     best_square: Region | None = None
     best_boxes: list[Region] = []
+    px, width, height = params.PX, frame.width, frame.height
     for cand in candidates:
-        square = _clipped_square(cand.box.center, params.PX, frame)
+        cx, cy = cand.box.center
+        square = Region(*pixel_bounds(cx - px, cy - px, cx + px, cy + px, width, height))
         members = [d for d in members_pool if d.box.intersects(square)]
         weight = sum(params.N_prime - d.rank for d in members)
         key = (-weight, cand.rank, cand.box.x_min)
@@ -116,8 +108,6 @@ def invisible_explore(
     otherwise from the reasoner. The region is the best-matching container
     detection.
     """
-    if not instruction:
-        raise ValueError("instruction must be non-empty")
     hints = pool.unseen_hints if pool is not None else []
     if len(hints) > 1:
         labels = [hint_label for hint_label, _ in hints]

@@ -159,7 +159,6 @@ class EpisodeRow:
     episode_id: str
     world_id: str
     category: str
-    instruction: str
     status: str
     fail_reason: str | None
     steps: int
@@ -256,7 +255,6 @@ def run_episode(
     episode_space = space.clone()
     perception = MockPerception(world, params, seed=seed, sigma=noise)
     trace = run_closed_loop(
-        world.instruction,
         world,
         episode_space,
         params,
@@ -271,7 +269,6 @@ def run_episode(
         episode_id=episode_id,
         world_id=world.world_id,
         category=world.category,
-        instruction=world.instruction,
         status=trace.status,
         fail_reason=trace.fail_reason,
         steps=trace.steps,
@@ -291,7 +288,7 @@ def run_episode(
 def run_eval(
     space: RelationshipSpace,
     worlds: dict[str, World] | None = None,
-    params: ConfigParams | None = None,
+    params: ConfigParams = ConfigParams(),
     seed: int = 0,
     noise: float = DEFAULT_SIGMA,
     max_steps: int = MAX_STEPS,
@@ -306,7 +303,6 @@ def run_eval(
     so episodes do not depend on one another. An empty ``worlds`` or an
     ``episodes`` below 1 raises ``ValueError``.
     """
-    params = params or ConfigParams()
     worlds = worlds if worlds is not None else scripted_scenarios()
     if not worlds:
         raise ValueError("no worlds to evaluate")
@@ -430,7 +426,7 @@ def _textsim_exhaustive(space: RelationshipSpace, text: str) -> Position | None:
 
 def ablate_retrieval(
     corpus: Drafts,
-    params: ConfigParams | None = None,
+    params: ConfigParams = ConfigParams(),
     methods: Sequence[str] = ("affordance", "textsim"),
     seed: int = 0,
     query_count: int = 100,
@@ -442,7 +438,6 @@ def ablate_retrieval(
     whenever none does (the synthetic stand-in for a validated target; noted
     in report metadata). Every method also gets an exhaustive-search row.
     """
-    params = params or ConfigParams()
     reference_radius = params.c
     space = build_space(corpus, params, seed)
     queries = _ablation_queries(space, params, seed + 1, query_count, reference_radius)
@@ -489,7 +484,7 @@ def ablate_retrieval(
 def run_error_analysis(
     space: RelationshipSpace,
     worlds: dict[str, World] | None = None,
-    params: ConfigParams | None = None,
+    params: ConfigParams = ConfigParams(),
     seed: int = 0,
     noise: float = DEFAULT_SIGMA,
     max_steps: int = MAX_STEPS,
@@ -503,7 +498,6 @@ def run_error_analysis(
     cases that still complete after the human-recovery prompt is answered from
     the scenario hint table.
     """
-    params = params or ConfigParams()
     worlds = worlds if worlds is not None else scripted_scenarios()
     clear_ids = sorted(w for w, world in worlds.items() if world.category == "clear")
 

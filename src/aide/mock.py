@@ -43,6 +43,7 @@ from .affordance import (
 from .config import ConfigParams
 from .geometry import Region, iou, vertical_halves
 from .perception import (
+    PART_VOCABULARY,
     Detection,
     PerceptionBackend,
     ReasonerError,
@@ -52,8 +53,6 @@ from .perception import (
     UnknownReferenceError,
 )
 from .simulator import BLURRED, ProjectedObject, World
-
-_PART_TERMS = ("handle", "body")
 
 # Default noise scale; 0 disables noise.
 DEFAULT_SIGMA = 0.5
@@ -320,8 +319,8 @@ class MockPerception(PerceptionBackend):
             return []
         current = self._current_frame()
         current.check(frame.image)
-        part_terms = [t for t in vocabulary if t in _PART_TERMS]
-        object_terms = [t for t in vocabulary if t not in _PART_TERMS]
+        part_terms = [t for t in vocabulary if t in PART_VOCABULARY]
+        object_terms = [t for t in vocabulary if t not in PART_VOCABULARY]
         fallback_term = min(object_terms) if object_terms else None
         image, suffix = frame.image, self._key_suffix
 
@@ -385,8 +384,6 @@ class MockPerception(PerceptionBackend):
         return token_cosine(a, b)
 
     def propose_tool(self, instruction: str, frame: SceneFrame) -> ToolHypothesis:
-        if not instruction:
-            raise ValueError("instruction must be non-empty")
         label = self.world.tool_table.get(instruction)
         if label is None:
             raise ReasonerError(f"no tool mapping for instruction {instruction!r}")

@@ -15,6 +15,8 @@ from .geometry import Region, vertical_halves
 
 # Each side of a crop grows by this fraction of the box extent.
 CROP_PAD_FRACTION = 0.05
+# Vocabulary terms that ``detect`` answers with tool parts, not whole objects.
+PART_VOCABULARY = ("handle", "body")
 
 
 class PerceptionError(RuntimeError):
@@ -59,8 +61,8 @@ class SceneFrame:
     """One rendered observation.
 
     ``image`` is an opaque reference resolvable by the active backend. The
-    robot pose and scale ride along so the planner can reason about world
-    distances without touching the simulator directly.
+    robot position and scale ride along so the planner can reason about
+    world distances without touching the simulator directly.
     """
 
     image: str
@@ -69,7 +71,6 @@ class SceneFrame:
     timestamp: float
     robot_x: float = 0.0
     robot_y: float = 0.0
-    robot_heading: float = 0.0
     pixels_per_unit: float = 1.0
 
     def __post_init__(self) -> None:

@@ -233,8 +233,14 @@ def mm_cot(
     hypothesis; otherwise the exploration policy runs inside the slow stream
     under the same entry conditions as the fast stream, and the result carries
     either the exploration rectangle or the unseen-container hint. Human
-    recovery may pre-seed the label or the tool region.
+    recovery may pre-seed the label or the tool region; a region outside the
+    frame is a failed call.
     """
+    frame_box = Region(0, 0, frame.width, frame.height)
+    if override_region is not None and not frame_box.contains(override_region):
+        raise PerceptionError(
+            f"region {override_region.as_list()} is outside the {frame.width}x{frame.height} frame"
+        )
     if override_label is not None:
         hypothesis = ToolHypothesis(label=override_label)
     else:
@@ -517,8 +523,6 @@ def provide_human_answer(state: PlannerState, answer: str | None) -> bool:
 @dataclass
 class EpisodeTrace:
     world_id: str
-    instruction: str
-    category: str
     rows: list[TickEvent] = field(default_factory=list)
     status: str = RUNNING
     fail_reason: str | None = None
@@ -547,7 +551,6 @@ def _command_region(command: MotionCommand) -> Region | None:
 
 
 def run_closed_loop(
-    instruction: str,
     world: World,
     space: RelationshipSpace,
     params: ConfigParams,
@@ -558,14 +561,14 @@ def run_closed_loop(
 ) -> EpisodeTrace:
     """Alternate planner ticks with world updates until the episode settles.
 
-    ``answer_human`` resolves RequestHuman prompts (batch runs answer from the
-    world's hint table via the harness; None leaves the failure in place).
+    Each tick plans ``world.instruction``, the instruction that ground truth
+    is scored against. ``answer_human`` resolves RequestHuman prompts (batch
+    runs answer from the world's hint table via the harness; None leaves the
+    failure in place).
     ``interventions`` maps tick indices to world mutations, used for error
     injection. Exhausting ``max_steps`` fails the episode with a timeout.
     """
-    trace = EpisodeTrace(
-        world_id=world.world_id, instruction=instruction, category=world.category
-    )
+    trace = EpisodeTrace(world_id=world.world_id)
     state = PlannerState()
     answered_prompts: set[str] = set()
     t_start = time.perf_counter()
@@ -575,7 +578,7 @@ def run_closed_loop(
             interventions[world.tick](world)
         frame, projections = observe(world)
         t0 = time.perf_counter()
-        state, command = step(state, instruction, frame, space, params, perception)
+        state, command = step(state, world.instruction, frame, space, params, perception)
         latency_ms = (time.perf_counter() - t0) * 1000.0
 
         if isinstance(command, RequestHuman) and answer_human is not None:
@@ -607,17 +610,16 @@ def run_closed_loop(
     return trace
 
 
-def write_trace(trace: EpisodeTrace, path: str | Path, episode_id: str | None = None) -> None:
+def write_trace(trace: EpisodeTrace, path: str | Path, episode_id: str) -> None:
     """Append one event per line; each line carries the episode identity."""
-    tag = episode_id or f"{trace.world_id}"
     with Path(path).open("a", encoding="utf-8") as fh:
         for row in trace.rows:
-            doc = {"episode": tag, "world": trace.world_id, **row.to_dict()}
+            doc = {"episode": episode_id, "world": trace.world_id, **row.to_dict()}
             fh.write(json.dumps(doc) + "\n")
         fh.write(
             json.dumps(
                 {
-                    "episode": tag,
+                    "episode": episode_id,
                     "world": trace.world_id,
                     "final": True,
                     "status": trace.status,

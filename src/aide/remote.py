@@ -82,7 +82,6 @@ class RemotePerception(PerceptionBackend):
         transport: Transport | None = None,
     ):
         self.base_url = base_url.rstrip("/")
-        self.timeout_ms = timeout_ms
         self._transport = transport or _http_transport(timeout_ms, os.environ.get(_API_KEY_ENV))
         self._consecutive_failures = 0
 

@@ -118,6 +118,9 @@ class World:
     observed: tuple[str, list[ProjectedObject]] | None = None
 
     def __post_init__(self) -> None:
+        # A frame reference ends its image name at the first "#" (crops follow it).
+        if "#" in self.world_id:
+            raise WorldError(f"world id {self.world_id!r} must not contain '#'")
         if not self.instruction:
             raise WorldError(f"world {self.world_id!r} needs a non-empty instruction")
         for instr, oid in self.gt.items():
@@ -210,7 +213,7 @@ def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
     Each rect projects as ``World._project_rect`` does, from the robot pose,
     half view range and scale read once per frame.
     """
-    rx, ry, heading = world.robot
+    rx, ry, _ = world.robot
     size = world.frame_size
     half = world.view_range / 2.0
     ppu = world.pixels_per_unit
@@ -221,7 +224,6 @@ def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
         timestamp=world.tick * FRAME_PERIOD_MS,
         robot_x=rx,
         robot_y=ry,
-        robot_heading=heading,
         pixels_per_unit=ppu,
     )
     projections: list[ProjectedObject] = []

@@ -229,9 +229,7 @@ def test_criterion_5_closed_loop_throughput(space, params):
     world = fresh_world(scripted_scenarios()["clear_cup"])
     mock = MockPerception(world, slow, seed=1, sigma=0.5)
     start = time.perf_counter()
-    trace = run_closed_loop(
-        world.instruction, world, space.clone(), slow, mock, max_steps=1000
-    )
+    trace = run_closed_loop(world, space.clone(), slow, mock, max_steps=1000)
     wall = time.perf_counter() - start
     latencies = sorted(row.latency_ms for row in trace.rows)
     p50 = latencies[len(latencies) // 2]

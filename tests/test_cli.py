@@ -198,6 +198,11 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
             ["run-episode", "--space", "{space}", "--scenarios", "{root}", "--world", "w"],
             "world 'w' needs a non-empty instruction",
         ),
+        (
+            '{"schema": "aide-world/1", "id": "w#1", "instruction": "go", "objects": []}',
+            ["eval", "--space", "{space}", "--scenarios", "{root}"],
+            "world id 'w#1' must not contain '#'",
+        ),
         (None, ["eval", "--space", "{space}", "--episodes", "0"], "episode count must be positive"),
     ],
     ids=[
@@ -211,6 +216,7 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
         "empty-scenarios",
         "malformed-world",
         "empty-instruction",
+        "hash-in-world-id",
         "zero-episodes",
     ],
 )

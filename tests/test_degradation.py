@@ -11,10 +11,11 @@ from aide.affordance import AffordanceVector
 from aide.ers import NeedsExploration, match_tool, retrieve_candidates
 from aide.exploration import invisible_explore
 from aide.geometry import Region
+from aide.harness import run_episode
 from aide.mock import MockPerception
 from aide.perception import PerceptionError
 from aide.planner import run_closed_loop
-from aide.simulator import fresh_world, observe, scripted_scenarios
+from aide.simulator import ABSENT, fresh_world, observe, scripted_scenarios
 
 
 class FlakyBackend:
@@ -60,9 +61,7 @@ def test_episode_survives_similarity_outage(space, params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
     flaky = FlakyBackend(mock, broken={"similarity"})
-    trace = run_closed_loop(
-        world.instruction, world, space.clone(), params, flaky, max_steps=20
-    )
+    trace = run_closed_loop(world, space.clone(), params, flaky, max_steps=20)
     assert trace.status == "failed"
     assert trace.steps >= 1
 
@@ -73,9 +72,7 @@ def test_episode_survives_total_perception_outage(space, params):
     flaky = FlakyBackend(
         mock, broken={"detect", "similarity", "score_affordance", "propose_tool"}
     )
-    trace = run_closed_loop(
-        world.instruction, world, space.clone(), params, flaky, max_steps=10
-    )
+    trace = run_closed_loop(world, space.clone(), params, flaky, max_steps=10)
     assert trace.status == "failed"
     assert trace.fail_reason in ("planning-error", "timeout", "exploration-impossible")
 
@@ -114,9 +111,7 @@ def test_detection_boxes_outside_the_frame_are_no_detections(space, params):
     # grounded on it and the episode ends without an exception.
     world = cup_world()
     wide = BoxesPastTheFrame(world, params, sigma=0.0)
-    trace = run_closed_loop(
-        world.instruction, world, space.clone(), params, wide, max_steps=20
-    )
+    trace = run_closed_loop(world, space.clone(), params, wide, max_steps=20)
     assert trace.status == "failed"
     assert trace.fail_reason == "planning-error"
     assert all(row.grounded_tool_box is None for row in trace.rows)
@@ -129,9 +124,7 @@ def test_wrong_length_affordance_vector_fails_the_episode_without_insert(space, 
     episode_space = space.clone()
     before = sum(1 for _ in episode_space.iter_records())
     short = ShortAffordance(world, params, sigma=0.0)
-    trace = run_closed_loop(
-        world.instruction, world, episode_space, params, short, max_steps=20
-    )
+    trace = run_closed_loop(world, episode_space, params, short, max_steps=20)
     assert trace.status == "failed"
     assert trace.fail_reason == "planning-error"
     assert sum(1 for _ in episode_space.iter_records()) == before
@@ -145,9 +138,7 @@ def test_segment_regions_outside_the_tool_box_are_clipped(space, params):
         gt={"I am thirsty": "c1"},
     )
     outside = SegmentsOutsideTheBox(world, params, sigma=0.0)
-    trace = run_closed_loop(
-        world.instruction, world, space.clone(), params, outside, max_steps=40
-    )
+    trace = run_closed_loop(world, space.clone(), params, outside, max_steps=40)
     assert trace.status == "completed"
     grounded = [row for row in trace.rows if row.grounded_tool_box is not None]
     assert grounded
@@ -175,9 +166,7 @@ def _outcomes(space, params, pick):
     for world_id, template in sorted(scripted_scenarios().items()):
         world = fresh_world(template)
         backend = SelectsAt(world, params, pick, seed=0, sigma=0.5)
-        trace = run_closed_loop(
-            world.instruction, world, space.clone(), params, backend, max_steps=400
-        )
+        trace = run_closed_loop(world, space.clone(), params, backend, max_steps=400)
         outcomes[world_id] = (trace.status, trace.fail_reason, trace.steps)
     return outcomes
 
@@ -198,3 +187,20 @@ def test_invisible_explore_rejects_an_out_of_range_candidate_index(space, params
     backend = SelectsAt(world, params, pick, sigma=0.0)
     with pytest.raises(PerceptionError, match="candidate index"):
         invisible_explore(frame, world.instruction, None, params, backend)
+
+
+@pytest.mark.parametrize("world_id", ["occ_coke_fridge", "abs_cup"])
+def test_a_human_region_outside_the_frame_fails_the_plan(space, params, world_id):
+    # With no container in the scene, the slow stream asks for help; a region
+    # answer past the 800-pixel frame is a failed call, not a crash.
+    world = fresh_world(scripted_scenarios()[world_id])
+    world.objects["box-1"].visibility = ABSENT
+    prompts = []
+
+    def answer(prompt):
+        prompts.append(prompt)
+        return "0,0,900,900"
+
+    row, _ = run_episode("ep", world, space, params, answer_human=answer)
+    assert (row.status, row.fail_reason) == ("failed", "planning-error")
+    assert "region [0, 0, 900, 900] is outside the 800x800 frame" in prompts[-1]

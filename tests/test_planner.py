@@ -365,13 +365,7 @@ def test_decide_reformulation_overflow_fails():
 def run_episode(world, space, params, seed=0, sigma=0.0, max_steps=200, answer=None):
     mock = MockPerception(world, params, seed=seed, sigma=sigma)
     return run_closed_loop(
-        world.instruction,
-        world,
-        space.clone(),
-        params,
-        mock,
-        max_steps=max_steps,
-        answer_human=answer,
+        world, space.clone(), params, mock, max_steps=max_steps, answer_human=answer
     )
 
 
@@ -405,13 +399,7 @@ def test_tool_removal_triggers_msi_within_one_tick(space, params):
         w.objects["c1"].visibility = ABSENT
 
     trace = run_closed_loop(
-        world.instruction,
-        world,
-        space.clone(),
-        params,
-        mock,
-        max_steps=12,
-        interventions={6: remove},
+        world, space.clone(), params, mock, max_steps=12, interventions={6: remove}
     )
     by_step = {r.step: r for r in trace.rows}
     assert by_step[5].validity >= params.validity_threshold

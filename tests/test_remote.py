@@ -203,12 +203,18 @@ def test_http_transport_sends_the_key_from_aide_api_key(monkeypatch):
     requests = []
 
     def urlopen(request, timeout):
-        requests.append(request)
+        requests.append((request, timeout))
         return io.BytesIO(b'{"value": 0.5}')
 
     monkeypatch.setenv("AIDE_API_KEY", "secret")
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    remote = RemotePerception("http://models.example:9000")
-    assert remote.similarity("a", "b").value == 0.5
-    assert requests[0].full_url == "http://models.example:9000/similarity"
-    assert requests[0].get_header("Authorization") == "Bearer secret"
+    # The timeout reaches urlopen in seconds: the default 2,000 ms, then 750 ms.
+    for remote in (
+        RemotePerception("http://models.example:9000"),
+        RemotePerception("http://models.example:9000", timeout_ms=750),
+    ):
+        assert remote.similarity("a", "b").value == 0.5
+    assert [timeout for _, timeout in requests] == [2.0, 0.75]
+    for request, _ in requests:
+        assert request.full_url == "http://models.example:9000/similarity"
+        assert request.get_header("Authorization") == "Bearer secret"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 
 import pytest
@@ -222,6 +223,21 @@ def test_world_load_rejects_an_empty_instruction(tmp_path):
         load_world(path)
 
 
+def test_world_load_rejects_an_id_with_a_hash(tmp_path, worlds):
+    # A frame reference ends its image name at the first "#", so no frame of
+    # such a world would resolve; ":" is part of the name and stays allowed.
+    with pytest.raises(WorldError, match="world id 'clear#cup' must not contain '#'"):
+        make_world([], world_id="clear#cup")
+    path = tmp_path / "w.json"
+    save_world(worlds["clear_cup"], path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "id": "clear#cup"}))
+    with pytest.raises(WorldError, match="world id 'clear#cup' must not contain '#'"):
+        load_world(path)
+    path.write_text(json.dumps({**doc, "id": "clear:cup"}))
+    assert load_world(path).world_id == "clear:cup"
+
+
 def test_scripted_scenarios_shape(worlds):
     assert len(worlds) >= 24
     by_category = {}
@@ -274,7 +290,7 @@ def test_check_success_flags_wrong_tool(space, params):
         gt={"I am thirsty": "far_cup"},
     )
     mock = MockPerception(world, params, seed=0, sigma=0.0)
-    trace = run_closed_loop(world.instruction, world, space.clone(), params, mock, max_steps=100)
+    trace = run_closed_loop(world, space.clone(), params, mock, max_steps=100)
     flags = check_success(trace, world)
     assert trace.status == "completed"
     assert not flags.tool
@@ -284,7 +300,7 @@ def test_check_success_flags_wrong_tool(space, params):
 def test_check_success_asr_for_absent_nominal(space, params, worlds):
     world = fresh_world(worlds["abs_cup"])
     mock = MockPerception(world, params, seed=0, sigma=0.0)
-    trace = run_closed_loop(world.instruction, world, space.clone(), params, mock, max_steps=200)
+    trace = run_closed_loop(world, space.clone(), params, mock, max_steps=200)
     flags = check_success(trace, world)
     assert flags.asr_applicable
     assert flags.exploration
