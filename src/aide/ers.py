@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .affordance import AffordanceVector
 from .config import ConfigParams
-from .geometry import Region
+from .geometry import Region, clipped_into
 from .perception import (
     CROP_PAD_FRACTION,
     PART_VOCABULARY,
@@ -165,8 +165,4 @@ def ground_regions(
         scores = crop_scores(perception, crops, [f"{image}{suffix}" for image in images])
         return parts[scores.index(max(scores))].box
 
-    def clipped(box: Region) -> Region:
-        inter = box.intersection(tool.box)
-        return inter if inter is not None and inter.area > 0 else tool.box
-
-    return clipped(pick("#op")), clipped(pick("#fn"))
+    return clipped_into(pick("#op"), tool.box), clipped_into(pick("#fn"), tool.box)

@@ -161,6 +161,13 @@ def bounding_region(regions: Iterable[Region]) -> Region:
     return out
 
 
+def clipped_into(region: Region, box: Region) -> Region:
+    """``region`` clipped into ``box``: their intersection, or ``box`` itself
+    when they share no area."""
+    inter = region.intersection(box)
+    return inter if inter is not None and inter.area > 0 else box
+
+
 def vertical_halves(box: Region) -> tuple[Region, Region]:
     """(lower, upper) halves of a box; degenerate boxes return themselves twice."""
     mid = box.y_min + box.height // 2

@@ -56,6 +56,8 @@ _OUT_OF_DISTRIBUTION_SHARE = 0.1
 # c = 20 and none clears 21, so the cap keeps every result at c <= 20 and
 # turns an endless redraw into a ValueError within seconds.
 _MAX_FAR_QUERY_DRAWS = 100_000
+# Candidate-to-row distances measured at a time when drawing far-out queries.
+_FAR_QUERY_BLOCK_FLOATS = 1 << 18
 _AFFORDANCE_RADII = (40.0, 20.0, 10.0, 0.0)
 _TEXTSIM_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 1.0)
 # The error-analysis tick at which the required tool is removed.
@@ -353,6 +355,34 @@ class _AblationQuery:
     acceptable_exists: bool
 
 
+def _far_out_draw(rng: np.random.Generator, matrix: np.ndarray, radius: float) -> np.ndarray:
+    """The first uniform draw farther than ``radius`` from every row of
+    ``matrix``, redrawing up to ``_MAX_FAR_QUERY_DRAWS`` times, with ``rng``
+    left just past it: the draw and state that drawing one vector at a time
+    gives. Candidates are drawn a block at a time; the generator, one 64-bit
+    step per score, is then rewound to the block's start and advanced past
+    the accepted row.
+
+    A block's squared distances come from one matrix product, off by far
+    less than ``margin``. A candidate with a row plainly inside the radius
+    is out; the rest are measured with ``euclidean`` in draw order, as one
+    draw at a time measures them."""
+    n, dims = matrix.shape
+    row_norms = (matrix**2).sum(axis=1)
+    margin = 1e-9 * (row_norms.max() + 100.0 * dims)  # draws lie in [0, 10]
+    block = max(1, _FAR_QUERY_BLOCK_FLOATS // n)
+    for start in range(0, _MAX_FAR_QUERY_DRAWS, block):
+        state = rng.bit_generator.state
+        candidates = rng.uniform(0.0, 10.0, size=(min(block, _MAX_FAR_QUERY_DRAWS - start), dims))
+        squared = (candidates**2).sum(axis=1)[:, None] + row_norms - 2.0 * candidates @ matrix.T
+        for i in np.flatnonzero(squared.min(axis=1) >= radius**2 - margin).tolist():
+            if euclidean(matrix, candidates[i]).min() > radius:
+                rng.bit_generator.state = state
+                rng.bit_generator.advance((i + 1) * dims)
+                return candidates[i]
+    raise ValueError(f"no far-out query clears radius c={radius:g} in {_MAX_FAR_QUERY_DRAWS:,} draws")
+
+
 def _ablation_queries(
     space: RelationshipSpace,
     params: ConfigParams,
@@ -373,16 +403,7 @@ def _ablation_queries(
             words = CLASS_WORDS.get(cls, (cls,))
             text = f"please help me {words[i % len(words)]} the {words[(i + 1) % len(words)]}"
         else:
-            # Far-out query: resample until nothing lies within the radius.
-            for _ in range(_MAX_FAR_QUERY_DRAWS):
-                vec = rng.uniform(0.0, 10.0, size=params.X)
-                if euclidean(matrix, vec).min() > reference_radius:
-                    break
-            else:
-                raise ValueError(
-                    f"no far-out query clears radius c={reference_radius:g} in"
-                    f" {_MAX_FAR_QUERY_DRAWS:,} draws"
-                )
+            vec = _far_out_draw(rng, matrix, reference_radius)
             text = f"unrelated request number {i} about nothing in particular"
         vector = AffordanceVector(tuple(float(v) for v in vec))
         nearest = float(euclidean(matrix, vector.scores).min())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .affordance import AffordanceVector
-from .geometry import Region, vertical_halves
+from .geometry import Region, clipped_into, vertical_halves
 
 # Each side of a crop grows by this fraction of the box extent.
 CROP_PAD_FRACTION = 0.05
@@ -199,10 +199,7 @@ def tool_regions(
         operational, functional = perception.segment_regions(tool, frame)
     except PerceptionError:
         return vertical_halves(tool.box)
-    return (
-        operational.intersection(tool.box) or tool.box,
-        functional.intersection(tool.box) or tool.box,
-    )
+    return clipped_into(operational, tool.box), clipped_into(functional, tool.box)
 
 
 def checked_affordance(

@@ -22,10 +22,15 @@ since, and shares the clusters and the set of ids the space was built with.
 ``save_space`` writes the same layout to one ``aide-space/2`` JSON document:
 the result table once, the cluster tree with centroids and subcluster sizes,
 and the records as columns in tree order (ids and texts as lists; vectors and
-result rows as base64 of little-endian arrays). A record's cluster and
-subcluster follow from its position. ``load_space`` reads only that schema: a
-space saved as the older ``aide-space/1`` is rebuilt from its corpus with
-``aide build-space``, which is deterministic for a fixed seed.
+result rows as base64 of little-endian arrays, encoded a subcluster's block
+at a time). A record's cluster and subcluster follow from its position.
+``load_space`` reads the file a piece at a time and walks its top-level
+object member by member: it decodes each base64 column into its array as it
+reads it, and parses every other member on its own, so it holds neither the
+file's text nor a column's base64, and any whitespace or key order loads. It
+reads only that schema: a space saved as the older ``aide-space/1`` is
+rebuilt from its corpus with ``aide build-space``, which is deterministic for
+a fixed seed.
 
 Corpus drafts are the same columns before they have a position (``Drafts``):
 ``gen_corpus`` and ``read_corpus`` produce them and ``build_space`` clusters
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -465,21 +471,35 @@ _B64_CHUNK = 3 << 16
 
 
 def _write_column(fh, blocks: list[np.ndarray], dtype: str) -> None:
-    """Row blocks stacked into one array of ``dtype``, written to ``fh`` as a
-    JSON string holding the base64 of its bytes, one chunk at a time."""
-    data = memoryview(np.concatenate(blocks).astype(dtype, copy=False)).cast("B")
+    """Row blocks, as one column of ``dtype``, written to ``fh`` as a JSON
+    string holding the base64 of its bytes. Each block is encoded a chunk of
+    whole 3-byte groups at a time, and the 0-2 bytes left over lead the next
+    block's first group, so the column is never joined into one array."""
     fh.write(b'"')
-    for start in range(0, len(data), _B64_CHUNK):
-        fh.write(base64.b64encode(data[start : start + _B64_CHUNK]))
-    fh.write(b'"')
+    carry = b""
+    for block in blocks:
+        data = memoryview(np.ascontiguousarray(block, dtype=dtype)).cast("B")
+        if carry:
+            take = min(3 - len(carry), len(data))
+            carry += data[:take]
+            data = data[take:]
+            if len(carry) < 3:
+                continue
+            fh.write(base64.b64encode(carry))
+        whole = len(data) - len(data) % 3
+        for start in range(0, whole, _B64_CHUNK):
+            fh.write(base64.b64encode(data[start : min(start + _B64_CHUNK, whole)]))
+        carry = bytes(data[whole:])
+    fh.write(base64.b64encode(carry) + b'"')
 
 
 def save_space(space: RelationshipSpace, path: str | Path) -> None:
     """Write ``space`` as one ``aide-space/2`` JSON document at ``path``.
 
     The file is ``json.dumps`` of the document. The three vector columns,
-    most of its bytes, come last and are encoded straight into the file, so
-    neither they nor the whole document are ever held as one string.
+    most of its bytes, come last and are encoded straight into the file a
+    subcluster's block at a time (``_write_column``), so neither a column
+    nor the whole document is ever held in one piece.
     """
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
     doc = {
@@ -515,7 +535,12 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
 
 
 def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
-    column = np.frombuffer(base64.b64decode(doc[key], validate=True), dtype=dtype)
+    raw = doc[key]
+    if isinstance(raw, ValueError):  # the error the column's base64 decode raised
+        raise raw
+    if not isinstance(raw, bytearray):  # a column that is not a string
+        raw = base64.b64decode(raw, validate=True)
+    column = np.frombuffer(raw, dtype=dtype)
     if column.size != shape[0] * shape[1]:
         raise SpaceFormatError(
             f"column {key!r} holds {column.size} values, expected {shape[0]} x {shape[1]}"
@@ -584,7 +609,8 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     """Check the records, drafts in tree order whose results are rows of the
     space's result table (``_check_drafts``), and the tree against them, then
     build the subclusters, the id set and the centroid rows: the one
-    construction path of a built or loaded space."""
+    construction path of a built or loaded space. Equal texts share one str,
+    as a generated corpus's do; a parsed document holds one per record."""
     ids = _check_drafts(records)
     n = len(records)
     sizes = [size for _, subclusters in tree for _, size in subclusters]
@@ -592,6 +618,8 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
         raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
 
     id_column = np.array(records.ids, dtype=str)
+    distinct: dict[str, str] = {}
+    texts = [distinct.setdefault(text, text) for text in records.texts]
     rows = records.result_rows.astype(np.intp)
     clusters: list[Cluster] = []
     lo = 0
@@ -603,7 +631,7 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
                 Subcluster(
                     AffordanceVector(tuple(sub_centroid)),
                     id_column[lo:hi],
-                    records.texts[lo:hi],
+                    texts[lo:hi],
                     records.instruction[lo:hi],
                     records.tool[lo:hi],
                     rows[lo:hi],
@@ -625,19 +653,181 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     )
 
 
-def _read_text(path: str | Path) -> str:
-    """A file's UTF-8 text, read a MiB at a time, so that the whole file is
-    never held as bytes beside its text."""
-    with Path(path).open(encoding="utf-8") as fh:
-        return "".join(iter(lambda: fh.read(1 << 20), ""))
+# Characters of a space file read at a time.
+_READ_CHARS = 1 << 16
+# Members of a space document holding a base64 string, decoded as it is read.
+_COLUMN_KEYS = frozenset({"instruction", "tool", "result_rows"})
+_DECODER = json.JSONDecoder()
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER_CHARS = frozenset("0123456789+-.eE")
+# What ends a JSON string, or makes it invalid: its closing quote, an escape,
+# or a control character.
+_COLUMN_STOP = re.compile(r'["\\\x00-\x1f]')
+
+
+class _DocumentReader:
+    """A JSON document read from ``fh`` ``_READ_CHARS`` characters at a time,
+    holding only the text not parsed yet. A syntax error is reported as
+    ``json.loads`` reports it for the whole document."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self._text = ""
+        self._at = 0  # the next character of ``_text`` to parse
+        # Where ``_text`` starts in the document: its offset, the newlines
+        # before it and the offset of the last of them (-1 for none).
+        self._offset = self._lines = 0
+        self._last_newline = -1
+
+    def _read(self, chars: int) -> bool:
+        """Drop the parsed text and read at least ``chars`` characters more,
+        or to the end of the file; False when none were left."""
+        pieces: list[str] = []
+        got = 0
+        while got < max(chars, 1):
+            piece = self._fh.read(_READ_CHARS)
+            if not piece:
+                break
+            pieces.append(piece)
+            got += len(piece)
+        if not pieces:
+            return False
+        newlines = self._text.count("\n", 0, self._at)
+        if newlines:
+            self._lines += newlines
+            self._last_newline = self._offset + self._text.rfind("\n", 0, self._at)
+        self._offset += self._at
+        self._text = self._text[self._at :] + "".join(pieces)
+        self._at = 0
+        return True
+
+    def error(self, message: str, at: int) -> SpaceFormatError:
+        """A syntax error at ``_text[at]``, worded as ``json.loads`` words it."""
+        pos = self._offset + at
+        newline = self._text.rfind("\n", 0, at)
+        line = self._lines + self._text.count("\n", 0, at) + 1
+        column = at - newline if newline >= 0 else pos - self._last_newline
+        return SpaceFormatError(
+            f"unreadable space document: {message}: line {line} column {column} (char {pos})"
+        )
+
+    def peek(self) -> str:
+        """The next character after whitespace; "" at the end of the file."""
+        while True:
+            self._at = _WHITESPACE.match(self._text, self._at).end()
+            if self._at < len(self._text):
+                return self._text[self._at]
+            if not self._read(1):
+                return ""
+
+    def value(self) -> object:
+        """The JSON value at the next character, read whole before it is parsed."""
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self._text, self._at)
+            except json.JSONDecodeError as exc:
+                if self._read(len(self._text) - self._at):
+                    continue
+                raise self.error(exc.msg, exc.pos) from exc
+            # A number may go on past the text read so far, or past where its
+            # parse stopped ("-1." parses as -1), so read on unless the value
+            # is followed by a character that cannot go on a number.
+            if (end < len(self._text) and self._text[end] not in _NUMBER_CHARS) or not self._read(
+                len(self._text) - self._at
+            ):
+                self._at = end
+                return value
+
+    def column(self, key: str) -> bytearray | ValueError:
+        """The bytes of the base64 string at the next character, decoded a
+        run of whole 4-character groups at a time as it is read, so the
+        string is never held. A string that does not decode gives the error
+        that ``base64.b64decode`` raises for it whole."""
+        unterminated = self.error("Unterminated string starting at", self._at)
+        self._at += 1
+        out = bytearray()
+        padded = False
+        while True:  # plain base64, whose decode also checks it holds no JSON escape
+            end = self._text.find('"', self._at)
+            whole = ((end if end >= 0 else len(self._text)) - self._at) // 4 * 4
+            if whole:
+                run = self._text[self._at : self._at + whole]
+                # Padding may only end the string, in its last group.
+                if padded or run.find("=", 0, whole - 4) >= 0:
+                    break
+                try:
+                    out += base64.b64decode(run, validate=True)
+                except ValueError:
+                    break
+                self._at += whole
+                padded = run[-1] == "="
+            if end >= 0:
+                if self._at == end:
+                    self._at += 1
+                    return out
+                break
+            if not self._read(1):
+                raise unterminated
+        # The rest does not decode by runs: read it to the string's end as
+        # JSON does, and decode the whole string as a string was decoded.
+        scanned = 0  # characters from ``_at`` on with no quote, escape or control character
+        while not (stop := _COLUMN_STOP.search(self._text, self._at + scanned)):
+            scanned = len(self._text) - self._at
+            if not self._read(1):
+                raise unterminated
+        if stop.group() == "\\":
+            raise SpaceFormatError(f"column {key!r} holds a JSON escape, which a saved space never writes")
+        if stop.group() != '"':
+            raise self.error("Invalid control character at", stop.start())
+        rest = self._text[self._at : stop.start()]
+        self._at = stop.end()
+        try:
+            return bytearray(base64.b64decode(base64.b64encode(out).decode("ascii") + rest, validate=True))
+        except ValueError as exc:
+            return exc
+
+    def document(self) -> object:
+        """The whole document: a top-level object as a dict, its column
+        members decoded (``column``) and the rest parsed by ``value``; any
+        other JSON value as parsed."""
+        if self.peek() == "\ufeff" and self._offset + self._at == 0:
+            raise self.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        if self.peek() != "{":
+            doc = self.value()
+        else:
+            doc = {}
+            self._at += 1
+            if self.peek() == "}":
+                self._at += 1
+            else:
+                while True:
+                    if self.peek() != '"':
+                        raise self.error("Expecting property name enclosed in double quotes", self._at)
+                    key = self.value()
+                    if self.peek() != ":":
+                        raise self.error("Expecting ':' delimiter", self._at)
+                    self._at += 1
+                    if self.peek() == '"' and key in _COLUMN_KEYS:
+                        doc[key] = self.column(key)
+                    else:
+                        doc[key] = self.value()
+                    delimiter = self.peek()
+                    if delimiter not in ("}", ","):
+                        raise self.error("Expecting ',' delimiter", self._at)
+                    self._at += 1
+                    if delimiter == "}":
+                        break
+        if self.peek():
+            raise self.error("Extra data", self._at)
+        return doc
 
 
 def load_space(path: str | Path) -> RelationshipSpace:
-    """Read an ``aide-space/2`` document."""
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SpaceFormatError(f"unreadable space document: {exc}") from exc
+    """Read an ``aide-space/2`` document, a piece at a time (``_DocumentReader``):
+    its base64 columns are decoded as they are read, and the rest is parsed
+    member by member."""
+    with Path(path).open(encoding="utf-8") as fh:
+        doc = _DocumentReader(fh).document()
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SpaceFormatError("space document missing schema tag")
     if doc["schema"] != SPACE_SCHEMA:

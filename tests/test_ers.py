@@ -10,6 +10,7 @@ from worldkit import PairCountingMock, drafts_of, make_world, obj
 from aide.affordance import AffordanceVector, distance
 from aide.config import ConfigParams
 from aide.ers import (
+    CandidatePool,
     Grounded,
     NeedsExploration,
     ground_regions,
@@ -19,6 +20,7 @@ from aide.ers import (
 from aide.geometry import Region, iou
 from aide.harness import gen_corpus
 from aide.mock import MockPerception
+from aide.perception import Detection, SceneFrame, SimilarityScore
 from aide.planner import validity_check
 from aide.simulator import observe
 from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space, save_space
@@ -365,6 +367,40 @@ def test_ground_regions_fallback_without_parts(space, params):
     mid = box.y_min + box.height // 2
     assert operational == Region(box.x_min, mid, box.x_max, box.y_max)
     assert functional == Region(box.x_min, box.y_min, box.x_max, mid)
+
+
+class EdgePart:
+    """Detects one handle, at ``box``; every crop scores alike."""
+
+    def __init__(self, box):
+        self.box = box
+
+    def detect(self, frame, vocabulary, k):
+        return [Detection(label="handle", box=self.box, confidence=0.9, rank=1)]
+
+    def similarity(self, a, b):
+        return SimilarityScore(0.5)
+
+
+def test_a_part_touching_the_tool_box_edge_clips_to_the_box(params):
+    # The part meets the (10, 10, 40, 60) box only along x = 40, a zero-area
+    # intersection, which tool_regions also replaces with the box.
+    frame = SceneFrame(image="frame:test:0", width=100, height=100, timestamp=0.0)
+    tool = Detection(label="cup", box=Region(10, 10, 40, 60), confidence=0.9, rank=1)
+    result = GroundingResult(
+        tool_label="cup",
+        tool_image="tool:drink:cup",
+        tool_region=Region(0, 0, 10, 10),
+        operational_region=Region(0, 5, 10, 10),
+        functional_region=Region(0, 0, 10, 5),
+    )
+    regions = ground_regions(frame, tool, CandidatePool([result]), params, EdgePart(Region(40, 20, 41, 50)))
+    assert regions == (tool.box, tool.box)
+    inside = Region(30, 20, 41, 50)
+    assert ground_regions(frame, tool, CandidatePool([result]), params, EdgePart(inside)) == (
+        Region(30, 20, 40, 50),
+        Region(30, 20, 40, 50),
+    )
 
 
 # --- retrieve, then match ------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from aide import harness
@@ -21,7 +22,7 @@ from aide.harness import (
     write_report,
 )
 from aide.simulator import fresh_world
-from aide.space import write_corpus
+from aide.space import build_space, write_corpus
 
 
 # --- corpus generation -----------------------------------------------------
@@ -174,6 +175,27 @@ def test_ablation_raises_when_no_far_out_query_clears_the_radius(corpus):
     # record, so at c = 25 the far-out draws give up instead of spinning.
     with pytest.raises(ValueError, match="radius c=25"):
         ablate_retrieval(corpus, ConfigParams(c=25.0), seed=7, query_count=10)
+
+
+@pytest.mark.parametrize(
+    ("c", "seed", "digest"),
+    [
+        (20.0, 7, "229dbc69a30bcb9ccd66c6bc06136b54c6c68b6efa847498fec3aff9cf4f3a69"),
+        (15.0, 3, "bee04fb209c6d4f1ead616feee5047ad2957001b4996cf97e77ef1af4570e3c2"),
+    ],
+)
+def test_ablation_queries_keep_the_one_draw_at_a_time_stream(corpus, c, seed, digest):
+    # Pinned when far-out queries were drawn one vector at a time: drawing in
+    # blocks and rewinding the generator must give the same queries.
+    params = ConfigParams(c=c)
+    space = build_space(corpus, params, seed)
+    queries = harness._ablation_queries(space, params, seed + 1, 100, params.c)
+    h = hashlib.sha256()
+    for query in queries:
+        h.update(np.asarray(query.vector.scores, dtype="<f8").tobytes())
+        h.update(query.text.encode())
+        h.update(bytes([query.acceptable_exists]))
+    assert h.hexdigest() == digest
 
 
 def test_render_ablation_format(ablation_rows):

@@ -547,6 +547,15 @@ def test_tool_regions_clip_into_the_box_and_fall_back_to_halves():
     assert tool_regions(ScriptedSegments(), tool, frame) == inside
 
 
+def test_a_region_touching_the_tool_box_edge_clips_to_the_box():
+    # It meets the (10, 10, 40, 60) box only along x = 40, a zero-area
+    # intersection, which ground_regions also replaces with the box.
+    frame = SceneFrame(image="frame:test:0", width=100, height=100, timestamp=0.0)
+    tool = Detection(label="cup", box=Region(10, 10, 40, 60), confidence=0.9, rank=1)
+    touching, inside = Region(40, 10, 55, 60), Region(10, 10, 40, 30)
+    assert tool_regions(ScriptedSegments((touching, inside)), tool, frame) == (tool.box, inside)
+
+
 def test_checked_affordance_rejects_a_wrong_length_vector(params):
     mock = noiseless(make_world([]), params)
     vector = checked_affordance(mock, "I am thirsty", params.X)

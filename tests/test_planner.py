@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from worldkit import PairCountingMock, make_world, obj
 
+from aide.affordance import label_class
 from aide.config import ConfigParams
 from aide.ers import CandidatePool, Grounded, NeedsExploration, retrieve_candidates
 from aide.exploration import ExplorationOutcome, Strategy
@@ -14,6 +15,7 @@ from aide.perception import Detection
 from aide.planner import (
     COMPLETED,
     FAILED,
+    REASON_EXPLORATION_IMPOSSIBLE,
     REASON_HUMAN_ABORT,
     REASON_REFORMULATION_LOOP,
     REASON_TIMEOUT,
@@ -452,6 +454,60 @@ def test_trace_determinism(space, params, worlds):
             world = fresh_world(worlds[world_id])
             runs.append(signature(run_episode(world, space, params, seed=5, sigma=0.5)))
         assert runs[0] == runs[1]
+
+
+class ContainerBlind(MockPerception):
+    """Noiseless mock whose ``detect`` finds no container while ``blind``."""
+
+    def __init__(self, world, params, blind):
+        super().__init__(world, params, sigma=0.0)
+        self.blind = blind
+
+    def detect(self, frame, vocabulary, k):
+        found = super().detect(frame, vocabulary, k)
+        return [det for det in found if not (self.blind and label_class(det.label) == "contain")]
+
+
+def coke_tick(state, mock, space, params):
+    """One tick on the occluded-coke world, whose coke pool is cached and
+    whose slow stream already ran, so the fast stream explores."""
+    world = mock.world
+    state.pools.setdefault(world.instruction, CandidatePool([coke_result()]))
+    state.msi_latch.add(world.instruction)
+    frame, _ = observe(world)
+    return step(state, world.instruction, frame, space.clone(), params, mock)
+
+
+def coke_result():
+    return GroundingResult(
+        tool_label="coke",
+        tool_image="tool:drink:coke",
+        tool_region=Region(0, 0, 10, 10),
+        operational_region=Region(0, 5, 10, 10),
+        functional_region=Region(0, 0, 10, 5),
+    )
+
+
+def test_step_fails_when_no_container_was_ever_found(space, params):
+    mock = ContainerBlind(occluded_coke_world(), params, blind=True)
+    state, command = coke_tick(PlannerState(), mock, space, params)
+    assert isinstance(command, NoOp)
+    assert (state.status, state.fail_reason) == (FAILED, REASON_EXPLORATION_IMPOSSIBLE)
+    assert state.tick.events == []
+
+
+def test_step_falls_back_to_the_last_container_found(space, params):
+    mock = ContainerBlind(occluded_coke_world(), params, blind=False)
+    state, first = coke_tick(PlannerState(), mock, space, params)
+    found = state.last_container
+    assert found is not None and found.kind is Strategy.INVISIBLE and found.label == "fridge"
+    assert "explore-fallback:last-container" not in state.tick.events
+    mock.blind = True
+    state, command = coke_tick(state, mock, space, params)
+    assert state.status == RUNNING
+    assert state.tick.events == ["explore-fallback:last-container"]
+    assert state.tick.explored_box == found.region
+    assert command == first
 
 
 def test_timeout_when_tool_unreachable(space, params):

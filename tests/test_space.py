@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from space_oracle import load_whole
 from worldkit import drafts_of
 
 from aide import space as space_module
@@ -29,6 +32,7 @@ from aide.space import (
     GroundingResult,
     InstructionRecord,
     SpaceBuildError,
+    SpaceError,
     SpaceFormatError,
     SpaceSchemaError,
     brute_force_assignments,
@@ -196,15 +200,6 @@ def test_columns_written_in_chunks_join_into_one_base64_string(space, tmp_path, 
         assert path.read_bytes() == whole.read_bytes()
     text = whole.read_text(encoding="ascii")
     assert text == json.dumps(json.loads(text))
-
-
-def test_a_file_is_read_with_characters_across_each_mib_whole(tmp_path):
-    # load_space reads its file a MiB at a time. 2**20 is not a multiple of
-    # 3, so a read cut by bytes would split a three-byte character.
-    text = "\u2014" * 800_000
-    path = tmp_path / "doc.txt"
-    path.write_text(text, encoding="utf-8")
-    assert space_module._read_text(path) == text
 
 
 def test_build_is_centroid_fixed_point(space):
@@ -736,6 +731,261 @@ def test_load_rejects_a_dropped_param_that_was_set(space, tmp_path):
         _save_with_params(space, path, **{key: value})
         with pytest.raises(SpaceFormatError, match=key):
             load_space(path)
+
+
+# --- the streamed reader ----------------------------------------------------------
+
+
+def _edited(corrupt):
+    """A document edit: ``corrupt`` applied to the parsed document, dumped back."""
+
+    def edit(text):
+        doc = json.loads(text)
+        corrupt(doc)
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text,
+        lambda text: json.dumps(json.loads(text), indent=2),
+        lambda text: json.dumps(dict(reversed(json.loads(text).items()))),
+    ],
+    ids=["as-saved", "indent-2", "reversed-keys"],
+)
+@pytest.mark.parametrize("read_chars", [None, 7])
+def test_a_saved_space_loads_to_an_equal_space_in_any_layout(
+    space, tmp_path, monkeypatch, edit, read_chars
+):
+    # Read 7 characters at a time, every piece ends inside a member, and most
+    # inside a base64 group.
+    if read_chars is not None:
+        monkeypatch.setattr(space_module, "_READ_CHARS", read_chars)
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    path.write_text(edit(path.read_text()))
+    assert _facts(load_space(path)) == _facts(space)
+
+
+def test_texts_across_read_pieces_keep_their_multibyte_characters(space, tmp_path, monkeypatch):
+    # Three-byte characters written unescaped, so that pieces of characters
+    # (not bytes) end all through them.
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    doc = json.loads(path.read_text())
+    doc["texts"] = [f"{text} — {'é' * (k % 5)}—" for k, text in enumerate(doc["texts"])]
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    for read_chars in (7, 1000, 1 << 16):
+        monkeypatch.setattr(space_module, "_READ_CHARS", read_chars)
+        loaded = load_space(path)
+        assert [r.text for _, r in loaded.iter_records()] == doc["texts"]
+
+
+def test_a_loaded_space_holds_one_str_per_distinct_text(space, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    texts = [r.text for _, r in load_space(path).iter_records()]
+    assert len({id(text) for text in texts}) == len(set(texts)) < len(texts)
+
+
+@pytest.fixture(scope="module")
+def small_space():
+    params = ConfigParams(a=2, b=2)
+    return build_space(gen_corpus(40, params.X, params.a, params.b, seed=3), params, 3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": 12345, "b": -1.5e3, "c": [1, {"d": "\\u00e9 \\""}], "e": null, "f": true}',
+        '{"m": 7.25E-2}',
+        " {} ",
+        "[1, 2]",
+        "-12.5e+3",
+        '"abc"',
+    ],
+)
+def test_the_reader_parses_what_json_loads_parses(text, monkeypatch):
+    for read_chars in range(1, 6):
+        monkeypatch.setattr(space_module, "_READ_CHARS", read_chars)
+        assert space_module._DocumentReader(io.StringIO(text)).document() == json.loads(text)
+
+
+def test_a_piece_may_end_anywhere_in_a_member(small_space, tmp_path, monkeypatch):
+    # Pieces of 1 to 9 characters end inside every key, number and string,
+    # between every pair of characters.
+    path = tmp_path / "space.json"
+    save_space(small_space, path)
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    for read_chars in range(1, 10):
+        monkeypatch.setattr(space_module, "_READ_CHARS", read_chars)
+        assert _facts(load_space(path)) == _facts(small_space)
+
+
+def _cut(key, mark, offset):
+    """A document cut short ``offset`` characters after column ``key``'s
+    ``mark``: the start of its key, or its string's opening or closing quote."""
+
+    def edit(text):
+        start = text.index(f'"{key}"')
+        opening = text.index('"', start + len(key) + 2)
+        closing = text.index('"', opening + 1)
+        return text[: {"key": start, "opening": opening, "closing": closing}[mark] + offset]
+
+    return edit
+
+
+# Before and after each column's comma, key, colon and quotes, and inside its string.
+_CUTS = [lambda text: text[:-1]] + [
+    _cut(key, mark, offset)
+    for key in ("instruction", "tool", "result_rows")
+    for mark, offsets in (("key", (-2, -1, 0, 1, len(key) + 2)), ("opening", (-1, 0, 1, 6)), ("closing", (-1, 0, 1)))
+    for offset in offsets
+]
+
+
+def _split_column(key, at):
+    """The column's bytes encoded as two strings, cut after ``at`` bytes, and
+    joined: padding before the column's end unless ``at`` is a multiple of 3."""
+
+    def corrupt(doc):
+        raw = base64.b64decode(doc[key])
+        doc[key] = (base64.b64encode(raw[:at]) + base64.b64encode(raw[at:])).decode("ascii")
+
+    return corrupt
+
+
+def _in_column(key, at, insert):
+    """``insert`` put into the text of column ``key``'s string, ``at``
+    characters in (negative: from its closing quote)."""
+
+    def edit(text):
+        opening = text.index('"', text.index(f'"{key}"') + len(key) + 2)
+        where = opening + 1 + at if at >= 0 else text.index('"', opening + 1) + at + 1
+        return text[:where] + insert + text[where:]
+
+    return edit
+
+
+def _set(key, value):
+    return _edited(lambda doc: doc.__setitem__(key, value))
+
+
+_MALFORMED = [
+    _short_column,
+    _bad_base64,
+    _row_outside_the_table,
+    _pad_before_a_row,
+    _texts_shorter_than_ids,
+    _duplicate_id,
+    _record_count_off,
+    _sizes_off,
+    _score_out_of_range,
+    _result_twice,
+    _nan_score,
+    _no_result_row,
+    _empty_id,
+    _number_id,
+    _number_text,
+]
+
+_DOCUMENTS = [
+    *[_edited(corrupt) for corrupt in _MALFORMED],
+    *_CUTS,
+    *[_edited(_split_column(key, at)) for key in ("instruction", "result_rows") for at in (1, 2, 3, 301, 302)],
+    *[_in_column("tool", at, insert) for at in (0, 5, 4000, -1) for insert in ("A", "AA", "=", "==", "*", "é", "\x01")],
+    _in_column("instruction", -1, "AAAA"),
+    *[_set("tool", value) for value in (5, None, True, [1, 2], {"a": "AAAA"})],
+    _set("schema", "aide-space/1"),
+    lambda text: _edited(_bad_base64)(text).replace("aide-space/2", "aide-space/99"),
+    lambda text: _edited(_bad_base64)(text) + " x",
+    lambda text: _in_column("tool", 3, "*")(text) + "\n{}",
+    _cut("instruction", "key", -500),  # inside the texts
+    lambda text: _cut("tool", "key", -3)(json.dumps(json.loads(text), indent=2)),
+    lambda text: _cut("tool", "opening", 1)(json.dumps(json.loads(text), indent=2).replace("\n", "\r\n")),
+    lambda text: _in_column("tool", 9, "\x1f")(json.dumps(json.loads(text), indent=2)),
+    lambda text: json.dumps(json.loads(text), indent=2)[:-3000],
+    lambda text: text + "\n \t\r\n",
+    lambda text: text + " x",
+    lambda text: text + "{}",
+    lambda text: text[:-1] + ', "tool": "AAAA"}',
+    lambda text: text[:-1] + ', "note": [1, {"a": null}]}',
+    lambda text: text.replace(", ", " ,\t\n").replace(": ", "\r\n:  "),
+    lambda text: "\ufeff" + text,
+    lambda text: "  \ufeff" + text,
+    lambda text: "[" + text + "]",
+    lambda text: "",
+    lambda text: " \n ",
+    lambda text: "{",
+    lambda text: "{}",
+    lambda text: '{"schema": "aide-space/2"}',
+    lambda text: '{"schema" "aide-space/2"}',
+    lambda text: '{"schema": "aide-space/2",}',
+    lambda text: '{"schema": "aide-space/2" "x": 1}',
+    lambda text: "[1, 2]",
+    lambda text: '"aide-space/2"',
+    lambda text: "12",
+    lambda text: "null",
+]
+
+
+def test_the_streamed_reader_agrees_with_the_whole_document_parse(small_space, tmp_path, monkeypatch):
+    # Every document loads to the space that one json.loads of it gave, or
+    # fails with the very error (class and message) that it gave.
+    path = tmp_path / "space.json"
+    save_space(small_space, path)
+    saved = path.read_text()
+    loaded = rejected = 0
+    for read_chars in (7, 4096):
+        monkeypatch.setattr(space_module, "_READ_CHARS", read_chars)
+        for edit in _DOCUMENTS:
+            text = edit(saved)
+            path.write_text(text, encoding="utf-8")
+            outcomes = []
+            for load in (load_whole, load_space):
+                try:
+                    outcomes.append(_facts(load(path)))
+                except SpaceError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], text[:200]
+            rejected += isinstance(outcomes[1][0], type)
+            loaded += not isinstance(outcomes[1][0], type)
+    assert loaded and rejected
+
+
+def test_a_json_escape_in_a_column_is_rejected(space, tmp_path):
+    # json.dumps never escapes a base64 character. The whole-document parse
+    # read the escape as its character; the streamed reader rejects it.
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    text = path.read_text()
+    opening = text.index('"', text.index('"tool"') + len('"tool"'))
+    path.write_text(text[: opening + 1] + f"\\u{ord(text[opening + 1]):04x}" + text[opening + 2 :])
+    assert _facts(load_whole(path)) == _facts(space)
+    with pytest.raises(SpaceFormatError, match="column 'tool' holds a JSON escape"):
+        load_space(path)
+
+
+def test_a_load_holds_little_beside_the_space_it_builds(space_5000, tmp_path):
+    # The whole-document parse held the file's text, then both base64 column
+    # strings, beside the space: more than the file's size over what stays.
+    path = tmp_path / "space.json"
+    save_space(space_5000, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = load_space(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.record_count == space_5000.record_count
+    assert kept - before > size // 2  # the columns' bytes and the records stay
+    assert peak - kept < size // 2
 
 
 def _results_per_draft(drafts) -> list[list[GroundingResult]]:
