@@ -96,8 +96,7 @@ def retrieve_candidates(
     anchor, _ = space.dfs_retrieve(instruction_vector, params.c)
     if anchor is None:
         return None
-    rows = space.candidate_set(anchor, params.d)
-    return CandidatePool(space.candidate_results(anchor, rows))
+    return CandidatePool(space.pool_results(anchor, params.d))
 
 
 def match_tool(

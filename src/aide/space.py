@@ -5,7 +5,8 @@ carry the instruction text, both affordance vectors (instruction and tool) and
 one to three grounding results. Retrieval is a depth-first walk over clusters
 and subclusters ordered by centroid proximity that stops at the first record
 within radius ``c`` of the query; candidate expansion then filters the hit's
-subcluster by tool-vector distance ``d``.
+subcluster by tool-vector distance ``d``. A subcluster remembers each pool
+derived from it (``Subcluster.pools``), and an insert carries them forward.
 
 The layout is an inverted file: a stored record is a row, and the space names
 it only by its ``Position``, (cluster, subcluster, row). Each subcluster keeps
@@ -170,6 +171,13 @@ class Drafts:
         return len(self.ids)
 
 
+# A candidate pool as ``RelationshipSpace.pool_results`` remembers it: each
+# result-table row it holds, mapped to the (distance, id, column) of its first
+# occurrence along the candidate order, so sorting the rows by it gives the
+# pool in first-seen order.
+FirstSeen = dict[int, tuple[float, str, int]]
+
+
 @dataclass(frozen=True, eq=False)
 class Subcluster:
     """The records of one subcluster, stored only as columns, one row per
@@ -177,7 +185,12 @@ class Subcluster:
     record's results as its row of ``result_rows`` (rows of the space's result
     table, padded with -1). ``RelationshipSpace.record`` builds a record from
     its row. Immutable: ``appended`` returns a new subcluster, so every space
-    that holds this one keeps it as it is. Subclusters compare by identity."""
+    that holds this one keeps it as it is. Subclusters compare by identity.
+
+    ``pools`` remembers the candidate pools derived from the columns, keyed by
+    (anchor row, radius ``d``). It only ever gains entries, each computed from
+    the immutable columns, so every space and thread that shares the
+    subcluster reads the same pools; ``appended`` carries each one forward."""
 
     centroid: AffordanceVector
     ids: np.ndarray = field(repr=False)
@@ -185,15 +198,33 @@ class Subcluster:
     instruction_rows: np.ndarray = field(repr=False)
     tool_rows: np.ndarray = field(repr=False)
     result_rows: np.ndarray = field(repr=False)
+    pools: dict[tuple[int, float], FirstSeen] = field(default_factory=dict, repr=False)
 
     def appended(self, record: InstructionRecord, result_rows: list[int]) -> "Subcluster":
+        """This subcluster with ``record`` as its last row. Each remembered
+        pool is carried forward exactly: the new row's results join it when
+        the row lies within the pool's radius of its anchor, measured as
+        ``RelationshipSpace.candidate_set`` measures it."""
+        tool_rows = np.vstack([self.tool_rows, record.tool_affordance.scores])
+        pools: dict[tuple[int, float], FirstSeen] = {}
+        # A snapshot: another thread may remember a pool meanwhile.
+        for (k, d), first in tuple(self.pools.items()):
+            dist = float(euclidean(tool_rows[k], tool_rows[-1:])[0])
+            if dist <= d:
+                first = dict(first)
+                for column, row in enumerate(result_rows):
+                    seen = (dist, record.id, column)
+                    if row not in first or seen < first[row]:
+                        first[row] = seen
+            pools[k, d] = first
         return Subcluster(
             self.centroid,
             np.append(self.ids, record.id),
             [*self.texts, record.text],
             np.vstack([self.instruction_rows, record.instruction_affordance.scores]),
-            np.vstack([self.tool_rows, record.tool_affordance.scores]),
+            tool_rows,
             np.vstack([self.result_rows, _padded(result_rows)]),
+            pools,
         )
 
 
@@ -293,14 +324,30 @@ class RelationshipSpace:
             order = np.lexsort((sub.ids[picked], near))
         return picked[order]
 
-    def candidate_results(self, anchor: Position, rows: np.ndarray) -> list[GroundingResult]:
-        """Distinct results of the anchor subcluster's ``rows`` (as
-        ``candidate_set`` returns them), in first-seen order along ``rows``."""
-        ci, sj, _ = anchor
+    def pool_results(self, anchor: Position, d: float) -> list[GroundingResult]:
+        """Distinct results of the anchor's candidate set (``candidate_set``),
+        in first-seen order along it.
+
+        The pool is derived once per (anchor, ``d``) and remembered on the
+        anchor's subcluster (``Subcluster.pools``), which inserts carry
+        forward; a remembered pool costs one lookup and a sort of its rows.
+        """
+        ci, sj, k = anchor
         sub = self.clusters[ci].subclusters[sj]
-        flat = sub.result_rows[rows].ravel()
-        distinct, first = np.unique(flat[flat >= 0], return_index=True)
-        return [self.results[row] for row in distinct[np.argsort(first)].tolist()]
+        first = sub.pools.get((k, d))
+        if first is None:
+            rows = self.candidate_set(anchor, d)
+            flat = sub.result_rows[rows].ravel()
+            filled = np.flatnonzero(flat >= 0)
+            distinct, at = np.unique(flat[filled], return_index=True)
+            picked, columns = np.divmod(filled[at], MAX_RESULTS_PER_RECORD)
+            seen_at = rows[picked]  # the row each result is first seen in
+            dists = euclidean(sub.tool_rows[k], sub.tool_rows[seen_at])
+            first = dict(
+                zip(distinct.tolist(), zip(dists.tolist(), sub.ids[seen_at].tolist(), columns.tolist()))
+            )
+            sub.pools[k, d] = first
+        return [self.results[row] for row in sorted(first, key=first.__getitem__)]
 
     def clone(self) -> "RelationshipSpace":
         """Independent writable view, copy-on-write.
@@ -332,12 +379,16 @@ class RelationshipSpace:
         point = record.instruction_affordance.scores
         ci = int(_nearest_first(point, self._centroid_rows[0])[0])
         sj = int(_nearest_first(point, self._centroid_rows[1][ci])[0])
+        result_rows = []
         for result in record.results:
-            if result not in self.results:
+            try:
+                result_rows.append(self.results.index(result))
+            except ValueError:
+                result_rows.append(len(self.results))
                 self.results.append(result)
         cluster = self.clusters[ci]
         subs = list(cluster.subclusters)
-        subs[sj] = subs[sj].appended(record, [self.results.index(r) for r in record.results])
+        subs[sj] = subs[sj].appended(record, result_rows)
         self.clusters[ci] = Cluster(cluster.centroid, tuple(subs))
         self._inserted_ids.add(record.id)
         return ci, sj, len(subs[sj].ids) - 1
@@ -478,7 +529,9 @@ def _write_column(fh, blocks: list[np.ndarray], dtype: str) -> None:
     fh.write(b'"')
     carry = b""
     for block in blocks:
-        data = memoryview(np.ascontiguousarray(block, dtype=dtype)).cast("B")
+        # Bytes through a uint8 view: ``memoryview.cast`` rejects an empty
+        # subcluster's (0, X) shape.
+        data = memoryview(np.ascontiguousarray(block, dtype=dtype).reshape(-1).view(np.uint8))
         if carry:
             take = min(3 - len(carry), len(data))
             carry += data[:take]
@@ -493,16 +546,29 @@ def _write_column(fh, blocks: list[np.ndarray], dtype: str) -> None:
     fh.write(base64.b64encode(carry) + b'"')
 
 
+def _write_list(fh, blocks: Iterator[list]) -> None:
+    """Blocks of items, as one list, written to ``fh`` as ``json.dumps``
+    writes that list, a block at a time."""
+    fh.write(b"[")
+    sep = b""
+    for block in blocks:
+        if block:
+            fh.write(sep + json.dumps(block)[1:-1].encode("ascii"))
+            sep = b", "
+    fh.write(b"]")
+
+
 def save_space(space: RelationshipSpace, path: str | Path) -> None:
     """Write ``space`` as one ``aide-space/2`` JSON document at ``path``.
 
-    The file is ``json.dumps`` of the document. The three vector columns,
-    most of its bytes, come last and are encoded straight into the file a
-    subcluster's block at a time (``_write_column``), so neither a column
-    nor the whole document is ever held in one piece.
+    The file is ``json.dumps`` of the document. The small members come
+    first; then the ids and texts, and the three vector columns, most of
+    its bytes, each written into the file a subcluster's block at a time
+    (``_write_list``, ``_write_column``). So no list or column member, nor
+    the whole document, is ever held in one piece.
     """
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
-    doc = {
+    members = {
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
         "record_count": space.record_count,
@@ -517,9 +583,11 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
             }
             for cluster in space.clusters
         ],
-        "ids": [rid for sub in subs for rid in sub.ids.tolist()],
-        "texts": [text for sub in subs for text in sub.texts],
     }
+    lists = (
+        ("ids", (sub.ids.tolist() for sub in subs)),
+        ("texts", (sub.texts for sub in subs)),
+    )
     columns = (
         ("instruction", [sub.instruction_rows for sub in subs], "<f8"),
         ("tool", [sub.tool_rows for sub in subs], "<f8"),
@@ -527,7 +595,10 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
     )
     with Path(path).open("wb") as fh:
         # ``json.dumps`` escapes every non-ASCII character.
-        fh.write(json.dumps(doc)[:-1].encode("ascii"))
+        fh.write(json.dumps(members)[:-1].encode("ascii"))
+        for key, blocks in lists:
+            fh.write(f', "{key}": '.encode("ascii"))
+            _write_list(fh, blocks)
         for key, blocks, dtype in columns:
             fh.write(f', "{key}": '.encode("ascii"))
             _write_column(fh, blocks, dtype)
@@ -827,7 +898,10 @@ def load_space(path: str | Path) -> RelationshipSpace:
     its base64 columns are decoded as they are read, and the rest is parsed
     member by member."""
     with Path(path).open(encoding="utf-8") as fh:
-        doc = _DocumentReader(fh).document()
+        try:
+            doc = _DocumentReader(fh).document()
+        except UnicodeDecodeError as exc:
+            raise SpaceFormatError(f"space document is not UTF-8: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SpaceFormatError("space document missing schema tag")
     if doc["schema"] != SPACE_SCHEMA:

@@ -4,7 +4,10 @@ import base64
 import hashlib
 import io
 import json
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +205,19 @@ def test_columns_written_in_chunks_join_into_one_base64_string(space, tmp_path, 
     assert text == json.dumps(json.loads(text))
 
 
+def test_a_space_with_empty_subclusters_saves_and_loads(params, tmp_path):
+    # Empty subclusters sit before and after the one populated here.
+    point = vector([4.0] * params.X)
+    drafts = drafts_of([_record(f"dup{i}", point) for i in range(6)], params.X)
+    collapsed = build_space(drafts, replace(params, a=2, b=3, D=25.0), 1)
+    assert [len(sub.ids) for cluster in collapsed.clusters for sub in cluster.subclusters].count(0) == 5
+    path = tmp_path / "space.json"
+    save_space(collapsed, path)
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text))
+    assert _facts(load_space(path)) == _facts(collapsed)
+
+
 def test_build_is_centroid_fixed_point(space):
     assert brute_force_assignments(space)
 
@@ -342,6 +358,193 @@ def test_candidate_set_whole_subcluster_with_big_radius(space):
     sub = space.clusters[anchor[0]].subclusters[anchor[1]]
     got = space.candidate_set(anchor, 1000.0)
     assert len(got) == len(sub.ids)
+
+
+# --- candidate pools -----------------------------------------------------------
+
+
+def fresh_pool(space, anchor, d):
+    """The oracle pool: distinct results along ``candidate_set``'s rows, in
+    first-seen order."""
+    ci, sj, _ = anchor
+    result_rows = space.clusters[ci].subclusters[sj].result_rows
+    seen = {}
+    for k in space.candidate_set(anchor, d).tolist():
+        for row in result_rows[k].tolist():
+            if row >= 0:
+                seen.setdefault(row, None)
+    return [space.results[row] for row in seen]
+
+
+def remembered_pool(space, anchor, d):
+    """The pool from ``pool_results``, which must come from an entry that
+    ``Subcluster.pools`` already holds."""
+    ci, sj, k = anchor
+    assert (k, d) in space.clusters[ci].subclusters[sj].pools
+    return space.pool_results(anchor, d)
+
+
+def test_a_pool_is_the_first_seen_results_of_its_candidate_set(space, params):
+    for ci, cluster in enumerate(space.clusters):
+        for sj, sub in enumerate(cluster.subclusters):
+            for k in range(len(sub.ids)):
+                for d in (0.0, 3.0, params.d):
+                    expected = fresh_pool(space, (ci, sj, k), d)
+                    assert space.pool_results((ci, sj, k), d) == expected
+                    assert remembered_pool(space, (ci, sj, k), d) == expected
+
+
+def test_remembered_pools_match_a_fresh_derivation_across_random_inserts(space, params):
+    clone = space.clone()
+    rng = np.random.Generator(np.random.PCG64(11))
+    radii = (3.0, params.d)
+    for at, _ in clone.iter_records():
+        for d in radii:
+            clone.pool_results(at, d)
+    stored = [record for _, record in space.iter_records()]
+    extra = [_result("ladle", "stir"), _result("whisk", "stir"), _result("sponge", "clean")]
+    for i in range(60):
+        near = stored[rng.integers(len(stored))]
+        tool = np.asarray(stored[rng.integers(len(stored))].tool_affordance.scores)
+        if i % 3:  # else an exact copy: distance zero to that row, a tie broken by id
+            tool = np.clip(tool + rng.normal(0.0, 1.0, params.X), 0.0, 10.0)
+        picks = rng.choice(len(space.results) + len(extra), size=rng.integers(1, 4), replace=False)
+        results = tuple(([*space.results, *extra])[j] for j in picks.tolist())
+        rid = f"{'az'[i % 2]}-insert-{i}"  # before and after the stored ids
+        ci, sj, _ = clone.insert(
+            _record(rid, near.instruction_affordance, AffordanceVector(tuple(tool)), results=results)
+        )
+        sub = clone.clusters[ci].subclusters[sj]
+        for k, d in list(sub.pools):
+            assert remembered_pool(clone, (ci, sj, k), d) == fresh_pool(clone, (ci, sj, k), d)
+    for at, _ in clone.iter_records():
+        for d in radii:
+            assert clone.pool_results(at, d) == fresh_pool(clone, at, d)
+
+
+def _one_subcluster_space(params, tool_vectors, results):
+    """A one-subcluster space whose rows hold these tool vectors and results,
+    ids r0, r1, ... in row order."""
+    drafts = [
+        _record(f"r{i}", vector([5.0] * params.X), vector(tool), results=result)
+        for i, (tool, result) in enumerate(zip(tool_vectors, results))
+    ]
+    return build_space(drafts_of(drafts, params.X), replace(params, a=1, b=1, D=100.0), seed=0)
+
+
+def _at(params, **offsets):
+    """[5, 5, ...] moved by ``offsets``, keyed d0, d1, ... by dimension."""
+    scores = [5.0] * params.X
+    for key, offset in offsets.items():
+        scores[int(key[1:])] += offset
+    return scores
+
+
+def test_inserts_at_equal_distances_join_a_pool_in_id_order(params):
+    A, B, C, D = (_result(label) for label in ("cup", "mug", "glass", "bottle"))
+    base = _one_subcluster_space(params, [_at(params)], [(A,)])
+    anchor = (0, 0, 0)
+    assert base.pool_results(anchor, 1.0) == [A]
+    space = base.clone()
+    space.insert(_record("r9", vector([5.0] * params.X), vector(_at(params, d0=1.0)), results=(B,)))
+    space.insert(_record("r5", vector([5.0] * params.X), vector(_at(params, d0=-1.0)), results=(C,)))
+    # Distance zero, as the anchor's own row: the lower id comes first.
+    space.insert(_record("q", vector([5.0] * params.X), vector(_at(params)), results=(D, A)))
+    assert remembered_pool(space, anchor, 1.0) == [D, A, C, B] == fresh_pool(space, anchor, 1.0)
+
+
+def test_two_results_first_seen_in_one_row_keep_their_column_order(params):
+    A, E, F = (_result(label) for label in ("cup", "mug", "glass"))
+    space = _one_subcluster_space(params, [_at(params)], [(A,)])
+    anchor = (0, 0, 0)
+    space.pool_results(anchor, 2.0)
+    space.insert(_record("r1", vector([5.0] * params.X), vector(_at(params, d1=1.0)), results=(F, E)))
+    assert remembered_pool(space, anchor, 2.0) == [A, F, E] == fresh_pool(space, anchor, 2.0)
+    # At the same distance and a lower id, this row now shows E first.
+    space.insert(_record("r0x", vector([5.0] * params.X), vector(_at(params, d1=1.0)), results=(E, A)))
+    assert remembered_pool(space, anchor, 2.0) == [A, E, F] == fresh_pool(space, anchor, 2.0)
+
+
+def test_an_insert_at_exactly_the_radius_joins_a_remembered_pool(params):
+    A, G, H = (_result(label) for label in ("cup", "mug", "glass"))
+    space = _one_subcluster_space(params, [_at(params)], [(A,)])
+    anchor = (0, 0, 0)
+    space.pool_results(anchor, 5.0)
+    # A 3-4-5 offset: distance 5.0 exactly, so inside the radius.
+    space.insert(_record("r1", vector([5.0] * params.X), vector(_at(params, d0=3.0, d1=4.0)), results=(G,)))
+    space.insert(_record("r2", vector([5.0] * params.X), vector(_at(params, d0=3.0, d1=4.000001)), results=(H,)))
+    assert euclidean(space.clusters[0].subclusters[0].tool_rows[0], _at(params, d0=3.0, d1=4.0)) == 5.0
+    assert remembered_pool(space, anchor, 5.0) == [A, G] == fresh_pool(space, anchor, 5.0)
+
+
+def test_a_clone_insert_leaves_the_base_space_pools_as_they_were(space, params):
+    anchors = [at for at, _ in space.iter_records()]
+    before = {at: space.pool_results(at, params.d) for at in anchors}
+    held = [dict(sub.pools) for cluster in space.clusters for sub in cluster.subclusters]
+    clone = space.clone()
+    for i, at in enumerate(anchors[::20]):
+        record = space.record(*at)
+        clone.insert(
+            _record(f"clone-pool-{i}", record.instruction_affordance, record.tool_affordance,
+                    results=(_result("ladle", "stir"),))
+        )
+    assert [dict(sub.pools) for cluster in space.clusters for sub in cluster.subclusters] == held
+    assert {at: remembered_pool(space, at, params.d) for at in anchors} == before
+    assert all(_result("ladle", "stir") not in pool for pool in before.values())
+
+
+def test_a_loaded_space_gives_the_pools_of_the_space_it_saved(space, params, tmp_path):
+    clone = space.clone()
+    for at, _ in clone.iter_records():
+        clone.pool_results(at, params.d)
+    for i, (at, record) in enumerate(list(clone.iter_records())[::30]):
+        clone.insert(_record(f"saved-{i}", record.instruction_affordance, record.tool_affordance,
+                             results=(_result("whisk", "stir"), *record.results[:1])))
+    for source in (space, clone):
+        path = tmp_path / "space.json"
+        save_space(source, path)
+        loaded = load_space(path)
+        for at, _ in loaded.iter_records():
+            assert loaded.pool_results(at, params.d) == source.pool_results(at, params.d)
+
+
+def test_threads_filling_shared_pools_each_read_the_fresh_pools(space, params, tmp_path):
+    # Threads race to fill the same subclusters' pools, each in its own
+    # order, while their clones' inserts carry those pools forward; every
+    # pool read must still be the one a fresh derivation gives.
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    anchors = [at for at, _ in space.iter_records()][::4]
+
+    def run(shared, offset):
+        wrong = 0
+        for at in anchors[offset:] + anchors[:offset]:
+            wrong += shared.pool_results(at, params.d) != fresh_pool(shared, at, params.d)
+            clone = shared.clone()
+            record = clone.record(*at)
+            clone.insert(_record("t", record.instruction_affordance, record.tool_affordance,
+                                 results=(_result("ladle", "stir"),)))
+            wrong += clone.pool_results(at, params.d) != fresh_pool(clone, at, params.d)
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = load_space(path)
+            results: list[int] = []
+            threads = [
+                threading.Thread(target=lambda offset=offset: results.append(run(shared, offset)))
+                for offset in range(0, len(anchors), len(anchors) // 8)[:8]
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [0] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --- insert -----------------------------------------------------------------
@@ -685,6 +888,16 @@ def test_load_rejects_truncated_document(space, tmp_path):
     content = path.read_text()
     path.write_text(content[: len(content) // 2])
     with pytest.raises(SpaceFormatError):
+        load_space(path)
+
+
+def test_load_rejects_a_document_that_is_not_utf8(space, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    content = path.read_bytes()
+    at = content.index(b'"texts": ["') + len(b'"texts": ["') + 2
+    path.write_bytes(content[:at] + b"\xff" + content[at + 1 :])  # one byte inside a text
+    with pytest.raises(SpaceFormatError, match="not UTF-8"):
         load_space(path)
 
 
