@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_episode_flags(parser: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that run episodes on a saved space."""
-    parser.add_argument("--space", type=Path, help="aide-space/2 document")
+    parser.add_argument("--space", type=Path, help="space file as build-space writes it (aide-space/3)")
     parser.add_argument("--scenarios", type=Path, help="directory of aide-world/1 files")
     parser.add_argument("--report", type=Path, help="output report path")
     parser.add_argument(

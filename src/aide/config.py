@@ -75,7 +75,7 @@ class ConfigParams:
             raise ConfigError(f"m must lie in (0, 1), got {self.m}")
         for name in ("D", "c", "d"):
             value = getattr(self, name)
-            if value < 0:
+            if not value >= 0:  # also true for NaN
                 raise ConfigError(f"distance {name} must be non-negative, got {value}")
         if self.X < 1 or self.a < 1 or self.b < 1:
             raise ConfigError("dimensions and cluster counts must be positive")
@@ -89,8 +89,8 @@ class ConfigParams:
 
     @classmethod
     def from_dict(cls, raw) -> "ConfigParams":
-        """Parse the ``params`` mapping of an ``aide-config/1`` or ``aide-space/2``
-        document.
+        """Parse the ``params`` mapping of an ``aide-config/1`` document or of
+        an ``aide-space/3`` file's header.
 
         A key that is no field raises ``ConfigError``, except a dropped field
         at the value every earlier save wrote for it, which is skipped.

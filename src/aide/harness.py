@@ -127,22 +127,29 @@ def gen_corpus(
     words = [CLASS_WORDS.get(name, (name, "task", "chore", "thing", "stuff")) for name in names]
     labels = [CLASS_TOOL_LABELS.get(name, (f"{name}-tool",)) for name in names]
     # A draft's text is fixed by its class, template and two word indices;
-    # each distinct combination is formatted once.
-    size = np.array([len(pool) for pool in words])[class_of]  # of the draft's word pool
-    template = draft % len(_TEXT_TEMPLATES)
-    parts = np.stack([class_of, template, draft % size, (draft // size + 1) % size], axis=1)
-    distinct, text_of = np.unique(parts, axis=0, return_inverse=True)
+    # each distinct combination is formatted once. The combination's integer
+    # key ((c*T + t)*R + w0)*R + w1, with R the largest word pool, sorts as
+    # the combinations do.
+    pool_sizes = np.array([len(pool) for pool in words])
+    size = pool_sizes[class_of]  # of the draft's word pool
+    radix = int(pool_sizes.max())
+    key = ((class_of * len(_TEXT_TEMPLATES) + draft % len(_TEXT_TEMPLATES)) * radix + draft % size) * radix
+    key += (draft // size + 1) % size
+    distinct, text_of = np.unique(key, return_inverse=True)
+    rest, w1 = np.divmod(distinct, radix)
+    rest, w0 = np.divmod(rest, radix)
+    cls, template = np.divmod(rest, len(_TEXT_TEMPLATES))
     texts = [
-        _TEXT_TEMPLATES[t].format(w0=words[c][w0], w1=words[c][w1])
-        for c, t, w0, w1 in distinct.tolist()
+        _TEXT_TEMPLATES[t].format(w0=words[c][i], w1=words[c][j])
+        for c, t, i, j in zip(cls.tolist(), template.tolist(), w0.tolist(), w1.tolist())
     ]
     # Cycle labels by the per-class round counter (draft // a) so every label
     # appears even when the label count divides the class count.
     count = np.array([len(row) for row in labels])
     first = np.cumsum(count) - count
     drafts = Drafts(
-        ids=[f"ins-{i:05d}" for i in range(A)],
-        texts=[texts[k] for k in text_of.reshape(-1).tolist()],
+        ids=list(map("ins-%05d".__mod__, range(A))),
+        texts=[texts[k] for k in text_of.tolist()],
         instruction=instruction,
         tool=tool,
         results=[_catalog_result(name, label) for name, row in zip(names, labels) for label in row],

@@ -449,7 +449,10 @@ def step(
             )
     elif isinstance(match, Grounded):
         outcome = match
-    elif match is not None:
+    else:
+        # A task without a pool always takes the slow stream: it is latched
+        # only by a slow-stream pass, whose re-retrieval of the record it
+        # stored (distance 0) cached a pool for it.
         tick.t_new = match.t_new
         try:
             outcome = explore(
@@ -462,13 +465,6 @@ def step(
                 return state, NoOp()
             outcome = state.last_container
             tick.events.append("explore-fallback:last-container")
-    else:
-        # Novel task and the slow stream already ran for this failure event.
-        state.status = FAILED
-        state.fail_reason = REASON_PLANNING_ERROR
-        return state, RequestHuman(
-            f"no plan available for {active!r}; provide a tool label"
-        )
 
     if isinstance(outcome, (Grounded, GroundingResult)):
         result = outcome.result if isinstance(outcome, Grounded) else outcome

@@ -20,18 +20,16 @@ replaces the one cluster it lands in. So ``clone`` copies the list of
 clusters, the result table (a few dozen rows) and the set of ids inserted
 since, and shares the clusters and the set of ids the space was built with.
 
-``save_space`` writes the same layout to one ``aide-space/2`` JSON document:
-the result table once, the cluster tree with centroids and subcluster sizes,
-and the records as columns in tree order (ids and texts as lists; vectors and
-result rows as base64 of little-endian arrays, encoded a subcluster's block
-at a time). A record's cluster and subcluster follow from its position.
-``load_space`` reads the file a piece at a time and walks its top-level
-object member by member: it decodes each base64 column into its array as it
-reads it, and parses every other member on its own, so it holds neither the
-file's text nor a column's base64, and any whitespace or key order loads. It
-reads only that schema: a space saved as the older ``aide-space/1`` is
-rebuilt from its corpus with ``aide build-space``, which is deterministic for
-a fixed seed.
+``save_space`` writes the same layout to one ``aide-space/3`` file: a JSON
+header line with the result table once, the cluster tree with centroids and
+subcluster sizes, the ids and the table of distinct texts; then the records
+as raw little-endian columns in tree order (text-table rows, instruction and
+tool vectors, result rows). A record's cluster and subcluster follow from its
+position. ``load_space`` parses the header, which may also be laid out over
+several lines, and reads each column straight into an array of its exact
+size. It reads only that schema: a space saved as
+an older ``aide-space/1`` or ``/2`` is rebuilt from its corpus with ``aide
+build-space``, which is deterministic for a fixed seed.
 
 Corpus drafts are the same columns before they have a position (``Drafts``):
 ``gen_corpus`` and ``read_corpus`` produce them and ``build_space`` clusters
@@ -41,8 +39,8 @@ build and a load both construct the space through ``_space_from_columns``.
 
 from __future__ import annotations
 
-import base64
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -56,7 +54,7 @@ from .cluster import assign, kmeans
 from .config import ConfigParams
 from .geometry import Region
 
-SPACE_SCHEMA = "aide-space/2"
+SPACE_SCHEMA = "aide-space/3"
 
 MAX_RESULTS_PER_RECORD = 3
 
@@ -516,36 +514,6 @@ def _result_from_dict(doc: dict) -> GroundingResult:
     )
 
 
-# Bytes of a column encoded at a time: a multiple of 3, so the chunks'
-# base64 joins into the base64 of the whole column.
-_B64_CHUNK = 3 << 16
-
-
-def _write_column(fh, blocks: list[np.ndarray], dtype: str) -> None:
-    """Row blocks, as one column of ``dtype``, written to ``fh`` as a JSON
-    string holding the base64 of its bytes. Each block is encoded a chunk of
-    whole 3-byte groups at a time, and the 0-2 bytes left over lead the next
-    block's first group, so the column is never joined into one array."""
-    fh.write(b'"')
-    carry = b""
-    for block in blocks:
-        # Bytes through a uint8 view: ``memoryview.cast`` rejects an empty
-        # subcluster's (0, X) shape.
-        data = memoryview(np.ascontiguousarray(block, dtype=dtype).reshape(-1).view(np.uint8))
-        if carry:
-            take = min(3 - len(carry), len(data))
-            carry += data[:take]
-            data = data[take:]
-            if len(carry) < 3:
-                continue
-            fh.write(base64.b64encode(carry))
-        whole = len(data) - len(data) % 3
-        for start in range(0, whole, _B64_CHUNK):
-            fh.write(base64.b64encode(data[start : min(start + _B64_CHUNK, whole)]))
-        carry = bytes(data[whole:])
-    fh.write(base64.b64encode(carry) + b'"')
-
-
 def _write_list(fh, blocks: Iterator[list]) -> None:
     """Blocks of items, as one list, written to ``fh`` as ``json.dumps``
     writes that list, a block at a time."""
@@ -558,16 +526,29 @@ def _write_list(fh, blocks: Iterator[list]) -> None:
     fh.write(b"]")
 
 
-def save_space(space: RelationshipSpace, path: str | Path) -> None:
-    """Write ``space`` as one ``aide-space/2`` JSON document at ``path``.
+# Texts of the text table written at a time.
+_TEXT_BLOCK = 4096
+# The dtypes of the columns after a space file's header, in file order: text
+# rows, instruction vectors, tool vectors, result rows.
+_COLUMN_DTYPES = ("<i4", "<f8", "<f8", "<i4")
 
-    The file is ``json.dumps`` of the document. The small members come
-    first; then the ids and texts, and the three vector columns, most of
-    its bytes, each written into the file a subcluster's block at a time
-    (``_write_list``, ``_write_column``). So no list or column member, nor
-    the whole document, is ever held in one piece.
+
+def save_space(space: RelationshipSpace, path: str | Path) -> None:
+    """Write ``space`` as an ``aide-space/3`` file at ``path``: one JSON
+    header line, then the columns as raw little-endian bytes.
+
+    The header holds the schema, params, ``record_count``, the result table,
+    the cluster tree, the ids and the table of distinct texts, in first use
+    along the records. The columns follow in tree order: each record's row of
+    the text table (``<i4``), its instruction and tool vectors (``<f8``, X
+    each) and its result rows (``<i4``, padded with -1). The ids, the text
+    table and every column are written a block at a time, so neither the
+    header nor a column is ever held in one piece.
     """
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
+    table: dict[str, int] = {}
+    text_rows = [[table.setdefault(text, len(table)) for text in sub.texts] for sub in subs]
+    texts = list(table)
     members = {
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
@@ -584,62 +565,23 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
             for cluster in space.clusters
         ],
     }
-    lists = (
-        ("ids", (sub.ids.tolist() for sub in subs)),
-        ("texts", (sub.texts for sub in subs)),
-    )
-    columns = (
-        ("instruction", [sub.instruction_rows for sub in subs], "<f8"),
-        ("tool", [sub.tool_rows for sub in subs], "<f8"),
-        ("result_rows", [sub.result_rows for sub in subs], "<i4"),
-    )
     with Path(path).open("wb") as fh:
         # ``json.dumps`` escapes every non-ASCII character.
         fh.write(json.dumps(members)[:-1].encode("ascii"))
-        for key, blocks in lists:
-            fh.write(f', "{key}": '.encode("ascii"))
-            _write_list(fh, blocks)
-        for key, blocks, dtype in columns:
-            fh.write(f', "{key}": '.encode("ascii"))
-            _write_column(fh, blocks, dtype)
-        fh.write(b"}")
-
-
-def _decode(doc: dict, key: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
-    raw = doc[key]
-    if isinstance(raw, ValueError):  # the error the column's base64 decode raised
-        raise raw
-    if not isinstance(raw, bytearray):  # a column that is not a string
-        raw = base64.b64decode(raw, validate=True)
-    column = np.frombuffer(raw, dtype=dtype)
-    if column.size != shape[0] * shape[1]:
-        raise SpaceFormatError(
-            f"column {key!r} holds {column.size} values, expected {shape[0]} x {shape[1]}"
+        fh.write(b', "ids": ')
+        _write_list(fh, (sub.ids.tolist() for sub in subs))
+        fh.write(b', "texts": ')
+        _write_list(fh, (texts[at : at + _TEXT_BLOCK] for at in range(0, len(texts), _TEXT_BLOCK)))
+        fh.write(b"}\n")
+        columns = (
+            text_rows,
+            [sub.instruction_rows for sub in subs],
+            [sub.tool_rows for sub in subs],
+            [sub.result_rows for sub in subs],
         )
-    return column.reshape(shape)
-
-
-def _parse_v2(doc: dict) -> tuple[ConfigParams, Tree, Drafts]:
-    params = ConfigParams.from_dict(doc["params"])
-    ids, texts = doc["ids"], doc["texts"]
-    if not isinstance(ids, list) or not isinstance(texts, list):
-        raise SpaceFormatError("ids and texts must be lists")
-    n = len(ids)
-    if doc["record_count"] != n:
-        raise SpaceFormatError("record_count does not match stored records")
-    tree = [
-        (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
-        for cdoc in doc["clusters"]
-    ]
-    records = Drafts(
-        ids=ids,
-        texts=texts,
-        instruction=_decode(doc, "instruction", "<f8", (n, params.X)),
-        tool=_decode(doc, "tool", "<f8", (n, params.X)),
-        results=[_result_from_dict(r) for r in doc["results"]],
-        result_rows=_decode(doc, "result_rows", "<i4", (n, MAX_RESULTS_PER_RECORD)),
-    )
-    return params, tree, records
+        for dtype, blocks in zip(_COLUMN_DTYPES, columns):
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype=dtype))
 
 
 def _check_drafts(drafts: Drafts) -> frozenset[str]:
@@ -681,7 +623,8 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     space's result table (``_check_drafts``), and the tree against them, then
     build the subclusters, the id set and the centroid rows: the one
     construction path of a built or loaded space. Equal texts share one str,
-    as a generated corpus's do; a parsed document holds one per record."""
+    as a generated corpus's and a loaded space's do; a read corpus holds one
+    per record."""
     ids = _check_drafts(records)
     n = len(records)
     sizes = [size for _, subclusters in tree for _, size in subclusters]
@@ -724,198 +667,121 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     )
 
 
-# Characters of a space file read at a time.
-_READ_CHARS = 1 << 16
-# Members of a space document holding a base64 string, decoded as it is read.
-_COLUMN_KEYS = frozenset({"instruction", "tool", "result_rows"})
+# Bytes of a space file read before its schema is checked: a file whose
+# header starts with another schema, as every saved space's does, is rejected
+# without reading on (an ``aide-space/2`` document is one line).
+_HEADER_PEEK = 1 << 12
+_LEADING_SCHEMA = re.compile(rb'\s*\{\s*"schema"\s*:\s*"([^"\\]*)"')
 _DECODER = json.JSONDecoder()
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
-_NUMBER_CHARS = frozenset("0123456789+-.eE")
-# What ends a JSON string, or makes it invalid: its closing quote, an escape,
-# or a control character.
-_COLUMN_STOP = re.compile(r'["\\\x00-\x1f]')
+# JSON whitespace but the newline, which ends the header.
+_BLANKS = re.compile(r"[ \t\r]*")
 
 
-class _DocumentReader:
-    """A JSON document read from ``fh`` ``_READ_CHARS`` characters at a time,
-    holding only the text not parsed yet. A syntax error is reported as
-    ``json.loads`` reports it for the whole document."""
+def _schema_error(schema: object) -> SpaceSchemaError:
+    return SpaceSchemaError(
+        f"expected schema {SPACE_SCHEMA!r}, got {schema!r}; rebuild the space from"
+        " its corpus with `aide build-space --corpus <drafts.jsonl> --seed <seed>`,"
+        " which is deterministic for a fixed seed"
+    )
 
-    def __init__(self, fh) -> None:
-        self._fh = fh
-        self._text = ""
-        self._at = 0  # the next character of ``_text`` to parse
-        # Where ``_text`` starts in the document: its offset, the newlines
-        # before it and the offset of the last of them (-1 for none).
-        self._offset = self._lines = 0
-        self._last_newline = -1
 
-    def _read(self, chars: int) -> bool:
-        """Drop the parsed text and read at least ``chars`` characters more,
-        or to the end of the file; False when none were left."""
-        pieces: list[str] = []
-        got = 0
-        while got < max(chars, 1):
-            piece = self._fh.read(_READ_CHARS)
-            if not piece:
-                break
-            pieces.append(piece)
-            got += len(piece)
-        if not pieces:
-            return False
-        newlines = self._text.count("\n", 0, self._at)
-        if newlines:
-            self._lines += newlines
-            self._last_newline = self._offset + self._text.rfind("\n", 0, self._at)
-        self._offset += self._at
-        self._text = self._text[self._at :] + "".join(pieces)
-        self._at = 0
-        return True
+def _read_column(fh, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The next ``shape`` values of ``dtype`` in ``fh``, read straight into their array."""
+    column = np.empty(shape, dtype=dtype)
+    if fh.readinto(column.reshape(-1).view(np.uint8)) != column.nbytes:
+        raise SpaceFormatError("the space file ends inside a column")
+    return column
 
-    def error(self, message: str, at: int) -> SpaceFormatError:
-        """A syntax error at ``_text[at]``, worded as ``json.loads`` words it."""
-        pos = self._offset + at
-        newline = self._text.rfind("\n", 0, at)
-        line = self._lines + self._text.count("\n", 0, at) + 1
-        column = at - newline if newline >= 0 else pos - self._last_newline
-        return SpaceFormatError(
-            f"unreadable space document: {message}: line {line} column {column} (char {pos})"
-        )
 
-    def peek(self) -> str:
-        """The next character after whitespace; "" at the end of the file."""
-        while True:
-            self._at = _WHITESPACE.match(self._text, self._at).end()
-            if self._at < len(self._text):
-                return self._text[self._at]
-            if not self._read(1):
-                return ""
+def _read_columns(fh, doc: dict, size: int) -> tuple[ConfigParams, Tree, Drafts]:
+    """The params, tree and records of header ``doc``, whose columns are the
+    ``size`` bytes left in ``fh``."""
+    params = ConfigParams.from_dict(doc["params"])
+    ids, table = doc["ids"], doc["texts"]
+    if not isinstance(ids, list) or not isinstance(table, list):
+        raise SpaceFormatError("ids and texts must be lists")
+    n = len(ids)
+    if doc["record_count"] != n:
+        raise SpaceFormatError("record_count does not match stored records")
+    shapes = ((n,), (n, params.X), (n, params.X), (n, MAX_RESULTS_PER_RECORD))
+    expected = sum(
+        np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in zip(_COLUMN_DTYPES, shapes)
+    )
+    if size != expected:
+        raise SpaceFormatError(f"the columns of {n} records take {expected} bytes, the file holds {size}")
+    text_rows, instruction, tool, result_rows = (
+        _read_column(fh, dtype, shape) for dtype, shape in zip(_COLUMN_DTYPES, shapes)
+    )
+    if n and (text_rows.min() < 0 or text_rows.max() >= len(table)):
+        raise SpaceFormatError(f"text row outside the {len(table)}-entry text table")
+    tree = [
+        (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
+        for cdoc in doc["clusters"]
+    ]
+    records = Drafts(
+        ids=ids,
+        texts=[table[row] for row in text_rows.tolist()],
+        instruction=instruction,
+        tool=tool,
+        results=[_result_from_dict(r) for r in doc["results"]],
+        result_rows=result_rows,
+    )
+    return params, tree, records
 
-    def value(self) -> object:
-        """The JSON value at the next character, read whole before it is parsed."""
-        while True:
-            try:
-                value, end = _DECODER.raw_decode(self._text, self._at)
-            except json.JSONDecodeError as exc:
-                if self._read(len(self._text) - self._at):
-                    continue
-                raise self.error(exc.msg, exc.pos) from exc
-            # A number may go on past the text read so far, or past where its
-            # parse stopped ("-1." parses as -1), so read on unless the value
-            # is followed by a character that cannot go on a number.
-            if (end < len(self._text) and self._text[end] not in _NUMBER_CHARS) or not self._read(
-                len(self._text) - self._at
-            ):
-                self._at = end
-                return value
 
-    def column(self, key: str) -> bytearray | ValueError:
-        """The bytes of the base64 string at the next character, decoded a
-        run of whole 4-character groups at a time as it is read, so the
-        string is never held. A string that does not decode gives the error
-        that ``base64.b64decode`` raises for it whole."""
-        unterminated = self.error("Unterminated string starting at", self._at)
-        self._at += 1
-        out = bytearray()
-        padded = False
-        while True:  # plain base64, whose decode also checks it holds no JSON escape
-            end = self._text.find('"', self._at)
-            whole = ((end if end >= 0 else len(self._text)) - self._at) // 4 * 4
-            if whole:
-                run = self._text[self._at : self._at + whole]
-                # Padding may only end the string, in its last group.
-                if padded or run.find("=", 0, whole - 4) >= 0:
-                    break
-                try:
-                    out += base64.b64decode(run, validate=True)
-                except ValueError:
-                    break
-                self._at += whole
-                padded = run[-1] == "="
-            if end >= 0:
-                if self._at == end:
-                    self._at += 1
-                    return out
-                break
-            if not self._read(1):
-                raise unterminated
-        # The rest does not decode by runs: read it to the string's end as
-        # JSON does, and decode the whole string as a string was decoded.
-        scanned = 0  # characters from ``_at`` on with no quote, escape or control character
-        while not (stop := _COLUMN_STOP.search(self._text, self._at + scanned)):
-            scanned = len(self._text) - self._at
-            if not self._read(1):
-                raise unterminated
-        if stop.group() == "\\":
-            raise SpaceFormatError(f"column {key!r} holds a JSON escape, which a saved space never writes")
-        if stop.group() != '"':
-            raise self.error("Invalid control character at", stop.start())
-        rest = self._text[self._at : stop.start()]
-        self._at = stop.end()
+def _read_header(fh) -> object:
+    """The JSON value that starts ``fh``, which is left at the byte after the
+    newline that ends it. The first line is read whole; a header laid over
+    more lines is read on in runs of whole lines, each as long as all read
+    before it, until it parses. Read in whole lines, a header that does not
+    parse yet has only been cut where it stops (a JSON string holds no
+    newline), so any other error is the header's own."""
+    data = fh.readline(_HEADER_PEEK)
+    leading = _LEADING_SCHEMA.match(data)
+    if leading and leading[1] != SPACE_SCHEMA.encode("ascii"):
+        raise _schema_error(leading[1].decode("utf-8", "replace"))
+    if not data.endswith(b"\n"):
+        data += fh.readline()
+    while True:
+        # The lines may run past the header into column bytes, which are kept
+        # as surrogates; the header's own bytes are checked below.
+        text = data.decode("utf-8", "surrogateescape")
         try:
-            return bytearray(base64.b64decode(base64.b64encode(out).decode("ascii") + rest, validate=True))
-        except ValueError as exc:
-            return exc
-
-    def document(self) -> object:
-        """The whole document: a top-level object as a dict, its column
-        members decoded (``column``) and the rest parsed by ``value``; any
-        other JSON value as parsed."""
-        if self.peek() == "\ufeff" and self._offset + self._at == 0:
-            raise self.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-        if self.peek() != "{":
-            doc = self.value()
-        else:
-            doc = {}
-            self._at += 1
-            if self.peek() == "}":
-                self._at += 1
-            else:
-                while True:
-                    if self.peek() != '"':
-                        raise self.error("Expecting property name enclosed in double quotes", self._at)
-                    key = self.value()
-                    if self.peek() != ":":
-                        raise self.error("Expecting ':' delimiter", self._at)
-                    self._at += 1
-                    if self.peek() == '"' and key in _COLUMN_KEYS:
-                        doc[key] = self.column(key)
-                    else:
-                        doc[key] = self.value()
-                    delimiter = self.peek()
-                    if delimiter not in ("}", ","):
-                        raise self.error("Expecting ',' delimiter", self._at)
-                    self._at += 1
-                    if delimiter == "}":
-                        break
-        if self.peek():
-            raise self.error("Extra data", self._at)
-        return doc
+            doc, end = _DECODER.raw_decode(text, _BLANKS.match(text).end())
+            break
+        except json.JSONDecodeError as exc:
+            more = exc.pos == len(text) and fh.readlines(len(data))
+            if not more:
+                raise SpaceFormatError(f"unreadable space header: {exc}") from exc
+            data += b"".join(more)
+    end = _BLANKS.match(text, end).end()
+    if end < len(text) and text[end] != "\n":
+        raise SpaceFormatError(f"unreadable space header: extra data after the header at char {end}")
+    rest = text[end + 1 :].encode("utf-8", "surrogateescape")
+    try:
+        data[: len(data) - len(rest)].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpaceFormatError(f"space document is not UTF-8: {exc}") from exc
+    fh.seek(-len(rest), 1)
+    return doc
 
 
 def load_space(path: str | Path) -> RelationshipSpace:
-    """Read an ``aide-space/2`` document, a piece at a time (``_DocumentReader``):
-    its base64 columns are decoded as they are read, and the rest is parsed
-    member by member."""
-    with Path(path).open(encoding="utf-8") as fh:
+    """Read an ``aide-space/3`` file: parse its header (``_read_header``),
+    then read each column straight into an array of its exact size."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        doc = _read_header(fh)
+        if not isinstance(doc, dict) or "schema" not in doc:
+            raise SpaceFormatError("space document missing schema tag")
+        if doc["schema"] != SPACE_SCHEMA:
+            raise _schema_error(doc["schema"])
         try:
-            doc = _DocumentReader(fh).document()
-        except UnicodeDecodeError as exc:
-            raise SpaceFormatError(f"space document is not UTF-8: {exc}") from exc
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise SpaceFormatError("space document missing schema tag")
-    if doc["schema"] != SPACE_SCHEMA:
-        raise SpaceSchemaError(
-            f"expected schema {SPACE_SCHEMA!r}, got {doc['schema']!r}; rebuild the space from"
-            " its corpus with `aide build-space --corpus <drafts.jsonl> --seed <seed>`,"
-            " which is deterministic for a fixed seed"
-        )
-    try:
-        return _space_from_columns(*_parse_v2(doc))
-    except SpaceError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpaceFormatError(f"malformed space document: {exc}") from exc
+            return _space_from_columns(*_read_columns(fh, doc, path.stat().st_size - fh.tell()))
+        except SpaceError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpaceFormatError(f"malformed space document: {exc}") from exc
 
 
 # --- corpus drafts ----------------------------------------------------------

@@ -178,7 +178,7 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
             ["run-episode", "--config", "{doc}", "--world", "clear_cup"],
             "parameter 'sigma' is fixed at 0.5",
         ),
-        ('{"schema": "aide-space/1"}', ["eval", "--space", "{doc}"], "aide-space/2"),
+        ('{"schema": "aide-space/1"}', ["eval", "--space", "{doc}"], "aide-space/3"),
         (
             '{"schema": "aide-config/1", "params": {}, "paths": {"space": "s.json"}}',
             ["build-space", "--config", "{doc}", "--corpus", "{corpus}", "--out", "{root}/s.json"],

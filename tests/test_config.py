@@ -57,6 +57,13 @@ def test_invariants_enforced():
         ConfigParams(a=0)
 
 
+@pytest.mark.parametrize("name", ["D", "c", "d"])
+def test_a_nan_distance_is_rejected(name):
+    # A NaN radius compares false both ways, so it would pass a plain "< 0" check.
+    with pytest.raises(ConfigError, match=f"distance {name} must be non-negative"):
+        ConfigParams(**{name: float("nan")})
+
+
 def test_round_trip(tmp_path):
     source = ConfigParams(approach_speed=0.25, c=12.0, N=7)
     path = tmp_path / "config.json"

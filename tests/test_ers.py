@@ -191,11 +191,13 @@ def large_space(params):
 def test_the_5000_draft_space_keeps_its_pinned_snapshot_bytes(large_space, tmp_path):
     # Pinned before drafts became columns and k-means assigned one center at
     # a time: the same clusters, rows and result table, byte for byte. Its
-    # params lost seven retired keys since; nothing else changed.
-    path = tmp_path / "space.json"
+    # params lost seven retired keys since, and the file became aide-space/3,
+    # which loads to the space the aide-space/2 document did; nothing else
+    # changed.
+    path = tmp_path / "space.aide"
     save_space(large_space, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "88048fdd5a083e11920a0b50cbdadac139e7536bed003e6768a7a9d0549e2e42"
+    assert digest == "96d2ef8f6097476fb6b69ce1d84fd66d83350884e89e48bd0dc9c549422784ca"
 
 
 def test_retrieval_at_scale_builds_no_record(large_space, params, built_records):

@@ -77,6 +77,30 @@ def test_gen_corpus_file_keeps_its_pinned_digest(params, tmp_path):
     assert with_positions.hexdigest() == "eaf942f44b8655905c35545d9e0878e83fcbac44a4e4fc0b44e207e54b8c6aa0"
 
 
+def _drafts_digest(drafts) -> str:
+    digest = hashlib.sha256()
+    digest.update(json.dumps(drafts.ids).encode("utf-8"))
+    digest.update(json.dumps(drafts.texts).encode("utf-8"))
+    for column, dtype in ((drafts.instruction, "<f8"), (drafts.tool, "<f8"), (drafts.result_rows, "<i8")):
+        digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("count", "expected"),
+    [
+        (1, "9662981fdfdd2d75d742efa26513ed985c6763c3cf063ffd39d243f89be4ce34"),
+        (7, "eae4d5ed201a00578d942b8b6d9a6ca0db36c2a7b568d3abca1e655620f61733"),
+        (5000, "8598b99d3041bf46d7c8c084add18bb51aa1a02d020c4028d62d983dd29d387b"),
+    ],
+)
+def test_gen_corpus_columns_keep_their_pinned_digest(params, count, expected):
+    # Pinned when each draft's text was found by a row-wise np.unique over its
+    # (class, template, w0, w1) parts: the ids, texts, vectors and result rows.
+    drafts = gen_corpus(count, params.X, params.a, params.b, seed=7)
+    assert _drafts_digest(drafts) == expected
+
+
 def test_gen_corpus_covers_all_class_labels(params):
     drafts = gen_corpus(432, params.X, params.a, params.b, seed=7)
     labels = {drafts.results[row].tool_label for row in drafts.result_rows.ravel()}

@@ -286,6 +286,29 @@ def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
     assert [r.instruction_affordance for r in stored] == [mock.score_affordance(instruction)]
 
 
+def test_a_task_the_slow_stream_stored_has_a_pool_from_then_on(space, params):
+    # The slow stream latches a task only after storing its record, and the
+    # re-retrieval finds that record at distance 0, even at c = 0. So a
+    # latched task always has a pool, and the next tick takes the fast stream.
+    instruction = "wind the gizmo"
+    world = make_world(
+        [obj("g1", "gizmo", "misc", 20.0, 28.0)],
+        instruction=instruction,
+        tool_table={instruction: "gizmo"},
+        gt={instruction: "g1"},
+    )
+    exact = dataclasses.replace(params, c=0.0)
+    mock = MockPerception(world, exact, sigma=0.0)
+    frame, _ = observe(world)
+    clone = space.clone()
+    state, _ = step(PlannerState(), instruction, frame, clone, exact, mock)
+    assert state.tick.stream == "msi"
+    assert instruction in state.msi_latch and instruction in state.pools
+    state, command = step(state, instruction, frame, clone, exact, mock)
+    assert state.tick.stream != "msi"
+    assert state.status == RUNNING and not isinstance(command, RequestHuman)
+
+
 # --- decide_motion ----------------------------------------------------------------
 
 
