@@ -150,6 +150,59 @@ class PerceptionBackend(ABC):
         """Container label where the required tool may hide."""
 
 
+class EpisodeMemo(PerceptionBackend):
+    """One episode's backend, asking each ``similarity`` and
+    ``score_affordance`` question once.
+
+    Similarity scores are kept by the ordered pair ``(a, b)`` and affordance
+    vectors by subject. A frame reference names its tick
+    (``frame:<world>:<tick>``), so a kept answer is reused only for the same
+    frame or for references to no frame (catalog images and text): it is the
+    answer the backend would give again. Only successes are kept: a call that
+    raises, or an affordance vector without ``dims`` scores (which
+    ``checked_affordance`` rejects), is asked again the next time. The other
+    capabilities pass straight through.
+    """
+
+    def __init__(self, backend: PerceptionBackend, dims: int) -> None:
+        self.backend = backend
+        self.dims = dims
+        self._scores: dict[tuple[str, str], SimilarityScore] = {}
+        self._vectors: dict[str, AffordanceVector] = {}
+
+    def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
+        return self.backend.detect(frame, vocabulary, k)
+
+    def similarity(self, a: str, b: str) -> SimilarityScore:
+        key = a, b
+        score = self._scores.get(key)
+        if score is None:
+            score = self._scores[key] = self.backend.similarity(a, b)
+        return score
+
+    def propose_tool(self, instruction: str, frame: SceneFrame) -> ToolHypothesis:
+        return self.backend.propose_tool(instruction, frame)
+
+    def select_candidate(
+        self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
+    ) -> int:
+        return self.backend.select_candidate(hypothesis, candidates, frame)
+
+    def segment_regions(self, tool: Detection, frame: SceneFrame) -> tuple[Region, Region]:
+        return self.backend.segment_regions(tool, frame)
+
+    def score_affordance(self, subject: str) -> AffordanceVector:
+        vector = self._vectors.get(subject)
+        if vector is None:
+            vector = self.backend.score_affordance(subject)
+            if len(vector) == self.dims:
+                self._vectors[subject] = vector
+        return vector
+
+    def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
+        return self.backend.infer_unseen_label(instruction, frame)
+
+
 def similarities(perception: PerceptionBackend, a: str, refs: Iterable[str]) -> list[float]:
     """Similarity of ``a`` to each reference, in order; a failed call scores 0.0.
 

@@ -50,6 +50,7 @@ from .exploration import (
 from .geometry import Region, vertical_halves
 from .perception import (
     Detection,
+    EpisodeMemo,
     PerceptionBackend,
     PerceptionError,
     SceneFrame,
@@ -315,8 +316,11 @@ def run_msi(
                 "provide a tool label or region x0,y0,x1,y1"
             ),
         ) from exc
+    # The first free ``msi-<step>-<count>``: a corpus may hold such ids.
+    while space.holds(record_id := f"msi-{state.episode_step:04d}-{state.msi_count:02d}"):
+        state.msi_count += 1
     record = InstructionRecord(
-        id=f"msi-{state.episode_step:04d}-{state.msi_count:02d}",
+        id=record_id,
         text=instruction,
         instruction_affordance=instruction_vector,
         tool_affordance=tool_vector,
@@ -563,9 +567,12 @@ def run_closed_loop(
     failure in place).
     ``interventions`` maps tick indices to world mutations, used for error
     injection. Exhausting ``max_steps`` fails the episode with a timeout.
+    The episode asks ``perception`` through one ``EpisodeMemo``, so no
+    similarity pair or affordance subject is answered twice.
     """
     trace = EpisodeTrace(world_id=world.world_id)
     state = PlannerState()
+    perception = EpisodeMemo(perception, params.X)
     answered_prompts: set[str] = set()
     t_start = time.perf_counter()
 

@@ -259,6 +259,10 @@ class RelationshipSpace:
                 f"query has {len(v)} dimensions, space uses {self.params.X}"
             )
 
+    def holds(self, record_id: str) -> bool:
+        """Whether a record with this id is stored."""
+        return record_id in self._stored_ids or record_id in self._inserted_ids
+
     def record(self, ci: int, sj: int, k: int) -> InstructionRecord:
         """The record at position (``ci``, ``sj``, ``k``), built from its row."""
         sub = self.clusters[ci].subclusters[sj]
@@ -371,7 +375,7 @@ class RelationshipSpace:
         Centroids stay put so that retrieval stays deterministic mid-episode;
         insertions are rare (one per novel task).
         """
-        if record.id in self._stored_ids or record.id in self._inserted_ids:
+        if self.holds(record.id):
             raise DuplicateRecordError(f"record id {record.id!r} already stored")
         self._check_dims(record.instruction_affordance)
         point = record.instruction_affordance.scores

@@ -21,6 +21,7 @@ from aide.perception import (
     ToolHypothesis,
     UnknownReferenceError,
     Detection,
+    EpisodeMemo,
     PerceptionError,
     check_detection_ordering,
     checked_affordance,
@@ -562,6 +563,59 @@ def test_checked_affordance_rejects_a_wrong_length_vector(params):
     assert vector == mock.score_affordance("I am thirsty")
     with pytest.raises(PerceptionError):
         checked_affordance(mock, "I am thirsty", params.X + 1)
+
+
+class ScriptedAnswers(MockPerception):
+    """Noiseless mock that counts its similarity and affordance calls; each
+    capability first gives the answers queued for it (an exception is raised)."""
+
+    def __init__(self, world, params, similarity=(), affordance=()):
+        super().__init__(world, params, sigma=0.0)
+        self.queued = {"similarity": list(similarity), "affordance": list(affordance)}
+        self.calls = 0
+
+    def _next(self, capability, answer):
+        self.calls += 1
+        if self.queued[capability]:
+            answer = self.queued[capability].pop(0)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def similarity(self, a, b):
+        return self._next("similarity", super().similarity(a, b))
+
+    def score_affordance(self, subject):
+        return self._next("affordance", super().score_affordance(subject))
+
+
+def test_episode_memo_asks_each_answered_question_once(params):
+    backend = ScriptedAnswers(make_world([]), params)
+    memo = EpisodeMemo(backend, params.X)
+    assert memo.similarity("cup", "tool:drink:cup") == memo.similarity("cup", "tool:drink:cup")
+    assert memo.score_affordance("I am thirsty") == memo.score_affordance("I am thirsty")
+    assert backend.calls == 2
+    memo.similarity("tool:drink:cup", "cup")  # the pair is ordered
+    assert backend.calls == 3
+
+
+def test_episode_memo_keeps_no_failure(params):
+    # A raised call scores 0.0 and a short vector fails ``checked_affordance``;
+    # each is asked again, answered, and the answer kept.
+    backend = ScriptedAnswers(
+        make_world([]), params, [PerceptionError("down")], [neutral_vector(params.X - 1)]
+    )
+    memo = EpisodeMemo(backend, params.X)
+    assert similarities(memo, "cup", ["tool:drink:cup"]) == [0.0]
+    assert similarities(memo, "cup", ["tool:drink:cup"]) == [0.8]
+    with pytest.raises(PerceptionError):
+        checked_affordance(memo, "I am thirsty", params.X)
+    vector = checked_affordance(memo, "I am thirsty", params.X)
+    assert vector == backend.score_affordance("I am thirsty")
+    assert backend.calls == 5
+    assert memo.similarity("cup", "tool:drink:cup").value == 0.8
+    assert memo.score_affordance("I am thirsty") == vector
+    assert backend.calls == 5
 
 
 def test_score_affordance_exact_centroid_when_noiseless(params):

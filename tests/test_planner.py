@@ -11,7 +11,7 @@ from aide.ers import CandidatePool, Grounded, NeedsExploration, retrieve_candida
 from aide.exploration import ExplorationOutcome, Strategy
 from aide.geometry import Region
 from aide.mock import MockPerception
-from aide.perception import Detection
+from aide.perception import Detection, PerceptionError
 from aide.planner import (
     COMPLETED,
     FAILED,
@@ -36,8 +36,8 @@ from aide.planner import (
     step,
     validity_check,
 )
-from aide.simulator import ABSENT, OCCLUDED, observe
-from aide.space import GroundingResult
+from aide.simulator import ABSENT, OCCLUDED, VISIBLE, fresh_world, observe
+from aide.space import GroundingResult, build_space
 
 
 def fake_pool():
@@ -582,3 +582,89 @@ def test_provide_human_answer_parses_region():
     state = PlannerState(status=FAILED, fail_reason="planning-error")
     assert not provide_human_answer(state, None)
     assert state.status == FAILED
+
+
+# --- one question, one call per episode ---------------------------------------
+
+
+def test_an_msi_tick_scores_each_crop_image_pair_once(space, params, worlds):
+    # The fast stream matches the frame's crops against the pool images first;
+    # the slow stream's checks against the catalog image overlap them.
+    world = fresh_world(worlds["abs_cup"])
+    mock = PairCountingMock(world, params)
+    trace = run_closed_loop(world, space.clone(), params, mock)
+    assert [r.step for r in trace.rows if r.stream == "msi"] == [0]
+    tick_pairs = [pair for pair in mock.pairs if pair[0].startswith("frame:abs_cup:0#")]
+    assert ("tool:drink:cup" in {b for _, b in tick_pairs}) and len(tick_pairs) > 1
+    assert len(set(tick_pairs)) == len(tick_pairs)
+
+
+def test_a_second_msi_pass_scores_neither_instruction_nor_tool_image_again(space, params):
+    world = make_world(
+        [obj("c1", "cup", "drink", 20.0, 20.0), obj("f1", "fridge", "contain", 30.0, 20.0, w=4, h=4)],
+        tool_table={"I am thirsty": "cup"},
+        container_table={"I am thirsty": "fridge"},
+        gt={"I am thirsty": "c1"},
+    )
+
+    def shown(visibility):
+        def set_visibility(w):
+            w.objects["c1"].visibility = visibility
+
+        return set_visibility
+
+    # The cup vanishes twice, and the valid tick between ends the first
+    # failure event, so the slow stream runs twice for one instruction.
+    hide, show = shown(ABSENT), shown(VISIBLE)
+    mock = AffordanceCountingMock(world, params)
+    trace = run_closed_loop(
+        world, space.clone(), params, mock, interventions={2: hide, 3: show, 4: hide, 5: show}
+    )
+    assert [r.step for r in trace.rows if r.stream == "msi"] == [2, 4]
+    assert mock.subjects == ["I am thirsty", "tool:drink:cup"]
+
+
+class FlakyPairMock(PairCountingMock):
+    """Noiseless mock whose first similarity call against ``image`` fails.
+
+    ``pairs`` records every call; ``answered`` only those that returned."""
+
+    def __init__(self, world, params, image):
+        super().__init__(world, params)
+        self.image = image
+        self.failed = None
+        self.answered = []
+
+    def similarity(self, a, b):
+        if self.failed is None and b == self.image:
+            self.failed = (a, b)
+            self.pairs.append((a, b))
+            raise PerceptionError(f"no answer for {a!r}")
+        score = super().similarity(a, b)
+        self.answered.append((a, b))
+        return score
+
+
+def test_a_failed_similarity_is_asked_again_and_an_answer_is_not(space, params, worlds):
+    # The fast stream's first pair against the catalog cup fails; the slow
+    # stream asks it again on the same tick and gets an answer.
+    world = fresh_world(worlds["abs_cup"])
+    mock = FlakyPairMock(world, params, "tool:drink:cup")
+    trace = run_closed_loop(world, space.clone(), params, mock)
+    assert trace.status == COMPLETED
+    assert mock.failed is not None
+    assert mock.pairs.count(mock.failed) == 2 and mock.answered.count(mock.failed) == 1
+    assert len(set(mock.answered)) == len(mock.answered)
+
+
+def test_the_slow_stream_stores_an_id_the_corpus_does_not_hold(corpus, params, worlds):
+    # A corpus may use the slow stream's own id pattern.
+    taken = [f"msi-{i:04d}-00" for i in range(1, len(corpus) + 1)]
+    renamed = build_space(dataclasses.replace(corpus, ids=taken), params, seed=7)
+    world = fresh_world(worlds["abs_hammer"])
+    clone = renamed.clone()
+    trace = run_closed_loop(world, clone, params, MockPerception(world, params, sigma=0.0))
+    assert any(r.stream == "msi" for r in trace.rows)
+    inserted = [r.id for _, r in clone.iter_records() if r.id not in set(taken)]
+    assert inserted and len(set(inserted)) == len(inserted)
+    assert clone.record_count == len(corpus) + len(inserted)
