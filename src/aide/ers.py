@@ -20,12 +20,9 @@ from .perception import (
     CROP_PAD_FRACTION,
     PART_VOCABULARY,
     Detection,
-    PerceptionBackend,
+    EpisodePerception,
     SceneFrame,
     crop_references,
-    crop_scores,
-    detect_or_empty,
-    tool_regions,
 )
 from .space import GroundingResult, RelationshipSpace
 
@@ -103,7 +100,7 @@ def match_tool(
     frame: SceneFrame,
     pool: CandidatePool,
     params: ConfigParams,
-    perception: PerceptionBackend,
+    perception: EpisodePerception,
 ) -> MatchOutcome:
     """Detect pool-vocabulary candidates and similarity-match their crops.
 
@@ -112,12 +109,10 @@ def match_tool(
     top-N do not ground the tool; the full ranked list (up to N') rides along
     for the exploration policy.
     """
-    detections = tuple(
-        detect_or_empty(perception, frame, pool.tool_labels(), params.detection_budget)
-    )
+    detections = tuple(perception.detect(frame, pool.tool_labels(), params.detection_budget))
     images = pool.distinct_images()
     crops = crop_references(frame, detections[: params.N])
-    similarities = crop_scores(perception, crops, images)
+    similarities = perception.crop_scores(crops, images)
     s_max = max(similarities, default=0.0)
     if s_max > params.m:
         index = similarities.index(s_max)
@@ -133,7 +128,7 @@ def match_tool(
         return Grounded(result, s_max, detections, tuple(similarities))
 
     crops = crop_references(frame, detections[params.N : 2 * params.N])
-    similarities += crop_scores(perception, crops, images)
+    similarities += perception.crop_scores(crops, images)
     t_new = max(similarities, default=0.0)
     return NeedsExploration(s_max, t_new, detections, tuple(similarities))
 
@@ -143,7 +138,7 @@ def ground_regions(
     tool: Detection,
     pool: CandidatePool,
     params: ConfigParams,
-    perception: PerceptionBackend,
+    perception: EpisodePerception,
 ) -> tuple[Region, Region]:
     """Locate the operational and functional sub-regions of a grounded tool.
 
@@ -152,16 +147,16 @@ def ground_regions(
     fallback splits the tool box.
     """
     search = tool.box.pad(CROP_PAD_FRACTION, frame.width, frame.height)
-    part_detections = detect_or_empty(perception, frame, list(PART_VOCABULARY), params.N_prime)
+    part_detections = perception.detect(frame, list(PART_VOCABULARY), params.N_prime)
     parts = [det for det in part_detections if search.contains(det.box)]
     if not parts:
-        return tool_regions(perception, tool, frame)
+        return perception.tool_regions(tool, frame)
 
     images = pool.distinct_images()
     crops = crop_references(frame, parts)
 
     def pick(suffix: str) -> Region:
-        scores = crop_scores(perception, crops, [f"{image}{suffix}" for image in images])
+        scores = perception.crop_scores(crops, [f"{image}{suffix}" for image in images])
         return parts[scores.index(max(scores))].box
 
     return clipped_into(pick("#op"), tool.box), clipped_into(pick("#fn"), tool.box)

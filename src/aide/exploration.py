@@ -19,14 +19,10 @@ from .ers import CandidatePool
 from .geometry import Region, bounding_region, pixel_bounds
 from .perception import (
     Detection,
-    PerceptionBackend,
+    EpisodePerception,
     SceneFrame,
     ToolHypothesis,
-    checked_candidate,
     crop_references,
-    crop_scores,
-    detect_or_empty,
-    similarities,
 )
 
 
@@ -99,7 +95,7 @@ def invisible_explore(
     instruction: str,
     pool: CandidatePool | None,
     params: ConfigParams,
-    perception: PerceptionBackend,
+    perception: EpisodePerception,
 ) -> tuple[Region, str]:
     """Locate the container the required tool most plausibly hides in.
 
@@ -111,21 +107,21 @@ def invisible_explore(
     hints = pool.unseen_hints if pool is not None else []
     if len(hints) > 1:
         labels = [hint_label for hint_label, _ in hints]
-        scores = similarities(perception, instruction, labels)
+        scores = perception.similarities(instruction, labels)
         label = labels[scores.index(max(scores))]
     elif hints:
         label = hints[0][0]
     else:
         label = perception.infer_unseen_label(instruction, frame)
 
-    detections = detect_or_empty(perception, frame, [label], params.N)
+    detections = perception.detect(frame, [label], params.N)
     if not detections:
         raise ExplorationImpossible(f"no {label!r} region detected in the scene")
 
     hint_images = [image for _, image in hints if image]
     if hint_images:
-        scores = crop_scores(perception, crop_references(frame, detections), hint_images)
+        scores = perception.crop_scores(crop_references(frame, detections), hint_images)
         return detections[scores.index(max(scores))].box, label
 
-    chosen = checked_candidate(perception, ToolHypothesis(label=label), detections, frame)
+    chosen = perception.candidate(ToolHypothesis(label=label), detections, frame)
     return chosen.box, label

@@ -20,7 +20,7 @@ PART_VOCABULARY = ("handle", "body")
 
 
 class PerceptionError(RuntimeError):
-    """Backend could not produce a response; the helpers below say how each call degrades."""
+    """Backend could not produce a response; ``EpisodePerception`` says how each call degrades."""
 
 
 class ReasonerError(PerceptionError):
@@ -150,130 +150,93 @@ class PerceptionBackend(ABC):
         """Container label where the required tool may hide."""
 
 
-class EpisodeMemo(PerceptionBackend):
-    """One episode's backend, asking each ``similarity`` and
-    ``score_affordance`` question once.
-
-    Similarity scores are kept by the ordered pair ``(a, b)`` and affordance
-    vectors by subject. A frame reference names its tick
-    (``frame:<world>:<tick>``), so a kept answer is reused only for the same
-    frame or for references to no frame (catalog images and text): it is the
-    answer the backend would give again. Only successes are kept: a call that
-    raises, or an affordance vector without ``dims`` scores (which
-    ``checked_affordance`` rejects), is asked again the next time. The other
-    capabilities pass straight through.
-    """
-
-    def __init__(self, backend: PerceptionBackend, dims: int) -> None:
-        self.backend = backend
-        self.dims = dims
-        self._scores: dict[tuple[str, str], SimilarityScore] = {}
-        self._vectors: dict[str, AffordanceVector] = {}
-
-    def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
-        return self.backend.detect(frame, vocabulary, k)
-
-    def similarity(self, a: str, b: str) -> SimilarityScore:
-        key = a, b
-        score = self._scores.get(key)
-        if score is None:
-            score = self._scores[key] = self.backend.similarity(a, b)
-        return score
-
-    def propose_tool(self, instruction: str, frame: SceneFrame) -> ToolHypothesis:
-        return self.backend.propose_tool(instruction, frame)
-
-    def select_candidate(
-        self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
-    ) -> int:
-        return self.backend.select_candidate(hypothesis, candidates, frame)
-
-    def segment_regions(self, tool: Detection, frame: SceneFrame) -> tuple[Region, Region]:
-        return self.backend.segment_regions(tool, frame)
-
-    def score_affordance(self, subject: str) -> AffordanceVector:
-        vector = self._vectors.get(subject)
-        if vector is None:
-            vector = self.backend.score_affordance(subject)
-            if len(vector) == self.dims:
-                self._vectors[subject] = vector
-        return vector
-
-    def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
-        return self.backend.infer_unseen_label(instruction, frame)
-
-
-def similarities(perception: PerceptionBackend, a: str, refs: Iterable[str]) -> list[float]:
-    """Similarity of ``a`` to each reference, in order; a failed call scores 0.0.
-
-    The one loop over ``similarity``, so an unreachable backend degrades
-    matching to zero rather than raising.
-    """
-    scores = []
-    for ref in refs:
-        try:
-            scores.append(perception.similarity(a, ref).value)
-        except PerceptionError:
-            scores.append(0.0)
-    return scores
-
-
 def crop_references(frame: SceneFrame, detections: Iterable[Detection]) -> list[str]:
     """Each detection's padded crop reference, in order."""
     return [crop_reference(frame, det.box) for det in detections]
 
 
-def crop_scores(
-    perception: PerceptionBackend, crops: Iterable[str], refs: list[str]
-) -> list[float]:
-    """Best similarity of each crop reference to ``refs``; 0.0 when nothing scores."""
-    return [max(similarities(perception, crop, refs), default=0.0) for crop in crops]
+class EpisodePerception:
+    """What the planner asks of a backend in one episode: each question once,
+    each failure degraded or checked by one rule.
 
+    Successful similarity scores are kept by the ordered pair ``(a, ref)`` and
+    affordance vectors by subject. A frame reference names its tick
+    (``frame:<world>:<tick>``), so a kept answer is reused only for the same
+    frame or for references to no frame (catalog images and text): it is the
+    answer the backend would give again. No failure is kept, so a failed
+    question is asked again the next time.
+    """
 
-def detect_or_empty(
-    perception: PerceptionBackend, frame: SceneFrame, vocabulary: list[str], k: int
-) -> list[Detection]:
-    """``detect``, with a failed call, or a reply holding a box outside the
-    frame, degrading to no detections."""
-    try:
-        found = perception.detect(frame, vocabulary, k)
-    except PerceptionError:
-        return []
-    frame_box = Region(0, 0, frame.width, frame.height)
-    return found if all(frame_box.contains(det.box) for det in found) else []
+    def __init__(self, backend: PerceptionBackend, dims: int) -> None:
+        self.backend = backend
+        self.dims = dims
+        self._scores: dict[tuple[str, str], float] = {}
+        self._vectors: dict[str, AffordanceVector] = {}
 
+    def similarities(self, a: str, refs: Iterable[str]) -> list[float]:
+        """Similarity of ``a`` to each reference, in order; a failed call
+        scores 0.0, so an unreachable backend degrades matching to zero."""
+        kept = self._scores
+        similarity = self.backend.similarity
+        scores = []
+        for ref in refs:
+            key = a, ref
+            score = kept.get(key)
+            if score is None:
+                try:
+                    score = kept[key] = similarity(a, ref).value
+                except PerceptionError:
+                    score = 0.0
+            scores.append(score)
+        return scores
 
-def tool_regions(
-    perception: PerceptionBackend, tool: Detection, frame: SceneFrame
-) -> tuple[Region, Region]:
-    """(operational, functional) regions, clipped into ``tool.box`` (the box
-    itself when they do not meet); a failed call gives the box's halves."""
-    try:
-        operational, functional = perception.segment_regions(tool, frame)
-    except PerceptionError:
-        return vertical_halves(tool.box)
-    return clipped_into(operational, tool.box), clipped_into(functional, tool.box)
+    def crop_scores(self, crops: Iterable[str], refs: list[str]) -> list[float]:
+        """Best similarity of each crop reference to ``refs``; 0.0 when nothing scores."""
+        return [max(self.similarities(crop, refs), default=0.0) for crop in crops]
 
+    def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
+        """``detect``; a failed call, or a reply holding a box outside the
+        frame, gives no detections."""
+        try:
+            found = self.backend.detect(frame, vocabulary, k)
+        except PerceptionError:
+            return []
+        frame_box = Region(0, 0, frame.width, frame.height)
+        return found if all(frame_box.contains(det.box) for det in found) else []
 
-def checked_affordance(
-    perception: PerceptionBackend, subject: str, dims: int
-) -> AffordanceVector:
-    """``score_affordance``; a vector without ``dims`` scores is a failed call."""
-    vector = perception.score_affordance(subject)
-    if len(vector) != dims:
-        raise PerceptionError(f"{len(vector)} affordance scores, expected {dims}")
-    return vector
+    def tool_regions(self, tool: Detection, frame: SceneFrame) -> tuple[Region, Region]:
+        """(operational, functional) regions, clipped into ``tool.box`` (the box
+        itself when they do not meet); a failed call gives the box's halves."""
+        try:
+            operational, functional = self.backend.segment_regions(tool, frame)
+        except PerceptionError:
+            return vertical_halves(tool.box)
+        return clipped_into(operational, tool.box), clipped_into(functional, tool.box)
 
+    def affordance(self, subject: str) -> AffordanceVector:
+        """``score_affordance``; a vector without ``dims`` scores is a failed call."""
+        vector = self._vectors.get(subject)
+        if vector is None:
+            vector = self.backend.score_affordance(subject)
+            if len(vector) != self.dims:
+                raise PerceptionError(f"{len(vector)} affordance scores, expected {self.dims}")
+            self._vectors[subject] = vector
+        return vector
 
-def checked_candidate(
-    perception: PerceptionBackend,
-    hypothesis: ToolHypothesis,
-    candidates: list[Detection],
-    frame: SceneFrame,
-) -> Detection:
-    """The candidate ``select_candidate`` picks from ``candidates``; an index
-    outside them is a failed call."""
-    index = perception.select_candidate(hypothesis, candidates, frame)
-    if not 0 <= index < len(candidates):
-        raise PerceptionError(f"candidate index {index} outside the {len(candidates)} candidates")
-    return candidates[index]
+    def candidate(
+        self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
+    ) -> Detection:
+        """The candidate ``select_candidate`` picks; an index outside
+        ``candidates`` is a failed call."""
+        index = self.backend.select_candidate(hypothesis, candidates, frame)
+        if not 0 <= index < len(candidates):
+            raise PerceptionError(
+                f"candidate index {index} outside the {len(candidates)} candidates"
+            )
+        return candidates[index]
+
+    def propose_tool(self, instruction: str, frame: SceneFrame) -> ToolHypothesis:
+        return self.backend.propose_tool(instruction, frame)
+
+    def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
+        return self.backend.infer_unseen_label(instruction, frame)

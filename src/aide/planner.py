@@ -50,18 +50,13 @@ from .exploration import (
 from .geometry import Region, vertical_halves
 from .perception import (
     Detection,
-    EpisodeMemo,
+    EpisodePerception,
     PerceptionBackend,
     PerceptionError,
     SceneFrame,
     ToolHypothesis,
-    checked_affordance,
-    checked_candidate,
     crop_reference,
     crop_references,
-    crop_scores,
-    detect_or_empty,
-    tool_regions,
 )
 from .simulator import ProjectedObject, World, apply, gt_projection, observe
 from .space import GroundingResult, InstructionRecord, RelationshipSpace
@@ -195,7 +190,7 @@ def explore(
     frame: SceneFrame,
     instruction: str,
     params: ConfigParams,
-    perception: PerceptionBackend,
+    perception: EpisodePerception,
 ) -> ExplorationOutcome:
     """Both streams' exploration after a match that did not ground: visible
     where ``choose_strategy`` routes ``t_new`` and ``detections`` hold squares,
@@ -224,7 +219,7 @@ def mm_cot(
     instruction: str,
     frame: SceneFrame,
     params: ConfigParams,
-    perception: PerceptionBackend,
+    perception: EpisodePerception,
     override_label: str | None = None,
     override_region: Region | None = None,
 ) -> GroundingResult:
@@ -263,26 +258,22 @@ def mm_cot(
 
     def grounded(box: Region) -> GroundingResult:
         synthetic = Detection(label=hypothesis.label, box=box, confidence=1.0, rank=1)
-        return plan(box, tool_regions(perception, synthetic, frame))
+        return plan(box, perception.tool_regions(synthetic, frame))
 
     if override_region is not None:
         return grounded(override_region)
 
-    detections = detect_or_empty(perception, frame, [hypothesis.label], params.detection_budget)
-
-    wider = detections[: 2 * params.N]
+    detections = perception.detect(frame, [hypothesis.label], params.detection_budget)
     if detections:
-        tool = checked_candidate(perception, hypothesis, detections[: params.N], frame)
+        tool = perception.candidate(hypothesis, detections[: params.N], frame)
         crop = crop_reference(frame, tool.box)
-        if crop_scores(perception, [crop], [image])[0] > params.strategy_threshold:
+        if perception.similarities(crop, [image])[0] > params.strategy_threshold:
             return grounded(tool.box)
-        # The selected candidate scored at or below the threshold, so it
-        # cannot lift t_new above it; only the others are scored.
-        wider = [det for det in wider if det is not tool]
 
     # Nothing plausibly matches: the wider top-2N score picks visible or
     # invisible exploration.
-    t_new = max(crop_scores(perception, crop_references(frame, wider), [image]), default=0.0)
+    crops = crop_references(frame, detections[: 2 * params.N])
+    t_new = max(perception.crop_scores(crops, [image]), default=0.0)
     explored = explore(t_new, detections, None, frame, instruction, params, perception)
     return plan(explored.region, vertical_halves(explored.region), explored.label)
 
@@ -293,21 +284,18 @@ def run_msi(
     state: PlannerState,
     space: RelationshipSpace,
     params: ConfigParams,
-    perception: PerceptionBackend,
-    instruction_vector: AffordanceVector | None = None,
+    perception: EpisodePerception,
 ) -> InstructionRecord:
     """One slow-stream pass: ground, score, and store into the space; returns
-    the stored record. ``instruction_vector`` is the instruction's score when
-    the tick already has it; without one, it is scored here."""
+    the stored record."""
     override_label = state.human_override
     override_region = state.human_region
     state.human_override = None
     state.human_region = None
     try:
         result = mm_cot(instruction, frame, params, perception, override_label, override_region)
-        if instruction_vector is None:
-            instruction_vector = checked_affordance(perception, instruction, params.X)
-        tool_vector = checked_affordance(perception, result.tool_image, params.X)
+        instruction_vector = perception.affordance(instruction)
+        tool_vector = perception.affordance(result.tool_image)
     except (PerceptionError, ExplorationImpossible) as exc:
         raise PlanningFailure(
             str(exc),
@@ -401,7 +389,7 @@ def step(
     frame: SceneFrame,
     space: RelationshipSpace,
     params: ConfigParams,
-    perception: PerceptionBackend,
+    perception: EpisodePerception,
 ) -> tuple[PlannerState, MotionCommand]:
     """One full planner tick over ``frame``; its record is ``state.tick``."""
     active = state.subgoal_stack[-1] if state.subgoal_stack else instruction
@@ -412,10 +400,9 @@ def step(
 
     # Retrieval, cached per active instruction after the first hit.
     pool = state.pools.get(active)
-    vector: AffordanceVector | None = None
     if pool is None:
         try:
-            vector = checked_affordance(perception, active, params.X)
+            vector = perception.affordance(active)
         except PerceptionError:
             pass
         else:
@@ -437,12 +424,12 @@ def step(
         state.msi_latch.add(active)
         tick.events.append("msi")
         try:
-            record = run_msi(active, frame, state, space, params, perception, vector)
+            record = run_msi(active, frame, state, space, params, perception)
         except PlanningFailure as exc:
             state.status = FAILED
             state.fail_reason = REASON_PLANNING_ERROR
             return state, RequestHuman(exc.prompt)
-        # Re-retrieve with the stored vector rather than scoring ``active`` again.
+        # Re-retrieve: the space now holds the stored record.
         _retrieve(state, active, record.instruction_affordance, space, params)
         outcome = result = record.results[0]
         if result.unseen_region_label is not None:
@@ -491,8 +478,9 @@ def provide_human_answer(state: PlannerState, answer: str | None) -> bool:
     """Feed a human recovery answer back into the planner.
 
     Returns True when the episode resumes. ``None`` keeps the failure, an
-    empty string aborts, a ``x0,y0,x1,y1`` answer seeds the tool region and
-    anything else seeds the tool label.
+    empty string aborts, and anything else seeds the tool label, except four
+    comma-separated integers: they seed the tool region ``x0,y0,x1,y1``, or
+    keep the failure when they make no region.
     """
     if answer is None:
         return False
@@ -501,15 +489,17 @@ def provide_human_answer(state: PlannerState, answer: str | None) -> bool:
         state.status = FAILED
         state.fail_reason = REASON_HUMAN_ABORT
         return False
-    parts = answer.split(",")
-    if len(parts) == 4:
-        try:
-            coords = [int(p) for p in parts]
-            state.human_region = Region(*coords)
-        except (ValueError, TypeError):
-            state.human_override = answer
-    else:
+    try:
+        coords = [int(part) for part in answer.split(",")]
+    except ValueError:
+        coords = []
+    if len(coords) != 4:
         state.human_override = answer
+    else:
+        try:
+            state.human_region = Region(*coords)
+        except ValueError:
+            return False
     state.status = RUNNING
     state.fail_reason = None
     # A human answer starts a fresh failure event for the slow stream.
@@ -567,12 +557,12 @@ def run_closed_loop(
     failure in place).
     ``interventions`` maps tick indices to world mutations, used for error
     injection. Exhausting ``max_steps`` fails the episode with a timeout.
-    The episode asks ``perception`` through one ``EpisodeMemo``, so no
+    The episode asks ``perception`` through one ``EpisodePerception``, so no
     similarity pair or affordance subject is answered twice.
     """
     trace = EpisodeTrace(world_id=world.world_id)
     state = PlannerState()
-    perception = EpisodeMemo(perception, params.X)
+    asked = EpisodePerception(perception, params.X)
     answered_prompts: set[str] = set()
     t_start = time.perf_counter()
 
@@ -581,7 +571,7 @@ def run_closed_loop(
             interventions[world.tick](world)
         frame, projections = observe(world)
         t0 = time.perf_counter()
-        state, command = step(state, world.instruction, frame, space, params, perception)
+        state, command = step(state, world.instruction, frame, space, params, asked)
         latency_ms = (time.perf_counter() - t0) * 1000.0
 
         if isinstance(command, RequestHuman) and answer_human is not None:

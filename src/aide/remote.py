@@ -9,11 +9,13 @@ map onto three paths:
   /reason      propose_tool, select_candidate, score_affordance,
                infer_unseen_label
 
-A reply that does not parse into the capability's values, places a detection
-box outside the frame, or ranks its detections out of order (ranks other than
-1..K, or a confidence that rises with rank) raises ``PerceptionError`` like a
-transport failure does. After three consecutive failures of either kind the
-circuit opens and every call raises ``CircuitOpenError`` until ``reset()``.
+A reply that does not parse into the capability's values, gives a box
+coordinate that is not an integer or a similarity that is not a number in
+[0, 1], places a detection box outside the frame, or ranks its detections out
+of order (ranks other than 1..K, or a confidence that rises with rank) raises
+``PerceptionError`` like a transport failure does. After three consecutive
+failures of either kind the circuit opens and every call raises
+``CircuitOpenError`` until ``reset()``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,22 @@ def _http_transport(timeout_ms: float, api_key: str | None) -> Transport:
             raise PerceptionError(f"remote call to {url} failed: {exc}") from exc
 
     return call
+
+
+def _box(coords: list) -> Region:
+    """A reply's box; each coordinate must be an integer (a bool is not one)."""
+    if not all(type(v) is int for v in coords):
+        raise ValueError(f"box {coords!r} holds a coordinate that is not an integer")
+    return Region(*coords)
+
+
+def _similarity(response: dict) -> SimilarityScore:
+    """A reply's score: a number in [0, 1] (not a bool, NaN or infinite),
+    clamped below 1."""
+    value = response["value"]
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"similarity {value!r} is not a number in [0, 1]")
+    return SimilarityScore(min(float(value), 1.0 - 1e-9))
 
 
 def _frame_payload(frame: SceneFrame) -> dict:
@@ -122,7 +140,7 @@ class RemotePerception(PerceptionBackend):
             found = [
                 Detection(
                     label=item["label"],
-                    box=Region(*item["box"]),
+                    box=_box(item["box"]),
                     confidence=float(item["confidence"]),
                     rank=int(item.get("rank", i + 1)),
                 )
@@ -140,11 +158,7 @@ class RemotePerception(PerceptionBackend):
         )
 
     def similarity(self, a: str, b: str) -> SimilarityScore:
-        return self._call(
-            "/similarity",
-            {"op": "similarity", "a": a, "b": b},
-            lambda r: SimilarityScore(min(float(r["value"]), 1.0 - 1e-9)),
-        )
+        return self._call("/similarity", {"op": "similarity", "a": a, "b": b}, _similarity)
 
     def propose_tool(self, instruction: str, frame: SceneFrame) -> ToolHypothesis:
         return self._call(
@@ -186,7 +200,7 @@ class RemotePerception(PerceptionBackend):
                 "label": tool.label,
                 "frame": _frame_payload(frame),
             },
-            lambda r: (Region(*r["operational"]), Region(*r["functional"])),
+            lambda r: (_box(r["operational"]), _box(r["functional"])),
         )
 
     def score_affordance(self, subject: str) -> AffordanceVector:

@@ -138,20 +138,6 @@ class World:
     def pixels_per_unit(self) -> float:
         return self.frame_size / self.view_range
 
-    def _project_rect(self, rect: WorldRect) -> tuple[float, float, float, float]:
-        """A world rect's float pixel bounds in the current frame; ``observe``
-        computes the same expressions inline."""
-        rx, ry, _ = self.robot
-        half = self.view_range / 2.0
-        ppu = self.pixels_per_unit
-        x0, y0, x1, y1 = rect
-        return (
-            (x0 - rx + half) * ppu,
-            (y0 - ry + half) * ppu,
-            (x1 - rx + half) * ppu,
-            (y1 - ry + half) * ppu,
-        )
-
     def robot_distance_to(self, point: tuple[float, float]) -> float:
         rx, ry, _ = self.robot
         return math.hypot(point[0] - rx, point[1] - ry)
@@ -186,9 +172,10 @@ def _part_region(
     x1: int,
     y1: int,
 ) -> Region | None:
-    """A part's pixels within its object's box ``x0, y0, x1, y1``, projected
-    as ``World._project_rect`` does; None when the part is missing or covers
-    no area there."""
+    """A part's pixels within its object's box ``x0, y0, x1, y1``; None when
+    the part is missing or covers no area there. Each coordinate ``x``
+    projects to ``(x - robot_x + view_range / 2) * pixels_per_unit``, each
+    ``y`` likewise."""
     if rect is None:
         return None
     px0, py0, px1, py1 = pixel_bounds(
@@ -210,8 +197,9 @@ def _part_region(
 def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
     """Render the current world into a frame plus the detection ground feed.
 
-    Each rect projects as ``World._project_rect`` does, from the robot pose,
-    half view range and scale read once per frame.
+    Each rect coordinate ``x`` projects to
+    ``(x - robot_x + view_range / 2) * pixels_per_unit`` (``y`` likewise),
+    from the robot pose, half view range and scale read once per frame.
     """
     rx, ry, _ = world.robot
     size = world.frame_size

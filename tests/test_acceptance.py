@@ -24,7 +24,7 @@ from aide.exploration import (
 from aide.geometry import Region
 from aide.harness import gen_corpus, run_error_analysis, run_eval
 from aide.mock import MockPerception
-from aide.perception import Detection, SceneFrame, SimilarityScore
+from aide.perception import Detection, EpisodePerception, SceneFrame, SimilarityScore
 from aide.planner import needs_msi, run_closed_loop, validity_check
 from aide.simulator import REAL_WORLD_SUITE, fresh_world, scripted_scenarios
 from aide.space import build_space, brute_force_assignments
@@ -203,7 +203,8 @@ def test_criterion_4_threshold_semantics(params):
         (min(params.m + 1e-9, 0.999999), True),
         (params.m - 1e-9, False),
     ):
-        outcome = match_tool(frame, pool, params, _BoundaryBackend(value))
+        backend = EpisodePerception(_BoundaryBackend(value), params.X)
+        outcome = match_tool(frame, pool, params, backend)
         assert isinstance(outcome, Grounded) == expect_grounded
 
     # Validity boundary: valid exactly when confidence + similarity >= 0.5.

@@ -13,7 +13,7 @@ from aide.exploration import invisible_explore
 from aide.geometry import Region
 from aide.harness import run_episode
 from aide.mock import MockPerception
-from aide.perception import PerceptionError
+from aide.perception import EpisodePerception, PerceptionError
 from aide.planner import run_closed_loop
 from aide.simulator import ABSENT, fresh_world, observe, scripted_scenarios
 
@@ -49,7 +49,7 @@ def test_detect_failure_is_treated_as_zero_detections(space, params):
     frame, _ = observe(world)
     vec = mock.score_affordance("I am thirsty")
     pool = retrieve_candidates(space, vec, params)
-    outcome = match_tool(frame, pool, params, flaky)
+    outcome = match_tool(frame, pool, params, EpisodePerception(flaky, params.X))
     assert isinstance(outcome, NeedsExploration)
     assert outcome.s_max == 0.0 and outcome.t_new == 0.0
     assert outcome.detections == ()
@@ -184,7 +184,7 @@ def test_invisible_explore_rejects_an_out_of_range_candidate_index(space, params
     # from select_candidate.
     world = fridge_world()
     frame, _ = observe(world)
-    backend = SelectsAt(world, params, pick, sigma=0.0)
+    backend = EpisodePerception(SelectsAt(world, params, pick, sigma=0.0), params.X)
     with pytest.raises(PerceptionError, match="candidate index"):
         invisible_explore(frame, world.instruction, None, params, backend)
 

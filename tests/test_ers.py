@@ -20,7 +20,7 @@ from aide.ers import (
 from aide.geometry import Region, iou
 from aide.harness import gen_corpus
 from aide.mock import MockPerception
-from aide.perception import Detection, SceneFrame, SimilarityScore
+from aide.perception import Detection, EpisodePerception, SceneFrame, SimilarityScore
 from aide.planner import validity_check
 from aide.simulator import observe
 from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space, save_space
@@ -233,7 +233,7 @@ def test_match_grounds_visible_tool(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, Grounded)
     assert outcome.s_max > params.m
     assert outcome.s_max >= 0.9
@@ -249,7 +249,7 @@ def test_match_empty_scene_needs_exploration(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
     assert outcome.s_max == 0.0 and outcome.t_new == 0.0
     assert outcome.detections == ()
@@ -263,7 +263,7 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
     assert outcome.s_max <= params.m
     assert outcome.t_new > params.strategy_threshold
@@ -278,7 +278,7 @@ def test_match_reads_pool_facts_without_walking_candidates(space, params, built_
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert built_records == []  # neither retrieval nor matching builds a record
     assert isinstance(outcome, Grounded)
     assert outcome.result.tool_label == "cup"
@@ -291,7 +291,7 @@ def test_match_and_validity_score_each_pair_once(space, params):
     mock = PairCountingMock(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
     assert len(outcome.detections) > params.N
     expected = len(outcome.detections[: 2 * params.N]) * len(pool.distinct_images())
@@ -318,7 +318,7 @@ def test_match_absent_tool_with_container_routes_invisible(space, params):
     frame, _ = observe(world)
     vec = mock.score_affordance(world.instruction)
     pool = retrieve_candidates(space, vec, params)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
     assert outcome.t_new <= params.strategy_threshold
 
@@ -330,7 +330,7 @@ def test_match_outcomes_threshold_consistent_under_noise(space, params):
         mock = MockPerception(world, params, seed=trial, sigma=0.5)
         frame, _ = observe(world)
         pool = drink_pool(space, params, mock)
-        outcome = match_tool(frame, pool, params, mock)
+        outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
         if isinstance(outcome, Grounded):
             assert outcome.s_max > params.m
         else:
@@ -348,7 +348,7 @@ def test_ground_regions_recovers_part_boxes(space, params):
     mock = noiseless(world, params)
     frame, projections = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, Grounded)
     proj = projections[0]
     assert iou(outcome.result.operational_region, proj.handle) >= 0.5
@@ -364,7 +364,9 @@ def test_ground_regions_fallback_without_parts(space, params):
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     det = mock.detect(frame, ["cup"], 1)[0]
-    operational, functional = ground_regions(frame, det, pool, params, mock)
+    operational, functional = ground_regions(
+        frame, det, pool, params, EpisodePerception(mock, params.X)
+    )
     box = det.box
     mid = box.y_min + box.height // 2
     assert operational == Region(box.x_min, mid, box.x_max, box.y_max)
@@ -396,10 +398,11 @@ def test_a_part_touching_the_tool_box_edge_clips_to_the_box(params):
         operational_region=Region(0, 5, 10, 10),
         functional_region=Region(0, 0, 10, 5),
     )
-    regions = ground_regions(frame, tool, CandidatePool([result]), params, EdgePart(Region(40, 20, 41, 50)))
-    assert regions == (tool.box, tool.box)
-    inside = Region(30, 20, 41, 50)
-    assert ground_regions(frame, tool, CandidatePool([result]), params, EdgePart(inside)) == (
+    pool = CandidatePool([result])
+    edge = EpisodePerception(EdgePart(Region(40, 20, 41, 50)), params.X)
+    assert ground_regions(frame, tool, pool, params, edge) == (tool.box, tool.box)
+    inside = EpisodePerception(EdgePart(Region(30, 20, 41, 50)), params.X)
+    assert ground_regions(frame, tool, pool, params, inside) == (
         Region(30, 20, 40, 50),
         Region(30, 20, 40, 50),
     )
@@ -412,7 +415,8 @@ def test_pipeline_happy_path_produces_triple(space, params):
     world = cup_world()
     mock = noiseless(world, params)
     frame, _ = observe(world)
-    outcome = match_tool(frame, drink_pool(space, params, mock), params, mock)
+    pool = drink_pool(space, params, mock)
+    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, Grounded)
     result = outcome.result
     assert result.tool_label == "cup"
@@ -436,7 +440,8 @@ def test_pipeline_deterministic_with_noiseless_mocks(space, params):
         world = cup_world()
         mock = noiseless(world, params)
         frame, _ = observe(world)
-        outcome = match_tool(frame, drink_pool(space, params, mock), params, mock)
+        pool = drink_pool(space, params, mock)
+        outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
         assert isinstance(outcome, Grounded)
         results.append(
             (outcome.s_max, outcome.result.tool_region, outcome.result.operational_region)

@@ -15,7 +15,7 @@ from aide.exploration import (
 )
 from aide.geometry import Region
 from aide.mock import MockPerception
-from aide.perception import Detection, PerceptionError, SceneFrame
+from aide.perception import Detection, EpisodePerception, PerceptionError, SceneFrame
 from aide.simulator import observe
 from aide.space import GroundingResult
 
@@ -198,7 +198,9 @@ def test_invisible_with_pool_hints_finds_container(space, params):
     pool = retrieve_candidates(space, vec, params)
     assert pool is not None
     assert ("fridge", "container:fridge") in pool.unseen_hints
-    region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
+    region, label = invisible_explore(
+        frame_, world.instruction, pool, params, EpisodePerception(mock, params.X)
+    )
     assert label == "fridge"
     fridge_box = next(p for p in projections if p.object_id == "f1").box
     assert region == fridge_box
@@ -208,7 +210,9 @@ def test_invisible_without_pool_uses_reasoner(space, params):
     world = fridge_world()
     mock = MockPerception(world, params, seed=0, sigma=0.0)
     frame_, projections = observe(world)
-    region, label = invisible_explore(frame_, world.instruction, None, params, mock)
+    region, label = invisible_explore(
+        frame_, world.instruction, None, params, EpisodePerception(mock, params.X)
+    )
     assert label == "fridge"
     assert region == next(p for p in projections if p.object_id == "f1").box
 
@@ -219,8 +223,9 @@ def test_invisible_empty_scene_impossible(space, params):
     )
     mock = MockPerception(world, params, seed=0, sigma=0.0)
     frame_, _ = observe(world)
+    asked = EpisodePerception(mock, params.X)
     with pytest.raises(ExplorationImpossible):
-        invisible_explore(frame_, "I want something cold to drink", None, params, mock)
+        invisible_explore(frame_, "I want something cold to drink", None, params, asked)
 
 
 def test_invisible_label_selection_prefers_table_match(space, params):
@@ -231,7 +236,9 @@ def test_invisible_label_selection_prefers_table_match(space, params):
     vec = mock.score_affordance(world.instruction)
     pool = retrieve_candidates(space, vec, params)
     pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
-    region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
+    region, label = invisible_explore(
+        frame_, world.instruction, pool, params, EpisodePerception(mock, params.X)
+    )
     assert label == "fridge"
 
 
@@ -259,7 +266,9 @@ def test_invisible_hint_ranking_survives_a_failed_similarity(space, params):
     vec = mock.score_affordance(world.instruction)
     pool = retrieve_candidates(space, vec, params)
     pool.unseen_hints = [("drawer", "container:drawer"), ("fridge", "container:fridge")]
-    region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
+    region, label = invisible_explore(
+        frame_, world.instruction, pool, params, EpisodePerception(mock, params.X)
+    )
     assert mock.failures == 1
     assert label == "fridge"
     assert region == next(p for p in projections if p.object_id == "f1").box
@@ -281,7 +290,9 @@ def test_invisible_single_hint_is_not_ranked(space, params):
     )
     pool = CandidatePool([result])
     assert pool.unseen_hints == [("fridge", "container:fridge")]
-    region, label = invisible_explore(frame_, world.instruction, pool, params, mock)
+    region, label = invisible_explore(
+        frame_, world.instruction, pool, params, EpisodePerception(mock, params.X)
+    )
     assert label == "fridge"
     assert region == next(p for p in projections if p.object_id == "f1").box
     assert (world.instruction, "fridge") not in mock.pairs

@@ -21,16 +21,11 @@ from aide.perception import (
     ToolHypothesis,
     UnknownReferenceError,
     Detection,
-    EpisodeMemo,
+    EpisodePerception,
     PerceptionError,
     check_detection_ordering,
-    checked_affordance,
     crop_reference,
     crop_references,
-    crop_scores,
-    detect_or_empty,
-    similarities,
-    tool_regions,
 )
 from aide.simulator import BLURRED, OCCLUDED, ProjectedObject, observe
 
@@ -221,7 +216,7 @@ def test_only_the_current_frame_resolves(params):
     assert mock.detect(current, ["cup"], 1)
     with pytest.raises(UnknownReferenceError, match=previous.image):
         mock.detect(previous, ["cup"], 1)
-    assert detect_or_empty(mock, previous, ["cup"], 1) == []
+    assert EpisodePerception(mock, params.X).detect(previous, ["cup"], 1) == []
 
 
 def test_a_crop_of_an_earlier_frame_no_longer_resolves(params):
@@ -233,8 +228,9 @@ def test_a_crop_of_an_earlier_frame_no_longer_resolves(params):
     observe(world)
     with pytest.raises(UnknownReferenceError, match=frame.image):
         mock.similarity(crop, "tool:drink:cup")
-    assert similarities(mock, crop, ["tool:drink:cup"]) == [0.0]
-    assert similarities(mock, "tool:drink:cup", [crop]) == [0.0]
+    asked = EpisodePerception(mock, params.X)
+    assert asked.similarities(crop, ["tool:drink:cup"]) == [0.0]
+    assert asked.similarities("tool:drink:cup", [crop]) == [0.0]
 
 
 def test_similarities_score_failed_references_zero(params):
@@ -243,8 +239,9 @@ def test_similarities_score_failed_references_zero(params):
     fine = "tool:strike:hammer"
     expected = mock.similarity("tool:drink:cup", fine).value
     assert 0.0 < expected
-    assert similarities(mock, "tool:drink:cup", [broken, fine, broken]) == [0.0, expected, 0.0]
-    assert similarities(mock, "tool:drink:cup", []) == []
+    asked = EpisodePerception(mock, params.X)
+    assert asked.similarities("tool:drink:cup", [broken, fine, broken]) == [0.0, expected, 0.0]
+    assert asked.similarities("tool:drink:cup", []) == []
 
 
 def test_crop_scores_take_each_crops_best_reference(params):
@@ -261,10 +258,11 @@ def test_crop_scores_take_each_crops_best_reference(params):
     ]
     crops = crop_references(frame, dets)
     assert crops == [crop_of(frame, det) for det in dets]
-    assert crop_scores(mock, crops, refs) == expected
-    assert crop_scores(mock, crops, ["frame:nope:0#crop:0,0,4,4"]) == [0.0] * len(dets)
-    assert crop_scores(mock, crops, []) == [0.0] * len(dets)
-    assert crop_scores(mock, [], refs) == []
+    asked = EpisodePerception(mock, params.X)
+    assert asked.crop_scores(crops, refs) == expected
+    assert asked.crop_scores(crops, ["frame:nope:0#crop:0,0,4,4"]) == [0.0] * len(dets)
+    assert asked.crop_scores(crops, []) == [0.0] * len(dets)
+    assert asked.crop_scores([], refs) == []
 
 
 def test_text_similarity_uses_scenario_tables(params):
@@ -536,33 +534,38 @@ class ScriptedSegments:
         return self.regions
 
 
-def test_tool_regions_clip_into_the_box_and_fall_back_to_halves():
+def test_tool_regions_clip_into_the_box_and_fall_back_to_halves(params):
     frame = SceneFrame(image="frame:test:0", width=100, height=100, timestamp=0.0)
     tool = Detection(label="cup", box=Region(10, 10, 20, 30), confidence=0.9, rank=1)
+
+    def regions(answer=None):
+        return EpisodePerception(ScriptedSegments(answer), params.X).tool_regions(tool, frame)
+
     inside = (Region(10, 20, 20, 30), Region(10, 10, 20, 20))
-    assert tool_regions(ScriptedSegments(inside), tool, frame) == inside
+    assert regions(inside) == inside
     past_edge, disjoint = Region(15, 0, 40, 25), Region(50, 50, 60, 60)
-    operational, functional = tool_regions(ScriptedSegments((past_edge, disjoint)), tool, frame)
+    operational, functional = regions((past_edge, disjoint))
     assert operational == Region(15, 10, 20, 25)
     assert functional == tool.box
-    assert tool_regions(ScriptedSegments(), tool, frame) == inside
+    assert regions() == inside
 
 
-def test_a_region_touching_the_tool_box_edge_clips_to_the_box():
+def test_a_region_touching_the_tool_box_edge_clips_to_the_box(params):
     # It meets the (10, 10, 40, 60) box only along x = 40, a zero-area
     # intersection, which ground_regions also replaces with the box.
     frame = SceneFrame(image="frame:test:0", width=100, height=100, timestamp=0.0)
     tool = Detection(label="cup", box=Region(10, 10, 40, 60), confidence=0.9, rank=1)
     touching, inside = Region(40, 10, 55, 60), Region(10, 10, 40, 30)
-    assert tool_regions(ScriptedSegments((touching, inside)), tool, frame) == (tool.box, inside)
+    asked = EpisodePerception(ScriptedSegments((touching, inside)), params.X)
+    assert asked.tool_regions(tool, frame) == (tool.box, inside)
 
 
-def test_checked_affordance_rejects_a_wrong_length_vector(params):
+def test_affordance_rejects_a_wrong_length_vector(params):
     mock = noiseless(make_world([]), params)
-    vector = checked_affordance(mock, "I am thirsty", params.X)
+    vector = EpisodePerception(mock, params.X).affordance("I am thirsty")
     assert vector == mock.score_affordance("I am thirsty")
     with pytest.raises(PerceptionError):
-        checked_affordance(mock, "I am thirsty", params.X + 1)
+        EpisodePerception(mock, params.X + 1).affordance("I am thirsty")
 
 
 class ScriptedAnswers(MockPerception):
@@ -589,32 +592,34 @@ class ScriptedAnswers(MockPerception):
         return self._next("affordance", super().score_affordance(subject))
 
 
-def test_episode_memo_asks_each_answered_question_once(params):
+def test_episode_perception_asks_each_answered_question_once(params):
     backend = ScriptedAnswers(make_world([]), params)
-    memo = EpisodeMemo(backend, params.X)
-    assert memo.similarity("cup", "tool:drink:cup") == memo.similarity("cup", "tool:drink:cup")
-    assert memo.score_affordance("I am thirsty") == memo.score_affordance("I am thirsty")
+    asked = EpisodePerception(backend, params.X)
+    assert asked.similarities("cup", ["tool:drink:cup"]) == asked.similarities(
+        "cup", ["tool:drink:cup"]
+    )
+    assert asked.affordance("I am thirsty") == asked.affordance("I am thirsty")
     assert backend.calls == 2
-    memo.similarity("tool:drink:cup", "cup")  # the pair is ordered
+    asked.similarities("tool:drink:cup", ["cup"])  # the pair is ordered
     assert backend.calls == 3
 
 
-def test_episode_memo_keeps_no_failure(params):
-    # A raised call scores 0.0 and a short vector fails ``checked_affordance``;
-    # each is asked again, answered, and the answer kept.
+def test_episode_perception_keeps_no_failure(params):
+    # A raised call scores 0.0 and a short vector is a failed call; each is
+    # asked again, answered, and the answer kept.
     backend = ScriptedAnswers(
         make_world([]), params, [PerceptionError("down")], [neutral_vector(params.X - 1)]
     )
-    memo = EpisodeMemo(backend, params.X)
-    assert similarities(memo, "cup", ["tool:drink:cup"]) == [0.0]
-    assert similarities(memo, "cup", ["tool:drink:cup"]) == [0.8]
+    asked = EpisodePerception(backend, params.X)
+    assert asked.similarities("cup", ["tool:drink:cup"]) == [0.0]
+    assert asked.similarities("cup", ["tool:drink:cup"]) == [0.8]
     with pytest.raises(PerceptionError):
-        checked_affordance(memo, "I am thirsty", params.X)
-    vector = checked_affordance(memo, "I am thirsty", params.X)
+        asked.affordance("I am thirsty")
+    vector = asked.affordance("I am thirsty")
     assert vector == backend.score_affordance("I am thirsty")
     assert backend.calls == 5
-    assert memo.similarity("cup", "tool:drink:cup").value == 0.8
-    assert memo.score_affordance("I am thirsty") == vector
+    assert asked.similarities("cup", ["tool:drink:cup"]) == [0.8]
+    assert asked.affordance("I am thirsty") == vector
     assert backend.calls == 5
 
 

@@ -11,7 +11,7 @@ from aide.ers import CandidatePool, Grounded, NeedsExploration, retrieve_candida
 from aide.exploration import ExplorationOutcome, Strategy
 from aide.geometry import Region
 from aide.mock import MockPerception
-from aide.perception import Detection, PerceptionError
+from aide.perception import Detection, EpisodePerception, PerceptionError
 from aide.planner import (
     COMPLETED,
     FAILED,
@@ -118,7 +118,7 @@ def test_mm_cot_happy_path(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
     frame, projections = observe(world)
-    result = mm_cot("I am thirsty", frame, params, mock)
+    result = mm_cot("I am thirsty", frame, params, EpisodePerception(mock, params.X))
     assert result.tool_label == "cup"
     assert result.tool_image == "tool:drink:cup"
     assert result.tool_region == projections[0].box
@@ -129,7 +129,7 @@ def test_mm_cot_single_object_scene(params):
     world = cup_world()
     mock = MockPerception(world, params, sigma=0.0)
     frame, projections = observe(world)
-    result = mm_cot("I am thirsty", frame, params, mock)
+    result = mm_cot("I am thirsty", frame, params, EpisodePerception(mock, params.X))
     assert result.tool_region == projections[0].box
 
 
@@ -145,7 +145,7 @@ def test_mm_cot_occluded_tool_embeds_exploration(params):
     )
     mock = MockPerception(world, params, sigma=0.0)
     frame, projections = observe(world)
-    result = mm_cot(world.instruction, frame, params, mock)
+    result = mm_cot(world.instruction, frame, params, EpisodePerception(mock, params.X))
     assert result.unseen_region_label == "fridge"
     assert result.unseen_region_image == "container:fridge"
     fridge_box = next(p for p in projections if p.object_id == "f1").box
@@ -168,7 +168,7 @@ def test_mm_cot_rejected_candidate_scored_once(params):
     )
     mock = PairCountingMock(world, params)
     frame, _ = observe(world)
-    result = mm_cot(world.instruction, frame, params, mock)
+    result = mm_cot(world.instruction, frame, params, EpisodePerception(mock, params.X))
     assert result.unseen_region_label == "fridge"
     assert len(mock.pairs) > 1
     assert len(set(mock.pairs)) == len(mock.pairs)
@@ -180,7 +180,7 @@ def test_mm_cot_override_region(params):
     frame, _ = observe(world)
     override = Region(10, 10, 50, 50)
     result = mm_cot(
-        "I am thirsty", frame, params, mock, override_label="cup",
+        "I am thirsty", frame, params, EpisodePerception(mock, params.X), override_label="cup",
         override_region=override,
     )
     assert result.tool_region == override
@@ -195,7 +195,9 @@ def test_run_msi_inserts_retrievable_record(space, params):
     frame, _ = observe(world)
     clone = space.clone()
     state = PlannerState()
-    record = run_msi("brand new request", frame, state, clone, params, mock)
+    record = run_msi(
+        "brand new request", frame, state, clone, params, EpisodePerception(mock, params.X)
+    )
     assert record.results[0].tool_label == "cup"
     assert clone.record_count == space.record_count + 1
     vec = mock.score_affordance("brand new request")
@@ -209,7 +211,10 @@ def test_run_msi_reasoner_miss_fails(space, params):
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world)
     with pytest.raises(PlanningFailure):
-        run_msi("unmapped", frame, PlannerState(), space.clone(), params, mock)
+        run_msi(
+            "unmapped", frame, PlannerState(), space.clone(), params,
+            EpisodePerception(mock, params.X),
+        )
 
 
 def occluded_coke_world():
@@ -229,7 +234,8 @@ def test_run_msi_occluded_attaches_hint(space, params):
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world)
     clone = space.clone()
-    record = run_msi(world.instruction, frame, PlannerState(), clone, params, mock)
+    asked = EpisodePerception(mock, params.X)
+    record = run_msi(world.instruction, frame, PlannerState(), clone, params, asked)
     assert record.results[0].unseen_region_label == "fridge"
     inserted = [r for _, r in clone.iter_records() if r.id.startswith("msi-")]
     assert inserted == [record]
@@ -259,7 +265,8 @@ def test_msi_tick_scores_the_instruction_once(space, params):
     assert isinstance(pool, CandidatePool)
     state = PlannerState(pools={world.instruction: pool})
     mock.subjects.clear()
-    state, _ = step(state, world.instruction, frame, clone, params, mock)
+    asked = EpisodePerception(mock, params.X)
+    state, _ = step(state, world.instruction, frame, clone, params, asked)
     assert state.tick.stream == "msi"
     assert state.status == RUNNING
     assert mock.subjects.count(world.instruction) == 1
@@ -267,7 +274,7 @@ def test_msi_tick_scores_the_instruction_once(space, params):
 
 def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
     # Retrieval's score finds the task novel (no corpus record has the class
-    # "misc"); the slow stream stores that vector instead of scoring again.
+    # "misc"); the slow stream's own score of it is answered without a call.
     instruction = "wind the gizmo"
     world = make_world(
         [obj("g1", "gizmo", "misc", 20.0, 28.0)],
@@ -278,7 +285,8 @@ def test_novel_task_msi_tick_scores_the_instruction_once(space, params):
     mock = AffordanceCountingMock(world, params)
     frame, _ = observe(world)
     clone = space.clone()
-    state, _ = step(PlannerState(), instruction, frame, clone, params, mock)
+    asked = EpisodePerception(mock, params.X)
+    state, _ = step(PlannerState(), instruction, frame, clone, params, asked)
     assert state.tick.stream == "msi"
     assert state.status == RUNNING
     assert mock.subjects.count(instruction) == 1
@@ -301,10 +309,11 @@ def test_a_task_the_slow_stream_stored_has_a_pool_from_then_on(space, params):
     mock = MockPerception(world, exact, sigma=0.0)
     frame, _ = observe(world)
     clone = space.clone()
-    state, _ = step(PlannerState(), instruction, frame, clone, exact, mock)
+    asked = EpisodePerception(mock, exact.X)
+    state, _ = step(PlannerState(), instruction, frame, clone, exact, asked)
     assert state.tick.stream == "msi"
     assert instruction in state.msi_latch and instruction in state.pools
-    state, command = step(state, instruction, frame, clone, exact, mock)
+    state, command = step(state, instruction, frame, clone, exact, asked)
     assert state.tick.stream != "msi"
     assert state.status == RUNNING and not isinstance(command, RequestHuman)
 
@@ -399,7 +408,8 @@ def test_step_on_completed_state_is_noop(space, params):
     mock = MockPerception(world, params, sigma=0.0)
     frame, _ = observe(world)
     state = PlannerState(status=COMPLETED)
-    state2, command = step(state, "I am thirsty", frame, space.clone(), params, mock)
+    asked = EpisodePerception(mock, params.X)
+    state2, command = step(state, "I am thirsty", frame, space.clone(), params, asked)
     assert isinstance(command, NoOp)
     assert state2.status == COMPLETED
 
@@ -498,7 +508,8 @@ def coke_tick(state, mock, space, params):
     state.pools.setdefault(world.instruction, CandidatePool([coke_result()]))
     state.msi_latch.add(world.instruction)
     frame, _ = observe(world)
-    return step(state, world.instruction, frame, space.clone(), params, mock)
+    asked = EpisodePerception(mock, params.X)
+    return step(state, world.instruction, frame, space.clone(), params, asked)
 
 
 def coke_result():
@@ -582,6 +593,14 @@ def test_provide_human_answer_parses_region():
     state = PlannerState(status=FAILED, fail_reason="planning-error")
     assert not provide_human_answer(state, None)
     assert state.status == FAILED
+
+    # Four integers that make no region (inverted, negative) keep the failure
+    # and seed neither a region nor a label.
+    for answer in ("30,40,1,2", "-1,2,30,40"):
+        state = PlannerState(status=FAILED, fail_reason="planning-error")
+        assert not provide_human_answer(state, answer)
+        assert (state.status, state.fail_reason) == (FAILED, "planning-error")
+        assert state.human_region is None and state.human_override is None
 
 
 # --- one question, one call per episode ---------------------------------------

@@ -132,6 +132,12 @@ def test_success_resets_failure_streak():
 MALFORMED = [
     ("detect", "/detect", {"detections": [{"label": "cup", "box": [1, 2]}]},
      lambda r: r.detect(frame(), ["cup"], 5)),
+    ("detect-fractional-box", "/detect",
+     {"detections": [{"label": "cup", "box": [10.5, 0, 30, 40], "confidence": 0.9}]},
+     lambda r: r.detect(frame(), ["cup"], 5)),
+    ("detect-bool-box", "/detect",
+     {"detections": [{"label": "cup", "box": [True, 0, 30, 40], "confidence": 0.9}]},
+     lambda r: r.detect(frame(), ["cup"], 5)),
     ("detect-outside-frame", "/detect",
      {"detections": [{"label": "cup", "box": [90, 90, 101, 100], "confidence": 0.9}]},
      lambda r: r.detect(frame(), ["cup"], 5)),
@@ -144,10 +150,20 @@ MALFORMED = [
                      {"label": "cup", "box": [5, 6, 7, 8], "confidence": 0.9}]},
      lambda r: r.detect(frame(), ["cup"], 5)),
     ("similarity", "/similarity", {"value": "high"}, lambda r: r.similarity("a", "b")),
+    ("similarity-above-one", "/similarity", {"value": 7.5}, lambda r: r.similarity("a", "b")),
+    ("similarity-infinite", "/similarity", {"value": float("inf")},
+     lambda r: r.similarity("a", "b")),
+    ("similarity-nan", "/similarity", {"value": float("nan")}, lambda r: r.similarity("a", "b")),
+    ("similarity-bool", "/similarity", {"value": True}, lambda r: r.similarity("a", "b")),
     ("propose_tool", "/reason", {"attributes": []}, lambda r: r.propose_tool("x", frame())),
     ("select_candidate", "/reason", {"index": None},
      lambda r: r.select_candidate(ToolHypothesis("cup"), [], frame())),
     ("segment_regions", "/detect", {"operational": [5, 5, 0, 0], "functional": [0, 0, 1, 1]},
+     lambda r: r.segment_regions(
+         Detection(label="cup", box=Region(0, 0, 10, 10), confidence=0.9, rank=1), frame()
+     )),
+    ("segment_regions-fractional", "/detect",
+     {"operational": [0, 5, 10, 10], "functional": [0, 0, 10, 4.5]},
      lambda r: r.segment_regions(
          Detection(label="cup", box=Region(0, 0, 10, 10), confidence=0.9, rank=1), frame()
      )),

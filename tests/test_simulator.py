@@ -68,6 +68,20 @@ def test_observe_skips_absent_and_out_of_window():
     assert [p.object_id for p in projections] == ["here"]
 
 
+def project_rect(world, rect):
+    """A world rect's float pixel bounds in the current frame."""
+    rx, ry, _ = world.robot
+    half = world.view_range / 2.0
+    ppu = world.pixels_per_unit
+    x0, y0, x1, y1 = rect
+    return (
+        (x0 - rx + half) * ppu,
+        (y0 - ry + half) * ppu,
+        (x1 - rx + half) * ppu,
+        (y1 - ry + half) * ppu,
+    )
+
+
 def projected_boxes(world):
     """(id, box, handle, body) of each object ``observe`` renders, as first
     written: a Region for every rounded, clipped and intersected box."""
@@ -76,7 +90,7 @@ def projected_boxes(world):
     for o in world.objects.values():
         if world.effective_visibility(o, world.robot_distance_to(o.center)) is None:
             continue
-        raw = world._project_rect(o.box)
+        raw = project_rect(world, o.box)
         if raw[2] <= 0 or raw[0] >= size or raw[3] <= 0 or raw[1] >= size:
             continue
         box = region_clip(region_from_floats(*raw), size, size)
@@ -86,7 +100,7 @@ def projected_boxes(world):
         def part(rect):
             if rect is None:
                 return None
-            clipped = region_clip(region_from_floats(*world._project_rect(rect)), size, size)
+            clipped = region_clip(region_from_floats(*project_rect(world, rect)), size, size)
             inter = region_intersection(clipped, box)
             return inter if inter is not None and inter.area > 0 else None
 
