@@ -5,7 +5,9 @@ relationship space (DFS within radius ``c``, subcluster expansion within
 ``d``), then try to ground the tool in the scene: detect with the pool's
 vocabulary, compare candidate crops against the pool's tool images, and either
 emit a complete grounding result (highest similarity strictly above ``m``) or
-hand the routing scores to the exploration policy.
+hand the routing scores to the exploration policy. A match told that the slow
+stream takes an invalid tick stops at its top-N stage when the validity rule
+fails there.
 """
 
 from __future__ import annotations
@@ -80,7 +82,32 @@ class NeedsExploration:
     similarities: tuple[float, ...] = ()
 
 
-MatchOutcome = Grounded | NeedsExploration
+@dataclass(frozen=True)
+class HandedOver:
+    """A match stopped after its top-N stage: the view failed the validity
+    rule, so the slow stream takes the tick. It holds only that stage's
+    scores, with no tool regions and no ``t_new``."""
+
+    s_max: float
+    detections: tuple[Detection, ...]
+    similarities: tuple[float, ...]
+
+
+MatchOutcome = Grounded | NeedsExploration | HandedOver
+
+
+def validity_check(match: MatchOutcome, params: ConfigParams) -> tuple[bool, float]:
+    """Best detection confidence plus its best pool-image similarity.
+
+    Both are read off the match, whose top-N stage scored the top-ranked crop
+    already. A score strictly below the validity threshold means no valid
+    tool-related object is in view; exactly at the threshold still counts as
+    valid.
+    """
+    if not match.detections:
+        return False, 0.0
+    score = match.detections[0].confidence + match.similarities[0]
+    return score >= params.validity_threshold, score
 
 
 def retrieve_candidates(
@@ -101,6 +128,7 @@ def match_tool(
     pool: CandidatePool,
     params: ConfigParams,
     perception: EpisodePerception,
+    hand_over: bool = False,
 ) -> MatchOutcome:
     """Detect pool-vocabulary candidates and similarity-match their crops.
 
@@ -108,12 +136,21 @@ def match_tool(
     detections and ``t_new`` over the top-2N, which are scored only when the
     top-N do not ground the tool; the full ranked list (up to N') rides along
     for the exploration policy.
+
+    With ``hand_over`` set, the slow stream takes the tick when the view is
+    invalid, so the match stops after the top-N stage if ``validity_check``
+    fails there: it returns ``HandedOver`` and asks neither the tool's part
+    detection nor the N+1..2N band.
     """
     detections = tuple(perception.detect(frame, pool.tool_labels(), params.detection_budget))
     images = pool.distinct_images()
     crops = crop_references(frame, detections[: params.N])
     similarities = perception.crop_scores(crops, images)
     s_max = max(similarities, default=0.0)
+    if hand_over:
+        top = HandedOver(s_max, detections, tuple(similarities))
+        if not validity_check(top, params)[0]:
+            return top
     if s_max > params.m:
         index = similarities.index(s_max)
         best = detections[index]

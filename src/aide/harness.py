@@ -226,9 +226,7 @@ def hint_answerer(world: World) -> Callable[[str], str | None]:
 
     def answer(prompt: str) -> str | None:
         del prompt
-        for _, label in world.hint_table.items():
-            return label
-        return None
+        return next(iter(world.hint_table.values()), None)
 
     return answer
 

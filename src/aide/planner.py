@@ -5,7 +5,10 @@ grounding, validity checking, exploration routing and a motion decision. The
 slow stream (msi) is invoked once per failure event, when retrieval reports a
 novel task or the scene holds no valid tool-related object; it runs the
 multi-step reasoning pipeline, stores the result in the relationship space and
-hands control back to the fast stream.
+hands control back to the fast stream. On a tick the slow stream takes for an
+invalid view, the fast stream stops at its validity check, right after
+matching the top-N detections: it grounds no tool regions and scores no
+N+1..2N band, since the slow stream reads neither.
 
 Motion strategy: approach the grounded tool or visible-exploration region when
 distant; when an invisible-exploration target is reached, push an
@@ -38,6 +41,7 @@ from .ers import (
     MatchOutcome,
     match_tool,
     retrieve_candidates,
+    validity_check,
 )
 from .exploration import (
     ExplorationImpossible,
@@ -162,19 +166,6 @@ class PlannerState:
 
 
 # --- single checks -----------------------------------------------------------
-
-
-def validity_check(match: MatchOutcome, params: ConfigParams) -> tuple[bool, float]:
-    """Best detection confidence plus its best pool-image similarity.
-
-    Both are read off the match, which scored the top-ranked crop already. A
-    score strictly below the validity threshold means no valid tool-related
-    object is in view; exactly at the threshold still counts as valid.
-    """
-    if not match.detections:
-        return False, 0.0
-    score = match.detections[0].confidence + match.similarities[0]
-    return score >= params.validity_threshold, score
 
 
 def needs_msi(pool: CandidatePool | None, validity: bool) -> bool:
@@ -411,7 +402,9 @@ def step(
     match: MatchOutcome | None = None
     valid = False
     if pool is not None:
-        match = match_tool(frame, pool, params, perception)
+        # Unlatched, an invalid view goes to the slow stream, so the match may
+        # stop at its validity check.
+        match = match_tool(frame, pool, params, perception, active not in state.msi_latch)
         tick.s_max = match.s_max
         valid, tick.validity = validity_check(match, params)
         if valid:
@@ -443,7 +436,8 @@ def step(
     else:
         # A task without a pool always takes the slow stream: it is latched
         # only by a slow-stream pass, whose re-retrieval of the record it
-        # stored (distance 0) cached a pool for it.
+        # stored (distance 0) cached a pool for it. A match hands over only
+        # when the slow stream takes the tick, so this one needs exploration.
         tick.t_new = match.t_new
         try:
             outcome = explore(

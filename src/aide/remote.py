@@ -9,11 +9,14 @@ map onto three paths:
   /reason      propose_tool, select_candidate, score_affordance,
                infer_unseen_label
 
-A reply that does not parse into the capability's values, gives a box
-coordinate that is not an integer or a similarity that is not a number in
-[0, 1], places a detection box outside the frame, or ranks its detections out
-of order (ranks other than 1..K, or a confidence that rises with rank) raises
-``PerceptionError`` like a transport failure does. After three consecutive
+A reply value is read at its JSON type and never coerced: a number is an
+int or a float (not a bool), a box coordinate, rank or index is an int, a
+label is a non-empty string, and detections, boxes, scores and attributes are
+arrays. A reply that does not parse into the capability's values that way,
+gives a similarity outside [0, 1], places a detection box outside the frame,
+or ranks its detections out of order (ranks other than 1..K, or a confidence
+that rises with rank) raises ``PerceptionError`` like a transport failure
+does. After three consecutive
 failures of either kind the circuit opens and every call raises
 ``CircuitOpenError`` until ``reset()``.
 """
@@ -67,20 +70,54 @@ def _http_transport(timeout_ms: float, api_key: str | None) -> Transport:
     return call
 
 
-def _box(coords: list) -> Region:
-    """A reply's box; each coordinate must be an integer (a bool is not one)."""
-    if not all(type(v) is int for v in coords):
-        raise ValueError(f"box {coords!r} holds a coordinate that is not an integer")
-    return Region(*coords)
+def _integer(value: object) -> int:
+    """A reply's coordinate, rank or index: an int (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value: object) -> float:
+    """A reply's number: an int or a float (a bool is not one)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _label(value: object) -> str:
+    """A reply's label: a non-empty string."""
+    if type(value) is not str or not value:
+        raise ValueError(f"label {value!r} is not a non-empty string")
+    return value
+
+
+def _list(value: object) -> list:
+    """A reply's array."""
+    if type(value) is not list:
+        raise ValueError(f"{value!r} is not a list")
+    return value
+
+
+def _attributes(value: object) -> tuple[str, ...]:
+    """A reply's hypothesis attributes: a list of strings."""
+    items = _list(value)
+    if not all(type(v) is str for v in items):
+        raise ValueError(f"attributes {items!r} hold a value that is not a string")
+    return tuple(items)
+
+
+def _box(coords: object) -> Region:
+    """A reply's box: a list of integer coordinates."""
+    return Region(*map(_integer, _list(coords)))
 
 
 def _similarity(response: dict) -> SimilarityScore:
-    """A reply's score: a number in [0, 1] (not a bool, NaN or infinite),
-    clamped below 1."""
-    value = response["value"]
-    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"similarity {value!r} is not a number in [0, 1]")
-    return SimilarityScore(min(float(value), 1.0 - 1e-9))
+    """A reply's score: a number in [0, 1] (not NaN or infinite), clamped
+    below 1."""
+    value = _number(response["value"])
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"similarity {value!r} is not in [0, 1]")
+    return SimilarityScore(min(value, 1.0 - 1e-9))
 
 
 def _frame_payload(frame: SceneFrame) -> dict:
@@ -139,12 +176,12 @@ class RemotePerception(PerceptionBackend):
         def parse(response: dict) -> list[Detection]:
             found = [
                 Detection(
-                    label=item["label"],
+                    label=_label(item["label"]),
                     box=_box(item["box"]),
-                    confidence=float(item["confidence"]),
-                    rank=int(item.get("rank", i + 1)),
+                    confidence=_number(item["confidence"]),
+                    rank=_integer(item.get("rank", i + 1)),
                 )
-                for i, item in enumerate(response.get("detections", [])[:k])
+                for i, item in enumerate(_list(response.get("detections", []))[:k])
             ]
             if not all(frame_box.contains(det.box) for det in found):
                 raise ValueError("detection box outside the frame")
@@ -164,14 +201,17 @@ class RemotePerception(PerceptionBackend):
         return self._call(
             "/reason",
             {"op": "propose_tool", "instruction": instruction, "frame": _frame_payload(frame)},
-            lambda r: ToolHypothesis(label=r["label"], attributes=tuple(r.get("attributes", ()))),
+            lambda r: ToolHypothesis(
+                label=_label(r["label"]),
+                attributes=_attributes(r.get("attributes", [])),
+            ),
         )
 
     def select_candidate(
         self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
     ) -> int:
         def parse(response: dict) -> int:
-            index = int(response["index"])
+            index = _integer(response["index"])
             if not (0 <= index < len(candidates)):
                 raise ValueError(f"candidate index {index} out of range")
             return index
@@ -207,12 +247,12 @@ class RemotePerception(PerceptionBackend):
         return self._call(
             "/reason",
             {"op": "score_affordance", "subject": subject},
-            lambda r: AffordanceVector(tuple(float(v) for v in r["scores"])),
+            lambda r: AffordanceVector(tuple(map(_number, _list(r["scores"])))),
         )
 
     def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
         return self._call(
             "/reason",
             {"op": "infer_unseen_label", "instruction": instruction, "frame": _frame_payload(frame)},
-            lambda r: str(r["label"]),
+            lambda r: _label(r["label"]),
         )

@@ -143,8 +143,6 @@ class World:
         return math.hypot(point[0] - rx, point[1] - ry)
 
     def container_open(self, container_id: str | None) -> bool:
-        if container_id is None:
-            return False
         container = self.objects.get(container_id)
         return bool(container and container.opened)
 

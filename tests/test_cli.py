@@ -54,7 +54,8 @@ def test_eval_requires_space(tmp_path):
     assert main(["eval", "--report", str(tmp_path / "r.tsv")]) == 2
 
 
-def test_ablate_retrieval_command(artifacts, capsys):
+def test_ablate_retrieval_command(artifacts, capsys, tmp_path):
+    report = tmp_path / "ablation.tsv"
     code = main(
         [
             "ablate-retrieval",
@@ -66,22 +67,37 @@ def test_ablate_retrieval_command(artifacts, capsys):
             "affordance",
             "--seed",
             "3",
+            "--report",
+            str(report),
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "method\tthreshold\tmean_time_s\taccuracy_pct" in out
     assert "\tES\t" in out
+    assert report.read_text(encoding="utf-8") == out
 
 
-def test_error_analysis_command(artifacts, capsys):
+def test_error_analysis_command(artifacts, capsys, tmp_path):
+    report = tmp_path / "errors.tsv"
     code = main(
-        ["error-analysis", "--space", str(artifacts["space"]), "--noise", "0", "--seed", "0"]
+        [
+            "error-analysis",
+            "--space",
+            str(artifacts["space"]),
+            "--noise",
+            "0",
+            "--seed",
+            "0",
+            "--report",
+            str(report),
+        ]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "EDR\t100.0" in out
     assert "ERR\t100.0" in out
+    assert report.read_text(encoding="utf-8") == out
 
 
 def test_run_episode_batch(artifacts, capsys, tmp_path):

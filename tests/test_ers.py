@@ -12,6 +12,7 @@ from aide.config import ConfigParams
 from aide.ers import (
     CandidatePool,
     Grounded,
+    HandedOver,
     NeedsExploration,
     ground_regions,
     match_tool,
@@ -22,7 +23,7 @@ from aide.harness import gen_corpus
 from aide.mock import MockPerception
 from aide.perception import Detection, EpisodePerception, SceneFrame, SimilarityScore
 from aide.planner import validity_check
-from aide.simulator import observe
+from aide.simulator import fresh_world, observe
 from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space, save_space
 
 
@@ -338,6 +339,30 @@ def test_match_outcomes_threshold_consistent_under_noise(space, params):
             assert outcome.t_new >= outcome.s_max
             assert 0.0 <= outcome.s_max < 1.0
             assert 0.0 <= outcome.t_new < 1.0
+
+
+def test_a_match_that_may_hand_over_stops_only_on_an_invalid_view(space, params, worlds):
+    # Told that the slow stream takes an invalid tick, the match keeps its
+    # full outcome on a valid view and only the top-N stage on an invalid one.
+    seen = set()
+    for world_id in sorted(worlds):
+        world = fresh_world(worlds[world_id])
+        mock = MockPerception(world, params, seed=0, sigma=0.5)
+        frame, _ = observe(world)
+        pool = retrieve_candidates(space, mock.score_affordance(world.instruction), params)
+        if pool is None:
+            continue
+        full = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+        top = match_tool(frame, pool, params, EpisodePerception(mock, params.X), hand_over=True)
+        valid, score = validity_check(full, params)
+        seen.add((type(full), valid))
+        if valid:
+            assert top == full
+            continue
+        assert isinstance(top, HandedOver) and validity_check(top, params) == (valid, score)
+        assert (top.s_max, top.detections) == (full.s_max, full.detections)
+        assert top.similarities == full.similarities[: params.N]
+    assert seen == {(Grounded, True), (Grounded, False), (NeedsExploration, False)}
 
 
 # --- ground_regions -------------------------------------------------------------

@@ -291,6 +291,12 @@ def test_hint_answerer_reads_world_hints(worlds):
     assert answer("whatever prompt") == "cup"
 
 
+def test_hint_answerer_keeps_the_failure_on_a_world_without_hints(worlds):
+    world = worlds["clear_cup"]
+    world.hint_table.clear()
+    assert hint_answerer(world)("whatever prompt") is None
+
+
 # --- report documents -------------------------------------------------------------
 
 

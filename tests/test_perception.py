@@ -53,6 +53,13 @@ def test_detect_empty_scene(params):
     assert mock.detect(frame, ["cup"], 5) == []
 
 
+def test_detect_empty_vocabulary(params):
+    world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
+    mock = noiseless(world, params)
+    frame, _ = observe(world)
+    assert mock.detect(frame, [], 5) == []
+
+
 def test_detect_single_visible_match_high_confidence(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 31.6)])
     mock = noiseless(world, params)
@@ -205,6 +212,19 @@ def test_similarity_unresolvable_reference(params):
     mock = noiseless(world, params)
     with pytest.raises(UnknownReferenceError):
         mock.similarity("frame:nope:0#crop:0,0,4,4", "tool:drink:cup")
+
+
+def test_a_whole_frame_shows_no_tool_and_resolves_only_while_current(params):
+    world = make_world([obj("c1", "cup", "drink", 20.0, 29.0)])
+    mock = noiseless(world, params)
+    frame, _ = observe(world)
+    crop = crop_of(frame, mock.detect(frame, ["cup"], 1)[0])
+    whole = mock.similarity(frame.image, "tool:drink:cup").value
+    assert whole == mock.similarity(frame.image, "tool:strike:hammer").value
+    assert 0.0 <= whole < mock.similarity(crop, "tool:drink:cup").value
+    observe(world)
+    with pytest.raises(UnknownReferenceError, match=frame.image):
+        mock.similarity(frame.image, "tool:drink:cup")
 
 
 def test_only_the_current_frame_resolves(params):

@@ -9,9 +9,19 @@ from aide.affordance import label_class
 from aide.config import ConfigParams
 from aide.ers import CandidatePool, Grounded, NeedsExploration, retrieve_candidates
 from aide.exploration import ExplorationOutcome, Strategy
-from aide.geometry import Region
+from aide.geometry import Region, vertical_halves
 from aide.mock import MockPerception
-from aide.perception import Detection, EpisodePerception, PerceptionError
+from aide.perception import (
+    PART_VOCABULARY,
+    Detection,
+    EpisodePerception,
+    PerceptionBackend,
+    PerceptionError,
+    ReasonerError,
+    SceneFrame,
+    SimilarityScore,
+    crop_reference,
+)
 from aide.planner import (
     COMPLETED,
     FAILED,
@@ -687,3 +697,83 @@ def test_the_slow_stream_stores_an_id_the_corpus_does_not_hold(corpus, params, w
     inserted = [r.id for _, r in clone.iter_records() if r.id not in set(taken)]
     assert inserted and len(set(inserted)) == len(inserted)
     assert clone.record_count == len(corpus) + len(inserted)
+
+
+# --- the hand-over tick ----------------------------------------------------------
+
+
+class ScriptedScene(PerceptionBackend):
+    """A fixed ranked scene: ``detect`` answers the part vocabulary with
+    nothing and any other vocabulary with ``2N`` faint cups, so rank 1 fails
+    validity. The crop of rank r scores ``scores.get(r, 0.1)`` against every
+    image. The reasoner has no answer, so a slow-stream pass fails at once.
+    ``vocabularies`` and ``ranks`` record what was detected and scored."""
+
+    def __init__(self, frame, params, scores):
+        self.detections = [
+            Detection(label="cup", box=Region(20 * r, 10, 20 * r + 12, 30), confidence=0.2, rank=r)
+            for r in range(1, 2 * params.N + 1)
+        ]
+        self.rank_of = {crop_reference(frame, d.box): d.rank for d in self.detections}
+        self.scores = scores
+        self.vocabularies = []
+        self.ranks = set()
+
+    def detect(self, frame, vocabulary, k):
+        self.vocabularies.append(list(vocabulary))
+        return [] if vocabulary == list(PART_VOCABULARY) else self.detections[:k]
+
+    def similarity(self, a, b):
+        rank = self.rank_of[a]
+        self.ranks.add(rank)
+        return SimilarityScore(self.scores.get(rank, 0.1))
+
+    def segment_regions(self, tool, frame):
+        return vertical_halves(tool.box)
+
+    def propose_tool(self, instruction, frame):
+        raise ReasonerError("no hypothesis")
+
+    select_candidate = score_affordance = infer_unseen_label = propose_tool
+
+
+# Rank 2 grounds the tool (above m); or the best of ranks 1..N stays at 0.1 and
+# rank N + 2 routes visible exploration (above the strategy threshold, not m).
+HAND_OVER_SCENES = {"grounds": {2: 0.95}, "band": {ConfigParams().N + 2: 0.8}}
+
+
+def hand_over_tick(space, params, scores, latched):
+    frame = SceneFrame(image="frame:scripted:0", width=260, height=60, timestamp=0.0)
+    scene = ScriptedScene(frame, params, scores)
+    state = PlannerState(pools={"I am thirsty": fake_pool()})
+    if latched:
+        state.msi_latch.add("I am thirsty")
+    asked = EpisodePerception(scene, params.X)
+    state, _ = step(state, "I am thirsty", frame, space.clone(), params, asked)
+    return state.tick, scene
+
+
+@pytest.mark.parametrize("scene", sorted(HAND_OVER_SCENES))
+def test_an_invalid_unlatched_tick_stops_matching_at_its_top_n(space, params, scene):
+    tick, asked = hand_over_tick(space, params, HAND_OVER_SCENES[scene], latched=False)
+    assert tick.stream == "msi" and tick.validity < params.validity_threshold
+    assert asked.vocabularies == [["cup"]]
+    assert asked.ranks == set(range(1, params.N + 1))
+    assert tick.s_max == max(HAND_OVER_SCENES[scene].get(r, 0.1) for r in range(1, params.N + 1))
+    assert tick.t_new == 0.0 and tick.grounded_tool_box is None
+
+
+def test_an_invalid_latched_tick_grounds_the_tool_regions(space, params):
+    tick, asked = hand_over_tick(space, params, HAND_OVER_SCENES["grounds"], latched=True)
+    assert tick.stream == "adm" and tick.validity < params.validity_threshold
+    assert asked.vocabularies == [["cup"], list(PART_VOCABULARY)]
+    assert tick.grounded_tool_box == Region(40, 10, 52, 30)
+    assert tick.operational_box is not None and tick.t_new == 0.0
+
+
+def test_an_invalid_latched_tick_scores_the_wider_band(space, params):
+    tick, asked = hand_over_tick(space, params, HAND_OVER_SCENES["band"], latched=True)
+    assert tick.stream == "adm" and tick.validity < params.validity_threshold
+    assert asked.vocabularies == [["cup"]]
+    assert asked.ranks == set(range(1, 2 * params.N + 1))
+    assert tick.t_new == 0.8 and tick.explored_box is not None

@@ -93,6 +93,18 @@ def test_segment_and_select_and_scores():
     assert remote.infer_unseen_label("where is it", frame()) == "fridge"
 
 
+def test_an_integer_is_a_number_in_a_reply():
+    transport = ScriptedTransport(
+        {
+            "/detect": {"detections": [{"label": "cup", "box": [1, 2, 3, 4], "confidence": 1}]},
+            "/reason": {"scores": [5] * 19},
+        }
+    )
+    remote = client(transport)
+    assert [d.confidence for d in remote.detect(frame(), ["cup"], 5)] == [1.0]
+    assert remote.score_affordance("x").scores == (5.0,) * 19
+
+
 def test_select_candidate_range_checked():
     remote = client(ScriptedTransport({"/reason": {"index": 7}}))
     candidates = [Detection(label="cup", box=Region(0, 0, 1, 1), confidence=0.5, rank=1)]
@@ -169,6 +181,40 @@ MALFORMED = [
      )),
     ("score_affordance", "/reason", {"scores": []}, lambda r: r.score_affordance("x")),
     ("infer_unseen_label", "/reason", {}, lambda r: r.infer_unseen_label("x", frame())),
+    # A value of the wrong JSON type is malformed, not coerced.
+    *[
+        (f"detect-{name}", "/detect",
+         {"detections": [{"label": "cup", "box": [1, 2, 3, 4], "confidence": 0.9, **item}]},
+         lambda r: r.detect(frame(), ["cup"], 5))
+        for name, item in [
+            ("bool-confidence", {"confidence": True}),
+            ("string-confidence", {"confidence": "0.7"}),
+            ("fractional-rank", {"rank": 1.9}),
+            ("integer-label", {"label": 7}),
+        ]
+    ],
+    *[
+        (f"select_candidate-{name}", "/reason", {"index": index},
+         lambda r: r.select_candidate(ToolHypothesis("cup"), [
+             Detection(label="cup", box=Region(0, 0, 1, 1), confidence=0.5, rank=1),
+             Detection(label="cup", box=Region(2, 2, 3, 3), confidence=0.4, rank=2),
+         ], frame()))
+        for name, index in [("bool", True), ("fractional", 1.7), ("string", "1")]
+    ],
+    ("score_affordance-string", "/reason", {"scores": ["3", 0.5]},
+     lambda r: r.score_affordance("x")),
+    ("score_affordance-bool", "/reason", {"scores": [0.5, True]},
+     lambda r: r.score_affordance("x")),
+    ("score_affordance-string-list", "/reason", {"scores": "35"},
+     lambda r: r.score_affordance("x")),
+    *[
+        (f"infer_unseen_label-{name}", "/reason", {"label": label},
+         lambda r: r.infer_unseen_label("x", frame()))
+        for name, label in [("null", None), ("integer", 3), ("empty", "")]
+    ],
+    ("propose_tool-integer-label", "/reason", {"label": 5}, lambda r: r.propose_tool("x", frame())),
+    ("propose_tool-string-attributes", "/reason", {"label": "cup", "attributes": "ab"},
+     lambda r: r.propose_tool("x", frame())),
 ]
 
 

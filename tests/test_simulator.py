@@ -202,6 +202,23 @@ def test_apply_reformulate_only_when_near(params):
     assert world.objects["f1"].opened
 
 
+def test_apply_reformulate_on_an_open_container_keeps_it_open(params):
+    world = make_world([obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4)], robot=(20.0, 24.5, 0.0))
+    world.objects["f1"].opened = True
+    frame, projections = observe(world)
+    events = apply(world, frame, Reformulate("open the fridge", projections[0].box), params)
+    assert events == ["already-open:f1"]
+    assert world.objects["f1"].opened
+
+
+def test_no_container_is_never_open():
+    world = make_world([obj("f1", "fridge", "contain", 20.0, 24.0, w=4, h=4)])
+    world.objects["f1"].opened = True
+    assert world.container_open("f1")
+    assert not world.container_open(None)
+    assert not world.container_open("missing")
+
+
 def test_apply_manipulate_and_noop(params):
     world = make_world([obj("c1", "cup", "drink", 20.0, 27.0)])
     frame, _ = observe(world)

@@ -27,8 +27,8 @@ TIMING_FIELDS = ("latency_ms", "wall_seconds")
 
 # Backend calls of the seed-0 reference eval (200 episodes, 4,313 ticks).
 PINNED_CALLS = {
-    "detect": 8410,
-    "similarity": 95708,
+    "detect": 8368,
+    "similarity": 94623,
     "score_affordance": 404,
     "select_candidate": 253,
     "propose_tool": 172,
