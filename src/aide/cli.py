@@ -197,8 +197,6 @@ def _run(args) -> int:
             print(f"trace written to {args.report}")
         return 0
 
-    return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """Axis-aligned pixel rectangle with inclusive-exclusive extent semantics.
 

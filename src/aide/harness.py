@@ -49,6 +49,8 @@ from .space import (
 _CATALOG_IMAGE_SIZE = 200
 # Standard deviation of the Gaussian noise ``gen_corpus`` adds to each score.
 _CORPUS_NOISE = 0.5
+# Drafts whose noise ``gen_corpus`` draws at a time (about 1.2 MB at X = 19).
+_CORPUS_BLOCK = 4096
 # Share of ablation queries drawn far from every stored record.
 _OUT_OF_DISTRIBUTION_SHARE = 0.1
 # Uniform draws a far-out ablation query may take to clear the reference
@@ -101,12 +103,12 @@ def gen_corpus(
     columns, and write them to ``path`` as ``write_corpus`` does if given.
 
     Classes are assigned round-robin (counts balanced within one); vectors are
-    the class centroid plus seeded Gaussian noise, drawn for all drafts at
-    once; instruction text is built from class-specific word pools so
-    text-based retrieval has real signal. Each draft carries three catalog
-    results of its class, rows of a table with one result per (class,
-    label). ``b`` is unused: the subcluster count shapes the build, not the
-    drafts.
+    the class centroid plus seeded Gaussian noise, drawn a block of drafts at
+    a time into the preallocated columns; instruction text is built from
+    class-specific word pools so text-based retrieval has real signal. Each
+    draft carries three catalog results of its class, rows of a table with
+    one result per (class, label). ``b`` is unused: the subcluster count
+    shapes the build, not the drafts.
     """
     del b
     if A < 1:
@@ -116,14 +118,18 @@ def gen_corpus(
     centroids = np.array([class_centroid(cls, X, known=names).scores for cls in names])
     draft = np.arange(A)
     class_of = draft % a
-    # One draw for every draft's instruction and tool noise, in the order
-    # per-draft draws would take them, and one clip.
-    vectors = np.clip(
-        centroids[class_of][:, None, :] + rng.normal(0.0, _CORPUS_NOISE, size=(A, 2, X)),
-        0.0,
-        10.0,
-    )
-    instruction, tool = np.moveaxis(vectors, 1, 0).copy()  # each n x X and contiguous
+    # Each draft's instruction and tool noise, in the order per-draft draws
+    # would take them, drawn a block of drafts at a time: the generator gives
+    # the same stream however the draw is split.
+    instruction = np.empty((A, X))
+    tool = np.empty((A, X))
+    for lo in range(0, A, _CORPUS_BLOCK):
+        hi = min(lo + _CORPUS_BLOCK, A)
+        block = rng.normal(0.0, _CORPUS_NOISE, size=(hi - lo, 2, X))
+        block += centroids[class_of[lo:hi], None, :]
+        np.clip(block, 0.0, 10.0, out=block)
+        instruction[lo:hi] = block[:, 0]
+        tool[lo:hi] = block[:, 1]
     words = [CLASS_WORDS.get(name, (name, "task", "chore", "thing", "stuff")) for name in names]
     labels = [CLASS_TOOL_LABELS.get(name, (f"{name}-tool",)) for name in names]
     # A draft's text is fixed by its class, template and two word indices;
@@ -146,14 +152,16 @@ def gen_corpus(
     # Cycle labels by the per-class round counter (draft // a) so every label
     # appears even when the label count divides the class count.
     count = np.array([len(row) for row in labels])
-    first = np.cumsum(count) - count
+    result_rows = draft[:, None] // a + np.arange(3)
+    result_rows %= count[class_of, None]
+    result_rows += (np.cumsum(count) - count)[class_of, None]  # each class's first row
     drafts = Drafts(
         ids=list(map("ins-%05d".__mod__, range(A))),
-        texts=[texts[k] for k in text_of.tolist()],
+        texts=np.array(texts, dtype=object)[text_of].tolist(),
         instruction=instruction,
         tool=tool,
         results=[_catalog_result(name, label) for name, row in zip(names, labels) for label in row],
-        result_rows=first[class_of, None] + (draft[:, None] // a + np.arange(3)) % count[class_of, None],
+        result_rows=result_rows,
     )
     if path is not None:
         write_corpus(drafts, path)

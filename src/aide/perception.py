@@ -31,7 +31,7 @@ class UnknownReferenceError(PerceptionError):
     """An image or text reference could not be resolved."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One labeled box. Rank 1 is the highest confidence within its response."""
 
@@ -47,7 +47,7 @@ class Detection:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimilarityScore:
     value: float
 
@@ -56,7 +56,7 @@ class SimilarityScore:
             raise ValueError(f"similarity {self.value} outside [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneFrame:
     """One rendered observation.
 

@@ -83,7 +83,7 @@ class WorldObject:
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectedObject:
     """One object rendered into the current frame, with scoring ground truth."""
 

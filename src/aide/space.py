@@ -426,20 +426,24 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     rng = np.random.Generator(np.random.PCG64(seed))
     centers, labels = kmeans(points, params.a, rng)
     centers = np.clip(centers, 0.0, 10.0)
-    assigned = centers[labels]
-    survives = (euclidean(points, assigned) <= params.D) & (euclidean(tools, assigned) <= params.D)
-    del assigned  # 7.6 MB at 50k drafts; freed before subclustering
-    if survives.sum() < params.a:
+    # Each cluster's surviving members, filtered against its own centroid.
+    survivors = []
+    for ci, center in enumerate(centers):
+        members = np.flatnonzero(labels == ci)
+        near = euclidean(points[members], center) <= params.D
+        near &= euclidean(tools[members], center) <= params.D
+        survivors.append(members[near])
+    del labels
+    surviving = sum(map(len, survivors))
+    if surviving < params.a:
         raise SpaceBuildError(
-            f"only {survives.sum()} drafts survive the distance-{params.D} filter; "
+            f"only {surviving} drafts survive the distance-{params.D} filter; "
             f"need at least {params.a}"
         )
 
     tree: Tree = []
     order: list[np.ndarray] = []  # surviving draft indices, in tree order
-    for ci in range(params.a):
-        members = np.flatnonzero(survives & (labels == ci))
-        centroid = centers[ci].tolist()
+    for centroid, members in zip(centers.tolist(), survivors):
         if not members.size:
             tree.append((centroid, [(centroid, 0)] * params.b))
             continue
@@ -454,9 +458,10 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
         # the populated subcluster and reassignment stays a fixed point.
         subclusters += [(subclusters[-1][0], 0)] * (params.b - k_eff)
         tree.append((centroid, subclusters))
+    del survivors
 
     kept = np.concatenate(order)
-    kept_rows = kept.tolist()
+    del order
     used = drafts.result_rows[kept]
     # The drafts' table rows in first use along the kept rows, pads skipped,
     # and each one's row in the space's table; the extra last entry maps the
@@ -465,18 +470,19 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     in_use = distinct[np.argsort(first)]
     table_row = np.full(len(drafts.results) + 1, -1)
     table_row[in_use] = np.arange(len(in_use))
-    return _space_from_columns(
-        params,
-        tree,
-        Drafts(
-            ids=[drafts.ids[i] for i in kept_rows],
-            texts=[drafts.texts[i] for i in kept_rows],
-            instruction=points[kept],
-            tool=tools[kept],
-            results=[drafts.results[i] for i in in_use.tolist()],
-            result_rows=table_row[used],
-        ),
+    kept_rows = kept.tolist()
+    records = Drafts(
+        ids=[drafts.ids[i] for i in kept_rows],
+        texts=[drafts.texts[i] for i in kept_rows],
+        instruction=points[kept],
+        tool=tools[kept],
+        results=[drafts.results[i] for i in in_use.tolist()],
+        result_rows=table_row[used],
     )
+    # The records are the one copy of the kept drafts the space keeps; the
+    # rest is freed before the space is assembled.
+    del kept, kept_rows, used
+    return _space_from_columns(params, tree, records)
 
 
 def brute_force_assignments(space: RelationshipSpace) -> bool:
@@ -638,7 +644,7 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     id_column = np.array(records.ids, dtype=str)
     distinct: dict[str, str] = {}
     texts = [distinct.setdefault(text, text) for text in records.texts]
-    rows = records.result_rows.astype(np.intp)
+    rows = records.result_rows.astype(np.intp, copy=False)
     clusters: list[Cluster] = []
     lo = 0
     for centroid, subclusters in tree:

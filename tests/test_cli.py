@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aide
 from aide.cli import build_parser, main
 from aide.config import ConfigParams, save_config
 from aide.simulator import save_world, scripted_scenarios
@@ -296,3 +301,20 @@ def test_flag_slot_count():
         if action.option_strings and action.dest != "help"
     )
     assert slots == 39
+
+
+def test_the_module_guard_exits_with_main_s_status(tmp_path):
+    # ``python -m aide.cli`` runs ``main`` through the ``__main__`` guard: a
+    # rejected input is still a one-line error with exit status 2.
+    src = str(Path(aide.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "aide.cli", "gen-corpus", "--count", "0", "--out", str(tmp_path / "x.jsonl")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "aide gen-corpus: error: corpus size must be positive, got 0\n"
+    assert not (tmp_path / "x.jsonl").exists()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -92,11 +94,15 @@ def _drafts_digest(drafts) -> str:
         (1, "9662981fdfdd2d75d742efa26513ed985c6763c3cf063ffd39d243f89be4ce34"),
         (7, "eae4d5ed201a00578d942b8b6d9a6ca0db36c2a7b568d3abca1e655620f61733"),
         (5000, "8598b99d3041bf46d7c8c084add18bb51aa1a02d020c4028d62d983dd29d387b"),
+        (3 * 4096 + 5, "45ec1d5b7834f84c915291582ded0f0f99e93413555459243e942650666497eb"),
     ],
 )
 def test_gen_corpus_columns_keep_their_pinned_digest(params, count, expected):
     # Pinned when each draft's text was found by a row-wise np.unique over its
     # (class, template, w0, w1) parts: the ids, texts, vectors and result rows.
+    # The 12,293-draft digest was pinned while the noise was one draw for all
+    # drafts; drawn 4,096 drafts at a time, it spans three blocks and ends
+    # five drafts into a fourth.
     drafts = gen_corpus(count, params.X, params.a, params.b, seed=7)
     assert _drafts_digest(drafts) == expected
 
@@ -106,6 +112,34 @@ def test_gen_corpus_covers_all_class_labels(params):
     labels = {drafts.results[row].tool_label for row in drafts.result_rows.ravel()}
     for needed in ("cup", "brush", "hammer", "pillow", "tape", "coke", "mallet", "sponge"):
         assert needed in labels
+
+
+# Traced bytes that corpus generation and the space build may hold beyond
+# their result (and, for generation, one block of noise) at 20,000 drafts.
+# Measured: 0.81 MB for generation and 0.57 MB for the build; they held 6.5
+# and 2.8 MB while the noise was one draw and the build's intermediates lived
+# until the space was assembled.
+_SET_UP_SLACK = 1_500_000
+
+
+def test_set_up_holds_at_most_one_block_beyond_its_result(params):
+    gc.collect()
+    gc.disable()  # a collection inside a window would shrink what it kept
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        drafts = gen_corpus(20_000, params.X, params.a, params.b, seed=7)
+        drafts_end, peak = tracemalloc.get_traced_memory()
+        block = harness._CORPUS_BLOCK * 2 * params.X * np.dtype(float).itemsize
+        assert peak - drafts_end <= block + _SET_UP_SLACK
+
+        tracemalloc.reset_peak()
+        space = build_space(drafts, params, 7)  # held, so that it counts as kept
+        space_end, peak = tracemalloc.get_traced_memory()
+        assert peak - space_end <= _SET_UP_SLACK
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 # --- evaluation ------------------------------------------------------------

@@ -13,7 +13,7 @@ from worldkit import make_world, obj
 
 from aide.geometry import Region
 from aide.mock import MockPerception
-from aide.planner import Approach, Manipulate, NoOp, Reformulate, run_closed_loop
+from aide.planner import Approach, EpisodeTrace, Manipulate, NoOp, Reformulate, TickEvent, run_closed_loop
 from aide.simulator import (
     ABSENT,
     BLURRED,
@@ -23,6 +23,7 @@ from aide.simulator import (
     CATEGORY_UNRECOGNIZABLE,
     OCCLUDED,
     REAL_WORLD_SUITE,
+    ProjectedObject,
     World,
     WorldError,
     WorldObject,
@@ -336,6 +337,37 @@ def test_check_success_asr_for_absent_nominal(space, params, worlds):
     assert flags.asr_applicable
     assert flags.exploration
     assert flags.whole
+
+
+@pytest.mark.parametrize("missing", ["handle", "body", "both"])
+def test_check_success_scores_a_partless_object_against_its_box_halves(missing):
+    # A ground-truth projection without a handle or a body is scored against
+    # the vertical halves of its box: the lower half operational, the upper
+    # functional. Either half overlaps the whole box at IoU 0.5, so swapped
+    # halves fail only when the halves are what is scored.
+    box = Region(100, 100, 200, 300)
+    lower, upper = Region(100, 200, 200, 300), Region(100, 100, 200, 200)
+    part = Region(120, 120, 180, 180)
+    gt = ProjectedObject(
+        object_id="target",
+        label="cup",
+        affordance_class="drink",
+        box=box,
+        handle=None if missing in ("handle", "both") else part,
+        body=None if missing in ("body", "both") else part,
+        distance=1.0,
+        visibility="visible",
+    )
+    world = make_world([obj("target", "cup", "drink", 20.0, 20.0)], gt={"I am thirsty": "target"})
+
+    def flags(operational, functional):
+        row = TickEvent(grounded_tool_box=box, operational_box=operational, functional_box=functional, gt=gt)
+        return check_success(EpisodeTrace("testworld", rows=[row]), world)
+
+    halves = flags(lower, upper)
+    assert (halves.tool, halves.operational, halves.functional, halves.whole) == (True, True, True, True)
+    swapped = flags(upper, lower)
+    assert (swapped.tool, swapped.operational, swapped.functional, swapped.whole) == (True, False, False, False)
 
 
 def test_world_round_trip(tmp_path, worlds):
