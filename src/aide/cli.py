@@ -18,6 +18,7 @@ from .config import ConfigError, ConfigParams, load_config
 from .harness import (
     ablate_retrieval,
     console_answerer,
+    events_path,
     gen_corpus,
     hint_answerer,
     render_ablation,
@@ -144,7 +145,15 @@ def _run(args) -> int:
     worlds = resolve_worlds(args.scenarios)
 
     if args.command == "eval":
-        traces: list = []
+        write_events = None
+        if args.report:
+            # Each episode's events are appended as it ends; no trace is kept.
+            events = events_path(args.report)
+            events.unlink(missing_ok=True)
+
+            def write_events(episode_id, trace):
+                write_trace(trace, events, episode_id)
+
         report = run_eval(
             space,
             worlds,
@@ -153,12 +162,12 @@ def _run(args) -> int:
             noise=args.noise,
             max_steps=args.max_steps,
             episodes=args.episodes,
-            trace_sink=lambda eid, tr: traces.append((eid, tr)),
+            trace_sink=write_events,
         )
         text = render_report(report)
         print(text, end="")
         if args.report:
-            write_report(report, args.report, traces)
+            write_report(report, args.report)
         return 0
 
     if args.command == "error-analysis":

@@ -28,7 +28,7 @@ from .affordance import (
 from .config import ConfigParams
 from .geometry import Region, vertical_halves
 from .mock import DEFAULT_SIGMA, MockPerception, token_cosine
-from .planner import MAX_STEPS, EpisodeTrace, run_closed_loop, write_trace
+from .planner import MAX_STEPS, EpisodeTrace, run_closed_loop
 from .simulator import (
     ABSENT,
     World,
@@ -152,7 +152,7 @@ def gen_corpus(
     # Cycle labels by the per-class round counter (draft // a) so every label
     # appears even when the label count divides the class count.
     count = np.array([len(row) for row in labels])
-    result_rows = draft[:, None] // a + np.arange(3)
+    result_rows = (draft // a).astype(np.int32)[:, None] + np.arange(3, dtype=np.int32)
     result_rows %= count[class_of, None]
     result_rows += (np.cumsum(count) - count)[class_of, None]  # each class's first row
     drafts = Drafts(
@@ -655,19 +655,14 @@ def render_ablation(rows: list[AblationRow], meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(
-    report: EvalReport,
-    path: str | Path,
-    traces: list[tuple[str, EpisodeTrace]] | None = None,
-    title: str = "evaluation",
-) -> None:
-    path = Path(path)
-    path.write_text(render_report(report, title), encoding="utf-8")
-    if traces:
-        events_path = path.with_suffix(path.suffix + ".events.jsonl")
-        events_path.unlink(missing_ok=True)
-        for episode_id, trace in traces:
-            write_trace(trace, events_path, episode_id)
+def events_path(report_path: str | Path) -> Path:
+    """Where the events of the report at ``report_path`` go: ``<report>.events.jsonl``."""
+    report_path = Path(report_path)
+    return report_path.with_suffix(report_path.suffix + ".events.jsonl")
+
+
+def write_report(report: EvalReport, path: str | Path, title: str = "evaluation") -> None:
+    Path(path).write_text(render_report(report, title), encoding="utf-8")
 
 
 def resolve_worlds(scenarios_dir: str | Path | None) -> dict[str, World]:

@@ -92,7 +92,7 @@ class PlanningFailure(RuntimeError):
         self.prompt = prompt
 
 
-@dataclass
+@dataclass(slots=True)
 class TickEvent:
     """The trace record of one tick.
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from typing import Callable, TypeVar
 
 from .affordance import AffordanceVector
@@ -54,6 +52,11 @@ class CircuitOpenError(PerceptionError):
 
 
 def _http_transport(timeout_ms: float, api_key: str | None) -> Transport:
+    # Imported here: the HTTP stack (urllib, http.client, ssl) takes a few MB
+    # that a client given its own transport never needs.
+    import urllib.error
+    import urllib.request
+
     def call(url: str, payload: dict) -> dict:
         data = json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(

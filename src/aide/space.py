@@ -13,12 +13,15 @@ it only by its ``Position``, (cluster, subcluster, row). Each subcluster keeps
 its records' ids, texts and vectors as columns, and their results as rows of
 one space-wide table of distinct ``GroundingResult``s (a corpus repeats a few
 results many times), so retrieval and candidate pools are numpy work over
-arrays, not walks over records. An ``InstructionRecord`` holds a record's
-content without its position; one is built from its row only by ``record`` or
-``iter_records``. Clusters and subclusters are immutable, and an insert
-replaces the one cluster it lands in. So ``clone`` copies the list of
-clusters, the result table (a few dozen rows) and the set of ids inserted
-since, and shares the clusters and the set of ids the space was built with.
+arrays, not walks over records. The ids are a list of str that shares the
+very strings of the drafts or file they came from, which the space's id set
+holds too, and result rows are int32 from corpus to space, as a space file
+stores them. An ``InstructionRecord`` holds a record's content without its
+position; one is built from its row only by ``record`` or ``iter_records``.
+Clusters and subclusters are immutable, and an insert replaces the one
+cluster it lands in. So ``clone`` copies the list of clusters, the result
+table (a few dozen rows) and the set of ids inserted since, and shares the
+clusters and the set of ids the space was built with.
 
 ``save_space`` writes the same layout to one ``aide-space/3`` file: a JSON
 header line with the result table once, the cluster tree with centroids and
@@ -153,10 +156,10 @@ def _padded(result_rows: list[int]) -> list[int]:
 
 @dataclass(eq=False, repr=False)
 class Drafts:
-    """Instruction drafts as columns, one row per draft: ids, texts, the
-    instruction and tool vectors as n x X float arrays, and each draft's
-    results as its row of ``result_rows``: rows of ``results``, a table of
-    distinct results, padded with -1."""
+    """Instruction drafts as columns, one row per draft: ids and texts as
+    lists of str, the instruction and tool vectors as n x X float arrays, and
+    each draft's results as its row of ``result_rows``, an n x 3 int32 array:
+    rows of ``results``, a table of distinct results, padded with -1."""
 
     ids: list[str]
     texts: list[str]
@@ -179,11 +182,12 @@ FirstSeen = dict[int, tuple[float, str, int]]
 @dataclass(frozen=True, eq=False)
 class Subcluster:
     """The records of one subcluster, stored only as columns, one row per
-    record: ids, texts, instruction and tool vectors as float rows, and each
-    record's results as its row of ``result_rows`` (rows of the space's result
-    table, padded with -1). ``RelationshipSpace.record`` builds a record from
-    its row. Immutable: ``appended`` returns a new subcluster, so every space
-    that holds this one keeps it as it is. Subclusters compare by identity.
+    record: ids and texts as lists of str, instruction and tool vectors as
+    float rows, and each record's results as its int32 row of ``result_rows``
+    (rows of the space's result table, padded with -1).
+    ``RelationshipSpace.record`` builds a record from its row. Immutable:
+    ``appended`` returns a new subcluster, so every space that holds this one
+    keeps it as it is. Subclusters compare by identity.
 
     ``pools`` remembers the candidate pools derived from the columns, keyed by
     (anchor row, radius ``d``). It only ever gains entries, each computed from
@@ -191,7 +195,7 @@ class Subcluster:
     subcluster reads the same pools; ``appended`` carries each one forward."""
 
     centroid: AffordanceVector
-    ids: np.ndarray = field(repr=False)
+    ids: list[str] = field(repr=False)
     texts: list[str] = field(repr=False)
     instruction_rows: np.ndarray = field(repr=False)
     tool_rows: np.ndarray = field(repr=False)
@@ -217,11 +221,11 @@ class Subcluster:
             pools[k, d] = first
         return Subcluster(
             self.centroid,
-            np.append(self.ids, record.id),
+            [*self.ids, record.id],
             [*self.texts, record.text],
             np.vstack([self.instruction_rows, record.instruction_affordance.scores]),
             tool_rows,
-            np.vstack([self.result_rows, _padded(result_rows)]),
+            np.vstack([self.result_rows, np.array(_padded(result_rows), dtype=np.int32)]),
             pools,
         )
 
@@ -267,7 +271,7 @@ class RelationshipSpace:
         """The record at position (``ci``, ``sj``, ``k``), built from its row."""
         sub = self.clusters[ci].subclusters[sj]
         return InstructionRecord(
-            id=str(sub.ids[k]),
+            id=sub.ids[k],
             text=sub.texts[k],
             instruction_affordance=AffordanceVector(tuple(sub.instruction_rows[k].tolist())),
             tool_affordance=AffordanceVector(tuple(sub.tool_rows[k].tolist())),
@@ -323,7 +327,7 @@ class RelationshipSpace:
         near = dists[picked]
         order = np.argsort(near)
         if (near[order[1:]] == near[order[:-1]]).any():  # equal distances: ties go by id
-            order = np.lexsort((sub.ids[picked], near))
+            order = np.lexsort((np.array([sub.ids[i] for i in picked.tolist()]), near))
         return picked[order]
 
     def pool_results(self, anchor: Position, d: float) -> list[GroundingResult]:
@@ -345,9 +349,8 @@ class RelationshipSpace:
             picked, columns = np.divmod(filled[at], MAX_RESULTS_PER_RECORD)
             seen_at = rows[picked]  # the row each result is first seen in
             dists = euclidean(sub.tool_rows[k], sub.tool_rows[seen_at])
-            first = dict(
-                zip(distinct.tolist(), zip(dists.tolist(), sub.ids[seen_at].tolist(), columns.tolist()))
-            )
+            seen_ids = [sub.ids[i] for i in seen_at.tolist()]
+            first = dict(zip(distinct.tolist(), zip(dists.tolist(), seen_ids, columns.tolist())))
             sub.pools[k, d] = first
         return [self.results[row] for row in sorted(first, key=first.__getitem__)]
 
@@ -468,7 +471,7 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     # -1 pads to -1.
     distinct, first = np.unique(used[used >= 0], return_index=True)
     in_use = distinct[np.argsort(first)]
-    table_row = np.full(len(drafts.results) + 1, -1)
+    table_row = np.full(len(drafts.results) + 1, -1, dtype=np.int32)
     table_row[in_use] = np.arange(len(in_use))
     kept_rows = kept.tolist()
     records = Drafts(
@@ -579,7 +582,7 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
         # ``json.dumps`` escapes every non-ASCII character.
         fh.write(json.dumps(members)[:-1].encode("ascii"))
         fh.write(b', "ids": ')
-        _write_list(fh, (sub.ids.tolist() for sub in subs))
+        _write_list(fh, (sub.ids for sub in subs))
         fh.write(b', "texts": ')
         _write_list(fh, (texts[at : at + _TEXT_BLOCK] for at in range(0, len(texts), _TEXT_BLOCK)))
         fh.write(b"}\n")
@@ -632,19 +635,18 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
     """Check the records, drafts in tree order whose results are rows of the
     space's result table (``_check_drafts``), and the tree against them, then
     build the subclusters, the id set and the centroid rows: the one
-    construction path of a built or loaded space. Equal texts share one str,
-    as a generated corpus's and a loaded space's do; a read corpus holds one
-    per record."""
+    construction path of a built or loaded space. The subclusters slice the
+    records' own id list and int32 result rows, so each id is held once, by
+    them and the id set. Equal texts share one str, as those of a generated
+    or read corpus and of a loaded space do."""
     ids = _check_drafts(records)
     n = len(records)
     sizes = [size for _, subclusters in tree for _, size in subclusters]
     if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
         raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
 
-    id_column = np.array(records.ids, dtype=str)
     distinct: dict[str, str] = {}
     texts = [distinct.setdefault(text, text) for text in records.texts]
-    rows = records.result_rows.astype(np.intp, copy=False)
     clusters: list[Cluster] = []
     lo = 0
     for centroid, subclusters in tree:
@@ -654,11 +656,11 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
             subs.append(
                 Subcluster(
                     AffordanceVector(tuple(sub_centroid)),
-                    id_column[lo:hi],
+                    records.ids[lo:hi],
                     texts[lo:hi],
                     records.instruction[lo:hi],
                     records.tool[lo:hi],
-                    rows[lo:hi],
+                    records.result_rows[lo:hi],
                 )
             )
             lo = hi
@@ -815,54 +817,84 @@ def write_corpus(drafts: Drafts, path: str | Path) -> int:
     return len(drafts)
 
 
-def _score_column(vectors: list) -> np.ndarray:
-    """JSON score lists of one length as the rows of a float array."""
-    column = np.array(vectors) if vectors else np.empty((0, 0))
-    if column.dtype.kind not in "biuf" or column.ndim != 2:
-        raise SpaceFormatError("affordance vectors must be lists of numbers, all of one length")
-    return column.astype(float)
+def _result_key(doc: dict) -> tuple:
+    """A result document's values as a hashable key: documents with equal
+    keys construct equal results."""
+    return (
+        doc["tool_label"],
+        doc["tool_image"],
+        tuple(doc["tool_region"]),
+        tuple(doc["operational_region"]),
+        tuple(doc["functional_region"]),
+        doc.get("unseen_region_label"),
+        doc.get("unseen_region_image"),
+    )
 
 
 def read_corpus(path: str | Path) -> Drafts:
     """Parse a corpus as ``write_corpus`` writes it into drafts, checked as a
-    load checks a space's columns. Each distinct result document is
-    constructed, and so checked, once. Keys besides these, such as the
-    ``cluster_id``/``subcluster_id`` that earlier versions wrote, are ignored."""
-    ids, texts, instruction, tool, rows = [], [], [], [], []
+    load checks a space's columns. Keys besides these, such as the
+    ``cluster_id``/``subcluster_id`` that earlier versions wrote, are ignored.
+
+    The file is read twice: once to count its records, then to fill
+    preallocated vector columns and int32 result rows a line at a time, so
+    each value is held once. Equal texts share one str, and each distinct
+    result document is constructed, and so checked, once."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        n = sum(1 for line in fh if line.strip())
+    ids: list[str] = []
+    texts: list[str] = []
+    distinct_texts: dict[str, str] = {}
+    rows = np.full((n, MAX_RESULTS_PER_RECORD), -1, dtype=np.int32)
+    columns: tuple[np.ndarray, np.ndarray] | None = None  # sized by the first record
     table: dict[GroundingResult, int] = {}
-    row_of: dict[str, int] = {}  # result document, as read, to its table row
+    row_of: dict[tuple, int] = {}  # result document's values to its table row
 
     def result_row(doc: dict) -> int:
-        key = repr(doc)
+        key = _result_key(doc)
         if key not in row_of:
             row_of[key] = table.setdefault(_result_from_dict(doc), len(table))
         return row_of[key]
 
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            at = len(ids)
+            if at == n:
+                raise SpaceFormatError(f"line {line_no}: the corpus changed while it was read")
             try:
                 doc = json.loads(line)
-                if not 1 <= len(doc["results"]) <= MAX_RESULTS_PER_RECORD:
-                    raise ValueError(f"{len(doc['results'])} results, not 1..{MAX_RESULTS_PER_RECORD}")
-                rows.append(_padded([result_row(r) for r in doc["results"]]))
+                results = doc["results"]
+                if not 1 <= len(results) <= MAX_RESULTS_PER_RECORD:
+                    raise ValueError(f"{len(results)} results, not 1..{MAX_RESULTS_PER_RECORD}")
+                rows[at, : len(results)] = [result_row(r) for r in results]
+                vectors = [np.array(doc[key]) for key in ("instruction_affordance", "tool_affordance")]
+                if columns is None:
+                    columns = tuple(np.empty((n, vector.size)) for vector in vectors)
+                for column, vector in zip(columns, vectors):
+                    if vector.dtype.kind not in "biuf" or vector.shape != column.shape[1:]:
+                        raise SpaceFormatError(
+                            f"malformed corpus: line {line_no}: affordance vectors must be"
+                            " lists of numbers, all of one length"
+                        )
+                    column[at] = vector
+                text = doc["text"]
+                texts.append(distinct_texts.setdefault(text, text))
                 ids.append(doc["id"])
-                texts.append(doc["text"])
-                instruction.append(doc["instruction_affordance"])
-                tool.append(doc["tool_affordance"])
             except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise SpaceFormatError(f"line {line_no}: malformed record: {exc}") from exc
-    try:
-        drafts = Drafts(
-            ids=ids,
-            texts=texts,
-            instruction=_score_column(instruction),
-            tool=_score_column(tool),
-            results=list(table),
-            result_rows=np.array(rows, dtype=np.intp).reshape(len(rows), MAX_RESULTS_PER_RECORD),
-        )
-    except ValueError as exc:  # vectors of different lengths
-        raise SpaceFormatError(f"malformed corpus: {exc}") from exc
+    if len(ids) != n:
+        raise SpaceFormatError("the corpus changed while it was read")
+    instruction, tool = columns if columns is not None else (np.empty((0, 0)), np.empty((0, 0)))
+    drafts = Drafts(
+        ids=ids,
+        texts=texts,
+        instruction=instruction,
+        tool=tool,
+        results=list(table),
+        result_rows=rows,
+    )
     _check_drafts(drafts)
     return drafts

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import aide
+from aide import cli, planner
 from aide.cli import build_parser, main
 from aide.config import ConfigParams, save_config
+from aide.harness import events_path, run_eval, write_report
+from aide.planner import write_trace
 from aide.simulator import save_world, scripted_scenarios
 from aide.space import load_space
 
@@ -53,6 +58,50 @@ def test_eval_command_writes_report(artifacts, capsys):
     assert report.exists()
     events = report.with_suffix(report.suffix + ".events.jsonl")
     assert events.exists()
+
+
+def _fixed_clock(monkeypatch):
+    """Make every tick latency and episode wall time a fixed step, so two
+    runs of the same episodes write the same bytes."""
+    monkeypatch.setattr(planner, "time", SimpleNamespace(perf_counter=itertools.count(0.0, 0.001).__next__))
+
+
+def test_eval_streams_the_report_and_events_that_kept_traces_gave(artifacts, monkeypatch, capsys, tmp_path):
+    # As the events were written before they were streamed: every trace kept
+    # to the end of the eval, then the report and the events written from them.
+    kept = tmp_path / "kept.tsv"
+    traces = []
+    _fixed_clock(monkeypatch)
+    report = run_eval(
+        load_space(artifacts["space"]),
+        seed=3,
+        episodes=6,
+        trace_sink=lambda episode_id, trace: traces.append((episode_id, trace)),
+    )
+    write_report(report, kept)
+    for episode_id, trace in traces:
+        write_trace(trace, events_path(kept), episode_id)
+
+    streamed = tmp_path / "streamed.tsv"
+    events_path(streamed).write_text("left from an earlier eval\n", encoding="utf-8")
+    _fixed_clock(monkeypatch)
+    argv = ["eval", "--space", str(artifacts["space"]), "--report", str(streamed), "--episodes", "6", "--seed", "3"]
+    assert main(argv) == 0
+    assert streamed.read_bytes() == kept.read_bytes()
+    assert events_path(streamed).read_bytes() == events_path(kept).read_bytes()
+    assert len(events_path(kept).read_text(encoding="utf-8").splitlines()) > 6
+
+
+def test_eval_without_report_passes_no_trace_sink(artifacts, monkeypatch, capsys):
+    sinks = []
+
+    def spy(*args, **kwargs):
+        sinks.append(kwargs["trace_sink"])
+        return run_eval(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_eval", spy)
+    assert main(["eval", "--space", str(artifacts["space"]), "--episodes", "2"]) == 0
+    assert sinks == [None]
 
 
 def test_eval_requires_space(tmp_path):

@@ -14,6 +14,7 @@ from aide.config import ConfigParams
 from aide.harness import (
     ablate_retrieval,
     console_answerer,
+    events_path,
     gen_corpus,
     hint_answerer,
     render_ablation,
@@ -23,6 +24,7 @@ from aide.harness import (
     run_eval,
     write_report,
 )
+from aide.planner import write_trace
 from aide.simulator import fresh_world
 from aide.space import build_space, write_corpus
 
@@ -335,24 +337,24 @@ def test_hint_answerer_keeps_the_failure_on_a_world_without_hints(worlds):
 
 
 def test_render_and_write_report(space, params, worlds, tmp_path):
-    traces = []
+    out = tmp_path / "report.tsv"
+    events = out.with_suffix(out.suffix + ".events.jsonl")
+    assert events_path(out) == events
     report = run_eval(
         space,
         {world_id: worlds[world_id] for world_id in ("clear_cup", "occ_coke_fridge")},
         params,
         seed=0,
         noise=0.0,
-        trace_sink=lambda eid, tr: traces.append((eid, tr)),
+        trace_sink=lambda eid, tr: write_trace(tr, events, eid),
     )
     text = render_report(report)
     assert "automatic IoU >= 0.5" in text
     assert "[summary]" in text and "[episodes]" in text
     assert "TSR\t100.0" in text
 
-    out = tmp_path / "report.tsv"
-    write_report(report, out, traces)
-    assert out.exists()
-    events = out.with_suffix(out.suffix + ".events.jsonl")
+    write_report(report, out)
+    assert out.read_text(encoding="utf-8") == text
     assert events.exists()
     lines = events.read_text().strip().splitlines()
     parsed = [json.loads(l) for l in lines]

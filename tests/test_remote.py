@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import io
+import json
+import os
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import aide
 from aide.geometry import Region
 from aide.perception import Detection, PerceptionError, SceneFrame, ToolHypothesis
 from aide.remote import CircuitOpenError, RemotePerception
@@ -280,3 +286,43 @@ def test_http_transport_sends_the_key_from_aide_api_key(monkeypatch):
     for request, _ in requests:
         assert request.full_url == "http://models.example:9000/similarity"
         assert request.get_header("Authorization") == "Bearer secret"
+
+
+# The HTTP stack: modules only the default transport uses.
+_HTTP_STACK = ("urllib.request", "http.client", "ssl")
+
+
+def _http_modules_added(statements: str) -> tuple[list[str], list[str]]:
+    """The HTTP stack modules that running ``statements`` in a fresh
+    interpreter loads, and those loaded before it ran (a site hook may
+    preload one)."""
+    script = (
+        "import json, sys\n"
+        f"stack = {_HTTP_STACK!r}\n"
+        "before = {name for name in stack if name in sys.modules}\n"
+        f"{statements}\n"
+        "print(json.dumps([name for name in stack if name in sys.modules and name not in before]))\n"
+        "print(json.dumps(sorted(before)))\n"
+    )
+    src = str(Path(aide.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    added, before = map(json.loads, done.stdout.splitlines())
+    return added, before
+
+
+def test_importing_the_client_or_giving_it_a_transport_leaves_the_http_stack_unloaded():
+    added, _ = _http_modules_added(
+        "import aide.remote\n"
+        "aide.remote.RemotePerception('http://models.example:9000', transport=lambda url, payload: {})"
+    )
+    assert added == []
+
+
+def test_the_default_transport_loads_the_http_stack():
+    added, before = _http_modules_added(
+        "import aide.remote\naide.remote.RemotePerception('http://models.example:9000')"
+    )
+    assert added == [name for name in _HTTP_STACK if name not in before]

@@ -101,6 +101,6 @@ def drafts_of(records, dims):
         tool=np.array([r.tool_affordance.scores for r in records], dtype=float).reshape(-1, dims),
         results=list(table),
         result_rows=np.array(
-            [row + [-1] * (MAX_RESULTS_PER_RECORD - len(row)) for row in rows], dtype=np.intp
+            [row + [-1] * (MAX_RESULTS_PER_RECORD - len(row)) for row in rows], dtype=np.int32
         ).reshape(-1, MAX_RESULTS_PER_RECORD),
     )
