@@ -4,9 +4,11 @@ Hamerly's bounds.
 Kept dependency-light on purpose: the retrieval index needs exact, reproducible
 assignments (ties resolved to the lowest centroid index) rather than the
 fastest possible fit, so this is a direct numpy implementation instead of an
-external clustering library. Points are measured against one center at a time
-with the one affordance distance, ``euclidean``: a k x n distance array and one
-n x X temporary at a time, never an n x k x X one.
+external clustering library. Points are measured ``BLOCK`` rows at a time,
+against one center at a time, with the one affordance distance,
+``euclidean``: a k x ``BLOCK`` distance array and one ``BLOCK`` x X temporary
+at a time, never an n x X one. Each row's distance is computed on its own, so
+the blocks change no value.
 
 Lloyd's iterations re-measure only the points whose label can change
 (Hamerly 2010). Each point keeps an upper bound on the distance to its own
@@ -34,13 +36,19 @@ MAX_ITERATIONS = 100
 # most, and MAX_ITERATIONS bound updates add less than 1e-12: far below it.
 MARGIN = 1e-9
 
+# Points measured at a time, so the temporaries of a fit do not grow with
+# its points (about 0.6 MB each at 19 dimensions).
+BLOCK = 4096
+
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=float)
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = euclidean(points, centers[0]) ** 2
+    d2 = np.empty(n)
+    for start in range(0, n, BLOCK):
+        d2[start : start + BLOCK] = euclidean(points[start : start + BLOCK], centers[0]) ** 2
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -49,7 +57,9 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = points[idx]
-        d2 = np.minimum(d2, euclidean(points, centers[i]) ** 2)
+        for start in range(0, n, BLOCK):
+            block = d2[start : start + BLOCK]
+            np.minimum(block, euclidean(points[start : start + BLOCK], centers[i]) ** 2, out=block)
     return centers
 
 
@@ -66,16 +76,22 @@ def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _distances(points, centers).argmin(axis=0)
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``assign``'s labels, and each point's gap: its distance to the second
-    nearest center minus that to the nearest (infinite when k is 1)."""
-    distances = _distances(points, centers)
-    labels = distances.argmin(axis=0)
-    own = labels * len(points) + np.arange(len(points))
-    flat = distances.ravel()
-    nearest = flat[own]
-    flat[own] = np.inf
-    return labels, distances.min(axis=0) - nearest
+def _nearest(points: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``assign``'s labels of ``points[rows]``, and each one's gap: its
+    distance to the second nearest center minus that to the nearest (infinite
+    when k is 1). Measured ``BLOCK`` rows at a time."""
+    labels = np.empty(len(rows), dtype=np.intp)
+    gap = np.empty(len(rows))
+    for start in range(0, len(rows), BLOCK):
+        at = slice(start, start + BLOCK)
+        distances = _distances(points.take(rows[at], axis=0), centers)
+        labels[at] = block_labels = distances.argmin(axis=0)
+        own = block_labels * distances.shape[1] + np.arange(distances.shape[1])
+        flat = distances.ravel()
+        nearest = flat[own]
+        flat[own] = np.inf
+        gap[at] = distances.min(axis=0) - nearest
+    return labels, gap
 
 
 def _gap_shrink(shift: np.ndarray) -> np.ndarray:
@@ -111,7 +127,7 @@ def kmeans(
         raise ValueError(f"cannot form {k} clusters from {points.shape[0]} points")
 
     centers = _plus_plus_init(points, k, rng)
-    labels, gap = _nearest(points, centers)
+    labels, gap = _nearest(points, centers, np.arange(len(points)))
     changed = range(k)
     for _ in range(MAX_ITERATIONS):
         previous = centers.copy()
@@ -123,7 +139,7 @@ def kmeans(
         stale = (gap <= MARGIN).nonzero()[0]
         if not stale.size:
             break
-        new_labels, gap[stale] = _nearest(points.take(stale, axis=0), centers)
+        new_labels, gap[stale] = _nearest(points, centers, stale)
         old_labels = labels[stale]
         moved = new_labels != old_labels
         if not moved.any():

@@ -404,7 +404,9 @@ def _ablation_queries(
     reference_radius: float,
 ) -> list[_AblationQuery]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    matrix = np.vstack([sub.instruction_rows for cluster in space.clusters for sub in cluster.subclusters])
+    matrix = np.vstack(
+        [sub.instruction_at(slice(None)) for cluster in space.clusters for sub in cluster.subclusters]
+    )
     names = class_names(params.a)
     queries: list[_AblationQuery] = []
     ood_target = int(round(count * _OUT_OF_DISTRIBUTION_SHARE))
@@ -434,7 +436,7 @@ def _stored_rows(space: RelationshipSpace) -> Iterator[tuple[Position, str, np.n
     for ci, cluster in enumerate(space.clusters):
         for sj, sub in enumerate(cluster.subclusters):
             for k, text in enumerate(sub.texts):
-                yield (ci, sj, k), text, sub.instruction_rows[k]
+                yield (ci, sj, k), text, sub.instruction_at(k)
 
 
 def _exhaustive_scan(space: RelationshipSpace, query: AffordanceVector) -> Position | None:

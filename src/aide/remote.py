@@ -29,6 +29,7 @@ from typing import Callable, TypeVar
 
 from .affordance import AffordanceVector
 from .geometry import Region
+from .jsonvalues import integer, integers, number, numbers
 from .perception import (
     Detection,
     PerceptionBackend,
@@ -73,20 +74,6 @@ def _http_transport(timeout_ms: float, api_key: str | None) -> Transport:
     return call
 
 
-def _integer(value: object) -> int:
-    """A reply's coordinate, rank or index: an int (a bool is not one)."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _number(value: object) -> float:
-    """A reply's number: an int or a float (a bool is not one)."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _label(value: object) -> str:
     """A reply's label: a non-empty string."""
     if type(value) is not str or not value:
@@ -109,15 +96,10 @@ def _attributes(value: object) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _box(coords: object) -> Region:
-    """A reply's box: a list of integer coordinates."""
-    return Region(*map(_integer, _list(coords)))
-
-
 def _similarity(response: dict) -> SimilarityScore:
     """A reply's score: a number in [0, 1] (not NaN or infinite), clamped
     below 1."""
-    value = _number(response["value"])
+    value = number(response["value"])
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"similarity {value!r} is not in [0, 1]")
     return SimilarityScore(min(value, 1.0 - 1e-9))
@@ -180,9 +162,9 @@ class RemotePerception(PerceptionBackend):
             found = [
                 Detection(
                     label=_label(item["label"]),
-                    box=_box(item["box"]),
-                    confidence=_number(item["confidence"]),
-                    rank=_integer(item.get("rank", i + 1)),
+                    box=Region(*integers(item["box"])),
+                    confidence=number(item["confidence"]),
+                    rank=integer(item.get("rank", i + 1)),
                 )
                 for i, item in enumerate(_list(response.get("detections", []))[:k])
             ]
@@ -214,7 +196,7 @@ class RemotePerception(PerceptionBackend):
         self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
     ) -> int:
         def parse(response: dict) -> int:
-            index = _integer(response["index"])
+            index = integer(response["index"])
             if not (0 <= index < len(candidates)):
                 raise ValueError(f"candidate index {index} out of range")
             return index
@@ -243,14 +225,14 @@ class RemotePerception(PerceptionBackend):
                 "label": tool.label,
                 "frame": _frame_payload(frame),
             },
-            lambda r: (_box(r["operational"]), _box(r["functional"])),
+            lambda r: (Region(*integers(r["operational"])), Region(*integers(r["functional"]))),
         )
 
     def score_affordance(self, subject: str) -> AffordanceVector:
         return self._call(
             "/reason",
             {"op": "score_affordance", "subject": subject},
-            lambda r: AffordanceVector(tuple(map(_number, _list(r["scores"])))),
+            lambda r: AffordanceVector(tuple(numbers(r["scores"]).tolist())),
         )
 
     def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:

@@ -10,10 +10,15 @@ derived from it (``Subcluster.pools``), and an insert carries them forward.
 
 The layout is an inverted file: a stored record is a row, and the space names
 it only by its ``Position``, (cluster, subcluster, row). Each subcluster keeps
-its records' ids, texts and vectors as columns, and their results as rows of
-one space-wide table of distinct ``GroundingResult``s (a corpus repeats a few
-results many times), so retrieval and candidate pools are numpy work over
-arrays, not walks over records. The ids are a list of str that shares the
+its records' ids and texts as columns, their vectors as row numbers into
+read-only instruction and tool columns that all subclusters share, and their
+results as rows of one space-wide table of distinct ``GroundingResult``s (a
+corpus repeats a few results many times), so retrieval and candidate pools
+are numpy work over arrays, not walks over records. A built space's vector
+columns are the drafts' own arrays, which the build marks read-only; a loaded
+space's are the arrays read from its file. A reader gathers only the rows it
+reads: one row, a DFS block, or one subcluster at a time when
+``save_space`` writes the columns. The ids are a list of str that shares the
 very strings of the drafts or file they came from, which the space's id set
 holds too, and result rows are int32 from corpus to space, as a space file
 stores them. An ``InstructionRecord`` holds a record's content without its
@@ -30,14 +35,17 @@ as raw little-endian columns in tree order (text-table rows, instruction and
 tool vectors, result rows). A record's cluster and subcluster follow from its
 position. ``load_space`` parses the header, which may also be laid out over
 several lines, and reads each column straight into an array of its exact
-size. It reads only that schema: a space saved as
-an older ``aide-space/1`` or ``/2`` is rebuilt from its corpus with ``aide
+size. Each number of the header is read at its JSON type (``jsonvalues``),
+as a corpus file's are. It reads only that schema: a space saved as an older
+``aide-space/1`` or ``/2`` is rebuilt from its corpus with ``aide
 build-space``, which is deterministic for a fixed seed.
 
 Corpus drafts are the same columns before they have a position (``Drafts``):
 ``gen_corpus`` and ``read_corpus`` produce them and ``build_space`` clusters
 their arrays, so no record is built between a corpus and a stored space. A
-build and a load both construct the space through ``_space_from_columns``.
+build and a load both construct the space through ``_space_from_columns``,
+which checks every row of the vector columns it is given, so a build checks
+the scores of every draft, also of those the ``D`` filter drops.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .affordance import SCORE_MAX, SCORE_MIN, AffordanceVector, DimensionMismatc
 from .cluster import assign, kmeans
 from .config import ConfigParams
 from .geometry import Region
+from .jsonvalues import integer, integers, numbers
 
 SPACE_SCHEMA = "aide-space/3"
 
@@ -150,6 +159,11 @@ class InstructionRecord:
             )
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 def _padded(result_rows: list[int]) -> list[int]:
     return result_rows + [-1] * (MAX_RESULTS_PER_RECORD - len(result_rows))
 
@@ -159,7 +173,11 @@ class Drafts:
     """Instruction drafts as columns, one row per draft: ids and texts as
     lists of str, the instruction and tool vectors as n x X float arrays, and
     each draft's results as its row of ``result_rows``, an n x 3 int32 array:
-    rows of ``results``, a table of distinct results, padded with -1."""
+    rows of ``results``, a table of distinct results, padded with -1.
+
+    A space built from the drafts keeps their ``instruction`` and ``tool``
+    arrays as its own vector columns and marks them read-only, so a write
+    into either raises once the build is done."""
 
     ids: list[str]
     texts: list[str]
@@ -182,9 +200,13 @@ FirstSeen = dict[int, tuple[float, str, int]]
 @dataclass(frozen=True, eq=False)
 class Subcluster:
     """The records of one subcluster, stored only as columns, one row per
-    record: ids and texts as lists of str, instruction and tool vectors as
-    float rows, and each record's results as its int32 row of ``result_rows``
-    (rows of the space's result table, padded with -1).
+    record: ids and texts as lists of str, each record's row of the
+    instruction and tool vector columns as ``vector_rows``, and each record's
+    results as its int32 row of ``result_rows`` (rows of the space's result
+    table, padded with -1). The vector columns are read-only and shared: a
+    built space's are the drafts' own, a loaded space's the file's, and only
+    a subcluster made by ``appended`` holds its own. Readers gather the rows
+    they read (one, or a block), never the whole subcluster for one row.
     ``RelationshipSpace.record`` builds a record from its row. Immutable:
     ``appended`` returns a new subcluster, so every space that holds this one
     keeps it as it is. Subclusters compare by identity.
@@ -197,21 +219,32 @@ class Subcluster:
     centroid: AffordanceVector
     ids: list[str] = field(repr=False)
     texts: list[str] = field(repr=False)
-    instruction_rows: np.ndarray = field(repr=False)
-    tool_rows: np.ndarray = field(repr=False)
+    instruction: np.ndarray = field(repr=False)
+    tool: np.ndarray = field(repr=False)
+    vector_rows: np.ndarray = field(repr=False)
     result_rows: np.ndarray = field(repr=False)
     pools: dict[tuple[int, float], FirstSeen] = field(default_factory=dict, repr=False)
 
+    def instruction_at(self, rows) -> np.ndarray:
+        """The instruction vectors of ``rows`` (an index, a slice or an index array)."""
+        return self.instruction.take(self.vector_rows[rows], axis=0)
+
+    def tool_at(self, rows) -> np.ndarray:
+        """The tool vectors of ``rows`` (an index, a slice or an index array)."""
+        return self.tool.take(self.vector_rows[rows], axis=0)
+
     def appended(self, record: InstructionRecord, result_rows: list[int]) -> "Subcluster":
-        """This subcluster with ``record`` as its last row. Each remembered
-        pool is carried forward exactly: the new row's results join it when
-        the row lies within the pool's radius of its anchor, measured as
-        ``RelationshipSpace.candidate_set`` measures it."""
-        tool_rows = np.vstack([self.tool_rows, record.tool_affordance.scores])
+        """This subcluster with ``record`` as its last row, in vector columns
+        of its own. Each remembered pool is carried forward exactly: the new
+        row's results join it when the row lies within the pool's radius of
+        its anchor, measured as ``RelationshipSpace.candidate_set`` measures
+        it."""
+        instruction = np.vstack([self.instruction_at(slice(None)), record.instruction_affordance.scores])
+        tool = np.vstack([self.tool_at(slice(None)), record.tool_affordance.scores])
         pools: dict[tuple[int, float], FirstSeen] = {}
         # A snapshot: another thread may remember a pool meanwhile.
         for (k, d), first in tuple(self.pools.items()):
-            dist = float(euclidean(tool_rows[k], tool_rows[-1:])[0])
+            dist = float(euclidean(tool[k], tool[-1:])[0])
             if dist <= d:
                 first = dict(first)
                 for column, row in enumerate(result_rows):
@@ -223,8 +256,9 @@ class Subcluster:
             self.centroid,
             [*self.ids, record.id],
             [*self.texts, record.text],
-            np.vstack([self.instruction_rows, record.instruction_affordance.scores]),
-            tool_rows,
+            _read_only(instruction),
+            _read_only(tool),
+            np.arange(len(tool)),
             np.vstack([self.result_rows, np.array(_padded(result_rows), dtype=np.int32)]),
             pools,
         )
@@ -273,8 +307,8 @@ class RelationshipSpace:
         return InstructionRecord(
             id=sub.ids[k],
             text=sub.texts[k],
-            instruction_affordance=AffordanceVector(tuple(sub.instruction_rows[k].tolist())),
-            tool_affordance=AffordanceVector(tuple(sub.tool_rows[k].tolist())),
+            instruction_affordance=AffordanceVector(tuple(sub.instruction_at(k).tolist())),
+            tool_affordance=AffordanceVector(tuple(sub.tool_at(k).tolist())),
             results=tuple(self.results[row] for row in sub.result_rows[k].tolist() if row >= 0),
         )
 
@@ -303,15 +337,16 @@ class RelationshipSpace:
         for ci in _nearest_first(point, cluster_rows):
             subs = self.clusters[ci].subclusters
             for sj in _nearest_first(point, subcluster_rows[ci]):
-                rows = subs[sj].instruction_rows
-                for start, stop in ((0, DFS_BLOCK), (DFS_BLOCK, len(rows))):
-                    if start >= len(rows):
+                sub = subs[sj]
+                size = len(sub.ids)
+                for start, stop in ((0, DFS_BLOCK), (DFS_BLOCK, size)):
+                    if start >= size:
                         break
-                    hits = np.flatnonzero(euclidean(point, rows[start:stop]) <= c)
+                    hits = np.flatnonzero(euclidean(point, sub.instruction_at(slice(start, stop))) <= c)
                     if hits.size:
                         k = start + int(hits[0])
                         return (int(ci), int(sj), k), visited + k + 1
-                visited += len(rows)
+                visited += size
         return None, visited
 
     def candidate_set(self, anchor: Position, d: float) -> np.ndarray:
@@ -322,7 +357,7 @@ class RelationshipSpace:
         """
         ci, sj, k = anchor
         sub = self.clusters[ci].subclusters[sj]
-        dists = euclidean(sub.tool_rows[k], sub.tool_rows)
+        dists = euclidean(sub.tool_at(k), sub.tool_at(slice(None)))
         picked = np.flatnonzero(dists <= d)
         near = dists[picked]
         order = np.argsort(near)
@@ -348,7 +383,7 @@ class RelationshipSpace:
             distinct, at = np.unique(flat[filled], return_index=True)
             picked, columns = np.divmod(filled[at], MAX_RESULTS_PER_RECORD)
             seen_at = rows[picked]  # the row each result is first seen in
-            dists = euclidean(sub.tool_rows[k], sub.tool_rows[seen_at])
+            dists = euclidean(sub.tool_at(k), sub.tool_at(seen_at))
             seen_ids = [sub.ids[i] for i in seen_at.tolist()]
             first = dict(zip(distinct.tolist(), zip(dists.tolist(), seen_ids, columns.tolist())))
             sub.pools[k, d] = first
@@ -407,10 +442,13 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
 
     Drafts whose instruction or tool vector lies farther than ``D`` from the
     assigned cluster centroid are dropped before subclustering, mirroring the
-    corpus center filter. Deterministic for a fixed seed. The drafts are only
-    read: the surviving ones become rows of the space's columns, in tree
-    order, and the results they use become its result table, in first use
-    along that order.
+    corpus center filter. Deterministic for a fixed seed. The surviving
+    drafts' ids, texts and result rows are gathered in tree order, and the
+    results they use become the space's result table, in first use along
+    that order. Their vectors are not copied: the space keeps the drafts'
+    ``instruction`` and ``tool`` arrays, marked read-only, and each subcluster
+    its rows of them. Every draft's scores are checked, also those of drafts
+    the ``D`` filter drops (``SpaceFormatError``).
     """
     if not len(drafts):
         raise SpaceBuildError("cannot build a space from zero drafts")
@@ -477,22 +515,20 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     records = Drafts(
         ids=[drafts.ids[i] for i in kept_rows],
         texts=[drafts.texts[i] for i in kept_rows],
-        instruction=points[kept],
-        tool=tools[kept],
+        instruction=points,
+        tool=tools,
         results=[drafts.results[i] for i in in_use.tolist()],
         result_rows=table_row[used],
     )
-    # The records are the one copy of the kept drafts the space keeps; the
-    # rest is freed before the space is assembled.
-    del kept, kept_rows, used
-    return _space_from_columns(params, tree, records)
+    del kept_rows, used
+    return _space_from_columns(params, tree, records, kept)
 
 
 def brute_force_assignments(space: RelationshipSpace) -> bool:
     """True when every stored record sits under its nearest cluster centroid."""
     centroids = space._centroid_rows[0]
     return all(
-        (assign(sub.instruction_rows, centroids) == ci).all()
+        (assign(sub.instruction_at(slice(None)), centroids) == ci).all()
         for ci, cluster in enumerate(space.clusters)
         for sub in cluster.subclusters
     )
@@ -519,9 +555,9 @@ def _result_from_dict(doc: dict) -> GroundingResult:
     return GroundingResult(
         tool_label=doc["tool_label"],
         tool_image=doc["tool_image"],
-        tool_region=Region(*doc["tool_region"]),
-        operational_region=Region(*doc["operational_region"]),
-        functional_region=Region(*doc["functional_region"]),
+        tool_region=Region(*integers(doc["tool_region"])),
+        operational_region=Region(*integers(doc["operational_region"])),
+        functional_region=Region(*integers(doc["functional_region"])),
         unseen_region_label=doc.get("unseen_region_label"),
         unseen_region_image=doc.get("unseen_region_image"),
     )
@@ -559,9 +595,8 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
     header nor a column is ever held in one piece.
     """
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
-    table: dict[str, int] = {}
-    text_rows = [[table.setdefault(text, len(table)) for text in sub.texts] for sub in subs]
-    texts = list(table)
+    texts = list(dict.fromkeys(text for sub in subs for text in sub.texts))
+    table = {text: row for row, text in enumerate(texts)}
     members = {
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
@@ -586,11 +621,12 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
         fh.write(b', "texts": ')
         _write_list(fh, (texts[at : at + _TEXT_BLOCK] for at in range(0, len(texts), _TEXT_BLOCK)))
         fh.write(b"}\n")
+        # Each subcluster's columns gathered in turn, so one is held at a time.
         columns = (
-            text_rows,
-            [sub.instruction_rows for sub in subs],
-            [sub.tool_rows for sub in subs],
-            [sub.result_rows for sub in subs],
+            ([table[text] for text in sub.texts] for sub in subs),
+            (sub.instruction_at(slice(None)) for sub in subs),
+            (sub.tool_at(slice(None)) for sub in subs),
+            (sub.result_rows for sub in subs),
         )
         for dtype, blocks in zip(_COLUMN_DTYPES, columns):
             for block in blocks:
@@ -631,20 +667,26 @@ def _check_drafts(drafts: Drafts) -> frozenset[str]:
     return ids
 
 
-def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> RelationshipSpace:
-    """Check the records, drafts in tree order whose results are rows of the
-    space's result table (``_check_drafts``), and the tree against them, then
-    build the subclusters, the id set and the centroid rows: the one
-    construction path of a built or loaded space. The subclusters slice the
+def _space_from_columns(
+    params: ConfigParams, tree: Tree, records: Drafts, vector_rows: np.ndarray
+) -> RelationshipSpace:
+    """Check the records and the tree against them, then build the
+    subclusters, the id set and the centroid rows: the one construction path
+    of a built or loaded space. ``records`` holds the stored records in tree
+    order, their results as rows of the space's result table, except that its
+    vector columns may hold more rows: ``vector_rows`` gives each record's.
+    Every row of those columns is checked (``_check_drafts``) and marked
+    read-only, and the subclusters share them. The subclusters slice the
     records' own id list and int32 result rows, so each id is held once, by
     them and the id set. Equal texts share one str, as those of a generated
     or read corpus and of a loaded space do."""
     ids = _check_drafts(records)
     n = len(records)
     sizes = [size for _, subclusters in tree for _, size in subclusters]
-    if any(not isinstance(size, int) or size < 0 for size in sizes) or sum(sizes) != n:
+    if any(size < 0 for size in sizes) or sum(sizes) != n:
         raise SpaceFormatError(f"subcluster sizes do not add up to the {n} stored records")
 
+    instruction, tool = _read_only(records.instruction), _read_only(records.tool)
     distinct: dict[str, str] = {}
     texts = [distinct.setdefault(text, text) for text in records.texts]
     clusters: list[Cluster] = []
@@ -658,8 +700,9 @@ def _space_from_columns(params: ConfigParams, tree: Tree, records: Drafts) -> Re
                     AffordanceVector(tuple(sub_centroid)),
                     records.ids[lo:hi],
                     texts[lo:hi],
-                    records.instruction[lo:hi],
-                    records.tool[lo:hi],
+                    instruction,
+                    tool,
+                    vector_rows[lo:hi],
                     records.result_rows[lo:hi],
                 )
             )
@@ -713,7 +756,7 @@ def _read_columns(fh, doc: dict, size: int) -> tuple[ConfigParams, Tree, Drafts]
     if not isinstance(ids, list) or not isinstance(table, list):
         raise SpaceFormatError("ids and texts must be lists")
     n = len(ids)
-    if doc["record_count"] != n:
+    if integer(doc["record_count"]) != n:
         raise SpaceFormatError("record_count does not match stored records")
     shapes = ((n,), (n, params.X), (n, params.X), (n, MAX_RESULTS_PER_RECORD))
     expected = sum(
@@ -727,7 +770,10 @@ def _read_columns(fh, doc: dict, size: int) -> tuple[ConfigParams, Tree, Drafts]
     if n and (text_rows.min() < 0 or text_rows.max() >= len(table)):
         raise SpaceFormatError(f"text row outside the {len(table)}-entry text table")
     tree = [
-        (cdoc["centroid"], [(sdoc["centroid"], sdoc["size"]) for sdoc in cdoc["subclusters"]])
+        (
+            numbers(cdoc["centroid"]).tolist(),
+            [(numbers(sdoc["centroid"]).tolist(), integer(sdoc["size"])) for sdoc in cdoc["subclusters"]],
+        )
         for cdoc in doc["clusters"]
     ]
     records = Drafts(
@@ -789,7 +835,8 @@ def load_space(path: str | Path) -> RelationshipSpace:
         if doc["schema"] != SPACE_SCHEMA:
             raise _schema_error(doc["schema"])
         try:
-            return _space_from_columns(*_read_columns(fh, doc, path.stat().st_size - fh.tell()))
+            params, tree, records = _read_columns(fh, doc, path.stat().st_size - fh.tell())
+            return _space_from_columns(params, tree, records, np.arange(len(records)))
         except SpaceError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -823,9 +870,9 @@ def _result_key(doc: dict) -> tuple:
     return (
         doc["tool_label"],
         doc["tool_image"],
-        tuple(doc["tool_region"]),
-        tuple(doc["operational_region"]),
-        tuple(doc["functional_region"]),
+        tuple(integers(doc["tool_region"])),
+        tuple(integers(doc["operational_region"])),
+        tuple(integers(doc["functional_region"])),
         doc.get("unseen_region_label"),
         doc.get("unseen_region_image"),
     )
@@ -870,15 +917,18 @@ def read_corpus(path: str | Path) -> Drafts:
                 if not 1 <= len(results) <= MAX_RESULTS_PER_RECORD:
                     raise ValueError(f"{len(results)} results, not 1..{MAX_RESULTS_PER_RECORD}")
                 rows[at, : len(results)] = [result_row(r) for r in results]
-                vectors = [np.array(doc[key]) for key in ("instruction_affordance", "tool_affordance")]
-                if columns is None:
-                    columns = tuple(np.empty((n, vector.size)) for vector in vectors)
+                try:
+                    vectors = [numbers(doc[key]) for key in ("instruction_affordance", "tool_affordance")]
+                    if columns is None:
+                        columns = tuple(np.empty((n, vector.size)) for vector in vectors)
+                    if any(v.shape != c.shape[1:] for v, c in zip(vectors, columns)):
+                        raise ValueError("vector lengths differ")
+                except ValueError:
+                    raise SpaceFormatError(
+                        f"malformed corpus: line {line_no}: affordance vectors must be"
+                        " lists of numbers, all of one length"
+                    ) from None
                 for column, vector in zip(columns, vectors):
-                    if vector.dtype.kind not in "biuf" or vector.shape != column.shape[1:]:
-                        raise SpaceFormatError(
-                            f"malformed corpus: line {line_no}: affordance vectors must be"
-                            " lists of numbers, all of one length"
-                        )
                     column[at] = vector
                 text = doc["text"]
                 texts.append(distinct_texts.setdefault(text, text))

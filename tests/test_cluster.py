@@ -129,6 +129,20 @@ def test_kmeans_is_bit_identical_to_a_run_on_the_broadcast_oracle(seed, monkeypa
     same_bits(got, expected)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blocked_kmeans_is_bit_identical_to_the_broadcast_oracle_across_block_edges(seed, monkeypatch):
+    # Two whole blocks and a part: the last block is short.
+    n = 2 * cluster.BLOCK + 123
+    rng = np.random.Generator(np.random.PCG64(seed))
+    points = np.clip(rng.normal(5.0, 2.0, size=(n, 6)), 0.0, 10.0)
+    if seed % 2:
+        points = np.round(points)  # duplicate points and exact ties
+    got = kmeans(points, 5, np.random.Generator(np.random.PCG64(seed)))
+    monkeypatch.setattr(cluster, "assign", broadcast_assign)
+    expected = lloyd_kmeans(points, 5, np.random.Generator(np.random.PCG64(seed)))
+    same_bits(got, expected)
+
+
 def grid_points(rng, n):
     """Two-dimensional points on a 5 x 5 integer grid: many duplicates, and
     many points exactly as far from two centers."""

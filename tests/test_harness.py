@@ -26,7 +26,7 @@ from aide.harness import (
 )
 from aide.planner import write_trace
 from aide.simulator import fresh_world
-from aide.space import build_space, write_corpus
+from aide.space import build_space, load_space, save_space, write_corpus
 
 
 # --- corpus generation -----------------------------------------------------
@@ -142,6 +142,61 @@ def test_set_up_holds_at_most_one_block_beyond_its_result(params):
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def drafts_and_space_20k(params):
+    drafts = gen_corpus(20_000, params.X, params.a, params.b, seed=7)
+    return drafts, build_space(drafts, params, 7)
+
+
+def _subclusters(space):
+    return [sub for cluster in space.clusters for sub in cluster.subclusters]
+
+
+def test_a_built_space_keeps_the_drafts_vector_columns(drafts_and_space_20k):
+    drafts, space = drafts_and_space_20k
+    for sub in _subclusters(space):
+        assert np.shares_memory(sub.instruction, drafts.instruction)
+        assert np.shares_memory(sub.tool, drafts.tool)
+
+
+# Traced bytes that saving the 20,000-draft space may hold beyond one
+# subcluster's gathered vector columns. Measured: 42 KB (the text table and a
+# subcluster's text rows); gathering every subcluster's columns before the
+# first write would hold 6 MB.
+_SAVE_SLACK = 150_000
+
+
+def test_saving_gathers_one_subcluster_at_a_time(drafts_and_space_20k, params, tmp_path):
+    _, space = drafts_and_space_20k
+    largest = max(len(sub.ids) for sub in _subclusters(space))
+    columns = 2 * largest * params.X * np.dtype(float).itemsize
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_space(space, tmp_path / "space.aide")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - before <= columns + _SAVE_SLACK
+
+
+def test_the_vector_columns_of_a_built_or_loaded_space_are_read_only(drafts_and_space_20k, tmp_path):
+    drafts, built = drafts_and_space_20k
+    save_space(built, tmp_path / "space.aide")
+    loaded = load_space(tmp_path / "space.aide")
+    for space in (built, loaded):
+        sub = space.clusters[0].subclusters[0]
+        for column in (sub.instruction, sub.tool):
+            with pytest.raises(ValueError, match="read-only"):
+                column[sub.vector_rows[0], 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        drafts.instruction[0, 0] = 5.0
 
 
 # --- evaluation ------------------------------------------------------------

@@ -211,6 +211,8 @@ MALFORMED = [
      lambda r: r.score_affordance("x")),
     ("score_affordance-bool", "/reason", {"scores": [0.5, True]},
      lambda r: r.score_affordance("x")),
+    ("score_affordance-beyond-float", "/reason", {"scores": [0.5, 10**400]},
+     lambda r: r.score_affordance("x")),
     ("score_affordance-string-list", "/reason", {"scores": "35"},
      lambda r: r.score_affordance("x")),
     *[

@@ -289,7 +289,7 @@ def test_radius_equal_to_the_numpy_oracle_distance_is_inside(space, params):
         assert hit is not None
     for anchor, record in space.iter_records():
         sub = space.clusters[anchor[0]].subclusters[anchor[1]]
-        tools = sub.tool_rows
+        tools = sub.tool_at(slice(None))
         radius = float(np.sqrt(((tools - np.array(record.tool_affordance.scores)) ** 2).sum(axis=1)).max())
         assert len(space.candidate_set(anchor, radius)) == len(sub.ids)
 
@@ -303,7 +303,7 @@ def whole_subcluster_dfs(space, query, c):
         subs = space.clusters[ci].subclusters
         sub_centroids = np.array([sub.centroid.scores for sub in subs])
         for sj in np.argsort(euclidean(point, sub_centroids), kind="stable"):
-            hits = np.flatnonzero(euclidean(point, subs[sj].instruction_rows) <= c)
+            hits = np.flatnonzero(euclidean(point, subs[sj].instruction_at(slice(None))) <= c)
             if hits.size:
                 return (int(ci), int(sj), int(hits[0])), visited + int(hits[0]) + 1
             visited += len(subs[sj].ids)
@@ -478,7 +478,7 @@ def test_an_insert_at_exactly_the_radius_joins_a_remembered_pool(params):
     # A 3-4-5 offset: distance 5.0 exactly, so inside the radius.
     space.insert(_record("r1", vector([5.0] * params.X), vector(_at(params, d0=3.0, d1=4.0)), results=(G,)))
     space.insert(_record("r2", vector([5.0] * params.X), vector(_at(params, d0=3.0, d1=4.000001)), results=(H,)))
-    assert euclidean(space.clusters[0].subclusters[0].tool_rows[0], _at(params, d0=3.0, d1=4.0)) == 5.0
+    assert euclidean(space.clusters[0].subclusters[0].tool_at(0), _at(params, d0=3.0, d1=4.0)) == 5.0
     assert remembered_pool(space, anchor, 5.0) == [A, G] == fresh_pool(space, anchor, 5.0)
 
 
@@ -614,17 +614,18 @@ def test_clone_isolates_insertions(space, params):
     assert space.dfs_retrieve(vec, 0.0)[0] is None
 
 
-_COLUMNS = ("ids", "texts", "instruction_rows", "tool_rows", "result_rows")
+_COLUMNS = ("ids", "texts", "instruction", "tool", "result_rows")
 
 
 def _shared(space, other):
-    """Whether every subcluster of ``other`` holds the very columns of the
-    same subcluster of ``space``."""
+    """Whether every subcluster of ``other`` holds the very lists and columns
+    of the same subcluster of ``space``, and reads the same rows of the
+    vector columns."""
     return all(
-        getattr(sub, name) is getattr(other_sub, name)
+        all(getattr(sub, name) is getattr(other_sub, name) for name in _COLUMNS)
+        and np.array_equal(sub.vector_rows, other_sub.vector_rows)
         for cluster, other_cluster in zip(space.clusters, other.clusters)
         for sub, other_sub in zip(cluster.subclusters, other_cluster.subclusters)
-        for name in _COLUMNS
     )
 
 
@@ -642,7 +643,7 @@ def test_clone_shares_every_record_list_and_column_until_an_insert(space, params
     home = first.clusters[ci].subclusters[sj]
     assert k == len(home.ids) - 1
     assert (home.ids[-1], home.texts[-1]) == (record.id, record.text)
-    assert home.instruction_rows[-1].tolist() == home.tool_rows[-1].tolist() == [5.0] * params.X
+    assert home.instruction_at(-1).tolist() == home.tool_at(-1).tolist() == [5.0] * params.X
     assert home.result_rows[-1].tolist() == [len(space.results), -1, -1]
     assert first.record(ci, sj, k) == record
     assert len(first.results) == len(space.results) + 1
@@ -768,7 +769,13 @@ def _facts(space) -> tuple:
         ],
         [space.results[row] for row in range(len(space.results))],
         [
-            [np.asarray(getattr(sub, name)).tolist() for name in _COLUMNS]
+            (
+                sub.ids,
+                sub.texts,
+                sub.instruction_at(slice(None)).tolist(),
+                sub.tool_at(slice(None)).tolist(),
+                sub.result_rows.tolist(),
+            )
             for cluster in space.clusters
             for sub in cluster.subclusters
         ],
@@ -868,6 +875,21 @@ def _number_text(doc, columns):
     doc["texts"][int(columns["text_rows"][4, 0])] = 5
 
 
+def _bool_centroid(doc, columns):
+    # Scores of True would load as 1.0 if a bool were read as a number.
+    doc["clusters"][0]["centroid"] = [True] * len(doc["clusters"][0]["centroid"])
+
+
+def _bool_size(doc, columns):
+    sub = doc["clusters"][0]["subclusters"][0]
+    doc["clusters"][0]["subclusters"][1]["size"] += sub["size"] - 1
+    sub["size"] = True
+
+
+def _float_region(doc, columns):
+    doc["results"][0]["tool_region"][2] += 0.5
+
+
 @pytest.mark.parametrize(
     ("corrupt", "message"),
     [
@@ -889,6 +911,9 @@ def _number_text(doc, columns):
         (_empty_id, "empty record id"),
         (_number_id, "record ids must be strings"),
         (_number_text, "record texts must be strings"),
+        (_bool_centroid, "is not a list of numbers"),
+        (_bool_size, "True is not an integer"),
+        (_float_region, "is not a list of integers"),
     ],
 )
 def test_load_rejects_a_malformed_v3_file(space, tmp_path, corrupt, message):
@@ -1346,6 +1371,15 @@ def test_corpus_rejects_garbage(tmp_path):
         read_corpus(path)
 
 
+_CORPUS_RESULT = {
+    "tool_label": "cup",
+    "tool_image": "tool:drink:cup",
+    "tool_region": [0, 0, 100, 100],
+    "operational_region": [0, 50, 100, 100],
+    "functional_region": [0, 0, 100, 50],
+}
+
+
 def _corpus_line(**changes) -> str:
     # A line as earlier versions wrote it, with cluster_id/subcluster_id at -1,
     # which read_corpus ignores.
@@ -1356,15 +1390,7 @@ def _corpus_line(**changes) -> str:
         "tool_affordance": [1.0, 2.0, 3.0],
         "cluster_id": -1,
         "subcluster_id": -1,
-        "results": [
-            {
-                "tool_label": "cup",
-                "tool_image": "tool:drink:cup",
-                "tool_region": [0, 0, 100, 100],
-                "operational_region": [0, 50, 100, 100],
-                "functional_region": [0, 0, 100, 50],
-            }
-        ],
+        "results": [_CORPUS_RESULT],
     }
     record.update(changes)
     return json.dumps(record) + "\n"
@@ -1381,6 +1407,12 @@ def _corpus_line(**changes) -> str:
         ({"instruction_affordance": [1.0, 2.0]}, "malformed corpus"),
         ({"results": []}, "0 results"),
         ({"results": [{"tool_label": "cup"}]}, "line 2"),
+        # Each number is read at its JSON type: a bool is no number, a float
+        # no coordinate, and an int too large for a float no score.
+        ({"instruction_affordance": [True, 2.0, 3.0]}, "numbers"),
+        ({"tool_affordance": [1.0, 10**400, 3.0]}, "numbers"),
+        ({"results": [{**_CORPUS_RESULT, "tool_region": [0, 0, 100.5, 100]}]}, "not a list of integers"),
+        ({"results": [{**_CORPUS_RESULT, "tool_region": [False, 0, 100, 100]}]}, "not a list of integers"),
     ],
 )
 def test_corpus_rejects_a_malformed_record(tmp_path, changes, message):

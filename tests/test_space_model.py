@@ -284,7 +284,7 @@ class SpaceMachine(RuleBasedStateMachine):
                 sub = space.clusters[ci].subclusters[sj]
                 assert sub.ids == [record.id for record in records]
                 assert sub.result_rows.dtype == np.int32
-                assert len(sub.texts) == len(sub.instruction_rows) == len(sub.tool_rows) == len(records)
+                assert len(sub.texts) == len(sub.vector_rows) == len(sub.result_rows) == len(records)
 
 
 SpaceMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
