@@ -4,11 +4,10 @@ Hamerly's bounds.
 Kept dependency-light on purpose: the retrieval index needs exact, reproducible
 assignments (ties resolved to the lowest centroid index) rather than the
 fastest possible fit, so this is a direct numpy implementation instead of an
-external clustering library. Points are measured ``BLOCK`` rows at a time,
-against one center at a time, with the one affordance distance,
-``euclidean``: a k x ``BLOCK`` distance array and one ``BLOCK`` x X temporary
-at a time, never an n x X one. Each row's distance is computed on its own, so
-the blocks change no value.
+external clustering library. Points are measured ``BLOCK`` rows at a time, so
+the temporaries of a fit are a k x ``BLOCK`` array and one ``BLOCK`` x X
+array at a time, never an n x X one. Each row is measured on its own, so the
+blocks change no value.
 
 Lloyd's iterations re-measure only the points whose label can change
 (Hamerly 2010). Each point keeps an upper bound on the distance to its own
@@ -16,11 +15,37 @@ center and a lower bound on the distance to every other center, stored as
 one number, their gap (lower minus upper). When the centers move, the
 triangle inequality shrinks the gap by the point's own center's shift plus
 the largest shift among the other centers. A point whose gap stays above
-``MARGIN`` keeps its label unmeasured; every other point is measured against
-all k centers with the row arithmetic of ``assign``. A center is recomputed
-only when its cluster's membership changed, since the same members in the
-same order give the same mean. So labels, centers, empty clusters and the
-iteration count are those of plain Lloyd, bit for bit.
+``MARGIN`` keeps its label unmeasured. A center is recomputed only when its
+cluster's membership changed, since the same members in the same order give
+the same mean.
+
+A point that is measured is measured first through one inner product,
+``d2 = |p|^2 - 2 p.c + |c|^2``, with the squared norms of the points taken
+once per fit (``_squared_distances``). Its label is the one ``assign``'s
+row arithmetic (``euclidean``, ties to the lower index) would give only
+when the product certifies it; every other point is measured with that
+arithmetic itself. With ``u = 2**-53`` and X coordinates:
+
+- In any summation order, the product errs on a squared distance by at most
+  about ``(X + 2) u (|p| + |c|)^2``. ``_nearest`` allows
+  ``err = (X + 3) u (|p| + max |c|)^2`` for every center of a point.
+- ``euclidean`` errs on a squared distance ``s`` by at most about
+  ``(X + 2) u s`` before its square root.
+- A point's nearest and second-nearest product values, ``first`` and
+  ``second``, certify its label when ``second - err`` exceeds
+  ``(first + err) (1 + RELATIVE)``. Then every other center's sum in
+  ``euclidean`` exceeds the label's by a relative ``RELATIVE`` less those
+  errors, about ``1e-12``, far more than a square root's rounding: the
+  label's distance is strictly the smallest, so no tie can arise. Two
+  distinct sums that round to one square root, the tie case, fail the test
+  and go to the exact path, as does any non-finite value.
+- A certified point's gap is ``sqrt(second - err) (1 - RELATIVE) -
+  sqrt(first + err)``, a lower bound on its true gap despite the rounding of
+  the square roots and the difference; a point measured exactly keeps its
+  measured gap, as ``MARGIN`` allows.
+
+So labels, centers, empty clusters and the iteration count are those of
+plain Lloyd, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +60,10 @@ MAX_ITERATIONS = 100
 # distances are at most about 44, so a measured one is off by about 1e-13 at
 # most, and MAX_ITERATIONS bound updates add less than 1e-12: far below it.
 MARGIN = 1e-9
+
+# The relative margin by which a product must separate a point's two nearest
+# centers to certify its label (module docstring).
+RELATIVE = 1e-12
 
 # Points measured at a time, so the temporaries of a fit do not grow with
 # its points (about 0.6 MB each at 19 dimensions).
@@ -76,21 +105,60 @@ def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _distances(points, centers).argmin(axis=0)
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``assign``'s labels of ``points[rows]``, and each one's gap: its
-    distance to the second nearest center minus that to the nearest (infinite
-    when k is 1). Measured ``BLOCK`` rows at a time."""
+def _squared_distances(
+    points: np.ndarray, norms: np.ndarray, centers: np.ndarray, center_norms: np.ndarray
+) -> np.ndarray:
+    """k x n squared distances through one inner product, ``norms`` and
+    ``center_norms`` being the squared norms of ``points`` and ``centers``:
+    off by at most ``err`` (module docstring), not exact."""
+    d2 = np.einsum("kj,ij->ki", centers, points)
+    d2 *= -2.0
+    d2 += norms
+    d2 += center_norms[:, None]
+    return d2
+
+
+def _two_nearest(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column of a k x n array: the row of its smallest value (the lowest
+    of equal ones), that value, and the smallest of the other rows (infinite
+    when k is 1). Overwrites ``distances``."""
+    labels = distances.argmin(axis=0)
+    own = labels * distances.shape[1] + np.arange(distances.shape[1])
+    flat = distances.ravel()
+    first = flat[own]
+    flat[own] = np.inf
+    return labels, first, distances.min(axis=0)
+
+
+def _nearest(
+    points: np.ndarray, norms: np.ndarray, centers: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``assign``'s labels of ``points[rows]``, and for each a lower bound on
+    its gap: its distance to the second nearest center minus that to the
+    nearest (infinite when k is 1). ``norms`` holds the points' squared
+    norms. Measured ``BLOCK`` rows at a time through the product, and the
+    rows it does not certify through ``assign``'s arithmetic."""
     labels = np.empty(len(rows), dtype=np.intp)
     gap = np.empty(len(rows))
+    center_norms = np.einsum("ij,ij->i", centers, centers)
+    scale = (centers.shape[1] + 3) * 2.0**-53
+    largest = np.sqrt(center_norms.max())
     for start in range(0, len(rows), BLOCK):
-        at = slice(start, start + BLOCK)
-        distances = _distances(points.take(rows[at], axis=0), centers)
-        labels[at] = block_labels = distances.argmin(axis=0)
-        own = block_labels * distances.shape[1] + np.arange(distances.shape[1])
-        flat = distances.ravel()
-        nearest = flat[own]
-        flat[own] = np.inf
-        gap[at] = distances.min(axis=0) - nearest
+        block_rows = rows[start : start + BLOCK]
+        block_norms = norms.take(block_rows)
+        d2 = _squared_distances(points.take(block_rows, axis=0), block_norms, centers, center_norms)
+        block_labels, first, second = _two_nearest(d2)
+        err = (np.sqrt(block_norms) + largest) ** 2 * scale
+        upper, lower = first + err, second - err
+        unsure = ~(lower > upper * (1.0 + RELATIVE))
+        block_gap = np.sqrt(np.maximum(lower, 0.0)) * (1.0 - RELATIVE) - np.sqrt(upper)
+        if unsure.any():
+            at = unsure.nonzero()[0]
+            distances = _distances(points.take(block_rows[at], axis=0), centers)
+            block_labels[at], nearest, second_nearest = _two_nearest(distances)
+            block_gap[at] = second_nearest - nearest
+        labels[start : start + BLOCK] = block_labels
+        gap[start : start + BLOCK] = block_gap
     return labels, gap
 
 
@@ -126,8 +194,9 @@ def kmeans(
     if points.shape[0] < k:
         raise ValueError(f"cannot form {k} clusters from {points.shape[0]} points")
 
+    norms = np.einsum("ij,ij->i", points, points)
     centers = _plus_plus_init(points, k, rng)
-    labels, gap = _nearest(points, centers, np.arange(len(points)))
+    labels, gap = _nearest(points, norms, centers, np.arange(len(points)))
     changed = range(k)
     for _ in range(MAX_ITERATIONS):
         previous = centers.copy()
@@ -139,7 +208,7 @@ def kmeans(
         stale = (gap <= MARGIN).nonzero()[0]
         if not stale.size:
             break
-        new_labels, gap[stale] = _nearest(points, centers, stale)
+        new_labels, gap[stale] = _nearest(points, norms, centers, stale)
         old_labels = labels[stale]
         moved = new_labels != old_labels
         if not moved.any():

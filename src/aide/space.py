@@ -233,14 +233,24 @@ class Subcluster:
         """The tool vectors of ``rows`` (an index, a slice or an index array)."""
         return self.tool.take(self.vector_rows[rows], axis=0)
 
+    def _rows_then(self, column: np.ndarray, last: Sequence[float]) -> np.ndarray:
+        """This subcluster's rows of ``column`` and then ``last``, gathered
+        straight into one new array."""
+        rows = np.empty((len(self.vector_rows) + 1, column.shape[1]), dtype=column.dtype)
+        # "clip" writes straight into ``out``; "raise" would gather into a
+        # buffer first. The rows are in range, so clipping changes none.
+        column.take(self.vector_rows, axis=0, out=rows[:-1], mode="clip")
+        rows[-1] = last
+        return rows
+
     def appended(self, record: InstructionRecord, result_rows: list[int]) -> "Subcluster":
         """This subcluster with ``record`` as its last row, in vector columns
         of its own. Each remembered pool is carried forward exactly: the new
         row's results join it when the row lies within the pool's radius of
         its anchor, measured as ``RelationshipSpace.candidate_set`` measures
         it."""
-        instruction = np.vstack([self.instruction_at(slice(None)), record.instruction_affordance.scores])
-        tool = np.vstack([self.tool_at(slice(None)), record.tool_affordance.scores])
+        instruction = self._rows_then(self.instruction, record.instruction_affordance.scores)
+        tool = self._rows_then(self.tool, record.tool_affordance.scores)
         pools: dict[tuple[int, float], FirstSeen] = {}
         # A snapshot: another thread may remember a pool meanwhile.
         for (k, d), first in tuple(self.pools.items()):
@@ -447,8 +457,8 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     results they use become the space's result table, in first use along
     that order. Their vectors are not copied: the space keeps the drafts'
     ``instruction`` and ``tool`` arrays, marked read-only, and each subcluster
-    its rows of them. Every draft's scores are checked, also those of drafts
-    the ``D`` filter drops (``SpaceFormatError``).
+    its rows of them. Every draft's scores are checked before clustering,
+    also those of drafts the ``D`` filter drops (``SpaceFormatError``).
     """
     if not len(drafts):
         raise SpaceBuildError("cannot build a space from zero drafts")
@@ -463,6 +473,7 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
         raise SpaceBuildError(
             f"{len(drafts)} drafts cannot seed {params.a} clusters"
         )
+    _check_scores(drafts)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     centers, labels = kmeans(points, params.a, rng)
@@ -633,6 +644,13 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
                 fh.write(np.ascontiguousarray(block, dtype=dtype))
 
 
+def _check_scores(drafts: Drafts) -> None:
+    """Check that every instruction and tool score is finite and in range."""
+    for name, column in (("instruction", drafts.instruction), ("tool", drafts.tool)):
+        if not ((column >= SCORE_MIN) & (column <= SCORE_MAX)).all():  # also false for NaN
+            raise SpaceFormatError(f"a {name} score is not finite or outside [{SCORE_MIN}, {SCORE_MAX}]")
+
+
 def _check_drafts(drafts: Drafts) -> frozenset[str]:
     """Check drafts columns against each other and each row's values: ids
     that are distinct, non-empty strings, texts that are strings, finite
@@ -641,9 +659,7 @@ def _check_drafts(drafts: Drafts) -> frozenset[str]:
     n = len(drafts.ids)
     if len(drafts.texts) != n:
         raise SpaceFormatError(f"{len(drafts.texts)} texts for {n} ids")
-    for name, column in (("instruction", drafts.instruction), ("tool", drafts.tool)):
-        if not ((column >= SCORE_MIN) & (column <= SCORE_MAX)).all():  # also false for NaN
-            raise SpaceFormatError(f"a {name} score is not finite or outside [{SCORE_MIN}, {SCORE_MAX}]")
+    _check_scores(drafts)
     rows = drafts.result_rows
     if rows.size and (rows.min() < -1 or rows.max() >= len(drafts.results)):
         raise SpaceFormatError(f"result row outside the {len(drafts.results)}-row result table")

@@ -220,20 +220,74 @@ def test_kmeans_matches_plain_lloyd_on_a_subcluster_of_the_50k_space():
 
 
 def test_the_bounds_leave_most_distances_unmeasured(monkeypatch):
-    measure = cluster.euclidean
-    measured = []
+    measure, product = cluster.euclidean, cluster._squared_distances
+    measured = {"product": 0, "exact": 0}
 
-    def counting(a, b):
-        out = measure(a, b)
-        measured.append(out.size)
-        return out
+    def counting(kind, kernel):
+        def counted(*args):
+            out = kernel(*args)
+            measured[kind] += out.size
+            return out
 
-    monkeypatch.setattr(cluster, "euclidean", counting)
+        return counted
+
+    monkeypatch.setattr(cluster, "euclidean", counting("exact", measure))
+    monkeypatch.setattr(cluster, "_squared_distances", counting("product", product))
     points = subcluster_points(7)
     lloyd_kmeans(points, 3, np.random.Generator(np.random.PCG64(7)))
-    plain = sum(measured)
-    measured.clear()
+    plain = dict(measured)
+    measured.update(product=0, exact=0)
     kmeans(points, 3, np.random.Generator(np.random.PCG64(7)))
-    # Pinned: the distances the bounded fit takes, counting k-means++ and the
-    # center shifts. Looser bounds give the same result at a higher count.
-    assert (plain, sum(measured)) == (1_200_000, 330_000)
+    # Pinned: the distances each fit takes through the product and through
+    # the exact arithmetic, counting k-means++ and the center shifts. Looser
+    # bounds give the same result at a higher count; here the product
+    # certifies every label, so the exact arithmetic measures only k-means++
+    # and the shifts.
+    assert (plain, measured) == ({"product": 0, "exact": 1_200_000}, {"product": 311_064, "exact": 18_936})
+
+
+def near_ties(rng, n):
+    """Points in 19 dimensions at coordinates near 10, on a quarter grid, so
+    many sums of squares are exact and many points lie exactly as far from
+    two others; a third of them nudged by 2**-40 in one coordinate, so they
+    lie only nearly as far. The product cannot order such distances."""
+    points = 9.5 + 0.25 * rng.integers(0, 3, size=(n, 19))
+    nudged = rng.random(n) < 1 / 3
+    points[nudged, rng.integers(0, 19, size=nudged.sum())] -= 2.0**-40
+    return points
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_matches_plain_lloyd_where_the_product_cannot_certify(k, seed, monkeypatch):
+    points = near_ties(np.random.Generator(np.random.PCG64(seed)), 300)
+    exact = cluster._distances
+    fallback = []
+
+    def counting(block, centers):
+        fallback.append(len(block))
+        return exact(block, centers)
+
+    # Within a fit only the rows the product does not certify reach _distances.
+    monkeypatch.setattr(cluster, "_distances", counting)
+    got = kmeans(points, k, np.random.Generator(np.random.PCG64(seed)))
+    monkeypatch.setattr(cluster, "_distances", exact)
+    same_bits(got, lloyd_kmeans(points, k, np.random.Generator(np.random.PCG64(seed))))
+    assert sum(fallback) >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_nearest_gives_the_labels_of_assign_and_a_gap_no_larger_than_the_measured_one(data):
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    points = near_ties(rng, data.draw(st.integers(1, 40)))
+    centers = points[rng.integers(0, len(points), size=data.draw(st.integers(2, 6)))]
+    if data.draw(st.booleans()):
+        centers = centers + rng.normal(0.0, 1e-3, size=centers.shape)
+    rows = np.arange(len(points))
+    labels, gap = cluster._nearest(points, np.einsum("ij,ij->i", points, points), centers, rows)
+    assert np.array_equal(labels, assign(points, centers))
+    distances = cluster._distances(points, centers)
+    nearest = distances[labels, rows]
+    distances[labels, rows] = np.inf
+    assert (gap <= distances.min(axis=0) - nearest + 1e-12).all()

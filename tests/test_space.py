@@ -168,6 +168,26 @@ def test_build_errors():
         build_space(drafts_of([_record("x", vector([1, 2]))], 2), params, seed=0)
 
 
+def _copy(drafts):
+    """``drafts`` with vector columns of their own: a build marks its drafts' read-only."""
+    return replace(drafts, instruction=drafts.instruction.copy(), tool=drafts.tool.copy())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["instruction", "tool"])
+@pytest.mark.parametrize("dropped", [False, True], ids=["kept", "dropped"])
+def test_build_rejects_a_score_that_is_not_finite(corpus, params, value, column, dropped):
+    drafts = _copy(corpus)
+    if dropped:
+        # A tool vector mirrored across the score range lies farther than D
+        # from its cluster's centroid.
+        drafts.tool[5] = np.where(drafts.tool[5] < 5.0, 10.0, 0.0)
+        assert not build_space(_copy(drafts), params, seed=7).holds(drafts.ids[5])
+    getattr(drafts, column)[5, 3] = value
+    with pytest.raises(SpaceFormatError, match="not finite"):
+        build_space(drafts, params, seed=7)
+
+
 def test_build_deterministic(corpus, params):
     s1 = build_space(corpus, params, seed=42)
     s2 = build_space(corpus, params, seed=42)
