@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    aide gen-corpus       synthesize an instruction draft corpus (jsonl)
+    aide gen-corpus       synthesize an instruction draft corpus (aide-corpus/2)
     aide build-space      cluster drafts into a persisted relationship space
     aide eval             batch closed-loop evaluation with the metric suite
     aide ablate-retrieval retrieval runtime/accuracy comparison table
@@ -35,6 +35,9 @@ from .simulator import WorldError
 from .space import SpaceError, build_space, load_space, read_corpus, save_space
 
 
+_CORPUS_HELP = "corpus file as gen-corpus writes it (aide-corpus/2)"
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="aide-config/1 document")
     parser.add_argument("--seed", type=int, default=0)
@@ -63,12 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="generate synthetic instruction drafts")
     _add_common(p)
-    p.add_argument("--out", type=Path, required=True, help="output jsonl path")
+    p.add_argument("--out", type=Path, required=True, help="output corpus path (aide-corpus/2)")
     p.add_argument("--count", type=int, default=432, help="draft count")
 
     p = sub.add_parser("build-space", help="build and persist the relationship space")
     _add_common(p)
-    p.add_argument("--corpus", type=Path, required=True, help="draft jsonl path")
+    p.add_argument("--corpus", type=Path, required=True, help=_CORPUS_HELP)
     p.add_argument("--out", type=Path, required=True, help="output space path")
 
     p = sub.add_parser("eval", help="run the batch evaluation suite")
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-retrieval", help="retrieval method and threshold ablation")
     _add_common(p)
-    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--corpus", type=Path, required=True, help=_CORPUS_HELP)
     p.add_argument("--report", type=Path, help="output report path")
     p.add_argument(
         "--method",

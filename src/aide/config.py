@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .jsonvalues import integer, number
+
 CONFIG_SCHEMA = "aide-config/1"
 
 
@@ -21,6 +23,9 @@ _RETIRED = {
     "A": 432, "sigma": 0.5, "frame_period": 100.0, "epsilon": 1e-6,
     "confidence_lambda": 5.0, "blur_range": 8.0, "max_subgoal_depth": 4,
 }
+# The reader of each field's declared type: an int field takes a JSON integer,
+# a float field any JSON number (``aide.jsonvalues``).
+_READERS = {"int": integer, "float": number}
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,9 @@ class ConfigParams:
         an ``aide-space/3`` file's header.
 
         A key that is no field raises ``ConfigError``, except a dropped field
-        at the value every earlier save wrote for it, which is skipped.
+        at the value every earlier save wrote for it, which is skipped. Each
+        value is read at its JSON type (``_READERS``): a bool or a str is no
+        number, and a float no integer.
         """
         if not isinstance(raw, dict):
             raise ConfigError("params section must be a mapping")
@@ -106,7 +113,14 @@ class ConfigParams:
         unknown = sorted(k for k in raw if k not in known and k not in _RETIRED)
         if unknown:
             raise ConfigError(f"unknown config parameters: {unknown}")
-        return cls(**{key: value for key, value in raw.items() if key in known})
+        values = {}
+        for f in dataclasses.fields(cls):
+            if f.name in raw:
+                try:
+                    values[f.name] = _READERS[f.type](raw[f.name])
+                except ValueError as exc:
+                    raise ConfigError(f"parameter {f.name!r}: {exc}") from None
+        return cls(**values)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -100,7 +100,8 @@ def gen_corpus(
     path: str | Path | None = None,
 ) -> Drafts:
     """Synthesize ``A`` instruction drafts over ``a`` affordance classes, as
-    columns, and write them to ``path`` as ``write_corpus`` does if given.
+    columns, and write them to ``path`` as an ``aide-corpus/2`` file
+    (``write_corpus``) if given.
 
     Classes are assigned round-robin (counts balanced within one); vectors are
     the class centroid plus seeded Gaussian noise, drawn a block of drafts at

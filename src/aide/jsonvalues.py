@@ -1,7 +1,8 @@
 """JSON values read at their JSON type and never coerced, the one rule for a
-remote perception reply, a space file and a corpus file: a bool is neither an
-integer nor a number, and a float is no integer. The list forms check a whole
-array in one pass, for files that hold many of them."""
+remote perception reply, a space or corpus file, a config document and a
+world document: a bool is neither an integer nor a number, and a float is no
+integer. The list forms check a whole array in one pass, for files that hold
+many of them."""
 
 from __future__ import annotations
 

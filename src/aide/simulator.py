@@ -19,6 +19,7 @@ from .affordance import CONTAINER_LABELS
 from .commands import Approach, Manipulate, MotionCommand, NoOp, Reformulate, RequestHuman
 from .config import ConfigParams
 from .geometry import Region, iou, pixel_bounds, vertical_halves
+from .jsonvalues import integer, number
 from .perception import SceneFrame
 
 WORLD_SCHEMA = "aide-world/1"
@@ -393,7 +394,40 @@ def save_world(world: World, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _positive(value: float) -> float:
+    if not 0 < value < math.inf:  # also false for NaN
+        raise ValueError(f"{value!r} is not finite and positive")
+    return value
+
+
+def _pose(value: object) -> tuple[float, float, float]:
+    if type(value) is not list or len(value) != 3:
+        raise ValueError(f"{value!r} is not three numbers")
+    x, y, heading = map(number, value)
+    if not all(map(math.isfinite, (x, y, heading))):
+        raise ValueError(f"{value!r} is not three finite numbers")
+    return x, y, heading
+
+
+def _tables(value: object) -> dict[str, dict]:
+    if type(value) is not dict or not all(type(table) is dict for table in value.values()):
+        raise ValueError(f"{value!r} is not a mapping of mappings")
+    return value
+
+
+def _member(doc: dict, key: str, default: object, read):
+    """``doc[key]``, or ``default`` when it is absent, through ``read``; a
+    value that ``read`` rejects is a ``WorldSchemaError`` naming the key."""
+    try:
+        return read(doc.get(key, default))
+    except ValueError as exc:
+        raise WorldSchemaError(f"{key}: {exc}") from None
+
+
 def load_world(path: str | Path) -> World:
+    """Read an ``aide-world/1`` document. The frame size, view range, robot
+    pose and tables are read at their JSON types (``aide.jsonvalues``) and
+    range-checked here, not when an episode first uses them."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -417,15 +451,15 @@ def load_world(path: str | Path) -> World:
             if obj.id in objects:
                 raise WorldError(f"duplicate object id {obj.id!r}")
             objects[obj.id] = obj
-        tables = doc.get("tables", {})
+        tables = _member(doc, "tables", {}, _tables)
         return World(
             world_id=doc["id"],
             instruction=doc["instruction"],
             objects=objects,
-            robot=tuple(doc.get("robot", (20.0, 32.0, 0.0))),
+            robot=_member(doc, "robot", [20.0, 32.0, 0.0], _pose),
             category=doc.get("category", CATEGORY_CLEAR),
-            frame_size=int(doc.get("frame_size", 800)),
-            view_range=float(doc.get("view_range", 40.0)),
+            frame_size=_member(doc, "frame_size", 800, lambda value: _positive(integer(value))),
+            view_range=_member(doc, "view_range", 40.0, lambda value: _positive(number(value))),
             tool_table=dict(tables.get("tool", {})),
             container_table=dict(tables.get("container", {})),
             attribute_table={k: tuple(v) for k, v in tables.get("attributes", {}).items()},

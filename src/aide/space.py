@@ -35,28 +35,34 @@ as raw little-endian columns in tree order (text-table rows, instruction and
 tool vectors, result rows). A record's cluster and subcluster follow from its
 position. ``load_space`` parses the header, which may also be laid out over
 several lines, and reads each column straight into an array of its exact
-size. Each number of the header is read at its JSON type (``jsonvalues``),
-as a corpus file's are. It reads only that schema: a space saved as an older
-``aide-space/1`` or ``/2`` is rebuilt from its corpus with ``aide
-build-space``, which is deterministic for a fixed seed.
+size. Each number of the header is read at its JSON type (``jsonvalues``).
+It reads only that schema: a space saved as an older ``aide-space/1`` or
+``/2`` is rebuilt from its corpus with ``aide build-space``, which is
+deterministic for a fixed seed.
 
 Corpus drafts are the same columns before they have a position (``Drafts``):
 ``gen_corpus`` and ``read_corpus`` produce them and ``build_space`` clusters
 their arrays, so no record is built between a corpus and a stored space. A
-build and a load both construct the space through ``_space_from_columns``,
-which checks every row of the vector columns it is given, so a build checks
-the scores of every draft, also of those the ``D`` filter drops.
+corpus file (``aide-corpus/2``) is a space file without params and tree,
+written by the same writer (``_write_file``) and read by the same reader
+(``_read_header``, ``_read_records``), with every check of a load; a corpus
+written as JSON Lines is written anew with ``aide gen-corpus``. A build and a
+load both construct the space through ``_space_from_columns``, which checks
+every row of the vector columns it is given, so a build checks the scores of
+every draft, also of those the ``D`` filter drops.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +73,7 @@ from .geometry import Region
 from .jsonvalues import integer, integers, numbers
 
 SPACE_SCHEMA = "aide-space/3"
+CORPUS_SCHEMA = "aide-corpus/2"
 
 MAX_RESULTS_PER_RECORD = 3
 
@@ -574,40 +581,71 @@ def _result_from_dict(doc: dict) -> GroundingResult:
     )
 
 
-def _write_list(fh, blocks: Iterator[list]) -> None:
+# Items of a header list written at a time.
+_LIST_BLOCK = 4096
+
+
+def _write_list(fh, blocks: Iterable[list]) -> None:
     """Blocks of items, as one list, written to ``fh`` as ``json.dumps``
-    writes that list, a block at a time."""
+    writes that list, at most ``_LIST_BLOCK`` items at a time."""
     fh.write(b"[")
     sep = b""
     for block in blocks:
-        if block:
-            fh.write(sep + json.dumps(block)[1:-1].encode("ascii"))
+        for at in range(0, len(block), _LIST_BLOCK):
+            fh.write(sep + json.dumps(block[at : at + _LIST_BLOCK])[1:-1].encode("ascii"))
             sep = b", "
     fh.write(b"]")
 
 
-# Texts of the text table written at a time.
-_TEXT_BLOCK = 4096
-# The dtypes of the columns after a space file's header, in file order: text
-# rows, instruction vectors, tool vectors, result rows.
+# The dtypes of the columns after a file's header, in file order: text rows,
+# instruction vectors, tool vectors, result rows.
 _COLUMN_DTYPES = ("<i4", "<f8", "<f8", "<i4")
 
 
+def _write_file(
+    path: str | Path,
+    members: dict,
+    ids: Iterable[list[str]],
+    texts: Sequence[list[str]],
+    instruction: Iterable[np.ndarray],
+    tool: Iterable[np.ndarray],
+    result_rows: Iterable[np.ndarray],
+) -> None:
+    """Write one columnar file, a space's or a corpus's: a JSON header line
+    of ``members``, the ids and the table of distinct texts in first use,
+    then the records' columns as raw little-endian bytes: each record's row
+    of the text table (``<i4``), its instruction and tool vectors (``<f8``,
+    X each) and its result rows (``<i4``, padded with -1).
+
+    The records come in blocks, each the same records in every argument; all
+    but ``texts`` are read once, so the blocks of a column may be gathered
+    as they are written. The ids, the text table and every column are
+    written a block at a time (``_write_list``), so neither the header nor a
+    column is ever held in one piece."""
+    distinct = list(dict.fromkeys(text for block in texts for text in block))
+    table = {text: row for row, text in enumerate(distinct)}
+    text_rows = (np.fromiter(map(table.__getitem__, block), np.int32, len(block)) for block in texts)
+    with Path(path).open("wb") as fh:
+        # ``json.dumps`` escapes every non-ASCII character.
+        fh.write(json.dumps(members)[:-1].encode("ascii"))
+        fh.write(b', "ids": ')
+        _write_list(fh, ids)
+        fh.write(b', "texts": ')
+        _write_list(fh, [distinct])
+        fh.write(b"}\n")
+        for dtype, blocks in zip(_COLUMN_DTYPES, (text_rows, instruction, tool, result_rows)):
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype=dtype))
+
+
 def save_space(space: RelationshipSpace, path: str | Path) -> None:
-    """Write ``space`` as an ``aide-space/3`` file at ``path``: one JSON
-    header line, then the columns as raw little-endian bytes.
+    """Write ``space`` as an ``aide-space/3`` file at ``path`` (``_write_file``).
 
     The header holds the schema, params, ``record_count``, the result table,
-    the cluster tree, the ids and the table of distinct texts, in first use
-    along the records. The columns follow in tree order: each record's row of
-    the text table (``<i4``), its instruction and tool vectors (``<f8``, X
-    each) and its result rows (``<i4``, padded with -1). The ids, the text
-    table and every column are written a block at a time, so neither the
-    header nor a column is ever held in one piece.
+    the cluster tree, the ids and the text table; the columns follow in tree
+    order, one subcluster's rows gathered at a time.
     """
     subs = [sub for cluster in space.clusters for sub in cluster.subclusters]
-    texts = list(dict.fromkeys(text for sub in subs for text in sub.texts))
-    table = {text: row for row, text in enumerate(texts)}
     members = {
         "schema": SPACE_SCHEMA,
         "params": space.params.to_dict(),
@@ -624,24 +662,32 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
             for cluster in space.clusters
         ],
     }
-    with Path(path).open("wb") as fh:
-        # ``json.dumps`` escapes every non-ASCII character.
-        fh.write(json.dumps(members)[:-1].encode("ascii"))
-        fh.write(b', "ids": ')
-        _write_list(fh, (sub.ids for sub in subs))
-        fh.write(b', "texts": ')
-        _write_list(fh, (texts[at : at + _TEXT_BLOCK] for at in range(0, len(texts), _TEXT_BLOCK)))
-        fh.write(b"}\n")
-        # Each subcluster's columns gathered in turn, so one is held at a time.
-        columns = (
-            ([table[text] for text in sub.texts] for sub in subs),
-            (sub.instruction_at(slice(None)) for sub in subs),
-            (sub.tool_at(slice(None)) for sub in subs),
-            (sub.result_rows for sub in subs),
-        )
-        for dtype, blocks in zip(_COLUMN_DTYPES, columns):
-            for block in blocks:
-                fh.write(np.ascontiguousarray(block, dtype=dtype))
+    _write_file(
+        path,
+        members,
+        (sub.ids for sub in subs),
+        [sub.texts for sub in subs],
+        (sub.instruction_at(slice(None)) for sub in subs),
+        (sub.tool_at(slice(None)) for sub in subs),
+        (sub.result_rows for sub in subs),
+    )
+
+
+def write_corpus(drafts: Drafts, path: str | Path) -> int:
+    """Write ``drafts`` as an ``aide-corpus/2`` file at ``path``
+    (``_write_file``) and return their count: a space file without params and
+    tree, whose header holds the schema, ``record_count``, the vector width
+    ``X``, the result table, the ids and the text table."""
+    members = {
+        "schema": CORPUS_SCHEMA,
+        "record_count": len(drafts),
+        "X": drafts.instruction.shape[1],
+        "results": [_result_to_dict(result) for result in drafts.results],
+    }
+    # Each column is one block, whole.
+    columns = (drafts.ids, drafts.texts, drafts.instruction, drafts.tool, drafts.result_rows)
+    _write_file(path, members, *([column] for column in columns))
+    return len(drafts)
 
 
 def _check_scores(drafts: Drafts) -> None:
@@ -738,9 +784,24 @@ def _space_from_columns(
     )
 
 
-# Bytes of a space file read before its schema is checked: a file whose
-# header starts with another schema, as every saved space's does, is rejected
-# without reading on (an ``aide-space/2`` document is one line).
+# Each file kind's schema, the noun its errors name it by, and how to write
+# one anew that is held in an older format.
+_KINDS = {
+    SPACE_SCHEMA: (
+        "space",
+        "rebuild the space from its corpus with `aide build-space --corpus <corpus> --seed <seed>`,"
+        " which is deterministic for a fixed seed",
+    ),
+    CORPUS_SCHEMA: (
+        "corpus",
+        "a corpus in JSON Lines or another earlier format is not read; write it anew with"
+        " `aide gen-corpus --out <corpus> --count <n> --seed <seed>`, which is deterministic"
+        " for a fixed seed",
+    ),
+}
+# Bytes of a file read before its schema is checked: a file whose header
+# starts with another schema, as every saved space's and corpus's does, is
+# rejected without reading on (an ``aide-space/2`` document is one line).
 _HEADER_PEEK = 1 << 12
 _LEADING_SCHEMA = re.compile(rb'\s*\{\s*"schema"\s*:\s*"([^"\\]*)"')
 _DECODER = json.JSONDecoder()
@@ -748,36 +809,34 @@ _DECODER = json.JSONDecoder()
 _BLANKS = re.compile(r"[ \t\r]*")
 
 
-def _schema_error(schema: object) -> SpaceSchemaError:
-    return SpaceSchemaError(
-        f"expected schema {SPACE_SCHEMA!r}, got {schema!r}; rebuild the space from"
-        " its corpus with `aide build-space --corpus <drafts.jsonl> --seed <seed>`,"
-        " which is deterministic for a fixed seed"
-    )
+def _schema_error(expected: str, schema: object) -> SpaceSchemaError:
+    return SpaceSchemaError(f"expected schema {expected!r}, got {schema!r}; {_KINDS[expected][1]}")
 
 
 def _read_column(fh, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     """The next ``shape`` values of ``dtype`` in ``fh``, read straight into their array."""
     column = np.empty(shape, dtype=dtype)
     if fh.readinto(column.reshape(-1).view(np.uint8)) != column.nbytes:
-        raise SpaceFormatError("the space file ends inside a column")
+        raise SpaceFormatError("the file ends inside a column")
     return column
 
 
-def _read_columns(fh, doc: dict, size: int) -> tuple[ConfigParams, Tree, Drafts]:
-    """The params, tree and records of header ``doc``, whose columns are the
-    ``size`` bytes left in ``fh``."""
-    params = ConfigParams.from_dict(doc["params"])
+def _read_records(fh, doc: dict, dims: int) -> Drafts:
+    """The records of header ``doc``, with ``dims``-wide vectors, whose
+    columns are the rest of ``fh``: the ids and texts through the text table
+    as lists that share one str per distinct text, each column read straight
+    into an array of its exact size."""
     ids, table = doc["ids"], doc["texts"]
     if not isinstance(ids, list) or not isinstance(table, list):
         raise SpaceFormatError("ids and texts must be lists")
     n = len(ids)
     if integer(doc["record_count"]) != n:
         raise SpaceFormatError("record_count does not match stored records")
-    shapes = ((n,), (n, params.X), (n, params.X), (n, MAX_RESULTS_PER_RECORD))
+    shapes = ((n,), (n, dims), (n, dims), (n, MAX_RESULTS_PER_RECORD))
     expected = sum(
         np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in zip(_COLUMN_DTYPES, shapes)
     )
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size != expected:
         raise SpaceFormatError(f"the columns of {n} records take {expected} bytes, the file holds {size}")
     text_rows, instruction, tool, result_rows = (
@@ -785,14 +844,7 @@ def _read_columns(fh, doc: dict, size: int) -> tuple[ConfigParams, Tree, Drafts]
     )
     if n and (text_rows.min() < 0 or text_rows.max() >= len(table)):
         raise SpaceFormatError(f"text row outside the {len(table)}-entry text table")
-    tree = [
-        (
-            numbers(cdoc["centroid"]).tolist(),
-            [(numbers(sdoc["centroid"]).tolist(), integer(sdoc["size"])) for sdoc in cdoc["subclusters"]],
-        )
-        for cdoc in doc["clusters"]
-    ]
-    records = Drafts(
+    return Drafts(
         ids=ids,
         texts=[table[row] for row in text_rows.tolist()],
         instruction=instruction,
@@ -800,20 +852,21 @@ def _read_columns(fh, doc: dict, size: int) -> tuple[ConfigParams, Tree, Drafts]
         results=[_result_from_dict(r) for r in doc["results"]],
         result_rows=result_rows,
     )
-    return params, tree, records
 
 
-def _read_header(fh) -> object:
+def _read_header(fh, schema: str) -> object:
     """The JSON value that starts ``fh``, which is left at the byte after the
-    newline that ends it. The first line is read whole; a header laid over
-    more lines is read on in runs of whole lines, each as long as all read
-    before it, until it parses. Read in whole lines, a header that does not
-    parse yet has only been cut where it stops (a JSON string holds no
-    newline), so any other error is the header's own."""
+    newline that ends it; a header that starts with another ``schema`` is
+    rejected from its first line. The first line is read whole; a header
+    laid over more lines is read on in runs of whole lines, each as long as
+    all read before it, until it parses. Read in whole lines, a header that
+    does not parse yet has only been cut where it stops (a JSON string holds
+    no newline), so any other error is the header's own."""
+    noun = _KINDS[schema][0]
     data = fh.readline(_HEADER_PEEK)
     leading = _LEADING_SCHEMA.match(data)
-    if leading and leading[1] != SPACE_SCHEMA.encode("ascii"):
-        raise _schema_error(leading[1].decode("utf-8", "replace"))
+    if leading and leading[1] != schema.encode("ascii"):
+        raise _schema_error(schema, leading[1].decode("utf-8", "replace"))
     if not data.endswith(b"\n"):
         data += fh.readline()
     while True:
@@ -826,141 +879,61 @@ def _read_header(fh) -> object:
         except json.JSONDecodeError as exc:
             more = exc.pos == len(text) and fh.readlines(len(data))
             if not more:
-                raise SpaceFormatError(f"unreadable space header: {exc}") from exc
+                raise SpaceFormatError(f"unreadable {noun} header: {exc}") from exc
             data += b"".join(more)
     end = _BLANKS.match(text, end).end()
     if end < len(text) and text[end] != "\n":
-        raise SpaceFormatError(f"unreadable space header: extra data after the header at char {end}")
+        raise SpaceFormatError(f"unreadable {noun} header: extra data after the header at char {end}")
     rest = text[end + 1 :].encode("utf-8", "surrogateescape")
     try:
         data[: len(data) - len(rest)].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SpaceFormatError(f"space document is not UTF-8: {exc}") from exc
+        raise SpaceFormatError(f"{noun} document is not UTF-8: {exc}") from exc
     fh.seek(-len(rest), 1)
     return doc
 
 
-def load_space(path: str | Path) -> RelationshipSpace:
-    """Read an ``aide-space/3`` file: parse its header (``_read_header``),
-    then read each column straight into an array of its exact size."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        doc = _read_header(fh)
+@contextmanager
+def _opened(path: str | Path, schema: str) -> Iterator[tuple[BinaryIO, dict]]:
+    """The file at ``path``, left after its header, and the header, which
+    must be an object that carries ``schema`` (``_read_header``). A member
+    that the block finds missing or of the wrong type (a ``KeyError``,
+    ``TypeError`` or ``ValueError``) is a ``SpaceFormatError``."""
+    noun, rewrite = _KINDS[schema]
+    with Path(path).open("rb") as fh:
+        doc = _read_header(fh, schema)
         if not isinstance(doc, dict) or "schema" not in doc:
-            raise SpaceFormatError("space document missing schema tag")
-        if doc["schema"] != SPACE_SCHEMA:
-            raise _schema_error(doc["schema"])
+            raise SpaceFormatError(f"{noun} document missing schema tag; {rewrite}")
+        if doc["schema"] != schema:
+            raise _schema_error(schema, doc["schema"])
         try:
-            params, tree, records = _read_columns(fh, doc, path.stat().st_size - fh.tell())
-            return _space_from_columns(params, tree, records, np.arange(len(records)))
-        except SpaceError:
-            raise
+            yield fh, doc
         except (KeyError, TypeError, ValueError) as exc:
-            raise SpaceFormatError(f"malformed space document: {exc}") from exc
+            raise SpaceFormatError(f"malformed {noun} document: {exc}") from exc
 
 
-# --- corpus drafts ----------------------------------------------------------
-
-
-def write_corpus(drafts: Drafts, path: str | Path) -> int:
-    """One JSON record object per line, results written out in full; returns
-    the line count."""
-    results = [_result_to_dict(result) for result in drafts.results]
-    rows = zip(drafts.instruction.tolist(), drafts.tool.tolist(), drafts.result_rows.tolist())
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rid, text, (instruction, tool, result_rows) in zip(drafts.ids, drafts.texts, rows):
-            record = {
-                "id": rid,
-                "text": text,
-                "instruction_affordance": instruction,
-                "tool_affordance": tool,
-                "results": [results[row] for row in result_rows if row >= 0],
-            }
-            fh.write(json.dumps(record) + "\n")
-    return len(drafts)
-
-
-def _result_key(doc: dict) -> tuple:
-    """A result document's values as a hashable key: documents with equal
-    keys construct equal results."""
-    return (
-        doc["tool_label"],
-        doc["tool_image"],
-        tuple(integers(doc["tool_region"])),
-        tuple(integers(doc["operational_region"])),
-        tuple(integers(doc["functional_region"])),
-        doc.get("unseen_region_label"),
-        doc.get("unseen_region_image"),
-    )
+def load_space(path: str | Path) -> RelationshipSpace:
+    """Read an ``aide-space/3`` file: its header (``_read_header``), its
+    records (``_read_records``) and its tree, checked as a build checks its
+    drafts (``_space_from_columns``)."""
+    with _opened(path, SPACE_SCHEMA) as (fh, doc):
+        params = ConfigParams.from_dict(doc["params"])
+        records = _read_records(fh, doc, params.X)
+        tree = [
+            (
+                numbers(cdoc["centroid"]).tolist(),
+                [(numbers(sdoc["centroid"]).tolist(), integer(sdoc["size"])) for sdoc in cdoc["subclusters"]],
+            )
+            for cdoc in doc["clusters"]
+        ]
+        return _space_from_columns(params, tree, records, np.arange(len(records)))
 
 
 def read_corpus(path: str | Path) -> Drafts:
-    """Parse a corpus as ``write_corpus`` writes it into drafts, checked as a
-    load checks a space's columns. Keys besides these, such as the
-    ``cluster_id``/``subcluster_id`` that earlier versions wrote, are ignored.
-
-    The file is read twice: once to count its records, then to fill
-    preallocated vector columns and int32 result rows a line at a time, so
-    each value is held once. Equal texts share one str, and each distinct
-    result document is constructed, and so checked, once."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        n = sum(1 for line in fh if line.strip())
-    ids: list[str] = []
-    texts: list[str] = []
-    distinct_texts: dict[str, str] = {}
-    rows = np.full((n, MAX_RESULTS_PER_RECORD), -1, dtype=np.int32)
-    columns: tuple[np.ndarray, np.ndarray] | None = None  # sized by the first record
-    table: dict[GroundingResult, int] = {}
-    row_of: dict[tuple, int] = {}  # result document's values to its table row
-
-    def result_row(doc: dict) -> int:
-        key = _result_key(doc)
-        if key not in row_of:
-            row_of[key] = table.setdefault(_result_from_dict(doc), len(table))
-        return row_of[key]
-
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            at = len(ids)
-            if at == n:
-                raise SpaceFormatError(f"line {line_no}: the corpus changed while it was read")
-            try:
-                doc = json.loads(line)
-                results = doc["results"]
-                if not 1 <= len(results) <= MAX_RESULTS_PER_RECORD:
-                    raise ValueError(f"{len(results)} results, not 1..{MAX_RESULTS_PER_RECORD}")
-                rows[at, : len(results)] = [result_row(r) for r in results]
-                try:
-                    vectors = [numbers(doc[key]) for key in ("instruction_affordance", "tool_affordance")]
-                    if columns is None:
-                        columns = tuple(np.empty((n, vector.size)) for vector in vectors)
-                    if any(v.shape != c.shape[1:] for v, c in zip(vectors, columns)):
-                        raise ValueError("vector lengths differ")
-                except ValueError:
-                    raise SpaceFormatError(
-                        f"malformed corpus: line {line_no}: affordance vectors must be"
-                        " lists of numbers, all of one length"
-                    ) from None
-                for column, vector in zip(columns, vectors):
-                    column[at] = vector
-                text = doc["text"]
-                texts.append(distinct_texts.setdefault(text, text))
-                ids.append(doc["id"])
-            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-                raise SpaceFormatError(f"line {line_no}: malformed record: {exc}") from exc
-    if len(ids) != n:
-        raise SpaceFormatError("the corpus changed while it was read")
-    instruction, tool = columns if columns is not None else (np.empty((0, 0)), np.empty((0, 0)))
-    drafts = Drafts(
-        ids=ids,
-        texts=texts,
-        instruction=instruction,
-        tool=tool,
-        results=list(table),
-        result_rows=rows,
-    )
-    _check_drafts(drafts)
-    return drafts
+    """Read an ``aide-corpus/2`` file as ``write_corpus`` writes it into
+    drafts: its header and records as ``load_space`` reads a space's, checked
+    as a load checks a space's (``_check_drafts``)."""
+    with _opened(path, CORPUS_SCHEMA) as (fh, doc):
+        drafts = _read_records(fh, doc, integer(doc["X"]))
+        _check_drafts(drafts)
+        return drafts

@@ -24,7 +24,7 @@ from aide.space import load_space
 def artifacts(tmp_path_factory):
     """One corpus + space built through the CLI, reused across CLI tests."""
     root = tmp_path_factory.mktemp("cli")
-    corpus = root / "drafts.jsonl"
+    corpus = root / "drafts.corpus"
     space = root / "space.json"
     assert main(["gen-corpus", "--out", str(corpus), "--count", "432", "--seed", "7"]) == 0
     assert main(["build-space", "--corpus", str(corpus), "--out", str(space), "--seed", "7"]) == 0
@@ -242,7 +242,7 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
 @pytest.mark.parametrize(
     "document, argv, message",
     [
-        (None, ["gen-corpus", "--count", "0", "--out", "{root}/x.jsonl"], "corpus size must be positive"),
+        (None, ["gen-corpus", "--count", "0", "--out", "{root}/x.corpus"], "corpus size must be positive"),
         (
             '{"schema": "aide-config/1", "params": {"sigma": -1}}',
             ["run-episode", "--config", "{doc}", "--world", "clear_cup"],
@@ -255,7 +255,7 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
             "pass --space, --scenarios, --report or --out instead",
         ),
         (None, ["eval", "--space", "{root}/missing.json"], "No such file or directory"),
-        (None, ["build-space", "--corpus", "{root}/missing.jsonl", "--out", "{root}/s.json"], "No such file"),
+        (None, ["build-space", "--corpus", "{root}/missing.corpus", "--out", "{root}/s.json"], "No such file"),
         (
             None,
             ["run-episode", "--config", "{root}/missing.json", "--world", "clear_cup"],
@@ -274,6 +274,11 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
             "world id 'w#1' must not contain '#'",
         ),
         (None, ["eval", "--space", "{space}", "--episodes", "0"], "episode count must be positive"),
+        (
+            '{"id": "ins-00000", "text": "x", "instruction_affordance": [], "tool_affordance": [], "results": []}\n',
+            ["build-space", "--corpus", "{doc}", "--out", "{root}/s.aide"],
+            "JSON Lines or another earlier format is not read; write it anew with `aide gen-corpus",
+        ),
     ],
     ids=[
         "ValueError",
@@ -288,6 +293,7 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
         "empty-instruction",
         "hash-in-world-id",
         "zero-episodes",
+        "json-lines-corpus",
     ],
 )
 def test_a_rejected_input_is_a_one_line_error(document, argv, message, artifacts, tmp_path, capsys):
@@ -303,9 +309,9 @@ def test_a_rejected_input_is_a_one_line_error(document, argv, message, artifacts
 
 # Arguments that satisfy each subcommand's required flags.
 REQUIRED = {
-    "gen-corpus": ["--out", "drafts.jsonl"],
-    "build-space": ["--corpus", "drafts.jsonl", "--out", "space.json"],
-    "ablate-retrieval": ["--corpus", "drafts.jsonl"],
+    "gen-corpus": ["--out", "drafts.corpus"],
+    "build-space": ["--corpus", "drafts.corpus", "--out", "space.json"],
+    "ablate-retrieval": ["--corpus", "drafts.corpus"],
     "eval": [],
     "error-analysis": [],
 }
@@ -358,7 +364,7 @@ def test_the_module_guard_exits_with_main_s_status(tmp_path):
     src = str(Path(aide.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", "aide.cli", "gen-corpus", "--count", "0", "--out", str(tmp_path / "x.jsonl")],
+        [sys.executable, "-m", "aide.cli", "gen-corpus", "--count", "0", "--out", str(tmp_path / "x.corpus")],
         capture_output=True,
         text=True,
         env=env,
@@ -366,4 +372,4 @@ def test_the_module_guard_exits_with_main_s_status(tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr == "aide gen-corpus: error: corpus size must be positive, got 0\n"
-    assert not (tmp_path / "x.jsonl").exists()
+    assert not (tmp_path / "x.corpus").exists()

@@ -10,7 +10,7 @@ import pytest
 
 import aide
 from aide import mock, planner, simulator
-from aide.cli import build_parser
+from aide.cli import build_parser, main
 from aide.config import ConfigError, ConfigParams, load_config, save_config
 
 # The eleven dropped fields at the value every earlier save wrote for them.
@@ -115,6 +115,34 @@ def write_config(path, params: dict) -> None:
     path.write_text(json.dumps({"schema": "aide-config/1", "params": params, "paths": {}}))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("N", True, "True is not an integer"),  # ran as N = 1
+        ("N", 5.5, "5.5 is not an integer"),
+        ("N_prime", 40.5, "40.5 is not an integer"),
+        ("X", 19.0, "19.0 is not an integer"),
+        ("c", "10", "'10' is not a number"),  # a TypeError traceback before
+    ],
+)
+def test_a_value_of_the_wrong_json_type_is_a_one_line_config_error(tmp_path, capsys, key, value, message):
+    # Each field is read at its JSON type, as a space header's numbers are.
+    path = tmp_path / "config.json"
+    write_config(path, {key: value})
+    with pytest.raises(ConfigError, match=f"parameter '{key}': {re.escape(message)}"):
+        load_config(path)
+    assert main(["run-episode", "--config", str(path), "--world", "clear_cup"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"aide run-episode: error: parameter '{key}': {message}\n"
+
+
+def test_an_int_for_a_float_field_reads_as_that_float(tmp_path):
+    path = tmp_path / "config.json"
+    write_config(path, {"c": 12, "D": 25})
+    assert load_config(path) == ConfigParams(c=12.0, D=25.0)
+    assert type(load_config(path).c) is float
+
+
 def test_load_accepts_dropped_keys_at_their_saved_values(tmp_path):
     source = ConfigParams(approach_speed=0.25, c=12.0)
     path = tmp_path / "config.json"
@@ -148,7 +176,7 @@ def test_load_rejects_dropped_keys_with_other_values(tmp_path, key, value):
 
 def test_retired_settings_keep_their_saved_values_as_constants():
     # A saved document that holds one of these loads as the code now runs.
-    count = build_parser().parse_args(["gen-corpus", "--out", "drafts.jsonl"]).count
+    count = build_parser().parse_args(["gen-corpus", "--out", "drafts.corpus"]).count
     assert SAVED_RETIRED_KEYS["A"] == count
     assert SAVED_RETIRED_KEYS["sigma"] == mock.DEFAULT_SIGMA
     assert 1.0 - SAVED_RETIRED_KEYS["epsilon"] == mock.SIMILARITY_CAP

@@ -26,7 +26,7 @@ from aide.harness import (
 )
 from aide.planner import write_trace
 from aide.simulator import fresh_world
-from aide.space import build_space, load_space, save_space, write_corpus
+from aide.space import _result_to_dict, build_space, load_space, read_corpus, save_space, write_corpus
 
 
 # --- corpus generation -----------------------------------------------------
@@ -55,8 +55,8 @@ def test_gen_corpus_rejects_a_size_below_one(params, count):
 
 
 def test_gen_corpus_deterministic_file(params, tmp_path):
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
+    a = tmp_path / "a.corpus"
+    b = tmp_path / "b.corpus"
     gen_corpus(64, params.X, params.a, params.b, seed=3, path=a)
     gen_corpus(64, params.X, params.a, params.b, seed=3, path=b)
     assert a.read_bytes() == b.read_bytes()
@@ -65,20 +65,28 @@ def test_gen_corpus_deterministic_file(params, tmp_path):
 
 
 def test_gen_corpus_file_keeps_its_pinned_digest(params, tmp_path):
-    # The digest of these drafts as drawn one record at a time, in the format
-    # that still wrote cluster_id/subcluster_id at -1; drawing all noise at
-    # once, and dropping those two keys, must reproduce them exactly.
-    path = tmp_path / "drafts.jsonl"
+    # Pinned when aide-corpus/2 replaced JSON Lines. Written as the JSON Lines
+    # writer wrote them, one object per draft with its results in full, the
+    # drafts read back give the digest that writer's 432-draft file was
+    # pinned at, so the file holds the very content that file held.
+    path = tmp_path / "drafts.corpus"
     gen_corpus(432, params.X, params.a, params.b, seed=7, path=path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "c2d63429d0ddac3ebf5b74f751b2f2dad4b46687334d6c63ca4ad17655b8ae4e"
-    with_positions = hashlib.sha256()
-    for line in path.read_text().splitlines():
-        doc = json.loads(line)
-        results = doc.pop("results")
-        old = {**doc, "cluster_id": -1, "subcluster_id": -1, "results": results}
-        with_positions.update((json.dumps(old) + "\n").encode("utf-8"))
-    assert with_positions.hexdigest() == "eaf942f44b8655905c35545d9e0878e83fcbac44a4e4fc0b44e207e54b8c6aa0"
+    assert digest == "e083e2355d79535e49b5d2fd3680cc7477f20cec3b2f737749145affc549b24e"
+    drafts = read_corpus(path)
+    results = [_result_to_dict(result) for result in drafts.results]
+    columns = zip(drafts.instruction.tolist(), drafts.tool.tolist(), drafts.result_rows.tolist())
+    json_lines = hashlib.sha256()
+    for rid, text, (instruction, tool, rows) in zip(drafts.ids, drafts.texts, columns):
+        record = {
+            "id": rid,
+            "text": text,
+            "instruction_affordance": instruction,
+            "tool_affordance": tool,
+            "results": [results[row] for row in rows if row >= 0],
+        }
+        json_lines.update((json.dumps(record) + "\n").encode("utf-8"))
+    assert json_lines.hexdigest() == "c2d63429d0ddac3ebf5b74f751b2f2dad4b46687334d6c63ca4ad17655b8ae4e"
 
 
 def _drafts_digest(drafts) -> str:
@@ -95,6 +103,7 @@ def _drafts_digest(drafts) -> str:
     [
         (1, "9662981fdfdd2d75d742efa26513ed985c6763c3cf063ffd39d243f89be4ce34"),
         (7, "eae4d5ed201a00578d942b8b6d9a6ca0db36c2a7b568d3abca1e655620f61733"),
+        (432, "b243c2571c93ebabf85bb6a0d8d0392c96cc322e6986922df078e90b37b39b42"),
         (5000, "8598b99d3041bf46d7c8c084add18bb51aa1a02d020c4028d62d983dd29d387b"),
         (3 * 4096 + 5, "45ec1d5b7834f84c915291582ded0f0f99e93413555459243e942650666497eb"),
     ],
@@ -104,7 +113,8 @@ def test_gen_corpus_columns_keep_their_pinned_digest(params, count, expected):
     # (class, template, w0, w1) parts: the ids, texts, vectors and result rows.
     # The 12,293-draft digest was pinned while the noise was one draw for all
     # drafts; drawn 4,096 drafts at a time, it spans three blocks and ends
-    # five drafts into a fourth.
+    # five drafts into a fourth. The 432-draft digest was recorded while the
+    # corpus file was JSON Lines.
     drafts = gen_corpus(count, params.X, params.a, params.b, seed=7)
     assert _drafts_digest(drafts) == expected
 

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from geometry_oracle import region_clip, region_from_floats, region_intersection
@@ -27,6 +28,7 @@ from aide.simulator import (
     World,
     WorldError,
     WorldObject,
+    WorldSchemaError,
     apply,
     check_success,
     fresh_world,
@@ -381,6 +383,40 @@ def test_world_round_trip(tmp_path, worlds):
     assert loaded.objects["target"].container_id == "box-1"
     assert loaded.tool_table == world.tool_table
     assert loaded.gt == world.gt
+
+
+def test_every_scripted_world_loads_as_it_was_saved(tmp_path, worlds):
+    # Traces of a loaded world are those of the world it was saved from.
+    for world_id, world in worlds.items():
+        path = tmp_path / f"{world_id}.json"
+        save_world(world, path)
+        assert load_world(path) == world, world_id
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("frame_size", True, "True is not an integer"),  # loaded as 1
+        ("frame_size", 800.9, "800.9 is not an integer"),  # loaded as 800
+        ("frame_size", "800", "'800' is not an integer"),  # loaded as 800
+        ("frame_size", 0, "0 is not finite and positive"),
+        ("view_range", -5, "-5.0 is not finite and positive"),  # loaded
+        ("view_range", math.nan, "nan is not finite and positive"),  # failed only at run time
+        ("view_range", True, "True is not a number"),
+        ("robot", "abc", "'abc' is not three numbers"),  # a traceback
+        ("robot", [20.0, 32.0], "is not three numbers"),
+        ("robot", [20.0, False, 0.0], "False is not a number"),
+        ("robot", [20.0, math.inf, 0.0], "is not three finite numbers"),
+        ("tables", [], "[] is not a mapping of mappings"),  # a traceback
+        ("tables", {"tool": ["cup"]}, "is not a mapping of mappings"),
+    ],
+)
+def test_world_load_reads_each_setting_at_its_json_type(tmp_path, worlds, key, value, message):
+    path = tmp_path / "w.json"
+    save_world(worlds["clear_cup"], path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(WorldSchemaError, match=f"{key}: .*{re.escape(message)}"):
+        load_world(path)
 
 
 def test_world_load_rejects_bad_schema(tmp_path):

@@ -31,6 +31,7 @@ from aide.geometry import Region
 from aide.harness import gen_corpus
 from aide.space import (
     DFS_BLOCK,
+    SPACE_SCHEMA,
     DuplicateRecordError,
     GroundingResult,
     InstructionRecord,
@@ -1271,9 +1272,9 @@ def test_the_reader_parses_what_json_loads_parses(text, monkeypatch):
     columns = b"\xff\n\x00\x7b\n"
     for read_chars in range(1, 6):
         monkeypatch.setattr(space_module, "_HEADER_PEEK", read_chars)
-        assert space_module._read_header(io.BytesIO(text.encode("utf-8"))) == json.loads(text)
+        assert space_module._read_header(io.BytesIO(text.encode("utf-8")), SPACE_SCHEMA) == json.loads(text)
         fh = io.BytesIO(text.encode("utf-8") + b"\n" + columns)
-        assert space_module._read_header(fh) == json.loads(text)
+        assert space_module._read_header(fh, SPACE_SCHEMA) == json.loads(text)
         assert fh.read() == columns
 
 
@@ -1295,28 +1296,30 @@ def test_a_piece_may_end_anywhere_in_a_member(small_space, tmp_path, monkeypatch
 
 
 def test_a_file_cut_or_changed_anywhere_loads_or_is_a_space_error(small_space, tmp_path):
-    # Whatever the damage, a load gives a space or a SpaceError, never
-    # another exception.
-    path = tmp_path / "space.aide"
-    save_space(small_space, path)
-    saved = path.read_bytes()
-    header = saved.index(b"\n") + 1
-    edits = [saved[:cut] for cut in [*range(0, len(saved), 13), *range(header - 2, header + 16)]]
-    edits += [
-        saved[:at] + bytes([byte]) + saved[at + 1 :]
-        for at in range(0, len(saved), 23)
-        for byte in (saved[at] ^ 1, 0x7F)
-    ]
-    loaded = rejected = 0
-    for data in edits:
-        path.write_bytes(data)
-        try:
-            load_space(path)
-        except SpaceError:
-            rejected += 1
-        else:
-            loaded += 1
-    assert loaded and rejected
+    # Whatever the damage, a load of a space or a read of a corpus gives a
+    # space or drafts, or a SpaceError, never another exception.
+    space_path, corpus_path = tmp_path / "space.aide", tmp_path / "drafts.corpus"
+    save_space(small_space, space_path)
+    write_corpus(gen_corpus(40, small_space.params.X, 2, 2, seed=3), corpus_path)
+    for path, read in ((space_path, load_space), (corpus_path, read_corpus)):
+        saved = path.read_bytes()
+        header = saved.index(b"\n") + 1
+        edits = [saved[:cut] for cut in [*range(0, len(saved), 13), *range(header - 2, header + 16)]]
+        edits += [
+            saved[:at] + bytes([byte]) + saved[at + 1 :]
+            for at in range(0, len(saved), 23)
+            for byte in (saved[at] ^ 1, 0x7F)
+        ]
+        loaded = rejected = 0
+        for data in edits:
+            path.write_bytes(data)
+            try:
+                read(path)
+            except SpaceError:
+                rejected += 1
+            else:
+                loaded += 1
+        assert loaded and rejected, path.name
 
 
 def test_a_load_holds_little_beside_the_space_it_builds(space_5000, tmp_path):
@@ -1343,9 +1346,11 @@ def _results_per_draft(drafts) -> list[list[GroundingResult]]:
 
 
 def test_corpus_round_trip(corpus, params, tmp_path):
-    path, again = tmp_path / "drafts.jsonl", tmp_path / "again.jsonl"
+    path, again = tmp_path / "drafts.corpus", tmp_path / "again.corpus"
     assert write_corpus(corpus, path) == len(corpus) == 432
-    assert "cluster_id" not in json.loads(path.read_text().splitlines()[0])
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert list(header) == ["schema", "record_count", "X", "results", "ids", "texts"]
+    assert (header["schema"], header["X"], len(header["results"])) == ("aide-corpus/2", params.X, len(corpus.results))
     loaded = read_corpus(path)
     assert (loaded.ids, loaded.texts) == (corpus.ids, corpus.texts)
     assert np.array_equal(loaded.instruction, corpus.instruction)
@@ -1358,14 +1363,33 @@ def test_corpus_round_trip(corpus, params, tmp_path):
     assert (tmp_path / "from-file.json").read_bytes() == (tmp_path / "generated.json").read_bytes()
 
 
+def test_a_corpus_file_is_a_space_file_without_params_and_tree(corpus, params, tmp_path):
+    # The same header members but params and clusters, and the same columns:
+    # a space that kept every draft in corpus order would write these bytes.
+    path = tmp_path / "drafts.corpus"
+    write_corpus(corpus, path)
+    header, columns = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    space_path = tmp_path / "space.aide"
+    save_space(build_space(corpus, params, seed=7), space_path)
+    space_doc = json.loads(space_path.read_bytes().split(b"\n", 1)[0])
+    assert set(doc) - {"X"} == set(space_doc) - {"params", "clusters"}
+    n, X = len(corpus), params.X
+    assert len(columns) == 4 * n + 2 * 8 * n * X + 4 * 3 * n
+    text_rows = np.frombuffer(columns[: 4 * n], dtype="<i4")
+    assert [doc["texts"][row] for row in text_rows.tolist()] == corpus.texts
+    assert columns[4 * n :] == corpus.instruction.tobytes() + corpus.tool.tobytes() + corpus.result_rows.tobytes()
+
+
 # Traced bytes that reading a 5,000-draft corpus may hold beyond the drafts it
-# returns. Measured: 0.67 MB, mostly the id set of the final check; it held
-# 8.2 MB while every line's vectors and results were kept as lists.
+# returns. Measured: 0.67 MB, mostly the id set of the final check, from an
+# aide-corpus/2 file as from the JSON Lines file before it; the JSON Lines
+# reader held 8.2 MB while every line's vectors and results were kept as lists.
 _READ_CORPUS_SLACK = 1_000_000
 
 
 def test_reading_a_corpus_holds_little_beside_the_drafts_it_returns(params, tmp_path):
-    path = tmp_path / "drafts.jsonl"
+    path = tmp_path / "drafts.corpus"
     write_corpus(gen_corpus(5000, params.X, params.a, params.b, seed=7), path)
     gc.collect()
     gc.disable()  # a collection inside the window would shrink what it kept
@@ -1385,10 +1409,39 @@ def test_reading_a_corpus_holds_little_beside_the_drafts_it_returns(params, tmp_
 
 
 def test_corpus_rejects_garbage(tmp_path):
-    path = tmp_path / "drafts.jsonl"
+    path = tmp_path / "drafts.corpus"
     path.write_text('{"id": "x"\n')
     with pytest.raises(SpaceFormatError):
         read_corpus(path)
+
+
+def test_a_json_lines_corpus_is_rejected_with_the_hint_to_write_it_anew(corpus, tmp_path):
+    # The first lines of the 432-draft corpus as JSON Lines, the format
+    # before aide-corpus/2: one record object per line, results in full.
+    path = tmp_path / "drafts.jsonl"
+    lines = [
+        json.dumps(
+            {
+                "id": record_id,
+                "text": corpus.texts[k],
+                "instruction_affordance": corpus.instruction[k].tolist(),
+                "tool_affordance": corpus.tool[k].tolist(),
+                "results": [space_module._result_to_dict(r) for r in _results_per_draft(corpus)[k]],
+            }
+        )
+        for k, record_id in enumerate(corpus.ids[:3])
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpaceFormatError, match="missing schema tag.*JSON Lines.*aide gen-corpus") as err:
+        read_corpus(path)
+    assert "\n" not in str(err.value)
+    # A space file is no corpus, and a corpus file no space.
+    save_space(build_space(corpus, ConfigParams(), seed=7), path)
+    with pytest.raises(SpaceSchemaError, match="expected schema 'aide-corpus/2', got 'aide-space/3'.*gen-corpus"):
+        read_corpus(path)
+    write_corpus(corpus, path)
+    with pytest.raises(SpaceSchemaError, match="expected schema 'aide-space/3', got 'aide-corpus/2'.*build-space"):
+        load_space(path)
 
 
 _CORPUS_RESULT = {
@@ -1400,22 +1453,57 @@ _CORPUS_RESULT = {
 }
 
 
-def _corpus_line(**changes) -> str:
-    # A line as earlier versions wrote it, with cluster_id/subcluster_id at -1,
-    # which read_corpus ignores.
+def _corpus_record(**changes) -> dict:
     record = {
         "id": "ins-0",
         "text": "do the thing",
         "instruction_affordance": [1.0, 2.0, 3.0],
         "tool_affordance": [1.0, 2.0, 3.0],
-        "cluster_id": -1,
-        "subcluster_id": -1,
         "results": [_CORPUS_RESULT],
     }
     record.update(changes)
-    return json.dumps(record) + "\n"
+    return record
 
 
+def _write_corpus_file(path, *records) -> None:
+    """An aide-corpus/2 file of record objects, laid out as write_corpus lays
+    out drafts but with every value as given. Texts and result documents go
+    into their tables once each; a record's ``result_rows``, when given,
+    stand for the rows of its results."""
+    texts, table = [], []
+
+    def row(values, value) -> int:
+        # Told apart as JSON, where False is no 0.
+        keys = [json.dumps(v) for v in values]
+        if json.dumps(value) not in keys:
+            values.append(value)
+            return len(keys)
+        return keys.index(json.dumps(value))
+
+    text_rows = [row(texts, record["text"]) for record in records]
+    result_rows = [record.get("result_rows") or [row(table, r) for r in record["results"]] for record in records]
+    doc = {
+        "schema": "aide-corpus/2",
+        "record_count": len(records),
+        "X": 3,
+        "results": table,
+        "ids": [record["id"] for record in records],
+        "texts": texts,
+    }
+    columns = (
+        np.array(text_rows, dtype="<i4"),
+        np.array([x for record in records for x in record["instruction_affordance"]], dtype="<f8"),
+        np.array([x for record in records for x in record["tool_affordance"]], dtype="<f8"),
+        np.array([rows + [-1] * (3 - len(rows)) for rows in result_rows], dtype="<i4"),
+    )
+    path.write_bytes((json.dumps(doc) + "\n").encode("ascii") + b"".join(c.tobytes() for c in columns))
+
+
+# The cases of the JSON Lines corpus that still exist in columns, at their
+# places in this list, and the faults of a space file's columns that the
+# columns of a corpus may now hold. The JSON Lines cases of a vector entry
+# that is a string, a bool or an int too large for a float are gone: a raw
+# <f8 column holds only floats.
 @pytest.mark.parametrize(
     ("changes", "message"),
     [
@@ -1423,28 +1511,29 @@ def _corpus_line(**changes) -> str:
         ({"text": 5}, "record texts must be strings"),
         ({"id": ""}, "empty record id"),
         ({"tool_affordance": [1.0, 2.0, 10.5]}, "outside"),
-        ({"instruction_affordance": [1.0, "2", 3.0]}, "numbers"),
-        ({"instruction_affordance": [1.0, 2.0]}, "malformed corpus"),
-        ({"results": []}, "0 results"),
-        ({"results": [{"tool_label": "cup"}]}, "line 2"),
-        # Each number is read at its JSON type: a bool is no number, a float
-        # no coordinate, and an int too large for a float no score.
-        ({"instruction_affordance": [True, 2.0, 3.0]}, "numbers"),
-        ({"tool_affordance": [1.0, 10**400, 3.0]}, "numbers"),
+        ({"instruction_affordance": [1.0, float("nan"), 3.0]}, "not finite"),
+        ({"instruction_affordance": [1.0, 2.0]}, "the columns of"),  # a truncated column
+        ({"results": []}, "no result row"),
+        ({"results": [{"tool_label": "cup"}]}, "malformed corpus document"),
+        ({"id": "ins-1"}, "duplicate record id"),
+        ({"result_rows": [1]}, "result row outside"),
+        # Each number of the header is read at its JSON type: a float or a
+        # bool is no coordinate.
         ({"results": [{**_CORPUS_RESULT, "tool_region": [0, 0, 100.5, 100]}]}, "not a list of integers"),
         ({"results": [{**_CORPUS_RESULT, "tool_region": [False, 0, 100, 100]}]}, "not a list of integers"),
+        ({"result_rows": [-1, 0]}, "pad precedes"),
     ],
 )
 def test_corpus_rejects_a_malformed_record(tmp_path, changes, message):
-    path = tmp_path / "drafts.jsonl"
-    path.write_text(_corpus_line(id="ins-1") + _corpus_line(**changes))
+    path = tmp_path / "drafts.corpus"
+    _write_corpus_file(path, _corpus_record(id="ins-1"), _corpus_record(**changes))
     with pytest.raises(SpaceFormatError, match=message):
         read_corpus(path)
 
 
 def test_corpus_shares_one_table_row_per_distinct_result(tmp_path):
-    path = tmp_path / "drafts.jsonl"
-    path.write_text(_corpus_line(id="ins-0") + "\n" + _corpus_line(id="ins-1"))
+    path = tmp_path / "drafts.corpus"
+    _write_corpus_file(path, _corpus_record(id="ins-0"), _corpus_record(id="ins-1"))
     drafts = read_corpus(path)
     assert len(drafts.results) == 1
     assert drafts.result_rows.tolist() == [[0, -1, -1], [0, -1, -1]]
