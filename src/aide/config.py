@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +87,17 @@ class ConfigParams:
             raise ConfigError("dimensions and cluster counts must be positive")
         if self.PX < 0:
             raise ConfigError(f"PX must be non-negative, got {self.PX}")
+        # Each comparison is also false for NaN.
+        if not 0.0 < self.approach_speed < math.inf:
+            raise ConfigError(f"approach_speed must be finite and positive, got {self.approach_speed}")
+        if not 0.0 <= self.r_near < math.inf:
+            raise ConfigError(f"r_near must be finite and non-negative, got {self.r_near}")
+        # A threshold lies within the range of the score it is compared with:
+        # a similarity for the strategy, confidence plus similarity for validity.
+        if not 0.0 <= self.strategy_threshold <= 1.0:
+            raise ConfigError(f"strategy_threshold must lie in [0, 1], got {self.strategy_threshold}")
+        if not 0.0 <= self.validity_threshold <= 2.0:
+            raise ConfigError(f"validity_threshold must lie in [0, 2], got {self.validity_threshold}")
 
     @property
     def detection_budget(self) -> int:

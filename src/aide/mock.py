@@ -2,9 +2,13 @@
 
 Every response is a pure function of (seed, scene, query): noise comes from
 hashing the query key rather than from shared RNG state, so identical calls
-return identical values. What the mock caches are memos of those functions:
+return identical values. One kernel draws all of it: ``key_normal(key)``, the
+standard normal at the key's 64-bit blake2b digest (``digest_normal``), which
+``detect``, ``similarity`` and ``score_affordance`` call directly and scale by
+their noise. What the mock caches are memos of those functions:
 catalog and text references per instance, and the current frame's projection
-coordinates and crop resolutions per frame. A frame's cache is built whole
+coordinates and crop resolutions per frame; a frame's memo starts from the
+catalog and text ones. A frame's cache is built whole
 when the world's observed frame changes and swapped in by one assignment, so
 concurrent queries need no locking; a query that races ``observe`` answers
 for whichever frame it saw, as an uncached one would.
@@ -29,6 +33,7 @@ mismatch, minus 0.2 on a label or part mismatch within the same class, minus
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -101,6 +106,10 @@ def token_cosine(a: str, b: str) -> float:
 # The largest float below 1; see ``digest_normal``.
 _U_MAX = 1.0 - 2.0**-53
 _INV_CDF = NormalDist().inv_cdf
+# An empty 64-bit blake2b state; copying it is cheaper than a new hasher.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+# Bound once: looking ``from_bytes`` up on ``int`` costs about as much as the call.
+_from_bytes = int.from_bytes
 
 
 def digest_normal(digest: int) -> float:
@@ -114,15 +123,16 @@ def digest_normal(digest: int) -> float:
     return _INV_CDF(u if u < 1.0 else _U_MAX)
 
 
-# An empty 64-bit blake2b state; copying it is cheaper than a new hasher.
-_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
-
-
 def key_normal(key: str) -> float:
-    """Standard normal keyed by a string: a pure function, not an RNG."""
+    """Standard normal keyed by a string, a pure function and not an RNG:
+    ``digest_normal`` of the key's 64-bit blake2b digest.
+
+    This is the mock's one noise kernel; every confidence, similarity and
+    affordance draw goes through it.
+    """
     hasher = _BLAKE2B_64.copy()
     hasher.update(key.encode())
-    return digest_normal(int.from_bytes(hasher.digest(), "big"))
+    return digest_normal(_from_bytes(hasher.digest(), "big"))
 
 
 def _clamp(value: float, low: float, high: float) -> float:
@@ -150,6 +160,14 @@ def _resolve_fixed(ref: str) -> _Resolved:
     return _Resolved(kind="text", text=ref)
 
 
+@functools.lru_cache(maxsize=1024)
+def _shown(affordance_class: str, tag: str, blurred: bool) -> _Resolved:
+    """What a crop of a shown object or part resolves to. Cached across
+    frames: each frame's memo starts without its crops, and a frozen
+    ``_Resolved`` takes several times as long to build as to look up."""
+    return _Resolved(kind="image", affordance_class=affordance_class, tag=tag, blurred=blurred)
+
+
 _NO_OBJECT = _Resolved(kind="image")
 _WHOLE_FRAME = _Resolved(kind="image", tag="__frame__")
 
@@ -172,12 +190,16 @@ class _Frame:
 
     ``shown`` holds, per projection in order, the projection, its visibility
     factor and distance decay, and its parts; ``refs`` memoizes every
-    reference resolved while this frame is current.
+    reference resolved while this frame is current, starting from the
+    references to no frame resolved so far (``fixed``), which resolve the same
+    in every frame.
     """
 
     __slots__ = ("observed", "image", "shown", "refs")
 
-    def __init__(self, observed: tuple[str, list[ProjectedObject]] | None) -> None:
+    def __init__(
+        self, observed: tuple[str, list[ProjectedObject]] | None, fixed: dict[str, _Resolved]
+    ) -> None:
         self.observed = observed
         self.image = None if observed is None else observed[0]
         self.shown = [
@@ -189,7 +211,7 @@ class _Frame:
             )
             for proj in (() if observed is None else observed[1])
         ]
-        self.refs: dict[str, _Resolved] = {}
+        self.refs = dict(fixed)
 
     def check(self, ref: str) -> None:
         """Raise unless ``ref`` names this frame."""
@@ -254,12 +276,7 @@ class _Frame:
                     best_score, best, best_suffix = score, proj, suffix
         if best is None:
             return _NO_OBJECT
-        return _Resolved(
-            kind="image",
-            affordance_class=best.affordance_class,
-            tag=best.label + best_suffix,
-            blurred=best.visibility == BLURRED,
-        )
+        return _shown(best.affordance_class, best.label + best_suffix, best.visibility == BLURRED)
 
 
 class MockPerception(PerceptionBackend):
@@ -272,18 +289,9 @@ class MockPerception(PerceptionBackend):
         # Catalog and text references resolve the same in every frame, so
         # they outlive the frame's memo.
         self._fixed: dict[str, _Resolved] = {}
-        self._frame = _Frame(None)
+        self._frame = _Frame(None, self._fixed)
         # Every noise key ends in the seed, so it is formatted once.
         self._key_suffix = f"|{seed}"
-
-    # -- deterministic noise ------------------------------------------------
-
-    def _score_noise(self, key: str) -> float:
-        """Noise on a confidence or similarity: ``key_normal(key)`` times
-        0.04 sigma; every key ends in the seed suffix."""
-        if self.sigma == 0.0:
-            return 0.0
-        return key_normal(key) * 0.04 * self.sigma
 
     # -- frame and reference resolution --------------------------------------
 
@@ -291,14 +299,12 @@ class MockPerception(PerceptionBackend):
         """The world's observed frame, rebuilt when ``observe`` has moved on."""
         frame, observed = self._frame, self.world.observed
         if frame.observed is not observed:
-            frame = self._frame = _Frame(observed)
+            frame = self._frame = _Frame(observed, self._fixed)
         return frame
 
     def resolve(self, ref: str) -> _Resolved:
-        # ``_current_frame``, inlined: every similarity call resolves twice.
-        frame, observed = self._frame, self.world.observed
-        if frame.observed is not observed:
-            frame = self._frame = _Frame(observed)
+        """What ``ref`` shows in the current frame, memoized per frame."""
+        frame = self._current_frame()
         resolved = frame.refs.get(ref)
         if resolved is None:
             if ref.startswith("frame:"):
@@ -322,7 +328,7 @@ class MockPerception(PerceptionBackend):
         part_terms = [t for t in vocabulary if t in PART_VOCABULARY]
         object_terms = [t for t in vocabulary if t not in PART_VOCABULARY]
         fallback_term = min(object_terms) if object_terms else None
-        image, suffix = frame.image, self._key_suffix
+        image, suffix, sigma = frame.image, self._key_suffix, self.sigma
 
         raw: list[tuple[float, str, str, Region]] = []
         for proj, vis, decay, _ in current.shown:
@@ -331,17 +337,17 @@ class MockPerception(PerceptionBackend):
                     term, base = proj.label, _BASE_MATCH
                 else:
                     term, base = fallback_term, _BASE_MISMATCH
-                conf = base * vis * decay + self._score_noise(
-                    f"det|{image}|{proj.object_id}|{term}{suffix}"
-                )
+                conf = base * vis * decay
+                if sigma:
+                    conf += key_normal(f"det|{image}|{proj.object_id}|{term}{suffix}") * 0.04 * sigma
                 raw.append((_clamp(conf, 0.0, 1.0), proj.object_id, term, proj.box))
             for term in part_terms:
                 part_box = proj.handle if term == "handle" else proj.body
                 if part_box is None:
                     continue
-                conf = _BASE_MATCH * vis * decay + self._score_noise(
-                    f"det|{image}|{proj.object_id}|{term}{suffix}"
-                )
+                conf = _BASE_MATCH * vis * decay
+                if sigma:
+                    conf += key_normal(f"det|{image}|{proj.object_id}|{term}{suffix}") * 0.04 * sigma
                 raw.append((_clamp(conf, 0.0, 1.0), proj.object_id, term, part_box))
 
         raw.sort(key=lambda t: (-t[0], t[1], t[2]))
@@ -353,7 +359,14 @@ class MockPerception(PerceptionBackend):
     def similarity(self, a: str, b: str) -> SimilarityScore:
         if a == b:
             return SimilarityScore(SIMILARITY_CAP)
-        ra, rb = self.resolve(a), self.resolve(b)
+        # Both references are read from the current frame's memo inline;
+        # only a miss calls ``resolve``.
+        frame = self._frame
+        if frame.observed is not self.world.observed:
+            frame = self._current_frame()
+        refs = frame.refs
+        ra = refs.get(a) or self.resolve(a)
+        rb = refs.get(b) or self.resolve(b)
         if ra.kind == "text" and rb.kind == "text":
             value = self._text_similarity(ra.text, rb.text)
             return SimilarityScore(_clamp(value, 0.0, SIMILARITY_CAP))
@@ -372,8 +385,10 @@ class MockPerception(PerceptionBackend):
             value -= _TAG_MISMATCH_PENALTY
         if ra.blurred or rb.blurred:
             value -= _BLUR_PENALTY
-        first, second = (b, a) if b < a else (a, b)
-        value += self._score_noise(f"sim|{first}|{second}{self._key_suffix}")
+        sigma = self.sigma
+        if sigma:
+            first, second = (b, a) if b < a else (a, b)
+            value += key_normal(f"sim|{first}|{second}{self._key_suffix}") * 0.04 * sigma
         return SimilarityScore(_clamp(value, 0.0, SIMILARITY_CAP))
 
     def _text_similarity(self, a: str | None, b: str | None) -> float:

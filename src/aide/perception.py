@@ -47,13 +47,26 @@ class Detection:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SimilarityScore:
+    """One similarity in [0, 1).
+
+    Its ``__init__`` is written out: a backend builds one per answer, many
+    times a tick, and the generated frozen ``__init__`` plus a
+    ``__post_init__`` check costs about half as much again.
+    """
+
     value: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value < 1.0):
-            raise ValueError(f"similarity {self.value} outside [0, 1)")
+    def __init__(self, value: float) -> None:
+        if not (0.0 <= value < 1.0):
+            raise ValueError(f"similarity {value} outside [0, 1)")
+        _set_value(self, value)
+
+
+# The slot's own setter: it writes ``value`` past the frozen ``__setattr__``,
+# which only raises.
+_set_value = SimilarityScore.value.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -409,6 +409,19 @@ def _pose(value: object) -> tuple[float, float, float]:
     return x, y, heading
 
 
+def _box(value: object) -> WorldRect:
+    if type(value) is not list or len(value) != 4:
+        raise ValueError(f"{value!r} is not four numbers")
+    rect = tuple(map(number, value))
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"{value!r} is not four finite numbers")
+    return rect
+
+
+def _part_box(value: object) -> WorldRect | None:
+    return None if value is None else _box(value)
+
+
 def _tables(value: object) -> dict[str, dict]:
     if type(value) is not dict or not all(type(table) is dict for table in value.values()):
         raise ValueError(f"{value!r} is not a mapping of mappings")
@@ -426,8 +439,9 @@ def _member(doc: dict, key: str, default: object, read):
 
 def load_world(path: str | Path) -> World:
     """Read an ``aide-world/1`` document. The frame size, view range, robot
-    pose and tables are read at their JSON types (``aide.jsonvalues``) and
-    range-checked here, not when an episode first uses them."""
+    pose, each object's box, handle and body (four finite numbers, or null for
+    a part) and the tables are read at their JSON types (``aide.jsonvalues``)
+    and range-checked here, not when an episode first uses them."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -441,12 +455,12 @@ def load_world(path: str | Path) -> World:
             obj = WorldObject(
                 id=odoc["id"],
                 label=odoc["label"],
-                box=tuple(odoc["box"]),
+                box=_member(odoc, "box", None, _box),
                 affordance_class=odoc["affordance_class"],
                 visibility=odoc.get("visibility", VISIBLE),
                 container_id=odoc.get("container_id"),
-                handle=tuple(odoc["handle"]) if odoc.get("handle") else None,
-                body=tuple(odoc["body"]) if odoc.get("body") else None,
+                handle=_member(odoc, "handle", None, _part_box),
+                body=_member(odoc, "body", None, _part_box),
             )
             if obj.id in objects:
                 raise WorldError(f"duplicate object id {obj.id!r}")

@@ -438,11 +438,15 @@ class RelationshipSpace:
         sj = int(_nearest_first(point, self._centroid_rows[1][ci])[0])
         result_rows = []
         for result in record.results:
-            try:
-                result_rows.append(self.results.index(result))
-            except ValueError:
-                result_rows.append(len(self.results))
+            # A scan, not ``list.index``: the ``ValueError`` it raises for a
+            # new result formats that result's repr.
+            for row, known in enumerate(self.results):
+                if known is result or known == result:
+                    break
+            else:
+                row = len(self.results)
                 self.results.append(result)
+            result_rows.append(row)
         cluster = self.clusters[ci]
         subs = list(cluster.subclusters)
         subs[sj] = subs[sj].appended(record, result_rows)

@@ -64,6 +64,37 @@ def test_a_nan_distance_is_rejected(name):
         ConfigParams(**{name: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("approach_speed", float("nan"), "approach_speed must be finite and positive, got nan"),
+        ("approach_speed", 0.0, "approach_speed must be finite and positive, got 0.0"),
+        ("approach_speed", float("inf"), "approach_speed must be finite and positive, got inf"),
+        ("r_near", -1.0, "r_near must be finite and non-negative, got -1.0"),
+        ("r_near", float("nan"), "r_near must be finite and non-negative, got nan"),
+        ("strategy_threshold", float("inf"), "strategy_threshold must lie in [0, 1], got inf"),
+        ("strategy_threshold", -0.1, "strategy_threshold must lie in [0, 1], got -0.1"),
+        ("validity_threshold", float("nan"), "validity_threshold must lie in [0, 2], got nan"),
+        ("validity_threshold", 2.5, "validity_threshold must lie in [0, 2], got 2.5"),
+    ],
+)
+def test_an_out_of_range_robot_or_threshold_setting_is_a_one_line_config_error(
+    tmp_path, capsys, key, value, message
+):
+    # from_dict loaded each of these before; json reads NaN and Infinity.
+    path = tmp_path / "config.json"
+    write_config(path, {key: value})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert main(["run-episode", "--config", str(path), "--world", "clear_cup"]) == 2
+    assert capsys.readouterr().err == f"aide run-episode: error: {message}\n"
+
+
+def test_the_range_bounds_of_robot_and_threshold_settings_load():
+    ConfigParams(r_near=0.0, strategy_threshold=0.0, validity_threshold=0.0)
+    ConfigParams(strategy_threshold=1.0, validity_threshold=2.0, approach_speed=1e-9)
+
+
 def test_round_trip(tmp_path):
     source = ConfigParams(approach_speed=0.25, c=12.0, N=7)
     path = tmp_path / "config.json"

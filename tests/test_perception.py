@@ -18,6 +18,7 @@ from aide.mock import SIMILARITY_CAP, MockPerception, digest_normal, token_cosin
 from aide.perception import (
     ReasonerError,
     SceneFrame,
+    SimilarityScore,
     ToolHypothesis,
     UnknownReferenceError,
     Detection,
@@ -750,3 +751,19 @@ def test_crop_resolution_matches_the_iou_oracle(projections, crops):
         ref = f"frame:t:0#crop:{crop.x_min},{crop.y_min},{crop.x_max},{crop.y_max}"
         assert mock.resolve(ref).tag == iou_oracle_tag(projections, crop)
 
+
+
+def test_a_similarity_score_is_a_checked_immutable_value():
+    import dataclasses
+
+    score = SimilarityScore(0.25)
+    assert score == SimilarityScore(0.25) and score != SimilarityScore(0.5)
+    assert hash(score) == hash(SimilarityScore(0.25))
+    assert repr(score) == "SimilarityScore(value=0.25)"
+    assert [f.name for f in dataclasses.fields(score)] == ["value"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        score.value = 3.0
+    assert score.value == 0.25
+    for bad in (-0.1, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            SimilarityScore(bad)

@@ -419,6 +419,37 @@ def test_world_load_reads_each_setting_at_its_json_type(tmp_path, worlds, key, v
         load_world(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("box", [True, 21.0, 21.0, 23.0], "True is not a number"),  # loaded as (True, ...)
+        ("box", [19.0, 21.0, 21.0], "is not four numbers"),
+        ("box", None, "None is not four numbers"),
+        ("box", "19,21,21,23", "is not four numbers"),
+        ("handle", [19.0, "22", 21.0, 23.0], "'22' is not a number"),
+        ("body", [19.0, 21.0, math.nan, 22.0], "is not four finite numbers"),
+    ],
+)
+def test_world_load_reads_each_object_box_as_four_finite_numbers(tmp_path, worlds, key, value, message):
+    path = tmp_path / "w.json"
+    save_world(worlds["clear_cup"], path)
+    doc = json.loads(path.read_text())
+    doc["objects"][0][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WorldSchemaError, match=f"{key}: .*{re.escape(message)}"):
+        load_world(path)
+
+
+def test_world_load_reads_integer_boxes_as_floats(tmp_path, worlds):
+    path = tmp_path / "w.json"
+    save_world(worlds["clear_cup"], path)
+    doc = json.loads(path.read_text())
+    doc["objects"][0]["box"] = [19, 21, 21, 23]
+    path.write_text(json.dumps(doc))
+    box = next(iter(load_world(path).objects.values())).box
+    assert box == (19.0, 21.0, 21.0, 23.0) and all(type(v) is float for v in box)
+
+
 def test_world_load_rejects_bad_schema(tmp_path):
     path = tmp_path / "w.json"
     path.write_text('{"schema": "aide-world/9", "id": "x"}')

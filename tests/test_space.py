@@ -623,6 +623,21 @@ def test_insert_duplicate_id_rejected(space):
         clone.insert(_record(existing.id, existing.instruction_affordance))
 
 
+def test_an_insert_of_a_new_result_formats_no_repr(space, monkeypatch):
+    # list.index raised a ValueError for a result not yet in the table, and
+    # its message held the result's repr (with every nested Region's).
+    reprs = []
+    monkeypatch.setattr(GroundingResult, "__repr__", lambda self: reprs.append(self) or "r")
+    clone = space.clone()
+    known = clone.results[0]
+    fresh = _result("fresh-tool", "cut")
+    assert fresh not in clone.results
+    at = clone.insert(_record("new-result", class_centroid("cut"), results=(fresh, known)))
+    assert reprs == []
+    assert clone.results[-1] == fresh and len(clone.results) == len(space.results) + 1
+    assert clone.record(*at).results == (fresh, known)
+
+
 def test_clone_isolates_insertions(space, params):
     before = space.record_count
     clone = space.clone()
