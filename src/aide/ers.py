@@ -5,9 +5,9 @@ relationship space (DFS within radius ``c``, subcluster expansion within
 ``d``), then try to ground the tool in the scene: detect with the pool's
 vocabulary, compare candidate crops against the pool's tool images, and either
 emit a complete grounding result (highest similarity strictly above ``m``) or
-hand the routing scores to the exploration policy. A match told that the slow
-stream takes an invalid tick stops at its top-N stage when the validity rule
-fails there.
+hand the routing scores to the exploration policy. Matching runs in two stages,
+``match_top`` and ``match_tool``; the planner decides between them whether the
+tick goes on to the second stage.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .perception import (
     Detection,
     EpisodePerception,
     SceneFrame,
+    crop_reference,
     crop_references,
 )
 from .space import GroundingResult, RelationshipSpace
@@ -66,47 +67,36 @@ class CandidatePool:
 
 
 @dataclass(frozen=True)
+class TopMatch:
+    """The first stage of a match: the ranked detections (up to N'), the best
+    pool-image similarity of each of the top N, by rank, and their maximum."""
+
+    detections: tuple[Detection, ...]
+    similarities: tuple[float, ...]
+    s_max: float
+
+
+@dataclass(frozen=True)
 class Grounded:
     result: GroundingResult
-    s_max: float
-    detections: tuple[Detection, ...] = ()
-    # Best pool-image similarity of each scored detection, by rank.
-    similarities: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class NeedsExploration:
-    s_max: float
     t_new: float
-    detections: tuple[Detection, ...] = ()
-    similarities: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class HandedOver:
-    """A match stopped after its top-N stage: the view failed the validity
-    rule, so the slow stream takes the tick. It holds only that stage's
-    scores, with no tool regions and no ``t_new``."""
-
-    s_max: float
-    detections: tuple[Detection, ...]
-    similarities: tuple[float, ...]
-
-
-MatchOutcome = Grounded | NeedsExploration | HandedOver
-
-
-def validity_check(match: MatchOutcome, params: ConfigParams) -> tuple[bool, float]:
+def validity_check(top: TopMatch, params: ConfigParams) -> tuple[bool, float]:
     """Best detection confidence plus its best pool-image similarity.
 
-    Both are read off the match, whose top-N stage scored the top-ranked crop
+    Both are read off the top-N stage, which scored the top-ranked crop
     already. A score strictly below the validity threshold means no valid
     tool-related object is in view; exactly at the threshold still counts as
     valid.
     """
-    if not match.detections:
+    if not top.detections:
         return False, 0.0
-    score = match.detections[0].confidence + match.similarities[0]
+    score = top.detections[0].confidence + top.similarities[0]
     return score >= params.validity_threshold, score
 
 
@@ -123,51 +113,45 @@ def retrieve_candidates(
     return CandidatePool(space.pool_results(anchor, params.d))
 
 
-def match_tool(
+def match_top(
     frame: SceneFrame,
     pool: CandidatePool,
     params: ConfigParams,
     perception: EpisodePerception,
-    hand_over: bool = False,
-) -> MatchOutcome:
-    """Detect pool-vocabulary candidates and similarity-match their crops.
-
-    Each (crop, image) pair is scored once. ``s_max`` ranges over the top-N
-    detections and ``t_new`` over the top-2N, which are scored only when the
-    top-N do not ground the tool; the full ranked list (up to N') rides along
-    for the exploration policy.
-
-    With ``hand_over`` set, the slow stream takes the tick when the view is
-    invalid, so the match stops after the top-N stage if ``validity_check``
-    fails there: it returns ``HandedOver`` and asks neither the tool's part
-    detection nor the N+1..2N band.
-    """
+) -> TopMatch:
+    """Detect pool-vocabulary candidates and score the top-N crops, each
+    (crop, image) pair once."""
     detections = tuple(perception.detect(frame, pool.tool_labels(), params.detection_budget))
-    images = pool.distinct_images()
     crops = crop_references(frame, detections[: params.N])
-    similarities = perception.crop_scores(crops, images)
-    s_max = max(similarities, default=0.0)
-    if hand_over:
-        top = HandedOver(s_max, detections, tuple(similarities))
-        if not validity_check(top, params)[0]:
-            return top
-    if s_max > params.m:
-        index = similarities.index(s_max)
-        best = detections[index]
-        operational, functional = ground_regions(frame, best, pool, params, perception)
-        result = GroundingResult(
-            tool_label=best.label,
-            tool_image=crops[index],
-            tool_region=best.box,
-            operational_region=operational,
-            functional_region=functional,
-        )
-        return Grounded(result, s_max, detections, tuple(similarities))
+    similarities = perception.crop_scores(crops, pool.distinct_images())
+    return TopMatch(detections, tuple(similarities), max(similarities, default=0.0))
 
-    crops = crop_references(frame, detections[params.N : 2 * params.N])
-    similarities += perception.crop_scores(crops, images)
-    t_new = max(similarities, default=0.0)
-    return NeedsExploration(s_max, t_new, detections, tuple(similarities))
+
+def match_tool(
+    frame: SceneFrame,
+    top: TopMatch,
+    pool: CandidatePool,
+    params: ConfigParams,
+    perception: EpisodePerception,
+) -> Grounded | NeedsExploration:
+    """Ground the tool at the best top-N crop when ``s_max`` is above ``m``;
+    otherwise score the N+1..2N band too, and ``t_new`` ranges over the top-2N.
+    """
+    if top.s_max > params.m:
+        best = top.detections[top.similarities.index(top.s_max)]
+        operational, functional = ground_regions(frame, best, pool, params, perception)
+        return Grounded(
+            GroundingResult(
+                tool_label=best.label,
+                tool_image=crop_reference(frame, best.box),
+                tool_region=best.box,
+                operational_region=operational,
+                functional_region=functional,
+            )
+        )
+    crops = crop_references(frame, top.detections[params.N : 2 * params.N])
+    band = perception.crop_scores(crops, pool.distinct_images())
+    return NeedsExploration(max(top.similarities + tuple(band), default=0.0))
 
 
 def ground_regions(

@@ -5,10 +5,10 @@ grounding, validity checking, exploration routing and a motion decision. The
 slow stream (msi) is invoked once per failure event, when retrieval reports a
 novel task or the scene holds no valid tool-related object; it runs the
 multi-step reasoning pipeline, stores the result in the relationship space and
-hands control back to the fast stream. On a tick the slow stream takes for an
-invalid view, the fast stream stops at its validity check, right after
-matching the top-N detections: it grounds no tool regions and scores no
-N+1..2N band, since the slow stream reads neither.
+hands control back to the fast stream. ``step`` alone decides the hand-over:
+it checks validity once per tick, on the top-N stage of the match, and only a
+tick the fast stream keeps goes on to ground the tool or score the N+1..2N
+band, since the slow stream reads neither.
 
 Motion strategy: approach the grounded tool or visible-exploration region when
 distant; when an invisible-exploration target is reached, push an
@@ -38,8 +38,8 @@ from .config import ConfigParams
 from .ers import (
     CandidatePool,
     Grounded,
-    MatchOutcome,
     match_tool,
+    match_top,
     retrieve_candidates,
     validity_check,
 )
@@ -166,12 +166,6 @@ class PlannerState:
 
 
 # --- single checks -----------------------------------------------------------
-
-
-def needs_msi(pool: CandidatePool | None, validity: bool) -> bool:
-    """Pure trigger rule: the task is novel (no pool) or no valid tool is in
-    view; the once-per-failure-event latch lives in ``step``."""
-    return pool is None or not validity
 
 
 def explore(
@@ -399,20 +393,22 @@ def step(
         else:
             pool = _retrieve(state, active, vector, space, params)
 
-    match: MatchOutcome | None = None
     valid = False
     if pool is not None:
-        # Unlatched, an invalid view goes to the slow stream, so the match may
-        # stop at its validity check.
-        match = match_tool(frame, pool, params, perception, active not in state.msi_latch)
-        tick.s_max = match.s_max
-        valid, tick.validity = validity_check(match, params)
+        top = match_top(frame, pool, params, perception)
+        tick.s_max = top.s_max
+        valid, tick.validity = validity_check(top, params)
         if valid:
             state.msi_latch.discard(active)
 
     outcome: Grounded | GroundingResult | ExplorationOutcome | None = None
 
-    if needs_msi(pool, valid) and active not in state.msi_latch:
+    # A novel task (no pool) or an invalid view hands the tick over to the slow
+    # stream, once per failure event. A task without a pool is never latched:
+    # only a slow-stream pass latches it, and its re-retrieval of the record it
+    # stored (distance 0) caches a pool. So a tick the fast stream keeps has
+    # a top-N stage to go on from.
+    if not valid and active not in state.msi_latch:
         tick.stream = STREAM_MSI
         state.msi_latch.add(active)
         tick.events.append("msi")
@@ -431,18 +427,12 @@ def step(
                 region=result.tool_region,
                 label=result.unseen_region_label,
             )
-    elif isinstance(match, Grounded):
+    elif isinstance(match := match_tool(frame, top, pool, params, perception), Grounded):
         outcome = match
     else:
-        # A task without a pool always takes the slow stream: it is latched
-        # only by a slow-stream pass, whose re-retrieval of the record it
-        # stored (distance 0) cached a pool for it. A match hands over only
-        # when the slow stream takes the tick, so this one needs exploration.
         tick.t_new = match.t_new
         try:
-            outcome = explore(
-                match.t_new, match.detections, pool, frame, active, params, perception
-            )
+            outcome = explore(match.t_new, top.detections, pool, frame, active, params, perception)
         except (ExplorationImpossible, PerceptionError):
             if state.last_container is None:
                 state.status = FAILED

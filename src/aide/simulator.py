@@ -422,6 +422,18 @@ def _part_box(value: object) -> WorldRect | None:
     return None if value is None else _box(value)
 
 
+def _text(value: object) -> str:
+    if type(value) is not str or not value:
+        raise ValueError(f"{value!r} is not a non-empty string")
+    return value
+
+
+def _objects(value: object) -> list[dict]:
+    if type(value) is not list or not all(type(odoc) is dict for odoc in value):
+        raise ValueError(f"{value!r} is not a list of mappings")
+    return value
+
+
 def _tables(value: object) -> dict[str, dict]:
     if type(value) is not dict or not all(type(table) is dict for table in value.values()):
         raise ValueError(f"{value!r} is not a mapping of mappings")
@@ -440,23 +452,31 @@ def _member(doc: dict, key: str, default: object, read):
 def load_world(path: str | Path) -> World:
     """Read an ``aide-world/1`` document. The frame size, view range, robot
     pose, each object's box, handle and body (four finite numbers, or null for
-    a part) and the tables are read at their JSON types (``aide.jsonvalues``)
-    and range-checked here, not when an episode first uses them."""
+    a part), the tables and every text field (the world's id and instruction,
+    each object's id, label and affordance class: non-empty strings) are read
+    at their JSON types (``aide.jsonvalues``) and range-checked here, not when
+    an episode first uses them. Every ``WorldError`` it raises names the file.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise WorldSchemaError(f"unreadable world document: {exc}") from exc
+        return _read_world(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise WorldSchemaError(f"{path}: unreadable world document: {exc}") from exc
+    except WorldError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _read_world(doc: object) -> World:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != WORLD_SCHEMA:
         raise WorldSchemaError(f"expected schema {WORLD_SCHEMA!r}, got {schema!r}")
     try:
         objects: OrderedDict[str, WorldObject] = OrderedDict()
-        for odoc in doc["objects"]:
+        for odoc in _member(doc, "objects", None, _objects):
             obj = WorldObject(
-                id=odoc["id"],
-                label=odoc["label"],
+                id=_member(odoc, "id", None, _text),
+                label=_member(odoc, "label", None, _text),
                 box=_member(odoc, "box", None, _box),
-                affordance_class=odoc["affordance_class"],
+                affordance_class=_member(odoc, "affordance_class", None, _text),
                 visibility=odoc.get("visibility", VISIBLE),
                 container_id=odoc.get("container_id"),
                 handle=_member(odoc, "handle", None, _part_box),
@@ -467,8 +487,8 @@ def load_world(path: str | Path) -> World:
             objects[obj.id] = obj
         tables = _member(doc, "tables", {}, _tables)
         return World(
-            world_id=doc["id"],
-            instruction=doc["instruction"],
+            world_id=_member(doc, "id", None, _text),
+            instruction=_member(doc, "instruction", None, _text),
             objects=objects,
             robot=_member(doc, "robot", [20.0, 32.0, 0.0], _pose),
             category=doc.get("category", CATEGORY_CLEAR),

@@ -14,7 +14,7 @@ import pytest
 
 from aide.affordance import AffordanceVector, class_centroid, class_names, distance
 from aide.config import ConfigParams
-from aide.ers import CandidatePool, Grounded, NeedsExploration, match_tool
+from aide.ers import CandidatePool, Grounded, TopMatch
 from aide.exploration import (
     ExplorationImpossible,
     Strategy,
@@ -25,12 +25,12 @@ from aide.geometry import Region
 from aide.harness import gen_corpus, run_error_analysis, run_eval
 from aide.mock import MockPerception
 from aide.perception import Detection, EpisodePerception, SceneFrame, SimilarityScore
-from aide.planner import needs_msi, run_closed_loop, validity_check
+from aide.planner import run_closed_loop, validity_check
 from aide.simulator import REAL_WORLD_SUITE, fresh_world, scripted_scenarios
 from aide.space import build_space, brute_force_assignments
 
 from test_exploration import oracle_visible
-from worldkit import make_world, obj
+from worldkit import make_world, match, obj
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -204,7 +204,7 @@ def test_criterion_4_threshold_semantics(params):
         (params.m - 1e-9, False),
     ):
         backend = EpisodePerception(_BoundaryBackend(value), params.X)
-        outcome = match_tool(frame, pool, params, backend)
+        _, outcome = match(frame, pool, params, backend)
         assert isinstance(outcome, Grounded) == expect_grounded
 
     # Validity boundary: valid exactly when confidence + similarity >= 0.5.
@@ -214,12 +214,10 @@ def test_criterion_4_threshold_semantics(params):
         det = Detection(label="cup", box=Region(0, 0, 10, 10), confidence=float(conf), rank=1)
         for sim in (float(sims[int(conf * 99) % 100]), 0.5 - float(conf), 0.25):
             sim = min(max(sim, 0.0), 0.999)
-            outcome = NeedsExploration(s_max=sim, t_new=sim, detections=(det,), similarities=(sim,))
-            valid, score = validity_check(outcome, params)
+            top = TopMatch(detections=(det,), similarities=(sim,), s_max=sim)
+            valid, score = validity_check(top, params)
             assert valid == (score >= params.validity_threshold)
             assert score == pytest.approx(float(conf) + sim)
-            assert needs_msi(pool, valid) == (not valid)
-    assert needs_msi(None, True)
     elapsed = time.perf_counter() - start
     report(4, True, f"strategy grid + boundary match/validity probes exact, {elapsed:.1f}s")
 

@@ -262,11 +262,15 @@ def test_config_rejects_bad_schema(tmp_path, capsys):
             "No such file or directory",
         ),
         (None, ["eval", "--space", "{space}", "--scenarios", "{root}"], "no scenario files found"),
-        ('{"schema": "aide-world/1"}', ["eval", "--space", "{space}", "--scenarios", "{root}"], "malformed world"),
+        (
+            '{"schema": "aide-world/1"}',
+            ["eval", "--space", "{space}", "--scenarios", "{root}"],
+            "objects: None is not a list of mappings",
+        ),
         (
             '{"schema": "aide-world/1", "id": "w", "instruction": "", "objects": []}',
             ["run-episode", "--space", "{space}", "--scenarios", "{root}", "--world", "w"],
-            "world 'w' needs a non-empty instruction",
+            "instruction: '' is not a non-empty string",
         ),
         (
             '{"schema": "aide-world/1", "id": "w#1", "instruction": "go", "objects": []}',
@@ -305,6 +309,20 @@ def test_a_rejected_input_is_a_one_line_error(document, argv, message, artifacts
     err = capsys.readouterr().err
     assert err.startswith(f"aide {argv[0]}: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_world_error_names_its_file(artifacts, tmp_path, capsys):
+    # Among several worlds, the one whose object has no label is named.
+    worlds = scripted_scenarios()
+    for world_id in ("abs_cup", "clear_cup"):
+        save_world(worlds[world_id], tmp_path / f"{world_id}.json")
+    doc = json.loads((tmp_path / "clear_cup.json").read_text())
+    doc["objects"][0]["label"] = None
+    (tmp_path / "clear_cup.json").write_text(json.dumps(doc))
+    assert main(["eval", "--space", str(artifacts["space"]), "--scenarios", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{tmp_path / 'clear_cup.json'}: label: None is not a non-empty string" in err
 
 
 # Arguments that satisfy each subcommand's required flags.

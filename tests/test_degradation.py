@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from worldkit import fridge_world, make_world, obj
+from worldkit import fridge_world, make_world, match, obj
 
 from aide.affordance import AffordanceVector
-from aide.ers import NeedsExploration, match_tool, retrieve_candidates
+from aide.ers import NeedsExploration, retrieve_candidates
 from aide.exploration import invisible_explore
 from aide.geometry import Region
 from aide.harness import run_episode
@@ -49,10 +49,10 @@ def test_detect_failure_is_treated_as_zero_detections(space, params):
     frame, _ = observe(world)
     vec = mock.score_affordance("I am thirsty")
     pool = retrieve_candidates(space, vec, params)
-    outcome = match_tool(frame, pool, params, EpisodePerception(flaky, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(flaky, params.X))
     assert isinstance(outcome, NeedsExploration)
-    assert outcome.s_max == 0.0 and outcome.t_new == 0.0
-    assert outcome.detections == ()
+    assert top.s_max == 0.0 and outcome.t_new == 0.0
+    assert top.detections == ()
 
 
 def test_episode_survives_similarity_outage(space, params):

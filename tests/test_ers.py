@@ -5,17 +5,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from worldkit import PairCountingMock, drafts_of, make_world, obj
+from worldkit import PairCountingMock, drafts_of, make_world, match, obj
 
 from aide.affordance import AffordanceVector, distance
 from aide.config import ConfigParams
 from aide.ers import (
     CandidatePool,
     Grounded,
-    HandedOver,
     NeedsExploration,
+    TopMatch,
     ground_regions,
-    match_tool,
+    match_top,
     retrieve_candidates,
 )
 from aide.geometry import Region, iou
@@ -23,7 +23,7 @@ from aide.harness import gen_corpus
 from aide.mock import MockPerception
 from aide.perception import Detection, EpisodePerception, SceneFrame, SimilarityScore
 from aide.planner import validity_check
-from aide.simulator import fresh_world, observe
+from aide.simulator import observe
 from aide.space import GroundingResult, InstructionRecord, RelationshipSpace, build_space, save_space
 
 
@@ -234,10 +234,10 @@ def test_match_grounds_visible_tool(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, Grounded)
-    assert outcome.s_max > params.m
-    assert outcome.s_max >= 0.9
+    assert top.s_max > params.m
+    assert top.s_max >= 0.9
     assert outcome.result.tool_label == "cup"
     frame_box = Region(0, 0, frame.width, frame.height)
     assert frame_box.contains(outcome.result.tool_region)
@@ -250,10 +250,10 @@ def test_match_empty_scene_needs_exploration(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
-    assert outcome.s_max == 0.0 and outcome.t_new == 0.0
-    assert outcome.detections == ()
+    assert top.s_max == 0.0 and outcome.t_new == 0.0
+    assert top.detections == ()
 
 
 def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
@@ -264,13 +264,13 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
-    assert outcome.s_max <= params.m
+    assert top.s_max <= params.m
     assert outcome.t_new > params.strategy_threshold
-    assert outcome.t_new >= outcome.s_max
-    ranks = {d.rank for d in outcome.detections}
-    assert ranks == set(range(1, len(outcome.detections) + 1))
+    assert outcome.t_new >= top.s_max
+    ranks = {d.rank for d in top.detections}
+    assert ranks == set(range(1, len(top.detections) + 1))
 
 
 def test_match_reads_pool_facts_without_walking_candidates(space, params, built_records):
@@ -279,7 +279,7 @@ def test_match_reads_pool_facts_without_walking_candidates(space, params, built_
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert built_records == []  # neither retrieval nor matching builds a record
     assert isinstance(outcome, Grounded)
     assert outcome.result.tool_label == "cup"
@@ -292,15 +292,15 @@ def test_match_and_validity_score_each_pair_once(space, params):
     mock = PairCountingMock(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
-    assert len(outcome.detections) > params.N
-    expected = len(outcome.detections[: 2 * params.N]) * len(pool.distinct_images())
+    assert len(top.detections) > params.N
+    expected = len(top.detections[: 2 * params.N]) * len(pool.distinct_images())
     assert len(mock.pairs) == expected
     assert len(set(mock.pairs)) == expected
-    _, score = validity_check(outcome, params)
+    _, score = validity_check(top, params)
     assert len(mock.pairs) == expected
-    assert score == outcome.detections[0].confidence + outcome.similarities[0]
+    assert score == top.detections[0].confidence + top.similarities[0]
 
 
 def test_match_absent_tool_with_container_routes_invisible(space, params):
@@ -319,7 +319,7 @@ def test_match_absent_tool_with_container_routes_invisible(space, params):
     frame, _ = observe(world)
     vec = mock.score_affordance(world.instruction)
     pool = retrieve_candidates(space, vec, params)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, NeedsExploration)
     assert outcome.t_new <= params.strategy_threshold
 
@@ -331,38 +331,28 @@ def test_match_outcomes_threshold_consistent_under_noise(space, params):
         mock = MockPerception(world, params, seed=trial, sigma=0.5)
         frame, _ = observe(world)
         pool = drink_pool(space, params, mock)
-        outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+        top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
         if isinstance(outcome, Grounded):
-            assert outcome.s_max > params.m
+            assert top.s_max > params.m
         else:
-            assert outcome.s_max <= params.m
-            assert outcome.t_new >= outcome.s_max
-            assert 0.0 <= outcome.s_max < 1.0
+            assert top.s_max <= params.m
+            assert outcome.t_new >= top.s_max
+            assert 0.0 <= top.s_max < 1.0
             assert 0.0 <= outcome.t_new < 1.0
 
 
-def test_a_match_that_may_hand_over_stops_only_on_an_invalid_view(space, params, worlds):
-    # Told that the slow stream takes an invalid tick, the match keeps its
-    # full outcome on a valid view and only the top-N stage on an invalid one.
-    seen = set()
-    for world_id in sorted(worlds):
-        world = fresh_world(worlds[world_id])
-        mock = MockPerception(world, params, seed=0, sigma=0.5)
-        frame, _ = observe(world)
-        pool = retrieve_candidates(space, mock.score_affordance(world.instruction), params)
-        if pool is None:
-            continue
-        full = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
-        top = match_tool(frame, pool, params, EpisodePerception(mock, params.X), hand_over=True)
-        valid, score = validity_check(full, params)
-        seen.add((type(full), valid))
-        if valid:
-            assert top == full
-            continue
-        assert isinstance(top, HandedOver) and validity_check(top, params) == (valid, score)
-        assert (top.s_max, top.detections) == (full.s_max, full.detections)
-        assert top.similarities == full.similarities[: params.N]
-    assert seen == {(Grounded, True), (Grounded, False), (NeedsExploration, False)}
+def test_the_top_n_stage_scores_only_the_top_n_crops(space, params):
+    # The blurred scene has more than N detections; the first stage scores the
+    # top N against every pool image and asks for no part detection.
+    fillers = [obj(f"f{i}", "thing", "misc", 12.0 + i * 4.0, 29.0) for i in range(5)]
+    world = cup_world(cup_at=13.0, extra=fillers)
+    mock = PairCountingMock(world, params)
+    frame, _ = observe(world)
+    pool = drink_pool(space, params, mock)
+    top = match_top(frame, pool, params, EpisodePerception(mock, params.X))
+    assert isinstance(top, TopMatch) and len(top.detections) > params.N
+    assert len(top.similarities) == params.N and top.s_max == max(top.similarities)
+    assert len(mock.pairs) == params.N * len(pool.distinct_images())
 
 
 # --- ground_regions -------------------------------------------------------------
@@ -373,7 +363,7 @@ def test_ground_regions_recovers_part_boxes(space, params):
     mock = noiseless(world, params)
     frame, projections = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, Grounded)
     proj = projections[0]
     assert iou(outcome.result.operational_region, proj.handle) >= 0.5
@@ -441,7 +431,7 @@ def test_pipeline_happy_path_produces_triple(space, params):
     mock = noiseless(world, params)
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
-    outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+    top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
     assert isinstance(outcome, Grounded)
     result = outcome.result
     assert result.tool_label == "cup"
@@ -466,9 +456,9 @@ def test_pipeline_deterministic_with_noiseless_mocks(space, params):
         mock = noiseless(world, params)
         frame, _ = observe(world)
         pool = drink_pool(space, params, mock)
-        outcome = match_tool(frame, pool, params, EpisodePerception(mock, params.X))
+        top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
         assert isinstance(outcome, Grounded)
         results.append(
-            (outcome.s_max, outcome.result.tool_region, outcome.result.operational_region)
+            (top.s_max, outcome.result.tool_region, outcome.result.operational_region)
         )
     assert results[0] == results[1]

@@ -7,7 +7,7 @@ from worldkit import PairCountingMock, make_world, obj
 
 from aide.affordance import label_class
 from aide.config import ConfigParams
-from aide.ers import CandidatePool, Grounded, NeedsExploration, retrieve_candidates
+from aide.ers import CandidatePool, Grounded, TopMatch, retrieve_candidates
 from aide.exploration import ExplorationOutcome, Strategy
 from aide.geometry import Region, vertical_halves
 from aide.mock import MockPerception
@@ -39,7 +39,6 @@ from aide.planner import (
     RUNNING,
     decide_motion,
     mm_cot,
-    needs_msi,
     provide_human_answer,
     run_closed_loop,
     run_msi,
@@ -66,13 +65,8 @@ def detection(conf, rank=1):
 
 
 def matched(conf, sim):
-    """A match outcome whose rank-1 detection has this confidence and similarity."""
-    return NeedsExploration(
-        s_max=sim,
-        t_new=sim,
-        detections=(detection(conf),),
-        similarities=(sim,),
-    )
+    """A top-N stage whose rank-1 detection has this confidence and similarity."""
+    return TopMatch(detections=(detection(conf),), similarities=(sim,), s_max=sim)
 
 
 # --- validity ----------------------------------------------------------------
@@ -97,19 +91,43 @@ def test_validity_exact_boundary_is_valid(params):
 
 
 def test_validity_zero_detections(params):
-    outcome = NeedsExploration(s_max=0.0, t_new=0.0)
-    valid, score = validity_check(outcome, params)
+    valid, score = validity_check(TopMatch(detections=(), similarities=(), s_max=0.0), params)
     assert not valid and score == 0.0
 
 
-# --- msi trigger ---------------------------------------------------------------
+# --- the hand-over rule -----------------------------------------------------------
 
 
-def test_needs_msi_truth_table():
-    assert needs_msi(None, True)
-    assert needs_msi(None, False)
-    assert needs_msi(fake_pool(), False)
-    assert not needs_msi(fake_pool(), True)
+@pytest.fixture
+def validity_calls(monkeypatch):
+    """Every ``validity_check`` the planner makes, as (valid, score)."""
+    calls = []
+
+    def counted(top, params):
+        calls.append(validity_check(top, params))
+        return calls[-1]
+
+    monkeypatch.setattr("aide.planner.validity_check", counted)
+    return calls
+
+
+def test_a_novel_task_takes_the_slow_stream_without_a_match(space, params, validity_calls):
+    # No corpus record has the class "misc", so retrieval finds no pool: the
+    # tick hands over with no validity check, since there is nothing to match.
+    instruction = "wind the gizmo"
+    world = make_world(
+        [obj("g1", "gizmo", "misc", 20.0, 28.0)],
+        instruction=instruction,
+        tool_table={instruction: "gizmo"},
+        gt={instruction: "g1"},
+    )
+    mock = MockPerception(world, params, sigma=0.0)
+    frame, _ = observe(world)
+    asked = EpisodePerception(mock, params.X)
+    state, _ = step(PlannerState(), instruction, frame, space.clone(), params, asked)
+    assert state.tick.stream == "msi" and state.tick.events == ["msi"]
+    assert validity_calls == [] and state.tick.s_max == 0.0 and state.tick.validity == 0.0
+    assert instruction in state.msi_latch and state.status == RUNNING
 
 
 # --- mm_cot ----------------------------------------------------------------------
@@ -339,7 +357,7 @@ def grounded_outcome():
         operational_region=Region(10, 25, 40, 40),
         functional_region=Region(10, 10, 40, 25),
     )
-    return Grounded(result=result, s_max=0.95)
+    return Grounded(result=result)
 
 
 def test_decide_grounded_near_manipulates_and_completes():
@@ -777,3 +795,15 @@ def test_an_invalid_latched_tick_scores_the_wider_band(space, params):
     assert asked.vocabularies == [["cup"]]
     assert asked.ranks == set(range(1, 2 * params.N + 1))
     assert tick.t_new == 0.8 and tick.explored_box is not None
+
+
+@pytest.mark.parametrize("latched", [False, True])
+@pytest.mark.parametrize("scene", sorted(HAND_OVER_SCENES) + ["valid"])
+def test_a_tick_with_a_pool_checks_validity_once(space, params, validity_calls, scene, latched):
+    # Rank 1 at 0.95 makes the view valid (0.2 + 0.95); the other scenes are
+    # invalid, and unlatched they hand over to the slow stream.
+    scores = HAND_OVER_SCENES.get(scene, {1: 0.95})
+    tick, _ = hand_over_tick(space, params, scores, latched)
+    valid = scene == "valid"
+    assert validity_calls == [(valid, tick.validity)]
+    assert tick.stream == ("adm" if valid or latched else "msi")

@@ -253,7 +253,7 @@ def test_world_object_invariants():
 def test_world_load_rejects_an_empty_instruction(tmp_path):
     path = tmp_path / "w.json"
     path.write_text('{"schema": "aide-world/1", "id": "w", "instruction": "", "objects": []}')
-    with pytest.raises(WorldError, match="non-empty instruction"):
+    with pytest.raises(WorldSchemaError, match="instruction: '' is not a non-empty string"):
         load_world(path)
 
 
@@ -409,6 +409,12 @@ def test_every_scripted_world_loads_as_it_was_saved(tmp_path, worlds):
         ("robot", [20.0, math.inf, 0.0], "is not three finite numbers"),
         ("tables", [], "[] is not a mapping of mappings"),  # a traceback
         ("tables", {"tool": ["cup"]}, "is not a mapping of mappings"),
+        ("instruction", 7, "7 is not a non-empty string"),  # a traceback in the mock
+        ("instruction", None, "None is not a non-empty string"),
+        ("id", 5, "5 is not a non-empty string"),  # "argument of type 'int' is not iterable"
+        ("id", "", "'' is not a non-empty string"),
+        ("objects", {"c1": {}}, "is not a list of mappings"),
+        ("objects", ["cup"], "is not a list of mappings"),  # a traceback
     ],
 )
 def test_world_load_reads_each_setting_at_its_json_type(tmp_path, worlds, key, value, message):
@@ -438,6 +444,39 @@ def test_world_load_reads_each_object_box_as_four_finite_numbers(tmp_path, world
     path.write_text(json.dumps(doc))
     with pytest.raises(WorldSchemaError, match=f"{key}: .*{re.escape(message)}"):
         load_world(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("label", None, "None is not a non-empty string"),  # a traceback in the mock
+        ("label", "", "'' is not a non-empty string"),
+        ("affordance_class", 3, "3 is not a non-empty string"),  # loaded
+        ("id", 4, "4 is not a non-empty string"),
+        ("id", None, "None is not a non-empty string"),  # a missing id
+    ],
+)
+def test_world_load_reads_each_object_text_as_a_non_empty_string(tmp_path, worlds, key, value, message):
+    path = tmp_path / "w.json"
+    save_world(worlds["clear_cup"], path)
+    doc = json.loads(path.read_text())
+    doc["objects"][0][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WorldSchemaError, match=f"{key}: .*{re.escape(message)}"):
+        load_world(path)
+
+
+def test_world_load_names_the_file_in_every_error(tmp_path):
+    # A schema error, a rule World checks, and an unreadable document.
+    for name, text in [
+        ("bad-schema.json", '{"schema": "aide-world/9"}'),
+        ("hash-id.json", '{"schema": "aide-world/1", "id": "w#1", "instruction": "go", "objects": []}'),
+        ("truncated.json", '{"schema": "aide-world/1", "id"'),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(WorldError, match=f"^{re.escape(str(path))}: "):
+            load_world(path)
 
 
 def test_world_load_reads_integer_boxes_as_floats(tmp_path, worlds):

@@ -6,6 +6,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from aide.ers import match_tool, match_top
 from aide.mock import MockPerception
 from aide.space import MAX_RESULTS_PER_RECORD, Drafts
 from aide.simulator import OCCLUDED, VISIBLE, World, WorldObject
@@ -75,6 +76,13 @@ def fridge_world():
         tool_table={"I want something cold to drink": "coke"},
         container_table={"I want something cold to drink": "fridge"},
     )
+
+
+def match(frame, pool, params, perception):
+    """Both matching stages, as a tick the fast stream keeps runs them: the
+    top-N stage and what ``match_tool`` makes of it."""
+    top = match_top(frame, pool, params, perception)
+    return top, match_tool(frame, top, pool, params, perception)
 
 
 class PairCountingMock(MockPerception):
