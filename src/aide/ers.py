@@ -81,11 +81,6 @@ class Grounded:
     result: GroundingResult
 
 
-@dataclass(frozen=True)
-class NeedsExploration:
-    t_new: float
-
-
 def validity_check(top: TopMatch, params: ConfigParams) -> tuple[bool, float]:
     """Best detection confidence plus its best pool-image similarity.
 
@@ -133,9 +128,10 @@ def match_tool(
     pool: CandidatePool,
     params: ConfigParams,
     perception: EpisodePerception,
-) -> Grounded | NeedsExploration:
+) -> Grounded | float:
     """Ground the tool at the best top-N crop when ``s_max`` is above ``m``;
-    otherwise score the N+1..2N band too, and ``t_new`` ranges over the top-2N.
+    otherwise score the N+1..2N band too and return ``t_new``, the best score
+    over the top-2N, which routes the exploration.
     """
     if top.s_max > params.m:
         best = top.detections[top.similarities.index(top.s_max)]
@@ -151,7 +147,7 @@ def match_tool(
         )
     crops = crop_references(frame, top.detections[params.N : 2 * params.N])
     band = perception.crop_scores(crops, pool.distinct_images())
-    return NeedsExploration(max(top.similarities + tuple(band), default=0.0))
+    return max(top.similarities + tuple(band), default=0.0)
 
 
 def ground_regions(

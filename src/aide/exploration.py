@@ -37,13 +37,11 @@ class ExplorationImpossible(RuntimeError):
 
 @dataclass(frozen=True)
 class ExplorationOutcome:
-    kind: Strategy
+    """Where exploration leads: a visible-exploration region, or, with the
+    container's ``label``, an invisible-exploration target."""
+
     region: Region
     label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is Strategy.INVISIBLE and self.label is None:
-            raise ValueError("invisible exploration requires a label")
 
 
 def choose_strategy(t_new: float, params: ConfigParams) -> Strategy:

@@ -184,12 +184,10 @@ def explore(
     slow stream explores, since it matched no retrieved pool."""
     if choose_strategy(t_new, params) is Strategy.VISIBLE:
         try:
-            region = visible_explore(detections, frame, params)
-            return ExplorationOutcome(kind=Strategy.VISIBLE, region=region)
+            return ExplorationOutcome(visible_explore(detections, frame, params))
         except ExplorationImpossible:
             pass
-    region, label = invisible_explore(frame, instruction, pool, params, perception)
-    return ExplorationOutcome(kind=Strategy.INVISIBLE, region=region, label=label)
+    return ExplorationOutcome(*invisible_explore(frame, instruction, pool, params, perception))
 
 
 # --- slow stream ---------------------------------------------------------------
@@ -309,45 +307,55 @@ def run_msi(
 
 def decide_motion(
     outcome: Grounded | GroundingResult | ExplorationOutcome,
-    robot_near: bool,
+    frame: SceneFrame,
     state: PlannerState,
+    params: ConfigParams,
 ) -> MotionCommand:
     """Turn one planning outcome into a motion command, updating episode state.
 
-    Grounded and near completes the episode via manipulation, unless a subgoal
-    is active, in which case the subgoal is considered achieved and popped so
-    the original instruction resumes. An invisible target that has been
-    reached becomes an "open the <container>" subgoal.
+    The one dispatch on a tick's outcome: it records the target's boxes and
+    whether the robot is near it on ``state.tick``, and keeps an invisible
+    target as ``state.last_container``. Grounded and near completes the
+    episode via manipulation, unless a subgoal is active, in which case the
+    subgoal is considered achieved and popped so the original instruction
+    resumes. An invisible target that has been reached becomes an
+    "open the <container>" subgoal.
     """
-    if isinstance(outcome, (Grounded, GroundingResult)):
-        # A bare GroundingResult comes from the slow stream; the fast stream
-        # confirms it through match_tool on the next tick before any
-        # manipulation, so slow-stream ticks only ever approach.
-        confirmed = isinstance(outcome, Grounded)
-        result = outcome.result if confirmed else outcome
-        if not robot_near or not confirmed:
-            return Approach(result.tool_region)
-        if state.subgoal_stack:
-            state.subgoal_stack.pop()
-            state.tick.events.append("subgoal-complete")
-            return Approach(result.tool_region)
-        state.status = COMPLETED
-        return Manipulate(result.operational_region, result.functional_region)
+    tick = state.tick
+    if isinstance(outcome, ExplorationOutcome):
+        tick.explored_box = outcome.region
+        tick.near = frame.world_distance_to(outcome.region) <= params.r_near
+        if outcome.label is None:
+            return Approach(outcome.region)
+        state.last_container = outcome
+        if not tick.near:
+            return Approach(outcome.region)
+        if len(state.subgoal_stack) >= MAX_SUBGOAL_DEPTH:
+            state.status = FAILED
+            state.fail_reason = REASON_REFORMULATION_LOOP
+            return NoOp()
+        subgoal = f"open the {outcome.label}"
+        state.subgoal_stack.append(subgoal)
+        tick.events.append(f"subgoal-push:{subgoal}")
+        return Reformulate(subgoal, outcome.region)
 
-    if outcome.kind is Strategy.VISIBLE:
-        return Approach(outcome.region)
-
-    # Invisible exploration target.
-    if not robot_near:
-        return Approach(outcome.region)
-    if len(state.subgoal_stack) >= MAX_SUBGOAL_DEPTH:
-        state.status = FAILED
-        state.fail_reason = REASON_REFORMULATION_LOOP
-        return NoOp()
-    subgoal = f"open the {outcome.label}"
-    state.subgoal_stack.append(subgoal)
-    state.tick.events.append(f"subgoal-push:{subgoal}")
-    return Reformulate(subgoal, outcome.region)
+    # A bare GroundingResult comes from the slow stream; the fast stream
+    # confirms it through match_tool on the next tick before any
+    # manipulation, so slow-stream ticks only ever approach.
+    confirmed = isinstance(outcome, Grounded)
+    result = outcome.result if confirmed else outcome
+    tick.grounded_tool_box = result.tool_region
+    tick.operational_box = result.operational_region
+    tick.functional_box = result.functional_region
+    tick.near = frame.world_distance_to(result.tool_region) <= params.r_near
+    if not tick.near or not confirmed:
+        return Approach(result.tool_region)
+    if state.subgoal_stack:
+        state.subgoal_stack.pop()
+        tick.events.append("subgoal-complete")
+        return Approach(result.tool_region)
+    state.status = COMPLETED
+    return Manipulate(result.operational_region, result.functional_region)
 
 
 # --- one tick -------------------------------------------------------------------
@@ -401,13 +409,12 @@ def step(
         if valid:
             state.msi_latch.discard(active)
 
-    outcome: Grounded | GroundingResult | ExplorationOutcome | None = None
-
     # A novel task (no pool) or an invalid view hands the tick over to the slow
     # stream, once per failure event. A task without a pool is never latched:
     # only a slow-stream pass latches it, and its re-retrieval of the record it
     # stored (distance 0) caches a pool. So a tick the fast stream keeps has
     # a top-N stage to go on from.
+    outcome: Grounded | GroundingResult | ExplorationOutcome
     if not valid and active not in state.msi_latch:
         tick.stream = STREAM_MSI
         state.msi_latch.add(active)
@@ -422,17 +429,13 @@ def step(
         _retrieve(state, active, record.instruction_affordance, space, params)
         outcome = result = record.results[0]
         if result.unseen_region_label is not None:
-            outcome = ExplorationOutcome(
-                kind=Strategy.INVISIBLE,
-                region=result.tool_region,
-                label=result.unseen_region_label,
-            )
+            outcome = ExplorationOutcome(result.tool_region, result.unseen_region_label)
     elif isinstance(match := match_tool(frame, top, pool, params, perception), Grounded):
         outcome = match
     else:
-        tick.t_new = match.t_new
+        tick.t_new = match
         try:
-            outcome = explore(match.t_new, top.detections, pool, frame, active, params, perception)
+            outcome = explore(match, top.detections, pool, frame, active, params, perception)
         except (ExplorationImpossible, PerceptionError):
             if state.last_container is None:
                 state.status = FAILED
@@ -441,21 +444,7 @@ def step(
             outcome = state.last_container
             tick.events.append("explore-fallback:last-container")
 
-    if isinstance(outcome, (Grounded, GroundingResult)):
-        result = outcome.result if isinstance(outcome, Grounded) else outcome
-        target = result.tool_region
-        tick.grounded_tool_box = target
-        tick.operational_box = result.operational_region
-        tick.functional_box = result.functional_region
-    else:
-        target = outcome.region
-        tick.explored_box = outcome.region
-        if outcome.kind is Strategy.INVISIBLE:
-            state.last_container = outcome
-
-    tick.near = frame.world_distance_to(target) <= params.r_near
-    command = decide_motion(outcome, tick.near, state)
-    return state, command
+    return state, decide_motion(outcome, frame, state, params)
 
 
 def provide_human_answer(state: PlannerState, answer: str | None) -> bool:
@@ -500,7 +489,6 @@ class EpisodeTrace:
     rows: list[TickEvent] = field(default_factory=list)
     status: str = RUNNING
     fail_reason: str | None = None
-    manipulate_step: int | None = None
     wall_seconds: float = 0.0
 
     @property
@@ -508,10 +496,9 @@ class EpisodeTrace:
         return len(self.rows)
 
     def valid_rows(self) -> list[TickEvent]:
-        """Ticks from start up to (excluding) the manipulation tick."""
-        if self.manipulate_step is None:
-            return list(self.rows)
-        return [r for r in self.rows if r.step < self.manipulate_step]
+        """Ticks from start up to (excluding) the manipulation tick, which is
+        the last tick of a completed episode."""
+        return self.rows[:-1] if self.status == COMPLETED else list(self.rows)
 
 
 def _command_region(command: MotionCommand) -> Region | None:
@@ -573,8 +560,6 @@ def run_closed_loop(
         reference = row.gt.box if row.gt is not None else row.gt_container_box
         row.correct = bool(target and reference and target.intersects(reference))
         trace.rows.append(row)
-        if isinstance(command, Manipulate):
-            trace.manipulate_step = index
         if state.status != RUNNING:
             break
 

@@ -34,6 +34,7 @@ CATEGORY_CLEAR = "clear"
 CATEGORY_AMBIGUOUS = "ambiguous"
 CATEGORY_UNRECOGNIZABLE = "unrecognizable"
 CATEGORY_ABSENT = "absent"
+CATEGORIES = (CATEGORY_CLEAR, CATEGORY_AMBIGUOUS, CATEGORY_UNRECOGNIZABLE, CATEGORY_ABSENT)
 
 # Milliseconds between frames: the 10 Hz tick.
 FRAME_PERIOD_MS = 100.0
@@ -428,34 +429,73 @@ def _text(value: object) -> str:
     return value
 
 
+def _texts(value: object) -> tuple[str, ...]:
+    if type(value) is not list or not all(type(text) is str and text for text in value):
+        raise ValueError(f"{value!r} is not a list of non-empty strings")
+    return tuple(value)
+
+
+def _category(value: object) -> str:
+    if value not in CATEGORIES:
+        raise ValueError(f"{value!r} is not one of {', '.join(CATEGORIES)}")
+    return value
+
+
 def _objects(value: object) -> list[dict]:
     if type(value) is not list or not all(type(odoc) is dict for odoc in value):
         raise ValueError(f"{value!r} is not a list of mappings")
     return value
 
 
+def _mapping_of(read):
+    """A reader of a mapping from non-empty strings to values that ``read``
+    takes; a rejected value is named by its key."""
+
+    def mapping(value: object) -> dict:
+        if type(value) is not dict or "" in value:
+            raise ValueError(f"{value!r} is not a mapping with non-empty keys")
+        return {key: _member(value, key, None, read) for key in value}
+
+    return mapping
+
+
+_TEXT_MAPPING = _mapping_of(_text)
+# The tables a world document may hold, each with the reader of its values.
+_TABLES = {
+    "tool": _TEXT_MAPPING,
+    "container": _TEXT_MAPPING,
+    "attributes": _mapping_of(_texts),
+    "hints": _TEXT_MAPPING,
+}
+
+
 def _tables(value: object) -> dict[str, dict]:
     if type(value) is not dict or not all(type(table) is dict for table in value.values()):
         raise ValueError(f"{value!r} is not a mapping of mappings")
-    return value
+    return {name: _member(value, name, {}, read) for name, read in _TABLES.items()}
 
 
 def _member(doc: dict, key: str, default: object, read):
     """``doc[key]``, or ``default`` when it is absent, through ``read``; a
-    value that ``read`` rejects is a ``WorldSchemaError`` naming the key."""
+    value that ``read`` rejects is a ``WorldSchemaError`` naming the key,
+    followed by the keys of any inner ``_member`` that rejected it."""
     try:
         return read(doc.get(key, default))
-    except ValueError as exc:
+    except (ValueError, WorldSchemaError) as exc:
         raise WorldSchemaError(f"{key}: {exc}") from None
 
 
 def load_world(path: str | Path) -> World:
     """Read an ``aide-world/1`` document. The frame size, view range, robot
     pose, each object's box, handle and body (four finite numbers, or null for
-    a part), the tables and every text field (the world's id and instruction,
-    each object's id, label and affordance class: non-empty strings) are read
-    at their JSON types (``aide.jsonvalues``) and range-checked here, not when
-    an episode first uses them. Every ``WorldError`` it raises names the file.
+    a part), every text field (the world's id and instruction, each object's
+    id, label and affordance class: non-empty strings), the tables and ``gt``
+    (mappings of non-empty strings to non-empty strings, or to lists of them
+    for ``attributes``), the category (one of ``CATEGORIES``) and each
+    object's container (null or the id of another object) are read at their
+    JSON types (``aide.jsonvalues``) and range-checked here, not when an
+    episode first uses them. Every ``WorldError`` it raises names the file,
+    and one about an object names it by its index, ``objects[<i>]``.
     """
     try:
         return _read_world(json.loads(Path(path).read_text(encoding="utf-8")))
@@ -471,34 +511,43 @@ def _read_world(doc: object) -> World:
         raise WorldSchemaError(f"expected schema {WORLD_SCHEMA!r}, got {schema!r}")
     try:
         objects: OrderedDict[str, WorldObject] = OrderedDict()
-        for odoc in _member(doc, "objects", None, _objects):
-            obj = WorldObject(
-                id=_member(odoc, "id", None, _text),
-                label=_member(odoc, "label", None, _text),
-                box=_member(odoc, "box", None, _box),
-                affordance_class=_member(odoc, "affordance_class", None, _text),
-                visibility=odoc.get("visibility", VISIBLE),
-                container_id=odoc.get("container_id"),
-                handle=_member(odoc, "handle", None, _part_box),
-                body=_member(odoc, "body", None, _part_box),
-            )
-            if obj.id in objects:
-                raise WorldError(f"duplicate object id {obj.id!r}")
+        for i, odoc in enumerate(_member(doc, "objects", None, _objects)):
+            try:
+                obj = WorldObject(
+                    id=_member(odoc, "id", None, _text),
+                    label=_member(odoc, "label", None, _text),
+                    box=_member(odoc, "box", None, _box),
+                    affordance_class=_member(odoc, "affordance_class", None, _text),
+                    visibility=odoc.get("visibility", VISIBLE),
+                    container_id=odoc.get("container_id"),
+                    handle=_member(odoc, "handle", None, _part_box),
+                    body=_member(odoc, "body", None, _part_box),
+                )
+                if obj.id in objects:
+                    raise WorldError(f"duplicate object id {obj.id!r}")
+            except WorldError as exc:
+                raise type(exc)(f"objects[{i}]: {exc}") from None
             objects[obj.id] = obj
+        for i, obj in enumerate(objects.values()):
+            cid = obj.container_id
+            if cid is not None and (type(cid) is not str or cid == obj.id or cid not in objects):
+                raise WorldSchemaError(
+                    f"objects[{i}]: container_id: {cid!r} is not the id of another object"
+                )
         tables = _member(doc, "tables", {}, _tables)
         return World(
             world_id=_member(doc, "id", None, _text),
             instruction=_member(doc, "instruction", None, _text),
             objects=objects,
             robot=_member(doc, "robot", [20.0, 32.0, 0.0], _pose),
-            category=doc.get("category", CATEGORY_CLEAR),
+            category=_member(doc, "category", CATEGORY_CLEAR, _category),
             frame_size=_member(doc, "frame_size", 800, lambda value: _positive(integer(value))),
             view_range=_member(doc, "view_range", 40.0, lambda value: _positive(number(value))),
-            tool_table=dict(tables.get("tool", {})),
-            container_table=dict(tables.get("container", {})),
-            attribute_table={k: tuple(v) for k, v in tables.get("attributes", {}).items()},
-            hint_table=dict(tables.get("hints", {})),
-            gt=dict(doc.get("gt", {})),
+            tool_table=tables["tool"],
+            container_table=tables["container"],
+            attribute_table=tables["attributes"],
+            hint_table=tables["hints"],
+            gt=_member(doc, "gt", {}, _TEXT_MAPPING),
         )
     except WorldError:
         raise

@@ -33,12 +33,12 @@ header line with the result table once, the cluster tree with centroids and
 subcluster sizes, the ids and the table of distinct texts; then the records
 as raw little-endian columns in tree order (text-table rows, instruction and
 tool vectors, result rows). A record's cluster and subcluster follow from its
-position. ``load_space`` parses the header, which may also be laid out over
-several lines, and reads each column straight into an array of its exact
-size. Each number of the header is read at its JSON type (``jsonvalues``).
-It reads only that schema: a space saved as an older ``aide-space/1`` or
-``/2`` is rebuilt from its corpus with ``aide build-space``, which is
-deterministic for a fixed seed.
+position. ``load_space`` parses the header as the one line that
+``_write_file`` writes (a header laid out over several lines is not read)
+and reads each column straight into an array of its exact size. Each number
+of the header is read at its JSON type (``jsonvalues``). It reads only that
+schema: a space saved as an older ``aide-space/1`` or ``/2`` is rebuilt from
+its corpus with ``aide build-space``, which is deterministic for a fixed seed.
 
 Corpus drafts are the same columns before they have a position (``Drafts``):
 ``gen_corpus`` and ``read_corpus`` produce them and ``build_space`` clusters
@@ -67,7 +67,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .affordance import SCORE_MAX, SCORE_MIN, AffordanceVector, DimensionMismatchError, euclidean
-from .cluster import assign, kmeans
+from .cluster import kmeans
 from .config import ConfigParams
 from .geometry import Region
 from .jsonvalues import integer, integers, numbers
@@ -546,16 +546,6 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     return _space_from_columns(params, tree, records, kept)
 
 
-def brute_force_assignments(space: RelationshipSpace) -> bool:
-    """True when every stored record sits under its nearest cluster centroid."""
-    centroids = space._centroid_rows[0]
-    return all(
-        (assign(sub.instruction_at(slice(None)), centroids) == ci).all()
-        for ci, cluster in enumerate(space.clusters)
-        for sub in cluster.subclusters
-    )
-
-
 # --- persistence ----------------------------------------------------------
 
 
@@ -808,9 +798,6 @@ _KINDS = {
 # rejected without reading on (an ``aide-space/2`` document is one line).
 _HEADER_PEEK = 1 << 12
 _LEADING_SCHEMA = re.compile(rb'\s*\{\s*"schema"\s*:\s*"([^"\\]*)"')
-_DECODER = json.JSONDecoder()
-# JSON whitespace but the newline, which ends the header.
-_BLANKS = re.compile(r"[ \t\r]*")
 
 
 def _schema_error(expected: str, schema: object) -> SpaceSchemaError:
@@ -859,13 +846,10 @@ def _read_records(fh, doc: dict, dims: int) -> Drafts:
 
 
 def _read_header(fh, schema: str) -> object:
-    """The JSON value that starts ``fh``, which is left at the byte after the
-    newline that ends it; a header that starts with another ``schema`` is
-    rejected from its first line. The first line is read whole; a header
-    laid over more lines is read on in runs of whole lines, each as long as
-    all read before it, until it parses. Read in whole lines, a header that
-    does not parse yet has only been cut where it stops (a JSON string holds
-    no newline), so any other error is the header's own."""
+    """The JSON value on the first line of ``fh``, the one line that
+    ``_write_file`` writes, which leaves ``fh`` at the byte after it; a
+    header that starts with another ``schema`` is rejected from its first
+    bytes."""
     noun = _KINDS[schema][0]
     data = fh.readline(_HEADER_PEEK)
     leading = _LEADING_SCHEMA.match(data)
@@ -873,28 +857,12 @@ def _read_header(fh, schema: str) -> object:
         raise _schema_error(schema, leading[1].decode("utf-8", "replace"))
     if not data.endswith(b"\n"):
         data += fh.readline()
-    while True:
-        # The lines may run past the header into column bytes, which are kept
-        # as surrogates; the header's own bytes are checked below.
-        text = data.decode("utf-8", "surrogateescape")
-        try:
-            doc, end = _DECODER.raw_decode(text, _BLANKS.match(text).end())
-            break
-        except json.JSONDecodeError as exc:
-            more = exc.pos == len(text) and fh.readlines(len(data))
-            if not more:
-                raise SpaceFormatError(f"unreadable {noun} header: {exc}") from exc
-            data += b"".join(more)
-    end = _BLANKS.match(text, end).end()
-    if end < len(text) and text[end] != "\n":
-        raise SpaceFormatError(f"unreadable {noun} header: extra data after the header at char {end}")
-    rest = text[end + 1 :].encode("utf-8", "surrogateescape")
     try:
-        data[: len(data) - len(rest)].decode("utf-8")
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SpaceFormatError(f"{noun} document is not UTF-8: {exc}") from exc
-    fh.seek(-len(rest), 1)
-    return doc
+    except json.JSONDecodeError as exc:
+        raise SpaceFormatError(f"unreadable {noun} header: {exc}") from exc
 
 
 @contextmanager

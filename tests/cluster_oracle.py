@@ -38,3 +38,14 @@ def lloyd_kmeans(points, k, rng):
             break
         labels = new_labels
     return centers, labels
+
+
+def brute_force_assignments(space):
+    """True when every stored record of ``space`` sits under its nearest
+    cluster centroid, measured against every centroid at once."""
+    centroids = np.array([c.centroid.scores for c in space.clusters], dtype=float)
+    return all(
+        (cluster.assign(sub.instruction_at(slice(None)), centroids) == ci).all()
+        for ci, c in enumerate(space.clusters)
+        for sub in c.subclusters
+    )

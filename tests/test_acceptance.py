@@ -27,8 +27,9 @@ from aide.mock import MockPerception
 from aide.perception import Detection, EpisodePerception, SceneFrame, SimilarityScore
 from aide.planner import run_closed_loop, validity_check
 from aide.simulator import REAL_WORLD_SUITE, fresh_world, scripted_scenarios
-from aide.space import build_space, brute_force_assignments
+from aide.space import build_space
 
+from cluster_oracle import brute_force_assignments
 from test_exploration import oracle_visible
 from worldkit import make_world, match, obj
 

@@ -322,7 +322,7 @@ def test_a_world_error_names_its_file(artifacts, tmp_path, capsys):
     assert main(["eval", "--space", str(artifacts["space"]), "--scenarios", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert f"{tmp_path / 'clear_cup.json'}: label: None is not a non-empty string" in err
+    assert f"{tmp_path / 'clear_cup.json'}: objects[0]: label: None is not a non-empty string" in err
 
 
 # Arguments that satisfy each subcommand's required flags.

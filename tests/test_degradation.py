@@ -8,7 +8,7 @@ import pytest
 from worldkit import fridge_world, make_world, match, obj
 
 from aide.affordance import AffordanceVector
-from aide.ers import NeedsExploration, retrieve_candidates
+from aide.ers import retrieve_candidates
 from aide.exploration import invisible_explore
 from aide.geometry import Region
 from aide.harness import run_episode
@@ -50,8 +50,8 @@ def test_detect_failure_is_treated_as_zero_detections(space, params):
     vec = mock.score_affordance("I am thirsty")
     pool = retrieve_candidates(space, vec, params)
     top, outcome = match(frame, pool, params, EpisodePerception(flaky, params.X))
-    assert isinstance(outcome, NeedsExploration)
-    assert top.s_max == 0.0 and outcome.t_new == 0.0
+    assert isinstance(outcome, float)
+    assert top.s_max == 0.0 and outcome == 0.0
     assert top.detections == ()
 
 

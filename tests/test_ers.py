@@ -12,7 +12,6 @@ from aide.config import ConfigParams
 from aide.ers import (
     CandidatePool,
     Grounded,
-    NeedsExploration,
     TopMatch,
     ground_regions,
     match_top,
@@ -251,8 +250,8 @@ def test_match_empty_scene_needs_exploration(space, params):
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
-    assert isinstance(outcome, NeedsExploration)
-    assert top.s_max == 0.0 and outcome.t_new == 0.0
+    assert isinstance(outcome, float)
+    assert top.s_max == 0.0 and outcome == 0.0
     assert top.detections == ()
 
 
@@ -265,10 +264,10 @@ def test_match_blurred_low_rank_tool_routes_to_visible(space, params):
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
-    assert isinstance(outcome, NeedsExploration)
+    assert isinstance(outcome, float)
     assert top.s_max <= params.m
-    assert outcome.t_new > params.strategy_threshold
-    assert outcome.t_new >= top.s_max
+    assert outcome > params.strategy_threshold
+    assert outcome >= top.s_max
     ranks = {d.rank for d in top.detections}
     assert ranks == set(range(1, len(top.detections) + 1))
 
@@ -293,7 +292,7 @@ def test_match_and_validity_score_each_pair_once(space, params):
     frame, _ = observe(world)
     pool = drink_pool(space, params, mock)
     top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
-    assert isinstance(outcome, NeedsExploration)
+    assert isinstance(outcome, float)
     assert len(top.detections) > params.N
     expected = len(top.detections[: 2 * params.N]) * len(pool.distinct_images())
     assert len(mock.pairs) == expected
@@ -320,8 +319,8 @@ def test_match_absent_tool_with_container_routes_invisible(space, params):
     vec = mock.score_affordance(world.instruction)
     pool = retrieve_candidates(space, vec, params)
     top, outcome = match(frame, pool, params, EpisodePerception(mock, params.X))
-    assert isinstance(outcome, NeedsExploration)
-    assert outcome.t_new <= params.strategy_threshold
+    assert isinstance(outcome, float)
+    assert outcome <= params.strategy_threshold
 
 
 def test_match_outcomes_threshold_consistent_under_noise(space, params):
@@ -336,9 +335,9 @@ def test_match_outcomes_threshold_consistent_under_noise(space, params):
             assert top.s_max > params.m
         else:
             assert top.s_max <= params.m
-            assert outcome.t_new >= top.s_max
+            assert outcome >= top.s_max
             assert 0.0 <= top.s_max < 1.0
-            assert 0.0 <= outcome.t_new < 1.0
+            assert 0.0 <= outcome < 1.0
 
 
 def test_the_top_n_stage_scores_only_the_top_n_crops(space, params):

@@ -47,9 +47,9 @@ def test_choose_strategy_total_and_deterministic(params):
 
 def test_exploration_outcome_validation():
     with pytest.raises(TypeError):
-        ExplorationOutcome(kind=Strategy.VISIBLE)  # the region is required
-    with pytest.raises(ValueError):
-        ExplorationOutcome(kind=Strategy.INVISIBLE, region=Region(0, 0, 1, 1))
+        ExplorationOutcome()  # the region is required
+    # Without a container label the outcome is a visible-exploration region.
+    assert ExplorationOutcome(Region(0, 0, 1, 1)).label is None
     assert list(Strategy) == [Strategy.VISIBLE, Strategy.INVISIBLE]
 
 

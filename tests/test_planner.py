@@ -8,7 +8,7 @@ from worldkit import PairCountingMock, make_world, obj
 from aide.affordance import label_class
 from aide.config import ConfigParams
 from aide.ers import CandidatePool, Grounded, TopMatch, retrieve_candidates
-from aide.exploration import ExplorationOutcome, Strategy
+from aide.exploration import ExplorationOutcome
 from aide.geometry import Region, vertical_halves
 from aide.mock import MockPerception
 from aide.perception import (
@@ -37,6 +37,7 @@ from aide.planner import (
     Reformulate,
     RequestHuman,
     RUNNING,
+    TickEvent,
     decide_motion,
     mm_cot,
     provide_human_answer,
@@ -360,65 +361,96 @@ def grounded_outcome():
     return Grounded(result=result)
 
 
-def test_decide_grounded_near_manipulates_and_completes():
+# Every target below is centred on (25, 25): the robot stands at the centre of
+# a frame, so a 50-pixel frame puts the target at distance 0 and a 200-pixel
+# frame 75 units away, beyond r_near.
+NEAR = SceneFrame(image="frame:test:0", width=50, height=50, timestamp=0.0)
+FAR = SceneFrame(image="frame:test:0", width=200, height=200, timestamp=0.0)
+CONTAINER = ExplorationOutcome(Region(0, 0, 50, 50), label="fridge")
+
+
+def assert_grounded_record(tick, near):
+    result = grounded_outcome().result
+    assert tick.grounded_tool_box == result.tool_region
+    assert tick.operational_box == result.operational_region
+    assert tick.functional_box == result.functional_region
+    assert tick.explored_box is None
+    assert tick.near is near
+
+
+def test_decide_grounded_near_manipulates_and_completes(params):
     state = PlannerState()
-    command = decide_motion(grounded_outcome(), True, state)
+    command = decide_motion(grounded_outcome(), NEAR, state, params)
     assert isinstance(command, Manipulate)
     assert state.status == COMPLETED
     result = grounded_outcome().result
     assert result.tool_region.contains(command.operational)
     assert result.tool_region.contains(command.functional)
+    assert_grounded_record(state.tick, near=True)
+    assert state.last_container is None
 
 
-def test_decide_grounded_far_approaches():
+def test_decide_grounded_far_approaches(params):
     state = PlannerState()
-    command = decide_motion(grounded_outcome(), False, state)
+    command = decide_motion(grounded_outcome(), FAR, state, params)
     assert command == Approach(Region(10, 10, 40, 40))
     assert state.status == RUNNING
+    assert_grounded_record(state.tick, near=False)
 
 
-def test_decide_slow_stream_result_never_manipulates():
+def test_decide_slow_stream_result_never_manipulates(params):
     state = PlannerState()
-    command = decide_motion(grounded_outcome().result, True, state)
+    command = decide_motion(grounded_outcome().result, NEAR, state, params)
     assert isinstance(command, Approach)
     assert state.status == RUNNING
+    assert_grounded_record(state.tick, near=True)
 
 
-def test_decide_visible_approaches():
-    outcome = ExplorationOutcome(kind=Strategy.VISIBLE, region=Region(0, 0, 50, 50))
-    command = decide_motion(outcome, False, PlannerState())
-    assert command == Approach(Region(0, 0, 50, 50))
-
-
-def test_decide_invisible_far_approaches_near_reformulates():
-    outcome = ExplorationOutcome(
-        kind=Strategy.INVISIBLE, region=Region(0, 0, 50, 50), label="fridge"
-    )
+def test_decide_visible_approaches(params):
     state = PlannerState()
-    assert decide_motion(outcome, False, state) == Approach(Region(0, 0, 50, 50))
+    outcome = ExplorationOutcome(Region(0, 0, 50, 50))
+    for frame, near in ((FAR, False), (NEAR, True)):
+        assert decide_motion(outcome, frame, state, params) == Approach(Region(0, 0, 50, 50))
+        assert state.tick.explored_box == Region(0, 0, 50, 50)
+        assert state.tick.grounded_tool_box is None
+        assert state.tick.near is near
+    # Only an invisible target is kept for when exploring fails.
+    assert state.last_container is None
     assert state.subgoal_stack == []
-    command = decide_motion(outcome, True, state)
+
+
+def test_decide_invisible_far_approaches_near_reformulates(params):
+    state = PlannerState()
+    assert decide_motion(CONTAINER, FAR, state, params) == Approach(Region(0, 0, 50, 50))
+    assert state.tick.explored_box == Region(0, 0, 50, 50) and not state.tick.near
+    assert state.last_container is CONTAINER
+    assert state.subgoal_stack == []
+    state.tick = TickEvent()
+    command = decide_motion(CONTAINER, NEAR, state, params)
     assert command == Reformulate("open the fridge", Region(0, 0, 50, 50))
+    assert state.tick.explored_box == Region(0, 0, 50, 50) and state.tick.near
+    assert state.tick.events == ["subgoal-push:open the fridge"]
+    assert state.last_container is CONTAINER
     assert state.subgoal_stack == ["open the fridge"]
 
 
-def test_decide_subgoal_pops_on_grounded_near():
+def test_decide_subgoal_pops_on_grounded_near(params):
     state = PlannerState(subgoal_stack=["open the fridge"])
-    command = decide_motion(grounded_outcome(), True, state)
+    command = decide_motion(grounded_outcome(), NEAR, state, params)
     assert isinstance(command, Approach)
     assert state.subgoal_stack == []
     assert state.status == RUNNING
+    assert state.tick.events == ["subgoal-complete"]
+    assert_grounded_record(state.tick, near=True)
 
 
-def test_decide_reformulation_overflow_fails():
-    outcome = ExplorationOutcome(
-        kind=Strategy.INVISIBLE, region=Region(0, 0, 50, 50), label="fridge"
-    )
+def test_decide_reformulation_overflow_fails(params):
     state = PlannerState(subgoal_stack=["a", "b", "c", "d"])
-    command = decide_motion(outcome, True, state)
+    command = decide_motion(CONTAINER, NEAR, state, params)
     assert isinstance(command, NoOp)
     assert state.status == FAILED
     assert state.fail_reason == REASON_REFORMULATION_LOOP
+    assert state.last_container is CONTAINER
 
 
 # --- step and the closed loop ----------------------------------------------------
@@ -451,7 +483,9 @@ def test_episode_completes_with_single_manipulate(space, params):
     final = manipulations[0]
     assert final.grounded_tool_box.contains(final.operational_box)
     assert final.grounded_tool_box.contains(final.functional_box)
-    assert trace.manipulate_step == final.step
+    # The manipulation tick is the last row, and every row before it is valid.
+    assert trace.rows[-1] is final
+    assert trace.valid_rows() == trace.rows[:-1]
 
 
 def test_tool_removal_triggers_msi_within_one_tick(space, params):
@@ -562,7 +596,7 @@ def test_step_falls_back_to_the_last_container_found(space, params):
     mock = ContainerBlind(occluded_coke_world(), params, blind=False)
     state, first = coke_tick(PlannerState(), mock, space, params)
     found = state.last_container
-    assert found is not None and found.kind is Strategy.INVISIBLE and found.label == "fridge"
+    assert found is not None and found.label == "fridge"
     assert "explore-fallback:last-container" not in state.tick.events
     mock.blind = True
     state, command = coke_tick(state, mock, space, params)

@@ -409,6 +409,16 @@ def test_every_scripted_world_loads_as_it_was_saved(tmp_path, worlds):
         ("robot", [20.0, math.inf, 0.0], "is not three finite numbers"),
         ("tables", [], "[] is not a mapping of mappings"),  # a traceback
         ("tables", {"tool": ["cup"]}, "is not a mapping of mappings"),
+        ("tables", {"tool": {"I am thirsty": 5}}, "tool: I am thirsty: 5 is not a non-empty string"),  # loaded
+        ("tables", {"container": {"I am thirsty": ""}}, "I am thirsty: '' is not a non-empty string"),
+        ("tables", {"hints": {"": "cup"}}, "{'': 'cup'} is not a mapping with non-empty keys"),
+        # A string loaded as a tuple of its characters.
+        ("tables", {"attributes": {"cup": "cold"}}, "cup: 'cold' is not a list of non-empty strings"),
+        ("tables", {"attributes": {"cup": ["cold", 3]}}, "is not a list of non-empty strings"),
+        ("gt", [["I am thirsty", "target"]], "is not a mapping with non-empty keys"),  # loaded
+        ("gt", {"I am thirsty": None}, "I am thirsty: None is not a non-empty string"),
+        ("category", 5, "5 is not one of clear, ambiguous, unrecognizable, absent"),  # loaded
+        ("category", "easy", "'easy' is not one of"),
         ("instruction", 7, "7 is not a non-empty string"),  # a traceback in the mock
         ("instruction", None, "None is not a non-empty string"),
         ("id", 5, "5 is not a non-empty string"),  # "argument of type 'int' is not iterable"
@@ -466,16 +476,60 @@ def test_world_load_reads_each_object_text_as_a_non_empty_string(tmp_path, world
         load_world(path)
 
 
+@pytest.mark.parametrize(
+    "world_id, index, value",
+    [
+        # Each of these loaded before; "fill-a" is the object itself.
+        ("clear_cup", 0, 5),
+        ("clear_cup", 0, "box-9"),
+        ("clear_cup", 1, "fill-a"),
+        ("occ_coke_fridge", 1, "box-9"),
+        ("occ_coke_fridge", 1, ["box-1"]),
+    ],
+)
+def test_world_load_reads_each_container_as_another_object(tmp_path, worlds, world_id, index, value):
+    path = tmp_path / "w.json"
+    save_world(worlds[world_id], path)
+    doc = json.loads(path.read_text())
+    doc["objects"][index]["container_id"] = value
+    path.write_text(json.dumps(doc))
+    message = f"objects[{index}]: container_id: {value!r} is not the id of another object"
+    with pytest.raises(WorldSchemaError, match=re.escape(message)):
+        load_world(path)
+
+
+def test_a_container_may_follow_the_object_it_holds(tmp_path, worlds):
+    path = tmp_path / "w.json"
+    save_world(worlds["occ_coke_fridge"], path)
+    doc = json.loads(path.read_text())
+    doc["objects"].append(doc["objects"].pop(0))
+    path.write_text(json.dumps(doc))
+    assert load_world(path).objects["target"].container_id == "box-1"
+
+
 def test_world_load_names_the_file_in_every_error(tmp_path):
-    # A schema error, a rule World checks, and an unreadable document.
-    for name, text in [
-        ("bad-schema.json", '{"schema": "aide-world/9"}'),
-        ("hash-id.json", '{"schema": "aide-world/1", "id": "w#1", "instruction": "go", "objects": []}'),
-        ("truncated.json", '{"schema": "aide-world/1", "id"'),
+    # A schema error, a rule World checks, an unreadable document, and errors
+    # about an object, which name it by its index.
+    label = '{"id": "c", "label": null, "affordance_class": "drink", "box": [0, 0, 1, 1]}'
+    cup = '{"id": "c", "label": "cup", "affordance_class": "drink", "box": [0, 0, 1, 1]}'
+    for name, text, rest in [
+        ("bad-schema.json", '{"schema": "aide-world/9"}', "expected schema"),
+        ("hash-id.json", '{"schema": "aide-world/1", "id": "w#1", "instruction": "go", "objects": []}', "world id"),
+        ("truncated.json", '{"schema": "aide-world/1", "id"', "unreadable world document"),
+        (
+            "null-label.json",
+            f'{{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [{cup}, {label}]}}',
+            "objects[1]: label: None is not a non-empty string",
+        ),
+        (
+            "twice.json",
+            f'{{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [{cup}, {cup}]}}',
+            "objects[1]: duplicate object id 'c'",
+        ),
     ]:
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(WorldError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(WorldError, match=f"^{re.escape(str(path))}: {re.escape(rest)}"):
             load_world(path)
 
 
