@@ -27,7 +27,6 @@ from .harness import (
     run_episode,
     run_error_analysis,
     run_eval,
-    write_report,
 )
 from .mock import DEFAULT_SIGMA
 from .planner import MAX_STEPS, write_trace
@@ -114,6 +113,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _printed(text: str, report: Path | None) -> int:
+    """Print a rendered report, and write the same text to ``report`` when one is given."""
+    print(text, end="")
+    if report:
+        report.write_text(text, encoding="utf-8")
+    return 0
+
+
 def _run(args) -> int:
     params = load_config(args.config) if args.config else ConfigParams()
 
@@ -135,11 +142,7 @@ def _run(args) -> int:
         rows = ablate_retrieval(
             drafts, params, methods=methods, seed=args.seed, query_count=args.queries
         )
-        text = render_ablation(rows, {"seed": args.seed, "queries": args.queries})
-        print(text, end="")
-        if args.report:
-            args.report.write_text(text, encoding="utf-8")
-        return 0
+        return _printed(render_ablation(rows, {"seed": args.seed, "queries": args.queries}), args.report)
 
     if args.space is None:
         print(f"{args.command} needs --space", file=sys.stderr)
@@ -167,11 +170,7 @@ def _run(args) -> int:
             episodes=args.episodes,
             trace_sink=write_events,
         )
-        text = render_report(report)
-        print(text, end="")
-        if args.report:
-            write_report(report, args.report)
-        return 0
+        return _printed(render_report(report), args.report)
 
     if args.command == "error-analysis":
         report = run_error_analysis(
@@ -183,11 +182,7 @@ def _run(args) -> int:
             max_steps=args.max_steps,
             with_hints=not args.no_hints,
         )
-        text = render_report(report, title="error analysis")
-        print(text, end="")
-        if args.report:
-            write_report(report, args.report, title="error analysis")
-        return 0
+        return _printed(render_report(report, title="error analysis"), args.report)
 
     if args.command == "run-episode":
         if args.world not in worlds:

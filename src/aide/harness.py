@@ -664,10 +664,6 @@ def events_path(report_path: str | Path) -> Path:
     return report_path.with_suffix(report_path.suffix + ".events.jsonl")
 
 
-def write_report(report: EvalReport, path: str | Path, title: str = "evaluation") -> None:
-    Path(path).write_text(render_report(report, title), encoding="utf-8")
-
-
 def resolve_worlds(scenarios_dir: str | Path | None) -> dict[str, World]:
     if scenarios_dir is None:
         return scripted_scenarios()

@@ -9,14 +9,14 @@ map onto three paths:
   /reason      propose_tool, select_candidate, score_affordance,
                infer_unseen_label
 
-A reply value is read at its JSON type and never coerced: a number is an
-int or a float (not a bool), a box coordinate, rank or index is an int, a
-label is a non-empty string, and detections, boxes, scores and attributes are
-arrays. A reply that does not parse into the capability's values that way,
-gives a similarity outside [0, 1], places a detection box outside the frame,
-or ranks its detections out of order (ranks other than 1..K, or a confidence
-that rises with rank) raises ``PerceptionError`` like a transport failure
-does. After three consecutive
+A reply value is read at its JSON type and never coerced (``aide.jsonvalues``):
+a number is an int or a float (not a bool), a box coordinate, rank or index
+is an int, a label and each attribute are non-empty strings, and detections,
+boxes, scores and attributes are arrays. A reply that does not parse into the
+capability's values that way, gives a similarity outside [0, 1], places a
+detection box outside the frame, or ranks its detections out of order (ranks
+other than 1..K, or a confidence that rises with rank) raises
+``PerceptionError`` like a transport failure does. After three consecutive
 failures of either kind the circuit opens and every call raises
 ``CircuitOpenError`` until ``reset()``.
 """
@@ -29,7 +29,7 @@ from typing import Callable, TypeVar
 
 from .affordance import AffordanceVector
 from .geometry import Region
-from .jsonvalues import integer, integers, number, numbers
+from .jsonvalues import array, integer, integers, member, number, numbers, text, texts
 from .perception import (
     Detection,
     PerceptionBackend,
@@ -74,32 +74,10 @@ def _http_transport(timeout_ms: float, api_key: str | None) -> Transport:
     return call
 
 
-def _label(value: object) -> str:
-    """A reply's label: a non-empty string."""
-    if type(value) is not str or not value:
-        raise ValueError(f"label {value!r} is not a non-empty string")
-    return value
-
-
-def _list(value: object) -> list:
-    """A reply's array."""
-    if type(value) is not list:
-        raise ValueError(f"{value!r} is not a list")
-    return value
-
-
-def _attributes(value: object) -> tuple[str, ...]:
-    """A reply's hypothesis attributes: a list of strings."""
-    items = _list(value)
-    if not all(type(v) is str for v in items):
-        raise ValueError(f"attributes {items!r} hold a value that is not a string")
-    return tuple(items)
-
-
 def _similarity(response: dict) -> SimilarityScore:
     """A reply's score: a number in [0, 1] (not NaN or infinite), clamped
     below 1."""
-    value = number(response["value"])
+    value = member(response, "value", number)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"similarity {value!r} is not in [0, 1]")
     return SimilarityScore(min(value, 1.0 - 1e-9))
@@ -161,12 +139,12 @@ class RemotePerception(PerceptionBackend):
         def parse(response: dict) -> list[Detection]:
             found = [
                 Detection(
-                    label=_label(item["label"]),
-                    box=Region(*integers(item["box"])),
-                    confidence=number(item["confidence"]),
-                    rank=integer(item.get("rank", i + 1)),
+                    label=member(item, "label", text),
+                    box=Region(*member(item, "box", integers)),
+                    confidence=member(item, "confidence", number),
+                    rank=member(item, "rank", integer, i + 1),
                 )
-                for i, item in enumerate(_list(response.get("detections", []))[:k])
+                for i, item in enumerate(member(response, "detections", array, [])[:k])
             ]
             if not all(frame_box.contains(det.box) for det in found):
                 raise ValueError("detection box outside the frame")
@@ -187,8 +165,7 @@ class RemotePerception(PerceptionBackend):
             "/reason",
             {"op": "propose_tool", "instruction": instruction, "frame": _frame_payload(frame)},
             lambda r: ToolHypothesis(
-                label=_label(r["label"]),
-                attributes=_attributes(r.get("attributes", [])),
+                label=member(r, "label", text), attributes=member(r, "attributes", texts, [])
             ),
         )
 
@@ -196,7 +173,7 @@ class RemotePerception(PerceptionBackend):
         self, hypothesis: ToolHypothesis, candidates: list[Detection], frame: SceneFrame
     ) -> int:
         def parse(response: dict) -> int:
-            index = integer(response["index"])
+            index = member(response, "index", integer)
             if not (0 <= index < len(candidates)):
                 raise ValueError(f"candidate index {index} out of range")
             return index
@@ -225,19 +202,19 @@ class RemotePerception(PerceptionBackend):
                 "label": tool.label,
                 "frame": _frame_payload(frame),
             },
-            lambda r: (Region(*integers(r["operational"])), Region(*integers(r["functional"]))),
+            lambda r: tuple(Region(*member(r, key, integers)) for key in ("operational", "functional")),
         )
 
     def score_affordance(self, subject: str) -> AffordanceVector:
         return self._call(
             "/reason",
             {"op": "score_affordance", "subject": subject},
-            lambda r: AffordanceVector(tuple(numbers(r["scores"]).tolist())),
+            lambda r: AffordanceVector(tuple(member(r, "scores", numbers).tolist())),
         )
 
     def infer_unseen_label(self, instruction: str, frame: SceneFrame) -> str:
         return self._call(
             "/reason",
             {"op": "infer_unseen_label", "instruction": instruction, "frame": _frame_payload(frame)},
-            lambda r: _label(r["label"]),
+            lambda r: member(r, "label", text),
         )

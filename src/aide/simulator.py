@@ -14,12 +14,13 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 from .affordance import CONTAINER_LABELS
 from .commands import Approach, Manipulate, MotionCommand, NoOp, Reformulate, RequestHuman
 from .config import ConfigParams
 from .geometry import Region, iou, pixel_bounds, vertical_halves
-from .jsonvalues import integer, number
+from .jsonvalues import finite_numbers, integer, member, nullable, number, one_of, text, texts
 from .perception import SceneFrame
 
 WORLD_SCHEMA = "aide-world/1"
@@ -28,7 +29,7 @@ VISIBLE = "visible"
 BLURRED = "blurred"
 OCCLUDED = "occluded"
 ABSENT = "absent"
-VISIBILITIES = frozenset({VISIBLE, BLURRED, OCCLUDED, ABSENT})
+VISIBILITIES = (VISIBLE, BLURRED, OCCLUDED, ABSENT)
 
 CATEGORY_CLEAR = "clear"
 CATEGORY_AMBIGUOUS = "ambiguous"
@@ -401,44 +402,18 @@ def _positive(value: float) -> float:
     return value
 
 
-def _pose(value: object) -> tuple[float, float, float]:
-    if type(value) is not list or len(value) != 3:
-        raise ValueError(f"{value!r} is not three numbers")
-    x, y, heading = map(number, value)
-    if not all(map(math.isfinite, (x, y, heading))):
-        raise ValueError(f"{value!r} is not three finite numbers")
-    return x, y, heading
+# The keys that ``save_world`` writes, of a world document and of each object:
+# a document holds no other.
+_WORLD_KEYS = (
+    "schema", "id", "instruction", "category", "frame_size", "view_range", "robot", "objects", "tables", "gt"
+)
+_OBJECT_KEYS = ("id", "label", "box", "affordance_class", "visibility", "container_id", "handle", "body")
 
 
-def _box(value: object) -> WorldRect:
-    if type(value) is not list or len(value) != 4:
-        raise ValueError(f"{value!r} is not four numbers")
-    rect = tuple(map(number, value))
-    if not all(map(math.isfinite, rect)):
-        raise ValueError(f"{value!r} is not four finite numbers")
-    return rect
-
-
-def _part_box(value: object) -> WorldRect | None:
-    return None if value is None else _box(value)
-
-
-def _text(value: object) -> str:
-    if type(value) is not str or not value:
-        raise ValueError(f"{value!r} is not a non-empty string")
-    return value
-
-
-def _texts(value: object) -> tuple[str, ...]:
-    if type(value) is not list or not all(type(text) is str and text for text in value):
-        raise ValueError(f"{value!r} is not a list of non-empty strings")
-    return tuple(value)
-
-
-def _category(value: object) -> str:
-    if value not in CATEGORIES:
-        raise ValueError(f"{value!r} is not one of {', '.join(CATEGORIES)}")
-    return value
+def _known(doc: dict, keys: Collection[str]) -> None:
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}, not one of {', '.join(keys)}")
 
 
 def _objects(value: object) -> list[dict]:
@@ -448,23 +423,22 @@ def _objects(value: object) -> list[dict]:
 
 
 def _mapping_of(read):
-    """A reader of a mapping from non-empty strings to values that ``read``
-    takes; a rejected value is named by its key."""
+    """A reader of a mapping from non-empty strings to values that ``read`` takes."""
 
     def mapping(value: object) -> dict:
         if type(value) is not dict or "" in value:
             raise ValueError(f"{value!r} is not a mapping with non-empty keys")
-        return {key: _member(value, key, None, read) for key in value}
+        return {key: member(value, key, read) for key in value}
 
     return mapping
 
 
-_TEXT_MAPPING = _mapping_of(_text)
+_TEXT_MAPPING = _mapping_of(text)
 # The tables a world document may hold, each with the reader of its values.
 _TABLES = {
     "tool": _TEXT_MAPPING,
     "container": _TEXT_MAPPING,
-    "attributes": _mapping_of(_texts),
+    "attributes": _mapping_of(texts),
     "hints": _TEXT_MAPPING,
 }
 
@@ -472,17 +446,8 @@ _TABLES = {
 def _tables(value: object) -> dict[str, dict]:
     if type(value) is not dict or not all(type(table) is dict for table in value.values()):
         raise ValueError(f"{value!r} is not a mapping of mappings")
-    return {name: _member(value, name, {}, read) for name, read in _TABLES.items()}
-
-
-def _member(doc: dict, key: str, default: object, read):
-    """``doc[key]``, or ``default`` when it is absent, through ``read``; a
-    value that ``read`` rejects is a ``WorldSchemaError`` naming the key,
-    followed by the keys of any inner ``_member`` that rejected it."""
-    try:
-        return read(doc.get(key, default))
-    except (ValueError, WorldSchemaError) as exc:
-        raise WorldSchemaError(f"{key}: {exc}") from None
+    _known(value, _TABLES)
+    return {name: member(value, name, read, {}) for name, read in _TABLES.items()}
 
 
 def load_world(path: str | Path) -> World:
@@ -491,16 +456,20 @@ def load_world(path: str | Path) -> World:
     a part), every text field (the world's id and instruction, each object's
     id, label and affordance class: non-empty strings), the tables and ``gt``
     (mappings of non-empty strings to non-empty strings, or to lists of them
-    for ``attributes``), the category (one of ``CATEGORIES``) and each
-    object's container (null or the id of another object) are read at their
-    JSON types (``aide.jsonvalues``) and range-checked here, not when an
-    episode first uses them. Every ``WorldError`` it raises names the file,
-    and one about an object names it by its index, ``objects[<i>]``.
+    for ``attributes``), the category (one of ``CATEGORIES``), each object's
+    visibility (one of ``VISIBILITIES``) and container (null or the id of
+    another object) are read at their JSON types (``aide.jsonvalues``) and
+    range-checked here, not when an episode first uses them. The document,
+    each object and ``tables`` hold only the keys ``save_world`` writes.
+    Every ``WorldError`` it raises names the file, and one about an object
+    names it by its index, ``objects[<i>]``.
     """
     try:
         return _read_world(json.loads(Path(path).read_text(encoding="utf-8")))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise WorldSchemaError(f"{path}: unreadable world document: {exc}") from exc
+    except ValueError as exc:
+        raise WorldSchemaError(f"{path}: {exc}") from exc
     except WorldError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -509,50 +478,45 @@ def _read_world(doc: object) -> World:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != WORLD_SCHEMA:
         raise WorldSchemaError(f"expected schema {WORLD_SCHEMA!r}, got {schema!r}")
-    try:
-        objects: OrderedDict[str, WorldObject] = OrderedDict()
-        for i, odoc in enumerate(_member(doc, "objects", None, _objects)):
-            try:
-                obj = WorldObject(
-                    id=_member(odoc, "id", None, _text),
-                    label=_member(odoc, "label", None, _text),
-                    box=_member(odoc, "box", None, _box),
-                    affordance_class=_member(odoc, "affordance_class", None, _text),
-                    visibility=odoc.get("visibility", VISIBLE),
-                    container_id=odoc.get("container_id"),
-                    handle=_member(odoc, "handle", None, _part_box),
-                    body=_member(odoc, "body", None, _part_box),
-                )
-                if obj.id in objects:
-                    raise WorldError(f"duplicate object id {obj.id!r}")
-            except WorldError as exc:
-                raise type(exc)(f"objects[{i}]: {exc}") from None
-            objects[obj.id] = obj
-        for i, obj in enumerate(objects.values()):
-            cid = obj.container_id
-            if cid is not None and (type(cid) is not str or cid == obj.id or cid not in objects):
-                raise WorldSchemaError(
-                    f"objects[{i}]: container_id: {cid!r} is not the id of another object"
-                )
-        tables = _member(doc, "tables", {}, _tables)
-        return World(
-            world_id=_member(doc, "id", None, _text),
-            instruction=_member(doc, "instruction", None, _text),
-            objects=objects,
-            robot=_member(doc, "robot", [20.0, 32.0, 0.0], _pose),
-            category=_member(doc, "category", CATEGORY_CLEAR, _category),
-            frame_size=_member(doc, "frame_size", 800, lambda value: _positive(integer(value))),
-            view_range=_member(doc, "view_range", 40.0, lambda value: _positive(number(value))),
-            tool_table=tables["tool"],
-            container_table=tables["container"],
-            attribute_table=tables["attributes"],
-            hint_table=tables["hints"],
-            gt=_member(doc, "gt", {}, _TEXT_MAPPING),
-        )
-    except WorldError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WorldSchemaError(f"malformed world document: {exc}") from exc
+    _known(doc, _WORLD_KEYS)
+    objects: OrderedDict[str, WorldObject] = OrderedDict()
+    for i, odoc in enumerate(member(doc, "objects", _objects)):
+        try:
+            _known(odoc, _OBJECT_KEYS)
+            obj = WorldObject(
+                id=member(odoc, "id", text),
+                label=member(odoc, "label", text),
+                box=member(odoc, "box", finite_numbers(4)),
+                affordance_class=member(odoc, "affordance_class", text),
+                visibility=member(odoc, "visibility", one_of(VISIBILITIES), VISIBLE),
+                container_id=odoc.get("container_id"),
+                handle=member(odoc, "handle", nullable(finite_numbers(4))),
+                body=member(odoc, "body", nullable(finite_numbers(4))),
+            )
+            if obj.id in objects:
+                raise WorldError(f"duplicate object id {obj.id!r}")
+        except (ValueError, WorldError) as exc:
+            raise type(exc)(f"objects[{i}]: {exc}") from None
+        objects[obj.id] = obj
+    for i, obj in enumerate(objects.values()):
+        cid = obj.container_id
+        if cid is not None and (type(cid) is not str or cid == obj.id or cid not in objects):
+            raise WorldSchemaError(f"objects[{i}]: container_id: {cid!r} is not the id of another object")
+    tables = member(doc, "tables", _tables, {})
+    return World(
+        world_id=member(doc, "id", text),
+        instruction=member(doc, "instruction", text),
+        objects=objects,
+        robot=member(doc, "robot", finite_numbers(3), [20.0, 32.0, 0.0]),
+        category=member(doc, "category", one_of(CATEGORIES), CATEGORY_CLEAR),
+        frame_size=member(doc, "frame_size", lambda value: _positive(integer(value)), 800),
+        view_range=member(doc, "view_range", lambda value: _positive(number(value)), 40.0),
+        tool_table=tables["tool"],
+        container_table=tables["container"],
+        attribute_table=tables["attributes"],
+        hint_table=tables["hints"],
+        gt=member(doc, "gt", _TEXT_MAPPING, {}),
+    )
 
 
 def load_scenario_dir(path: str | Path) -> dict[str, World]:

@@ -35,7 +35,7 @@ as raw little-endian columns in tree order (text-table rows, instruction and
 tool vectors, result rows). A record's cluster and subcluster follow from its
 position. ``load_space`` parses the header as the one line that
 ``_write_file`` writes (a header laid out over several lines is not read)
-and reads each column straight into an array of its exact size. Each number
+and reads each column straight into an array of its exact size. Each value
 of the header is read at its JSON type (``jsonvalues``). It reads only that
 schema: a space saved as an older ``aide-space/1`` or ``/2`` is rebuilt from
 its corpus with ``aide build-space``, which is deterministic for a fixed seed.
@@ -70,7 +70,7 @@ from .affordance import SCORE_MAX, SCORE_MIN, AffordanceVector, DimensionMismatc
 from .cluster import kmeans
 from .config import ConfigParams
 from .geometry import Region
-from .jsonvalues import integer, integers, numbers
+from .jsonvalues import array, integer, integers, member, nullable, numbers, text
 
 SPACE_SCHEMA = "aide-space/3"
 CORPUS_SCHEMA = "aide-corpus/2"
@@ -565,13 +565,13 @@ def _result_to_dict(r: GroundingResult) -> dict:
 
 def _result_from_dict(doc: dict) -> GroundingResult:
     return GroundingResult(
-        tool_label=doc["tool_label"],
-        tool_image=doc["tool_image"],
-        tool_region=Region(*integers(doc["tool_region"])),
-        operational_region=Region(*integers(doc["operational_region"])),
-        functional_region=Region(*integers(doc["functional_region"])),
-        unseen_region_label=doc.get("unseen_region_label"),
-        unseen_region_image=doc.get("unseen_region_image"),
+        tool_label=member(doc, "tool_label", text),
+        tool_image=member(doc, "tool_image", text),
+        tool_region=Region(*member(doc, "tool_region", integers)),
+        operational_region=Region(*member(doc, "operational_region", integers)),
+        functional_region=Region(*member(doc, "functional_region", integers)),
+        unseen_region_label=member(doc, "unseen_region_label", nullable(text)),
+        unseen_region_image=member(doc, "unseen_region_image", nullable(text)),
     )
 
 
@@ -817,11 +817,9 @@ def _read_records(fh, doc: dict, dims: int) -> Drafts:
     columns are the rest of ``fh``: the ids and texts through the text table
     as lists that share one str per distinct text, each column read straight
     into an array of its exact size."""
-    ids, table = doc["ids"], doc["texts"]
-    if not isinstance(ids, list) or not isinstance(table, list):
-        raise SpaceFormatError("ids and texts must be lists")
+    ids, table = member(doc, "ids", array), member(doc, "texts", array)
     n = len(ids)
-    if integer(doc["record_count"]) != n:
+    if member(doc, "record_count", integer) != n:
         raise SpaceFormatError("record_count does not match stored records")
     shapes = ((n,), (n, dims), (n, dims), (n, MAX_RESULTS_PER_RECORD))
     expected = sum(
@@ -840,7 +838,7 @@ def _read_records(fh, doc: dict, dims: int) -> Drafts:
         texts=[table[row] for row in text_rows.tolist()],
         instruction=instruction,
         tool=tool,
-        results=[_result_from_dict(r) for r in doc["results"]],
+        results=member(doc, "results", lambda results: [_result_from_dict(r) for r in array(results)]),
         result_rows=result_rows,
     )
 
@@ -862,7 +860,7 @@ def _read_header(fh, schema: str) -> object:
     except UnicodeDecodeError as exc:
         raise SpaceFormatError(f"{noun} document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SpaceFormatError(f"unreadable {noun} header: {exc}") from exc
+        raise SpaceFormatError(f"unreadable {noun} header: {exc} (a header is one JSON line)") from exc
 
 
 @contextmanager
@@ -906,6 +904,6 @@ def read_corpus(path: str | Path) -> Drafts:
     drafts: its header and records as ``load_space`` reads a space's, checked
     as a load checks a space's (``_check_drafts``)."""
     with _opened(path, CORPUS_SCHEMA) as (fh, doc):
-        drafts = _read_records(fh, doc, integer(doc["X"]))
+        drafts = _read_records(fh, doc, member(doc, "X", integer))
         _check_drafts(drafts)
         return drafts

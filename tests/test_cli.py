@@ -14,7 +14,7 @@ import aide
 from aide import cli, planner
 from aide.cli import build_parser, main
 from aide.config import ConfigParams, save_config
-from aide.harness import events_path, run_eval, write_report
+from aide.harness import events_path, render_report, run_eval
 from aide.planner import write_trace
 from aide.simulator import save_world, scripted_scenarios
 from aide.space import load_space
@@ -78,7 +78,7 @@ def test_eval_streams_the_report_and_events_that_kept_traces_gave(artifacts, mon
         episodes=6,
         trace_sink=lambda episode_id, trace: traces.append((episode_id, trace)),
     )
-    write_report(report, kept)
+    kept.write_text(render_report(report), encoding="utf-8")
     for episode_id, trace in traces:
         write_trace(trace, events_path(kept), episode_id)
 
@@ -309,6 +309,30 @@ def test_a_rejected_input_is_a_one_line_error(document, argv, message, artifacts
     err = capsys.readouterr().err
     assert err.startswith(f"aide {argv[0]}: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # Each of the first two built, and its eval ended in a traceback.
+        ({"tool_label": 5}, "tool_label: 5 is not a non-empty string"),
+        ({"tool_image": 5}, "tool_image: 5 is not a non-empty string"),
+        (
+            {"unseen_region_label": ["fridge"], "unseen_region_image": "tool:contain:fridge"},
+            "unseen_region_label: ['fridge'] is not a non-empty string",
+        ),
+    ],
+)
+def test_a_corpus_result_of_another_type_is_a_one_line_error(change, message, artifacts, tmp_path, capsys):
+    header, columns = artifacts["corpus"].read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["results"][0].update(change)
+    corpus = tmp_path / "drafts.corpus"
+    corpus.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + columns)
+    assert main(["build-space", "--corpus", str(corpus), "--out", str(tmp_path / "space.aide")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"aide build-space: error: malformed corpus document: results: {message}\n"
+    assert not (tmp_path / "space.aide").exists()
 
 
 def test_a_world_error_names_its_file(artifacts, tmp_path, capsys):

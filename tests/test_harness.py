@@ -22,7 +22,6 @@ from aide.harness import (
     run_episode,
     run_error_analysis,
     run_eval,
-    write_report,
 )
 from aide.planner import write_trace
 from aide.simulator import fresh_world
@@ -401,7 +400,7 @@ def test_hint_answerer_keeps_the_failure_on_a_world_without_hints(worlds):
 # --- report documents -------------------------------------------------------------
 
 
-def test_render_and_write_report(space, params, worlds, tmp_path):
+def test_render_report_and_write_its_events(space, params, worlds, tmp_path):
     out = tmp_path / "report.tsv"
     events = out.with_suffix(out.suffix + ".events.jsonl")
     assert events_path(out) == events
@@ -418,8 +417,6 @@ def test_render_and_write_report(space, params, worlds, tmp_path):
     assert "[summary]" in text and "[episodes]" in text
     assert "TSR\t100.0" in text
 
-    write_report(report, out)
-    assert out.read_text(encoding="utf-8") == text
     assert events.exists()
     lines = events.read_text().strip().splitlines()
     parsed = [json.loads(l) for l in lines]

@@ -223,6 +223,9 @@ MALFORMED = [
     ("propose_tool-integer-label", "/reason", {"label": 5}, lambda r: r.propose_tool("x", frame())),
     ("propose_tool-string-attributes", "/reason", {"label": "cup", "attributes": "ab"},
      lambda r: r.propose_tool("x", frame())),
+    # An attribute, like a label, is a non-empty string.
+    ("propose_tool-empty-attribute", "/reason", {"label": "cup", "attributes": ["graspable", ""]},
+     lambda r: r.propose_tool("x", frame())),
 ]
 
 

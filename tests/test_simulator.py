@@ -425,6 +425,8 @@ def test_every_scripted_world_loads_as_it_was_saved(tmp_path, worlds):
         ("id", "", "'' is not a non-empty string"),
         ("objects", {"c1": {}}, "is not a list of mappings"),
         ("objects", ["cup"], "is not a list of mappings"),  # a traceback
+        # A misspelt table left its default.
+        ("tables", {"tols": {"I am thirsty": "cup"}}, "unknown key 'tols', not one of tool, container,"),
     ],
 )
 def test_world_load_reads_each_setting_at_its_json_type(tmp_path, worlds, key, value, message):
@@ -525,6 +527,28 @@ def test_world_load_names_the_file_in_every_error(tmp_path):
             "twice.json",
             f'{{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [{cup}, {cup}]}}',
             "objects[1]: duplicate object id 'c'",
+        ),
+        (
+            # "malformed world document: unhashable type: 'list'"
+            "list-visibility.json",
+            f'{{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [{cup[:-1]}, "visibility": ["visible"]}}]}}',
+            "objects[0]: visibility: ['visible'] is not one of visible, blurred, occluded, absent",
+        ),
+        (
+            "unknown-visibility.json",
+            f'{{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [{cup[:-1]}, "visibility": "hidden"}}]}}',
+            "objects[0]: visibility: 'hidden' is not one of visible, blurred, occluded, absent",
+        ),
+        # Each of these loaded, the unknown key unread.
+        (
+            "robott.json",
+            '{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [], "robott": [20.0, 32.0, 0.0]}',
+            "unknown key 'robott', not one of schema, id, instruction,",
+        ),
+        (
+            "object-key.json",
+            f'{{"schema": "aide-world/1", "id": "w", "instruction": "go", "objects": [{cup[:-1]}, "opened": true}}]}}',
+            "objects[0]: unknown key 'opened', not one of id, label,",
         ),
     ]:
         path = tmp_path / name

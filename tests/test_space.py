@@ -926,6 +926,20 @@ def _float_region(doc, columns):
     doc["results"][0]["tool_region"][2] += 0.5
 
 
+def _number_tool_label(doc, columns):
+    # Loaded, it failed at eval in CandidatePool (``sorted`` of str and int).
+    doc["results"][0]["tool_label"] = 5
+
+
+def _number_tool_image(doc, columns):
+    # Loaded, it failed at eval when the mock resolved the image.
+    doc["results"][0]["tool_image"] = 5
+
+
+def _list_unseen_label(doc, columns):
+    doc["results"][0].update(unseen_region_label=["fridge"], unseen_region_image="tool:contain:fridge")
+
+
 @pytest.mark.parametrize(
     ("corrupt", "message"),
     [
@@ -935,7 +949,7 @@ def _float_region(doc, columns):
         (_text_row_outside_the_table, "text row outside"),
         (_negative_text_row, "text row outside"),
         (_text_table_short, "text row outside"),
-        (_texts_not_a_list, "ids and texts must be lists"),
+        (_texts_not_a_list, "texts: 'do the thing' is not a list"),
         (_duplicate_id, "duplicate record id"),
         (_record_count_off, "record_count"),
         (_ids_count_off, "record_count"),
@@ -950,6 +964,9 @@ def _float_region(doc, columns):
         (_bool_centroid, "is not a list of numbers"),
         (_bool_size, "True is not an integer"),
         (_float_region, "is not a list of integers"),
+        (_number_tool_label, "tool_label: 5 is not a non-empty string"),
+        (_number_tool_image, "tool_image: 5 is not a non-empty string"),
+        (_list_unseen_label, r"unseen_region_label: \['fridge'\] is not a non-empty string"),
     ],
 )
 def test_load_rejects_a_malformed_v3_file(space, tmp_path, corrupt, message):
@@ -1245,7 +1262,9 @@ def test_a_header_over_several_lines_is_rejected(space, tmp_path):
     save_space(space, path)
     line, columns = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps(json.loads(line), indent=2).encode("ascii") + b"\n" + columns)
-    with pytest.raises(SpaceFormatError, match="unreadable space header: Expecting"):
+    # The message says that a header is one line.
+    message = r"unreadable space header: Expecting .* line 2 column 1 \(char 2\) \(a header is one JSON line\)$"
+    with pytest.raises(SpaceFormatError, match=message):
         load_space(path)
 
 
@@ -1545,6 +1564,14 @@ def _write_corpus_file(path, *records) -> None:
         ({"results": [{**_CORPUS_RESULT, "tool_region": [0, 0, 100.5, 100]}]}, "not a list of integers"),
         ({"results": [{**_CORPUS_RESULT, "tool_region": [False, 0, 100, 100]}]}, "not a list of integers"),
         ({"result_rows": [-1, 0]}, "pad precedes"),
+        ({"results": ["cup"]}, "results: 'cup' is not a mapping"),  # "string indices must be integers"
+        # A result's texts are non-empty strings, or null for the unseen region.
+        ({"results": [{**_CORPUS_RESULT, "tool_label": 5}]}, "tool_label: 5 is not a non-empty string"),
+        ({"results": [{**_CORPUS_RESULT, "tool_image": 5}]}, "tool_image: 5 is not a non-empty string"),
+        (
+            {"results": [{**_CORPUS_RESULT, "unseen_region_label": ["fridge"], "unseen_region_image": "x"}]},
+            r"unseen_region_label: \['fridge'\] is not a non-empty string",
+        ),
     ],
 )
 def test_corpus_rejects_a_malformed_record(tmp_path, changes, message):
