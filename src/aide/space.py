@@ -563,16 +563,20 @@ def _result_to_dict(r: GroundingResult) -> dict:
     return out
 
 
-def _result_from_dict(doc: dict) -> GroundingResult:
-    return GroundingResult(
-        tool_label=member(doc, "tool_label", text),
-        tool_image=member(doc, "tool_image", text),
-        tool_region=Region(*member(doc, "tool_region", integers)),
-        operational_region=Region(*member(doc, "operational_region", integers)),
-        functional_region=Region(*member(doc, "functional_region", integers)),
-        unseen_region_label=member(doc, "unseen_region_label", nullable(text)),
-        unseen_region_image=member(doc, "unseen_region_image", nullable(text)),
-    )
+def _result_from_dict(doc: dict, i: int) -> GroundingResult:
+    """Result ``i`` of a header's table; a rejection names it ``results[<i>]``."""
+    try:
+        return GroundingResult(
+            tool_label=member(doc, "tool_label", text),
+            tool_image=member(doc, "tool_image", text),
+            tool_region=Region(*member(doc, "tool_region", integers)),
+            operational_region=Region(*member(doc, "operational_region", integers)),
+            functional_region=Region(*member(doc, "functional_region", integers)),
+            unseen_region_label=member(doc, "unseen_region_label", nullable(text)),
+            unseen_region_image=member(doc, "unseen_region_image", nullable(text)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"results[{i}]: {exc}") from None
 
 
 # Items of a header list written at a time.
@@ -838,7 +842,7 @@ def _read_records(fh, doc: dict, dims: int) -> Drafts:
         texts=[table[row] for row in text_rows.tolist()],
         instruction=instruction,
         tool=tool,
-        results=member(doc, "results", lambda results: [_result_from_dict(r) for r in array(results)]),
+        results=[_result_from_dict(r, i) for i, r in enumerate(member(doc, "results", array))],
         result_rows=result_rows,
     )
 
@@ -882,20 +886,26 @@ def _opened(path: str | Path, schema: str) -> Iterator[tuple[BinaryIO, dict]]:
             raise SpaceFormatError(f"malformed {noun} document: {exc}") from exc
 
 
+def _subclusters(subs: object) -> list[tuple[list, int]]:
+    return [(member(sdoc, "centroid", numbers).tolist(), member(sdoc, "size", integer)) for sdoc in array(subs)]
+
+
+def _clusters(clusters: object) -> Tree:
+    """A header's cluster tree, each member read by key (``clusters: subclusters: size: ...``)."""
+    return [
+        (member(cdoc, "centroid", numbers).tolist(), member(cdoc, "subclusters", _subclusters))
+        for cdoc in array(clusters)
+    ]
+
+
 def load_space(path: str | Path) -> RelationshipSpace:
     """Read an ``aide-space/3`` file: its header (``_read_header``), its
     records (``_read_records``) and its tree, checked as a build checks its
     drafts (``_space_from_columns``)."""
     with _opened(path, SPACE_SCHEMA) as (fh, doc):
-        params = ConfigParams.from_dict(doc["params"])
+        params = member(doc, "params", ConfigParams.from_dict)
         records = _read_records(fh, doc, params.X)
-        tree = [
-            (
-                numbers(cdoc["centroid"]).tolist(),
-                [(numbers(sdoc["centroid"]).tolist(), integer(sdoc["size"])) for sdoc in cdoc["subclusters"]],
-            )
-            for cdoc in doc["clusters"]
-        ]
+        tree = member(doc, "clusters", _clusters)
         return _space_from_columns(params, tree, records, np.arange(len(records)))
 
 

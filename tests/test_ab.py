@@ -102,8 +102,9 @@ def test_a_gain_inside_the_base_spread_is_no_difference():
     assert (compared["wins"], compared["verdict"]) == (3, "no difference")
     # Runs that spread wider than the bound leave a small difference unresolved.
     assert ab.compare([50.0, 100.0, 150.0], [52.0, 98.0, 149.0], "lower", 0.25)["verdict"] == "unresolved"
-    # A lower-is-better metric worse by exactly its bound is not yet worse.
-    assert ab.compare([10.0], [11.0], "lower", 0.1)["verdict"] == "no difference"
+    # A lower-is-better metric worse by exactly its bound is not yet worse,
+    # only slower: it lost its one pair.
+    assert ab.compare([10.0], [11.0], "lower", 0.1)["verdict"] == "slower"
     assert ab.compare([10.0], [11.5], "lower", 0.1)["verdict"] == "worse"
 
 
@@ -122,3 +123,15 @@ def test_a_workload_with_a_run_that_is_not_correct_is_refused(tmp_path, monkeypa
     refused = report["workloads"]["index-50k"]
     assert refused["refused"] == ["seed 1 change: not correct"] and "metrics" not in refused
     assert "index-50k: refused" in capsys.readouterr().out
+
+
+def test_nine_losses_in_ten_beyond_the_base_spread_read_slower(tmp_path, monkeypatch):
+    def results(side, workload, seed):
+        # About 10% fewer ticks, inside the 25% bound, in every pair but the last.
+        return _result(ticks_per_s=100.0 + seed if side == "base" else (90.0 + seed if seed < 9 else 120.0))
+
+    export, runner, _ = _fake(results)
+    monkeypatch.chdir(tmp_path)
+    assert ab.main(["--base", "v1", "--workloads", "ref-eval", "--label", "s"], runner=runner, export_side=export) == 0
+    ticks = json.loads((tmp_path / "BENCH_s.json").read_text())["workloads"]["ref-eval"]["metrics"]["ticks_per_s"]
+    assert (ticks["wins"], ticks["verdict"]) == (1, "slower")

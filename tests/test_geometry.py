@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from geometry_oracle import region_clip, region_from_floats, region_iou, region_pad
+from geometry_oracle import region_clip, region_from_floats, region_intersection, region_iou, region_pad
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +94,8 @@ frames = st.integers(min_value=0, max_value=30)
 def test_iou_matches_the_region_oracle(a, b):
     assert iou(a, b) == region_iou(a, b)
     assert iou(b, a) == region_iou(b, a)
+    assert a.intersection(b) == region_intersection(a, b)
+    assert b.intersection(a) == region_intersection(b, a)
 
 
 @settings(max_examples=400, deadline=None)

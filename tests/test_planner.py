@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from worldkit import PairCountingMock, make_world, obj
@@ -213,6 +214,18 @@ def test_mm_cot_override_region(params):
         override_region=override,
     )
     assert result.tool_region == override
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_mm_cot_grounds_the_selected_crop_only_above_the_strategy_threshold(params, above):
+    # The selected rank-1 crop scores the threshold itself, or the next float
+    # above it; rank N + 2 routes visible exploration when the crop is not grounded.
+    frame = SceneFrame(image="frame:scripted:0", width=260, height=60, timestamp=0.0)
+    score = math.nextafter(params.strategy_threshold, 1.0) if above else params.strategy_threshold
+    scene = ScriptedScene(frame, params, {1: score, params.N + 2: 0.8})
+    scene.select_candidate = lambda hypothesis, candidates, frame: 0
+    result = mm_cot("I am thirsty", frame, params, EpisodePerception(scene, params.X), override_label="cup")
+    assert (result.tool_region == scene.detections[0].box) is above
 
 
 # --- run_msi -----------------------------------------------------------------------

@@ -748,13 +748,14 @@ _FILE_COLUMNS = (
 
 
 def _read_file(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """A saved space file's header and its columns, as writable arrays."""
+    """A space or corpus file's header and its columns, as writable arrays."""
     data = path.read_bytes()
     end = data.index(b"\n") + 1
     doc = json.loads(data[:end])
     n, at, columns = len(doc["ids"]), end, {}
+    X = doc["params"]["X"] if "params" in doc else doc.get("X")
     for name, dtype, width in _FILE_COLUMNS:
-        size = np.dtype(dtype).itemsize * n * (width or doc["params"]["X"])
+        size = np.dtype(dtype).itemsize * n * (width or X)
         columns[name] = np.frombuffer(data[at : at + size], dtype=dtype).reshape(n, -1).copy()
         at += size
     assert at == len(data)
@@ -878,10 +879,6 @@ def _ids_count_off(doc, columns):
     doc["ids"].pop()
 
 
-def _sizes_off(doc, columns):
-    doc["clusters"][0]["subclusters"][0]["size"] += 1
-
-
 def _score_out_of_range(doc, columns):
     columns["tool"][0, 5] = 10.5
 
@@ -911,9 +908,54 @@ def _number_text(doc, columns):
     doc["texts"][int(columns["text_rows"][4, 0])] = 5
 
 
-def _bool_centroid(doc, columns):
-    # Scores of True would load as 1.0 if a bool were read as a number.
-    doc["clusters"][0]["centroid"] = [True] * len(doc["clusters"][0]["centroid"])
+def _float_region(doc, columns):
+    doc["results"][1]["tool_region"][2] += 0.5
+
+
+def _bool_region(doc, columns):
+    doc["results"][1]["tool_region"][0] = False
+
+
+def _result_missing_a_member(doc, columns):
+    del doc["results"][1]["tool_image"]
+
+
+def _result_not_a_mapping(doc, columns):
+    doc["results"][1] = "cup"
+
+
+def _number_tool_label(doc, columns):
+    # Loaded, it failed at eval in CandidatePool (``sorted`` of str and int).
+    doc["results"][1]["tool_label"] = 5
+
+
+def _number_tool_image(doc, columns):
+    # Loaded, it failed at eval when the mock resolved the image.
+    doc["results"][1]["tool_image"] = 5
+
+
+def _list_unseen_label(doc, columns):
+    doc["results"][1].update(unseen_region_label=["fridge"], unseen_region_image="tool:contain:fridge")
+
+
+def _no_params(doc, columns):
+    del doc["params"]
+
+
+def _no_clusters(doc, columns):
+    del doc["clusters"]
+
+
+def _null_clusters(doc, columns):
+    doc["clusters"] = None
+
+
+def _sizes_off(doc, columns):
+    doc["clusters"][0]["subclusters"][0]["size"] += 1
+
+
+def _text_size(doc, columns):
+    doc["clusters"][0]["subclusters"][0]["size"] = "3"
 
 
 def _bool_size(doc, columns):
@@ -922,194 +964,104 @@ def _bool_size(doc, columns):
     sub["size"] = True
 
 
-def _float_region(doc, columns):
-    doc["results"][0]["tool_region"][2] += 0.5
+def _bool_centroid(doc, columns):
+    # Scores of True would load as 1.0 if a bool were read as a number.
+    doc["clusters"][0]["centroid"] = [True] * len(doc["clusters"][0]["centroid"])
 
 
-def _number_tool_label(doc, columns):
-    # Loaded, it failed at eval in CandidatePool (``sorted`` of str and int).
-    doc["results"][0]["tool_label"] = 5
+def _cluster_not_a_mapping(doc, columns):
+    doc["clusters"][0] = "cup"
 
 
-def _number_tool_image(doc, columns):
-    # Loaded, it failed at eval when the mock resolved the image.
-    doc["results"][0]["tool_image"] = 5
+def _no_subclusters(doc, columns):
+    del doc["clusters"][0]["subclusters"]
 
 
-def _list_unseen_label(doc, columns):
-    doc["results"][0].update(unseen_region_label=["fridge"], unseen_region_image="tool:contain:fridge")
+def _no_subcluster_centroid(doc, columns):
+    del doc["clusters"][0]["subclusters"][0]["centroid"]
+
+
+def _no_ids(doc, columns):
+    del doc["ids"]
+
+
+def _no_results(doc, columns):
+    del doc["results"]
+
+
+def _text_record_count(doc, columns):
+    doc["record_count"] = str(doc["record_count"])
+
+
+def _no_x(doc, columns):
+    del doc["X"]
+
+
+# Each fault of a columnar file, with the message that rejects it, made in a
+# saved space and in a written corpus, which one reader reads; the faults of
+# params and the cluster tree, which only a space holds, only in a space, and
+# of a corpus's own X only in a corpus.
+_FILE_FAULTS = [
+    (_short_column, "the columns of"),
+    (_row_outside_the_table, "result row outside"),
+    (_pad_before_a_row, "pad precedes"),
+    (_text_row_outside_the_table, "text row outside"),
+    (_negative_text_row, "text row outside"),
+    (_text_table_short, "text row outside"),
+    (_texts_not_a_list, "texts: 'do the thing' is not a list"),
+    (_duplicate_id, "duplicate record id"),
+    (_record_count_off, "record_count"),
+    (_ids_count_off, "record_count"),
+    (_score_out_of_range, "outside"),
+    (_result_twice, "holds a result twice"),
+    (_nan_score, "not finite"),
+    (_no_result_row, "no result row"),
+    (_empty_id, "empty record id"),
+    (_number_id, "record ids must be strings"),
+    (_number_text, "record texts must be strings"),
+    # Each number of the header is read at its JSON type: a float or a bool
+    # is no coordinate. A rejected result is named by its place in the table,
+    # in the error of the file's kind.
+    (_float_region, r"^malformed {kind} document: results\[1\]: tool_region: .* is not a list of integers"),
+    (_bool_region, r"^malformed {kind} document: results\[1\]: tool_region: \[False, .* is not a list of integers"),
+    (_result_missing_a_member, r"^malformed {kind} document: results\[1\]: tool_image: None is not a non-empty string"),
+    (_result_not_a_mapping, r"^malformed {kind} document: results\[1\]: 'cup' is not a mapping"),
+    (_number_tool_label, r"^malformed {kind} document: results\[1\]: tool_label: 5 is not a non-empty string"),
+    (_number_tool_image, r"^malformed {kind} document: results\[1\]: tool_image: 5 is not a non-empty string"),
+    (_list_unseen_label, r"^malformed {kind} document: results\[1\]: unseen_region_label: \['fridge'\] is not a non-empty string"),
+    # Each member of the header is read by key, and a rejection names it.
+    (_no_ids, "^malformed {kind} document: ids: None is not a list$"),
+    (_no_results, "^malformed {kind} document: results: None is not a list$"),
+    (_text_record_count, r"^malformed {kind} document: record_count: '\d+' is not an integer$"),
+]
+_SPACE_FAULTS = [
+    (_no_params, "params: params section must be a mapping"),
+    (_no_clusters, "clusters: None is not a list"),
+    (_null_clusters, "clusters: None is not a list"),
+    (_sizes_off, "subcluster sizes"),
+    (_text_size, "clusters: subclusters: size: '3' is not an integer"),
+    (_bool_size, "clusters: subclusters: size: True is not an integer"),
+    (_bool_centroid, r"clusters: centroid: \[True, .* is not a list of numbers"),
+    (_cluster_not_a_mapping, "clusters: 'cup' is not a mapping$"),
+    (_no_subclusters, "clusters: subclusters: None is not a list$"),
+    (_no_subcluster_centroid, "clusters: subclusters: centroid: None is not a list of numbers$"),
+]
+_CORPUS_FAULTS = [(_no_x, "^malformed corpus document: X: None is not an integer$")]
 
 
 @pytest.mark.parametrize(
-    ("corrupt", "message"),
-    [
-        (_short_column, "the columns of"),
-        (_row_outside_the_table, "result row outside"),
-        (_pad_before_a_row, "pad precedes"),
-        (_text_row_outside_the_table, "text row outside"),
-        (_negative_text_row, "text row outside"),
-        (_text_table_short, "text row outside"),
-        (_texts_not_a_list, "texts: 'do the thing' is not a list"),
-        (_duplicate_id, "duplicate record id"),
-        (_record_count_off, "record_count"),
-        (_ids_count_off, "record_count"),
-        (_sizes_off, "subcluster sizes"),
-        (_score_out_of_range, "outside"),
-        (_result_twice, "holds a result twice"),
-        (_nan_score, "not finite"),
-        (_no_result_row, "no result row"),
-        (_empty_id, "empty record id"),
-        (_number_id, "record ids must be strings"),
-        (_number_text, "record texts must be strings"),
-        (_bool_centroid, "is not a list of numbers"),
-        (_bool_size, "True is not an integer"),
-        (_float_region, "is not a list of integers"),
-        (_number_tool_label, "tool_label: 5 is not a non-empty string"),
-        (_number_tool_image, "tool_image: 5 is not a non-empty string"),
-        (_list_unseen_label, r"unseen_region_label: \['fridge'\] is not a non-empty string"),
-    ],
+    ("kind", "corrupt", "message"),
+    [("space", *fault) for fault in _FILE_FAULTS + _SPACE_FAULTS]
+    + [("corpus", *fault) for fault in _FILE_FAULTS + _CORPUS_FAULTS],
 )
-def test_load_rejects_a_malformed_v3_file(space, tmp_path, corrupt, message):
-    path = tmp_path / "space.aide"
-    save_space(space, path)
+def test_load_rejects_a_malformed_file(space, corpus, tmp_path, kind, corrupt, message):
+    path = tmp_path / kind
+    save_space(space, path) if kind == "space" else write_corpus(corpus, path)
     doc, columns = _read_file(path)
     corrupt(doc, columns)
     _write_file(path, doc, columns)
-    with pytest.raises(SpaceFormatError, match=message):
-        load_space(path)
-
-
-def _v2_document(doc, columns) -> dict:
-    """The ``aide-space/2`` document of a space file's header and columns: a
-    text per record, and the vector and result-row columns as base64."""
-    return {
-        **doc,
-        "schema": "aide-space/2",
-        "texts": [doc["texts"][row] for row in columns["text_rows"][:, 0].tolist()],
-        **{
-            name: base64.b64encode(columns[name].tobytes()).decode("ascii")
-            for name in ("instruction", "tool", "result_rows")
-        },
-    }
-
-
-class _V2Faults:
-    """Faults of an ``aide-space/2`` document, made in its JSON members."""
-
-    @staticmethod
-    def _rows_of(doc) -> np.ndarray:
-        return np.frombuffer(base64.b64decode(doc["result_rows"]), dtype="<i4").reshape(-1, 3).copy()
-
-    @staticmethod
-    def _set_column(doc, key, values) -> None:
-        doc[key] = base64.b64encode(values.tobytes()).decode("ascii")
-
-    @staticmethod
-    def _short_column(doc):
-        doc["tool"] = base64.b64encode(base64.b64decode(doc["tool"])[:-8]).decode("ascii")
-
-    @staticmethod
-    def _bad_base64(doc):
-        doc["instruction"] = "*" + doc["instruction"][1:]
-
-    @staticmethod
-    def _row_outside_the_table(doc):
-        rows = _V2Faults._rows_of(doc)
-        rows[-1, 0] = len(doc["results"])
-        _V2Faults._set_column(doc, "result_rows", rows)
-
-    @staticmethod
-    def _pad_before_a_row(doc):
-        rows = _V2Faults._rows_of(doc)
-        rows[0, :2] = (-1, rows[0, 0])
-        _V2Faults._set_column(doc, "result_rows", rows)
-
-    @staticmethod
-    def _texts_shorter_than_ids(doc):
-        doc["texts"].pop()
-
-    @staticmethod
-    def _duplicate_id(doc):
-        doc["ids"][1] = doc["ids"][0]
-
-    @staticmethod
-    def _record_count_off(doc):
-        doc["record_count"] += 1
-
-    @staticmethod
-    def _sizes_off(doc):
-        doc["clusters"][0]["subclusters"][0]["size"] += 1
-
-    @staticmethod
-    def _score_out_of_range(doc):
-        raw = np.frombuffer(base64.b64decode(doc["tool"]), dtype="<f8").copy()
-        raw[5] = 10.5
-        _V2Faults._set_column(doc, "tool", raw)
-
-    @staticmethod
-    def _result_twice(doc):
-        doc["results"].append(doc["results"][0])
-
-    @staticmethod
-    def _nan_score(doc):
-        raw = np.frombuffer(base64.b64decode(doc["instruction"]), dtype="<f8").copy()
-        raw[3] = np.nan
-        _V2Faults._set_column(doc, "instruction", raw)
-
-    @staticmethod
-    def _no_result_row(doc):
-        rows = _V2Faults._rows_of(doc)
-        rows[2] = -1
-        _V2Faults._set_column(doc, "result_rows", rows)
-
-    @staticmethod
-    def _empty_id(doc):
-        doc["ids"][4] = ""
-
-    @staticmethod
-    def _number_id(doc):
-        doc["ids"][4] = 5
-
-    @staticmethod
-    def _number_text(doc):
-        doc["texts"][4] = 5
-
-
-# Each fault with the error the aide-space/2 reader gave for it.
-@pytest.mark.parametrize(
-    ("corrupt", "message"),
-    [
-        (_V2Faults._short_column, "column 'tool' holds"),
-        (_V2Faults._bad_base64, "base64"),
-        (_V2Faults._row_outside_the_table, "result row outside"),
-        (_V2Faults._pad_before_a_row, "pad precedes"),
-        (_V2Faults._texts_shorter_than_ids, "texts for"),
-        (_V2Faults._duplicate_id, "duplicate record id"),
-        (_V2Faults._record_count_off, "record_count"),
-        (_V2Faults._sizes_off, "subcluster sizes"),
-        (_V2Faults._score_out_of_range, "outside"),
-        (_V2Faults._result_twice, "holds a result twice"),
-        (_V2Faults._nan_score, "not finite"),
-        (_V2Faults._no_result_row, "no result row"),
-        (_V2Faults._empty_id, "empty record id"),
-        (_V2Faults._number_id, "record ids must be strings"),
-        (_V2Faults._number_text, "record texts must be strings"),
-    ],
-)
-def test_load_rejects_a_malformed_v2_document(space, tmp_path, corrupt, message):
-    # A v2 document is no longer read, however it is malformed: its schema
-    # rejects it with the rebuild hint, from its leading bytes when the
-    # schema leads (as save_space wrote it) and once its header is parsed
-    # when it does not, and never with the error its fault gave.
-    path = tmp_path / "space.json"
-    save_space(space, path)
-    doc = _v2_document(*_read_file(path))
-    corrupt(doc)
-    for layout in (doc, dict(reversed(doc.items()))):
-        path.write_text(json.dumps(layout))
-        with pytest.raises(SpaceSchemaError, match="got 'aide-space/2'.*aide build-space") as err:
-            load_space(path)
-        assert message not in str(err.value)
+    with pytest.raises(SpaceFormatError, match=message.format(kind=kind)):
+        (load_space if kind == "space" else read_corpus)(path)
 
 
 @pytest.mark.parametrize(
@@ -1164,6 +1116,18 @@ def test_load_rejects_wrong_schema(space, tmp_path):
     _write_file(path, {"ids": [], **doc}, columns)
     with pytest.raises(SpaceSchemaError, match="got 'aide-space/2'"):
         load_space(path)
+    # An aide-space/2 document, one JSON document with its columns as base64,
+    # is rejected by its schema however it is malformed (here its record
+    # count), whether the schema leads it, as save_space wrote it, or not;
+    # never with the error its fault gave.
+    v2 = {**doc, "record_count": doc["record_count"] + 1}
+    for name in ("instruction", "tool", "result_rows"):
+        v2[name] = base64.b64encode(columns[name].tobytes()).decode("ascii")
+    for layout in (v2, dict(reversed(v2.items()))):
+        path.write_text(json.dumps(layout))
+        with pytest.raises(SpaceSchemaError, match="got 'aide-space/2'.*aide build-space") as err:
+            load_space(path)
+        assert "record_count" not in str(err.value)
 
 
 def test_load_rejects_truncated_document(space, tmp_path):
@@ -1484,109 +1448,6 @@ def test_a_json_lines_corpus_is_rejected_with_the_hint_to_write_it_anew(corpus, 
     write_corpus(corpus, path)
     with pytest.raises(SpaceSchemaError, match="expected schema 'aide-space/3', got 'aide-corpus/2'.*build-space"):
         load_space(path)
-
-
-_CORPUS_RESULT = {
-    "tool_label": "cup",
-    "tool_image": "tool:drink:cup",
-    "tool_region": [0, 0, 100, 100],
-    "operational_region": [0, 50, 100, 100],
-    "functional_region": [0, 0, 100, 50],
-}
-
-
-def _corpus_record(**changes) -> dict:
-    record = {
-        "id": "ins-0",
-        "text": "do the thing",
-        "instruction_affordance": [1.0, 2.0, 3.0],
-        "tool_affordance": [1.0, 2.0, 3.0],
-        "results": [_CORPUS_RESULT],
-    }
-    record.update(changes)
-    return record
-
-
-def _write_corpus_file(path, *records) -> None:
-    """An aide-corpus/2 file of record objects, laid out as write_corpus lays
-    out drafts but with every value as given. Texts and result documents go
-    into their tables once each; a record's ``result_rows``, when given,
-    stand for the rows of its results."""
-    texts, table = [], []
-
-    def row(values, value) -> int:
-        # Told apart as JSON, where False is no 0.
-        keys = [json.dumps(v) for v in values]
-        if json.dumps(value) not in keys:
-            values.append(value)
-            return len(keys)
-        return keys.index(json.dumps(value))
-
-    text_rows = [row(texts, record["text"]) for record in records]
-    result_rows = [record.get("result_rows") or [row(table, r) for r in record["results"]] for record in records]
-    doc = {
-        "schema": "aide-corpus/2",
-        "record_count": len(records),
-        "X": 3,
-        "results": table,
-        "ids": [record["id"] for record in records],
-        "texts": texts,
-    }
-    columns = (
-        np.array(text_rows, dtype="<i4"),
-        np.array([x for record in records for x in record["instruction_affordance"]], dtype="<f8"),
-        np.array([x for record in records for x in record["tool_affordance"]], dtype="<f8"),
-        np.array([rows + [-1] * (3 - len(rows)) for rows in result_rows], dtype="<i4"),
-    )
-    path.write_bytes((json.dumps(doc) + "\n").encode("ascii") + b"".join(c.tobytes() for c in columns))
-
-
-# The cases of the JSON Lines corpus that still exist in columns, at their
-# places in this list, and the faults of a space file's columns that the
-# columns of a corpus may now hold. The JSON Lines cases of a vector entry
-# that is a string, a bool or an int too large for a float are gone: a raw
-# <f8 column holds only floats.
-@pytest.mark.parametrize(
-    ("changes", "message"),
-    [
-        ({"id": 5}, "record ids must be strings"),
-        ({"text": 5}, "record texts must be strings"),
-        ({"id": ""}, "empty record id"),
-        ({"tool_affordance": [1.0, 2.0, 10.5]}, "outside"),
-        ({"instruction_affordance": [1.0, float("nan"), 3.0]}, "not finite"),
-        ({"instruction_affordance": [1.0, 2.0]}, "the columns of"),  # a truncated column
-        ({"results": []}, "no result row"),
-        ({"results": [{"tool_label": "cup"}]}, "malformed corpus document"),
-        ({"id": "ins-1"}, "duplicate record id"),
-        ({"result_rows": [1]}, "result row outside"),
-        # Each number of the header is read at its JSON type: a float or a
-        # bool is no coordinate.
-        ({"results": [{**_CORPUS_RESULT, "tool_region": [0, 0, 100.5, 100]}]}, "not a list of integers"),
-        ({"results": [{**_CORPUS_RESULT, "tool_region": [False, 0, 100, 100]}]}, "not a list of integers"),
-        ({"result_rows": [-1, 0]}, "pad precedes"),
-        ({"results": ["cup"]}, "results: 'cup' is not a mapping"),  # "string indices must be integers"
-        # A result's texts are non-empty strings, or null for the unseen region.
-        ({"results": [{**_CORPUS_RESULT, "tool_label": 5}]}, "tool_label: 5 is not a non-empty string"),
-        ({"results": [{**_CORPUS_RESULT, "tool_image": 5}]}, "tool_image: 5 is not a non-empty string"),
-        (
-            {"results": [{**_CORPUS_RESULT, "unseen_region_label": ["fridge"], "unseen_region_image": "x"}]},
-            r"unseen_region_label: \['fridge'\] is not a non-empty string",
-        ),
-    ],
-)
-def test_corpus_rejects_a_malformed_record(tmp_path, changes, message):
-    path = tmp_path / "drafts.corpus"
-    _write_corpus_file(path, _corpus_record(id="ins-1"), _corpus_record(**changes))
-    with pytest.raises(SpaceFormatError, match=message):
-        read_corpus(path)
-
-
-def test_corpus_shares_one_table_row_per_distinct_result(tmp_path):
-    path = tmp_path / "drafts.corpus"
-    _write_corpus_file(path, _corpus_record(id="ins-0"), _corpus_record(id="ins-1"))
-    drafts = read_corpus(path)
-    assert len(drafts.results) == 1
-    assert drafts.result_rows.tolist() == [[0, -1, -1], [0, -1, -1]]
 
 
 def test_grounding_result_invariants():

@@ -21,6 +21,9 @@ median and IQR/median, the change's relative difference of medians, its wins
   worse          the change's median is worse than the base's by more than
                  the metric's bound in ``BENCHMARK.json`` (a fraction of the
                  base's median)
+  slower         the change lost at least nine pairs in ten, and its median is
+                 worse by more than the base runs' interquartile range (a loss
+                 within the bound; it fails nothing)
   better         the change won at least nine pairs in ten, and its median is
                  better by more than the base runs' interquartile range
   unresolved     neither, and the runs of one side spread wider than the
@@ -56,7 +59,7 @@ WORKTREE = "worktree"
 EXPORTED = ("src", "perfbench")
 # A run that takes longer is not correct: run.py ends each run within 180 s.
 RUN_TIMEOUT_S = 600
-# Pairs out of ten the change must win for "better".
+# Pairs out of ten the change must win for "better", or lose for "slower".
 WINS_FOR_BETTER = 0.9
 
 # A runner takes a side's directory, a workload and a seed, and returns the
@@ -155,12 +158,15 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
     base_median, change_median = statistics.median(base), statistics.median(change)
     gain = sign * _relative(change_median, base_median)
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
     spread = {
         side: _iqr(values) / abs(median) if median else 0.0
         for side, values, median in (("base", base, base_median), ("change", change, change_median))
     }
     if -gain > bound:
         verdict = "worse"
+    elif losses >= WINS_FOR_BETTER * len(base) and sign * (base_median - change_median) > _iqr(base):
+        verdict = "slower"
     elif wins >= WINS_FOR_BETTER * len(base) and sign * (change_median - base_median) > _iqr(base):
         verdict = "better"
     elif max(spread.values()) > bound:
