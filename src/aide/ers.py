@@ -163,9 +163,13 @@ def ground_regions(
     the pool's exemplar part crops; with no part detections the region proposer
     fallback splits the tool box.
     """
-    search = tool.box.pad(CROP_PAD_FRACTION, frame.width, frame.height)
-    part_detections = perception.detect(frame, list(PART_VOCABULARY), params.N_prime)
-    parts = [det for det in part_detections if search.contains(det.box)]
+    # The padded tool box's coordinates: a part lies inside them or is dropped.
+    x0, y0, x1, y1 = tool.box.padded_bounds(CROP_PAD_FRACTION, frame.width, frame.height)
+    parts = [
+        det
+        for det in perception.detect(frame, list(PART_VOCABULARY), params.N_prime)
+        if x0 <= det.box.x_min and y0 <= det.box.y_min and det.box.x_max <= x1 and det.box.y_max <= y1
+    ]
     if not parts:
         return perception.tool_regions(tool, frame)
 

@@ -6,11 +6,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Region:
     """Axis-aligned pixel rectangle with inclusive-exclusive extent semantics.
 
     Width is ``x_max - x_min``; a zero-width region is permitted (degenerate).
+    Its ``__init__`` is written out, as ``SimilarityScore``'s is: a tick
+    builds about a dozen.
     """
 
     x_min: int
@@ -18,11 +20,16 @@ class Region:
     x_max: int
     y_max: int
 
-    def __post_init__(self) -> None:
-        if self.x_min < 0 or self.y_min < 0:
-            raise ValueError(f"negative region coordinates: {self}")
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"inverted region bounds: {self}")
+    def __init__(self, x_min: int, y_min: int, x_max: int, y_max: int) -> None:
+        if x_min < 0 or y_min < 0 or x_min > x_max or y_min > y_max:
+            kind = "negative region coordinates" if x_min < 0 or y_min < 0 else "inverted region bounds"
+            raise ValueError(
+                f"{kind}: Region(x_min={x_min!r}, y_min={y_min!r}, x_max={x_max!r}, y_max={y_max!r})"
+            )
+        _set_x_min(self, x_min)
+        _set_y_min(self, y_min)
+        _set_x_max(self, x_max)
+        _set_y_max(self, y_max)
 
     @property
     def width(self) -> int:
@@ -105,6 +112,14 @@ class Region:
 
     def as_list(self) -> list[int]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
+
+
+# The slots' own setters: they write past the frozen ``__setattr__``, which
+# only raises.
+_set_x_min = Region.x_min.__set__
+_set_y_min = Region.y_min.__set__
+_set_x_max = Region.x_max.__set__
+_set_y_max = Region.y_max.__set__
 
 
 def pixel_bounds(

@@ -8,7 +8,7 @@ in one pass, for files that hold many of them. Each reader raises
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Collection, Sequence, TypeVar
 
 import numpy as np
 
@@ -114,3 +114,10 @@ def member(doc: object, key: str, read: Callable[[object], T], default: object =
         return read(doc.get(key, default))
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
+
+
+def known(doc: dict, keys: Collection[str]) -> None:
+    """Reject a mapping that holds a key not among ``keys``, naming the first."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}, not one of {', '.join(keys)}")

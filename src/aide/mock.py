@@ -352,7 +352,7 @@ class MockPerception(PerceptionBackend):
 
         raw.sort(key=lambda t: (-t[0], t[1], t[2]))
         return [
-            Detection(label=term, box=box, confidence=conf, rank=i + 1)
+            Detection(term, box, conf, i + 1)
             for i, (conf, _, term, box) in enumerate(raw[:k])
         ]
 

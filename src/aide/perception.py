@@ -31,7 +31,14 @@ class UnknownReferenceError(PerceptionError):
     """An image or text reference could not be resolved."""
 
 
-@dataclass(frozen=True, slots=True)
+# The value types below that a tick builds have written-out ``__init__``s,
+# each setting its slots through the slot's own setter, bound once after the
+# class: the generated frozen ``__init__`` writes each field through
+# ``object.__setattr__``, and with a ``__post_init__`` check it costs about
+# twice as much.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Detection:
     """One labeled box. Rank 1 is the highest confidence within its response."""
 
@@ -40,21 +47,27 @@ class Detection:
     confidence: float
     rank: int
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __init__(self, label: str, box: Region, confidence: float, rank: int) -> None:
+        if not (0.0 <= confidence <= 1.0):
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        _set_label(self, label)
+        _set_box(self, box)
+        _set_confidence(self, confidence)
+        _set_rank(self, rank)
+
+
+_set_label = Detection.label.__set__
+_set_box = Detection.box.__set__
+_set_confidence = Detection.confidence.__set__
+_set_rank = Detection.rank.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class SimilarityScore:
-    """One similarity in [0, 1).
-
-    Its ``__init__`` is written out: a backend builds one per answer, many
-    times a tick, and the generated frozen ``__init__`` plus a
-    ``__post_init__`` check costs about half as much again.
-    """
+    """One similarity in [0, 1): a backend builds one per answer, many times a
+    tick."""
 
     value: float
 
@@ -64,12 +77,10 @@ class SimilarityScore:
         _set_value(self, value)
 
 
-# The slot's own setter: it writes ``value`` past the frozen ``__setattr__``,
-# which only raises.
 _set_value = SimilarityScore.value.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SceneFrame:
     """One rendered observation.
 
@@ -86,9 +97,25 @@ class SceneFrame:
     robot_y: float = 0.0
     pixels_per_unit: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+    def __init__(
+        self,
+        image: str,
+        width: int,
+        height: int,
+        timestamp: float,
+        robot_x: float = 0.0,
+        robot_y: float = 0.0,
+        pixels_per_unit: float = 1.0,
+    ) -> None:
+        if width <= 0 or height <= 0:
             raise ValueError("frame dimensions must be positive")
+        _set_image(self, image)
+        _set_width(self, width)
+        _set_height(self, height)
+        _set_timestamp(self, timestamp)
+        _set_robot_x(self, robot_x)
+        _set_robot_y(self, robot_y)
+        _set_pixels_per_unit(self, pixels_per_unit)
 
     def world_anchor(self, region: Region) -> tuple[float, float]:
         """World point under the center of a pixel region in this frame."""
@@ -102,6 +129,15 @@ class SceneFrame:
     def world_distance_to(self, region: Region) -> float:
         ax, ay = self.world_anchor(region)
         return ((ax - self.robot_x) ** 2 + (ay - self.robot_y) ** 2) ** 0.5
+
+
+_set_image = SceneFrame.image.__set__
+_set_width = SceneFrame.width.__set__
+_set_height = SceneFrame.height.__set__
+_set_timestamp = SceneFrame.timestamp.__set__
+_set_robot_x = SceneFrame.robot_x.__set__
+_set_robot_y = SceneFrame.robot_y.__set__
+_set_pixels_per_unit = SceneFrame.pixels_per_unit.__set__
 
 
 @dataclass(frozen=True)
@@ -118,6 +154,17 @@ def crop_reference(frame: SceneFrame, box: Region) -> str:
     """Reference naming a padded crop of a frame; resolvable by the mock backend."""
     x0, y0, x1, y1 = box.padded_bounds(CROP_PAD_FRACTION, frame.width, frame.height)
     return f"{frame.image}#crop:{x0},{y0},{x1},{y1}"
+
+
+def boxes_in_frame(detections: Iterable[Detection], frame: SceneFrame) -> bool:
+    """Whether every detection's box lies inside the frame. A ``Region`` is
+    never negative or inverted, so only its far edges can leave the frame."""
+    width, height = frame.width, frame.height
+    for det in detections:
+        box = det.box
+        if box.x_max > width or box.y_max > height:
+            return False
+    return True
 
 
 def check_detection_ordering(detections: list[Detection]) -> None:
@@ -172,8 +219,8 @@ class EpisodePerception:
     """What the planner asks of a backend in one episode: each question once,
     each failure degraded or checked by one rule.
 
-    Successful similarity scores are kept by the ordered pair ``(a, ref)`` and
-    affordance vectors by subject. A frame reference names its tick
+    Successful similarity scores are kept per asking reference ``a``, by
+    ``ref``, and affordance vectors by subject. A frame reference names its tick
     (``frame:<world>:<tick>``), so a kept answer is reused only for the same
     frame or for references to no frame (catalog images and text): it is the
     answer the backend would give again. No failure is kept, so a failed
@@ -183,21 +230,22 @@ class EpisodePerception:
     def __init__(self, backend: PerceptionBackend, dims: int) -> None:
         self.backend = backend
         self.dims = dims
-        self._scores: dict[tuple[str, str], float] = {}
+        self._scores: dict[str, dict[str, float]] = {}
         self._vectors: dict[str, AffordanceVector] = {}
 
     def similarities(self, a: str, refs: Iterable[str]) -> list[float]:
         """Similarity of ``a`` to each reference, in order; a failed call
         scores 0.0, so an unreachable backend degrades matching to zero."""
-        kept = self._scores
+        kept = self._scores.get(a)
+        if kept is None:
+            kept = self._scores[a] = {}
         similarity = self.backend.similarity
         scores = []
         for ref in refs:
-            key = a, ref
-            score = kept.get(key)
+            score = kept.get(ref)
             if score is None:
                 try:
-                    score = kept[key] = similarity(a, ref).value
+                    score = kept[ref] = similarity(a, ref).value
                 except PerceptionError:
                     score = 0.0
             scores.append(score)
@@ -214,8 +262,7 @@ class EpisodePerception:
             found = self.backend.detect(frame, vocabulary, k)
         except PerceptionError:
             return []
-        frame_box = Region(0, 0, frame.width, frame.height)
-        return found if all(frame_box.contains(det.box) for det in found) else []
+        return found if boxes_in_frame(found, frame) else []
 
     def tool_regions(self, tool: Detection, frame: SceneFrame) -> tuple[Region, Region]:
         """(operational, functional) regions, clipped into ``tool.box`` (the box

@@ -37,6 +37,7 @@ from .perception import (
     SceneFrame,
     SimilarityScore,
     ToolHypothesis,
+    boxes_in_frame,
     check_detection_ordering,
 )
 
@@ -134,8 +135,6 @@ class RemotePerception(PerceptionBackend):
     # -- capabilities -----------------------------------------------------
 
     def detect(self, frame: SceneFrame, vocabulary: list[str], k: int) -> list[Detection]:
-        frame_box = Region(0, 0, frame.width, frame.height)
-
         def parse(response: dict) -> list[Detection]:
             found = [
                 Detection(
@@ -146,7 +145,7 @@ class RemotePerception(PerceptionBackend):
                 )
                 for i, item in enumerate(member(response, "detections", array, [])[:k])
             ]
-            if not all(frame_box.contains(det.box) for det in found):
+            if not boxes_in_frame(found, frame):
                 raise ValueError("detection box outside the frame")
             check_detection_ordering(found)
             return found

@@ -14,13 +14,12 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection
 
 from .affordance import CONTAINER_LABELS
 from .commands import Approach, Manipulate, MotionCommand, NoOp, Reformulate, RequestHuman
 from .config import ConfigParams
 from .geometry import Region, iou, pixel_bounds, vertical_halves
-from .jsonvalues import finite_numbers, integer, member, nullable, number, one_of, text, texts
+from .jsonvalues import finite_numbers, integer, known, member, nullable, number, one_of, text, texts
 from .perception import SceneFrame
 
 WORLD_SCHEMA = "aide-world/1"
@@ -86,9 +85,13 @@ class WorldObject:
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProjectedObject:
-    """One object rendered into the current frame, with scoring ground truth."""
+    """One object rendered into the current frame, with scoring ground truth.
+
+    Its ``__init__`` is written out, as ``SimilarityScore``'s is: ``observe``
+    builds one per object in view, every tick.
+    """
 
     object_id: str
     label: str
@@ -98,6 +101,38 @@ class ProjectedObject:
     body: Region | None
     distance: float
     visibility: str  # effective: visible or blurred
+
+    def __init__(
+        self,
+        object_id: str,
+        label: str,
+        affordance_class: str,
+        box: Region,
+        handle: Region | None,
+        body: Region | None,
+        distance: float,
+        visibility: str,
+    ) -> None:
+        _set_object_id(self, object_id)
+        _set_label(self, label)
+        _set_affordance_class(self, affordance_class)
+        _set_box(self, box)
+        _set_handle(self, handle)
+        _set_body(self, body)
+        _set_distance(self, distance)
+        _set_visibility(self, visibility)
+
+
+# The slots' own setters: they write past the frozen ``__setattr__``, which
+# only raises.
+_set_object_id = ProjectedObject.object_id.__set__
+_set_label = ProjectedObject.label.__set__
+_set_affordance_class = ProjectedObject.affordance_class.__set__
+_set_box = ProjectedObject.box.__set__
+_set_handle = ProjectedObject.handle.__set__
+_set_body = ProjectedObject.body.__set__
+_set_distance = ProjectedObject.distance.__set__
+_set_visibility = ProjectedObject.visibility.__set__
 
 
 @dataclass
@@ -162,7 +197,7 @@ class World:
 
 
 def _part_region(
-    rect: WorldRect | None,
+    rect: WorldRect,
     rx: float,
     ry: float,
     half: float,
@@ -174,11 +209,9 @@ def _part_region(
     y1: int,
 ) -> Region | None:
     """A part's pixels within its object's box ``x0, y0, x1, y1``; None when
-    the part is missing or covers no area there. Each coordinate ``x``
-    projects to ``(x - robot_x + view_range / 2) * pixels_per_unit``, each
-    ``y`` likewise."""
-    if rect is None:
-        return None
+    the part covers no area there. Each coordinate ``x`` projects to
+    ``(x - robot_x + view_range / 2) * pixels_per_unit``, each ``y``
+    likewise."""
     px0, py0, px1, py1 = pixel_bounds(
         (rect[0] - rx + half) * ppu,
         (rect[1] - ry + half) * ppu,
@@ -230,15 +263,16 @@ def observe(world: World) -> tuple[SceneFrame, list[ProjectedObject]]:
         x0, y0, x1, y1 = pixel_bounds(left, top, right, bottom, size, size)
         if x0 == x1 or y0 == y1:
             continue
-        # Positional: keyword arguments cost a frozen dataclass more.
+        handle, body = obj.handle, obj.body
+        # Positional: keyword arguments cost a call more.
         projections.append(
             ProjectedObject(
                 obj.id,
                 obj.label,
                 obj.affordance_class,
                 Region(x0, y0, x1, y1),
-                _part_region(obj.handle, rx, ry, half, ppu, size, x0, y0, x1, y1),
-                _part_region(obj.body, rx, ry, half, ppu, size, x0, y0, x1, y1),
+                None if handle is None else _part_region(handle, rx, ry, half, ppu, size, x0, y0, x1, y1),
+                None if body is None else _part_region(body, rx, ry, half, ppu, size, x0, y0, x1, y1),
                 distance,
                 visibility,
             )
@@ -410,12 +444,6 @@ _WORLD_KEYS = (
 _OBJECT_KEYS = ("id", "label", "box", "affordance_class", "visibility", "container_id", "handle", "body")
 
 
-def _known(doc: dict, keys: Collection[str]) -> None:
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}, not one of {', '.join(keys)}")
-
-
 def _objects(value: object) -> list[dict]:
     if type(value) is not list or not all(type(odoc) is dict for odoc in value):
         raise ValueError(f"{value!r} is not a list of mappings")
@@ -446,7 +474,7 @@ _TABLES = {
 def _tables(value: object) -> dict[str, dict]:
     if type(value) is not dict or not all(type(table) is dict for table in value.values()):
         raise ValueError(f"{value!r} is not a mapping of mappings")
-    _known(value, _TABLES)
+    known(value, _TABLES)
     return {name: member(value, name, read, {}) for name, read in _TABLES.items()}
 
 
@@ -478,11 +506,11 @@ def _read_world(doc: object) -> World:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != WORLD_SCHEMA:
         raise WorldSchemaError(f"expected schema {WORLD_SCHEMA!r}, got {schema!r}")
-    _known(doc, _WORLD_KEYS)
+    known(doc, _WORLD_KEYS)
     objects: OrderedDict[str, WorldObject] = OrderedDict()
     for i, odoc in enumerate(member(doc, "objects", _objects)):
         try:
-            _known(odoc, _OBJECT_KEYS)
+            known(odoc, _OBJECT_KEYS)
             obj = WorldObject(
                 id=member(odoc, "id", text),
                 label=member(odoc, "label", text),

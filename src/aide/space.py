@@ -36,7 +36,8 @@ tool vectors, result rows). A record's cluster and subcluster follow from its
 position. ``load_space`` parses the header as the one line that
 ``_write_file`` writes (a header laid out over several lines is not read)
 and reads each column straight into an array of its exact size. Each value
-of the header is read at its JSON type (``jsonvalues``). It reads only that
+of the header is read at its JSON type (``jsonvalues``), and a header holds
+only the members its writer writes. It reads only that
 schema: a space saved as an older ``aide-space/1`` or ``/2`` is rebuilt from
 its corpus with ``aide build-space``, which is deterministic for a fixed seed.
 
@@ -70,7 +71,7 @@ from .affordance import SCORE_MAX, SCORE_MIN, AffordanceVector, DimensionMismatc
 from .cluster import kmeans
 from .config import ConfigParams
 from .geometry import Region
-from .jsonvalues import array, integer, integers, member, nullable, numbers, text
+from .jsonvalues import array, integer, integers, known, member, nullable, numbers, text
 
 SPACE_SCHEMA = "aide-space/3"
 CORPUS_SCHEMA = "aide-corpus/2"
@@ -782,19 +783,22 @@ def _space_from_columns(
     )
 
 
-# Each file kind's schema, the noun its errors name it by, and how to write
-# one anew that is held in an older format.
+# Each file kind's schema, the noun its errors name it by, how to write one
+# anew that is held in an older format, and the members of its header, as
+# ``save_space`` and ``write_corpus`` write them: a header holds no other.
 _KINDS = {
     SPACE_SCHEMA: (
         "space",
         "rebuild the space from its corpus with `aide build-space --corpus <corpus> --seed <seed>`,"
         " which is deterministic for a fixed seed",
+        ("schema", "params", "record_count", "results", "clusters", "ids", "texts"),
     ),
     CORPUS_SCHEMA: (
         "corpus",
         "a corpus in JSON Lines or another earlier format is not read; write it anew with"
         " `aide gen-corpus --out <corpus> --count <n> --seed <seed>`, which is deterministic"
         " for a fixed seed",
+        ("schema", "record_count", "X", "results", "ids", "texts"),
     ),
 }
 # Bytes of a file read before its schema is checked: a file whose header
@@ -870,10 +874,11 @@ def _read_header(fh, schema: str) -> object:
 @contextmanager
 def _opened(path: str | Path, schema: str) -> Iterator[tuple[BinaryIO, dict]]:
     """The file at ``path``, left after its header, and the header, which
-    must be an object that carries ``schema`` (``_read_header``). A member
-    that the block finds missing or of the wrong type (a ``KeyError``,
-    ``TypeError`` or ``ValueError``) is a ``SpaceFormatError``."""
-    noun, rewrite = _KINDS[schema]
+    must be an object that carries ``schema`` (``_read_header``) and holds
+    only the members of its kind. An unknown member, or a member that the
+    block finds missing or of the wrong type (a ``KeyError``, ``TypeError``
+    or ``ValueError``), is a ``SpaceFormatError``."""
+    noun, rewrite, keys = _KINDS[schema]
     with Path(path).open("rb") as fh:
         doc = _read_header(fh, schema)
         if not isinstance(doc, dict) or "schema" not in doc:
@@ -881,6 +886,7 @@ def _opened(path: str | Path, schema: str) -> Iterator[tuple[BinaryIO, dict]]:
         if doc["schema"] != schema:
             raise _schema_error(schema, doc["schema"])
         try:
+            known(doc, keys)
             yield fh, doc
         except (KeyError, TypeError, ValueError) as exc:
             raise SpaceFormatError(f"malformed {noun} document: {exc}") from exc

@@ -753,17 +753,113 @@ def test_crop_resolution_matches_the_iou_oracle(projections, crops):
 
 
 
-def test_a_similarity_score_is_a_checked_immutable_value():
-    import dataclasses
+# The value types a tick builds, each with: its fields by keyword, its repr,
+# another value of its first field (for eq/hash and ``dataclasses.replace``),
+# and each rejected input, as keyword changes, with its exact message.
+_HOT_VALUES = [
+    (
+        SimilarityScore,
+        {"value": 0.25},
+        "SimilarityScore(value=0.25)",
+        0.5,
+        [
+            ({"value": -0.1}, "similarity -0.1 outside [0, 1)"),
+            ({"value": 1.0}, "similarity 1.0 outside [0, 1)"),
+            ({"value": math.nan}, "similarity nan outside [0, 1)"),
+            ({"value": math.inf}, "similarity inf outside [0, 1)"),
+        ],
+    ),
+    (
+        Region,
+        {"x_min": 1, "y_min": 2, "x_max": 5, "y_max": 7},
+        "Region(x_min=1, y_min=2, x_max=5, y_max=7)",
+        0,
+        [
+            ({"x_min": -1}, "negative region coordinates: Region(x_min=-1, y_min=2, x_max=5, y_max=7)"),
+            ({"y_min": -3}, "negative region coordinates: Region(x_min=1, y_min=-3, x_max=5, y_max=7)"),
+            # Negative and inverted at once: the negative coordinate is named.
+            ({"x_min": -1, "x_max": -2}, "negative region coordinates: Region(x_min=-1, y_min=2, x_max=-2, y_max=7)"),
+            ({"x_min": 6}, "inverted region bounds: Region(x_min=6, y_min=2, x_max=5, y_max=7)"),
+            ({"y_max": 1}, "inverted region bounds: Region(x_min=1, y_min=2, x_max=5, y_max=1)"),
+        ],
+    ),
+    (
+        Detection,
+        {"label": "cup", "box": Region(0, 0, 4, 4), "confidence": 0.5, "rank": 1},
+        "Detection(label='cup', box=Region(x_min=0, y_min=0, x_max=4, y_max=4), confidence=0.5, rank=1)",
+        "mug",
+        [
+            ({"confidence": 1.5}, "confidence 1.5 outside [0, 1]"),
+            ({"confidence": -0.1}, "confidence -0.1 outside [0, 1]"),
+            ({"confidence": math.nan}, "confidence nan outside [0, 1]"),
+            ({"rank": 0}, "rank must be >= 1, got 0"),
+            # Both out: the confidence is named.
+            ({"confidence": 2.0, "rank": -1}, "confidence 2.0 outside [0, 1]"),
+        ],
+    ),
+    (
+        SceneFrame,
+        {
+            "image": "frame:w:3",
+            "width": 800,
+            "height": 600,
+            "timestamp": 300.0,
+            "robot_x": 20.0,
+            "robot_y": 32.0,
+            "pixels_per_unit": 20.0,
+        },
+        "SceneFrame(image='frame:w:3', width=800, height=600, timestamp=300.0,"
+        " robot_x=20.0, robot_y=32.0, pixels_per_unit=20.0)",
+        "frame:w:4",
+        [
+            ({"width": 0}, "frame dimensions must be positive"),
+            ({"height": -1}, "frame dimensions must be positive"),
+        ],
+    ),
+    (
+        ProjectedObject,
+        {
+            "object_id": "o1",
+            "label": "cup",
+            "affordance_class": "drink",
+            "box": Region(0, 0, 4, 4),
+            "handle": Region(0, 2, 4, 4),
+            "body": None,
+            "distance": 3.5,
+            "visibility": BLURRED,
+        },
+        "ProjectedObject(object_id='o1', label='cup', affordance_class='drink',"
+        " box=Region(x_min=0, y_min=0, x_max=4, y_max=4),"
+        " handle=Region(x_min=0, y_min=2, x_max=4, y_max=4), body=None, distance=3.5, visibility='blurred')",
+        "o2",
+        [],
+    ),
+]
 
-    score = SimilarityScore(0.25)
-    assert score == SimilarityScore(0.25) and score != SimilarityScore(0.5)
-    assert hash(score) == hash(SimilarityScore(0.25))
-    assert repr(score) == "SimilarityScore(value=0.25)"
-    assert [f.name for f in dataclasses.fields(score)] == ["value"]
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "shown", "other", "rejected"), _HOT_VALUES, ids=[row[0].__name__ for row in _HOT_VALUES]
+)
+def test_a_hot_value_type_is_a_checked_immutable_value(cls, fields, shown, other, rejected):
+    import copy
+    import dataclasses
+    import pickle
+
+    value = cls(**fields)
+    assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+    assert repr(value) == shown
+    assert cls(*fields.values()) == value and hash(cls(**fields)) == hash(value)
+    assert not hasattr(value, "__dict__")
+    first = next(iter(fields))
+    changed = dataclasses.replace(value, **{first: other})
+    assert changed == cls(**{**fields, first: other}) and changed != value
     with pytest.raises(dataclasses.FrozenInstanceError):
-        score.value = 3.0
-    assert score.value == 0.25
-    for bad in (-0.1, 1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="outside"):
-            SimilarityScore(bad)
+        setattr(value, first, other)
+    assert getattr(value, first) == fields[first]
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value and repr(copied) == shown
+    for change, message in rejected:
+        for build in (lambda: cls(**{**fields, **change}), lambda: dataclasses.replace(value, **change)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message

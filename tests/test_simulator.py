@@ -17,6 +17,7 @@ from aide.mock import MockPerception
 from aide.planner import Approach, EpisodeTrace, Manipulate, NoOp, Reformulate, TickEvent, run_closed_loop
 from aide.simulator import (
     ABSENT,
+    BLUR_RANGE,
     BLURRED,
     CATEGORY_ABSENT,
     CATEGORY_AMBIGUOUS,
@@ -24,6 +25,8 @@ from aide.simulator import (
     CATEGORY_UNRECOGNIZABLE,
     OCCLUDED,
     REAL_WORLD_SUITE,
+    VISIBILITIES,
+    VISIBLE,
     ProjectedObject,
     World,
     WorldError,
@@ -86,13 +89,21 @@ def project_rect(world, rect):
 
 
 def projected_boxes(world):
-    """(id, box, handle, body) of each object ``observe`` renders, as first
-    written: a Region for every rounded, clipped and intersected box."""
+    """(id, box, handle, body, distance, visibility) of each object ``observe``
+    renders, as first written: a Region for every rounded, clipped and
+    intersected box, and the distance and visibility read off the world's
+    fields, not through its helpers."""
     size = world.frame_size
+    rx, ry, _ = world.robot
     out = []
     for o in world.objects.values():
-        if world.effective_visibility(o, world.robot_distance_to(o.center)) is None:
+        if o.visibility == ABSENT:
             continue
+        if o.visibility == OCCLUDED and not world.objects[o.container_id].opened:
+            continue
+        x0, y0, x1, y1 = o.box
+        distance = math.dist(((x0 + x1) / 2, (y0 + y1) / 2), (rx, ry))
+        visibility = BLURRED if o.visibility == BLURRED or distance > BLUR_RANGE else VISIBLE
         raw = project_rect(world, o.box)
         if raw[2] <= 0 or raw[0] >= size or raw[3] <= 0 or raw[1] >= size:
             continue
@@ -107,18 +118,30 @@ def projected_boxes(world):
             inter = region_intersection(clipped, box)
             return inter if inter is not None and inter.area > 0 else None
 
-        out.append((o.id, box, part(o.handle), part(o.body)))
+        out.append((o.id, box, part(o.handle), part(o.body), distance, visibility))
     return out
 
 
 @st.composite
 def part_worlds(draw):
-    """Objects, some with a handle and a body, placed across the frame border.
+    """Objects, some with a handle and a body, placed across the frame border,
+    each visible, blurred, absent or occluded in a container that is open or
+    closed.
 
     Coordinates are drawn in 1/40 units, which at 20 px per unit is half a
     pixel, so rounding ties are common. The frame spans x 0..40, y 12..52.
+    The container lies under the robot at (20, 32); about one drawn object
+    in sixteen lies within ``BLUR_RANGE`` of it, and the examples add more.
     """
-    objects = []
+    objects = [
+        WorldObject(
+            id="box",
+            label="drawer",
+            box=(19.0, 30.0, 21.0, 34.0),
+            affordance_class="contain",
+            opened=draw(st.booleans()),
+        )
+    ]
     for i in range(draw(st.integers(1, 4))):
         x0, y0 = draw(st.integers(-80, 1680)), draw(st.integers(400, 2160))
         x1, y1 = x0 + draw(st.integers(0, 240)), y0 + draw(st.integers(0, 240))
@@ -126,12 +149,15 @@ def part_worlds(draw):
         inset = (x1 - x0) * draw(st.integers(0, 8)) // 16
         handle = (x0 + inset, split, x1 - inset, y1) if draw(st.booleans()) else None
         body = (x0, y0, x1, split) if draw(st.booleans()) else None
+        visibility = draw(st.sampled_from(VISIBILITIES))
         objects.append(
             WorldObject(
                 id=f"o{i}",
                 label="cup",
                 box=tuple(v / 40 for v in (x0, y0, x1, y1)),
                 affordance_class="drink",
+                visibility=visibility,
+                container_id="box" if visibility == OCCLUDED else None,
                 handle=handle and tuple(v / 40 for v in handle),
                 body=body and tuple(v / 40 for v in body),
             )
@@ -143,10 +169,11 @@ def part_worlds(draw):
 @given(part_worlds())
 @example(make_world([obj("edge", "cup", "drink", 0.0, 12.0, w=1.0, h=1.0)]))  # frame corner
 @example(make_world([obj("flat", "cup", "drink", 20.0, 30.0, w=2.0, h=0.025)]))  # one-pixel rows
+@example(make_world([obj("rim", "cup", "drink", 20.0, 24.0)]))  # at BLUR_RANGE exactly: visible
 def test_observe_matches_the_region_oracle(world):
     expected = projected_boxes(world)
     _, projections = observe(world)
-    assert [(p.object_id, p.box, p.handle, p.body) for p in projections] == expected
+    assert [(p.object_id, p.box, p.handle, p.body, p.distance, p.visibility) for p in projections] == expected
 
 
 def test_occluded_hidden_until_container_opens():

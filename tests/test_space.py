@@ -997,6 +997,10 @@ def _no_x(doc, columns):
     del doc["X"]
 
 
+def _a_corpus_x(doc, columns):
+    doc["X"] = doc["params"]["X"]
+
+
 # Each fault of a columnar file, with the message that rejects it, made in a
 # saved space and in a written corpus, which one reader reads; the faults of
 # params and the cluster tree, which only a space holds, only in a space, and
@@ -1045,8 +1049,21 @@ _SPACE_FAULTS = [
     (_cluster_not_a_mapping, "clusters: 'cup' is not a mapping$"),
     (_no_subclusters, "clusters: subclusters: None is not a list$"),
     (_no_subcluster_centroid, "clusters: subclusters: centroid: None is not a list of numbers$"),
+    # A header holds only the members its writer writes, and a rejection names the first other.
+    (
+        _a_corpus_x,
+        "^malformed space document: unknown key 'X', not one of"
+        " schema, params, record_count, results, clusters, ids, texts$",
+    ),
 ]
-_CORPUS_FAULTS = [(_no_x, "^malformed corpus document: X: None is not an integer$")]
+_CORPUS_FAULTS = [
+    (_no_x, "^malformed corpus document: X: None is not an integer$"),
+    (
+        _null_clusters,
+        "^malformed corpus document: unknown key 'clusters', not one of"
+        " schema, record_count, X, results, ids, texts$",
+    ),
+]
 
 
 @pytest.mark.parametrize(

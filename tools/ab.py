@@ -1,7 +1,8 @@
 """Alternating A/B runs of the benchmark between two revisions, summed up in one file.
 
     python3 tools/ab.py --base <rev> [--change <rev>|worktree] \\
-        [--workloads ref-eval index-50k remote-eval] [--seeds 0-9] --label <label>
+        [--workloads ref-eval index-50k remote-eval] [--seeds 0-9] \\
+        [--claim <workload>:<metric> ...] --label <label>
 
 Each side is exported on its own into a temporary directory: a revision with
 ``git archive`` (its ``src/`` and ``perfbench/``), ``worktree`` (the default
@@ -12,11 +13,13 @@ per seed and workload. The two runs of a pair follow each other, and the side
 that goes first alternates from pair to pair, so a drift in machine speed
 falls on both.
 
-``BENCH_<label>.json`` is written to the current directory. It holds the
-machine, both revisions, the command, every run's values by seed and, per
-workload and end-to-end metric of ``BENCHMARK.json``: each side's values,
-median and IQR/median, the change's relative difference of medians, its wins
-(pairs where it was better) and a verdict:
+``BENCH_<label>.json`` is written to the current directory, one run per
+line. It holds the machine, both revisions, the command, the claims, every
+run's values by seed and, per workload and end-to-end metric of
+``BENCHMARK.json``: each side's values, median and IQR/median, the change's
+relative difference of medians, its wins (pairs where it was better), the
+exact two-sided sign-test p of its wins and losses (ties dropped), whether it
+was claimed, and a verdict:
 
   worse          the change's median is worse than the base's by more than
                  the metric's bound in ``BENCHMARK.json`` (a fraction of the
@@ -24,8 +27,13 @@ median and IQR/median, the change's relative difference of medians, its wins
   slower         the change lost at least nine pairs in ten, and its median is
                  worse by more than the base runs' interquartile range (a loss
                  within the bound; it fails nothing)
-  better         the change won at least nine pairs in ten, and its median is
-                 better by more than the base runs' interquartile range
+  better         a claimed metric (``--claim <workload>:<metric>``, given once
+                 per claim): the change won at least nine pairs in ten, and
+                 its median is better by more than the base runs'
+                 interquartile range
+  unclaimed      a metric not claimed whose change won at least nine pairs in
+                 ten: a consistent gain that was not predicted, so no claim
+                 (with no difference, 11 metrics in 1,024 read so)
   unresolved     neither, and the runs of one side spread wider than the
                  bound (IQR/median), so a difference within it cannot be told
   no difference  anything else
@@ -51,7 +59,7 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "worktree"
@@ -59,7 +67,7 @@ WORKTREE = "worktree"
 EXPORTED = ("src", "perfbench")
 # A run that takes longer is not correct: run.py ends each run within 180 s.
 RUN_TIMEOUT_S = 600
-# Pairs out of ten the change must win for "better", or lose for "slower".
+# Pairs out of ten the change must win for "better" or "unclaimed", or lose for "slower".
 WINS_FOR_BETTER = 0.9
 
 # A runner takes a side's directory, a workload and a seed, and returns the
@@ -78,7 +86,9 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def parse_args(argv: list[str] | None, workloads: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str] | None, workloads: list[str], metrics: Collection[str] = ()) -> argparse.Namespace:
+    """The options; a claim must name a workload that runs and, when
+    ``metrics`` are given, one of them."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--change", default=WORKTREE, help="git revision, or 'worktree' (default)")
@@ -87,7 +97,19 @@ def parse_args(argv: list[str] | None, workloads: list[str]) -> argparse.Namespa
     )
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"), help="default: 0-9")
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
-    return parser.parse_args(argv)
+    parser.add_argument(
+        "--claim",
+        action="append",
+        default=[],
+        metavar="WORKLOAD:METRIC",
+        help="a gain this change claims; only a claimed metric can read 'better'",
+    )
+    args = parser.parse_args(argv)
+    for claim in args.claim:
+        workload, _, metric = claim.partition(":")
+        if workload not in args.workloads or (metrics and metric not in metrics):
+            parser.error(f"--claim {claim!r} names no workload:metric of this run")
+    return args
 
 
 def _git(*args: str) -> str:
@@ -152,7 +174,15 @@ def _relative(change: float, base: float) -> float:
     return (change - base) / abs(base) if base else math.copysign(math.inf, change - base)
 
 
-def compare(base: list[float], change: list[float], better: str, bound: float) -> dict:
+def sign_test_p(wins: int, losses: int) -> float:
+    """The exact two-sided sign test: the chance of a split at least this
+    uneven when each pair is a fair coin."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def compare(base: list[float], change: list[float], better: str, bound: float, claimed: bool = False) -> dict:
     """One metric's values, paired by seed, summed up with its verdict."""
     sign = 1.0 if better == "higher" else -1.0  # > 0: the change is better
     base_median, change_median = statistics.median(base), statistics.median(change)
@@ -167,6 +197,8 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
         verdict = "worse"
     elif losses >= WINS_FOR_BETTER * len(base) and sign * (base_median - change_median) > _iqr(base):
         verdict = "slower"
+    elif wins >= WINS_FOR_BETTER * len(base) and not claimed:
+        verdict = "unclaimed"
     elif wins >= WINS_FOR_BETTER * len(base) and sign * (change_median - base_median) > _iqr(base):
         verdict = "better"
     elif max(spread.values()) > bound:
@@ -185,12 +217,15 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
         "change_vs_base": _relative(change_median, base_median),
         "wins": wins,
         "pairs": len(base),
+        "sign_p": sign_test_p(wins, losses),
+        "claimed": claimed,
         "verdict": verdict,
     }
 
 
-def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """A workload's pairs of runs, refused if any run was not correct."""
+def summarize(runs: list[dict], end_to_end: list[dict], claimed: Collection[str] = ()) -> dict:
+    """A workload's pairs of runs, refused if any run was not correct; only
+    the metrics named in ``claimed`` can read "better"."""
     wrong = [
         f"seed {run['seed']} {side}: {run[side].get('error', 'not correct')}"
         for run in runs
@@ -203,7 +238,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     for spec in end_to_end:
         name = spec["name"]
         values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in ("base", "change")}
-        metrics[name] = compare(values["base"], values["change"], spec["better"], spec["bound"])
+        metrics[name] = compare(
+            values["base"], values["change"], spec["better"], spec["bound"], claimed=name in claimed
+        )
     failed = {
         side: sum(run[side]["failed"] for run in runs) / max(1, sum(run[side]["attempted"] for run in runs))
         for side in ("base", "change")
@@ -212,9 +249,30 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return {"runs": runs, "metrics": metrics, "failed_share": failed}
 
 
+def render(value: object, depth: int = 0, one_per_line: bool = False) -> str:
+    """``value`` as JSON, indented two spaces a level as ``json.dumps(value,
+    indent=2)`` is, but a list of scalars on one line, and with
+    ``one_per_line`` (a workload's runs) each item whole on its own line."""
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    if isinstance(value, dict) and value:
+        items = [
+            f"{inner}{json.dumps(key)}: {render(item, depth + 1, key == 'runs')}" for key, item in value.items()
+        ]
+    elif isinstance(value, list) and value and one_per_line:
+        items = [inner + json.dumps(item) for item in value]
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        items = [inner + render(item, depth + 1) for item in value]
+    else:
+        return json.dumps(value)
+    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
+    return f"{opening}\n" + ",\n".join(items) + f"\n{pad}{closing}"
+
+
 def main(argv: list[str] | None = None, runner: Runner | None = None, export_side=export) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    args = parse_args(argv, [workload["name"] for workload in spec["workloads"]])
+    args = parse_args(
+        argv, [workload["name"] for workload in spec["workloads"]], [metric["name"] for metric in spec["end_to_end"]]
+    )
     runner = runner or benchmark_runner(spec["command"], spec["run_seconds"])
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -241,11 +299,19 @@ def main(argv: list[str] | None = None, runner: Runner | None = None, export_sid
         "change": revisions["change"],
         "command": [*spec["command"], "--trace", "0", "--seconds", str(spec["run_seconds"])],
         "seeds": args.seeds,
+        "claims": args.claim,
         "wall_s": round(time.perf_counter() - started, 1),
-        "workloads": {workload: summarize(runs[workload], spec["end_to_end"]) for workload in args.workloads},
+        "workloads": {
+            workload: summarize(
+                runs[workload],
+                spec["end_to_end"],
+                [claim.partition(":")[2] for claim in args.claim if claim.partition(":")[0] == workload],
+            )
+            for workload in args.workloads
+        },
     }
     out = Path(f"BENCH_{args.label}.json")
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    out.write_text(render(report) + "\n", encoding="utf-8")
     refused = False
     for workload, summary in report["workloads"].items():
         if "refused" in summary:
@@ -255,7 +321,8 @@ def main(argv: list[str] | None = None, runner: Runner | None = None, export_sid
         for name, metric in summary["metrics"].items():
             print(
                 f"{workload} {name}: {metric['base_median']:.6g} -> {metric['change_median']:.6g}"
-                f" ({metric['change_vs_base']:+.1%}, {metric['wins']}/{metric['pairs']} wins): {metric['verdict']}"
+                f" ({metric['change_vs_base']:+.1%}, {metric['wins']}/{metric['pairs']} wins,"
+                f" sign test p {metric['sign_p']:.3g}): {metric['verdict']}"
             )
     print(f"wrote {out}")
     return 1 if refused else 0
