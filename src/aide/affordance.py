@@ -71,8 +71,11 @@ def vector(values: Iterable[float]) -> AffordanceVector:
 
 def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one affordance distance, Euclidean over the last axis and broadcasting,
-    so a scalar check and an array scan never disagree at ``distance == radius``."""
-    return np.sqrt(((np.asarray(a, dtype=float) - b) ** 2).sum(axis=-1))
+    so a scalar check and an array scan never disagree at ``distance == radius``.
+    Four ufunc calls, the arithmetic of ``((a - b) ** 2).sum(axis=-1)`` without
+    its Python-level wrappers: a retrieval makes two of these calls."""
+    diff = np.subtract(a, b, dtype=float)
+    return np.sqrt(np.add.reduce(np.square(diff), axis=-1))
 
 
 def distance(u: AffordanceVector, v: AffordanceVector) -> float:

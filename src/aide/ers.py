@@ -24,7 +24,6 @@ from .perception import (
     Detection,
     EpisodePerception,
     SceneFrame,
-    crop_reference,
     crop_references,
 )
 from .space import GroundingResult, RelationshipSpace
@@ -35,13 +34,17 @@ class CandidatePool:
     """The facts every tick reads off a retrieved pool.
 
     Built from the pool's distinct grounding results, in first-seen order
-    along the candidate order: its sorted tool labels, and its distinct tool
-    images and unseen hints, both in first-seen order. A pool never changes
-    once retrieved, so they are derived once.
+    along the candidate order: its sorted tool labels, its distinct tool
+    images and unseen hints, both in first-seen order, and each image's
+    exemplar operational (``#op``) and functional (``#fn``) part crops, in the
+    images' order. A pool never changes once retrieved, so they are derived
+    once.
     """
 
     results: InitVar[Sequence[GroundingResult]]
     unseen_hints: list[tuple[str, str]] = field(init=False)
+    operational_images: list[str] = field(init=False, repr=False)
+    functional_images: list[str] = field(init=False, repr=False)
     _labels: list[str] = field(init=False, repr=False)
     _images: list[str] = field(init=False, repr=False)
 
@@ -57,6 +60,8 @@ class CandidatePool:
         self._labels = sorted(labels)
         self._images = list(images)
         self.unseen_hints = list(hints)
+        self.operational_images = [f"{image}#op" for image in images]
+        self.functional_images = [f"{image}#fn" for image in images]
 
     def tool_labels(self) -> list[str]:
         return self._labels
@@ -68,10 +73,12 @@ class CandidatePool:
 
 @dataclass(frozen=True)
 class TopMatch:
-    """The first stage of a match: the ranked detections (up to N'), the best
-    pool-image similarity of each of the top N, by rank, and their maximum."""
+    """The first stage of a match: the ranked detections (up to N'), the crop
+    reference and the best pool-image similarity of each of the top N, by
+    rank, and their maximum."""
 
     detections: tuple[Detection, ...]
+    crops: tuple[str, ...]
     similarities: tuple[float, ...]
     s_max: float
 
@@ -117,9 +124,9 @@ def match_top(
     """Detect pool-vocabulary candidates and score the top-N crops, each
     (crop, image) pair once."""
     detections = tuple(perception.detect(frame, pool.tool_labels(), params.detection_budget))
-    crops = crop_references(frame, detections[: params.N])
+    crops = tuple(crop_references(frame, detections[: params.N]))
     similarities = perception.crop_scores(crops, pool.distinct_images())
-    return TopMatch(detections, tuple(similarities), max(similarities, default=0.0))
+    return TopMatch(detections, crops, tuple(similarities), max(similarities, default=0.0))
 
 
 def match_tool(
@@ -134,12 +141,13 @@ def match_tool(
     over the top-2N, which routes the exploration.
     """
     if top.s_max > params.m:
-        best = top.detections[top.similarities.index(top.s_max)]
+        at = top.similarities.index(top.s_max)
+        best = top.detections[at]
         operational, functional = ground_regions(frame, best, pool, params, perception)
         return Grounded(
             GroundingResult(
                 tool_label=best.label,
-                tool_image=crop_reference(frame, best.box),
+                tool_image=top.crops[at],
                 tool_region=best.box,
                 operational_region=operational,
                 functional_region=functional,
@@ -173,11 +181,13 @@ def ground_regions(
     if not parts:
         return perception.tool_regions(tool, frame)
 
-    images = pool.distinct_images()
     crops = crop_references(frame, parts)
 
-    def pick(suffix: str) -> Region:
-        scores = perception.crop_scores(crops, [f"{image}{suffix}" for image in images])
+    def pick(images: list[str]) -> Region:
+        scores = perception.crop_scores(crops, images)
         return parts[scores.index(max(scores))].box
 
-    return clipped_into(pick("#op"), tool.box), clipped_into(pick("#fn"), tool.box)
+    return (
+        clipped_into(pick(pool.operational_images), tool.box),
+        clipped_into(pick(pool.functional_images), tool.box),
+    )

@@ -56,6 +56,7 @@ from .perception import (
     SimilarityScore,
     ToolHypothesis,
     UnknownReferenceError,
+    box_in_frame,
 )
 from .simulator import BLURRED, ProjectedObject, World
 
@@ -189,17 +190,14 @@ class _Frame:
     """The world's observed frame as the mock reads it, built once per frame.
 
     ``shown`` holds, per projection in order, the projection, its visibility
-    factor and distance decay, and its parts; ``refs`` memoizes every
-    reference resolved while this frame is current, starting from the
-    references to no frame resolved so far (``fixed``), which resolve the same
-    in every frame.
+    factor and distance decay, and its parts; ``refs`` memoizes every frame
+    reference resolved while this frame is current. References to no frame
+    resolve the same in every frame, so ``MockPerception._fixed`` keeps them.
     """
 
     __slots__ = ("observed", "image", "shown", "refs")
 
-    def __init__(
-        self, observed: tuple[str, list[ProjectedObject]] | None, fixed: dict[str, _Resolved]
-    ) -> None:
+    def __init__(self, observed: tuple[str, list[ProjectedObject]] | None) -> None:
         self.observed = observed
         self.image = None if observed is None else observed[0]
         self.shown = [
@@ -211,7 +209,7 @@ class _Frame:
             )
             for proj in (() if observed is None else observed[1])
         ]
-        self.refs = dict(fixed)
+        self.refs: dict[str, _Resolved] = {}
 
     def check(self, ref: str) -> None:
         """Raise unless ``ref`` names this frame."""
@@ -289,7 +287,7 @@ class MockPerception(PerceptionBackend):
         # Catalog and text references resolve the same in every frame, so
         # they outlive the frame's memo.
         self._fixed: dict[str, _Resolved] = {}
-        self._frame = _Frame(None, self._fixed)
+        self._frame = _Frame(None)
         # Every noise key ends in the seed, so it is formatted once.
         self._key_suffix = f"|{seed}"
 
@@ -299,21 +297,19 @@ class MockPerception(PerceptionBackend):
         """The world's observed frame, rebuilt when ``observe`` has moved on."""
         frame, observed = self._frame, self.world.observed
         if frame.observed is not observed:
-            frame = self._frame = _Frame(observed, self._fixed)
+            frame = self._frame = _Frame(observed)
         return frame
 
     def resolve(self, ref: str) -> _Resolved:
-        """What ``ref`` shows in the current frame, memoized per frame."""
+        """What ``ref`` shows in the current frame: a frame reference memoized
+        per frame, any other once."""
         frame = self._current_frame()
-        resolved = frame.refs.get(ref)
+        resolved = frame.refs.get(ref) or self._fixed.get(ref)
         if resolved is None:
             if ref.startswith("frame:"):
-                resolved = frame.resolve(ref)
+                resolved = frame.refs[ref] = frame.resolve(ref)
             else:
-                resolved = self._fixed.get(ref)
-                if resolved is None:
-                    resolved = self._fixed[ref] = _resolve_fixed(ref)
-            frame.refs[ref] = resolved
+                resolved = self._fixed[ref] = _resolve_fixed(ref)
         return resolved
 
     # -- capabilities ---------------------------------------------------------
@@ -330,6 +326,8 @@ class MockPerception(PerceptionBackend):
         fallback_term = min(object_terms) if object_terms else None
         image, suffix, sigma = frame.image, self._key_suffix, self.sigma
 
+        # (-confidence, object id, term, box): sorted as they are, since
+        # (object id, term) is unique and no box is ever compared.
         raw: list[tuple[float, str, str, Region]] = []
         for proj, vis, decay, _ in current.shown:
             if object_terms:
@@ -340,7 +338,7 @@ class MockPerception(PerceptionBackend):
                 conf = base * vis * decay
                 if sigma:
                     conf += key_normal(f"det|{image}|{proj.object_id}|{term}{suffix}") * 0.04 * sigma
-                raw.append((_clamp(conf, 0.0, 1.0), proj.object_id, term, proj.box))
+                raw.append((-_clamp(conf, 0.0, 1.0), proj.object_id, term, proj.box))
             for term in part_terms:
                 part_box = proj.handle if term == "handle" else proj.body
                 if part_box is None:
@@ -348,25 +346,25 @@ class MockPerception(PerceptionBackend):
                 conf = _BASE_MATCH * vis * decay
                 if sigma:
                     conf += key_normal(f"det|{image}|{proj.object_id}|{term}{suffix}") * 0.04 * sigma
-                raw.append((_clamp(conf, 0.0, 1.0), proj.object_id, term, part_box))
+                raw.append((-_clamp(conf, 0.0, 1.0), proj.object_id, term, part_box))
 
-        raw.sort(key=lambda t: (-t[0], t[1], t[2]))
+        raw.sort()
         return [
-            Detection(term, box, conf, i + 1)
-            for i, (conf, _, term, box) in enumerate(raw[:k])
+            Detection(term, box, -negated, i + 1)
+            for i, (negated, _, term, box) in enumerate(raw[:k])
         ]
 
     def similarity(self, a: str, b: str) -> SimilarityScore:
         if a == b:
             return SimilarityScore(SIMILARITY_CAP)
-        # Both references are read from the current frame's memo inline;
-        # only a miss calls ``resolve``.
+        # Both references are read from the current frame's memo or the
+        # fixed one inline; only a miss calls ``resolve``.
         frame = self._frame
         if frame.observed is not self.world.observed:
             frame = self._current_frame()
-        refs = frame.refs
-        ra = refs.get(a) or self.resolve(a)
-        rb = refs.get(b) or self.resolve(b)
+        refs, fixed = frame.refs, self._fixed
+        ra = refs.get(a) or fixed.get(a) or self.resolve(a)
+        rb = refs.get(b) or fixed.get(b) or self.resolve(b)
         if ra.kind == "text" and rb.kind == "text":
             value = self._text_similarity(ra.text, rb.text)
             return SimilarityScore(_clamp(value, 0.0, SIMILARITY_CAP))
@@ -418,8 +416,7 @@ class MockPerception(PerceptionBackend):
         return 0
 
     def segment_regions(self, tool: Detection, frame: SceneFrame) -> tuple[Region, Region]:
-        frame_box = Region(0, 0, frame.width, frame.height)
-        if not frame_box.contains(tool.box):
+        if not box_in_frame(tool.box, frame):
             raise ValueError("tool box must lie within the frame")
         proj = self._current_frame().object_at(frame.image, tool.box)
         if proj is not None and proj.handle is not None and proj.body is not None:

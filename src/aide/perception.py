@@ -156,13 +156,16 @@ def crop_reference(frame: SceneFrame, box: Region) -> str:
     return f"{frame.image}#crop:{x0},{y0},{x1},{y1}"
 
 
+def box_in_frame(box: Region, frame: SceneFrame) -> bool:
+    """Whether ``box`` lies inside the frame. A ``Region`` is never negative
+    or inverted, so only its far edges can leave the frame."""
+    return box.x_max <= frame.width and box.y_max <= frame.height
+
+
 def boxes_in_frame(detections: Iterable[Detection], frame: SceneFrame) -> bool:
-    """Whether every detection's box lies inside the frame. A ``Region`` is
-    never negative or inverted, so only its far edges can leave the frame."""
-    width, height = frame.width, frame.height
+    """Whether every detection's box lies inside the frame (``box_in_frame``)."""
     for det in detections:
-        box = det.box
-        if box.x_max > width or box.y_max > height:
+        if not box_in_frame(det.box, frame):
             return False
     return True
 

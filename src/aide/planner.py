@@ -59,6 +59,7 @@ from .perception import (
     PerceptionError,
     SceneFrame,
     ToolHypothesis,
+    box_in_frame,
     crop_reference,
     crop_references,
 )
@@ -215,8 +216,7 @@ def mm_cot(
     recovery may pre-seed the label or the tool region; a region outside the
     frame is a failed call.
     """
-    frame_box = Region(0, 0, frame.width, frame.height)
-    if override_region is not None and not frame_box.contains(override_region):
+    if override_region is not None and not box_in_frame(override_region, frame):
         raise PerceptionError(
             f"region {override_region.as_list()} is outside the {frame.width}x{frame.height} frame"
         )

@@ -9,24 +9,33 @@ subcluster by tool-vector distance ``d``. A subcluster remembers each pool
 derived from it (``Subcluster.pools``), and an insert carries them forward.
 
 The layout is an inverted file: a stored record is a row, and the space names
-it only by its ``Position``, (cluster, subcluster, row). Each subcluster keeps
-its records' ids and texts as columns, their vectors as row numbers into
-read-only instruction and tool columns that all subclusters share, and their
-results as rows of one space-wide table of distinct ``GroundingResult``s (a
-corpus repeats a few results many times), so retrieval and candidate pools
-are numpy work over arrays, not walks over records. A built space's vector
-columns are the drafts' own arrays, which the build marks read-only; a loaded
-space's are the arrays read from its file. A reader gathers only the rows it
-reads: one row, a DFS block, or one subcluster at a time when
-``save_space`` writes the columns. The ids are a list of str that shares the
-very strings of the drafts or file they came from, which the space's id set
-holds too, and result rows are int32 from corpus to space, as a space file
-stores them. An ``InstructionRecord`` holds a record's content without its
-position; one is built from its row only by ``record`` or ``iter_records``.
-Clusters and subclusters are immutable, and an insert replaces the one
-cluster it lands in. So ``clone`` copies the list of clusters, the result
-table (a few dozen rows) and the set of ids inserted since, and shares the
-clusters and the set of ids the space was built with.
+it only by its ``Position``, (cluster, subcluster, row). Each subcluster is a
+shared, read-only base and then an append-only tail (``Subcluster``, ``Tail``).
+The base holds the records the space was built or loaded with: their ids and
+texts as columns, their vectors as rows of read-only instruction and tool
+columns that all subclusters share, and their results as rows of one
+space-wide table of distinct ``GroundingResult``s (a corpus repeats a few
+results many times), so retrieval and candidate pools are numpy work over
+arrays, not walks over records. A loaded space's base rows are contiguous, a
+slice of the columns read from its file, so a reader takes views of them; a
+built space's vector columns are the drafts' own arrays, which the build
+marks read-only, and a reader gathers the rows it reads: one row, a DFS
+block, or one subcluster at a time when ``save_space`` writes the columns.
+The tail holds the records inserted since, as tuples. The ids are a list of
+str that shares the very strings of the drafts or file they came from, which
+the space's id set holds too, and result rows are int32 from corpus to space,
+as a space file stores them. An ``InstructionRecord`` holds a record's
+content without its position; one is built from its row only by ``record``
+or ``iter_records``. Clusters and subclusters are immutable, and an insert
+replaces the one cluster it lands in, and in it the one subcluster, by a
+subcluster that shares the base and copies only the tail. So ``clone``
+copies the list of clusters, the result table (a few dozen rows) and the set
+of ids inserted since, and shares the clusters and the set of ids the space
+was built with.
+
+Retrieval and insert measure the query against every centroid in one
+distance call and take the nearest cluster and subcluster by ``argmin``;
+the full visiting order is sorted only after the nearest subcluster misses.
 
 ``save_space`` writes the same layout to one ``aide-space/3`` file: a JSON
 header line with the result table once, the cluster tree with centroids and
@@ -61,7 +70,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -85,10 +94,12 @@ Position = tuple[int, int, int]
 Tree = list[tuple[list, list[tuple[list, int]]]]
 
 # Retrieval measures the first DFS_BLOCK rows of a subcluster, and the rest
-# only when those hold no hit. A hit is mostly among the first rows, and the
-# rest in one piece keeps a miss about as cheap as one whole-subcluster scan
-# (128-row blocks all through doubled the cost of a miss at 50,000 records).
-DFS_BLOCK = 128
+# only when those hold no hit. A hit is mostly the first row (every retrieval
+# of the benchmark's episodes hits it), so the first block is small: 16 rows
+# measure in about 40% of the time 128 took. The rest in one piece keeps a
+# miss about as cheap as one whole-subcluster scan (128-row blocks all
+# through doubled the cost of a miss at 50,000 records).
+DFS_BLOCK = 16
 
 
 class SpaceError(RuntimeError):
@@ -113,12 +124,6 @@ class DuplicateRecordError(SpaceError):
 
 def _rows(vectors: Sequence[AffordanceVector], dims: int) -> np.ndarray:
     return np.array([v.scores for v in vectors], dtype=float).reshape(len(vectors), dims)
-
-
-def _nearest_first(point: Sequence[float], centroid_rows: np.ndarray) -> np.ndarray:
-    """Indices of ``centroid_rows`` by ascending distance from ``point``, ties to
-    the lower index."""
-    return np.argsort(euclidean(point, centroid_rows), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -206,18 +211,51 @@ FirstSeen = dict[int, tuple[float, str, int]]
 
 
 @dataclass(frozen=True, eq=False)
+class Tail:
+    """The rows appended to a subcluster after its base, as columns of
+    tuples, one item per row: ids, texts, the instruction and tool vectors
+    (each a record's own tuple of scores) and the result rows (each padded
+    to three with -1). Immutable: ``then`` returns a new tail, so the clones
+    that share one keep it as it is. A reader that measures the tail hands
+    its vector column to numpy as it is."""
+
+    ids: tuple[str, ...] = ()
+    texts: tuple[str, ...] = ()
+    instruction: tuple[tuple[float, ...], ...] = ()
+    tool: tuple[tuple[float, ...], ...] = ()
+    result_rows: tuple[tuple[int, ...], ...] = ()
+
+    def then(self, record: InstructionRecord, result_rows: list[int]) -> "Tail":
+        """This tail with ``record`` as its last row; copies only the tail."""
+        return Tail(
+            (*self.ids, record.id),
+            (*self.texts, record.text),
+            (*self.instruction, record.instruction_affordance.scores),
+            (*self.tool, record.tool_affordance.scores),
+            (*self.result_rows, tuple(_padded(result_rows))),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class Subcluster:
     """The records of one subcluster, stored only as columns, one row per
-    record: ids and texts as lists of str, each record's row of the
-    instruction and tool vector columns as ``vector_rows``, and each record's
-    results as its int32 row of ``result_rows`` (rows of the space's result
-    table, padded with -1). The vector columns are read-only and shared: a
-    built space's are the drafts' own, a loaded space's the file's, and only
-    a subcluster made by ``appended`` holds its own. Readers gather the rows
-    they read (one, or a block), never the whole subcluster for one row.
-    ``RelationshipSpace.record`` builds a record from its row. Immutable:
-    ``appended`` returns a new subcluster, so every space that holds this one
-    keeps it as it is. Subclusters compare by identity.
+    record: a shared, read-only base and then an append-only ``Tail``.
+
+    The base is the records the space was built or loaded with: their ids
+    and texts as lists of str, their rows of the instruction and tool vector
+    columns that all subclusters share as ``base_rows``, and their results
+    as int32 rows of ``base_results`` (rows of the space's result table,
+    padded with -1). ``base_rows`` is a slice where those rows are
+    contiguous, as in every loaded space, so a reader takes a view of the
+    columns; a built space's are an index array, and a reader gathers the
+    rows it reads (one, or a block), never the whole subcluster for one row.
+    The tail holds the records inserted since. ``ids``, ``texts``,
+    ``result_rows`` and ``vector_rows`` read base and tail as one, and
+    ``RelationshipSpace.record`` builds a record from its row.
+
+    Immutable: ``appended`` returns a new subcluster that shares the base and
+    copies only the tail, so every space that holds this one keeps it as it
+    is. Subclusters compare by identity.
 
     ``pools`` remembers the candidate pools derived from the columns, keyed by
     (anchor row, radius ``d``). It only ever gains entries, each computed from
@@ -225,44 +263,112 @@ class Subcluster:
     subcluster reads the same pools; ``appended`` carries each one forward."""
 
     centroid: AffordanceVector
-    ids: list[str] = field(repr=False)
-    texts: list[str] = field(repr=False)
+    base_ids: list[str] = field(repr=False)
+    base_texts: list[str] = field(repr=False)
     instruction: np.ndarray = field(repr=False)
     tool: np.ndarray = field(repr=False)
-    vector_rows: np.ndarray = field(repr=False)
-    result_rows: np.ndarray = field(repr=False)
+    base_rows: slice | np.ndarray = field(repr=False)
+    base_results: np.ndarray = field(repr=False)
+    tail: Tail = field(default=Tail(), repr=False)
     pools: dict[tuple[int, float], FirstSeen] = field(default_factory=dict, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.base_ids) + len(self.tail.ids)
+
+    @property
+    def ids(self) -> list[str]:
+        return [*self.base_ids, *self.tail.ids] if self.tail.ids else self.base_ids
+
+    @property
+    def texts(self) -> list[str]:
+        return [*self.base_texts, *self.tail.texts] if self.tail.ids else self.base_texts
+
+    @property
+    def result_rows(self) -> np.ndarray:
+        if not self.tail.ids:
+            return self.base_results
+        return np.concatenate([self.base_results, np.array(self.tail.result_rows, dtype=np.int32)])
+
+    @property
+    def vector_rows(self) -> np.ndarray:
+        """Each record's row of the shared vector columns; -1 for a tail row."""
+        rows = self.base_rows
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop)
+        return np.concatenate([rows, np.full(len(self.tail.ids), -1)])
+
+    def _base(self, column: np.ndarray, rows: int | slice) -> np.ndarray:
+        """The base's rows ``rows`` (an index, or a slice with explicit bounds
+        inside the base) of ``column``: a view where the base is a slice of
+        it, else those rows gathered."""
+        at = self.base_rows
+        if not isinstance(at, slice):
+            return column.take(at[rows], axis=0)
+        if isinstance(rows, slice):
+            return column[at.start + rows.start : at.start + rows.stop]
+        return column[at.start + rows]
+
+    def _vectors(self, column: np.ndarray, tail: tuple[tuple[float, ...], ...], rows) -> np.ndarray:
+        size = len(self.base_ids)
+        if isinstance(rows, (int, np.integer)):
+            k = range(len(self))[rows]
+            return self._base(column, k) if k < size else np.array(tail[k - size])
+        whole = self._base(column, slice(0, size))
+        if tail:
+            whole = np.concatenate([whole, tail])
+        return whole[rows]
 
     def instruction_at(self, rows) -> np.ndarray:
         """The instruction vectors of ``rows`` (an index, a slice or an index array)."""
-        return self.instruction.take(self.vector_rows[rows], axis=0)
+        return self._vectors(self.instruction, self.tail.instruction, rows)
 
     def tool_at(self, rows) -> np.ndarray:
         """The tool vectors of ``rows`` (an index, a slice or an index array)."""
-        return self.tool.take(self.vector_rows[rows], axis=0)
+        return self._vectors(self.tool, self.tail.tool, rows)
 
-    def _rows_then(self, column: np.ndarray, last: Sequence[float]) -> np.ndarray:
-        """This subcluster's rows of ``column`` and then ``last``, gathered
-        straight into one new array."""
-        rows = np.empty((len(self.vector_rows) + 1, column.shape[1]), dtype=column.dtype)
-        # "clip" writes straight into ``out``; "raise" would gather into a
-        # buffer first. The rows are in range, so clipping changes none.
-        column.take(self.vector_rows, axis=0, out=rows[:-1], mode="clip")
-        rows[-1] = last
-        return rows
+    def row(self, k: int) -> tuple[str, str, np.ndarray]:
+        """Row ``k``'s id, text and result row."""
+        k = range(len(self))[k]
+        size = len(self.base_ids)
+        if k < size:
+            return self.base_ids[k], self.base_texts[k], self.base_results[k]
+        tail, k = self.tail, k - size
+        return tail.ids[k], tail.texts[k], np.array(tail.result_rows[k], dtype=np.int32)
+
+    def first_within(self, point: np.ndarray, c: float) -> int | None:
+        """The first row, in stored order, whose instruction vector lies within
+        ``c`` of ``point``, or None. The base is measured in two blocks, its
+        first ``DFS_BLOCK`` rows and then the rest (views where it is a slice
+        of the shared column), and the tail as a third. The first block's
+        distances are read as a list: the hit is mostly its first row."""
+        size = len(self.base_ids)
+        first = self._base(self.instruction, slice(0, min(DFS_BLOCK, size)))
+        for k, dist in enumerate(euclidean(point, first).tolist()):
+            if dist <= c:
+                return k
+        for start, stop in ((DFS_BLOCK, size), (size, len(self))):
+            if start >= stop:
+                continue
+            block = self._base(self.instruction, slice(start, stop)) if start < size else self.tail.instruction
+            within = euclidean(point, block) <= c
+            k = int(within.argmax())  # the first hit, if any
+            if within[k]:
+                return start + k
+        return None
 
     def appended(self, record: InstructionRecord, result_rows: list[int]) -> "Subcluster":
-        """This subcluster with ``record`` as its last row, in vector columns
-        of its own. Each remembered pool is carried forward exactly: the new
-        row's results join it when the row lies within the pool's radius of
-        its anchor, measured as ``RelationshipSpace.candidate_set`` measures
-        it."""
-        instruction = self._rows_then(self.instruction, record.instruction_affordance.scores)
-        tool = self._rows_then(self.tool, record.tool_affordance.scores)
+        """This subcluster with ``record`` as its last row: the same base and
+        a new tail (``Tail.then``). Each remembered pool is carried forward
+        exactly: the new row's results join it when the row lies within the
+        pool's radius of its anchor, measured as
+        ``RelationshipSpace.candidate_set`` measures it."""
+        tail = self.tail.then(record, result_rows)
+        size = len(self.base_ids)
         pools: dict[tuple[int, float], FirstSeen] = {}
         # A snapshot: another thread may remember a pool meanwhile.
         for (k, d), first in tuple(self.pools.items()):
-            dist = float(euclidean(tool[k], tool[-1:])[0])
+            anchor = self._base(self.tool, k) if k < size else self.tail.tool[k - size]
+            dist = float(euclidean(anchor, record.tool_affordance.scores))
             if dist <= d:
                 first = dict(first)
                 for column, row in enumerate(result_rows):
@@ -272,12 +378,13 @@ class Subcluster:
             pools[k, d] = first
         return Subcluster(
             self.centroid,
-            [*self.ids, record.id],
-            [*self.texts, record.text],
-            _read_only(instruction),
-            _read_only(tool),
-            np.arange(len(tool)),
-            np.vstack([self.result_rows, np.array(_padded(result_rows), dtype=np.int32)]),
+            self.base_ids,
+            self.base_texts,
+            self.instruction,
+            self.tool,
+            self.base_rows,
+            self.base_results,
+            tail,
             pools,
         )
 
@@ -293,15 +400,18 @@ class RelationshipSpace:
     params: ConfigParams
     clusters: list[Cluster]
     # Distinct grounding results; ``Subcluster.result_rows`` index it. Each
-    # clone copies it.
+    # clone copies it, and the row of each result in it.
     results: list[GroundingResult] = field(repr=False)
+    _result_rows: dict[GroundingResult, int] = field(repr=False, compare=False)
     # Ids the space was built or loaded with, shared by every clone, and ids
     # inserted since, which each clone copies.
     _stored_ids: frozenset[str] = field(repr=False)
     _inserted_ids: set[str] = field(repr=False)
-    # Cluster centroids as rows, and each cluster's subcluster centroids as
-    # rows: built once, since centroids never move, and shared by clones.
-    _centroid_rows: tuple[np.ndarray, list[np.ndarray]] = field(repr=False, compare=False)
+    # Every centroid as a row, the clusters' and then each cluster's
+    # subclusters', and the row of each cluster's first subcluster centroid
+    # (one more at the end): built once, since centroids never move, and
+    # shared by clones.
+    _centroid_rows: tuple[np.ndarray, list[int]] = field(repr=False, compare=False)
 
     @property
     def record_count(self) -> int:
@@ -322,12 +432,13 @@ class RelationshipSpace:
     def record(self, ci: int, sj: int, k: int) -> InstructionRecord:
         """The record at position (``ci``, ``sj``, ``k``), built from its row."""
         sub = self.clusters[ci].subclusters[sj]
+        rid, text, result_rows = sub.row(k)
         return InstructionRecord(
-            id=sub.ids[k],
-            text=sub.texts[k],
+            id=rid,
+            text=text,
             instruction_affordance=AffordanceVector(tuple(sub.instruction_at(k).tolist())),
             tool_affordance=AffordanceVector(tuple(sub.tool_at(k).tolist())),
-            results=tuple(self.results[row] for row in sub.result_rows[k].tolist() if row >= 0),
+            results=tuple(self.results[row] for row in result_rows.tolist() if row >= 0),
         )
 
     def iter_records(self) -> Iterator[tuple[Position, InstructionRecord]]:
@@ -335,8 +446,25 @@ class RelationshipSpace:
         record built from its row."""
         for ci, cluster in enumerate(self.clusters):
             for sj, sub in enumerate(cluster.subclusters):
-                for k in range(len(sub.ids)):
+                for k in range(len(sub)):
                     yield (ci, sj, k), self.record(ci, sj, k)
+
+    def _visiting_order(self, point: Sequence[float]) -> Iterator[tuple[int, int]]:
+        """(cluster, subcluster) pairs by ascending centroid distance from
+        ``point``, ties to the lower index. One distance call measures every
+        centroid; the first pair is taken by ``argmin``, which picks the
+        lowest index among ties as the stable sort does, and the rest of the
+        order is sorted only when it is asked for."""
+        rows, starts = self._centroid_rows
+        dists = euclidean(point, rows)
+        to_clusters = dists[: len(self.clusters)]
+        nearest = int(to_clusters.argmin())
+        first = (nearest, int(dists[starts[nearest] : starts[nearest + 1]].argmin()))
+        yield first
+        for ci in np.argsort(to_clusters, kind="stable").tolist():
+            for sj in np.argsort(dists[starts[ci] : starts[ci + 1]], kind="stable").tolist():
+                if (ci, sj) != first:
+                    yield ci, sj
 
     def dfs_retrieve(
         self, query: AffordanceVector, c: float
@@ -344,27 +472,20 @@ class RelationshipSpace:
         """Position of the first record within ``c`` of the query, or (None, visits).
 
         Clusters and subclusters are visited in ascending centroid distance
-        (ties to the lower index); records in stored order. The second element
-        counts the visited records up to and including the hit, so a miss
-        returns ``record_count``.
+        (ties to the lower index, ``_visiting_order``); records in stored
+        order (``Subcluster.first_within``). The second element counts the
+        visited records up to and including the hit, so a miss returns
+        ``record_count``.
         """
         self._check_dims(query)
         point = np.asarray(query.scores)
         visited = 0
-        cluster_rows, subcluster_rows = self._centroid_rows
-        for ci in _nearest_first(point, cluster_rows):
-            subs = self.clusters[ci].subclusters
-            for sj in _nearest_first(point, subcluster_rows[ci]):
-                sub = subs[sj]
-                size = len(sub.ids)
-                for start, stop in ((0, DFS_BLOCK), (DFS_BLOCK, size)):
-                    if start >= size:
-                        break
-                    hits = np.flatnonzero(euclidean(point, sub.instruction_at(slice(start, stop))) <= c)
-                    if hits.size:
-                        k = start + int(hits[0])
-                        return (int(ci), int(sj), k), visited + k + 1
-                visited += size
+        for ci, sj in self._visiting_order(point):
+            sub = self.clusters[ci].subclusters[sj]
+            k = sub.first_within(point, c)
+            if k is not None:
+                return (ci, sj, k), visited + k + 1
+            visited += len(sub)
         return None, visited
 
     def candidate_set(self, anchor: Position, d: float) -> np.ndarray:
@@ -380,7 +501,8 @@ class RelationshipSpace:
         near = dists[picked]
         order = np.argsort(near)
         if (near[order[1:]] == near[order[:-1]]).any():  # equal distances: ties go by id
-            order = np.lexsort((np.array([sub.ids[i] for i in picked.tolist()]), near))
+            ids = sub.ids
+            order = np.lexsort((np.array([ids[i] for i in picked.tolist()]), near))
         return picked[order]
 
     def pool_results(self, anchor: Position, d: float) -> list[GroundingResult]:
@@ -402,7 +524,8 @@ class RelationshipSpace:
             picked, columns = np.divmod(filled[at], MAX_RESULTS_PER_RECORD)
             seen_at = rows[picked]  # the row each result is first seen in
             dists = euclidean(sub.tool_at(k), sub.tool_at(seen_at))
-            seen_ids = [sub.ids[i] for i in seen_at.tolist()]
+            ids = sub.ids
+            seen_ids = [ids[i] for i in seen_at.tolist()]
             first = dict(zip(distinct.tolist(), zip(dists.tolist(), seen_ids, columns.tolist())))
             sub.pools[k, d] = first
         return [self.results[row] for row in sorted(first, key=first.__getitem__)]
@@ -412,14 +535,17 @@ class RelationshipSpace:
 
         Clusters are immutable and ``insert`` replaces the one it changes. So
         the clone shares every cluster, the stored ids and the centroid rows,
-        and copies only the cluster list, the result table and the inserted
-        ids; its cost does not grow with the records.
+        and copies only the cluster list, the result table with its rows and
+        the inserted ids; its cost does not grow with the records.
         """
-        return replace(
-            self,
-            clusters=list(self.clusters),
-            results=list(self.results),
-            _inserted_ids=set(self._inserted_ids),
+        return RelationshipSpace(
+            self.params,
+            list(self.clusters),
+            list(self.results),
+            dict(self._result_rows),
+            self._stored_ids,
+            set(self._inserted_ids),
+            self._centroid_rows,
         )
 
     # -- mutation --------------------------------------------------------
@@ -434,18 +560,12 @@ class RelationshipSpace:
         if self.holds(record.id):
             raise DuplicateRecordError(f"record id {record.id!r} already stored")
         self._check_dims(record.instruction_affordance)
-        point = record.instruction_affordance.scores
-        ci = int(_nearest_first(point, self._centroid_rows[0])[0])
-        sj = int(_nearest_first(point, self._centroid_rows[1][ci])[0])
+        ci, sj = next(self._visiting_order(record.instruction_affordance.scores))
         result_rows = []
         for result in record.results:
-            # A scan, not ``list.index``: the ``ValueError`` it raises for a
-            # new result formats that result's repr.
-            for row, known in enumerate(self.results):
-                if known is result or known == result:
-                    break
-            else:
-                row = len(self.results)
+            row = self._result_rows.get(result)
+            if row is None:
+                row = self._result_rows[result] = len(self.results)
                 self.results.append(result)
             result_rows.append(row)
         cluster = self.clusters[ci]
@@ -453,7 +573,7 @@ class RelationshipSpace:
         subs[sj] = subs[sj].appended(record, result_rows)
         self.clusters[ci] = Cluster(cluster.centroid, tuple(subs))
         self._inserted_ids.add(record.id)
-        return ci, sj, len(subs[sj].ids) - 1
+        return ci, sj, len(subs[sj]) - 1
 
 
 # --- build --------------------------------------------------------------
@@ -469,8 +589,9 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
     results they use become the space's result table, in first use along
     that order. Their vectors are not copied: the space keeps the drafts'
     ``instruction`` and ``tool`` arrays, marked read-only, and each subcluster
-    its rows of them. Every draft's scores are checked before clustering,
-    also those of drafts the ``D`` filter drops (``SpaceFormatError``).
+    its rows of them. Every draft's scores, and that it has a text, are
+    checked before clustering, also those of drafts the ``D`` filter drops
+    (``_check_columns``, ``SpaceFormatError``).
     """
     if not len(drafts):
         raise SpaceBuildError("cannot build a space from zero drafts")
@@ -485,7 +606,7 @@ def build_space(drafts: Drafts, params: ConfigParams, seed: int) -> Relationship
         raise SpaceBuildError(
             f"{len(drafts)} drafts cannot seed {params.a} clusters"
         )
-    _check_scores(drafts)
+    _check_columns(drafts)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     centers, labels = kmeans(points, params.a, rng)
@@ -654,7 +775,7 @@ def save_space(space: RelationshipSpace, path: str | Path) -> None:
             {
                 "centroid": cluster.centroid.as_list(),
                 "subclusters": [
-                    {"centroid": sub.centroid.as_list(), "size": len(sub.ids)}
+                    {"centroid": sub.centroid.as_list(), "size": len(sub)}
                     for sub in cluster.subclusters
                 ],
             }
@@ -689,8 +810,12 @@ def write_corpus(drafts: Drafts, path: str | Path) -> int:
     return len(drafts)
 
 
-def _check_scores(drafts: Drafts) -> None:
-    """Check that every instruction and tool score is finite and in range."""
+def _check_columns(drafts: Drafts) -> None:
+    """Check that there is one text per id and that every instruction and
+    tool score is finite and in range: what a build reads before it keeps a
+    row, and the first checks of ``_check_drafts``."""
+    if len(drafts.texts) != len(drafts.ids):
+        raise SpaceFormatError(f"{len(drafts.texts)} texts for {len(drafts.ids)} ids")
     for name, column in (("instruction", drafts.instruction), ("tool", drafts.tool)):
         if not ((column >= SCORE_MIN) & (column <= SCORE_MAX)).all():  # also false for NaN
             raise SpaceFormatError(f"a {name} score is not finite or outside [{SCORE_MIN}, {SCORE_MAX}]")
@@ -698,13 +823,11 @@ def _check_scores(drafts: Drafts) -> None:
 
 def _check_drafts(drafts: Drafts) -> frozenset[str]:
     """Check drafts columns against each other and each row's values: ids
-    that are distinct, non-empty strings, texts that are strings, finite
-    scores in range, at least one result row, all inside a table of distinct
-    results. Returns the ids."""
+    that are distinct, non-empty strings, one text per id, texts that are
+    strings, finite scores in range (``_check_columns``), at least one result
+    row, all inside a table of distinct results. Returns the ids."""
     n = len(drafts.ids)
-    if len(drafts.texts) != n:
-        raise SpaceFormatError(f"{len(drafts.texts)} texts for {n} ids")
-    _check_scores(drafts)
+    _check_columns(drafts)
     rows = drafts.result_rows
     if rows.size and (rows.min() < -1 or rows.max() >= len(drafts.results)):
         raise SpaceFormatError(f"result row outside the {len(drafts.results)}-row result table")
@@ -729,18 +852,20 @@ def _check_drafts(drafts: Drafts) -> frozenset[str]:
 
 
 def _space_from_columns(
-    params: ConfigParams, tree: Tree, records: Drafts, vector_rows: np.ndarray
+    params: ConfigParams, tree: Tree, records: Drafts, vector_rows: np.ndarray | None = None
 ) -> RelationshipSpace:
     """Check the records and the tree against them, then build the
     subclusters, the id set and the centroid rows: the one construction path
     of a built or loaded space. ``records`` holds the stored records in tree
     order, their results as rows of the space's result table, except that its
-    vector columns may hold more rows: ``vector_rows`` gives each record's.
-    Every row of those columns is checked (``_check_drafts``) and marked
-    read-only, and the subclusters share them. The subclusters slice the
-    records' own id list and int32 result rows, so each id is held once, by
-    them and the id set. Equal texts share one str, as those of a generated
-    or read corpus and of a loaded space do."""
+    vector columns may hold more rows: ``vector_rows`` gives each record's,
+    and None means the columns hold the records' rows in order, so each
+    subcluster's base is a slice of them. Every row of those columns is
+    checked (``_check_drafts``) and marked read-only, and the subclusters
+    share them. The subclusters slice the records' own id
+    list and int32 result rows, so each id is held once, by them and the id
+    set. Equal texts share one str, as those of a generated or read corpus
+    and of a loaded space do."""
     ids = _check_drafts(records)
     n = len(records)
     sizes = [size for _, subclusters in tree for _, size in subclusters]
@@ -763,7 +888,7 @@ def _space_from_columns(
                     texts[lo:hi],
                     instruction,
                     tool,
-                    vector_rows[lo:hi],
+                    slice(lo, hi) if vector_rows is None else vector_rows[lo:hi],
                     records.result_rows[lo:hi],
                 )
             )
@@ -774,11 +899,16 @@ def _space_from_columns(
         params=params,
         clusters=clusters,
         results=list(records.results),
+        _result_rows={result: row for row, result in enumerate(records.results)},
         _stored_ids=ids,
         _inserted_ids=set(),
         _centroid_rows=(
-            _rows([cluster.centroid for cluster in clusters], dims),
-            [_rows([sub.centroid for sub in cluster.subclusters], dims) for cluster in clusters],
+            _rows(
+                [cluster.centroid for cluster in clusters]
+                + [sub.centroid for cluster in clusters for sub in cluster.subclusters],
+                dims,
+            ),
+            np.cumsum([len(clusters)] + [len(cluster.subclusters) for cluster in clusters]).tolist(),
         ),
     )
 
@@ -912,7 +1042,7 @@ def load_space(path: str | Path) -> RelationshipSpace:
         params = member(doc, "params", ConfigParams.from_dict)
         records = _read_records(fh, doc, params.X)
         tree = member(doc, "clusters", _clusters)
-        return _space_from_columns(params, tree, records, np.arange(len(records)))
+        return _space_from_columns(params, tree, records)
 
 
 def read_corpus(path: str | Path) -> Drafts:

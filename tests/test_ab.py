@@ -210,3 +210,73 @@ def test_a_bench_file_holds_one_run_per_line(tmp_path, monkeypatch):
     runs = [run for summary in report["workloads"].values() for run in summary["runs"]]
     assert [json.loads(line) for line in run_lines] == runs and len(runs) == 8
     assert '"seeds": [0, 1, 2, 3],' in text
+
+
+def _bench_file(path: Path, base_commit: str, medians: dict, aa: bool = False) -> Path:
+    """A BENCH file holding, per workload, only the medians the trajectory
+    reads; its change side is the worktree on the base commit, or with
+    ``aa`` the base commit itself."""
+    workloads = {
+        workload: {
+            "metrics": {name: {"base_median": base, "change_median": change} for name, (base, change) in metrics.items()}
+        }
+        for workload, metrics in medians.items()
+    }
+    change = {"commit": base_commit} if aa else {"commit": base_commit, "uncommitted_changes": True}
+    path.write_text(
+        json.dumps({"base": {"commit": base_commit}, "change": change, "workloads": workloads}), encoding="utf-8"
+    )
+    return path
+
+
+def test_a_trajectory_chains_each_files_ratio_and_rewrites_none(tmp_path, capsys):
+    newer = _bench_file(
+        tmp_path / "BENCH_newer.json",
+        "b" * 40,
+        {"index-50k": {"ticks_per_s": (4000.0, 4400.0)}, "ref-eval": {"ticks_per_s": (5000.0, 4500.0)}},
+    )
+    older = _bench_file(tmp_path / "BENCH_older.json", "a" * 40, {"index-50k": {"ticks_per_s": (3200.0, 4000.0)}})
+    before = {path: path.read_bytes() for path in (newer, older)}
+    lines = ab.trajectory([newer, older], END_TO_END, {"a" * 40: 0, "b" * 40: 1})
+    assert lines[:3] == [
+        "index-50k ticks_per_s (higher is better)",
+        "  BENCH_older.json  3200 -> 4000  ratio 1.2500  running 1.2500 (+25.0%)",
+        "  BENCH_newer.json  4000 -> 4400  ratio 1.1000  running 1.3750 (+37.5%)",
+    ]
+    # A metric no file holds has no lines.
+    assert lines[3:] == [
+        "ref-eval ticks_per_s (higher is better)",
+        "  BENCH_newer.json  5000 -> 4500  ratio 0.9000  running 0.9000 (-10.0%)",
+    ]
+    # Files whose base commits are not in the history keep their order.
+    assert ab.trajectory([newer, older], END_TO_END, {})[1].startswith("  BENCH_newer.json")
+    assert ab.main(["--trajectory", str(newer), str(older)]) == 0
+    assert "index-50k ticks_per_s (higher is better)" in capsys.readouterr().out
+    assert {path: path.read_bytes() for path in (newer, older)} == before
+
+
+def test_a_trajectory_takes_repeated_runs_of_a_change_once_and_no_aa_run(tmp_path):
+    older = _bench_file(tmp_path / "BENCH_older.json", "a" * 40, {"index-50k": {"ticks_per_s": (3200.0, 4000.0)}})
+    aa = _bench_file(tmp_path / "BENCH_aa.json", "a" * 40, {"index-50k": {"ticks_per_s": (3200.0, 3100.0)}}, aa=True)
+    runs = [
+        _bench_file(tmp_path / f"BENCH_run{i}.json", "b" * 40, {"index-50k": {"ticks_per_s": (4000.0, change)}})
+        for i, change in enumerate((4400.0, 4600.0))
+    ]
+    lines = ab.trajectory([older, aa, *runs], END_TO_END, {"a" * 40: 0, "b" * 40: 1})
+    assert lines == [
+        "index-50k ticks_per_s (higher is better)",
+        "  BENCH_older.json  3200 -> 4000  ratio 1.2500  running 1.2500 (+25.0%)",
+        "  BENCH_aa.json     3200 -> 3100  ratio 0.9688  running 1.2500 (+25.0%)  A/A, not taken",
+        "  BENCH_run0.json   4000 -> 4400  ratio 1.1000  running 1.3750 (+37.5%)",
+        # The second run of the same change replaces the first's ratio by their mean, 1.125.
+        "  BENCH_run1.json   4000 -> 4600  ratio 1.1500  running 1.4062 (+40.6%)",
+    ]
+
+
+def test_a_run_needs_a_base_and_a_label_and_a_trajectory_neither(capsys):
+    for argv in (["--label", "x"], ["--base", "HEAD"]):
+        with pytest.raises(SystemExit) as exc:
+            ab.parse_args(argv, ["ref-eval"])
+        assert exc.value.code == 2 and "is required without --trajectory" in capsys.readouterr().err
+    args = ab.parse_args(["--trajectory", "BENCH_a.json", "BENCH_b.json"], ["ref-eval"])
+    assert args.trajectory == [Path("BENCH_a.json"), Path("BENCH_b.json")]

@@ -215,7 +215,9 @@ def test_criterion_4_threshold_semantics(params):
         det = Detection(label="cup", box=Region(0, 0, 10, 10), confidence=float(conf), rank=1)
         for sim in (float(sims[int(conf * 99) % 100]), 0.5 - float(conf), 0.25):
             sim = min(max(sim, 0.0), 0.999)
-            top = TopMatch(detections=(det,), similarities=(sim,), s_max=sim)
+            top = TopMatch(
+                detections=(det,), crops=("frame:w:0#crop:0,0,10,10",), similarities=(sim,), s_max=sim
+            )
             valid, score = validity_check(top, params)
             assert valid == (score >= params.validity_threshold)
             assert score == pytest.approx(float(conf) + sim)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from aide.affordance import (
@@ -13,6 +14,7 @@ from aide.affordance import (
     class_centroid,
     class_names,
     distance,
+    euclidean,
     label_class,
     neutral_vector,
     vector,
@@ -35,6 +37,19 @@ def test_distance_three_four_five():
     u = vector([3.0, 4.0] + [0.0] * 17)
     v = vector([0.0] * 19)
     assert distance(u, v) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize(
+    ("a_shape", "b_shape"), [((19,), (19,)), ((19,), (72, 19)), ((300, 19), (19,)), ((5, 19), (5, 19))]
+)
+def test_euclidean_is_the_plain_formula_to_the_last_bit(a_shape, b_shape):
+    # Retrieval, inserts and k-means all measure through ``euclidean``: its
+    # ufunc form must give each row exactly what the formula gives.
+    rng = np.random.Generator(np.random.PCG64(5))
+    a, b = rng.uniform(0.0, 10.0, a_shape), rng.uniform(0.0, 10.0, b_shape)
+    for first in (a, a.tolist()):
+        assert np.array_equal(euclidean(first, b), np.sqrt(((np.asarray(first, dtype=float) - b) ** 2).sum(axis=-1)))
+    assert euclidean([0, 0], np.array([3, 4])).dtype == np.float64
 
 
 def test_distance_symmetry_and_dimension_error():

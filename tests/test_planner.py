@@ -68,7 +68,9 @@ def detection(conf, rank=1):
 
 def matched(conf, sim):
     """A top-N stage whose rank-1 detection has this confidence and similarity."""
-    return TopMatch(detections=(detection(conf),), similarities=(sim,), s_max=sim)
+    return TopMatch(
+        detections=(detection(conf),), crops=("frame:w:0#crop:0,0,10,10",), similarities=(sim,), s_max=sim
+    )
 
 
 # --- validity ----------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_validity_exact_boundary_is_valid(params):
 
 
 def test_validity_zero_detections(params):
-    valid, score = validity_check(TopMatch(detections=(), similarities=(), s_max=0.0), params)
+    valid, score = validity_check(TopMatch(detections=(), crops=(), similarities=(), s_max=0.0), params)
     assert not valid and score == 0.0
 
 

@@ -189,6 +189,13 @@ def test_build_rejects_a_score_that_is_not_finite(corpus, params, value, column,
         build_space(drafts, params, seed=7)
 
 
+def test_build_rejects_drafts_with_fewer_texts_than_ids(corpus, params):
+    # A file's texts come one per id, so only hand-made drafts can fall short.
+    drafts = replace(corpus, texts=corpus.texts[:-1])
+    with pytest.raises(SpaceFormatError, match=f"^{len(corpus) - 1} texts for {len(corpus)} ids$"):
+        build_space(drafts, params, seed=7)
+
+
 def test_build_deterministic(corpus, params):
     s1 = build_space(corpus, params, seed=42)
     s2 = build_space(corpus, params, seed=42)

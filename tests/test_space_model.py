@@ -235,6 +235,66 @@ class SpaceMachine(RuleBasedStateMachine):
         else:
             assert space.pool_results(anchor, PARAMS.d) == model.pool(anchor, PARAMS.d)
 
+    def _agrees(self, space, model, anchor, stored: InstructionRecord) -> None:
+        """The space's rows, its pool at ``anchor`` and its DFS hits near
+        ``stored`` are the model's."""
+        assert [record for _, record in space.iter_records()] == model.records()
+        assert space.pool_results(anchor, PARAMS.d) == model.pool(anchor, PARAMS.d)
+        for radius in (0.0, PARAMS.c):
+            query = stored.instruction_affordance
+            assert space.dfs_retrieve(query, radius) == model.dfs(query.scores, radius)
+
+    def _insert_near(self, handle: int, stored: InstructionRecord, pick: int, results) -> InstructionRecord:
+        """Insert a record with ``stored``'s instruction vector and a tool
+        vector at exactly ``d`` from its tool vector; returns the record."""
+        tool = self._offset(stored.tool_affordance.scores, "d", pick)
+        record = InstructionRecord(self._fresh_id(pick), TEXTS[1], stored.instruction_affordance, tool, results)
+        self._insert(handle, record)
+        return record
+
+    @rule(target=handles, handle=handles, pick=picks, results=result_sets)
+    def insert_into_a_clone_of_a_loaded_space(self, handle, pick, results):
+        """A loaded space's bases are slices of its vector columns: an insert
+        into one clone of it leaves the space and another clone as they were."""
+        space, model = self.spaces[handle]
+        path = self.tmp / f"{len(self.spaces)}.aide"
+        save_space(space, path)
+        loaded = load_space(path)
+        assert all(isinstance(sub.base_rows, slice) for cluster in loaded.clusters for sub in cluster.subclusters)
+        first, second = loaded.clone(), loaded.clone()
+        self.spaces += [(loaded, model.copy()), (first, model.copy()), (second, model.copy())]
+        anchor, stored = self._stored(handle, pick)
+        for other in (loaded, second):  # each remembers the pool that the insert carries forward
+            self._agrees(other, model, anchor, stored)
+        self._insert_near(len(self.spaces) - 2, stored, pick, results)
+        for other in (loaded, second):
+            self._agrees(other, model, anchor, stored)
+        self._agrees(first, self.spaces[-2][1], anchor, stored)
+        return len(self.spaces) - 2
+
+    @rule(target=handles, handle=handles, pick=picks, results=result_sets)
+    def insert_into_clones_that_share_a_tail(self, handle, pick, results):
+        """Two clones of a clone that has inserted share its tails; an insert
+        into each leaves the other and their source as they were."""
+        space, model = self.spaces[handle]
+        anchor, stored = self._stored(handle, pick)
+        self.spaces.append((space.clone(), model.copy()))
+        source = len(self.spaces) - 1
+        record = self._insert_near(source, stored, pick, results)
+        source_space, source_model = self.spaces[source]
+        ci, sj, _ = next(at for at, r in source_space.iter_records() if r.id == record.id)
+        tail = source_space.clusters[ci].subclusters[sj].tail
+        assert tail.ids[-1] == record.id
+        clones = [(source_space.clone(), source_model.copy()) for _ in range(2)]
+        self.spaces += clones
+        assert all(clone.clusters[ci].subclusters[sj].tail is tail for clone, _ in clones)
+        for turn, (clone, _) in enumerate(clones):
+            self._insert_near(len(self.spaces) - 2 + turn, stored, pick + turn, results)
+            assert clone.clusters[ci].subclusters[sj].tail.ids[:-1] == tail.ids
+            for other, other_model in (self.spaces[source], *clones):
+                self._agrees(other, other_model, anchor, stored)
+        return len(self.spaces) - 1
+
     @rule(handle=handles, pick=picks)
     def insert_duplicate_id(self, handle, pick):
         space, model = self.spaces[handle]

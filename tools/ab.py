@@ -3,6 +3,7 @@
     python3 tools/ab.py --base <rev> [--change <rev>|worktree] \\
         [--workloads ref-eval index-50k remote-eval] [--seeds 0-9] \\
         [--claim <workload>:<metric> ...] --label <label>
+    python3 tools/ab.py --trajectory BENCH_*.json
 
 Each side is exported on its own into a temporary directory: a revision with
 ``git archive`` (its ``src/`` and ``perfbench/``), ``worktree`` (the default
@@ -41,6 +42,18 @@ was claimed, and a verdict:
 A workload in which any run was not ``"correct": true`` is refused: the file
 names the runs and reports none of its metrics, and the exit status is 1.
 The tool changes nothing under ``perfbench/`` or ``src/``.
+
+``--trajectory`` runs nothing and writes nothing: it reads the given BENCH
+files and prints, per workload and end-to-end metric, each file's
+change/base ratio of medians and their running product, the drift of the
+metric across the changes the files measured. The files are taken in the
+order of their base commits in the history of HEAD, oldest first; a file
+whose base commit is not in it keeps its place on the command line, after
+those that are. Files with one base commit are repeated runs of one change:
+the product takes the mean of their ratios once. A file that ran a commit
+against itself (an A/A run) is listed but not taken. A workload a file
+refused, or did not run, is left out of that file's lines, and a metric no
+file holds has none.
 """
 
 from __future__ import annotations
@@ -87,16 +100,24 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def parse_args(argv: list[str] | None, workloads: list[str], metrics: Collection[str] = ()) -> argparse.Namespace:
-    """The options; a claim must name a workload that runs and, when
-    ``metrics`` are given, one of them."""
+    """The options; ``--base`` and ``--label`` are required unless
+    ``--trajectory`` is given, and a claim must name a workload that runs
+    and, when ``metrics`` are given, one of them."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--base", required=True, help="git revision of the base side")
+    parser.add_argument(
+        "--trajectory",
+        nargs="+",
+        type=Path,
+        metavar="BENCH_FILE",
+        help="print the drift the given BENCH files measured; runs nothing",
+    )
+    parser.add_argument("--base", help="git revision of the base side")
     parser.add_argument("--change", default=WORKTREE, help="git revision, or 'worktree' (default)")
     parser.add_argument(
         "--workloads", nargs="+", default=workloads, choices=workloads, help="default: all"
     )
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"), help="default: 0-9")
-    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
+    parser.add_argument("--label", help="names the output, BENCH_<label>.json")
     parser.add_argument(
         "--claim",
         action="append",
@@ -105,6 +126,10 @@ def parse_args(argv: list[str] | None, workloads: list[str], metrics: Collection
         help="a gain this change claims; only a claimed metric can read 'better'",
     )
     args = parser.parse_args(argv)
+    if args.trajectory is None:
+        for name in ("base", "label"):
+            if getattr(args, name) is None:
+                parser.error(f"--{name} is required without --trajectory")
     for claim in args.claim:
         workload, _, metric = claim.partition(":")
         if workload not in args.workloads or (metrics and metric not in metrics):
@@ -268,11 +293,64 @@ def render(value: object, depth: int = 0, one_per_line: bool = False) -> str:
     return f"{opening}\n" + ",\n".join(items) + f"\n{pad}{closing}"
 
 
+def _history() -> dict[str, int]:
+    """Each commit in the history of HEAD, by its age: 0 for the root."""
+    try:
+        commits = _git("rev-list", "--reverse", "HEAD").split()
+    except (OSError, subprocess.CalledProcessError):
+        return {}
+    return {commit: age for age, commit in enumerate(commits)}
+
+
+def _is_aa(report: dict) -> bool:
+    """Whether a BENCH file ran one commit against itself."""
+    change = report["change"]
+    return change["commit"] == report["base"]["commit"] and not change.get("uncommitted_changes")
+
+
+def trajectory(paths: list[Path], end_to_end: list[dict], history: dict[str, int]) -> list[str]:
+    """Lines of the drift that the BENCH files at ``paths`` measured, per
+    workload and end-to-end metric: each file's base and change medians,
+    their ratio and the running product of the changes' ratios, the files
+    in the order of their base commits' ages in ``history``. Files that
+    share a base commit measured one change, which the product takes once,
+    at the mean of their ratios; an A/A file is listed but not taken."""
+    reports = [(path, json.loads(path.read_text(encoding="utf-8"))) for path in paths]
+    unknown = len(history)
+    reports.sort(key=lambda item: history.get(item[1]["base"]["commit"], unknown))
+    width = max(len(path.name) for path, _ in reports)
+    workloads = list(dict.fromkeys(workload for _, report in reports for workload in report["workloads"]))
+    lines = []
+    for workload in workloads:
+        for spec in end_to_end:
+            rows = []
+            changes: dict[str, list[float]] = {}  # each base commit's ratios
+            for path, report in reports:
+                metric = report["workloads"].get(workload, {}).get("metrics", {}).get(spec["name"])
+                if metric is None:
+                    continue
+                ratio = metric["change_median"] / metric["base_median"] if metric["base_median"] else math.nan
+                if not _is_aa(report):
+                    changes.setdefault(report["base"]["commit"], []).append(ratio)
+                running = math.prod(statistics.fmean(ratios) for ratios in changes.values())
+                rows.append(
+                    f"  {path.name:<{width}}  {metric['base_median']:.6g} -> {metric['change_median']:.6g}"
+                    f"  ratio {ratio:.4f}  running {running:.4f} ({running - 1:+.1%})"
+                    + ("  A/A, not taken" if _is_aa(report) else "")
+                )
+            if rows:
+                lines += [f"{workload} {spec['name']} ({spec['better']} is better)", *rows]
+    return lines
+
+
 def main(argv: list[str] | None = None, runner: Runner | None = None, export_side=export) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     args = parse_args(
         argv, [workload["name"] for workload in spec["workloads"]], [metric["name"] for metric in spec["end_to_end"]]
     )
+    if args.trajectory is not None:
+        print("\n".join(trajectory(args.trajectory, spec["end_to_end"], _history())))
+        return 0
     runner = runner or benchmark_runner(spec["command"], spec["run_seconds"])
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
